@@ -1,12 +1,12 @@
-"""Benchmark workloads, harness and per-table/figure experiments."""
+"""Benchmark workloads, the paper-fidelity experiment registry and
+the config-driven ``repro bench`` runner.
 
-from repro.bench.harness import (
-    ExperimentTable,
-    format_bytes,
-    format_seconds,
-    format_value,
-    render_bars,
-)
+The paper's tables, figures and ablations are enumerated in exactly one
+place, :data:`EXPERIMENTS`; their run functions live in
+:mod:`repro.bench.experiments`.
+"""
+
+from repro.bench.harness import ExperimentTable, format_value
 from repro.bench.loc import PAPER_TABLE4, count_udf_lines, method_body_lines
 from repro.bench.workloads import (
     PAPER_GRAPH_BYTES,
@@ -16,27 +16,11 @@ from repro.bench.workloads import (
     standard_workload,
     topology_suite,
 )
-from repro.bench.experiments import (
-    app_matrix,
-    cascaded_propagation_experiment,
-    fig6_topologies,
-    fig7_mr_vs_prop,
-    fig9_delay_sweep,
-    fig10_fault_tolerance,
-    fig11_scalability,
-    fig12_nr_scaling,
-    make_app,
-    table1_partitioning,
-    table4_loc,
-    table5_ier,
-)
+from repro.bench.experiments import EXPERIMENTS, Experiment, make_app
 
 __all__ = [
     "ExperimentTable",
-    "format_bytes",
-    "format_seconds",
     "format_value",
-    "render_bars",
     "PAPER_TABLE4",
     "count_udf_lines",
     "method_body_lines",
@@ -46,16 +30,7 @@ __all__ = [
     "standard_graph",
     "standard_workload",
     "topology_suite",
-    "app_matrix",
-    "cascaded_propagation_experiment",
-    "fig6_topologies",
-    "fig7_mr_vs_prop",
-    "fig9_delay_sweep",
-    "fig10_fault_tolerance",
-    "fig11_scalability",
-    "fig12_nr_scaling",
+    "EXPERIMENTS",
+    "Experiment",
     "make_app",
-    "table1_partitioning",
-    "table4_loc",
-    "table5_ier",
 ]

@@ -1,36 +1,16 @@
-"""Experiment-result containers and plain-text table/series rendering.
+"""The plain-text table every experiment and ``repro bench`` renders to.
 
-Every experiment function in :mod:`repro.bench.experiments` returns an
-:class:`ExperimentTable` (for the paper's tables) or a dict of series (for
-its figures); the benchmark scripts print them in the same row/column
-arrangement the paper uses so shapes can be compared side by side.
+:mod:`repro.bench.experiments` arranges each result in the paper's
+row/column layout as an :class:`ExperimentTable`, so shapes can be
+compared side by side and the rendered text diffed against
+``benchmarks/results/``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["ExperimentTable", "format_value", "format_bytes",
-           "format_seconds", "render_bars"]
-
-
-def format_seconds(seconds: float) -> str:
-    """Human-scaled time: s / min / h."""
-    if seconds < 120:
-        return f"{seconds:.1f}s"
-    if seconds < 7200:
-        return f"{seconds / 60:.1f}min"
-    return f"{seconds / 3600:.2f}h"
-
-
-def format_bytes(nbytes: float) -> str:
-    """Human-scaled bytes: B / KB / MB / GB."""
-    for unit in ("B", "KB", "MB", "GB"):
-        if abs(nbytes) < 1024:
-            return (f"{nbytes:.0f}{unit}" if unit == "B"
-                    else f"{nbytes:.2f}{unit}")
-        nbytes /= 1024
-    return f"{nbytes:.2f}TB"
+__all__ = ["ExperimentTable", "format_value"]
 
 
 def format_value(value) -> str:
@@ -59,7 +39,7 @@ class ExperimentTable:
         self.rows.append((label, list(values)))
 
     def cell(self, row_label: str, column: str):
-        """Fetch one cell by labels (used by assertions in benches)."""
+        """Fetch one cell by labels (used by the shape checks)."""
         col = self.columns.index(column)
         for label, values in self.rows:
             if label == row_label:
@@ -90,29 +70,3 @@ class ExperimentTable:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.render()
-
-
-def render_bars(
-    series: dict,
-    width: int = 46,
-    unit: str = "",
-    title: str = "",
-) -> str:
-    """Render ``{label: value}`` as an ASCII horizontal bar chart.
-
-    Used by the CLI and benches to show the paper's figures as text.
-    """
-    if not series:
-        return title
-    peak = max(float(v) for v in series.values()) or 1.0
-    label_width = max(len(str(k)) for k in series)
-    lines = [title] if title else []
-    for label, value in series.items():
-        value = float(value)
-        bar = "#" * max(1 if value > 0 else 0,
-                        int(round(value / peak * width)))
-        lines.append(
-            f"{str(label).ljust(label_width)} |{bar.ljust(width)}| "
-            f"{format_value(value)}{unit}"
-        )
-    return "\n".join(lines)

@@ -6,13 +6,14 @@ someone re-measures them.  This gate does that mechanically: every
 ``repro bench --gate`` run compares the freshly measured records against
 the *latest committed baseline* for each workload (the highest-numbered
 ``BENCH_PR*.json`` that contains it) and fails when a metric regressed
-beyond its tolerance.
+beyond its tolerance — or when a workload has no baseline at all, so the
+gate cannot pass vacuously.
 
 Tolerances are **relative** and per-metric: simulated cost counters are
 deterministic, so they get tight bounds (any drift is a real cost-model
-change someone must bless), while ``wall_clock_s`` — real Python time,
-min-of-N sampled but still hardware-dependent — gets a wide one.
-Improvements never fail the gate.
+change someone must bless).  ``wall_clock_s`` is recorded and shown in
+the trajectory but not gated: on 10-80 ms jobs it is noise, and ``perf/``
+is the wall-clock gate.  Improvements never fail the gate.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ __all__ = [
 #: relative tolerance per metric (0.05 = current may exceed baseline by
 #: 5%).  Simulated metrics are deterministic: identical inputs must
 #: reproduce identical counters, so the slack only covers blessed noise
-#: like float rounding; ``wall_clock_s`` crosses machines and gets 3x.
+#: like float rounding.  Metrics without an entry are not gated.
 DEFAULT_TOLERANCES: dict[str, float] = {
     "makespan_s": 0.05,
     "machine_time_s": 0.05,
@@ -41,7 +42,6 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "disk_bytes": 0.02,
     "messages_shipped": 0.0,
     "tasks": 0.0,
-    "wall_clock_s": 3.0,
     # real process memory: allocator/OS-dependent, but a 50% jump means
     # an O(shard) bound quietly became O(graph)
     "peak_rss_bytes": 0.5,
@@ -81,7 +81,7 @@ class GateFinding:
 
 @dataclass
 class GateResult:
-    """The gate's verdict: regressions, near-misses, unbaselined work."""
+    """The gate's verdict: regressions and unbaselined workloads."""
 
     findings: list[GateFinding] = field(default_factory=list)
     #: workloads measured now but absent from every committed baseline
@@ -93,21 +93,21 @@ class GateResult:
 
     @property
     def ok(self) -> bool:
-        return not self.regressions
+        return not self.regressions and not self.missing
 
     def render(self) -> str:
-        lines = []
         if self.ok:
-            lines.append("gate: PASS — no metric regressed beyond "
-                         "tolerance")
-        else:
-            lines.append(f"gate: FAIL — {len(self.regressions)} "
-                         "regression(s) beyond tolerance")
-            for f in self.regressions:
-                lines.append(f"  REGRESSION {f.describe()}")
+            return "gate: PASS — no metric regressed beyond tolerance"
+        lines = [f"gate: FAIL — {len(self.regressions)} regression(s) "
+                 f"beyond tolerance, {len(self.missing)} workload(s) "
+                 "without a baseline"]
+        for f in self.regressions:
+            lines.append(f"  REGRESSION {f.describe()}")
         for name in self.missing:
-            lines.append(f"  note: {name} has no committed baseline "
-                         "(new workload — bless it with --bless)")
+            lines.append(f"  UNBASELINED {name}: no committed "
+                         "BENCH_PR*.json has it, so nothing was gated — "
+                         "commit one with `python -m repro bench --suite "
+                         "<suite> --bless PR<n>`")
         return "\n".join(lines)
 
 
@@ -131,13 +131,10 @@ def compare_records(
     current: dict[str, dict],
     history: list[dict],
     tolerances: dict[str, float] | None = None,
-    per_workload: dict[str, dict[str, float]] | None = None,
 ) -> GateResult:
     """Gate ``current`` records against the committed history.
 
-    ``tolerances`` overrides :data:`DEFAULT_TOLERANCES` globally;
-    ``per_workload`` maps workload names to per-metric overrides (the
-    experiment configs' ``[tolerances]`` tables) that win over both.
+    ``tolerances`` overrides :data:`DEFAULT_TOLERANCES`.
     """
     base_tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -149,18 +146,17 @@ def compare_records(
             result.missing.append(name)
             continue
         pr, baseline = baselines[name]
-        overrides = (per_workload or {}).get(name, {})
         for metric in RECORD_FIELDS + OPTIONAL_RECORD_FIELDS:
             if metric not in DEFAULT_TOLERANCES:
-                # non-numeric markers (rss_degraded) carry no tolerance
-                # and cannot regress
+                # recorded but not gated: wall_clock_s (noise at this job
+                # size) and non-numeric markers (rss_degraded)
                 continue
             if metric in OPTIONAL_RECORD_FIELDS and (
                     metric not in baseline or metric not in current[name]):
                 # optional metrics gate only when measured on both sides:
                 # a missing baseline value is not a zero to regress from
                 continue
-            tol = overrides.get(metric, base_tol[metric])
+            tol = base_tol[metric]
             base_v = float(baseline.get(metric, 0.0))
             cur_v = float(current[name].get(metric, 0.0))
             regressed = cur_v > base_v * (1.0 + tol) + _ABS_FLOOR
@@ -180,8 +176,6 @@ def gate(
     current: dict[str, dict],
     history: list[dict],
     tolerances: dict[str, float] | None = None,
-    per_workload: dict[str, dict[str, float]] | None = None,
 ) -> GateResult:
     """Alias for :func:`compare_records` (the CLI entry point)."""
-    return compare_records(current, history, tolerances=tolerances,
-                           per_workload=per_workload)
+    return compare_records(current, history, tolerances=tolerances)

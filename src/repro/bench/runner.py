@@ -2,8 +2,8 @@
 
 Every experiment the repo benches is described by one TOML file under
 ``src/repro/bench/configs/`` — workload, graph-generator parameters,
-cluster shape, engine flags, repetitions and gate tolerances — instead
-of an ad-hoc script.  The runner loads those configs, selects a *suite*
+cluster shape, engine flags and repetitions — instead of an ad-hoc
+script.  The runner loads those configs, selects a *suite*
 (``smoke`` / ``paper`` / ``full``), executes each workload with
 noise-aware min-of-N wall-clock sampling, verifies the event stream
 reconciles with the cluster cost counters, and returns ``repro-bench/v1``
@@ -11,41 +11,11 @@ records that :mod:`repro.bench.regress` gates against the committed
 ``BENCH_PR*.json`` history and :mod:`repro.bench.trajectory` renders as
 the cross-PR report.
 
-Config schema (see ``docs/BENCHMARKS.md`` for the full reference):
-
-.. code-block:: toml
-
-    [experiment]
-    name = "fig7_nr"
-    description = "NR: propagation vs MapReduce (Figure 7)"
-    suites = ["smoke", "paper", "full"]
-
-    [graph]                     # composite_social_graph parameters
-    communities = 32
-    community_size = 512
-    k = 8
-    p_r = 0.05
-    seed = 2010
-
-    [cluster]
-    topology = "T1"
-    machines = 32
-    parts = 64
-    layout = "bandwidth-aware"
-    seed = 2010
-
-    [sampling]
-    repetitions = 3             # wall_clock_s = min over N runs
-
-    [tolerances]                # per-metric gate overrides (optional)
-    wall_clock_s = 4.0
-
-    [[workload]]
-    name = "fig7_nr_propagation"
-    app = "NR"
-    engine = "propagation"
-    iterations = 2
-    vectorized = true
+The config schema is the spec dataclasses below (``[graph]`` =
+:class:`GraphSpec`, ``[cluster]`` = :class:`ClusterSpec`, ``[sampling]`` =
+:class:`SamplingSpec`, each ``[[workload]]`` = :class:`WorkloadSpec`,
+``[chaos]`` = :class:`ChaosSpec`); ``docs/BENCHMARKS.md`` has an annotated
+example.
 
 Chaos experiments (``kind = "chaos"``) run a seeded
 :func:`~repro.runtime.chaos.run_chaos_sweep` instead of plain jobs and
@@ -59,15 +29,14 @@ import contextlib
 import pathlib
 import tempfile
 import tomllib
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Callable
 
+from repro.apps import APP_REGISTRY, EXTENSION_APPS
 from repro.errors import BenchConfigError, BenchRunError
-from repro.bench.benchjson import (
-    OPTIONAL_RECORD_FIELDS,
-    RECORD_FIELDS,
-    job_record,
-)
+from repro.bench.benchjson import job_record
 from repro.bench.memory import measure_peak_rss
 from repro.bench.workloads import (
     STANDARD_COMMUNITIES,
@@ -86,6 +55,7 @@ __all__ = [
     "DEFAULT_CONFIG_DIR",
     "GraphSpec",
     "ClusterSpec",
+    "SamplingSpec",
     "WorkloadSpec",
     "ChaosSpec",
     "ExperimentConfig",
@@ -110,10 +80,11 @@ _STANDARD_RECIPE = (STANDARD_COMMUNITIES, STANDARD_COMMUNITY_SIZE,
                     STANDARD_K, 0.05)
 
 ENGINES = ("propagation", "mapreduce")
+_APPS = (*APP_REGISTRY, *EXTENSION_APPS)
 
 
 # ----------------------------------------------------------------------
-# Shared timing plumbing (also used by benchmarks/bench_*.py scripts)
+# Shared timing plumbing (also used by repro.bench.experiments)
 # ----------------------------------------------------------------------
 def timed_job(run: Callable[[], Any]) -> tuple[Any, float]:
     """Run one job closure; returns ``(job, wall_seconds)``.
@@ -161,8 +132,18 @@ def timed_min_of_n(run: Callable[[], Any], n: int = 1) -> tuple[Any, float]:
 
 
 # ----------------------------------------------------------------------
-# Config model
+# Config model.  The spec dataclasses *are* the TOML schema: parse_config
+# derives the allowed keys and each value's type from their fields (an
+# ``int`` field takes a positive integer, a ``float`` a positive number,
+# a ``bool`` never passes for either) plus the rules given to _rule().
 # ----------------------------------------------------------------------
+def _rule(default: Any = MISSING, **rules: Any) -> Any:
+    """A spec field with extra rules: ``choices`` (allowed values),
+    ``signed`` (any integer, not only positive ones) or ``range``
+    (inclusive numeric bounds)."""
+    return field(default=default, metadata=rules)
+
+
 @dataclass(frozen=True)
 class GraphSpec:
     """``[graph]``: graph generator parameters.
@@ -181,9 +162,9 @@ class GraphSpec:
     communities: int = STANDARD_COMMUNITIES
     community_size: int = STANDARD_COMMUNITY_SIZE
     k: int = STANDARD_K
-    p_r: float = 0.05
-    seed: int = 2010
-    kind: str = "social"
+    p_r: float = _rule(0.05, range=(0, 1))
+    seed: int = _rule(2010, signed=True)
+    kind: str = _rule("social", choices=("social", "web", "rmat_shard"))
     core: int = 32
     feeders: int = 480
     rmat_scale: int = 16
@@ -194,12 +175,20 @@ class GraphSpec:
 class ClusterSpec:
     """``[cluster]``: simulated cluster shape and deployment knobs."""
 
-    topology: str = "T1"
+    topology: str = _rule("T1", choices=TOPOLOGY_NAMES)
     machines: int = 32
     parts: int = 64
-    layout: str = "bandwidth-aware"
+    layout: str = _rule("bandwidth-aware",
+                        choices=("bandwidth-aware", "oblivious"))
     replication: int = 3
-    seed: int = 2010
+    seed: int = _rule(2010, signed=True)
+
+
+@dataclass(frozen=True)
+class SamplingSpec:
+    """``[sampling]``: wall_clock_s = min over this many runs."""
+
+    repetitions: int = 1
 
 
 @dataclass(frozen=True)
@@ -207,8 +196,8 @@ class WorkloadSpec:
     """One ``[[workload]]``: a named job on the experiment's deployment."""
 
     name: str
-    app: str
-    engine: str
+    app: str = _rule(choices=_APPS)
+    engine: str = _rule(choices=ENGINES)
     iterations: int | None = None
     vectorized: bool | None = None
     local_opts: bool = True
@@ -237,11 +226,11 @@ class WorkloadSpec:
 class ChaosSpec:
     """``[chaos]``: a seeded fault-schedule sweep (kind = "chaos")."""
 
-    app: str
-    engine: str = "propagation"
+    app: str = _rule(choices=_APPS)
+    engine: str = _rule("propagation", choices=ENGINES)
     iterations: int = 4
     schedules: int = 12
-    seed: int = 2010
+    seed: int = _rule(2010, signed=True)
     checkpoint_interval: int = 1
     max_restarts: int = 3
     prefix: str = "chaos"
@@ -258,7 +247,6 @@ class ExperimentConfig:
     graph: GraphSpec
     cluster: ClusterSpec
     repetitions: int
-    tolerances: dict[str, float]
     workloads: tuple[WorkloadSpec, ...] = ()
     chaos: ChaosSpec | None = None
     source: str = "<memory>"
@@ -279,42 +267,92 @@ class ExperimentConfig:
 # Parsing + validation
 # ----------------------------------------------------------------------
 _EXPERIMENT_KEYS = {"name", "description", "suites", "kind"}
-_GRAPH_KEYS = {"communities", "community_size", "k", "p_r", "seed",
-               "kind", "core", "feeders", "rmat_scale", "edge_factor"}
-_CLUSTER_KEYS = {"topology", "machines", "parts", "layout",
-                 "replication", "seed"}
-_SAMPLING_KEYS = {"repetitions"}
-_WORKLOAD_KEYS = {"name", "app", "engine", "iterations", "vectorized",
-                  "local_opts", "combiner", "app_args", "machines",
-                  "parts", "scale_graph_by_machines", "suites",
-                  "frontier", "until_convergence", "measure_rss",
-                  "max_peak_rss_bytes"}
-_CHAOS_KEYS = {"app", "engine", "iterations", "schedules", "seed",
-               "checkpoint_interval", "max_restarts", "prefix"}
-_TOP_KEYS = {"experiment", "graph", "cluster", "sampling", "tolerances",
-             "workload", "chaos"}
+_TOP_KEYS = {"experiment", "graph", "cluster", "sampling", "workload",
+             "chaos"}
 
 
-def _is_int(v: Any) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_num(v: Any) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _known_apps() -> set[str]:
-    from repro.apps import APP_REGISTRY, EXTENSION_APPS
-
-    return set(APP_REGISTRY) | set(EXTENSION_APPS)
-
-
-def _check_keys(table: dict, allowed: set[str], where: str,
-                errors: list[str]) -> None:
+def _unknown_keys(table: dict, allowed: typing.Collection[str], where: str,
+                  errors: list[str]) -> None:
     for key in table:
         if key not in allowed:
             errors.append(f"{where}: unknown key {key!r} "
                           f"(allowed: {sorted(allowed)})")
+
+
+def _number(value: Any, integral: bool) -> bool:
+    # isinstance(True, int) is True — a bool is never a number here
+    kinds = (int,) if integral else (int, float)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _expected(value: Any, hint: Any, rules: typing.Mapping[str, Any],
+              ) -> str | None:
+    """What a field annotated ``hint`` wants, when ``value`` is not it."""
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    wanted = []
+    for kind in (typing.get_args(hint) if union else (hint,)):
+        kind = typing.get_origin(kind) or kind
+        if kind is type(None):
+            continue  # optional: TOML has no null, absence is the None
+        if kind is bool:
+            ok, want = isinstance(value, bool), "a bool"
+        elif kind is int and rules.get("signed"):
+            ok, want = _number(value, integral=True), "an integer"
+        elif kind is int:
+            ok = _number(value, integral=True) and value >= 1
+            want = "a positive integer"
+        elif kind is float and "range" in rules:
+            lo, hi = rules["range"]
+            ok = _number(value, integral=False) and lo <= value <= hi
+            want = f"a number in [{lo}, {hi}]"
+        elif kind is float:
+            ok = _number(value, integral=False) and value > 0
+            want = "a positive number"
+        elif kind is str:
+            ok = isinstance(value, str) and value != ""
+            want = "a non-empty string"
+        elif kind is dict:
+            ok, want = isinstance(value, dict), "a table"
+        else:
+            return None  # list-valued fields (suites) have explicit rules
+        if ok:
+            return None
+        wanted.append(want)
+    return " or ".join(wanted)
+
+
+def _parse_spec(cls: Any, table: Any, where: str,
+                errors: list[str]) -> dict[str, Any]:
+    """Validate one TOML table against a spec dataclass's fields.
+
+    Appends every violation to ``errors`` and returns the valid values:
+    ``cls(**values)`` succeeds whenever this call added no error.
+    """
+    if not isinstance(table, dict):
+        errors.append(f"{where}: not a table")
+        return {}
+    hints = typing.get_type_hints(cls)
+    specs = {f.name: f for f in fields(cls)}
+    _unknown_keys(table, specs, where, errors)
+    values: dict[str, Any] = {}
+    for name, spec in specs.items():
+        required = (spec.default is MISSING
+                    and spec.default_factory is MISSING)
+        if name not in table and not required:
+            continue
+        value = table.get(name)
+        choices = spec.metadata.get("choices")
+        if choices is not None and value not in choices:
+            errors.append(f"{where}: unknown {name} {value!r} — {name} "
+                          f"must be one of {list(choices)}")
+            continue
+        want = _expected(value, hints[name], spec.metadata)
+        if want is not None:
+            errors.append(f"{where}: {name} must be {want}, "
+                          f"got {value!r}")
+            continue
+        values[name] = value
+    return values
 
 
 def _suites_field(value: Any, where: str,
@@ -330,119 +368,23 @@ def _suites_field(value: Any, where: str,
     return tuple(value)
 
 
-def _pos_int(table: dict, key: str, default: int, where: str,
-             errors: list[str]) -> int:
-    value = table.get(key, default)
-    if not _is_int(value) or value < 1:
-        errors.append(f"{where}: {key} must be a positive integer, "
-                      f"got {value!r}")
-        return default
-    return value
-
-
-def _parse_workload(table: Any, index: int, suites: tuple[str, ...],
-                    errors: list[str]) -> WorkloadSpec | None:
-    where = f"[[workload]] #{index + 1}"
-    if not isinstance(table, dict):
-        errors.append(f"{where}: not a table")
-        return None
-    _check_keys(table, _WORKLOAD_KEYS, where, errors)
-    name = table.get("name")
-    if not isinstance(name, str) or not name:
-        errors.append(f"{where}: name must be a non-empty string")
-        name = f"<workload-{index}>"
-    app = table.get("app")
-    if not isinstance(app, str) or app not in _known_apps():
-        errors.append(f"{where} ({name}): unknown app {app!r} "
-                      f"(known: {sorted(_known_apps())})")
-        app = "NR"
-    engine = table.get("engine")
-    if engine not in ENGINES:
-        errors.append(f"{where} ({name}): engine must be one of "
-                      f"{ENGINES}, got {engine!r}")
-        engine = "propagation"
-    iterations = table.get("iterations")
-    if iterations is not None and (not _is_int(iterations)
-                                   or iterations < 1):
-        errors.append(f"{where} ({name}): iterations must be a positive "
-                      f"integer, got {iterations!r}")
-        iterations = None
-    vectorized = table.get("vectorized")
-    if vectorized is not None and not isinstance(vectorized, bool):
-        errors.append(f"{where} ({name}): vectorized must be a bool")
-        vectorized = None
-    for flag in ("local_opts", "combiner", "scale_graph_by_machines",
-                 "frontier", "until_convergence", "measure_rss"):
-        if flag in table and not isinstance(table[flag], bool):
-            errors.append(f"{where} ({name}): {flag} must be a bool")
-    max_rss = table.get("max_peak_rss_bytes")
-    if max_rss is not None and (not _is_num(max_rss) or max_rss <= 0):
-        errors.append(f"{where} ({name}): max_peak_rss_bytes must be a "
-                      f"positive number, got {max_rss!r}")
-        max_rss = None
-    if table.get("frontier") is True and engine != "propagation":
-        errors.append(f"{where} ({name}): frontier = true requires "
-                      f"the propagation engine")
-    app_args = table.get("app_args", {})
-    if not isinstance(app_args, dict):
-        errors.append(f"{where} ({name}): app_args must be a table")
-        app_args = {}
-    machines = table.get("machines")
-    if machines is not None and (not _is_int(machines) or machines < 1):
-        errors.append(f"{where} ({name}): machines must be a positive "
-                      f"integer, got {machines!r}")
-        machines = None
-    parts = table.get("parts")
-    if parts is not None and parts != "auto" and (
-            not _is_int(parts) or parts < 1):
-        errors.append(f"{where} ({name}): parts must be a positive "
-                      f"integer or \"auto\", got {parts!r}")
-        parts = None
-    wl_suites: tuple[str, ...] | None = None
-    if "suites" in table:
-        wl_suites = _suites_field(table["suites"], f"{where} ({name})",
-                                  errors) or None
-    return WorkloadSpec(
-        name=name,
-        app=app,
-        engine=str(engine),
-        iterations=iterations,
-        vectorized=vectorized,
-        local_opts=bool(table.get("local_opts", True)),
-        combiner=bool(table.get("combiner", False)),
-        frontier=bool(table.get("frontier", False)),
-        until_convergence=bool(table.get("until_convergence", False)),
-        app_args=dict(app_args),
-        machines=machines,
-        parts=parts,
-        scale_graph_by_machines=bool(
-            table.get("scale_graph_by_machines", False)),
-        suites=wl_suites,
-        measure_rss=bool(table.get("measure_rss", False)),
-        max_peak_rss_bytes=(float(max_rss) if max_rss is not None
-                            else None),
-    )
-
-
-def _parse_tolerances(table: Any, errors: list[str]) -> dict[str, float]:
-    if table is None:
-        return {}
-    if not isinstance(table, dict):
-        errors.append("[tolerances]: not a table")
-        return {}
-    out: dict[str, float] = {}
-    known = RECORD_FIELDS + OPTIONAL_RECORD_FIELDS
-    for key, value in table.items():
-        if key not in known:
-            errors.append(f"[tolerances]: unknown metric {key!r} "
-                          f"(known: {list(known)})")
-            continue
-        if not _is_num(value) or value < 0:
-            errors.append(f"[tolerances]: {key} must be a non-negative "
-                          f"number, got {value!r}")
-            continue
-        out[key] = float(value)
-    return out
+def _parse_workload(table: Any, index: int,
+                    errors: list[str]) -> dict[str, Any]:
+    name = table.get("name") if isinstance(table, dict) else None
+    where = f"[[workload]] #{index + 1}" + (f" ({name})" if name else "")
+    values = _parse_spec(WorkloadSpec, table, where, errors)
+    parts = values.get("parts")
+    if isinstance(parts, str) and parts != "auto":
+        errors.append(f"{where}: parts must be a positive integer or "
+                      f"\"auto\", got {parts!r}")
+    if (values.get("frontier")
+            and values.get("engine", "propagation") != "propagation"):
+        errors.append(f"{where}: frontier = true requires the "
+                      f"propagation engine")
+    if "suites" in values:
+        values["suites"] = _suites_field(values["suites"], where,
+                                         errors) or None
+    return values
 
 
 def parse_config(doc: dict, source: str = "<memory>") -> ExperimentConfig:
@@ -452,12 +394,12 @@ def parse_config(doc: dict, source: str = "<memory>") -> ExperimentConfig:
     naming them all.
     """
     errors: list[str] = []
-    _check_keys(doc, _TOP_KEYS, "top level", errors)
+    _unknown_keys(doc, _TOP_KEYS, "top level", errors)
 
     exp = doc.get("experiment")
     if not isinstance(exp, dict):
         raise BenchConfigError(source, ["missing [experiment] table"])
-    _check_keys(exp, _EXPERIMENT_KEYS, "[experiment]", errors)
+    _unknown_keys(exp, _EXPERIMENT_KEYS, "[experiment]", errors)
     name = exp.get("name")
     if not isinstance(name, str) or not name:
         errors.append("[experiment]: name must be a non-empty string")
@@ -469,148 +411,45 @@ def parse_config(doc: dict, source: str = "<memory>") -> ExperimentConfig:
                       f"\"chaos\", got {kind!r}")
         kind = "jobs"
 
-    graph_tbl = doc.get("graph", {})
-    if not isinstance(graph_tbl, dict):
-        errors.append("[graph]: not a table")
-        graph_tbl = {}
-    _check_keys(graph_tbl, _GRAPH_KEYS, "[graph]", errors)
-    p_r = graph_tbl.get("p_r", 0.05)
-    if not _is_num(p_r) or not 0 <= p_r <= 1:
-        errors.append(f"[graph]: p_r must be a number in [0, 1], "
-                      f"got {p_r!r}")
-        p_r = 0.05
-    graph_kind = graph_tbl.get("kind", "social")
-    if graph_kind not in ("social", "web", "rmat_shard"):
-        errors.append(f"[graph]: kind must be \"social\", \"web\" or "
-                      f"\"rmat_shard\", got {graph_kind!r}")
-        graph_kind = "social"
-    graph = GraphSpec(
-        kind=str(graph_kind),
-        core=_pos_int(graph_tbl, "core", 32, "[graph]", errors),
-        feeders=_pos_int(graph_tbl, "feeders", 480, "[graph]", errors),
-        rmat_scale=_pos_int(graph_tbl, "rmat_scale", 16, "[graph]",
-                            errors),
-        edge_factor=_pos_int(graph_tbl, "edge_factor", 8, "[graph]",
-                             errors),
-        communities=_pos_int(graph_tbl, "communities",
-                             STANDARD_COMMUNITIES, "[graph]", errors),
-        community_size=_pos_int(graph_tbl, "community_size",
-                                STANDARD_COMMUNITY_SIZE, "[graph]",
-                                errors),
-        k=_pos_int(graph_tbl, "k", STANDARD_K, "[graph]", errors),
-        p_r=float(p_r),
-        seed=graph_tbl.get("seed", 2010)
-        if _is_int(graph_tbl.get("seed", 2010))
-        else _append_and_default(errors, "[graph]: seed must be an "
-                                 "integer", 2010),
-    )
+    graph = _parse_spec(GraphSpec, doc.get("graph", {}), "[graph]", errors)
+    cluster = _parse_spec(ClusterSpec, doc.get("cluster", {}), "[cluster]",
+                          errors)
+    sampling = _parse_spec(SamplingSpec, doc.get("sampling", {}),
+                           "[sampling]", errors)
 
-    cluster_tbl = doc.get("cluster", {})
-    if not isinstance(cluster_tbl, dict):
-        errors.append("[cluster]: not a table")
-        cluster_tbl = {}
-    _check_keys(cluster_tbl, _CLUSTER_KEYS, "[cluster]", errors)
-    topology = cluster_tbl.get("topology", "T1")
-    if topology not in TOPOLOGY_NAMES:
-        errors.append(f"[cluster]: unknown topology {topology!r} "
-                      f"(known: {list(TOPOLOGY_NAMES)})")
-        topology = "T1"
-    layout = cluster_tbl.get("layout", "bandwidth-aware")
-    if layout not in ("bandwidth-aware", "oblivious"):
-        errors.append(f"[cluster]: layout must be \"bandwidth-aware\" "
-                      f"or \"oblivious\", got {layout!r}")
-        layout = "bandwidth-aware"
-    cluster = ClusterSpec(
-        topology=str(topology),
-        machines=_pos_int(cluster_tbl, "machines", 32, "[cluster]",
-                          errors),
-        parts=_pos_int(cluster_tbl, "parts", 64, "[cluster]", errors),
-        layout=str(layout),
-        replication=_pos_int(cluster_tbl, "replication", 3, "[cluster]",
-                             errors),
-        seed=cluster_tbl.get("seed", 2010)
-        if _is_int(cluster_tbl.get("seed", 2010))
-        else _append_and_default(errors, "[cluster]: seed must be an "
-                                 "integer", 2010),
-    )
-
-    sampling = doc.get("sampling", {})
-    if not isinstance(sampling, dict):
-        errors.append("[sampling]: not a table")
-        sampling = {}
-    _check_keys(sampling, _SAMPLING_KEYS, "[sampling]", errors)
-    repetitions = _pos_int(sampling, "repetitions", 1, "[sampling]",
-                           errors)
-
-    tolerances = _parse_tolerances(doc.get("tolerances"), errors)
-
-    workloads: list[WorkloadSpec] = []
-    chaos: ChaosSpec | None = None
+    workloads: list[dict[str, Any]] = []
+    chaos: dict[str, Any] | None = None
     if kind == "chaos":
         if "workload" in doc:
             errors.append("chaos experiments take a [chaos] table, "
                           "not [[workload]] entries")
-        chaos_tbl = doc.get("chaos")
-        if not isinstance(chaos_tbl, dict):
+        if not isinstance(doc.get("chaos"), dict):
             errors.append("kind = \"chaos\" requires a [chaos] table")
         else:
-            _check_keys(chaos_tbl, _CHAOS_KEYS, "[chaos]", errors)
-            app = chaos_tbl.get("app")
-            if not isinstance(app, str) or app not in _known_apps():
-                errors.append(f"[chaos]: unknown app {app!r}")
-                app = "NR"
-            engine = chaos_tbl.get("engine", "propagation")
-            if engine not in ENGINES:
-                errors.append(f"[chaos]: engine must be one of "
-                              f"{ENGINES}, got {engine!r}")
-                engine = "propagation"
-            prefix = chaos_tbl.get("prefix", name)
-            if not isinstance(prefix, str) or not prefix:
-                errors.append("[chaos]: prefix must be a non-empty "
-                              "string")
-                prefix = name
-            chaos = ChaosSpec(
-                app=str(app),
-                engine=str(engine),
-                iterations=_pos_int(chaos_tbl, "iterations", 4,
-                                    "[chaos]", errors),
-                schedules=_pos_int(chaos_tbl, "schedules", 12,
-                                   "[chaos]", errors),
-                seed=chaos_tbl.get("seed", 2010)
-                if _is_int(chaos_tbl.get("seed", 2010))
-                else _append_and_default(errors, "[chaos]: seed must "
-                                         "be an integer", 2010),
-                checkpoint_interval=_pos_int(chaos_tbl,
-                                             "checkpoint_interval", 1,
-                                             "[chaos]", errors),
-                max_restarts=_pos_int(chaos_tbl, "max_restarts", 3,
-                                      "[chaos]", errors),
-                prefix=str(prefix),
-            )
+            chaos = _parse_spec(ChaosSpec, doc["chaos"], "[chaos]", errors)
+            chaos.setdefault("prefix", name)
     else:
         raw = doc.get("workload", [])
         if not isinstance(raw, list) or not raw:
             errors.append("jobs experiments need at least one "
                           "[[workload]] entry")
             raw = []
-        for i, tbl in enumerate(raw):
-            spec = _parse_workload(tbl, i, suites, errors)
-            if spec is not None:
-                workloads.append(spec)
-        names = [w.name for w in workloads]
-        for dup in sorted({n for n in names if names.count(n) > 1}):
+        workloads = [_parse_workload(tbl, i, errors)
+                     for i, tbl in enumerate(raw)]
+        names = [w.get("name") for w in workloads]
+        for dup in sorted({n for n in names if n and names.count(n) > 1}):
             errors.append(f"duplicate workload name {dup!r}")
-        if graph.kind == "rmat_shard":
+        if graph.get("kind") == "rmat_shard":
             # the shard count must equal the explicit partition count
             # before the graph exists, so the auto rule and weak
             # scaling have nothing to size against
             for w in workloads:
-                if w.parts == "auto":
-                    errors.append(f"workload {w.name!r}: parts = "
+                if w.get("parts") == "auto":
+                    errors.append(f"workload {w.get('name')!r}: parts = "
                                   f"\"auto\" is not supported with "
                                   f"kind = \"rmat_shard\"")
-                if w.scale_graph_by_machines:
-                    errors.append(f"workload {w.name!r}: "
+                if w.get("scale_graph_by_machines"):
+                    errors.append(f"workload {w.get('name')!r}: "
                                   f"scale_graph_by_machines is not "
                                   f"supported with kind = "
                                   f"\"rmat_shard\"")
@@ -622,19 +461,13 @@ def parse_config(doc: dict, source: str = "<memory>") -> ExperimentConfig:
         description=str(exp.get("description", "")),
         suites=suites,
         kind=kind,
-        graph=graph,
-        cluster=cluster,
-        repetitions=repetitions,
-        tolerances=tolerances,
-        workloads=tuple(workloads),
-        chaos=chaos,
+        graph=GraphSpec(**graph),
+        cluster=ClusterSpec(**cluster),
+        repetitions=SamplingSpec(**sampling).repetitions,
+        workloads=tuple(WorkloadSpec(**w) for w in workloads),
+        chaos=ChaosSpec(**chaos) if chaos is not None else None,
         source=source,
     )
-
-
-def _append_and_default(errors: list[str], message: str, default: int) -> int:
-    errors.append(message)
-    return default
 
 
 def load_config(path: str | pathlib.Path) -> ExperimentConfig:
@@ -747,21 +580,11 @@ def _shard_surfer(cfg: ExperimentConfig, machines: int, parts: int,
 
 
 def _make_app(name: str, engine: str, app_args: dict[str, Any]):
-    from repro.apps import APP_REGISTRY, EXTENSION_APPS
     from repro.bench.experiments import make_app
 
-    if not app_args:
-        if name in APP_REGISTRY:
-            return make_app(name, engine)
-        prop_cls, mr_cls = EXTENSION_APPS[name]
-        cls = prop_cls if engine == "propagation" else mr_cls
-        if cls is None:
-            raise BenchRunError(f"{name} has no {engine} implementation")
-        return cls()
-    if name in APP_REGISTRY:
-        prop_cls, mr_cls, _ = APP_REGISTRY[name]
-    else:
-        prop_cls, mr_cls = EXTENSION_APPS[name]
+    if not app_args and name in APP_REGISTRY:
+        return make_app(name, engine)  # the paper's sampling ratios
+    prop_cls, mr_cls = (APP_REGISTRY.get(name) or EXTENSION_APPS[name])[:2]
     cls = prop_cls if engine == "propagation" else mr_cls
     if cls is None:
         raise BenchRunError(f"{name} has no {engine} implementation")
@@ -769,8 +592,6 @@ def _make_app(name: str, engine: str, app_args: dict[str, Any]):
 
 
 def _default_iterations(app: str) -> int:
-    from repro.apps import APP_REGISTRY
-
     if app in APP_REGISTRY:
         return APP_REGISTRY[app][2]
     return 50  # extension apps run until convergence
@@ -961,8 +782,6 @@ class SuiteResult:
     suite: str
     records: dict[str, dict]
     experiments: list[str]
-    #: per-workload gate-tolerance overrides from the experiment configs
-    tolerances: dict[str, dict[str, float]]
 
 
 def run_suite(
@@ -974,7 +793,6 @@ def run_suite(
     """Run every experiment a suite selects, in name order."""
     configs = select_suite(discover_configs(config_dir), suite)
     records: dict[str, dict] = {}
-    tolerances: dict[str, dict[str, float]] = {}
     for cfg in configs:
         if progress is not None:
             progress(f"experiment {cfg.name} ({cfg.source})")
@@ -988,12 +806,8 @@ def run_suite(
                 f"{sorted(overlap)} already produced by another config"
             )
         records.update(result)
-        for name in result:
-            if cfg.tolerances:
-                tolerances[name] = dict(cfg.tolerances)
     return SuiteResult(
         suite=suite,
         records=records,
         experiments=[c.name for c in configs],
-        tolerances=tolerances,
     )

@@ -16,7 +16,10 @@
   ``full``) from the committed TOML experiment configs, emit
   ``repro-bench/v1`` JSON plus the cross-PR trajectory report, and
   optionally gate on regressions against the committed baselines;
-* ``experiment`` — regenerate one of the paper's tables/figures;
+* ``experiment`` — run paper tables/figures/ablations from the
+  :data:`repro.bench.experiments.EXPERIMENTS` registry (or ``all``),
+  print each in the paper's arrangement and exit 1 if any reported shape
+  is broken; ``--out DIR`` also writes ``DIR/<name>.txt``;
 * ``partition`` — partition a graph and save the plan to a ``.npz`` file;
 * ``info`` — describe a saved plan;
 * ``graphinfo`` — profile a synthetic or edge-list graph;
@@ -33,10 +36,6 @@ import sys
 from repro.apps import APP_ORDER, EXTENSION_APPS
 
 _TOPOLOGIES = ("T1", "T2(2,1)", "T2(4,1)", "T2(4,2)", "T3")
-_EXPERIMENTS = (
-    "table1", "table2", "table3", "table4", "table5",
-    "fig6", "fig7", "fig9", "fig10", "fig11", "fig12", "cascade",
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -138,9 +137,20 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write a repro-bench/v1 JSON of the sweep "
                             "(baseline + most-restarted schedule)")
 
-    exp = sub.add_parser("experiment",
-                         help="regenerate a paper table/figure")
-    exp.add_argument("name", choices=_EXPERIMENTS)
+    from repro.bench.experiments import EXPERIMENTS
+
+    exp = sub.add_parser(
+        "experiment",
+        help="run paper tables/figures/ablations and check their shapes "
+             "(exit 1 on a broken shape)",
+    )
+    exp.add_argument("names", nargs="+", metavar="NAME",
+                     choices=[*EXPERIMENTS, "all"],
+                     help="registry name(s), or 'all': "
+                          + ", ".join(EXPERIMENTS))
+    exp.add_argument("--out", default=None, metavar="DIR",
+                     help="also write each rendered table to "
+                          "DIR/<name>.txt (nothing is written without it)")
 
     part = sub.add_parser("partition",
                           help="partition a synthetic graph, save the plan")
@@ -232,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--gate", action="store_true",
                        help="fail (exit 1) on any metric regression "
                             "beyond tolerance vs the latest committed "
-                            "baseline")
+                            "baseline, or on a workload that has none")
     bench.add_argument("--bless", default=None, metavar="PRTAG",
                        help="write this run as BENCH_<PRTAG>.json at "
                             "the repo root (the new baseline), "
@@ -509,79 +519,32 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    from repro.bench import experiments as ex
+    import pathlib
 
-    name = args.name
-    if name in ("table2", "table3"):
-        times, io = ex.app_matrix()
-        print((times if name == "table2" else io).render())
-        return 0
-    simple = {
-        "table1": ex.table1_partitioning,
-        "table4": ex.table4_loc,
-        "table5": ex.table5_ier,
-    }
-    if name in simple:
-        print(simple[name]().render())
-        return 0
-    if name == "fig6":
-        from repro.bench.harness import render_bars
+    from repro.bench.experiments import EXPERIMENTS
 
-        for topo, r in ex.fig6_topologies().items():
-            print(render_bars(
-                {"oblivious": r["oblivious"],
-                 "bandwidth-aware": r["bandwidth-aware"]},
-                unit="s",
-                title=f"{topo} ({r['improvement_pct']:+.1f}%)",
-            ))
-            print()
-        return 0
-    if name == "fig7":
-        from repro.bench.harness import render_bars
-
-        series = ex.fig7_mr_vs_prop()
-        print(render_bars(
-            {app: r["speedup"] for app, r in series.items()},
-            unit="x", title="propagation speedup over MapReduce",
-        ))
+    names = list(EXPERIMENTS) if "all" in args.names else args.names
+    out = pathlib.Path(args.out) if args.out else None
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+    broken = 0
+    for name in names:
+        exp = EXPERIMENTS[name]
+        result = exp.run()
+        text = exp.render(result)
+        print(text)
+        shapes = exp.check(result)
+        for shape in shapes:
+            print(f"  BROKEN SHAPE [{name}]: {shape}")
+        if not shapes:
+            print(f"  shape reproduced [{name}] — paper: {exp.paper}")
         print()
-        print(render_bars(
-            {app: r["net_reduction_pct"] for app, r in series.items()},
-            unit="%", title="network I/O reduction",
-        ))
-        return 0
-    if name == "fig9":
-        for delay, r in ex.fig9_delay_sweep().items():
-            print(f"delay {delay:4d}x  improvement "
-                  f"{r['improvement_pct']:+.1f}%")
-        return 0
-    if name == "fig10":
-        r = ex.fig10_fault_tolerance()
-        print(f"normal {r['normal_response']:,.1f}s, recovered "
-              f"{r['faulty_response']:,.1f}s "
-              f"(+{r['overhead_pct']:.1f}%), "
-              f"{r['failures'] + r['retries']} tasks re-executed")
-        return 0
-    if name == "fig11":
-        for m, t in ex.fig11_scalability().items():
-            print(f"{m:3d} machines: {t:10,.1f}s")
-        return 0
-    if name == "fig12":
-        for m, r in ex.fig12_nr_scaling().items():
-            print(f"{m:3d} machines: propagation {r['prop_time']:10,.1f}s"
-                  f"  mapreduce {r['mr_time']:10,.1f}s "
-                  f"({r['speedup']:.2f}x)")
-        return 0
-    if name == "cascade":
-        result = ex.cascaded_propagation_experiment()
-        print(f"V_k (k>=2) ratio {result['v_k_ratio']:.1%}, "
-              f"d_min {result['d_min']}")
-        for iters, r in result["iterations"].items():
-            print(f"{iters} iterations: time saving "
-                  f"{r['time_saving_pct']:.1f}%, disk saving "
-                  f"{r['disk_saving_pct']:.1f}%")
-        return 0
-    raise AssertionError(f"unhandled experiment {name}")
+        if out is not None:
+            (out / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+        broken += len(shapes)
+    if broken:
+        print(f"{broken} broken shape(s)", file=sys.stderr)
+    return 1 if broken else 0
 
 
 def _cmd_partition(args) -> int:
@@ -767,8 +730,10 @@ def _cmd_bench(args) -> int:
         write_bench_json(bless_path, result.records, pr=args.bless)
         print(f"blessed       : {bless_path} (new committed baseline)")
 
-    gate_result = run_gate(result.records, history,
-                           per_workload=result.tolerances)
+    gate_result = run_gate(result.records, history)
+    if args.bless:
+        # the bless above is these workloads' first baseline
+        gate_result.missing.clear()
     report_path = args.report or f"bench_{args.suite}_trajectory.md"
     markdown = render_markdown(history, result.records,
                                current_label=pr_tag,

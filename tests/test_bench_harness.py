@@ -3,12 +3,7 @@
 import pytest
 
 from repro.apps import NetworkRankingPropagation
-from repro.bench.harness import (
-    ExperimentTable,
-    format_bytes,
-    format_seconds,
-    format_value,
-)
+from repro.bench.harness import ExperimentTable, format_value
 from repro.bench.loc import (
     PAPER_TABLE4,
     count_udf_lines,
@@ -46,11 +41,6 @@ class TestExperimentTable:
         assert "Title" in text and "row" in text and "a note" in text
 
     def test_formatters(self):
-        assert format_seconds(30) == "30.0s"
-        assert format_seconds(600) == "10.0min"
-        assert format_seconds(7200) == "2.00h"
-        assert format_bytes(512) == "512B"
-        assert "KB" in format_bytes(2048)
         assert format_value(3.0) == "3"
         assert format_value(12345.6) == "1.23e+04"
 

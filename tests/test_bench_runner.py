@@ -75,8 +75,7 @@ class TestParseConfig:
                 repetitions = true
 
                 [tolerances]
-                makespan_s = -0.1
-                not_a_metric = 1.0
+                wall_clock_s = 4.0
 
                 [[workload]]
                 name = "w"
@@ -95,8 +94,8 @@ class TestParseConfig:
         assert "unknown topology 'T9'" in text
         assert "machines must be a positive integer" in text
         assert "repetitions must be a positive integer" in text  # bool
-        assert "makespan_s must be a non-negative number" in text
-        assert "unknown metric 'not_a_metric'" in text
+        # gate tolerances are regress.DEFAULT_TOLERANCES, not config
+        assert "top level: unknown key 'tolerances'" in text
         assert "unknown app 'NOPE'" in text
         assert "engine must be one of" in text
         assert "iterations must be a positive" in text
@@ -302,9 +301,6 @@ TINY_E2E = """
     [sampling]
     repetitions = 2
 
-    [tolerances]
-    wall_clock_s = 10.0
-
     [[workload]]
     name = "e2e_nr_prop"
     app = "NR"
@@ -326,8 +322,6 @@ class TestRunSuite:
         assert result.suite == "smoke"
         assert result.experiments == ["e2e"]
         assert set(result.records) == {"e2e_nr_prop", "e2e_nr_mr"}
-        # the [tolerances] table flows through per workload
-        assert result.tolerances["e2e_nr_prop"]["wall_clock_s"] == 10.0
         # records are schema-valid and engine counters distinct
         doc = write_bench_json(tmp_path / "out.json", result.records,
                                pr="TEST")
@@ -428,13 +422,6 @@ class TestShardGraphConfig:
         message = str(exc.value)
         assert "measure_rss" in message
         assert "max_peak_rss_bytes" in message
-
-    def test_tolerances_accept_peak_rss(self):
-        cfg = parse(SHARD_E2E + """
-    [tolerances]
-    peak_rss_bytes = 0.75
-""")
-        assert cfg.tolerances["peak_rss_bytes"] == 0.75
 
     def test_unknown_graph_kind_rejected(self):
         with pytest.raises(BenchConfigError) as exc:

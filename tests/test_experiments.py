@@ -1,8 +1,9 @@
 """Shape tests for the experiment functions, on a reduced workload.
 
 These assert the *qualitative* reproduction targets (who wins, which way
-the gaps point) quickly; the full-size assertions live in
-``benchmarks/``.
+the gaps point) quickly; the full-size shapes are each experiment's
+``check`` in ``repro.bench.experiments.EXPERIMENTS``, run by
+``python -m repro experiment all``.
 """
 
 import numpy as np

@@ -136,79 +136,86 @@ class TestCli:
 
 
 class TestCliExperimentFormatting:
-    """Figure experiment commands, with the expensive functions stubbed."""
+    """Figure experiment commands, with the expensive functions stubbed:
+    the CLI prints the paper's arrangement and the reproduced verdict."""
 
-    def _patch(self, monkeypatch, name, value):
-        from repro.bench import experiments
-        monkeypatch.setattr(experiments, name, lambda *a, **k: value)
+    def _run(self, monkeypatch, capsys, *stubs):
+        import dataclasses
 
-    def test_fig6_renders_bars(self, monkeypatch, capsys):
-        self._patch(monkeypatch, "fig6_topologies", {
-            "T1": {"oblivious": 100.0, "bandwidth-aware": 90.0,
-                   "improvement_pct": 10.0},
-        })
-        assert cli_main(["experiment", "fig6"]) == 0
+        from repro.bench.experiments import EXPERIMENTS
+        for name, result in stubs:
+            monkeypatch.setitem(
+                EXPERIMENTS, name,
+                dataclasses.replace(EXPERIMENTS[name], run=lambda r=result: r))
+        assert cli_main(["experiment"] + [name for name, _ in stubs]) == 0
         out = capsys.readouterr().out
-        assert "T1" in out and "#" in out
+        for name, _ in stubs:
+            assert f"shape reproduced [{name}]" in out
+        # the table cells of every printed line, whitespace-insensitive
+        return out, [line.split() for line in out.splitlines()]
 
-    def test_fig7_renders_bars(self, monkeypatch, capsys):
-        self._patch(monkeypatch, "fig7_mr_vs_prop", {
-            "NR": {"speedup": 2.0, "net_reduction_pct": 80.0},
-        })
-        assert cli_main(["experiment", "fig7"]) == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out and "#" in out
+    @staticmethod
+    def _placement(oblivious, aware):
+        return {"oblivious": oblivious, "bandwidth-aware": aware,
+                "improvement_pct": 100.0 * (1 - aware / oblivious)}
+
+    def test_fig6(self, monkeypatch, capsys):
+        out, rows = self._run(monkeypatch, capsys, ("fig6", {
+            "T1": self._placement(200.0, 190.0),
+            "T2(2,1)": self._placement(2000.0, 1000.0),
+            "T2(4,1)": self._placement(2000.0, 1400.0),
+            "T2(4,2)": self._placement(2000.0, 1600.0),
+        }))
+        assert "improvement %" in out
+        assert ["T2(2,1)", "2e+03", "1e+03", "50"] in rows
+
+    def test_fig7(self, monkeypatch, capsys):
+        out, rows = self._run(monkeypatch, capsys, ("fig7", {
+            "NR": {"prop_time": 100.0, "mr_time": 300.0, "speedup": 3.0,
+                   "prop_net": 1000.0, "mr_net": 5000.0,
+                   "net_reduction_pct": 80.0},
+        }))
+        assert "net reduction %" in out
+        assert ["NR", "100", "300", "3", "1000", "5000", "80"] in rows
 
     def test_fig9(self, monkeypatch, capsys):
-        self._patch(monkeypatch, "fig9_delay_sweep", {
-            2: {"improvement_pct": 17.0},
-            128: {"improvement_pct": 50.0},
-        })
-        assert cli_main(["experiment", "fig9"]) == 0
-        assert "+50.0%" in capsys.readouterr().out
+        _, rows = self._run(monkeypatch, capsys, ("fig9", {
+            2: self._placement(280.0, 232.4),
+            128: self._placement(10000.0, 5000.0),
+        }))
+        assert ["2x", "280", "232.4", "17"] in rows
+        assert ["128x", "1e+04", "5e+03", "50"] in rows
 
     def test_fig10(self, monkeypatch, capsys):
-        self._patch(monkeypatch, "fig10_fault_tolerance", {
+        out, rows = self._run(monkeypatch, capsys, ("fig10", {
+            "victim": 7, "kill_time": 33.0,
             "normal_response": 100.0, "faulty_response": 110.0,
             "overhead_pct": 10.0, "failures": 1, "retries": 2,
-        })
-        assert cli_main(["experiment", "fig10"]) == 0
-        assert "3 tasks re-executed" in capsys.readouterr().out
+            "faulty_timeline": (np.array([0.0, 50.0]),
+                                np.array([4.0, 2.0])),
+        }))
+        assert "machine 7 killed at t=33s" in out
+        assert ["with", "failure", "110", "3"] in rows
+        assert "recovery overhead 10.0%" in out
 
     def test_fig11_and_fig12(self, monkeypatch, capsys):
-        self._patch(monkeypatch, "fig11_scalability", {8: 10.0, 16: 9.0})
-        assert cli_main(["experiment", "fig11"]) == 0
-        self._patch(monkeypatch, "fig12_nr_scaling", {
-            8: {"prop_time": 5.0, "mr_time": 10.0, "speedup": 2.0},
-        })
-        assert cli_main(["experiment", "fig12"]) == 0
-        assert "2.00x" in capsys.readouterr().out
+        out, rows = self._run(
+            monkeypatch, capsys,
+            ("fig11", {8: 10.0, 16: 9.0}),
+            ("fig12", {8: {"prop_time": 5.0, "mr_time": 10.0,
+                           "speedup": 2.0}}))
+        assert ["16", "16", "9"] in rows
+        assert ["8", "machines", "5", "10", "2"] in rows
+        assert out.index("Figure 11") < out.index("Figure 12")
 
     def test_cascade(self, monkeypatch, capsys):
-        self._patch(monkeypatch, "cascaded_propagation_experiment", {
+        out, rows = self._run(monkeypatch, capsys, ("cascade", {
             "v_k_ratio": 0.2, "d_min": 4,
-            "iterations": {3: {"time_saving_pct": 8.0,
-                               "disk_saving_pct": 4.0}},
-        })
-        assert cli_main(["experiment", "cascade"]) == 0
-        assert "20.0%" in capsys.readouterr().out
-
-
-class TestRenderBars:
-    def test_empty(self):
-        from repro.bench.harness import render_bars
-        assert render_bars({}, title="t") == "t"
-
-    def test_zero_values(self):
-        from repro.bench.harness import render_bars
-        text = render_bars({"a": 0.0, "b": 1.0})
-        lines = text.splitlines()
-        assert "#" not in lines[0]
-        assert "#" in lines[1]
-
-    def test_proportional(self):
-        from repro.bench.harness import render_bars
-        text = render_bars({"half": 50, "full": 100}, width=10)
-        half, full = text.splitlines()
-        assert half.count("#") == 5
-        assert full.count("#") == 10
+            "iterations": {3: {
+                "plain_time": 600.0, "cascaded_time": 552.0,
+                "time_saving_pct": 8.0, "plain_disk": 6000.0,
+                "cascaded_disk": 5760.0, "disk_saving_pct": 4.0}},
+        }))
+        assert "V_k ratio 20.0%, d_min 4" in out
+        assert ["3", "iterations", "600", "552", "8", "6000", "5760",
+                "4"] in rows
