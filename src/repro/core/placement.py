@@ -43,8 +43,6 @@ def estimate_partition_costs(
     machine.
     """
     costs = np.zeros(pgraph.num_parts, dtype=np.float64)
-    # both partitioned-graph flavors expose the counts; the range-based
-    # one computes them chunked so no O(m) per-edge arrays are needed
     out_cross, in_cross = pgraph.cross_partition_counts()
     for p in range(pgraph.num_parts):
         local = (pgraph.partition_bytes(p)

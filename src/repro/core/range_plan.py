@@ -8,6 +8,11 @@ store's shard boundaries, partition ``p`` **is** shard ``p``: loading a
 partition is a zero-copy memmap view and no per-edge relabeling exists
 anywhere in the pipeline.
 
+The result is an ordinary :class:`PartitionPlan`:
+:class:`~repro.core.partitioned.PartitionedGraph` sees that each
+partition's ids are consecutive and serves CSR slices, so the plan needs
+no field of its own and round-trips through ``save_plan``.
+
 Placement still goes through the bandwidth-aware machine tree
 (:func:`~repro.core.bandwidth_aware.build_machine_tree`): partition
 prefixes map onto machine-tree leaves in index order, so sibling ranges
@@ -18,45 +23,15 @@ plans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.cluster.topology import Topology
 from repro.core.bandwidth_aware import PartitionPlan, build_machine_tree
 from repro.errors import PartitioningError
-from repro.graph.digraph import Graph
+from repro.graph.digraph import Graph, balanced_offsets, covers_range
 from repro.partitioning.recursive import num_levels_for_parts
 
-__all__ = ["RangePartitionPlan", "contiguous_range_plan",
-           "balanced_range_offsets"]
-
-
-@dataclass
-class RangePartitionPlan(PartitionPlan):
-    """A :class:`PartitionPlan` whose partitions are contiguous vertex
-    ranges; ``range_offsets`` holds the P+1 boundaries.  Consumers
-    dispatch on this field to build a
-    :class:`~repro.core.partitioned.RangePartitionedGraph` instead of
-    the table-based partitioned graph."""
-
-    range_offsets: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, dtype=np.int64))
-
-
-def balanced_range_offsets(graph: Graph, num_parts: int) -> np.ndarray:
-    """Edge-balanced contiguous boundaries from the CSR offsets (O(n))."""
-    n = graph.num_vertices
-    indptr = graph.out_indptr
-    total = int(indptr[-1])
-    targets = (np.arange(1, num_parts, dtype=np.int64) * total) // num_parts
-    inner = np.searchsorted(indptr[1:], targets, side="left") + 1
-    offsets = np.concatenate((
-        np.zeros(1, dtype=np.int64),
-        np.minimum(inner, n).astype(np.int64),
-        np.array([n], dtype=np.int64),
-    ))
-    return np.maximum.accumulate(offsets)
+__all__ = ["contiguous_range_plan"]
 
 
 def contiguous_range_plan(
@@ -65,7 +40,7 @@ def contiguous_range_plan(
     num_parts: int,
     seed: int = 0,
     offsets: np.ndarray | None = None,
-) -> RangePartitionPlan:
+) -> PartitionPlan:
     """Partition ``graph`` into contiguous ranges with tree placement.
 
     ``offsets`` pins the boundaries (pass the shard store's
@@ -79,12 +54,10 @@ def contiguous_range_plan(
     if 1 << num_levels != num_parts:
         raise PartitioningError("num_parts must be a power of two")
     if offsets is None:
-        offsets = balanced_range_offsets(graph, num_parts)
+        offsets = balanced_offsets(graph.out_indptr, num_parts)
     else:
         offsets = np.asarray(offsets, dtype=np.int64)
-        if (offsets.size != num_parts + 1 or offsets[0] != 0
-                or offsets[-1] != graph.num_vertices
-                or np.any(np.diff(offsets) < 0)):
+        if not covers_range(offsets, num_parts, graph.num_vertices):
             raise PartitioningError(
                 "offsets must be P+1 boundaries covering [0, n]")
     machine_sets = build_machine_tree(topology, num_levels, seed=seed)
@@ -96,11 +69,10 @@ def contiguous_range_plan(
         placement[p] = leaf[0]
     parts = np.repeat(np.arange(num_parts, dtype=np.int64),
                       np.diff(offsets))
-    return RangePartitionPlan(
+    return PartitionPlan(
         parts=parts,
         num_parts=num_parts,
         placement=placement,
         machine_sets=machine_sets,
         method="contiguous-range",
-        range_offsets=offsets,
     )

@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-import numpy as np
-
 from repro.errors import DataLossError, JobError, SchedulingError
 from repro.cluster.cluster import Cluster, ClusterMetrics
 from repro.cluster.faults import FaultPlan
@@ -39,7 +37,7 @@ from repro.core.bandwidth_aware import (
     bandwidth_aware_partition,
     oblivious_partition,
 )
-from repro.core.partitioned import PartitionedGraph, RangePartitionedGraph
+from repro.core.partitioned import PartitionedGraph
 from repro.core.placement import (
     estimate_partition_costs,
     rebalance_placement,
@@ -153,14 +151,7 @@ class Surfer:
                     "layout must be 'bandwidth-aware' or 'oblivious'"
                 )
         self.plan = plan
-        range_offsets = getattr(plan, "range_offsets", None)
-        if range_offsets is not None and np.asarray(range_offsets).size:
-            # contiguous-range plan (out-of-core path): per-partition
-            # structures come from chunked scans, no O(m) edge tables
-            self.pgraph: PartitionedGraph | RangePartitionedGraph = (
-                RangePartitionedGraph(graph, range_offsets, plan.num_parts))
-        else:
-            self.pgraph = PartitionedGraph(graph, plan.parts, plan.num_parts)
+        self.pgraph = PartitionedGraph(graph, plan.parts, plan.num_parts)
         # Intra-pod straggler relief: swap partitions between machines of
         # the same pod (bandwidth-neutral) when a machine would otherwise
         # pin the makespan - e.g. a co-located pair of hub partitions.

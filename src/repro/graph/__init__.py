@@ -1,7 +1,6 @@
 """Graph substrate: CSR digraphs, generators, serialization, algorithms."""
 
 from repro.graph.digraph import Graph
-from repro.graph.builder import GraphBuilder, relabel_edges
 from repro.graph.generators import (
     composite_social_graph,
     erdos_renyi,
@@ -40,8 +39,6 @@ from repro.graph.algorithms import (
 
 __all__ = [
     "Graph",
-    "GraphBuilder",
-    "relabel_edges",
     "composite_social_graph",
     "erdos_renyi",
     "grid",

@@ -16,7 +16,8 @@ import numpy as np
 
 from repro.errors import GraphError
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "pair_keys", "csr_from_keys", "balanced_offsets",
+           "covers_range"]
 
 # Pairs per block when ingesting a lazy edge iterable: bounds the
 # transient Python-object overhead to O(chunk) instead of O(m).
@@ -50,17 +51,59 @@ def _edges_to_array(edges: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarray
         raise GraphError("edges must be (m, 2) pairs") from exc
 
 
-def _build_csr(
-    src: np.ndarray, dst: np.ndarray, num_vertices: int
+def pair_keys(
+    rows: np.ndarray, cols: np.ndarray, num_rows: int, num_cols: int
+) -> np.ndarray:
+    """``row * num_cols + col`` per pair: one ``int64`` that sorts in
+    ``(row, col)`` order.  Callers check ``0 <= row < num_rows`` and
+    ``0 <= col < num_cols`` first."""
+    if int(num_rows) * int(num_cols) >= 2**63:
+        raise GraphError(
+            f"{num_rows} x {num_cols} pairs do not fit an int64 sort key")
+    return rows * np.int64(num_cols) + cols
+
+
+def _decode_sorted_keys(
+    keys: np.ndarray, num_rows: int, num_cols: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Build (indptr, indices) sorted by source vertex, then destination."""
-    order = np.lexsort((dst, src))
-    src_sorted = src[order]
-    indices = dst[order]
-    counts = np.bincount(src_sorted, minlength=num_vertices)
-    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, indices.astype(np.int64, copy=False)
+    """``(indptr, indices)`` of ascending :func:`pair_keys` keys."""
+    rows, indices = np.divmod(keys, np.int64(num_cols))
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
+    return indptr, indices
+
+
+def csr_from_keys(
+    keys: np.ndarray, num_rows: int, num_cols: int, dedup: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR ``(indptr, indices)`` of :func:`pair_keys` keys: rows
+    ascending, columns ascending within a row, duplicates dropped when
+    ``dedup``.  Every pairs-to-CSR build in the repo — in-memory graphs
+    and shard files alike — is this one sort."""
+    keys = np.unique(keys) if dedup else np.sort(keys)
+    return _decode_sorted_keys(keys, num_rows, num_cols)
+
+
+def balanced_offsets(indptr: np.ndarray, count: int) -> np.ndarray:
+    """Edge-balanced contiguous boundaries: ``count + 1`` vertex offsets
+    cut from the CSR prefix sums ``indptr`` (O(n))."""
+    n = indptr.size - 1
+    total = int(indptr[-1])
+    targets = (np.arange(1, count, dtype=np.int64) * total) // count
+    inner = np.searchsorted(indptr[1:], targets, side="left") + 1
+    offsets = np.concatenate((
+        np.zeros(1, dtype=np.int64),
+        np.minimum(inner, n).astype(np.int64),
+        np.array([n], dtype=np.int64),
+    ))
+    return np.maximum.accumulate(offsets)
+
+
+def covers_range(offsets: np.ndarray, count: int, n: int) -> bool:
+    """Whether ``offsets`` are ``count + 1`` non-decreasing boundaries
+    covering ``[0, n]`` (shard starts and range plans both must be)."""
+    return bool(offsets.size == count + 1 and offsets[0] == 0
+                and offsets[-1] == n and not np.any(np.diff(offsets) < 0))
 
 
 class Graph:
@@ -131,11 +174,8 @@ class Graph:
         if drop_self_loops and src.size:
             keep = src != dst
             src, dst = src[keep], dst[keep]
-        if dedup and src.size:
-            pairs = np.unique(np.stack([src, dst], axis=1), axis=0)
-            src, dst = pairs[:, 0], pairs[:, 1]
-        indptr, indices = _build_csr(src, dst, num_vertices)
-        return cls(indptr, indices)
+        n = num_vertices
+        return cls(*csr_from_keys(pair_keys(src, dst, n, n), n, n, dedup))
 
     @classmethod
     def empty(cls, num_vertices: int) -> "Graph":
@@ -205,10 +245,9 @@ class Graph:
 
     def _ensure_in_csr(self) -> None:
         if self._in_indptr is None:
-            src = self.edge_sources()
-            self._in_indptr, self._in_indices = _build_csr(
-                self.out_indices, src, self.num_vertices
-            )
+            n = self.num_vertices
+            keys = pair_keys(self.out_indices, self.edge_sources(), n, n)
+            self._in_indptr, self._in_indices = csr_from_keys(keys, n, n)
 
     def edge_sources(self) -> np.ndarray:
         """Source vertex of every edge, aligned with ``out_indices``."""
@@ -302,20 +341,10 @@ class Graph:
         keep = src != dst
         s = np.concatenate([src[keep], dst[keep]])
         d = np.concatenate([dst[keep], src[keep]])
-        if s.size == 0:
-            n = self.num_vertices
-            return (np.zeros(n + 1, dtype=np.int64),
-                    np.zeros(0, dtype=np.int64),
-                    np.zeros(0, dtype=np.int64))
-        key = s * np.int64(self.num_vertices) + d
-        uniq, counts = np.unique(key, return_counts=True)
-        us = (uniq // self.num_vertices).astype(np.int64)
-        ud = (uniq % self.num_vertices).astype(np.int64)
-        order = np.lexsort((ud, us))
-        us, ud, counts = us[order], ud[order], counts[order]
-        indptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
-        np.cumsum(np.bincount(us, minlength=self.num_vertices), out=indptr[1:])
-        return indptr, ud, counts.astype(np.int64)
+        n = self.num_vertices
+        uniq, counts = np.unique(pair_keys(s, d, n, n), return_counts=True)
+        indptr, indices = _decode_sorted_keys(uniq, n, n)
+        return indptr, indices, counts.astype(np.int64)
 
     def subgraph(self, vertices: Sequence[int] | np.ndarray) -> tuple["Graph", np.ndarray]:
         """Induced subgraph on ``vertices``.
@@ -331,8 +360,9 @@ class Graph:
         src = self.edge_sources()
         dst = self.out_indices
         keep = (local[src] >= 0) & (local[dst] >= 0)
-        indptr, indices = _build_csr(local[src[keep]], local[dst[keep]], verts.size)
-        return Graph(indptr, indices), verts
+        k = verts.size
+        keys = pair_keys(local[src[keep]], local[dst[keep]], k, k)
+        return Graph(*csr_from_keys(keys, k, k)), verts
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -15,7 +15,10 @@ using an existing generator [R-MAT], and next randomly changing a ratio
 * :func:`erdos_renyi` and :func:`ring` / :func:`grid` as structureless and
   fully regular baselines for tests and ablations.
 
-Every generator takes a ``seed`` and is deterministic given it.
+Every generator takes a ``seed`` and is deterministic given it.  The
+R-MAT, small-world and web-feeder edge sequences are defined in
+:mod:`repro.graph.stream`; the functions here drain those streams into a
+:class:`Graph` (and so take an ``int`` seed, validated by the stream).
 """
 
 from __future__ import annotations
@@ -24,6 +27,12 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.digraph import Graph
+from repro.graph.stream import (
+    EdgeStream,
+    stream_rmat,
+    stream_small_world,
+    stream_web_feeder,
+)
 
 __all__ = [
     "as_generator",
@@ -52,13 +61,25 @@ def as_generator(seed: int | np.random.Generator) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _materialize(stream: EdgeStream, dedup: bool = True) -> Graph:
+    """Drain ``stream`` into an in-memory graph, self loops dropped."""
+    edges = np.zeros((stream.num_edges, 2), dtype=np.int64)
+    lo = 0
+    for src, dst in stream.chunks():
+        hi = lo + src.size
+        edges[lo:hi, 0], edges[lo:hi, 1] = src, dst
+        lo = hi
+    return Graph.from_edges(edges, num_vertices=stream.num_vertices,
+                            dedup=dedup, drop_self_loops=True)
+
+
 def rmat(
     scale: int,
     edge_factor: int = 8,
     a: float = 0.57,
     b: float = 0.19,
     c: float = 0.19,
-    seed: int | np.random.Generator = 0,
+    seed: int = 0,
     dedup: bool = True,
 ) -> Graph:
     """R-MAT graph with ``2**scale`` vertices and ``edge_factor * n`` edges.
@@ -68,66 +89,20 @@ def rmat(
     skewed degree distributions and block community structure of real social
     networks.  Self loops are dropped; duplicates are dropped when ``dedup``.
     """
-    if scale < 0:
-        raise GraphError("scale must be non-negative")
-    d = 1.0 - a - b - c
-    if min(a, b, c, d) < 0:
-        raise GraphError("R-MAT probabilities must be non-negative")
-    n = 1 << scale
-    m = edge_factor * n
-    rng = as_generator(seed)
-    src = np.zeros(m, dtype=np.int64)
-    dst = np.zeros(m, dtype=np.int64)
-    # probability of descending into the "right half" for src / dst bits
-    p_src_right = c + d
-    p_dst_right_given_src_left = b / (a + b) if (a + b) > 0 else 0.0
-    p_dst_right_given_src_right = d / (c + d) if (c + d) > 0 else 0.0
-    for bit in range(scale):
-        r1 = rng.random(m)
-        r2 = rng.random(m)
-        src_right = r1 < p_src_right
-        p_dst = np.where(
-            src_right, p_dst_right_given_src_right, p_dst_right_given_src_left
-        )
-        dst_right = r2 < p_dst
-        src = (src << 1) | src_right.astype(np.int64)
-        dst = (dst << 1) | dst_right.astype(np.int64)
-    return Graph.from_edges(
-        np.stack([src, dst], axis=1),
-        num_vertices=n,
-        dedup=dedup,
-        drop_self_loops=True,
-    )
+    return _materialize(
+        stream_rmat(scale, edge_factor, a, b, c, seed=seed), dedup=dedup)
 
 
 def small_world(
-    num_vertices: int, k: int = 4, rewire_p: float = 0.05,
-    seed: int | np.random.Generator = 0,
+    num_vertices: int, k: int = 4, rewire_p: float = 0.05, seed: int = 0,
 ) -> Graph:
     """Directed Watts–Strogatz small-world graph.
 
     Each vertex points to its ``k`` clockwise ring successors; each edge is
     rewired to a uniform random destination with probability ``rewire_p``.
     """
-    if num_vertices <= 0:
-        raise GraphError("num_vertices must be positive")
-    if not 0 <= rewire_p <= 1:
-        raise GraphError("rewire_p must lie in [0, 1]")
-    k = min(k, max(num_vertices - 1, 0))
-    rng = as_generator(seed)
-    src = np.repeat(np.arange(num_vertices, dtype=np.int64), k)
-    offsets = np.tile(np.arange(1, k + 1, dtype=np.int64), num_vertices)
-    dst = (src + offsets) % num_vertices
-    if rewire_p > 0 and src.size:
-        rewire = rng.random(src.size) < rewire_p
-        dst = dst.copy()
-        dst[rewire] = rng.integers(0, num_vertices, size=int(rewire.sum()))
-    return Graph.from_edges(
-        np.stack([src, dst], axis=1),
-        num_vertices=num_vertices,
-        dedup=True,
-        drop_self_loops=True,
-    )
+    return _materialize(
+        stream_small_world(num_vertices, k, rewire_p, seed=seed))
 
 
 def composite_social_graph(
@@ -248,7 +223,7 @@ def web_feeder_graph(
     feeders: int,
     chords_per_vertex: int = 3,
     feeder_degree: int = 2,
-    seed: int | np.random.Generator = 0,
+    seed: int = 0,
 ) -> Graph:
     """A web-crawl-like graph: a linked core plus no-inlink feeders.
 
@@ -260,25 +235,8 @@ def web_feeder_graph(
     after one iteration, so the convergent tail touches only the core:
     the workload the sparse-frontier benchmarks exercise.
     """
-    if core <= 0 or feeders < 0:
-        raise GraphError("core must be positive and feeders non-negative")
-    rng = as_generator(seed)
-    n = core + feeders
-    ring_src = np.arange(core, dtype=np.int64)
-    ring_dst = (ring_src + 1) % core
-    chord_src = np.repeat(ring_src, chords_per_vertex)
-    chord_dst = rng.integers(0, core, size=chord_src.size)
-    feeder_src = np.repeat(np.arange(core, n, dtype=np.int64),
-                           feeder_degree)
-    feeder_dst = rng.integers(0, core, size=feeder_src.size)
-    src = np.concatenate([ring_src, chord_src, feeder_src])
-    dst = np.concatenate([ring_dst, chord_dst, feeder_dst])
-    return Graph.from_edges(
-        np.stack([src, dst], axis=1),
-        num_vertices=n,
-        dedup=True,
-        drop_self_loops=True,
-    )
+    return _materialize(stream_web_feeder(
+        core, feeders, chords_per_vertex, feeder_degree, seed=seed))
 
 
 def star(num_leaves: int, out: bool = True) -> Graph:

@@ -1,12 +1,11 @@
 """Sharded, memory-mappable CSR graph store.
 
-The out-of-core counterpart of :class:`repro.graph.digraph.Graph`: one
-directory holding a JSON manifest plus per-shard ``indptr``/``indices``
-``.npy`` files.  Shards cover contiguous source-vertex ranges, written
-once by an external count-then-scatter build over an
-:class:`~repro.graph.stream.EdgeStream` and opened via ``np.load(...,
-mmap_mode="r")`` — so building and processing a graph both keep peak
-RSS at O(largest shard + n), never O(m).
+A :class:`repro.graph.digraph.Graph` kept on disk: one directory
+holding a JSON manifest plus per-shard ``indptr``/``indices`` ``.npy``
+files.  Shards cover contiguous source-vertex ranges, written once from
+an :class:`~repro.graph.stream.EdgeStream` and opened via
+``np.load(..., mmap_mode="r")`` — so building and processing a graph
+both keep peak RSS at O(largest shard + n), never O(m).
 
 Build (three passes, each O(chunk) + O(n) resident):
 
@@ -14,15 +13,20 @@ Build (three passes, each O(chunk) + O(n) resident):
    per-source degrees; choose edge-balanced shard boundaries from the
    degree prefix sums (callers may pin boundaries, e.g. to partition
    ranges so partition ``p`` *is* shard ``p``).
-2. **scatter** — stream again, routing each edge's destination into its
-   source row's reserved slots in the owning shard's raw scratch file
-   (a vectorized external counting sort by source).
-3. **finalize** — per shard: sort each row's destinations, drop
-   adjacent duplicates when ``dedup``, and write the final local
-   ``indptr``/``indices`` arrays.  Because shards are source ranges,
-   per-shard dedup equals global dedup, and the result is bit-identical
-   to ``Graph.from_edges(edges, dedup=..., drop_self_loops=...)`` on
-   the materialized edge list.
+2. **scatter** — stream again; a chunk's sorted
+   :func:`~repro.graph.digraph.pair_keys` fall into shard order, so
+   each shard's slice is appended to that shard's scratch file (one
+   cursor per shard; pass 1 sized the files).
+3. **finalize** — per shard, :func:`~repro.graph.digraph.csr_from_keys`
+   (the sort ``Graph.from_edges`` runs) turns the scratch keys into the
+   final local ``indptr``/``indices`` arrays.  Because shards are source
+   ranges, per-shard dedup equals global dedup, and the result is
+   bit-identical to ``Graph.from_edges(edges, dedup=...,
+   drop_self_loops=...)`` on the materialized edge list.
+
+The store is assembled in a temporary sibling directory and renamed
+into place after the manifest is written, so a directory that exists at
+``path`` is always a complete store.
 
 :class:`ShardBackedGraph` then exposes the store through the ``Graph``
 API with a *raising* ``out_indices`` — any code path that would
@@ -34,13 +38,21 @@ and the per-partition gathers instead.
 from __future__ import annotations
 
 import json
+import os
+import shutil
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.digraph import Graph
+from repro.graph.digraph import (
+    Graph,
+    balanced_offsets,
+    covers_range,
+    csr_from_keys,
+    pair_keys,
+)
 from repro.graph.stream import EdgeStream
 
 __all__ = [
@@ -71,21 +83,6 @@ def _expand_blocks(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
             + np.repeat(starts - block_starts, counts))
 
 
-def _balanced_starts(degrees: np.ndarray, num_shards: int) -> np.ndarray:
-    """Edge-balanced shard boundaries: S+1 vertex offsets."""
-    n = degrees.size
-    total = int(degrees.sum())
-    cum = np.cumsum(degrees)
-    targets = (np.arange(1, num_shards, dtype=np.int64) * total) // num_shards
-    inner = np.searchsorted(cum, targets, side="left") + 1
-    starts = np.concatenate((
-        np.zeros(1, dtype=np.int64),
-        np.minimum(inner, n).astype(np.int64),
-        np.array([n], dtype=np.int64),
-    ))
-    return np.maximum.accumulate(starts)
-
-
 def build_shard_store(
     stream: EdgeStream,
     path: str | Path,
@@ -99,124 +96,107 @@ def build_shard_store(
 
     ``vertex_starts`` (S+1 offsets) pins the shard boundaries; the
     default is edge-balanced boundaries from the raw degree prefix sums.
-    Returns the opened :class:`ShardStore`.
+    ``path`` must not hold anything yet; it appears only once the store
+    is complete.  Returns the opened :class:`ShardStore`.
     """
     if num_shards < 1:
         raise GraphError("num_shards must be at least 1")
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
+    if path.exists() and (not path.is_dir() or any(path.iterdir())):
+        raise GraphError(f"{path} already exists and is not empty")
+    building = path.with_name(f"{path.name}.building-{os.getpid()}")
+    building.mkdir(parents=True)
+    try:
+        _write_shards(stream, building, num_shards, dedup, drop_self_loops,
+                      vertex_starts, meta)
+        os.replace(building, path)
+    except BaseException:
+        shutil.rmtree(building, ignore_errors=True)
+        raise
+    return ShardStore(path)
+
+
+def _write_shards(
+    stream: EdgeStream,
+    path: Path,
+    num_shards: int,
+    dedup: bool,
+    drop_self_loops: bool,
+    vertex_starts: Sequence[int] | np.ndarray | None,
+    meta: dict | None,
+) -> None:
+    """The three build passes, into the (empty) directory ``path``."""
     n = int(stream.num_vertices)
 
+    def kept_chunks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for src, dst in stream.chunks():
+            if drop_self_loops:
+                keep = src != dst
+                src, dst = src[keep], dst[keep]
+            if src.size:
+                yield src, dst
+
     # -- pass 1: count raw per-source degrees -------------------------
-    degrees = np.zeros(n, dtype=np.int64)
-    for src, dst in stream.chunks():
-        if src.size == 0:
-            continue
-        if drop_self_loops:
-            keep = src != dst
-            src, dst = src[keep], dst[keep]
-        if src.size == 0:
-            continue
+    raw_indptr = np.zeros(n + 1, dtype=np.int64)
+    for src, dst in kept_chunks():
         if min(src.min(), dst.min()) < 0:
             raise GraphError("vertex ids must be non-negative")
         if max(src.max(), dst.max()) >= n:
             raise GraphError("edge endpoint exceeds num_vertices")
-        degrees += np.bincount(src, minlength=n)
+        raw_indptr[1:] += np.bincount(src, minlength=n)
+    np.cumsum(raw_indptr, out=raw_indptr)
 
     if vertex_starts is None:
-        starts = _balanced_starts(degrees, num_shards)
+        starts = balanced_offsets(raw_indptr, num_shards)
     else:
         starts = np.asarray(vertex_starts, dtype=np.int64)
-        if (starts.size != num_shards + 1 or starts[0] != 0
-                or starts[-1] != n or np.any(np.diff(starts) < 0)):
+        if not covers_range(starts, num_shards, n):
             raise GraphError("vertex_starts must be S+1 offsets over [0, n]")
+    raw_counts = np.diff(raw_indptr[starts])
 
-    # slot_base[v] = global slot of v's first raw edge
-    slot_base = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=slot_base[1:])
-    shard_edge_start = slot_base[starts]
-    raw_counts = np.diff(shard_edge_start)
-
-    # -- pass 2: scatter destinations into per-shard scratch files ----
+    # -- pass 2: append each chunk's keys to its shard's scratch file --
     raw_paths = [path / f"shard{s:05d}.raw.npy" for s in range(num_shards)]
-    raw_maps: list[np.ndarray | None] = []
-    for s in range(num_shards):
-        if raw_counts[s]:
-            raw_maps.append(np.lib.format.open_memmap(
-                raw_paths[s], mode="w+", dtype=np.int64,
-                shape=(int(raw_counts[s]),)))
-        else:
-            raw_maps.append(None)
-    write_pos = slot_base[:-1].copy()
-    for src, dst in stream.chunks():
-        if drop_self_loops and src.size:
-            keep = src != dst
-            src, dst = src[keep], dst[keep]
-        if src.size == 0:
-            continue
-        order = np.argsort(src, kind="stable")
-        ssrc, sdst = src[order], dst[order]
-        uniq, first, counts = np.unique(ssrc, return_index=True,
-                                        return_counts=True)
-        occ = (np.arange(ssrc.size, dtype=np.int64)
-               - np.repeat(first, counts))
-        slots = write_pos[ssrc] + occ
-        shard_ids = np.searchsorted(starts, ssrc, side="right") - 1
-        sh_uniq, sh_first, sh_counts = np.unique(
-            shard_ids, return_index=True, return_counts=True)
-        for s, st, ct in zip(sh_uniq, sh_first, sh_counts):
-            block = slice(int(st), int(st + ct))
-            target = raw_maps[int(s)]
-            assert target is not None
-            target[slots[block] - shard_edge_start[s]] = sdst[block]
-        write_pos[uniq] += counts
+    raw_maps = [
+        np.lib.format.open_memmap(raw_paths[s], mode="w+", dtype=np.int64,
+                                  shape=(int(raw_counts[s]),))
+        for s in range(num_shards)
+    ]
+    cursors = np.zeros(num_shards, dtype=np.int64)
+    for src, dst in kept_chunks():
+        # sorted keys fall into shard order; each shard's slice is made
+        # local to its first row, as its final indptr is
+        keys = np.sort(pair_keys(src, dst, n, n))
+        bounds = np.searchsorted(keys, starts * n)
+        for s in np.flatnonzero(np.diff(bounds)):
+            block = keys[bounds[s]:bounds[s + 1]] - starts[s] * n
+            raw_maps[s][cursors[s]:cursors[s] + block.size] = block
+            cursors[s] += block.size
     for mm in raw_maps:
-        if mm is not None:
-            mm.flush()
+        mm.flush()
     del raw_maps
 
-    # -- pass 3: per-shard row sort (+ dedup), final npy files --------
+    # -- pass 3: per-shard key sort (+ dedup), final npy files --------
     shards = []
-    total_edges = 0
     for s in range(num_shards):
-        lo, hi = int(starts[s]), int(starts[s + 1])
-        local_n = hi - lo
-        raw_deg = degrees[lo:hi]
-        if raw_counts[s]:
-            # keep the raw shard mapped: lexsort/fancy-indexing below
-            # gather into fresh arrays without pinning a full copy
-            dst_raw = np.load(raw_paths[s], mmap_mode="r")
-            rows = np.repeat(np.arange(local_n, dtype=np.int64), raw_deg)
-            order = np.lexsort((dst_raw, rows))
-            rows_s, dst_s = rows[order], dst_raw[order]
-            if dedup and rows_s.size:
-                keep = np.ones(rows_s.size, dtype=bool)
-                keep[1:] = ((rows_s[1:] != rows_s[:-1])
-                            | (dst_s[1:] != dst_s[:-1]))
-                rows_s, dst_s = rows_s[keep], dst_s[keep]
-        else:
-            rows_s = np.zeros(0, dtype=np.int64)
-            dst_s = np.zeros(0, dtype=np.int64)
-        indptr_local = np.zeros(local_n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows_s, minlength=local_n),
-                  out=indptr_local[1:])
+        local_n = int(starts[s + 1] - starts[s])
+        # keep the raw shard mapped: the sort gathers into a fresh array
+        indptr_local, indices = csr_from_keys(
+            np.load(raw_paths[s], mmap_mode="r"), local_n, n, dedup)
         indptr_name = f"shard{s:05d}.indptr.npy"
         indices_name = f"shard{s:05d}.indices.npy"
         np.save(path / indptr_name, indptr_local)
-        np.save(path / indices_name, dst_s.astype(np.int64, copy=False))
+        np.save(path / indices_name, indices)
         shards.append({
             "indptr": indptr_name,
             "indices": indices_name,
-            "num_edges": int(dst_s.size),
+            "num_edges": int(indices.size),
         })
-        total_edges += int(dst_s.size)
-        if raw_paths[s].exists():
-            raw_paths[s].unlink()
+        raw_paths[s].unlink()
 
     manifest = {
         "format": STORE_FORMAT,
         "num_vertices": n,
-        "num_edges": total_edges,
+        "num_edges": sum(shard["num_edges"] for shard in shards),
         "num_shards": num_shards,
         "dedup": bool(dedup),
         "drop_self_loops": bool(drop_self_loops),
@@ -227,7 +207,6 @@ def build_shard_store(
         manifest["meta"] = dict(meta)
     with open(path / MANIFEST_NAME, "w", encoding="ascii") as handle:
         json.dump(manifest, handle, indent=1, sort_keys=True)
-    return ShardStore(path)
 
 
 class ShardStore:
@@ -249,9 +228,8 @@ class ShardStore:
         self.num_shards = int(manifest["num_shards"])
         self.vertex_starts = np.asarray(manifest["vertex_starts"],
                                         dtype=np.int64)
-        if (self.vertex_starts.size != self.num_shards + 1
-                or self.vertex_starts[0] != 0
-                or self.vertex_starts[-1] != self.num_vertices):
+        if not covers_range(self.vertex_starts, self.num_shards,
+                            self.num_vertices):
             raise GraphError("manifest vertex_starts are inconsistent")
         self._indptrs: list[np.ndarray] = []
         self._indices: list[np.ndarray] = []

@@ -1,14 +1,18 @@
-"""Streaming edge emitters — the in-memory generators without the RAM.
+"""Streaming edge emitters: the R-MAT, small-world and web-feeder models.
 
-Every generator in :mod:`repro.graph.generators` materializes its full
-``(m, 2)`` edge array before CSR construction, capping honest benchmarks
-at whatever fits in memory.  The streams here emit the *same raw edge
-sequence* — bit-identical for equal seeds — in bounded chunks, so a
-10M+-edge graph can be counted and scattered into the sharded store
-(:mod:`repro.graph.store`) with peak memory O(chunk), never O(m).
+Each model's edge sequence is defined here, once, as an
+:class:`EdgeStream` that emits it in bounded chunks.  A 10M+-edge graph
+is counted and scattered into the sharded store
+(:mod:`repro.graph.store`) with peak memory O(chunk), never O(m); the
+in-memory :func:`~repro.graph.generators.rmat`,
+:func:`~repro.graph.generators.small_world` and
+:func:`~repro.graph.generators.web_feeder_graph` drain the same streams
+into a :class:`~repro.graph.digraph.Graph`, so a graph built either way
+is the same graph.
 
-Bit-identity rests on three properties of numpy's ``PCG64`` bit stream
-(asserted directly by tests/test_graph_stream.py):
+The emitted sequence must not depend on the chunk size (asserted by
+tests/test_graph_stream.py).  That rests on three properties of numpy's
+``PCG64`` bit stream:
 
 * ``default_rng(seed)`` draws the same stream as
   ``Generator(PCG64(seed))``;
@@ -22,9 +26,8 @@ Bit-identity rests on three properties of numpy's ``PCG64`` bit stream
   re-seeding.
 
 A stream yields the **raw** emitted edges; self-loop dropping and
-deduplication — which the in-memory generators delegate to
-``Graph.from_edges`` — happen during the shard-store build, with
-identical semantics.
+deduplication happen where the CSR is built (``Graph.from_edges`` or
+the shard-store build), with identical semantics.
 """
 
 from __future__ import annotations
@@ -102,12 +105,14 @@ def stream_rmat(
     seed: int = 0,
     chunk_size: int = DEFAULT_CHUNK_EDGES,
 ) -> EdgeStream:
-    """Streamed twin of :func:`repro.graph.generators.rmat`.
+    """R-MAT edges: ``2**scale`` vertices, ``edge_factor * n`` raw edges.
 
-    The in-memory generator draws, per bit, two length-``m`` ``random``
-    blocks from one stream; edge ``i``'s draws therefore sit at fixed
-    stream positions ``2*bit*m + i`` and ``(2*bit + 1)*m + i``, so any
-    edge range can be regenerated independently via ``PCG64.advance``.
+    Each edge picks one quadrant of the adjacency matrix per bit with
+    probabilities ``(a, b, c, d)``, ``d = 1 - a - b - c``.  Per bit the
+    model draws two length-``m`` ``random`` blocks from one stream; edge
+    ``i``'s draws therefore sit at fixed stream positions ``2*bit*m + i``
+    and ``(2*bit + 1)*m + i``, so any edge range can be regenerated
+    independently via ``PCG64.advance``.
     """
     if scale < 0:
         raise GraphError("scale must be non-negative")
@@ -155,7 +160,9 @@ def stream_small_world(
     seed: int = 0,
     chunk_size: int = DEFAULT_CHUNK_EDGES,
 ) -> EdgeStream:
-    """Streamed twin of :func:`repro.graph.generators.small_world`.
+    """Directed Watts–Strogatz ring: ``k`` clockwise successors per
+    vertex, each edge rewired to a uniform destination with probability
+    ``rewire_p``.
 
     The rewire mask is ``random`` (positional — re-enterable at any
     offset); the rewired destinations are a single sequential
@@ -200,12 +207,12 @@ def stream_web_feeder(
     seed: int = 0,
     chunk_size: int = DEFAULT_CHUNK_EDGES,
 ) -> EdgeStream:
-    """Streamed twin of :func:`repro.graph.generators.web_feeder_graph`.
+    """Web-crawl shape: a ring-plus-chords core and no-inlink feeders.
 
-    The emitted sequence is the in-memory concatenation order — ring,
-    chords, feeders — with one sequential generator drawing the chord
-    then feeder destinations; chunked same-bound ``integers`` calls
-    concatenate identically to the two in-memory bulk calls.
+    The emitted sequence is ring, chords, feeders, with one sequential
+    generator drawing the chord then feeder destinations; chunked
+    same-bound ``integers`` calls concatenate identically to two bulk
+    calls.
     """
     if core <= 0 or feeders < 0:
         raise GraphError("core must be positive and feeders non-negative")

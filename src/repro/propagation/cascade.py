@@ -102,10 +102,7 @@ def compute_cascade_info(pgraph: PartitionedGraph) -> CascadeInfo:
     graph = pgraph.graph
     n = graph.num_vertices
     depth = -np.ones(n, dtype=np.int64)
-    src = graph.edge_sources()
-    dst = graph.out_indices
-    cross = pgraph.edge_src_part != pgraph.edge_dst_part
-    entries = np.unique(dst[cross]) if dst.size else dst
+    entries = np.flatnonzero(pgraph.entry_mask)
 
     from collections import deque
 

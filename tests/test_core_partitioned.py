@@ -37,15 +37,27 @@ class TestStructure:
         assert pg.is_inner(0)
 
     def test_boundary_tables_match_paper_structures(self):
-        pg = make_pg()
-        assert pg.boundary_tables[0] == {0, 1}
-        assert pg.boundary_tables[1] == {2, 3}
+        """Section 5.1's per-partition boundary-vertex table is the
+        boundary mask read over the partition's vertices."""
+        g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (4, 0)],
+                             num_vertices=5)
+        pg = PartitionedGraph(g, np.array([0, 0, 1, 1, 0]), 2)
+        tables = [set(verts[pg.boundary_mask[verts]].tolist())
+                  for verts in pg.partition_vertices]
+        assert tables == [{1}, {2}]
 
     def test_cross_dest_maps(self):
+        """Section 5.1's ``(v, pid)`` map: each cross-edge destination
+        and the remote partition holding it."""
         pg = make_pg()
+        maps = []
+        for p in range(2):
+            _, dst = pg.partition_edges(p)
+            remote = dst[pg.parts[dst] != p]
+            maps.append({int(v): pg.partition_of(v) for v in remote})
         # partition 0's cross edge 1->2 targets vertex 2 in partition 1
-        assert pg.cross_dest_maps[0] == {2: 1}
-        assert pg.cross_dest_maps[1] == {0: 0}
+        assert maps == [{2: 1}, {0: 0}]
+        assert np.flatnonzero(pg.entry_mask).tolist() == [0, 2]
 
     def test_partition_edges(self):
         pg = make_pg()

@@ -21,7 +21,7 @@ from repro.graph.store import (
     build_shard_store,
     open_shard_graph,
 )
-from repro.graph.stream import stream_from_edges, stream_rmat
+from repro.graph.stream import EdgeStream, stream_from_edges, stream_rmat
 
 
 def reference_graph(stream) -> Graph:
@@ -91,6 +91,38 @@ class TestRoundTrip:
         ref = Graph.from_edges(edges, num_vertices=3)
         np.testing.assert_array_equal(store.global_indptr(),
                                       ref.out_indptr)
+
+
+class TestBuildIsAtomic:
+    """A directory that exists at ``path`` is a complete store."""
+
+    def test_interrupted_build_leaves_nothing(self, tmp_path, rmat_stream):
+        passes = []
+
+        def chunks():
+            passes.append(None)
+            if len(passes) == 2:  # the scatter pass
+                raise RuntimeError("disk full")
+            return rmat_stream.chunks()
+
+        broken = EdgeStream(rmat_stream.num_vertices, rmat_stream.num_edges,
+                            rmat_stream.chunk_size, chunks)
+        with pytest.raises(RuntimeError, match="disk full"):
+            build_shard_store(broken, tmp_path / "out" / "s", 4)
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_refuses_to_build_over_a_store(self, tmp_path, rmat_stream):
+        build_shard_store(rmat_stream, tmp_path / "s", 2)
+        before = sorted(f.name for f in (tmp_path / "s").iterdir())
+        with pytest.raises(GraphError, match=str(tmp_path / "s")):
+            build_shard_store(rmat_stream, tmp_path / "s", 4)
+        assert sorted(f.name for f in (tmp_path / "s").iterdir()) == before
+        assert open_shard_graph(tmp_path / "s").store.num_shards == 2
+
+    def test_empty_directory_is_accepted(self, tmp_path, rmat_stream):
+        store = build_shard_store(rmat_stream, tmp_path, 2)
+        assert store.path == tmp_path
+        assert ShardBackedGraph(store) == reference_graph(rmat_stream)
 
 
 class TestShardStoreAccess:

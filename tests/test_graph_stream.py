@@ -1,17 +1,18 @@
-"""Streaming generators: bit-identity with their in-memory twins.
+"""Streaming generators: one edge sequence per model, at any chunk size.
 
-The whole out-of-core story (ISSUE 9) rests on one contract: for equal
-seeds, the chunked emitters in :mod:`repro.graph.stream` produce the
-*same edge sequence* as the in-memory generators — so a graph built
-through the shard store is bit-identical to one built in RAM, and every
-downstream result (outputs, cost counters) matches exactly.  These
-tests pin that contract:
+The whole out-of-core story (ISSUE 9) rests on one contract: a graph
+built through the shard store is bit-identical to one built in RAM, so
+every downstream result (outputs, cost counters) matches exactly.  The
+in-memory generators drain the streams in :mod:`repro.graph.stream`, so
+"stream == generator" holds by construction; these tests pin what that
+leaves open:
 
 * raw-sequence invariance: the concatenated chunk stream is identical
   for every chunk size (the emitters re-derive RNG state per chunk, so
   chunking must be invisible);
-* graph-level bit-identity: ``Graph.from_edges`` over the stream equals
-  the in-memory generator's graph, CSR arrays and all;
+* golden bytes: SHA-256 digests of the CSR arrays, recorded at the last
+  commit that had a separate in-memory implementation of each model —
+  neither the streams nor the CSR build may drift from them;
 * re-enterability: ``chunks()`` returns a fresh, identical iterator
   each time (the count-then-scatter store build consumes it twice);
 * edge cases: empty streams, single-chunk streams, seed validation.
@@ -19,12 +20,19 @@ tests pin that contract:
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.errors import GraphError
 from repro.graph.digraph import Graph
-from repro.graph.generators import rmat, small_world, web_feeder_graph
+from repro.graph.generators import (
+    composite_social_graph,
+    rmat,
+    small_world,
+    web_feeder_graph,
+)
 from repro.graph.stream import (
     EdgeStream,
     stream_from_edges,
@@ -90,18 +98,61 @@ class TestChunkInvariance:
         assert sum(sizes) == stream.num_edges
 
 
+# sha256(out_indptr bytes + out_indices bytes), little-endian int64,
+# recorded at commit ebf1e6f — the last with two implementations per model
+GOLDEN = {
+    "rmat-0":
+        "828e89557f5732d6fb4901987682a13255f281d9b92e3fb5ff64ffbb642b5479",
+    "rmat-7":
+        "82f94251e10736e03df1ab32aad0d732cb56cf1c68deafc458ee536088e3e7cf",
+    "rmat-2010":
+        "9bfb0fb6b5219cd4dd30e69bcb2e86cde6c31056a1659b8df7832f39fb51156c",
+    "rmat-skew":
+        "75f84c9e328e3e66132abc300abb6b9c3af4c2916b6191a7c143e6eafb24b603",
+    "small_world-0":
+        "7342516d9596a238dadb482c94250f5819fea0cafd2a3dea597a148638395e40",
+    "small_world-7":
+        "81b17d4ad6ed2470ef29448d06ff0945da642d4257796892bbeecaffd259bcdf",
+    "small_world-2010":
+        "a7040991af9423332d21ce9e878df8e02895910e7ae39e0e0ff6771a1d73b07f",
+    "small_world-clamped":
+        "e6bff7613a59d04131ce2b79295b140b2d26c19f156b5ae3df51bbc522f14651",
+    "web_feeder-0":
+        "252ed99c31205a8b4b47b42dabe6ecf76bb9332e45466739db7f9f1e2ff880fc",
+    "web_feeder-7":
+        "6426e2e160ba3840174ed7e7ae0fc55da8008cd2ba2c7cee78654353bbc037e6",
+    "web_feeder-2010":
+        "28ac767d585e2fefa82c51e180cf1aa1c39e49a4d4fc053c3cbb0f6ab78c453d",
+    "web_feeder-shape":
+        "c1eff86d724eb874bd413ba5291d2e197ebb31d6ee0c98272d98e3fa0a3ccdbb",
+    "composite-rmat":
+        "a85a4813c8e9720ed5192633dc93edb9359c4f7a739c19dbd6bf98e0fdd29ddb",
+    "composite-small-world":
+        "8bcba93957731de08866a7d07724bc4bc2feb80b8209c1517d7ffe160928c867",
+}
+
+
+def digest(graph: Graph) -> str:
+    sha = hashlib.sha256()
+    sha.update(graph.out_indptr.astype("<i8").tobytes())
+    sha.update(graph.out_indices.astype("<i8").tobytes())
+    return sha.hexdigest()
+
+
 class TestGeneratorParity:
-    """Streamed graphs equal the in-memory generators bit for bit."""
+    """Chunked stream and in-memory generator both hit the golden bytes."""
 
     @pytest.mark.parametrize("seed", [0, 7, 2010])
     def test_rmat(self, seed):
         streamed = graph_of(stream_rmat(9, edge_factor=8, seed=seed,
                                         chunk_size=777))
+        assert digest(streamed) == GOLDEN[f"rmat-{seed}"]
         assert streamed == rmat(9, edge_factor=8, seed=seed)
 
     def test_rmat_nondefault_skew(self):
         streamed = graph_of(stream_rmat(8, edge_factor=4, a=0.45, b=0.25,
                                         c=0.2, seed=3, chunk_size=100))
+        assert digest(streamed) == GOLDEN["rmat-skew"]
         assert streamed == rmat(8, edge_factor=4, a=0.45, b=0.25, c=0.2,
                                 seed=3)
 
@@ -109,25 +160,35 @@ class TestGeneratorParity:
     def test_small_world(self, seed):
         streamed = graph_of(stream_small_world(800, k=6, rewire_p=0.1,
                                                seed=seed, chunk_size=513))
+        assert digest(streamed) == GOLDEN[f"small_world-{seed}"]
         assert streamed == small_world(800, k=6, rewire_p=0.1, seed=seed)
 
     def test_small_world_k_clamped(self):
         streamed = graph_of(stream_small_world(4, k=10, seed=1,
                                                chunk_size=2))
+        assert digest(streamed) == GOLDEN["small_world-clamped"]
         assert streamed == small_world(4, k=10, seed=1)
 
     @pytest.mark.parametrize("seed", [0, 7, 2010])
     def test_web_feeder(self, seed):
         streamed = graph_of(stream_web_feeder(32, 480, seed=seed,
                                               chunk_size=301))
+        assert digest(streamed) == GOLDEN[f"web_feeder-{seed}"]
         assert streamed == web_feeder_graph(32, 480, seed=seed)
 
     def test_web_feeder_nondefault_shape(self):
         streamed = graph_of(stream_web_feeder(
             16, 100, chords_per_vertex=5, feeder_degree=3, seed=9,
             chunk_size=64))
+        assert digest(streamed) == GOLDEN["web_feeder-shape"]
         assert streamed == web_feeder_graph(16, 100, chords_per_vertex=5,
                                             feeder_degree=3, seed=9)
+
+    @pytest.mark.parametrize("model", ["rmat", "small-world"])
+    def test_composite_social_graph(self, model):
+        graph = composite_social_graph(4, 64, seed=2010,
+                                       community_model=model)
+        assert digest(graph) == GOLDEN[f"composite-{model}"]
 
 
 class TestStreamBasics:
@@ -151,6 +212,12 @@ class TestStreamBasics:
             stream_small_world(10, seed=rng)
         with pytest.raises(GraphError):
             stream_web_feeder(8, 4, seed=rng)
+        # the in-memory generators are those streams, drained
+        for build in (lambda: rmat(8, seed=rng),
+                      lambda: small_world(10, seed=rng),
+                      lambda: web_feeder_graph(8, 4, seed=rng)):
+            with pytest.raises(GraphError):
+                build()
 
     def test_from_edges_stream(self):
         edges = np.array([[0, 1], [1, 2], [2, 0], [0, 1]], dtype=np.int64)

@@ -1,12 +1,19 @@
 """Property-based tests (hypothesis) on core data structures/invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.partitioned import PartitionedGraph, VertexEncoding
-from repro.graph.digraph import Graph
-from repro.graph.io import roundtrip_binary, roundtrip_text
+from repro.errors import GraphError
+from repro.graph.digraph import Graph, csr_from_keys, pair_keys
+from repro.graph.io import (
+    DEGREE_BYTES,
+    VERTEX_ID_BYTES,
+    roundtrip_binary,
+    roundtrip_text,
+)
 from repro.partitioning.coarsen import contract_matching
 from repro.partitioning.matching import heavy_edge_matching
 from repro.partitioning.metrics import (
@@ -45,6 +52,19 @@ def partitioned_graphs(draw, max_parts=5):
     return g, parts, k
 
 
+@st.composite
+def raw_partitionings(draw, max_vertices=14, max_edges=50, max_parts=6):
+    """An edge list kept as drawn — self loops, duplicates, isolated
+    vertices — and an assignment that may leave partitions empty."""
+    n = draw(st.integers(1, max_vertices))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges))
+    k = draw(st.integers(1, max_parts))
+    parts = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n,
+                                   max_size=n)), dtype=np.int64)
+    return edges, parts, k
+
+
 COMMON = settings(max_examples=40, deadline=None,
                   suppress_health_check=[HealthCheck.too_slow])
 
@@ -52,6 +72,36 @@ COMMON = settings(max_examples=40, deadline=None,
 # ----------------------------------------------------------------------
 # Graph invariants
 # ----------------------------------------------------------------------
+class TestCsrKernel:
+    @COMMON
+    @given(st.integers(1, 9), st.integers(1, 9), st.data(), st.booleans())
+    def test_matches_sorted_pairs(self, num_rows, num_cols, data, dedup):
+        pairs = data.draw(st.lists(st.tuples(
+            st.integers(0, num_rows - 1), st.integers(0, num_cols - 1)),
+            max_size=40))
+        rows = np.array([r for r, _ in pairs], dtype=np.int64)
+        cols = np.array([c for _, c in pairs], dtype=np.int64)
+        indptr, indices = csr_from_keys(
+            pair_keys(rows, cols, num_rows, num_cols),
+            num_rows, num_cols, dedup)
+        assert indptr.dtype == indices.dtype == np.int64
+        assert indptr.size == num_rows + 1 and indptr[0] == 0
+        got = [(r, int(c)) for r in range(num_rows)
+               for c in indices[indptr[r]:indptr[r + 1]]]
+        assert got == sorted(set(pairs) if dedup else pairs)
+
+    def test_no_rows_no_columns(self):
+        empty = np.zeros(0, dtype=np.int64)
+        indptr, indices = csr_from_keys(pair_keys(empty, empty, 0, 0), 0, 0)
+        assert indptr.tolist() == [0] and indices.size == 0
+
+    def test_key_overflow_is_an_error(self):
+        empty = np.zeros(0, dtype=np.int64)
+        pair_keys(empty, empty, 2**31, 2**31)
+        with pytest.raises(GraphError, match="int64"):
+            pair_keys(empty, empty, 2**32, 2**31)
+
+
 class TestGraphProperties:
     @COMMON
     @given(graphs())
@@ -180,6 +230,78 @@ class TestEncodingProperties:
                 for u in list(g.out_neighbors(v)) + list(g.in_neighbors(v))
             )
             assert bool(pg.boundary_mask[v]) == incident_cross
+
+
+def assert_matches_oracle(pg, edges, parts, k):
+    """Every ``PartitionedGraph`` accessor against the sorted edge list."""
+    n = parts.size
+    edges = sorted(edges)
+    cross = [(u, v) for u, v in edges if parts[u] != parts[v]]
+    assert pg.num_vertices == n and pg.num_parts == k
+    assert pg.num_cross_edges == len(cross)
+    assert pg.inner_edge_ratio == (
+        1.0 - len(cross) / len(edges) if edges else 1.0)
+    boundary = {x for e in cross for x in e}
+    assert np.flatnonzero(pg.boundary_mask).tolist() == sorted(boundary)
+    assert (np.flatnonzero(pg.entry_mask).tolist()
+            == sorted({v for _, v in cross}))
+    assert pg.inner_vertex_ratio == 1.0 - len(boundary) / n
+    out_cross, in_cross = pg.cross_partition_counts()
+    traffic = pg.cross_traffic_counts()
+    for v in range(n):
+        assert pg.partition_of(v) == parts[v]
+        assert pg.is_inner(v) == (v not in boundary)
+    for p in range(k):
+        verts = [v for v in range(n) if parts[v] == p]
+        owned = [e for e in edges if parts[e[0]] == p]
+        assert pg.partition_vertices[p].tolist() == verts
+        assert pg.partition_size(p) == len(verts)
+        assert pg.partition_edge_count(p) == len(owned)
+        assert pg.partition_bytes(p) == (
+            len(verts) * (VERTEX_ID_BYTES + DEGREE_BYTES)
+            + len(owned) * VERTEX_ID_BYTES)
+        for src, dst in (pg.partition_edges(p), pg.partition_out_edges(p)):
+            assert list(zip(src.tolist(), dst.tolist())) == owned
+        subset = verts[::-2]  # not ascending: scan order follows it
+        src, dst = pg.partition_out_edges(p, np.array(subset, dtype=np.int64))
+        assert list(zip(src.tolist(), dst.tolist())) == [
+            e for u in subset for e in edges if e[0] == u]
+        assert out_cross[p] == sum(parts[u] == p for u, _ in cross)
+        assert in_cross[p] == sum(parts[v] == p for _, v in cross)
+        for q in range(k):
+            assert traffic[p, q] == sum(
+                parts[u] == p and parts[v] == q for u, v in cross)
+    pg.validate()
+
+
+class TestPartitionedGraphOracle:
+    @COMMON
+    @given(raw_partitionings())
+    def test_accessors_match_brute_force(self, drawn):
+        """Index-set partitions, consecutive-id partitions and the
+        Appendix B relabeling of one into the other all answer alike."""
+        edges, parts, k = drawn
+        g = Graph.from_edges(edges, num_vertices=parts.size)
+        pg = PartitionedGraph(g, parts, k)
+        assert_matches_oracle(pg, edges, parts, k)
+        # the same graph cut into consecutive id ranges
+        ranges = np.sort(parts)
+        assert_matches_oracle(PartitionedGraph(g, ranges, k), edges,
+                              ranges, k)
+        # the same partitioning after relabeling ids into ranges
+        enc = pg.encoding()
+        relabeled = [(enc.encode(u), enc.encode(v)) for u, v in edges]
+        rg = PartitionedGraph(enc.encode_graph(g), ranges, k)
+        assert_matches_oracle(rg, relabeled, ranges, k)
+        for ours, theirs in zip(pg.cross_partition_counts(),
+                                rg.cross_partition_counts()):
+            np.testing.assert_array_equal(ours, theirs)
+        np.testing.assert_array_equal(pg.cross_traffic_counts(),
+                                      rg.cross_traffic_counts())
+        np.testing.assert_array_equal(pg.boundary_mask,
+                                      rg.boundary_mask[enc.old_to_new])
+        for p in range(k):
+            assert pg.partition_bytes(p) == rg.partition_bytes(p)
 
 
 # ----------------------------------------------------------------------

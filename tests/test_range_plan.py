@@ -2,12 +2,13 @@
 
 Parity matrix for ISSUE 9's acceptance bar: a job on a memmapped
 :class:`~repro.graph.store.ShardBackedGraph` deployed with a
-:class:`~repro.core.range_plan.RangePartitionPlan` must be bit-identical
-— outputs *and* every deterministic cost counter — to the same job on
-the fully in-memory graph with the same plan.  Below that sits the
-structural parity: :class:`RangePartitionedGraph` must agree with the
-table-based :class:`PartitionedGraph` on every shared accessor when
-given the same contiguous partition assignment.
+contiguous-range plan must be bit-identical — outputs *and* every
+deterministic cost counter — to the same job on the fully in-memory
+graph with the same plan.  Below that sits the structural parity: the
+:class:`PartitionedGraph` of that plan must serve the same values from
+shard memmaps as from RAM on every accessor.  (That the accessors are
+*right*, for ranges and index sets alike, is the brute-force oracle in
+tests/test_properties.py.)
 """
 
 from __future__ import annotations
@@ -17,18 +18,18 @@ import pytest
 
 from repro.apps import APP_REGISTRY, EXTENSION_APPS
 from repro.bench.workloads import make_cluster, topology_by_name
-from repro.core.partitioned import PartitionedGraph, RangePartitionedGraph
+from repro.core.partitioned import PartitionedGraph
+from repro.core.persist import load_plan, save_plan
 from repro.core.placement import (
     estimate_partition_costs,
     partition_traffic_matrix,
 )
-from repro.core.range_plan import (
-    balanced_range_offsets,
-    contiguous_range_plan,
-)
+from repro.core.range_plan import contiguous_range_plan
 from repro.core.surfer import Surfer
 from repro.errors import PartitioningError
+from repro.graph.digraph import balanced_offsets
 from repro.graph.generators import rmat
+from repro.runtime.events import reconcile
 from repro.graph.store import build_shard_store, open_shard_graph
 from repro.graph.stream import stream_rmat
 
@@ -70,19 +71,21 @@ def assert_jobs_identical(a, b):
 
 
 class TestRangePartitionedGraphParity:
-    """Same contiguous assignment, two partitioned-graph classes."""
+    """Same contiguous assignment over shard memmaps (``rg``) and over
+    the in-memory graph (``tg``)."""
 
     @pytest.fixture(scope="class")
-    def pair(self, in_memory):
-        offsets = balanced_range_offsets(in_memory, P)
-        rg = RangePartitionedGraph(in_memory, offsets, P)
-        tg = PartitionedGraph(in_memory, rg.parts, P)
-        return rg, tg
+    def pair(self, in_memory, shard_graph):
+        offsets = balanced_offsets(in_memory.out_indptr, P)
+        parts = np.repeat(np.arange(P), np.diff(offsets))
+        return (PartitionedGraph(shard_graph, parts, P),
+                PartitionedGraph(in_memory, parts, P))
 
     def test_partition_structure(self, pair):
         rg, tg = pair
         np.testing.assert_array_equal(rg.parts, tg.parts)
         np.testing.assert_array_equal(rg.boundary_mask, tg.boundary_mask)
+        np.testing.assert_array_equal(rg.entry_mask, tg.entry_mask)
         assert rg.num_cross_edges == tg.num_cross_edges
         assert rg.inner_edge_ratio == tg.inner_edge_ratio
         for p in range(P):
@@ -122,7 +125,7 @@ class TestRangePartitionedGraphParity:
 
 class TestContiguousRangePlan:
     def test_balanced_offsets_cover_graph(self, in_memory):
-        offsets = balanced_range_offsets(in_memory, P)
+        offsets = balanced_offsets(in_memory.out_indptr, P)
         assert offsets[0] == 0 and offsets[-1] == in_memory.num_vertices
         assert np.all(np.diff(offsets) >= 0)
 
@@ -131,7 +134,7 @@ class TestContiguousRangePlan:
         plan = contiguous_range_plan(in_memory, topo, P, seed=SEED)
         assert plan.method == "contiguous-range"
         assert plan.num_parts == P
-        assert plan.range_offsets.size == P + 1
+        assert np.all(np.diff(plan.parts) >= 0)
         assert plan.parts.size == in_memory.num_vertices
         assert plan.placement.size == P
 
@@ -148,9 +151,48 @@ class TestContiguousRangePlan:
                                            in_memory.num_vertices])
 
     def test_surfer_dispatches_range_pgraph(self, in_memory):
-        surfer = make_surfer(in_memory,
-                             balanced_range_offsets(in_memory, P))
-        assert isinstance(surfer.pgraph, RangePartitionedGraph)
+        """Consecutive ids get CSR slices: zero-copy, nothing cached."""
+        pgraph = make_surfer(in_memory, None).pgraph
+        for p in range(P):
+            _, dst = pgraph.partition_out_edges(p)
+            assert np.shares_memory(dst, in_memory.out_indices)
+        assert not pgraph._scan_edge_cache
+
+    def test_cascaded_matches_plain(self):
+        """Regression: cascading read per-edge tables only the
+        table-based partitioned graph had."""
+        graph = rmat(8, edge_factor=4, seed=1)
+        cluster = make_cluster(topology_by_name("T2(4,1)", 8))
+        jobs = []
+        for cascaded in (False, True):
+            plan = contiguous_range_plan(graph, cluster.topology, 4)
+            jobs.append(Surfer(graph, cluster, plan=plan).run_propagation(
+                APP_REGISTRY["NR"][0](), iterations=3, cascaded=cascaded))
+        plain, cascade = jobs
+        assert not plain.failed and not cascade.failed
+        np.testing.assert_array_equal(cascade.result, plain.result)
+        assert reconcile(cascade) == []
+        assert (cascade.metrics.disk_read_bytes
+                + cascade.metrics.disk_write_bytes
+                <= plain.metrics.disk_read_bytes
+                + plain.metrics.disk_write_bytes)
+
+    def test_saved_plan_deploys_on_shard_store(self, tmp_path):
+        """Regression: ``save_plan`` dropped the range offsets, so a
+        reloaded plan fell back to a class that needs ``out_indices``."""
+        build_shard_store(stream_rmat(9, edge_factor=4), tmp_path / "s",
+                          num_shards=4)
+        graph = open_shard_graph(tmp_path / "s")
+        cluster = make_cluster(topology_by_name("T2(4,1)", 8))
+        plan = contiguous_range_plan(graph, cluster.topology, 4,
+                                     offsets=graph.store.vertex_starts)
+        save_plan(plan, tmp_path / "plan.npz")
+        jobs = [
+            Surfer(graph, cluster, plan=deployed).run_propagation(
+                APP_REGISTRY["NR"][0](), iterations=1, vectorized=True)
+            for deployed in (plan, load_plan(tmp_path / "plan.npz"))
+        ]
+        assert_jobs_identical(*jobs)
 
 
 class TestOutOfCoreJobParity:
