@@ -20,12 +20,15 @@ Three checks, hybrid static + dynamic:
 * **UDF002** (dynamic) — property checks on *real* payloads: the app's
   own ``transfer``/``map`` runs on a tiny partitioned graph and the
   harvested bags feed associativity / commutativity / partial-fold /
-  ufunc-parity checks of ``combine`` and ``merge``.  Virtual-vertex
+  ufunc-parity checks of ``combine`` and ``merge``, and are replayed
+  through ``combine_array`` (exact equality with ``combine``, the
+  empty bag included for ``combine_all_vertices`` apps).  Virtual-vertex
   apps (VDD) are harvested through ``virtual_transfer`` /
   ``virtual_combine`` so the Section 3.3 path is exercised explicitly.
 * **PAR001** (static) — any app overriding an array fast-path hook
-  (``transfer_array``, ``map_array``, ``reduce_array``,
-  ``select_array``, ``combine_ufunc``, ``merge_ufunc``) must override
+  (``transfer_array``, ``select_array``, ``combine_array``,
+  ``update_array``, ``map_array``, ``reduce_array``,
+  ``combine_ufunc``, ``merge_ufunc``) must override
   the scalar counterpart it claims to mirror *and* appear in a
   registered parity test (the fast-path suites), otherwise the
   bit-identical guarantee is unenforced.
@@ -61,8 +64,9 @@ __all__ = [
 #: method names treated as UDF bodies for the purity scan
 UDF_METHOD_NAMES = frozenset({
     "select", "select_array", "transfer", "transfer_array",
-    "virtual_transfer", "virtual_combine", "combine", "merge",
-    "frontier", "map", "map_array", "reduce", "reduce_array",
+    "virtual_transfer", "virtual_combine", "combine", "combine_array",
+    "merge", "update_array", "frontier", "map", "map_array", "reduce",
+    "reduce_array",
 })
 _APP_BASES = frozenset({"PropagationApp", "MapReduceApp"})
 _IO_CALLS = frozenset({"open", "input", "print", "exec", "eval",
@@ -193,7 +197,9 @@ def check_array_parity(classes: list[type],
         if issubclass(cls, PropagationApp):
             base: type = PropagationApp
             hook_pairs = [("transfer_array", "transfer"),
-                          ("select_array", "select")]
+                          ("select_array", "select"),
+                          ("combine_array", "combine"),
+                          ("update_array", "update")]
             ufunc_pairs = [("merge_ufunc", "merge")]
         elif issubclass(cls, MapReduceApp):
             base = MapReduceApp
@@ -337,6 +343,43 @@ def _check_frontier_contract(cls: type, app: Any, state: Any,
     return findings
 
 
+def _check_combine_array(cls: type, app: Any, state: Any,
+                         groups: dict[Any, list[Any]], pgraph: Any,
+                         fail: Callable[[str], None]) -> None:
+    """``combine_array`` must equal ``combine`` *exactly* on the
+    harvested bags — folded in arrival order by ``merge_ufunc``, as the
+    engine's Combine stage folds them — and, for
+    ``combine_all_vertices`` apps, on the empty bag of every vertex."""
+    from repro.fold import fold_by_dest
+
+    ufunc = getattr(cls, "merge_ufunc", None)
+    if ufunc is None:
+        fail("defines combine_array without merge_ufunc; the engine has "
+             "nothing to fold the arrivals with")
+        return
+    bags = sorted(groups.items())
+    values = np.asarray([x for _, bag in bags for x in bag])
+    vertices, folded, counts = fold_by_dest(
+        np.repeat([v for v, _ in bags], [len(bag) for _, bag in bags]),
+        values, ufunc)
+    cases = [(vertices, folded, counts, [bag for _, bag in bags])]
+    if cls.combine_all_vertices:
+        n = pgraph.num_vertices
+        cases.append((np.arange(n), np.zeros(n, dtype=values.dtype),
+                      np.zeros(n, dtype=counts.dtype), [[]] * n))
+    for vertices, folded, counts, case_bags in cases:
+        got = app.combine_array(vertices, folded, counts, state)
+        if got is None:
+            continue  # declined: the engine hands combine the bags
+        for v, bag, g in zip(vertices.tolist(), case_bags,
+                             np.asarray(got).tolist()):
+            want = app.combine(v, list(bag), state)
+            if want is None or not want == g:
+                fail(f"combine_array disagrees with combine at vertex "
+                     f"{v} (bag of {len(bag)}): {want!r} vs {g!r}")
+                break
+
+
 def verify_propagation_app(cls: type, pgraph: Any = None) -> list[Finding]:
     """UDF002 checks for one ``PropagationApp`` subclass.
 
@@ -409,6 +452,12 @@ def verify_propagation_app(cls: type, pgraph: Any = None) -> list[Finding]:
         fail("no destination received 2+ messages on the contract "
              "graph; the fold contract cannot be checked")
         return findings
+
+    if cls.combine_array is not PropagationApp.combine_array:
+        try:
+            _check_combine_array(cls, app, state, groups, pgraph, fail)
+        except Exception as exc:  # noqa: BLE001
+            fail(f"combine_array contract check raised ({exc!r})")
 
     has_merge = cls.merge is not PropagationApp.merge
     merge_ufunc = getattr(cls, "merge_ufunc", None)
@@ -587,6 +636,7 @@ PARITY_SUITES: tuple[str, ...] = (
     "tests/test_transfer_fastpath.py",
     "tests/test_mr_fastpath.py",
     "tests/test_frontier_traversal.py",
+    "tests/test_properties.py",
 )
 
 

@@ -69,6 +69,10 @@ class ConnectedComponentsPropagation(PropagationApp):
     def combine(self, v, values, state):
         return int(min([state.values[v], *values]))
 
+    def combine_array(self, vertices, folded, counts, state):
+        own = state.values[vertices]
+        return np.where(counts > 0, np.minimum(own, folded), own)
+
     def merge(self, a, b):
         return a if a < b else b
 
@@ -79,6 +83,11 @@ class ConnectedComponentsPropagation(PropagationApp):
                 state.values[v] = label
                 changed += 1
         state.extra["changed"] = changed
+
+    def update_array(self, state, vertices, values):
+        moved = state.values[vertices] != values
+        state.values[vertices[moved]] = values[moved]
+        state.extra["changed"] = int(moved.sum())
 
     def converged(self, state) -> bool:
         """True once an iteration changed no label."""

@@ -82,8 +82,10 @@ class DegreeDistributionMapReduce(MapReduceApp):
     def reduce_array(self, keys, bounds, values, state):
         if keys.size == 0:
             return []
-        # reduceat folds each segment sequentially; counts are exact ints
-        totals = np.add.reduceat(values, bounds[:-1])
+        # counts are exact ints, so a running-sum difference per segment
+        # equals the scalar sum() in any order
+        running = np.concatenate(([0], np.cumsum(values)))
+        totals = running[bounds[1:]] - running[bounds[:-1]]
         return list(zip(keys.tolist(), totals.tolist()))
 
     def combine(self, key, values, state):

@@ -17,7 +17,8 @@ import numpy as np
 
 from repro.apps.base import VertexState
 from repro.mapreduce.api import MapReduceApp
-from repro.propagation.api import PropagationApp, fold_by_dest
+from repro.fold import fold_by_dest
+from repro.propagation.api import PropagationApp
 
 __all__ = ["NetworkRankingPropagation", "NetworkRankingMapReduce"]
 
@@ -60,6 +61,9 @@ class NetworkRankingPropagation(PropagationApp):
 
     def combine(self, v, values, state):
         return state.extra["teleport"] + sum(values)
+
+    def combine_array(self, vertices, folded, counts, state):
+        return state.extra["teleport"] + np.where(counts > 0, folded, 0.0)
 
     def merge(self, a, b):
         return a + b
@@ -127,12 +131,8 @@ class NetworkRankingMapReduce(MapReduceApp):
             keys = np.concatenate((dst.astype(np.int64, copy=False), own))
             values = np.concatenate((deltas, np.zeros(own.size)))
             return keys, values
-        if dst.size:
-            uniq, merged, _ = fold_by_dest(
-                dst.astype(np.int64, copy=False), deltas, np.add)
-        else:
-            uniq = np.empty(0, dtype=np.int64)
-            merged = np.empty(0)
+        uniq, merged, _ = fold_by_dest(
+            dst.astype(np.int64, copy=False), deltas, np.add)
         # uniq is sorted: membership test via binary search
         if uniq.size:
             pos = np.minimum(np.searchsorted(uniq, own), uniq.size - 1)

@@ -137,6 +137,10 @@ class BreadthFirstSearchPropagation(PropagationApp):
     def combine(self, v: int, values: list, state: Any) -> int:
         return min(values)
 
+    def combine_array(self, vertices: np.ndarray, folded: np.ndarray,
+                      counts: np.ndarray, state: Any) -> np.ndarray:
+        return folded  # no combine_all_vertices: every bag is non-empty
+
     def merge(self, a: int, b: int) -> int:
         return a if a <= b else b
 
@@ -151,6 +155,18 @@ class BreadthFirstSearchPropagation(PropagationApp):
                 changed += 1
         state.extra["active"] = active
         state.extra["changed"] = changed
+
+    def update_array(self, state: Any, vertices: np.ndarray,
+                     values: np.ndarray) -> None:
+        dist = state.values
+        old = dist[vertices]
+        better = (old < 0) | (values < old)
+        improved = vertices[better]
+        dist[improved] = values[better]
+        active = np.zeros(dist.shape[0], dtype=bool)
+        active[improved] = True
+        state.extra["active"] = active
+        state.extra["changed"] = int(improved.size)
 
     def converged(self, state: Any) -> bool:
         return state.extra["changed"] == 0
@@ -307,6 +323,10 @@ class DeltaPageRankPropagation(PropagationApp):
             acc = acc + value
         return acc
 
+    def combine_array(self, vertices: np.ndarray, folded: np.ndarray,
+                      counts: np.ndarray, state: Any) -> np.ndarray:
+        return folded  # no combine_all_vertices: every bag is non-empty
+
     def merge(self, a: float, b: float) -> float:
         return a + b
 
@@ -324,6 +344,18 @@ class DeltaPageRankPropagation(PropagationApp):
                 changed += 1
         state.extra["active"] = active
         state.extra["changed"] = changed
+
+    def update_array(self, state: Any, vertices: np.ndarray,
+                     values: np.ndarray) -> None:
+        state.values[vertices] += values
+        delta = state.extra["delta"]
+        delta[:] = 0.0
+        delta[vertices] = values
+        hot = vertices[np.abs(values) > self.tolerance]
+        active = np.zeros(delta.shape[0], dtype=bool)
+        active[hot] = True
+        state.extra["active"] = active
+        state.extra["changed"] = int(hot.size)
 
     def converged(self, state: Any) -> bool:
         return state.extra["changed"] == 0

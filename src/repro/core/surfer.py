@@ -59,7 +59,7 @@ from repro.runtime.scheduler import StageScheduler
 from repro.runtime.tasks import RecoveryEvent, TaskExecution
 
 __all__ = ["OptimizationLevel", "O1", "O2", "O3", "O4", "ALL_LEVELS",
-           "JobResult", "Surfer"]
+           "JobResult", "Surfer", "apply_outputs"]
 
 
 @dataclass(frozen=True)
@@ -377,7 +377,7 @@ class Surfer:
                 engine = make_engine()
                 while completed < steps:
                     out, report = run_step(engine, state)
-                    app.update(state, out)
+                    apply_outputs(app, state, out)
                     reports.append(report)
                     completed += 1
                     if until and converged is not None and converged(state):
@@ -540,6 +540,27 @@ class Surfer:
             restarts=restarts,
             checkpoints=checkpoints,
         )
+
+
+def apply_outputs(app: Any, state: Any, out: Any) -> None:
+    """Fold one step's outputs into ``state``.
+
+    The one place that decides dict vs columns: the propagation
+    engine's array path returns ``(vertices, values)`` columns, which go
+    to ``update_array`` — unless the app overrides ``update`` alone,
+    whose dict it then gets, as does every app on a dict-producing path
+    (the scalar engine paths, MapReduce).
+    """
+    if isinstance(out, dict):
+        app.update(state, out)
+        return
+    vertices, values = out
+    cls = type(app)
+    if (cls.update_array is PropagationApp.update_array
+            and cls.update is not PropagationApp.update):
+        app.update(state, dict(zip(vertices.tolist(), values.tolist())))
+    else:
+        app.update_array(state, vertices, values)
 
 
 def default_num_parts(num_machines: int) -> int:

@@ -40,9 +40,9 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.cluster.storage import PartitionStore
 from repro.errors import JobError
+from repro.fold import fold_by_dest
 from repro.hashing import stable_hash, stable_hash_array
 from repro.mapreduce.api import MapReduceApp, kv_nbytes
-from repro.propagation.api import fold_by_dest
 from repro.runtime.events import wall_timer
 from repro.runtime.scheduler import StageScheduler
 from repro.runtime.tasks import StageResult, Task
@@ -369,7 +369,7 @@ class MapReduceEngine:
             mo = _MapOutput(records=int(keys.size),
                             cpu_ops=float(keys.size))
             mo.spill_precombine = rec_bytes * mo.records
-            if self.combiner and keys.size:
+            if self.combiner:
                 keys, values, _ = fold_by_dest(
                     keys, values, app.combine_ufunc)
                 mo.cpu_ops += float(mo.records + keys.size)

@@ -12,6 +12,9 @@ plus optional hooks:
   associative, enabling the *local combination* optimization (Section 5.1);
 * ``select(u, state)`` restricts transfers to a vertex subset (TC and TFL
   run on 10 % samples in the paper);
+* array twins (``transfer_array``, ``select_array``, ``combine_array``,
+  ``update_array``, ``merge_ufunc``) opt a numeric app into the engine's
+  columnar array path, bit-identical to the scalar UDFs;
 * virtual vertices (Section 3.3): apps with ``uses_virtual_vertices = True``
   implement ``virtual_transfer`` / ``virtual_combine``, letting
   vertex-oriented tasks such as VDD emulate MapReduce on top of
@@ -30,6 +33,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from repro.errors import JobError
+from repro.fold import fold_by_dest  # re-exported: its first home
 from repro.graph.io import VALUE_BYTES, VERTEX_ID_BYTES
 
 __all__ = ["PropagationApp", "MessageBox", "fold_by_dest",
@@ -56,7 +60,7 @@ class PropagationApp:
     #: bottom-up direction switching, per-partition frontier exchange.
     uses_frontier = False
     #: NumPy ufunc equivalent of ``merge`` (e.g. ``np.add``) — required
-    #: for the vectorized Transfer fast path of associative apps.
+    #: for the array path of associative apps and for ``combine_array``.
     merge_ufunc = None
 
     # ------------------------------------------------------------------
@@ -79,6 +83,24 @@ class PropagationApp:
             )
         for v, value in combined.items():
             values[v] = value
+
+    def update_array(self, state: Any, vertices: np.ndarray,
+                     values: np.ndarray) -> None:
+        """Columnar ``update``: must leave ``state`` equal to
+        ``update(state, dict(zip(vertices, values)))``.
+
+        ``vertices`` are unique.  The default mirrors the default
+        ``update`` for an ndarray ``state.values``; apps that override
+        ``update`` get this hook only by overriding it too (otherwise
+        their ``update`` is handed the dict).
+        """
+        target = getattr(state, "values", None)
+        if not isinstance(target, np.ndarray):
+            raise JobError(
+                f"{self.name}: override update_array() or keep "
+                "state.values an ndarray"
+            )
+        target[vertices] = values
 
     def finalize(self, state: Any) -> Any:
         """Produce the application result after the last iteration."""
@@ -131,7 +153,7 @@ class PropagationApp:
                        state: Any) -> np.ndarray | None:
         """Vectorized ``transfer``: one value per edge ``(src[i], dst[i])``.
 
-        Opt-in hook of the Transfer fast path.  Must return an array
+        Opt-in hook of the array path.  Must return an array
         aligned with ``src``/``dst`` whose element ``i`` is bit-identical
         to ``transfer(src[i], dst[i], state)`` — or ``None`` to decline,
         in which case the engine falls back to the scalar path.  Edges
@@ -143,6 +165,22 @@ class PropagationApp:
         return routes nothing), while the fast path charges exactly two
         per edge — the "bit-identical" guarantee holds only when no edge
         returns ``None``.
+        """
+        return None
+
+    def combine_array(self, vertices: np.ndarray, folded: np.ndarray,
+                      counts: np.ndarray, state: Any) -> np.ndarray | None:
+        """Vectorized ``combine`` over one partition's arrivals.
+
+        ``folded[i]`` is the left fold of ``merge_ufunc`` over vertex
+        ``vertices[i]``'s bag in arrival order and ``counts[i]`` the bag's
+        length — 0 only for ``combine_all_vertices`` vertices nothing
+        arrived at, where ``folded[i]`` is unspecified filler.  Element
+        ``i`` of the result must be bit-identical to
+        ``combine(vertices[i], bag_i, state)`` and cannot be "no
+        output": apps whose ``combine`` may return ``None`` or reads
+        more than its bag keep the default, and the engine hands
+        ``combine`` the bags (as it does when this returns ``None``).
         """
         return None
 
@@ -172,42 +210,6 @@ def message_nbytes(app: PropagationApp, value: Any) -> float:
     return VERTEX_ID_BYTES + app.value_nbytes(value)
 
 
-def fold_by_dest(
-    dests: np.ndarray, values: np.ndarray, ufunc: Any
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Left-fold ``values`` per destination, in input (emission) order.
-
-    Returns ``(uniq_dests, merged, counts)`` with ``uniq_dests`` sorted
-    ascending.  The fold visits each destination's values in their input
-    order — ``np.bincount`` and ``ufunc.at`` both accumulate
-    sequentially — so even a non-exact merge such as float addition
-    reproduces the scalar ``merge(merge(v1, v2), v3)`` chain bit for bit.
-    ``dests`` must be non-empty.
-    """
-    m = int(dests.size)
-    order = np.argsort(dests, kind="stable")
-    d = dests[order]
-    new_group = np.empty(m, dtype=bool)
-    new_group[0] = True
-    np.not_equal(d[1:], d[:-1], out=new_group[1:])
-    uniq = d[new_group]
-    gid = np.cumsum(new_group) - 1
-    inv = np.empty(m, dtype=np.int64)
-    inv[order] = gid
-    counts = np.bincount(inv, minlength=uniq.size)
-    if ufunc is np.add and values.dtype == np.float64:
-        merged = np.bincount(inv, weights=values, minlength=uniq.size)
-    else:
-        # stable sort: the group head is the earliest original index
-        first_idx = order[np.flatnonzero(new_group)]
-        merged = values[first_idx].copy()
-        rest = np.ones(m, dtype=bool)
-        rest[first_idx] = False
-        if rest.any():
-            ufunc.at(merged, inv[rest], values[rest])
-    return uniq, merged, counts
-
-
 @dataclass
 class MessageBox:
     """Accumulates messages per destination, merging when allowed.
@@ -233,51 +235,6 @@ class MessageBox:
             self.data[dest] = value
         self.counts[dest] = self.counts.get(dest, 0) + 1
         self._payload = None
-
-    @classmethod
-    def from_arrays(cls, dests: np.ndarray, values: np.ndarray,
-                    merge: Any = None,
-                    ufunc: Any = None) -> "MessageBox":
-        """Build a box from aligned destination/value arrays.
-
-        The arrays are taken in *emission order* (the order the scalar
-        path would have called :meth:`add`), and the result is
-        bit-identical to that sequence of ``add`` calls:
-
-        * without ``merge``, bags keep emission order per destination
-          (stable sort by destination);
-        * with ``merge``, each destination's values are left-folded in
-          emission order via ``ufunc`` — ``np.bincount`` for float
-          ``np.add`` and ``ufunc.at`` otherwise both accumulate
-          sequentially in input order, so even non-exact merges such as
-          float addition reproduce the scalar fold bit for bit.
-        """
-        box = cls(merge=merge)
-        dests = np.asarray(dests)
-        values = np.asarray(values)
-        m = int(dests.size)
-        if m == 0:
-            return box
-        if merge is None:
-            order = np.argsort(dests, kind="stable")
-            d = dests[order]
-            v = values[order]
-            cuts = np.flatnonzero(d[1:] != d[:-1]) + 1
-            starts = np.concatenate(([0], cuts)).tolist()
-            ends = np.concatenate((cuts, [m])).tolist()
-            dlist = d.tolist()
-            vlist = v.tolist()
-            for s, e in zip(starts, ends):
-                box.data[dlist[s]] = vlist[s:e]
-                box.counts[dlist[s]] = e - s
-            return box
-        if ufunc is None:
-            raise JobError("MessageBox.from_arrays: merging needs a ufunc")
-        uniq, merged, counts = fold_by_dest(dests, values, ufunc)
-        keys = uniq.tolist()
-        box.data = dict(zip(keys, merged.tolist()))
-        box.counts = dict(zip(keys, counts.tolist()))
-        return box
 
     def values_of(self, dest: Any) -> list:
         """The bag of values for ``dest`` (singleton when merged)."""

@@ -22,6 +22,15 @@ Without local optimizations (levels O1/O2) every message is materialized
 to disk and every cross-partition message crosses the network unmerged —
 which is exactly the traffic gap Tables 2 and 3 measure.
 
+An iteration runs on one of two paths with bit-identical products.  The
+**scalar path** — per-edge ``transfer``, ``MessageBox`` routing,
+per-vertex ``combine`` — is the oracle and the only path for
+virtual-vertex and object-valued apps.  The **array path** keeps an
+app's messages as ``(dests, values)`` columns from ``transfer_array``
+through route (slice + concatenate in source order), the order-exact
+folds of :mod:`repro.fold` and ``combine_array`` to ``update_array``;
+docs/COST_MODEL.md has the column layout and the closed-form charges.
+
 **Frontier mode** (``frontier=True``, for apps with ``uses_frontier``)
 scans only each partition's active vertices per iteration: the Transfer
 read is priced by a top-down/bottom-up direction switch keyed on
@@ -38,7 +47,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -47,7 +56,8 @@ from repro.cluster.storage import PartitionStore
 from repro.errors import JobError
 from repro.graph.io import DEGREE_BYTES, VALUE_BYTES, VERTEX_ID_BYTES
 from repro.hashing import stable_hash
-from repro.propagation.api import MessageBox, PropagationApp, fold_by_dest
+from repro.fold import fold_by_dest
+from repro.propagation.api import MessageBox, PropagationApp, message_nbytes
 from repro.runtime.events import wall_timer
 from repro.runtime.scheduler import StageScheduler
 from repro.runtime.tasks import StageResult, Task
@@ -120,18 +130,79 @@ class _FrontierInfo:
     switched: bool
 
 
+#: messages as aligned ``(dests, values)`` arrays, in arrival order
+Columns = tuple[np.ndarray, np.ndarray]
+#: one stage's combine outputs: ``{vertex: value}`` from the scalar
+#: loop, ``(vertices, values)`` columns from ``combine_array``
+Outputs = dict | Columns
+
+
 @dataclass
 class _PartitionTransfer:
-    """Intermediate products of one partition's Transfer stage."""
+    """Products of one partition's Transfer stage.
 
-    inner_combined: dict = field(default_factory=dict)
-    boundary_box: MessageBox | None = None
-    cross_boxes: dict[int, MessageBox] = field(default_factory=dict)
+    The accounting is common; the messages are ``MessageBox``es on the
+    scalar path and columns on the array path: ``local`` is the boundary
+    spill, ``cross`` every cross-partition message bucketed by
+    destination partition — partition ``q``'s slice is
+    ``cross_offsets[q]:cross_offsets[q + 1]``, in emission order.
+    """
+
     spill_bytes: float = 0.0
     cpu_ops: float = 0.0
     output_bytes: float = 0.0
     messages: int = 0
     locally_propagated: int = 0
+    #: wire bytes to each destination partition that is sent anything
+    send_bytes: dict[int, float] = field(default_factory=dict)
+    #: cross-partition entries on the wire (raw, or one per distinct
+    #: destination when local combination merged them)
+    shipped: int = 0
+    #: local propagation: its outputs and every vertex it visited
+    inner_out: Outputs = field(default_factory=dict)
+    inner_seen: Any = ()
+    boundary_box: MessageBox | None = None
+    cross_boxes: dict[int, MessageBox] = field(default_factory=dict)
+    local: Columns | None = None
+    cross: Columns | None = None
+    cross_offsets: np.ndarray | None = None
+
+
+def _wire_bytes(app: PropagationApp, values: np.ndarray) -> float:
+    """Wire bytes of a column of messages (closed form when the app
+    keeps the constant ``value_nbytes``; byte sizes are integer-valued
+    floats, so the product equals the per-message sum bit for bit)."""
+    if type(app).value_nbytes is PropagationApp.value_nbytes:
+        return float(values.size * (VERTEX_ID_BYTES + VALUE_BYTES))
+    return float(sum(message_nbytes(app, v) for v in values.tolist()))
+
+
+def _bags(dests: np.ndarray, values: np.ndarray) -> dict[int, list]:
+    """Arrival columns as ``{vertex: bag}``: vertices ascending, each
+    bag in arrival order (one stable sort) — what the scalar ``combine``
+    of an app without ``combine_array`` is handed."""
+    if not dests.size:
+        return {}
+    order = np.argsort(dests, kind="stable")
+    d = dests[order]
+    cuts = (np.flatnonzero(d[1:] != d[:-1]) + 1).tolist()
+    keys = d[[0, *cuts]].tolist()
+    bag = values[order].tolist()
+    return {key: bag[s:e]
+            for key, s, e in zip(keys, [0, *cuts], [*cuts, d.size])}
+
+
+def _merge_outputs(outs: list[Outputs]) -> Outputs:
+    """One iteration's outputs: columns when every stage produced
+    columns, else one dict (columns folded in, stage order kept)."""
+    if all(isinstance(out, tuple) for out in outs):
+        return (np.concatenate([out[0] for out in outs]),
+                np.concatenate([out[1] for out in outs]))
+    combined: dict = {}
+    for out in outs:
+        combined.update(out if isinstance(out, dict)
+                        else zip(out[0].tolist(), out[1].tolist()))
+    return combined
 
 
 class PropagationEngine:
@@ -205,75 +276,66 @@ class PropagationEngine:
         app: PropagationApp,
         state: Any,
         scheduler: StageScheduler,
-    ) -> tuple[dict, IterationReport]:
-        """Execute one iteration; returns (combined results, report)."""
+    ) -> tuple[Outputs, IterationReport]:
+        """Execute one iteration; returns (combine outputs, report).
+
+        The outputs are a ``{vertex: value}`` dict, or ``(vertices,
+        values)`` columns when the array path ran end to end (an app
+        with ``transfer_array`` and ``combine_array``).
+        """
         num_parts = self.pgraph.num_parts
         timer = wall_timer()
-        finfos = self._plan_frontier(app, state) if self.frontier else None
-
-        def finfo(p: int) -> _FrontierInfo | None:
-            return finfos[p] if finfos is not None else None
-
-        transfers = [
-            self._run_transfer_udfs(app, state, p, finfo(p))
-            for p in range(num_parts)
-        ]
+        plans = self._plan_frontier(app, state) if self.frontier else None
+        finfos: Sequence[_FrontierInfo | None] = plans or [None] * num_parts
+        transfers = self._run_transfers(app, state, finfos)
         transfer_tasks = [
-            self._transfer_task(app, p, transfers[p], finfo(p))
+            self._transfer_task(p, transfers[p], finfos[p])
             for p in range(num_parts)
         ]
         transfer_wall = timer.elapsed()
         transfer_result = scheduler.run_stage(transfer_tasks)
 
         timer = wall_timer()
-        inboxes, inbox_sources = self._route(app, transfers)
-        combined: dict = {}
+        columnar = transfers[0].local is not None  # all or none are
+        if not columnar:
+            inboxes, inbox_sources = self._route(transfers)
+        outs: list[Outputs] = []
         combine_tasks: list[Task] = []
         for p in range(num_parts):
-            task, part_combined = self._run_combine(
-                app, state, p, inboxes[p], inbox_sources[p], transfers[p]
-            )
+            if columnar:
+                task, out = self._run_combine_array(app, state, p,
+                                                    transfers)
+            else:
+                task, out = self._run_combine(
+                    app, state, p, inboxes[p], inbox_sources[p],
+                    transfers[p])
             combine_tasks.append(task)
-            combined.update(part_combined)
+            outs.append(out)
+        if self.local_opts:
+            outs.extend(t.inner_out for t in transfers)
+        combined = _merge_outputs(outs)
         combine_wall = timer.elapsed()
         combine_result = scheduler.run_stage(combine_tasks)
 
-        if self.local_opts:
-            for t in transfers:
-                combined.update(t.inner_combined)
-
-        network_bytes = sum(
-            box.payload_bytes(app)
-            for t in transfers
-            for q, box in t.cross_boxes.items()
-        )
-        # Cross boxes are merged only when local optimizations are on
-        # (mirrors the MessageBox merge condition above): at O1/O2 an
-        # associative app still ships every raw message.
-        total_shipped = sum(
-            len(box) if app.is_associative and self.local_opts
-            else box.message_count()
-            for t in transfers
-            for box in t.cross_boxes.values()
-        )
         report = IterationReport(
             transfer_stage=transfer_result,
             combine_stage=combine_result,
             messages_emitted=sum(t.messages for t in transfers),
-            messages_shipped=total_shipped,
-            network_bytes=network_bytes,
+            messages_shipped=sum(t.shipped for t in transfers),
+            network_bytes=sum(nbytes for t in transfers
+                              for nbytes in t.send_bytes.values()),
             spill_bytes=sum(t.spill_bytes for t in transfers),
             locally_propagated=sum(t.locally_propagated for t in transfers),
         )
-        if finfos is not None:
+        if plans is not None:
             report.frontier_active = sum(
-                int(i.active.size) for i in finfos)
+                int(i.active.size) for i in plans)
             report.frontier_exchange_bytes = sum(
-                nbytes for i in finfos for _, nbytes in i.exchange_sends)
+                nbytes for i in plans for _, nbytes in i.exchange_sends)
             report.frontier_direction_switches = sum(
-                1 for i in finfos if i.switched)
+                1 for i in plans if i.switched)
             report.frontier_bottom_up_scans = sum(
-                1 for i in finfos if i.direction == "bottom-up")
+                1 for i in plans if i.direction == "bottom-up")
         self._observe_iteration(scheduler, report,
                                 transfer_wall + combine_wall)
         return combined, report
@@ -398,24 +460,31 @@ class PropagationEngine:
     # ------------------------------------------------------------------
     # Transfer stage
     # ------------------------------------------------------------------
-    def _run_transfer_udfs(
-        self, app: PropagationApp, state: Any, p: int,
-        finfo: _FrontierInfo | None = None,
-    ) -> _PartitionTransfer:
-        """Run the transfer UDFs of partition ``p`` and route messages.
+    def _run_transfers(
+        self, app: PropagationApp, state: Any,
+        finfos: Sequence[_FrontierInfo | None],
+    ) -> list[_PartitionTransfer]:
+        """Run every partition's transfer UDFs and sort the messages.
 
-        Dispatches between the vectorized fast path (array-at-a-time CSR
-        scan; bit-identical products) and the scalar per-edge loop.  In
-        frontier mode (``finfo`` given) both paths scan exactly the
-        planned active vertices — the mask is authoritative and must
-        agree with ``select`` (the UDF002 frontier contract), which is
-        what keeps frontier and dense runs message-for-message
-        identical.
+        Takes the array path (one ``transfer_array`` call per partition,
+        columnar products) when the app qualifies and the scalar
+        per-edge loop otherwise — for the whole iteration, so route and
+        Combine see one representation.  In frontier mode (``finfos[p]``
+        given) both paths scan exactly the planned active vertices — the
+        mask is authoritative and must agree with ``select`` (the UDF002
+        frontier contract), which is what keeps frontier and dense runs
+        message-for-message identical.
         """
+        parts = range(self.pgraph.num_parts)
         if self._fast_path_ok(app):
-            result = self._run_transfer_vectorized(app, state, p, finfo)
-            if result is not None:
-                return result
+            transfers = []
+            for p in parts:
+                result = self._run_transfer_array(app, state, p, finfos[p])
+                if result is None:
+                    break
+                transfers.append(result)
+            else:
+                return transfers
             if self.vectorized:
                 raise JobError(
                     f"{app.name}: vectorized Transfer requested but "
@@ -426,10 +495,11 @@ class PropagationEngine:
                 f"{app.name}: vectorized Transfer requested but the app "
                 "does not support the fast path"
             )
-        return self._run_transfer_scalar(app, state, p, finfo)
+        return [self._run_transfer_scalar(app, state, p, finfos[p])
+                for p in parts]
 
     def _fast_path_ok(self, app: PropagationApp) -> bool:
-        """Whether the app qualifies for the array Transfer fast path."""
+        """Whether the app qualifies for the array path."""
         if self.vectorized is False:
             return False
         cls = type(app)
@@ -441,22 +511,22 @@ class PropagationEngine:
                 and cls.select_array is PropagationApp.select_array):
             return False  # scalar select overridden without array twin
         if self.local_opts and app.is_associative and app.merge_ufunc is None:
-            return False  # merged boxes need a NumPy-expressible merge
+            return False  # merging needs a NumPy-expressible merge
         return True
 
-    def _run_transfer_vectorized(
+    def _run_transfer_array(
         self, app: PropagationApp, state: Any, p: int,
         finfo: _FrontierInfo | None = None,
     ) -> _PartitionTransfer | None:
         """Array-at-a-time Transfer of partition ``p``.
 
-        Replays the scalar path's routing, merging and cost accounting as
-        CSR-slice operations: one ``transfer_array`` call over the
-        partition's (selected) out-edges, destination-partition grouping
-        via ``parts[dst]``, inner/boundary splitting via
-        ``boundary_mask``, per-destination merging via input-order folds
-        (:meth:`MessageBox.from_arrays`).  Products — messages, byte
-        counts, cpu ops — are bit-identical to the scalar path.
+        Replays the scalar path's routing, merging and cost accounting
+        on columns: one ``transfer_array`` call over the partition's
+        (selected) out-edges, inner/boundary/cross masks from
+        ``parts[dst]`` and ``boundary_mask``, per-destination merging by
+        :func:`~repro.fold.fold_by_dest`, cross messages bucketed by
+        destination partition.  Products — messages, byte counts, cpu
+        ops — are bit-identical to the scalar path.
         """
         pg = self.pgraph
         verts = pg.partition_vertices[p]
@@ -475,10 +545,7 @@ class PropagationEngine:
         if values is None:
             return None
         values = np.asarray(values)
-
-        merge = app.merge if app.is_associative else None
-        box_merge = merge if self.local_opts else None
-        ufunc = app.merge_ufunc if box_merge is not None else None
+        merging = self.local_opts and app.is_associative
 
         result = _PartitionTransfer()
         m = int(src.size)
@@ -490,119 +557,49 @@ class PropagationEngine:
         # path (return None from transfer_array) or the scalar path's
         # edges_scanned + messages_routed charge would diverge from
         # this one (see tests/test_observability.py::TestNoneTransferContract).
-        result.cpu_ops += 2.0 * m
+        result.cpu_ops = 2.0 * m
 
         dest_parts = pg.parts[dst]
         local = dest_parts == p
+        cross = ~local
         if self.local_opts:
+            # Local propagation: combine inner vertices now, in memory.
             inner = local & ~pg.boundary_mask[dst]
-            bnd = local & ~inner
+            local &= ~inner
+            (result.inner_out, cpu_ops, result.output_bytes,
+             result.inner_seen) = self._combine_columns(
+                 app, state, dst[inner], values[inner])
+            result.cpu_ops += cpu_ops
+            result.locally_propagated = int(result.inner_seen.size)
+
+        dests, vals = dst[local], values[local]
+        if merging:
+            dests, vals, _ = fold_by_dest(dests, vals, app.merge_ufunc)
+        result.local = (dests, vals)
+        result.spill_bytes = _wire_bytes(app, vals)
+
+        dests, vals = dst[cross], values[cross]
+        if merging:
+            result.cpu_ops += float(dests.size)  # the merge work
+            # a destination vertex determines its partition: merge by
+            # destination over the whole cross set, bucket afterwards
+            dests, vals, _ = fold_by_dest(dests, vals, app.merge_ufunc)
+            dest_parts = pg.parts[dests]
         else:
-            inner = np.zeros(m, dtype=bool)
-            bnd = local
-
-        result.boundary_box = MessageBox.from_arrays(
-            dst[bnd], values[bnd], merge=box_merge, ufunc=ufunc
-        )
-
-        cross_idx = np.flatnonzero(~local)
-        if cross_idx.size:
-            self._build_cross_boxes(
-                result, dst[cross_idx], values[cross_idx],
-                box_merge, ufunc,
-            )
-            if self.local_opts and merge is not None:
-                result.cpu_ops += float(cross_idx.size)  # the merge work
-
-        # Local propagation: combine inner vertices now, in memory.
-        if self.local_opts:
-            inner_idx = np.flatnonzero(inner)
-            if inner_idx.size:
-                order = np.argsort(dst[inner_idx], kind="stable")
-                ii = inner_idx[order]
-                d = dst[ii]
-                v = values[ii]
-                cuts = np.flatnonzero(d[1:] != d[:-1]) + 1
-                starts = np.concatenate(([0], cuts)).tolist()
-                ends = np.concatenate((cuts, [d.size])).tolist()
-                dlist = d.tolist()
-                vlist = v.tolist()
-                combine = app.combine
-                result_nbytes = app.result_nbytes
-                inner_combined = result.inner_combined
-                cpu_ops = 0.0
-                output_bytes = 0.0
-                for s, e in zip(starts, ends):
-                    dest = dlist[s]
-                    bag = vlist[s:e]
-                    out = combine(dest, bag, state)
-                    cpu_ops += len(bag) + 1.0
-                    if out is not None:
-                        inner_combined[dest] = out
-                        output_bytes += result_nbytes(dest, out)
-                # the increments are integer-valued floats, so summing
-                # them out of line is still exact
-                result.cpu_ops += cpu_ops
-                result.output_bytes += output_bytes
-                result.locally_propagated = len(starts)
-
-        result.spill_bytes = result.boundary_box.payload_bytes(app)
+            dest_parts = dest_parts[cross]
+        order = np.argsort(dest_parts, kind="stable")
+        dests, vals = dests[order], vals[order]
+        per_part = np.bincount(dest_parts, minlength=pg.num_parts)
+        offsets = np.zeros(pg.num_parts + 1, dtype=np.intp)
+        np.cumsum(per_part, out=offsets[1:])
+        result.cross = (dests, vals)
+        result.cross_offsets = offsets
+        result.shipped = int(dests.size)
+        result.send_bytes = {
+            int(q): _wire_bytes(app, vals[offsets[q]:offsets[q + 1]])
+            for q in np.flatnonzero(per_part)
+        }
         return result
-
-    def _build_cross_boxes(
-        self,
-        result: _PartitionTransfer,
-        dests: np.ndarray,
-        values: np.ndarray,
-        box_merge: Any,
-        ufunc: Any,
-    ) -> None:
-        """Group cross-partition messages into per-destination boxes.
-
-        One pass over the whole cross set: a destination vertex
-        determines its partition, so merging by destination globally and
-        splitting the merged rows by ``parts[dest]`` afterwards yields
-        exactly the per-partition boxes the scalar path builds — without
-        one sort/unique per remote partition.
-        """
-        pg = self.pgraph
-        if box_merge is not None:
-            uniq, merged, counts = fold_by_dest(dests, values, ufunc)
-            qs = pg.parts[uniq]
-            order = np.argsort(qs, kind="stable")
-            uniq, merged, counts, qs = (uniq[order], merged[order],
-                                        counts[order], qs[order])
-            cuts = np.flatnonzero(qs[1:] != qs[:-1]) + 1
-            starts = np.concatenate(([0], cuts)).tolist()
-            ends = np.concatenate((cuts, [qs.size])).tolist()
-            keys = uniq.tolist()
-            vals = merged.tolist()
-            cnts = counts.tolist()
-            qlist = qs.tolist()
-            for s, e in zip(starts, ends):
-                box = MessageBox(merge=box_merge)
-                box.data = dict(zip(keys[s:e], vals[s:e]))
-                box.counts = dict(zip(keys[s:e], cnts[s:e]))
-                result.cross_boxes[qlist[s]] = box
-            return
-        order = np.argsort(dests, kind="stable")
-        d = dests[order]
-        v = values[order]
-        cuts = np.flatnonzero(d[1:] != d[:-1]) + 1
-        starts = np.concatenate(([0], cuts)).tolist()
-        ends = np.concatenate((cuts, [d.size])).tolist()
-        dlist = d.tolist()
-        vlist = v.tolist()
-        qlist = pg.parts[d[starts]].tolist()
-        cross_boxes = result.cross_boxes
-        for s, e, q in zip(starts, ends, qlist):
-            dest = dlist[s]
-            box = cross_boxes.get(q)
-            if box is None:
-                box = MessageBox(merge=None)
-                cross_boxes[q] = box
-            box.data[dest] = vlist[s:e]
-            box.counts[dest] = e - s
 
     def _run_transfer_scalar(
         self, app: PropagationApp, state: Any, p: int,
@@ -679,12 +676,10 @@ class PropagationEngine:
 
         # Local propagation: combine inner vertices now, in memory.
         if self.local_opts and not app.uses_virtual_vertices:
-            for v, values in inner_box.data.items():
-                out = app.combine(v, values, state)
-                result.cpu_ops += len(values) + 1.0
-                if out is not None:
-                    result.inner_combined[v] = out
-                    result.output_bytes += app.result_nbytes(v, out)
+            result.inner_out, cpu_ops, result.output_bytes = (
+                self._combine_bags(app, state, inner_box.data))
+            result.cpu_ops += cpu_ops
+            result.inner_seen = inner_box.data.keys()
             result.locally_propagated = len(inner_box.data)
         elif not self.local_opts:
             # no local propagation: inner-destination messages spill too
@@ -693,19 +688,23 @@ class PropagationEngine:
                     boundary_box.add(v, value)
 
         result.spill_bytes = boundary_box.payload_bytes(app)
+        # Cross boxes are merged only when local optimizations are on:
+        # at O1/O2 an associative app still ships every raw message.
+        merged = merge is not None and self.local_opts
+        for q, box in sorted(result.cross_boxes.items()):
+            result.send_bytes[q] = box.payload_bytes(app)
+            result.shipped += len(box) if merged else box.message_count()
         return result
 
     def _transfer_task(
-        self, app: PropagationApp, p: int, t: _PartitionTransfer,
+        self, p: int, t: _PartitionTransfer,
         finfo: _FrontierInfo | None = None,
     ) -> Task:
         pg = self.pgraph
         machine = self.machine_of(p)
-        sends: list[tuple[int, float]] = []
-        for q, box in sorted(t.cross_boxes.items()):
-            nbytes = box.payload_bytes(app)
-            if nbytes > 0:
-                sends.append((self.machine_of(q), nbytes))
+        sends = [(self.machine_of(q), nbytes)
+                 for q, nbytes in sorted(t.send_bytes.items())
+                 if nbytes > 0]
         if finfo is None:
             # Cascaded phases evaluate the cascadable vertices'
             # iterations in one scan of the partition: both the
@@ -746,7 +745,7 @@ class PropagationEngine:
     # Combine stage
     # ------------------------------------------------------------------
     def _route(
-        self, app: PropagationApp, transfers: list[_PartitionTransfer]
+        self, transfers: list[_PartitionTransfer]
     ) -> tuple[list[MessageBox], list[dict[int, float]]]:
         """Deliver cross boxes; returns per-partition inbox and the bytes
         received from each source partition (for failure re-fetch)."""
@@ -760,9 +759,8 @@ class PropagationEngine:
                 for value in t.boundary_box.values_of(dest):
                     inboxes[p].add(dest, value)
             for q, box in t.cross_boxes.items():
-                nbytes = box.payload_bytes(app)
-                if nbytes > 0:
-                    sources[q][p] = sources[q].get(p, 0.0) + nbytes
+                if t.send_bytes[q] > 0:
+                    sources[q][p] = t.send_bytes[q]
                 for dest, stored in box.data.items():
                     for value in box.values_of(dest):
                         inboxes[q].add(dest, value)
@@ -777,37 +775,126 @@ class PropagationEngine:
         sources: dict[int, float],
         transfer: _PartitionTransfer,
     ) -> tuple[Task, dict]:
-        pg = self.pgraph
+        """Scalar Combine of partition ``p`` over its routed inbox."""
+        pad: Any = ()
+        if app.combine_all_vertices and not app.uses_virtual_vertices:
+            seen = transfer.inner_seen
+            pad = (u for u in self.pgraph.partition_vertices[p].tolist()
+                   if u not in seen)
+        combined, cpu_ops, output_bytes = self._combine_bags(
+            app, state, inbox.data, pad)
+        return (self._combine_task(p, sources, transfer, cpu_ops,
+                                   output_bytes), combined)
+
+    def _run_combine_array(
+        self, app: PropagationApp, state: Any, q: int,
+        transfers: list[_PartitionTransfer],
+    ) -> tuple[Task, Outputs]:
+        """Columnar route + Combine of partition ``q``.
+
+        The arrival order is the contract: source partitions ascending —
+        ``q``'s own boundary spill at position ``q``, cross slices
+        around it — and emission order within a source, exactly the bag
+        order the scalar route builds.
+        """
+        sources: dict[int, float] = {}
+        arrivals: list[Columns] = []
+        for p, t in enumerate(transfers):
+            assert (t.local is not None and t.cross is not None
+                    and t.cross_offsets is not None)
+            if p == q:
+                arrivals.append(t.local)
+            elif q in t.send_bytes:
+                lo, hi = t.cross_offsets[q:q + 2]
+                arrivals.append((t.cross[0][lo:hi], t.cross[1][lo:hi]))
+                sources[p] = t.send_bytes[q]
+        pad = None
+        if app.combine_all_vertices:
+            pad = self.pgraph.partition_vertices[q]
+            seen = transfers[q].inner_seen
+            pad = np.delete(pad, np.searchsorted(pad, seen))
+        out, cpu_ops, output_bytes, _ = self._combine_columns(
+            app, state, np.concatenate([a[0] for a in arrivals]),
+            np.concatenate([a[1] for a in arrivals]), pad)
+        return (self._combine_task(q, sources, transfers[q], cpu_ops,
+                                   output_bytes), out)
+
+    def _combine_columns(
+        self, app: PropagationApp, state: Any, dests: np.ndarray,
+        values: np.ndarray, pad: np.ndarray | None = None,
+    ) -> tuple[Outputs, float, float, np.ndarray]:
+        """Combine arrival columns; returns (outputs, cpu ops, output
+        bytes, the vertices messages arrived at).
+
+        ``pad`` (ascending, a superset of the arrival vertices) lists
+        the vertices to combine whether or not anything arrived —
+        ``combine_all_vertices``.  With ``combine_array`` the arrivals
+        take one order-exact fold and one hook call; otherwise they
+        become bags for the scalar loop.  Either way the charge is the
+        scalar one: one op per arrival plus one per combined vertex.
+        """
+        if (type(app).combine_array is not PropagationApp.combine_array
+                and app.merge_ufunc is not None):
+            vertices, folded, counts = fold_by_dest(
+                dests, values, app.merge_ufunc)
+            seen = vertices
+            if pad is not None:
+                at = np.searchsorted(pad, vertices)
+                padded = np.zeros(pad.size, dtype=folded.dtype)
+                padded[at] = folded
+                lengths = np.zeros(pad.size, dtype=counts.dtype)
+                lengths[at] = counts
+                vertices, folded, counts = pad, padded, lengths
+            out = app.combine_array(vertices, folded, counts, state)
+            if out is not None:
+                out = np.asarray(out)
+                if type(app).result_nbytes is PropagationApp.result_nbytes:
+                    output_bytes = float(out.size * VALUE_BYTES)
+                else:
+                    output_bytes = float(sum(
+                        app.result_nbytes(v, o)
+                        for v, o in zip(vertices.tolist(), out.tolist())))
+                return ((vertices, out), float(dests.size + vertices.size),
+                        output_bytes, seen)
+        bags = _bags(dests, values)
+        combined, cpu_ops, output_bytes = self._combine_bags(
+            app, state, bags, () if pad is None else pad.tolist())
+        return (combined, cpu_ops, output_bytes,
+                np.fromiter(bags, dtype=dests.dtype, count=len(bags)))
+
+    def _combine_bags(
+        self, app: PropagationApp, state: Any, bags: dict,
+        pad: Iterable = (),
+    ) -> tuple[dict, float, float]:
+        """The scalar Combine loop over ``{vertex: bag}``; returns
+        (outputs, cpu ops, output bytes).  Vertices of ``pad`` without a
+        bag are combined over the empty bag."""
+        combine = (app.virtual_combine if app.uses_virtual_vertices
+                   else app.combine)
         combined: dict = {}
         cpu_ops = 0.0
         output_bytes = 0.0
+        for v, values in bags.items():
+            out = combine(v, values, state)
+            cpu_ops += len(values) + 1.0
+            if out is not None:
+                combined[v] = out
+                output_bytes += app.result_nbytes(v, out)
+        for u in pad:
+            if u in bags:
+                continue
+            out = combine(u, [], state)
+            cpu_ops += 1.0
+            if out is not None:
+                combined[u] = out
+                output_bytes += app.result_nbytes(u, out)
+        return combined, cpu_ops, output_bytes
 
-        if app.uses_virtual_vertices:
-            for key, values in inbox.data.items():
-                out = app.virtual_combine(key, values, state)
-                cpu_ops += len(values) + 1.0
-                if out is not None:
-                    combined[key] = out
-                    output_bytes += app.result_nbytes(key, out)
-        else:
-            for v, values in inbox.data.items():
-                out = app.combine(v, values, state)
-                cpu_ops += len(values) + 1.0
-                if out is not None:
-                    combined[v] = out
-                    output_bytes += app.result_nbytes(v, out)
-            if app.combine_all_vertices:
-                already = transfer.inner_combined if self.local_opts else {}
-                for u in pg.partition_vertices[p]:
-                    u = int(u)
-                    if u in inbox.data or u in already:
-                        continue
-                    out = app.combine(u, [], state)
-                    cpu_ops += 1.0
-                    if out is not None:
-                        combined[u] = out
-                        output_bytes += app.result_nbytes(u, out)
-
+    def _combine_task(
+        self, p: int, sources: dict[int, float],
+        transfer: _PartitionTransfer, cpu_ops: float, output_bytes: float,
+    ) -> Task:
+        pg = self.pgraph
         incoming = float(sum(sources.values()))
         staged = incoming + transfer.spill_bytes
         machine = self.machine_of(p)
@@ -816,7 +903,7 @@ class PropagationEngine:
             for src, nbytes in sorted(sources.items())
         ]
         working_set = pg.partition_bytes(p) + staged + output_bytes
-        task = Task(
+        return Task(
             name=f"combine[{p}]",
             machine=machine,
             kind="combine",
@@ -829,4 +916,3 @@ class PropagationEngine:
             input_transfers=inbound,
             disk_penalty=self._memory_penalty(machine, working_set),
         )
-        return task, combined

@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.apps.base import VertexState
 from repro.bench.workloads import HARDWARE_SCALE, TESTBED_MACHINE
 from repro.cluster.cluster import Cluster
 from repro.cluster.topology import t1, t2
 from repro.core.surfer import Surfer
 from repro.graph.generators import composite_social_graph, grid, ring
+from repro.propagation.api import PropagationApp
 
 
 @pytest.fixture(scope="session")
@@ -64,6 +66,34 @@ def shared_surfer_oblivious(small_graph):
     cluster = make_test_cluster(8)
     return Surfer(small_graph, cluster, num_parts=16,
                   layout="oblivious", seed=1)
+
+
+class ArrivalOrderApp(PropagationApp):
+    """``combine`` is a positional checksum of its bag, so any deviation
+    from the scalar route's arrival order changes the result.  It has
+    ``transfer_array`` but neither ``combine_array`` nor
+    ``update_array``: array Transfer, then the bag fallback."""
+
+    name = "arrival-order"
+
+    def setup(self, pgraph):
+        return VertexState(pgraph=pgraph, values=np.arange(
+            1, pgraph.num_vertices + 1, dtype=np.int64))
+
+    def transfer(self, u, v, state):
+        return int(state.values[u])
+
+    def transfer_array(self, src, dst, state):
+        return state.values[src]
+
+    def combine(self, v, values, state):
+        acc = 0
+        for value in values:
+            acc = (31 * acc + int(value)) % 1_000_003
+        return acc
+
+    def finalize(self, state):
+        return state.values
 
 
 def assert_partition_valid(parts: np.ndarray, num_vertices: int,

@@ -202,7 +202,7 @@ CASES = {
         lambda r: r["NR"].update(pipelined=220.0, speedup=0.9),
         "NR: overlap can only help"),
     "transfer_fastpath": (
-        "Transfer stage",
+        "Transfer + route + Combine",
         {"edges": 1000, "parts": 8, "scalar_s": 0.18, "vec_s": 0.03,
          "identical": True},
         lambda r: r.update(vec_s=0.1),

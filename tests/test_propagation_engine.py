@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.range_plan import contiguous_range_plan
 from repro.core.surfer import Surfer
-from repro.graph import pagerank
+from repro.graph import Graph, pagerank
 from repro.propagation.api import MessageBox, PropagationApp, message_nbytes
 from repro.propagation.engine import virtual_partition
 from repro.apps import NetworkRankingPropagation
@@ -149,3 +150,58 @@ class TestEngineSemantics:
         from repro.errors import JobError
         with pytest.raises(JobError):
             surfer.run_propagation(_CountingApp(), iterations=0)
+
+
+class _SilentOnArrivalApp(PropagationApp):
+    """``combine`` answers None for a vertex that received messages and
+    -1.0 for one that received none; every call is recorded."""
+
+    name = "silent-on-arrival"
+    combine_all_vertices = True
+
+    def setup(self, pgraph):
+        class State:
+            values = np.zeros(pgraph.num_vertices)
+            calls = []
+        return State()
+
+    def transfer(self, u, v, state):
+        return 1.0
+
+    def transfer_array(self, src, dst, state):
+        return np.ones(src.size)
+
+    def combine(self, v, values, state):
+        state.calls.append((v, list(values)))
+        return None if values else -1.0
+
+    def finalize(self, state):
+        return state
+
+
+class TestLocalPropagationCombinesOnce:
+    """Regression: the ``combine_all_vertices`` sweep skipped only the
+    locally propagated vertices whose combine had an *output*; one whose
+    combine answered None was combined again over the empty bag, charged
+    one more cpu op and overwritten."""
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_none_output_is_not_combined_twice(self, vectorized):
+        # two ranges {0, 1} and {2, 3}; 0 -> 1 stays inside the first,
+        # so vertex 1 is inner and locally propagated
+        graph = Graph.from_edges([(0, 1), (2, 3)], num_vertices=4)
+        cluster = make_test_cluster(2)
+        plan = contiguous_range_plan(graph, cluster.topology, 2,
+                                     offsets=np.array([0, 2, 4]))
+        surfer = Surfer(graph, cluster, plan=plan, replication=1)
+        job = surfer.run_propagation(_SilentOnArrivalApp(),
+                                     vectorized=vectorized)
+        state = job.result
+        assert sorted(state.calls) == [(0, []), (1, [1.0]), (2, []),
+                                       (3, [1.0])]
+        assert state.values.tolist() == [-1.0, 0.0, -1.0, 0.0]
+        cpu = {e.task.name: e.task.cpu_ops for e in job.executions}
+        # transfer: 2 per edge + (1 arrival + 1 vertex) locally combined;
+        # combine: one op for the vertex nothing arrived at
+        assert cpu == {"transfer[0]": 4.0, "transfer[1]": 4.0,
+                       "combine[0]": 1.0, "combine[1]": 1.0}

@@ -5,8 +5,26 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.fold
+from repro.apps import (
+    BreadthFirstSearchPropagation,
+    ConnectedComponentsPropagation,
+    DeltaPageRankPropagation,
+    KCoreDecompositionPropagation,
+    NetworkRankingPropagation,
+    RecommenderPropagation,
+    ShortestPathsPropagation,
+)
+from repro.core.bandwidth_aware import PartitionPlan
 from repro.core.partitioned import PartitionedGraph, VertexEncoding
+from repro.core.surfer import Surfer
 from repro.errors import GraphError
+from repro.fold import (
+    COUNTING_SPAN_FACTOR,
+    fold_by_dest,
+    fold_counting,
+    fold_sorted,
+)
 from repro.graph.digraph import Graph, csr_from_keys, pair_keys
 from repro.graph.io import (
     DEGREE_BYTES,
@@ -24,6 +42,8 @@ from repro.partitioning.metrics import (
 )
 from repro.partitioning.refine import fm_refine
 from repro.partitioning.wgraph import WGraph
+from repro.runtime.events import reconcile
+from tests.conftest import ArrivalOrderApp, make_test_cluster
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -365,3 +385,137 @@ class TestNetworkProperties:
         many = {key: set(range(extra_users + 1))}
         assert (net.effective_bandwidth(0, 4, many)
                 <= net.effective_bandwidth(0, 4, few) + 1e-9)
+
+
+# ----------------------------------------------------------------------
+# The fold kernel: both strategies against a Python left fold
+# ----------------------------------------------------------------------
+@st.composite
+def message_columns(draw):
+    """``(dests, raw values)``: none, one or many messages over one
+    destination, a dense id range or a huge sparse span."""
+    k = draw(st.integers(0, 40))
+    span = draw(st.sampled_from([1, 6, 64, 2**40]))
+    base = draw(st.integers(0, 2**20))
+    dests = draw(st.lists(st.integers(base, base + span - 1),
+                          min_size=k, max_size=k))
+    raw = draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False),
+                        min_size=k, max_size=k))
+    return np.array(dests, dtype=np.int64), np.array(raw)
+
+
+class TestFoldKernel:
+    @pytest.mark.parametrize("ufunc, dtype, merge", [
+        (np.add, np.float64, lambda a, b: a + b),
+        (np.minimum, np.int64, min),
+        (np.logical_or, np.bool_, lambda a, b: a or b),
+    ], ids=["add-float64", "minimum-int64", "logical_or-bool"])
+    @COMMON
+    @given(message_columns())
+    def test_strategies_equal_python_left_fold(self, ufunc, dtype, merge,
+                                               drawn):
+        dests, raw = drawn
+        values = (raw > 0) if dtype is np.bool_ else raw.astype(dtype)
+        folded: dict = {}
+        sizes: dict = {}
+        for d, v in zip(dests.tolist(), values.tolist()):
+            folded[d] = merge(folded[d], v) if d in folded else v
+            sizes[d] = sizes.get(d, 0) + 1
+        folds = [fold_by_dest]  # the only one that takes empty input
+        if dests.size:
+            folds.append(fold_sorted)
+            if np.ptp(dests) < 2**20:  # counting allocates the span
+                folds.append(fold_counting)
+        for fold in folds:
+            uniq, merged, counts = fold(dests, values, ufunc)
+            assert uniq.tolist() == sorted(folded)
+            assert merged.tolist() == [folded[d] for d in sorted(folded)]
+            assert counts.tolist() == [sizes[d] for d in sorted(folded)]
+            assert uniq.dtype == dests.dtype and merged.dtype == dtype
+
+    def test_choice_follows_count_and_span(self, monkeypatch):
+        """Counting while the span stays within a small multiple of the
+        message count, the sort beyond it — nothing else decides."""
+        chosen = []
+        for name in ("fold_counting", "fold_sorted"):
+            monkeypatch.setattr(
+                repro.fold, name,
+                lambda *args, name=name: chosen.append(name))
+        ones = np.ones(10)
+        for span in (1, 10, 10 * COUNTING_SPAN_FACTOR,
+                     10 * COUNTING_SPAN_FACTOR + 1, 2**40):
+            dests = np.zeros(10, dtype=np.int64)
+            dests[-1] = span - 1
+            fold_by_dest(dests, ones, np.add)
+        fold_by_dest(np.array([b"a", b"b"]), ones[:2], np.add)
+        assert chosen == ["fold_counting"] * 3 + ["fold_sorted"] * 3
+
+
+# ----------------------------------------------------------------------
+# The scalar oracle vs the array path: differential matrix
+# ----------------------------------------------------------------------
+#: every app with ``transfer_array``: (factory, deploy on the symmetrized
+#: graph).  NR/CC/BFS/SSSP/DPR are columnar end to end; RS (``combine``
+#: may answer None) and KCORE (``combine`` reads its neighbours) take
+#: the bag fallback after the array Transfer.
+ARRAY_APPS = {
+    "NR": (NetworkRankingPropagation, False),
+    "CC": (ConnectedComponentsPropagation, True),
+    "RS": (lambda: RecommenderPropagation(initial_ratio=0.5), False),
+    "BFS": (BreadthFirstSearchPropagation, False),
+    "SSSP": (ShortestPathsPropagation, False),
+    "KCORE": (KCoreDecompositionPropagation, True),
+    "DPR": (DeltaPageRankPropagation, False),
+    # test-only: makes the arrival order itself observable
+    "ORDER": (ArrivalOrderApp, False),
+}
+
+
+def sim_counters(job):
+    """Registry counters minus the real-wall ones."""
+    return {name: value
+            for name, value in job.events.metrics.counters.items()
+            if "wall" not in name}
+
+
+def assert_same_job(oracle, fast):
+    assert not oracle.failed and not fast.failed
+    assert np.array_equal(np.asarray(oracle.result),
+                          np.asarray(fast.result))
+    assert oracle.reports == fast.reports  # every field, every task
+    assert oracle.metrics == fast.metrics
+    assert sim_counters(oracle) == sim_counters(fast)
+    assert reconcile(oracle) == [] and reconcile(fast) == []
+
+
+class TestArrayPathDifferential:
+    @pytest.mark.parametrize("name", ARRAY_APPS)
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(raw_partitionings())
+    def test_vectorized_equals_scalar(self, name, drawn):
+        """``vectorized=True`` against ``vectorized=False`` on raw edge
+        lists (self-loops, duplicates, degree-0 vertices, empty
+        partitions), as index-set parts and as sorted-range parts, with
+        local optimizations on and off, dense and — where the app keeps
+        a frontier — sparse."""
+        edges, parts, k = drawn
+        factory, symmetrize = ARRAY_APPS[name]
+        graph = Graph.from_edges(edges, num_vertices=parts.size)
+        if symmetrize:
+            graph = graph.symmetrized()
+        cluster = make_test_cluster(3)
+        modes = (False, True) if factory().uses_frontier else (False,)
+        for assignment in (parts, np.sort(parts)):
+            plan = PartitionPlan(parts=assignment, num_parts=k,
+                                 placement=np.arange(k) % 3,
+                                 machine_sets={}, method="drawn")
+            surfer = Surfer(graph, cluster, plan=plan)
+            for local_opts in (True, False):
+                for frontier in modes:
+                    oracle, fast = (
+                        surfer.run_propagation(
+                            factory(), iterations=3, local_opts=local_opts,
+                            frontier=frontier, vectorized=vectorized)
+                        for vectorized in (False, True))
+                    assert_same_job(oracle, fast)

@@ -45,6 +45,7 @@ from repro.apps import (
     NetworkRankingPropagation,
 )
 from repro.mapreduce.api import MapReduceApp
+from repro.propagation.api import PropagationApp
 
 ENGINE = "src/repro/mapreduce/engine.py"
 
@@ -314,7 +315,33 @@ class _OrderSensitiveCombine(NetworkRankingPropagation):
         return values[0]  # whichever message happened to arrive first
 
 
+class _FillerReadingCombineArray(NetworkRankingPropagation):
+    def combine_array(self, vertices, folded, counts, state):
+        # reads the unspecified filler of the empty bags
+        return state.extra["teleport"] + folded + (counts == 0)
+
+
 class TestContracts:
+    def test_combine_array_must_equal_combine_exactly(self):
+        fs = verify_propagation_app(_FillerReadingCombineArray)
+        assert rules_of(fs) == ["UDF002"]
+        assert "combine_array disagrees with combine" in fs[0].message
+        assert "bag of 0" in fs[0].message
+
+    def test_columnar_hooks_need_their_scalar_counterparts(self):
+        class ColumnsOnly(PropagationApp):
+            name = "columns-only"
+
+            def combine_array(self, vertices, folded, counts, state):
+                return folded
+
+            def update_array(self, state, vertices, values):
+                state.values[vertices] = values
+
+        fs = check_array_parity([ColumnsOnly], "ColumnsOnly appears here")
+        assert [f.rule for f in fs] == ["PAR001", "PAR001"]
+        assert "combine()" in fs[0].message and "update()" in fs[1].message
+
     def test_non_associative_combine_fails(self):
         # acceptance criterion: deliberately non-associative combine
         # must fail with UDF002

@@ -16,16 +16,23 @@ import numpy as np
 import pytest
 
 import repro
-from repro.apps import NetworkRankingPropagation
+from repro.apps import BreadthFirstSearchPropagation, NetworkRankingPropagation
 from repro.apps.connected_components import ConnectedComponentsPropagation
 from repro.apps.recommender import RecommenderPropagation
+from repro.cluster import FaultPlan
+from repro.core.range_plan import contiguous_range_plan
 from repro.core.surfer import Surfer
 from repro.errors import JobError
+from repro.fold import fold_counting, fold_sorted
 from repro.graph.generators import composite_social_graph
+from repro.graph.store import build_shard_store, open_shard_graph
+from repro.graph.stream import stream_rmat
 from repro.propagation.api import MessageBox, PropagationApp, fold_by_dest
-from repro.propagation.engine import virtual_partition
+from repro.propagation.engine import _bags, virtual_partition
 from repro.mapreduce.engine import reducer_of
-from tests.conftest import make_test_cluster
+from repro.runtime.checkpoint import CheckpointPolicy
+from repro.runtime.events import reconcile
+from tests.conftest import ArrivalOrderApp, make_test_cluster
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -83,19 +90,31 @@ class TestFoldByDest:
         assert counts.tolist() == [2, 3]
 
 
+    def test_empty_input_gives_typed_empties(self):
+        uniq, merged, counts = fold_by_dest(
+            np.zeros(0, dtype=np.int32), np.zeros(0, dtype=bool),
+            np.logical_or)
+        assert uniq.size == merged.size == counts.size == 0
+        assert (uniq.dtype, merged.dtype) == (np.int32, np.bool_)
+        assert counts.dtype.kind == "i"
+
+
 class TestFromArrays:
+    """The column -> bag helper and the fold kernel against the
+    sequence of ``MessageBox.add`` calls they replace (the class keeps
+    the name of the deleted ``MessageBox.from_arrays``)."""
+
     def test_bags_match_add_sequence(self):
         dests = np.array([2, 1, 2, 2, 1])
         values = np.array([10, 20, 30, 40, 50])
         oracle = MessageBox()
         for d, v in zip(dests, values):
             oracle.add(int(d), v)
-        box = MessageBox.from_arrays(dests, values)
-        assert box.data.keys() == oracle.data.keys()
+        bags = _bags(dests, values)
+        assert list(bags) == sorted(oracle.data)
         for d in oracle.data:
-            assert [int(v) for v in box.values_of(d)] == \
-                [int(v) for v in oracle.values_of(d)]
-        assert box.counts == oracle.counts
+            assert bags[d] == [int(v) for v in oracle.values_of(d)]
+        assert _bags(dests[:0], values[:0]) == {}
 
     def test_merged_match_add_sequence(self):
         rng = np.random.default_rng(5)
@@ -104,12 +123,13 @@ class TestFromArrays:
         oracle = MessageBox(merge=lambda a, b: a + b)
         for d, v in zip(dests, values):
             oracle.add(int(d), v)
-        box = MessageBox.from_arrays(dests, values, merge=lambda a, b: a + b,
-                                     ufunc=np.add)
-        assert set(box.data) == set(oracle.data)
-        for d in oracle.data:
-            assert box.data[d] == oracle.data[d]  # bitwise
-        assert box.counts == oracle.counts
+        for fold in (fold_by_dest, fold_counting, fold_sorted):
+            uniq, merged, counts = fold(dests, values, np.add)
+            assert uniq.tolist() == sorted(oracle.data)
+            assert merged.tolist() == [oracle.data[d]  # bitwise
+                                       for d in uniq.tolist()]
+            assert counts.tolist() == [oracle.counts[d]
+                                       for d in uniq.tolist()]
 
     def test_payload_cache_invalidated_by_add(self):
         app = NetworkRankingPropagation()
@@ -165,6 +185,81 @@ class TestFastPathEquivalence:
                                       vectorized=True)
         assert np.array_equal(np.asarray(scalar.result),
                               np.asarray(fast.result))
+        assert _job_signature(scalar) == _job_signature(fast)
+
+    def test_shard_backed_graph(self, tmp_path):
+        """Columns gathered from memmapped shards, partitions == shards."""
+        build_shard_store(stream_rmat(9, edge_factor=6, seed=4),
+                          tmp_path / "store", num_shards=4)
+        g = open_shard_graph(tmp_path / "store")
+        cluster = make_test_cluster(4)
+        plan = contiguous_range_plan(g, cluster.topology, 4, seed=4,
+                                     offsets=g.store.vertex_starts)
+        surfer = Surfer(g, cluster, seed=4, plan=plan)
+        for make, kwargs in ((NetworkRankingPropagation, {}),
+                             (BreadthFirstSearchPropagation,
+                              {"frontier": True})):
+            scalar, fast = (
+                surfer.run_propagation(make(), iterations=3,
+                                       vectorized=vectorized, **kwargs)
+                for vectorized in (False, True))
+            assert np.array_equal(scalar.result, fast.result)
+            assert _job_signature(scalar) == _job_signature(fast)
+
+    def test_kill_and_checkpoint_restart(self, graph):
+        """Total loss of a partition mid-job: both paths restart from
+        the same checkpoint and pay the same recovery."""
+        def run(vectorized):
+            surfer = Surfer(graph, make_test_cluster(4), num_parts=8,
+                            seed=3, replication=1)
+            faults = FaultPlan().add_kill(surfer.store.primary(0), 1.0)
+            return surfer.run_propagation(
+                NetworkRankingPropagation(), iterations=4,
+                fault_plan=faults, vectorized=vectorized,
+                checkpoint=CheckpointPolicy(interval=1))
+
+        scalar, fast = run(False), run(True)
+        assert fast.restarts >= 1 and fast.restarts == scalar.restarts
+        assert fast.checkpoints == scalar.checkpoints
+        assert np.array_equal(scalar.result, fast.result)
+        assert _job_signature(scalar) == _job_signature(fast)
+        assert reconcile(fast) == []
+
+    @pytest.mark.parametrize("local_opts", [True, False])
+    def test_app_without_columnar_combine_or_update(self, graph,
+                                                    local_opts):
+        """``transfer_array`` alone: array Transfer and columnar route,
+        then bags for the scalar ``combine`` and a dict for ``update`` —
+        in exactly the scalar route's arrival order, which this app's
+        positional checksum makes visible."""
+        surfer = Surfer(graph, make_test_cluster(4), num_parts=8, seed=3)
+        scalar, fast = (
+            surfer.run_propagation(ArrivalOrderApp(), iterations=2,
+                                   local_opts=local_opts,
+                                   vectorized=vectorized)
+            for vectorized in (False, True))
+        assert np.array_equal(scalar.result, fast.result)
+        assert _job_signature(scalar) == _job_signature(fast)
+
+    @pytest.mark.parametrize("local_opts", [True, False])
+    def test_overridden_sizing_is_charged_per_element(self, graph,
+                                                      local_opts):
+        """No closed form for an app with its own ``value_nbytes`` /
+        ``result_nbytes``: the columns are sized element by element."""
+        class UnevenRanks(NetworkRankingPropagation):
+            def value_nbytes(self, value):
+                return 16.0 if value > 1e-4 else 4.0
+
+            def result_nbytes(self, v, value):
+                return 24.0 if v % 2 else 8.0
+
+        surfer = Surfer(graph, make_test_cluster(4), num_parts=8, seed=3)
+        scalar, fast = (
+            surfer.run_propagation(UnevenRanks(), iterations=2,
+                                   local_opts=local_opts,
+                                   vectorized=vectorized)
+            for vectorized in (False, True))
+        assert np.array_equal(scalar.result, fast.result)
         assert _job_signature(scalar) == _job_signature(fast)
 
     def test_force_vectorized_rejects_unsupported_app(self, graph):
