@@ -62,9 +62,9 @@ def main() -> None:
 
     assert np.allclose(normal.result, faulty.result), "results must match"
     overhead = faulty.response_time / normal.response_time - 1
-    lost = sum(1 for e in faulty.executions if not e.succeeded)
-    retried = sum(1 for e in faulty.executions
-                  if e.task.name.endswith("#retry"))
+    spans = faulty.events.task_spans()
+    lost = sum(1 for s in spans if not s.succeeded)
+    retried = sum(1 for s in spans if s.name.endswith("#retry"))
 
     print(f"victim machine      : {victim} "
           f"(killed at t={kill_time:,.0f}s)")
@@ -76,10 +76,9 @@ def main() -> None:
 
     bucket = normal.response_time / 60
     for label, job in (("normal ", normal), ("faulty ", faulty)):
-        __, rates = io_rate_timeline(job.executions, bucket)
+        __, rates = io_rate_timeline(job.events.task_spans(), bucket)
         print(f"{label} disk-I/O rate |{sparkline(rates)}|")
-    __, victim_rates = io_rate_timeline(faulty.executions, bucket,
-                                        machine=victim)
+    __, victim_rates = io_rate_timeline(spans, bucket, machine=victim)
     print(f"victim  disk-I/O rate |{sparkline(victim_rates)}|  "
           "(goes silent after the kill)")
 

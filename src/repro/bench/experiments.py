@@ -29,6 +29,7 @@ from repro.apps import (
     APP_REGISTRY,
     NetworkRankingMapReduce,
     NetworkRankingPropagation,
+    make_app as resolve_app,
 )
 from repro.bench.harness import ExperimentTable
 from repro.bench.loc import (
@@ -37,7 +38,7 @@ from repro.bench.loc import (
     PROPAGATION_UDFS,
     count_udf_lines,
 )
-from repro.bench.runner import timed_job
+from repro.bench.runner import WorkloadSpec, chaos_job, timed_job
 from repro.bench.workloads import (
     HARDWARE_SCALE,
     PAPER_GRAPH_BYTES,
@@ -79,7 +80,7 @@ from repro.propagation.engine import PropagationEngine
 from repro.runtime.chaos import run_chaos_sweep, surfer_factory
 from repro.runtime.checkpoint import CheckpointPolicy
 from repro.runtime.scheduler import StageScheduler
-from repro.runtime.trace import io_rate_timeline
+from repro.runtime.trace import io_rate_timeline, recovery_event_counts
 
 # the run functions stay importable by name (tests/test_experiments.py
 # calls them at reduced size) but are enumerated only in EXPERIMENTS
@@ -144,22 +145,10 @@ def _rows(title: str, columns: list[tuple[str, str, int]],
     return render
 
 
-#: the paper samples 10 % of vertices for TC and TFL
-SAMPLED_APPS = {"TC": 0.1, "TFL": 0.1}
-
-
-def make_app(name: str, kind: str, select_ratio: float | None = None):
-    """Instantiate an application by paper name.
-
-    ``kind`` is ``"propagation"`` or ``"mapreduce"``; sampled apps (TC,
-    TFL) get the paper's 10 % ratio unless overridden.
-    """
-    prop_cls, mr_cls, _ = APP_REGISTRY[name]
-    cls = prop_cls if kind == "propagation" else mr_cls
-    if name in SAMPLED_APPS:
-        ratio = SAMPLED_APPS[name] if select_ratio is None else select_ratio
-        return cls(select_ratio=ratio)
-    return cls()
+def make_app(name: str, kind: str):
+    """The app instance alone, for the bespoke runs below that pick their
+    own step counts (:func:`repro.apps.make_app` is the resolver)."""
+    return resolve_app(name, kind)[0]
 
 
 def default_iterations(name: str) -> int:
@@ -659,6 +648,7 @@ def fig10_fault_tolerance(
         local_opts=True, fault_plan=plan,
     )
     assert np.allclose(normal.result, faulty.result)
+    spans = faulty.events.task_spans()
     bucket = max(normal.metrics.response_time / 40.0, 1e-6)
     overhead = (faulty.metrics.response_time
                 / max(normal.metrics.response_time, 1e-12) - 1.0)
@@ -668,14 +658,11 @@ def fig10_fault_tolerance(
         "normal_response": normal.metrics.response_time,
         "faulty_response": faulty.metrics.response_time,
         "overhead_pct": 100.0 * overhead,
-        "faulty_timeline": io_rate_timeline(faulty.executions, bucket),
+        "faulty_timeline": io_rate_timeline(spans, bucket),
         # lost mid-flight executions plus tasks re-dispatched after the
         # machine was declared dead between tasks
-        "failures": sum(1 for e in faulty.executions if not e.succeeded),
-        "retries": sum(
-            1 for e in faulty.executions
-            if e.task.name.endswith("#retry")
-        ),
+        "failures": sum(1 for s in spans if not s.succeeded),
+        "retries": sum(1 for s in spans if s.name.endswith("#retry")),
     }
 
 
@@ -759,12 +746,9 @@ def fault_scenario_sweep(
         completed = (not job.failed) and np.allclose(
             baseline.result, job.result
         )
-        events: dict[str, int] = {}
-        for ev in job.recovery_events:
-            events[ev.kind] = events.get(ev.kind, 0) + 1
         scenarios[name] = {
             "response": job.metrics.response_time,
-            "events": events,
+            "events": recovery_event_counts(job.events.instants),
             "completed": completed,
             "re_replication_bytes": job.metrics.re_replication_bytes,
         }
@@ -1304,14 +1288,10 @@ def chaos_smoke() -> dict:
     make_surfer = surfer_factory(
         graph, lambda: make_cluster(t1(8, SCALED_LINK_BPS)),
         num_parts=8, replication=1, seed=3)
-    policy = CheckpointPolicy(interval=1)
-
-    def run_job(surfer, plan):
-        return surfer.run_propagation(
-            make_app("NR", "propagation"), iterations=4, fault_plan=plan,
-            checkpoint=policy if plan is not None else None,
-        )
-
+    run_job = chaos_job(
+        WorkloadSpec("chaos_smoke", app="NR", engine="propagation",
+                     iterations=4),
+        CheckpointPolicy(interval=1))
     report, wall = timed_job(
         lambda: run_chaos_sweep(make_surfer, run_job, schedules=12,
                                 seed=2010))

@@ -26,6 +26,7 @@ each with its *own* wall clock.
 from __future__ import annotations
 
 import contextlib
+import functools
 import pathlib
 import tempfile
 import tomllib
@@ -34,7 +35,7 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Callable
 
-from repro.apps import APP_REGISTRY, EXTENSION_APPS
+from repro.apps import APP_REGISTRY, EXTENSION_APPS, make_app
 from repro.errors import BenchConfigError, BenchRunError
 from repro.bench.benchjson import job_record
 from repro.bench.memory import measure_peak_rss
@@ -65,6 +66,8 @@ __all__ = [
     "select_suite",
     "run_experiment",
     "run_suite",
+    "run_workload",
+    "chaos_job",
     "timed_job",
     "timed_min_of_n",
 ]
@@ -205,7 +208,8 @@ class WorkloadSpec:
     #: sparse active-set Transfer (propagation engine, frontier apps)
     frontier: bool = False
     #: stop at the app's convergence test instead of the full budget
-    until_convergence: bool = False
+    #: (default: the app's own — extension apps do, the paper's six not)
+    until_convergence: bool | None = None
     app_args: dict[str, Any] = field(default_factory=dict)
     #: per-workload cluster-size override (fig11-style sweeps)
     machines: int | None = None
@@ -579,22 +583,39 @@ def _shard_surfer(cfg: ExperimentConfig, machines: int, parts: int,
                   replication=cfg.cluster.replication, plan=plan)
 
 
-def _make_app(name: str, engine: str, app_args: dict[str, Any]):
-    from repro.bench.experiments import make_app
+def run_workload(surfer: Any, workload: WorkloadSpec,
+                 **job_options: Any) -> Any:
+    """Run one named job on a deployed Surfer; returns its ``JobResult``.
 
-    if not app_args and name in APP_REGISTRY:
-        return make_app(name, engine)  # the paper's sampling ratios
-    prop_cls, mr_cls = (APP_REGISTRY.get(name) or EXTENSION_APPS[name])[:2]
-    cls = prop_cls if engine == "propagation" else mr_cls
-    if cls is None:
-        raise BenchRunError(f"{name} has no {engine} implementation")
-    return cls(**app_args)
+    The launch every entry point shares — ``repro bench``, ``repro run``
+    / ``profile`` / ``chaos``, chaos experiments: the spec names the app,
+    engine, step count and engine flags (unset ones take the app's
+    defaults from :func:`repro.apps.make_app`); ``job_options`` are the
+    per-run extras of :meth:`Surfer.run <repro.core.surfer.Surfer.run>`
+    a spec does not describe (``fault_plan``, ``checkpoint``,
+    ``sanitize``).
+    """
+    app, steps, until = make_app(workload.app, workload.engine,
+                                 **workload.app_args)
+    if workload.until_convergence is not None:
+        until = workload.until_convergence
+    return surfer.run(
+        app, workload.iterations or steps,
+        local_opts=workload.local_opts, frontier=workload.frontier,
+        combiner=workload.combiner, vectorized=workload.vectorized,
+        until_convergence=until, **job_options,
+    )
 
 
-def _default_iterations(app: str) -> int:
-    if app in APP_REGISTRY:
-        return APP_REGISTRY[app][2]
-    return 50  # extension apps run until convergence
+def chaos_job(workload: WorkloadSpec, policy: Any) -> Callable[..., Any]:
+    """The ``run_job`` of a chaos sweep: ``workload`` under each fault
+    plan, checkpointing under ``policy`` whenever there is a plan."""
+    def run_job(surfer: Any, plan: Any) -> Any:
+        return run_workload(
+            surfer, workload, fault_plan=plan,
+            checkpoint=policy if plan is not None else None,
+        )
+    return run_job
 
 
 def _run_jobs_experiment(
@@ -642,29 +663,13 @@ def _run_jobs_experiment(
                         seed=cfg.cluster.seed,
                     )
                     surfers[key] = workload.surfer(cfg.cluster.layout)
-            surfer = surfers[key]
-            iterations = wl.iterations or _default_iterations(wl.app)
-
-            def run(wl: WorkloadSpec = wl, surfer: Any = surfer,
-                    iterations: int = iterations) -> Any:
-                app = _make_app(wl.app, wl.engine, wl.app_args)
-                if wl.engine == "mapreduce":
-                    return surfer.run_mapreduce(
-                        app, rounds=iterations, vectorized=wl.vectorized,
-                        combiner=wl.combiner,
-                        until_convergence=wl.until_convergence,
-                    )
-                return surfer.run_propagation(
-                    app, iterations=iterations, local_opts=wl.local_opts,
-                    vectorized=wl.vectorized, frontier=wl.frontier,
-                    until_convergence=wl.until_convergence,
-                )
+            run = functools.partial(run_workload, surfers[key], wl)
 
             peak: int | None = None
             rss_degraded = False
             if wl.measure_rss:
                 (job, wall), rss = measure_peak_rss(
-                    lambda run=run: timed_min_of_n(run, repetitions))
+                    lambda: timed_min_of_n(run, repetitions))
                 peak, rss_degraded = rss.bytes, rss.degraded
                 if (wl.max_peak_rss_bytes is not None and peak is not None
                         and peak > wl.max_peak_rss_bytes):
@@ -718,22 +723,11 @@ def _run_chaos_experiment(
         seed=cfg.cluster.seed,
         layout=cfg.cluster.layout,
     )
-    policy = CheckpointPolicy(interval=spec.checkpoint_interval,
-                              max_restarts=spec.max_restarts)
-
-    def run_job(surfer: Any, plan: Any) -> Any:
-        app = _make_app(spec.app, spec.engine, {})
-        ckpt = policy if plan is not None else None
-        if spec.engine == "mapreduce":
-            return surfer.run_mapreduce(
-                app, rounds=spec.iterations, fault_plan=plan,
-                checkpoint=ckpt,
-            )
-        return surfer.run_propagation(
-            app, iterations=spec.iterations, fault_plan=plan,
-            checkpoint=ckpt,
-        )
-
+    run_job = chaos_job(
+        WorkloadSpec(spec.prefix, app=spec.app, engine=spec.engine,
+                     iterations=spec.iterations, until_convergence=False),
+        CheckpointPolicy(interval=spec.checkpoint_interval,
+                         max_restarts=spec.max_restarts))
     report = run_chaos_sweep(make_surfer, run_job, spec.schedules,
                              spec.seed)
     if not report.ok:

@@ -47,6 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_job_options(p) -> None:
+        """The named job and its deployment: declared once for
+        ``run`` / ``profile`` / ``chaos``."""
         p.add_argument("app",
                        choices=list(APP_ORDER) + list(EXTENSION_APPS))
         p.add_argument("--engine", choices=("propagation", "mapreduce"),
@@ -65,9 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--communities", type=int, default=16)
         p.add_argument("--community-size", type=int, default=256)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--no-local-opts", action="store_true")
         p.add_argument("--replication", type=int, default=3,
-                       help="partition replication factor (default 3)")
+                       help="partition replication factor "
+                            "(default %(default)s)")
         p.add_argument("--checkpoint-interval", type=int, default=0,
                        help="checkpoint every N supersteps/rounds and "
                             "restart from checkpoint on data loss "
@@ -75,6 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-restarts", type=int, default=3,
                        help="job-level restart budget (with "
                             "--checkpoint-interval)")
+
+    def add_run_options(p) -> None:
+        add_job_options(p)
+        p.add_argument("--no-local-opts", action="store_true")
         p.add_argument("--kill", action="append", default=[],
                        metavar="M@T",
                        help="kill machine M at simulated time T "
@@ -86,14 +92,14 @@ def _build_parser() -> argparse.ArgumentParser:
                             "REPRO_SANITIZE=1)")
 
     run = sub.add_parser("run", help="run one application")
-    add_job_options(run)
+    add_run_options(run)
 
     prof = sub.add_parser(
         "profile",
         help="run one application with full observability "
              "(Chrome trace, metrics, bench JSON)",
     )
-    add_job_options(prof)
+    add_run_options(prof)
     prof.add_argument("--trace", default=None,
                       help="Chrome-trace JSON output path "
                            "(default trace_<app>.json)")
@@ -109,30 +115,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="seeded randomized fault-schedule sweep with "
              "checkpoint/restore (recovery invariant check)",
     )
-    chaos.add_argument("app",
-                       choices=list(APP_ORDER) + list(EXTENSION_APPS))
-    chaos.add_argument("--engine", choices=("propagation", "mapreduce"),
-                       default="propagation")
-    chaos.add_argument("--frontier", action="store_true",
-                       help="sparse active-set propagation "
-                            "(propagation engine, frontier apps only)")
-    chaos.add_argument("--topology", choices=_TOPOLOGIES, default="T1")
-    chaos.add_argument("--layout",
-                       choices=("bandwidth-aware", "oblivious"),
-                       default="bandwidth-aware")
-    chaos.add_argument("--machines", type=int, default=8)
-    chaos.add_argument("--parts", type=int, default=16)
-    chaos.add_argument("--iterations", type=int, default=None)
-    chaos.add_argument("--communities", type=int, default=4)
-    chaos.add_argument("--community-size", type=int, default=32)
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--replication", type=int, default=2,
-                       help="replication factor (low values force "
-                            "job-level restarts; default 2)")
+    add_job_options(chaos)
+    # a sweep runs the job once per schedule: smaller deployment, and
+    # replication low enough / checkpoints on so restarts get exercised
+    chaos.set_defaults(machines=8, parts=16, communities=4,
+                       community_size=32, replication=2,
+                       checkpoint_interval=1)
     chaos.add_argument("--schedules", type=int, default=50,
                        help="random fault schedules to run (default 50)")
-    chaos.add_argument("--checkpoint-interval", type=int, default=1)
-    chaos.add_argument("--max-restarts", type=int, default=3)
     chaos.add_argument("--bench", default=None,
                        help="write a repro-bench/v1 JSON of the sweep "
                             "(baseline + most-restarted schedule)")
@@ -299,21 +289,46 @@ def _make_graph(args, symmetrize: bool = False):
     return graph.symmetrized() if symmetrize else graph
 
 
+def _job_spec(args, local_opts: bool = True):
+    """The job ``args`` names, as the runner's ``WorkloadSpec``.
+
+    Argument errors are reported here — before anything is generated or
+    partitioned — as a message on stderr and ``None``.
+    """
+    from repro.apps import make_app
+    from repro.bench.runner import WorkloadSpec
+    from repro.errors import JobError
+
+    try:
+        make_app(args.app, args.engine)
+        if args.frontier and args.engine == "mapreduce":
+            raise JobError("--frontier requires the propagation engine")
+    except JobError as exc:
+        print(exc, file=sys.stderr)
+        return None
+    return WorkloadSpec(f"{args.app}_{args.engine}", app=args.app,
+                        engine=args.engine, iterations=args.iterations,
+                        frontier=args.frontier, local_opts=local_opts)
+
+
 def _deploy_and_run(args):
     """Build graph/cluster/Surfer per ``args`` and run the job.
 
     Shared by ``run`` and ``profile``.  Returns ``(job, wall_clock_s)``,
-    or ``(None, 0.0)`` when the app has no implementation for the
-    requested engine (an error has been printed).
+    or ``(None, 0.0)`` on an argument error (already printed).
     """
-    from repro.apps import APP_REGISTRY, EXTENSION_APPS
+    from repro.apps import SYMMETRIC_APPS
+    from repro.bench.runner import run_workload
     from repro.bench.workloads import make_cluster
     from repro.core import Surfer
     from repro.runtime.checkpoint import CheckpointPolicy
     from repro.runtime.events import wall_timer
 
-    symmetrize = args.app in ("CC", "DIAM", "KCORE")
-    graph = _make_graph(args, symmetrize=symmetrize)
+    spec = _job_spec(args, local_opts=not args.no_local_opts)
+    if spec is None:
+        return None, 0.0
+    fault_plan = _parse_kills(args.kill)
+    graph = _make_graph(args, symmetrize=args.app in SYMMETRIC_APPS)
     cluster = make_cluster(_make_topology(args.topology, args.machines))
     surfer = Surfer(graph, cluster, num_parts=args.parts,
                     layout=args.layout, seed=args.seed,
@@ -321,47 +336,16 @@ def _deploy_and_run(args):
     print(f"graph: {graph.num_vertices} vertices, {graph.num_edges} edges"
           f" | ier {surfer.pgraph.inner_edge_ratio:.1%}"
           f" | {args.topology}, {args.machines} machines")
-
-    if args.app in APP_REGISTRY:
-        prop_cls, mr_cls, default_iters = APP_REGISTRY[args.app]
-        iterations = args.iterations or default_iters
-        until = False
-    else:
-        prop_cls, mr_cls = EXTENSION_APPS[args.app]
-        iterations = args.iterations or 50
-        until = True
-    fault_plan = _parse_kills(args.kill)
     policy = None
     if args.checkpoint_interval > 0:
         policy = CheckpointPolicy(interval=args.checkpoint_interval,
                                   max_restarts=args.max_restarts)
     timer = wall_timer()
-    # True opts in; None defers to the REPRO_SANITIZE environment switch
-    sanitize = True if args.sanitize else None
-    if args.engine == "mapreduce":
-        if mr_cls is None:
-            print(f"{args.app} has no MapReduce implementation",
-                  file=sys.stderr)
-            return None, 0.0
-        if args.frontier:
-            print("--frontier requires the propagation engine",
-                  file=sys.stderr)
-            return None, 0.0
-        job = surfer.run_mapreduce(mr_cls(), rounds=iterations,
-                                   until_convergence=until,
-                                   fault_plan=fault_plan,
-                                   checkpoint=policy,
-                                   sanitize=sanitize)
-    else:
-        job = surfer.run_propagation(
-            prop_cls(), iterations=iterations,
-            local_opts=not args.no_local_opts,
-            until_convergence=until,
-            fault_plan=fault_plan,
-            checkpoint=policy,
-            frontier=args.frontier,
-            sanitize=sanitize,
-        )
+    job = run_workload(
+        surfer, spec, fault_plan=fault_plan, checkpoint=policy,
+        # True opts in; None defers to the REPRO_SANITIZE environment switch
+        sanitize=True if args.sanitize else None,
+    )
     return job, timer.elapsed()
 
 
@@ -400,7 +384,7 @@ def _cmd_run(args) -> int:
         print(f"job FAILED: {job.error}", file=sys.stderr)
     _print_metrics(job)
     print()
-    print(JobMonitor(job.executions, job.recovery_events).report())
+    print(JobMonitor(job.events).report())
     return 1 if job.failed else 0
 
 
@@ -417,8 +401,8 @@ def _cmd_profile(args) -> int:
     _print_metrics(job)
     print(f"wall clock    : {wall:12,.3f}s real")
     print()
-    print(JobMonitor(job.executions, job.recovery_events,
-                     events=job.events).report())
+    print(JobMonitor(job.events).report())
+    print(job.events.metrics.report())
     print()
 
     problems = reconcile(job)
@@ -445,53 +429,26 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    from repro.apps import APP_REGISTRY, EXTENSION_APPS
+    from repro.apps import SYMMETRIC_APPS
     from repro.bench.benchjson import job_record, write_bench_json
+    from repro.bench.runner import chaos_job
     from repro.bench.workloads import make_cluster
     from repro.runtime.chaos import run_chaos_sweep, surfer_factory
     from repro.runtime.checkpoint import CheckpointPolicy
     from repro.runtime.events import wall_timer
 
-    symmetrize = args.app in ("CC", "DIAM", "KCORE")
-    graph = _make_graph(args, symmetrize=symmetrize)
-    if args.app in APP_REGISTRY:
-        prop_cls, mr_cls, default_iters = APP_REGISTRY[args.app]
-        iterations = args.iterations or default_iters
-        until = False
-    else:
-        prop_cls, mr_cls = EXTENSION_APPS[args.app]
-        iterations = args.iterations or 50
-        until = True
-    if args.engine == "mapreduce" and mr_cls is None:
-        print(f"{args.app} has no MapReduce implementation",
-              file=sys.stderr)
+    spec = _job_spec(args)
+    if spec is None:
         return 2
-    if args.engine == "mapreduce" and args.frontier:
-        print("--frontier requires the propagation engine",
-              file=sys.stderr)
-        return 2
-    policy = CheckpointPolicy(interval=args.checkpoint_interval,
-                              max_restarts=args.max_restarts)
+    graph = _make_graph(args, symmetrize=args.app in SYMMETRIC_APPS)
+    run_job = chaos_job(spec, CheckpointPolicy(
+        interval=args.checkpoint_interval, max_restarts=args.max_restarts))
     make_surfer = surfer_factory(
         graph,
         lambda: make_cluster(_make_topology(args.topology, args.machines)),
         num_parts=args.parts, replication=args.replication,
         seed=args.seed, layout=args.layout,
     )
-
-    def run_job(surfer, plan):
-        ckpt = policy if plan is not None else None
-        if args.engine == "mapreduce":
-            return surfer.run_mapreduce(
-                mr_cls(), rounds=iterations, until_convergence=until,
-                fault_plan=plan, checkpoint=ckpt,
-            )
-        return surfer.run_propagation(
-            prop_cls(), iterations=iterations, until_convergence=until,
-            fault_plan=plan, checkpoint=ckpt,
-            frontier=args.frontier,
-        )
-
     print(f"graph: {graph.num_vertices} vertices, {graph.num_edges} edges"
           f" | {args.topology}, {args.machines} machines, "
           f"replication {args.replication}")
@@ -665,7 +622,12 @@ def _cmd_bench(args) -> int:
         render_html,
         render_markdown,
     )
-    from repro.errors import BenchConfigError, BenchRunError, SanitizerError
+    from repro.errors import (
+        BenchConfigError,
+        BenchRunError,
+        JobError,
+        SanitizerError,
+    )
 
     try:
         configs = discover_configs(args.configs)
@@ -690,7 +652,7 @@ def _cmd_bench(args) -> int:
     try:
         result = run_suite(args.suite, config_dir=args.configs,
                            repetitions=args.repetitions, progress=print)
-    except (BenchConfigError, BenchRunError) as exc:
+    except (BenchConfigError, BenchRunError, JobError) as exc:
         print(f"bench run failed: {exc}", file=sys.stderr)
         return 2
     except SanitizerError as exc:

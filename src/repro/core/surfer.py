@@ -3,10 +3,16 @@
 ``Surfer`` owns a partitioned, replicated, placed graph on a simulated
 cluster and executes jobs written against either primitive:
 
-* :meth:`Surfer.run_propagation` — iterative propagation with the paper's
-  optimization levels (local propagation + local combination on/off) and
-  optional cascaded multi-iteration execution;
-* :meth:`Surfer.run_mapreduce` — rounds of the home-grown MapReduce.
+* a :class:`~repro.propagation.api.PropagationApp` runs iterative
+  propagation with the paper's optimization levels (local propagation +
+  local combination on/off) and optional cascaded multi-iteration
+  execution;
+* a :class:`~repro.mapreduce.api.MapReduceApp` runs rounds of the
+  home-grown MapReduce.
+
+:meth:`Surfer.run` is the single launch path — the app's base class picks
+the primitive; :meth:`Surfer.run_propagation` / :meth:`Surfer.run_mapreduce`
+are its named entry points.
 
 The four optimization levels of Section 6.3 decompose into two independent
 choices reproduced here: the *layout* (bandwidth-aware vs. ParMetis-like
@@ -45,18 +51,18 @@ from repro.core.placement import (
 )
 from repro.graph.digraph import Graph
 from repro.mapreduce.api import MapReduceApp
-from repro.mapreduce.engine import MapReduceEngine, RoundReport
+from repro.mapreduce.engine import MapReduceEngine
 from repro.propagation.api import PropagationApp
 from repro.propagation.cascade import (
     cascade_io_fractions,
     compute_cascade_info,
 )
-from repro.propagation.engine import IterationReport, PropagationEngine
+from repro.propagation.engine import PropagationEngine
 from repro.runtime.checkpoint import CheckpointPolicy, CheckpointStore
 from repro.runtime.events import EventStream
 from repro.runtime.sanitizer import Sanitizer, sanitize_enabled
 from repro.runtime.scheduler import StageScheduler
-from repro.runtime.tasks import RecoveryEvent, TaskExecution
+from repro.runtime.tasks import TaskExecution
 
 __all__ = ["OptimizationLevel", "O1", "O2", "O3", "O4", "ALL_LEVELS",
            "JobResult", "Surfer", "apply_outputs"]
@@ -100,7 +106,6 @@ class JobResult:
     metrics: ClusterMetrics
     reports: list = field(default_factory=list)
     executions: list[TaskExecution] = field(default_factory=list)
-    recovery_events: list[RecoveryEvent] = field(default_factory=list)
     failed: bool = False
     error: str | None = None
     events: EventStream | None = None
@@ -184,51 +189,85 @@ class Surfer:
         return self.plan.method
 
     # ------------------------------------------------------------------
-    def run_propagation(
+    def run(
         self,
-        app: PropagationApp,
-        iterations: int = 1,
+        app: PropagationApp | MapReduceApp,
+        steps: int = 1,
+        *,
         local_opts: bool = True,
         cascaded: bool = False,
-        fault_plan: FaultPlan | None = None,
+        frontier: bool = False,
+        combiner: bool = False,
+        vectorized: bool | None = None,
         until_convergence: bool = False,
+        fault_plan: FaultPlan | None = None,
         pipelined: bool = False,
         speculation: bool = False,
-        vectorized: bool | None = None,
         checkpoint: CheckpointPolicy | None = None,
-        frontier: bool = False,
         sanitize: bool | None = None,
     ) -> JobResult:
-        """Run ``iterations`` of propagation; returns the app's result.
+        """Run ``steps`` barrier steps of ``app``; returns its result.
 
-        ``cascaded=True`` enables the Section 5.2 multi-iteration
-        optimization (identical results, reduced intermediate value I/O).
-        With ``until_convergence=True``, ``iterations`` becomes an upper
-        bound and the loop stops early once the app's ``converged(state)``
-        hook returns True (apps without the hook run all iterations).
-        ``pipelined=True`` overlaps disk/CPU/network phases across a
-        machine's consecutive tasks, ``speculation=True`` launches backup
-        copies of straggler tasks (see StageScheduler).  ``vectorized``
-        picks the Transfer implementation (None = auto fast path,
-        False = scalar oracle, True = require the fast path); both paths
-        produce bit-identical results and cost numbers.  ``checkpoint``
-        (an enabled :class:`~repro.runtime.checkpoint.CheckpointPolicy`)
-        snapshots the state every ``interval`` supersteps and restarts
-        the job from the latest committed checkpoint on data loss,
-        instead of failing — results stay bit-identical to a fault-free
-        run.  ``frontier=True`` (apps with ``uses_frontier``) runs each
-        iteration over the app's sparse active set: same messages, same
-        results and same ``propagation.*`` counters as the dense run,
-        but transfer reads shrink to the frontier slice (with top-down/
-        bottom-up direction switching) and per-partition frontier
-        summaries are exchanged over the network.  ``sanitize``
-        attaches SimSan (the observe-only runtime sanitizer: write-race
-        detection, per-superstep shadow counter reconciliation, span
-        discipline); None defers to the ``REPRO_SANITIZE`` environment
-        variable.
+        The app's base class picks the primitive: a
+        :class:`PropagationApp` runs propagation iterations, a
+        :class:`MapReduceApp` runs MapReduce rounds.  ``cascaded`` and
+        ``frontier`` are propagation features, ``combiner`` a MapReduce
+        one; asking the other primitive for one is a :class:`JobError`
+        (``local_opts`` has nothing to switch off in MapReduce and is
+        ignored there).  Everything else means the same for both.
+
+        Propagation: ``local_opts`` toggles local propagation + local
+        combination (the O-level table above).  ``cascaded=True`` enables
+        the Section 5.2 multi-iteration optimization (identical results,
+        reduced intermediate value I/O).  ``frontier=True`` (apps with
+        ``uses_frontier``) runs each iteration over the app's sparse
+        active set: same messages, same results and same
+        ``propagation.*`` counters as the dense run, but transfer reads
+        shrink to the frontier slice (with top-down/bottom-up direction
+        switching) and per-partition frontier summaries are exchanged
+        over the network.
+
+        MapReduce: ``combiner=True`` enables Hadoop-style map-side
+        combining (apps must implement ``combine``; plus
+        ``combine_ufunc`` for the fast path) — shuffle volume shrinks,
+        cpu charges grow, and the pre-combine volume stays visible on
+        the round reports.
+
+        Both: with ``until_convergence=True``, ``steps`` becomes an upper
+        bound and the loop stops early once the app's
+        ``converged(state)`` hook returns True.  ``pipelined=True``
+        overlaps disk/CPU/network phases across a machine's consecutive
+        tasks, ``speculation=True`` launches backup copies of straggler
+        tasks (see StageScheduler).  ``vectorized`` picks the
+        implementation (None = auto array fast path, False = scalar
+        oracle, True = require the fast path); both paths produce
+        bit-identical results and cost numbers.  ``checkpoint`` (an
+        enabled :class:`~repro.runtime.checkpoint.CheckpointPolicy`)
+        snapshots the state every ``interval`` steps and restarts the
+        job from the latest committed checkpoint on data loss, instead
+        of failing — results stay bit-identical to a fault-free run.
+        ``sanitize`` attaches SimSan (the observe-only runtime
+        sanitizer: write-race detection, per-superstep shadow counter
+        reconciliation, span discipline); None defers to the
+        ``REPRO_SANITIZE`` environment variable.
         """
-        if iterations < 1:
-            raise JobError("iterations must be >= 1")
+        mapreduce = isinstance(app, MapReduceApp)
+        if not mapreduce and not isinstance(app, PropagationApp):
+            raise JobError(
+                f"{type(app).__name__} is neither a PropagationApp nor a "
+                "MapReduceApp"
+            )
+        foreign = ({"cascaded": cascaded, "frontier": frontier}
+                   if mapreduce else {"combiner": combiner})
+        misplaced = [name for name, asked in foreign.items() if asked]
+        if misplaced:
+            raise JobError(
+                f"{app.name}: {', '.join(misplaced)} does not apply to "
+                f"{'MapReduce' if mapreduce else 'propagation'} jobs"
+            )
+        if steps < 1:
+            raise JobError(
+                f"{'rounds' if mapreduce else 'iterations'} must be >= 1")
         converged = getattr(app, "converged", None)
         if until_convergence and converged is None:
             raise JobError(
@@ -246,20 +285,25 @@ class Surfer:
                     "(uses_frontier=True with a frontier() hook)"
                 )
         self.cluster.reset()
-        events = self._event_stream()
         scheduler = StageScheduler(self.cluster, fault_plan, self.store,
                                    pipelined=pipelined,
                                    speculation=speculation,
-                                   events=events)
+                                   events=self._event_stream())
         self._attach_sanitizer(scheduler, sanitize)
 
         fractions = None
-        if cascaded and iterations > 1:
+        if cascaded and steps > 1:
             info = compute_cascade_info(self.pgraph)
-            phase = min(info.d_min, iterations)
+            phase = min(info.d_min, steps)
             fractions = cascade_io_fractions(self.pgraph, info, phase)
 
-        def make_engine() -> PropagationEngine:
+        def make_engine() -> PropagationEngine | MapReduceEngine:
+            if mapreduce:
+                return MapReduceEngine(self.pgraph, self.store,
+                                       self.cluster,
+                                       assignment=self.assignment,
+                                       vectorized=vectorized,
+                                       combiner=combiner)
             return PropagationEngine(
                 self.pgraph, self.store, self.cluster,
                 local_opts=local_opts, values_io_fraction=fractions,
@@ -267,67 +311,22 @@ class Surfer:
                 frontier=frontier,
             )
 
-        def run_step(engine: PropagationEngine, state: Any
-                     ) -> tuple[Any, IterationReport]:
-            return engine.run_iteration(app, state, scheduler)
+        def run_step(engine: Any, state: Any) -> tuple[Any, Any]:
+            step = engine.run_round if mapreduce else engine.run_iteration
+            return step(app, state, scheduler)
 
-        return self._run_job(app, iterations, until_convergence, converged,
+        return self._run_job(app, steps, until_convergence, converged,
                              scheduler, checkpoint, make_engine, run_step)
 
-    def run_mapreduce(
-        self,
-        app: MapReduceApp,
-        rounds: int = 1,
-        fault_plan: FaultPlan | None = None,
-        until_convergence: bool = False,
-        pipelined: bool = False,
-        speculation: bool = False,
-        vectorized: bool | None = None,
-        combiner: bool = False,
-        checkpoint: CheckpointPolicy | None = None,
-        sanitize: bool | None = None,
-    ) -> JobResult:
-        """Run ``rounds`` of MapReduce; returns the app's result.
+    def run_propagation(self, app: PropagationApp, iterations: int = 1,
+                        **options: Any) -> JobResult:
+        """:meth:`run` under the propagation primitive's name."""
+        return self.run(app, iterations, **options)
 
-        ``until_convergence``, ``pipelined``, ``speculation`` and
-        ``checkpoint`` mirror :meth:`run_propagation` (the checkpoint
-        interval counts rounds here), and so does ``vectorized``:
-        None = auto array fast path (apps with ``map_array``), False =
-        scalar oracle, True = require the fast path; both paths produce
-        bit-identical outputs and cost numbers.  ``combiner=True``
-        enables Hadoop-style map-side combining (apps must implement
-        ``combine``; plus ``combine_ufunc`` for the fast path) — shuffle
-        volume shrinks, cpu charges grow, and the pre-combine volume
-        stays visible on the round reports.  ``sanitize`` mirrors
-        :meth:`run_propagation`.
-        """
-        if rounds < 1:
-            raise JobError("rounds must be >= 1")
-        converged = getattr(app, "converged", None)
-        if until_convergence and converged is None:
-            raise JobError(
-                f"{app.name}: until_convergence needs a converged() hook"
-            )
-        self.cluster.reset()
-        events = self._event_stream()
-        scheduler = StageScheduler(self.cluster, fault_plan, self.store,
-                                   pipelined=pipelined,
-                                   speculation=speculation,
-                                   events=events)
-        self._attach_sanitizer(scheduler, sanitize)
-
-        def make_engine() -> MapReduceEngine:
-            return MapReduceEngine(self.pgraph, self.store, self.cluster,
-                                   assignment=self.assignment,
-                                   vectorized=vectorized,
-                                   combiner=combiner)
-
-        def run_step(engine: MapReduceEngine, state: Any
-                     ) -> tuple[Any, RoundReport]:
-            return engine.run_round(app, state, scheduler)
-
-        return self._run_job(app, rounds, until_convergence, converged,
-                             scheduler, checkpoint, make_engine, run_step)
+    def run_mapreduce(self, app: MapReduceApp, rounds: int = 1,
+                      **options: Any) -> JobResult:
+        """:meth:`run` under the MapReduce primitive's name."""
+        return self.run(app, rounds, **options)
 
     # ------------------------------------------------------------------
     def _run_job(
@@ -391,7 +390,6 @@ class Surfer:
                     metrics=self.cluster.metrics(),
                     reports=reports,
                     executions=scheduler.executions,
-                    recovery_events=scheduler.recovery_events,
                     events=scheduler.events,
                     restarts=restarts,
                     checkpoints=len(ckpt.checkpoints) if ckpt else 0,
@@ -533,7 +531,6 @@ class Surfer:
             metrics=self.cluster.metrics(),
             reports=reports,
             executions=scheduler.executions,
-            recovery_events=scheduler.recovery_events,
             failed=True,
             error=str(exc),
             events=scheduler.events,

@@ -14,12 +14,7 @@ from repro.runtime.checkpoint import (
     CheckpointPolicy,
     CheckpointStore,
 )
-from repro.runtime.tasks import (
-    RecoveryEvent,
-    StageResult,
-    Task,
-    TaskExecution,
-)
+from repro.runtime.tasks import StageResult, Task, TaskExecution
 from repro.runtime.scheduler import (
     HEARTBEAT_INTERVAL,
     MAX_RETRIES,
@@ -51,7 +46,6 @@ __all__ = [
     "reconcile",
     "write_chrome_trace",
     "failed_task_seconds",
-    "RecoveryEvent",
     "StageResult",
     "Task",
     "TaskExecution",

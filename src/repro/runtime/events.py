@@ -115,8 +115,8 @@ CANONICAL_COUNTERS: dict[str, str] = {
 }
 
 #: Prefixes under which counter names may be minted dynamically (one
-#: counter per :class:`~repro.runtime.tasks.RecoveryEvent` kind).  The
-#: static counter pass accepts ``add(f"<prefix>{...}")`` only for these.
+#: counter per recovery :class:`Instant` kind).  The static counter pass
+#: accepts ``add(f"<prefix>{...}")`` only for these.
 DYNAMIC_COUNTER_PREFIXES: tuple[str, ...] = ("recovery.",)
 
 
@@ -198,7 +198,19 @@ class Span:
 
 @dataclass(frozen=True)
 class Instant:
-    """A point event on the simulated timeline."""
+    """A point event on the simulated timeline.
+
+    The job manager's fault-recovery actions are the instants of a run;
+    ``kind`` is one of ``machine-down``, ``machine-recovered``,
+    ``detect`` (heartbeat loss noticed), ``redispatch`` (lost task
+    re-queued on a replica holder), ``spec-launch`` / ``spec-win`` /
+    ``spec-cancel`` (speculative backup lifecycle), ``re-replicate``
+    (background replica copy, ``nbytes`` of traffic), ``data-loss`` and
+    ``job-restart`` (job-level restart from a checkpoint).  ``name`` is
+    the task concerned — for ``job-restart`` the provenance, e.g.
+    ``"from checkpoint @ superstep 12"`` — or the kind when there is
+    none.
+    """
 
     time: float
     name: str
@@ -300,9 +312,9 @@ class EventStream:
     def stage_totals(self) -> dict[str, dict[str, float]]:
         """Per-kind simulated totals over machine-level spans.
 
-        The reconciliation surface: these sums must equal the
-        :class:`~repro.runtime.monitor.JobMonitor` stage summary and the
-        cluster's cost counters for the same run.
+        The reconciliation surface (and the
+        :class:`~repro.runtime.monitor.JobMonitor` stage summary): these
+        sums must equal the cluster's cost counters for the same run.
         """
         totals: dict[str, dict[str, float]] = {}
         for s in self.task_spans():

@@ -7,31 +7,22 @@ summarizes a finished (or injected-fault) run's per-machine utilization,
 per-stage progress and stragglers, and :func:`estimate_progress` answers
 "how far along is the job at time t" from the execution trace.
 
-The monitor is built on the run's :class:`~repro.runtime.events.Span`
-stream when one is available (``JobMonitor.from_events``): the spans
-carry the same windows as the legacy ``TaskExecution`` view plus the
-cost counters, so the report can include the metrics-registry section.
-Both views share every analysis below.
+Everything here reads the run's :class:`~repro.runtime.events.EventStream`
+— its machine-level :class:`~repro.runtime.events.Span` list for the work,
+its :class:`~repro.runtime.events.Instant` list for the recovery actions.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.runtime.events import EventStream
-from repro.runtime.tasks import RecoveryEvent, TaskExecution
+from repro.runtime.events import EventStream, Span
+from repro.runtime.trace import recovery_event_counts
 
 __all__ = ["MachineUtilization", "JobMonitor", "estimate_progress",
            "failed_task_seconds"]
-
-
-def _kind(e: Any) -> str:
-    task = getattr(e, "task", None)
-    return task.kind if task is not None else e.kind
 
 
 @dataclass(frozen=True)
@@ -45,8 +36,7 @@ class MachineUtilization:
     failed_tasks: int
 
 
-def estimate_progress(executions: list[TaskExecution],
-                      now: float) -> float:
+def estimate_progress(executions: list[Span], now: float) -> float:
     """Fraction of dispatched task-seconds finished by time ``now``.
 
     Mirrors the job manager's progress estimate: every execution the
@@ -87,7 +77,7 @@ def estimate_progress(executions: list[TaskExecution],
     return min(1.0, done / total)
 
 
-def failed_task_seconds(executions: list[TaskExecution],
+def failed_task_seconds(executions: list[Span],
                         now: float = float("inf")) -> float:
     """Task-seconds lost to executions that had failed by ``now``."""
     return sum(e.duration for e in executions
@@ -95,36 +85,21 @@ def failed_task_seconds(executions: list[TaskExecution],
 
 
 class JobMonitor:
-    """Post-hoc analysis of a job's execution trace.
+    """Post-hoc analysis of a job's event stream (``job.events``).
 
-    ``recovery_events`` (optional) is the scheduler's structured stream
-    of fault-recovery actions; when given, the report includes a
-    recovery section (detections, re-dispatches, speculative
-    launches/cancels, re-replication traffic).  ``events`` (optional) is
-    the run's :class:`~repro.runtime.events.EventStream`; when given,
-    ``executions`` may be omitted (the machine-level spans stand in) and
-    the report gains the metrics-registry section.
+    The machine-level spans are the executions; when the run took
+    fault-recovery actions (the stream's instants), the report includes
+    a recovery section (detections, re-dispatches, speculative
+    launches/cancels, re-replication traffic).
     """
 
-    def __init__(self, executions: list[TaskExecution] | None = None,
-                 recovery_events: list[RecoveryEvent] | None = None,
-                 events: EventStream | None = None) -> None:
-        if executions is None:
-            executions = events.task_spans() if events is not None else []
-        self.executions = list(executions)
-        self.recovery_events = list(recovery_events or [])
+    def __init__(self, events: EventStream) -> None:
         self.events = events
-
-    @classmethod
-    def from_events(cls, events: EventStream,
-                    recovery_events: list[RecoveryEvent] | None = None,
-                    ) -> "JobMonitor":
-        """A monitor over an event stream's machine-level spans."""
-        return cls(recovery_events=recovery_events, events=events)
+        self.executions = events.task_spans()
 
     @property
     def makespan(self) -> float:
-        return max((e.end for e in self.executions), default=0.0)
+        return self.events.makespan
 
     def machine_utilization(self) -> list[MachineUtilization]:
         """Per-machine busy time, utilization and failure counts."""
@@ -162,17 +137,8 @@ class JobMonitor:
                 if s.busy_seconds > threshold * median]
 
     def stage_summary(self) -> dict[str, dict[str, float]]:
-        """Aggregate duration and counts per task kind."""
-        stages: dict[str, dict[str, float]] = {}
-        for e in self.executions:
-            rec = stages.setdefault(
-                _kind(e), {"tasks": 0.0, "seconds": 0.0, "failed": 0.0}
-            )
-            rec["tasks"] += 1
-            rec["seconds"] += e.duration
-            if not e.succeeded:
-                rec["failed"] += 1
-        return stages
+        """Aggregate duration, counts and cost counters per task kind."""
+        return self.events.stage_totals()
 
     def failed_seconds(self) -> float:
         """Total task-seconds lost to failed executions."""
@@ -180,31 +146,26 @@ class JobMonitor:
 
     def recovery_summary(self) -> dict[str, int]:
         """Count of recovery events per kind (empty without fault plan)."""
-        counts: dict[str, int] = {}
-        for ev in self.recovery_events:
-            counts[ev.kind] = counts.get(ev.kind, 0) + 1
-        return counts
+        return recovery_event_counts(self.events.instants)
 
     def re_replication_bytes(self) -> int:
         """Background replica-repair traffic recorded during the run."""
-        return sum(ev.nbytes for ev in self.recovery_events
+        return sum(ev.nbytes for ev in self.events.instants
                    if ev.kind == "re-replicate")
 
     def restart_summary(self) -> str | None:
         """One line describing job-level restarts, or None without any.
 
         E.g. ``"restarted 2× from checkpoint @ superstep 12"`` — the
-        count is the number of ``job-restart`` recovery events and the
-        provenance comes from the latest one (restarts always resume from
+        count is the number of ``job-restart`` instants and the
+        provenance is the latest one's name (restarts always resume from
         the newest committed checkpoint).
         """
-        restarts = [ev for ev in self.recovery_events
+        restarts = [ev for ev in self.events.instants
                     if ev.kind == "job-restart"]
         if not restarts:
             return None
-        last = restarts[-1]
-        provenance = last.task if last.task else "from checkpoint"
-        return f"restarted {len(restarts)}× {provenance}"
+        return f"restarted {len(restarts)}× {restarts[-1].name}"
 
     def report(self) -> str:
         """Human-readable utilization report (the GUI's text sibling)."""
@@ -245,6 +206,4 @@ class JobMonitor:
                 lines.append(
                     f"re-replication traffic: {repair:,} bytes"
                 )
-        if self.events is not None and self.events.metrics.counters:
-            lines.append(self.events.metrics.report())
         return "\n".join(lines)

@@ -22,8 +22,8 @@ production job manager needs:
   to the network as background flows, so a later failure does not hit a
   degraded replica set.
 
-All recovery actions are recorded as structured
-:class:`~repro.runtime.tasks.RecoveryEvent` entries.
+All recovery actions are recorded as
+:class:`~repro.runtime.events.Instant` entries on the job's event stream.
 
 Timing of one task:
 ``disk_read + cpu + sum(network sends) + disk_write`` at the machine's
@@ -42,12 +42,7 @@ from repro.cluster.faults import FaultPlan, Outage
 from repro.cluster.storage import PartitionStore
 from repro.runtime.events import EventStream, Span, wall_timer
 from repro.runtime.sanitizer import Sanitizer
-from repro.runtime.tasks import (
-    RecoveryEvent,
-    StageResult,
-    Task,
-    TaskExecution,
-)
+from repro.runtime.tasks import StageResult, Task, TaskExecution
 
 __all__ = ["StageScheduler", "HEARTBEAT_INTERVAL", "SPECULATION_FACTOR",
            "MAX_RETRIES"]
@@ -105,7 +100,6 @@ class StageScheduler:
         speculation: bool = False,
         speculation_factor: float = SPECULATION_FACTOR,
         max_retries: int = MAX_RETRIES,
-        re_replication: bool = True,
         events: EventStream | None = None,
     ) -> None:
         """``pipelined=True`` overlaps consecutive tasks' phases on a
@@ -116,9 +110,7 @@ class StageScheduler:
         support the full fault plan (kills, transients, slowdowns).
 
         ``speculation=True`` enables MapReduce-style backup tasks for
-        stragglers; ``re_replication=False`` disables background replica
-        repair after permanent failures (the pre-v2 degrade-only
-        behaviour)."""
+        stragglers."""
         if speculation_factor <= 1.0:
             raise SchedulingError("speculation_factor must be > 1")
         if max_retries < 1:
@@ -131,13 +123,11 @@ class StageScheduler:
         self.speculation = speculation
         self.speculation_factor = speculation_factor
         self.max_retries = max_retries
-        self.re_replication = re_replication
         self.events = events if events is not None else EventStream()
         #: SimSan hook — attached by the Surfer facade when sanitizing;
         #: observe-only, so a sanitized run stays bit-identical
         self.sanitizer: Sanitizer | None = None
         self.executions: list[TaskExecution] = []
-        self.recovery_events: list[RecoveryEvent] = []
         self.re_replication_bytes = 0
         self.data_loss: str | None = None
         self._stage_users: dict = {}
@@ -159,7 +149,7 @@ class StageScheduler:
         stage_execs: list[TaskExecution] = []
         failed: deque[tuple[Task, float]] = deque()
         failures = 0
-        events_before = len(self.recovery_events)
+        instants_before = len(self.events.instants)
         drain = (self._drain_queue_pipelined if self.pipelined
                  else self._drain_queue)
 
@@ -227,24 +217,8 @@ class StageScheduler:
             start_time=start_time,
             end_time=end_time,
             failures=failures,
-            recovery_events=self.recovery_events[events_before:],
+            recovery_events=self.events.instants[instants_before:],
         )
-
-    def run_stages(self, stages: list[list[Task]]) -> list[StageResult]:
-        """Run consecutive barrier stages.
-
-        A :class:`DataLossError` (every replica of some partition gone)
-        ends the job cleanly: the stages completed so far are returned and
-        :attr:`data_loss` carries the reason instead of the exception
-        crashing the caller.
-        """
-        results: list[StageResult] = []
-        for stage in stages:
-            try:
-                results.append(self.run_stage(stage))
-            except DataLossError:
-                break
-        return results
 
     # ------------------------------------------------------------------
     def _record_stage(self, tasks: list[Task],
@@ -281,18 +255,14 @@ class StageScheduler:
 
         The job-level restart driver (checkpoint/restore in
         ``core/surfer.py``) announces its actions — ``job-restart`` above
-        all — through this hook so they land on the same structured
-        recovery stream, instants and ``recovery.*`` counters as the
-        scheduler's own fault handling.
+        all — through this hook so they land on the same instants and
+        ``recovery.*`` counters as the scheduler's own fault handling.
         """
         self._event(time, kind, machine, task, partition, nbytes)
 
     def _event(self, time: float, kind: str, machine: int,
                task: str | None = None, partition: int | None = None,
                nbytes: int = 0) -> None:
-        self.recovery_events.append(
-            RecoveryEvent(time, kind, machine, task, partition, nbytes)
-        )
         self.events.instant(time, task if task is not None else kind,
                             kind, machine, partition, nbytes)
         self.events.metrics.add(f"recovery.{kind}")
@@ -560,8 +530,7 @@ class StageScheduler:
             self.data_loss = str(exc)
             self._event(kill_time, "data-loss", machine_id)
             raise
-        if self.re_replication:
-            self._re_replicate(kill_time + self.heartbeat)
+        self._re_replicate(kill_time + self.heartbeat)
 
     def _re_replicate(self, now: float) -> None:
         """Re-create lost replicas in the background; charge the copies."""

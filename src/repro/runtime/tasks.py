@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["Task", "TaskExecution", "StageResult", "RecoveryEvent"]
+from repro.runtime.events import Instant
+
+__all__ = ["Task", "TaskExecution", "StageResult"]
 
 
 @dataclass
@@ -51,9 +53,6 @@ class Task:
     #: failure or launched speculatively; bounds the retry loop
     attempt: int = 0
 
-    def total_send_bytes(self) -> float:
-        return float(sum(b for _, b in self.sends))
-
 
 @dataclass(frozen=True)
 class TaskExecution:
@@ -80,27 +79,6 @@ class TaskExecution:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class RecoveryEvent:
-    """One structured fault-recovery action taken by the job manager.
-
-    ``kind`` is one of ``machine-down``, ``machine-recovered``,
-    ``detect`` (heartbeat loss noticed), ``redispatch`` (lost task
-    re-queued on a replica holder), ``spec-launch`` / ``spec-win`` /
-    ``spec-cancel`` (speculative backup lifecycle), ``re-replicate``
-    (background replica copy, ``nbytes`` of traffic), ``data-loss``
-    and ``job-restart`` (job-level restart from a checkpoint; ``task``
-    carries the provenance, e.g. ``"from checkpoint @ superstep 12"``).
-    """
-
-    time: float
-    kind: str
-    machine: int
-    task: str | None = None
-    partition: int | None = None
-    nbytes: int = 0
-
-
 @dataclass
 class StageResult:
     """Outcome of one synchronized stage."""
@@ -109,7 +87,9 @@ class StageResult:
     start_time: float
     end_time: float
     failures: int = 0
-    recovery_events: list[RecoveryEvent] = field(default_factory=list)
+    #: the recovery actions taken during the stage (a slice of the job
+    #: stream's instants)
+    recovery_events: list[Instant] = field(default_factory=list)
 
     @property
     def elapsed(self) -> float:

@@ -2,69 +2,49 @@
 
 The fault-tolerance experiment plots the *disk I/O rate over time* of
 normal and recovering executions.  We derive the timeline from the
-scheduler's task executions by spreading each task's disk bytes uniformly
-over its execution window and sampling on a fixed-width grid.  The
-structured :class:`~repro.runtime.tasks.RecoveryEvent` stream the
-scheduler emits gets the same treatment: per-bucket event counts and
-re-replication byte totals.
-
-Every timeline accepts either the legacy
-:class:`~repro.runtime.tasks.TaskExecution` list or the machine-level
-:class:`~repro.runtime.events.Span` list of an
-:class:`~repro.runtime.events.EventStream` — the analyses are built on
-the shared windows (machine, start, end, bytes, planned duration) both
-carry.
+machine-level :class:`~repro.runtime.events.Span` list of a job's
+:class:`~repro.runtime.events.EventStream` (``events.task_spans()``) by
+spreading each span's disk bytes uniformly over its window and sampling
+on a fixed-width grid.  The stream's recovery
+:class:`~repro.runtime.events.Instant` list gets the same treatment:
+per-bucket counts per kind.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
-from repro.runtime.tasks import RecoveryEvent, TaskExecution
+from repro.runtime.events import Instant, Span
 
 __all__ = ["io_rate_timeline", "machine_timeline", "recovery_timeline",
            "recovery_event_counts"]
 
 
-def _task_name(e: Any) -> str:
-    task = getattr(e, "task", None)
-    return task.name if task is not None else e.name
-
-
-def _disk_bytes(e: Any) -> float:
-    """Read+write disk bytes of an execution or span."""
-    task = getattr(e, "task", None)
-    if task is not None:
-        return task.disk_read_bytes + task.disk_write_bytes
-    return e.disk_read_bytes + e.disk_write_bytes
-
-
 def io_rate_timeline(
-    executions: list[TaskExecution],
+    spans: list[Span],
     bucket_seconds: float = 10.0,
     machine: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Disk-I/O rate (bytes/sec) sampled on ``bucket_seconds`` buckets.
 
-    Returns ``(bucket_start_times, rates)``.  Failed executions contribute
-    the bytes proportional to how long they ran before dying.
+    Returns ``(bucket_start_times, rates)``.  A failed span contributes
+    the bytes proportional to how long it ran before dying: the
+    scheduler records the full dispatched duration on every span, and a
+    hand-built one without it is not prorated.
     """
     if bucket_seconds <= 0:
         raise ValueError("bucket_seconds must be positive")
     if machine is not None:
-        executions = [e for e in executions if e.machine == machine]
-    if not executions:
+        spans = [e for e in spans if e.machine == machine]
+    if not spans:
         return np.zeros(0), np.zeros(0)
-    horizon = max(e.end for e in executions)
+    horizon = max(e.end for e in spans)
     num_buckets = int(np.ceil(horizon / bucket_seconds)) or 1
     bytes_per_bucket = np.zeros(num_buckets)
-    for e in executions:
-        total_bytes = _disk_bytes(e)
-        planned = _planned_duration(e)
-        if planned > 0 and e.duration < planned:
-            total_bytes *= e.duration / planned
+    for e in spans:
+        total_bytes = e.disk_bytes
+        if not e.succeeded and e.duration < e.planned_duration:
+            total_bytes *= e.duration / e.planned_duration
         if e.duration <= 0:
             if total_bytes:
                 bucket = min(int(e.start / bucket_seconds), num_buckets - 1)
@@ -82,33 +62,18 @@ def io_rate_timeline(
     return times, bytes_per_bucket / bucket_seconds
 
 
-def _planned_duration(execution: Any) -> float:
-    """Duration the task would have had if it ran to completion.
-
-    The scheduler records the full dispatched duration on every
-    execution; a failed (killed/cancelled) task then prorates its bytes
-    over the partial window it actually ran.  Hand-built executions
-    without the recorded plan fall back to the observed duration
-    (no proration).
-    """
-    if execution.succeeded:
-        return execution.duration
-    planned = getattr(execution, "planned_duration", 0.0)
-    return planned if planned > 0 else execution.duration
-
-
 def recovery_event_counts(
-    events: list[RecoveryEvent],
+    instants: list[Instant],
 ) -> dict[str, int]:
     """How many recovery events of each kind a run produced."""
     counts: dict[str, int] = {}
-    for ev in events:
+    for ev in instants:
         counts[ev.kind] = counts.get(ev.kind, 0) + 1
     return counts
 
 
 def recovery_timeline(
-    events: list[RecoveryEvent],
+    instants: list[Instant],
     bucket_seconds: float = 10.0,
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Recovery events per time bucket, split by kind.
@@ -120,7 +85,7 @@ def recovery_timeline(
     """
     if bucket_seconds <= 0:
         raise ValueError("bucket_seconds must be positive")
-    finite = [ev for ev in events if np.isfinite(ev.time)]
+    finite = [ev for ev in instants if np.isfinite(ev.time)]
     if not finite:
         return np.zeros(0), {}
     horizon = max(ev.time for ev in finite)
@@ -135,12 +100,12 @@ def recovery_timeline(
 
 
 def machine_timeline(
-    executions: list[TaskExecution],
+    spans: list[Span],
 ) -> dict[int, list[tuple[float, float, str, bool]]]:
     """Per-machine list of ``(start, end, task_name, succeeded)`` windows."""
     timeline: dict[int, list[tuple[float, float, str, bool]]] = {}
-    for e in sorted(executions, key=lambda e: (e.machine, e.start)):
+    for e in sorted(spans, key=lambda e: (e.machine, e.start)):
         timeline.setdefault(e.machine, []).append(
-            (e.start, e.end, _task_name(e), e.succeeded)
+            (e.start, e.end, e.name, e.succeeded)
         )
     return timeline

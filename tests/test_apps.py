@@ -6,6 +6,9 @@ import pytest
 from repro.apps import (
     APP_ORDER,
     APP_REGISTRY,
+    EXTENSION_APPS,
+    SAMPLED_APPS,
+    SYMMETRIC_APPS,
     DegreeDistributionMapReduce,
     DegreeDistributionPropagation,
     NetworkRankingMapReduce,
@@ -18,9 +21,11 @@ from repro.apps import (
     TriangleCountingPropagation,
     TwoHopFriendsMapReduce,
     TwoHopFriendsPropagation,
+    make_app,
     sample_mask,
 )
 from repro.core.surfer import Surfer
+from repro.errors import JobError
 from repro.graph import (
     count_triangles,
     degree_histogram,
@@ -33,6 +38,61 @@ from tests.conftest import make_test_cluster
 @pytest.fixture(scope="module")
 def surfer(tiny_graph):
     return Surfer(tiny_graph, make_test_cluster(4), num_parts=8, seed=2)
+
+
+class TestMakeApp:
+    """The one resolver returns what the three lookups it replaced
+    (the CLI's, the bench runner's, the experiment registry's) did."""
+
+    #: name -> (propagation class, mapreduce class or None, steps, until)
+    EXPECTED = {
+        "VDD": ("DegreeDistributionPropagation",
+                "DegreeDistributionMapReduce", 1, False),
+        "RS": ("RecommenderPropagation", "RecommenderMapReduce", 2, False),
+        "NR": ("NetworkRankingPropagation", "NetworkRankingMapReduce",
+               1, False),
+        "RLG": ("ReverseLinkGraphPropagation", "ReverseLinkGraphMapReduce",
+                1, False),
+        "TC": ("TriangleCountingPropagation", "TriangleCountingMapReduce",
+               1, False),
+        "TFL": ("TwoHopFriendsPropagation", "TwoHopFriendsMapReduce",
+                1, False),
+        "CC": ("ConnectedComponentsPropagation",
+               "ConnectedComponentsMapReduce", 50, True),
+        "DIAM": ("DiameterEstimationPropagation", None, 50, True),
+        "BFS": ("BreadthFirstSearchPropagation", None, 50, True),
+        "SSSP": ("ShortestPathsPropagation", None, 50, True),
+        "KCORE": ("KCoreDecompositionPropagation", None, 50, True),
+        "DPR": ("DeltaPageRankPropagation", None, 50, True),
+    }
+
+    def test_table_covers_every_registered_app(self):
+        assert list(self.EXPECTED) == [*APP_ORDER, *EXTENSION_APPS]
+
+    @pytest.mark.parametrize("engine", ["propagation", "mapreduce"])
+    @pytest.mark.parametrize("name", list(EXPECTED))
+    def test_resolves_like_the_old_lookups(self, name, engine):
+        prop, mr, steps, until = self.EXPECTED[name]
+        cls_name = prop if engine == "propagation" else mr
+        if cls_name is None:
+            with pytest.raises(JobError, match=f"{name} has no MapReduce"):
+                make_app(name, engine)
+            return
+        app, got_steps, got_until = make_app(name, engine)
+        assert type(app).__name__ == cls_name
+        assert (got_steps, got_until) == (steps, until)
+        if name in ("TC", "TFL"):
+            assert app.select_ratio == 0.1
+
+    def test_app_args_reach_the_constructor(self):
+        app, __, __ = make_app("TC", "propagation", select_ratio=0.5)
+        assert app.select_ratio == 0.5
+        app, __, __ = make_app("NR", "mapreduce", in_map_combining=False)
+        assert app.in_map_combining is False
+
+    def test_launcher_facts_are_data(self):
+        assert SAMPLED_APPS == {"TC": 0.1, "TFL": 0.1}
+        assert SYMMETRIC_APPS == {"CC", "DIAM", "KCORE"}
 
 
 class TestNetworkRanking:

@@ -8,6 +8,7 @@ always parse clean — they are the executable definition of the repo's
 benchmark suite.
 """
 
+import inspect
 import textwrap
 import tomllib
 from types import SimpleNamespace
@@ -18,10 +19,12 @@ from repro.bench.benchjson import validate_bench_json, write_bench_json
 from repro.bench.runner import (
     DEFAULT_CONFIG_DIR,
     SUITES,
+    WorkloadSpec,
     discover_configs,
     load_config,
     parse_config,
     run_suite,
+    run_workload,
     select_suite,
     timed_min_of_n,
 )
@@ -483,3 +486,44 @@ class TestShardGraphExecution:
         with pytest.raises(BenchRunError) as exc:
             run_experiment(cfg, suite="smoke")
         assert "peak RSS" in str(exc.value)
+
+
+# ----------------------------------------------------------------------
+# One launch path: the same job through the runner and through the CLI
+# ----------------------------------------------------------------------
+class TestLauncherAgreement:
+    DEPLOYMENT = ["--machines", "4", "--parts", "8", "--communities", "4",
+                  "--community-size", "32"]
+
+    @pytest.mark.parametrize("spec, argv", [
+        (WorkloadSpec("w", app="NR", engine="mapreduce"),
+         ["NR", "--engine", "mapreduce"]),
+        (WorkloadSpec("w", app="BFS", engine="propagation", frontier=True),
+         ["BFS", "--frontier"]),
+        (WorkloadSpec("w", app="CC", engine="propagation"), ["CC"]),
+    ], ids=["NR-mapreduce", "BFS-frontier", "CC"])
+    def test_runner_and_cli_reach_surfer_run_alike(self, spec, argv,
+                                                   monkeypatch, capsys):
+        from repro.cli import main as cli_main
+        from repro.core.surfer import Surfer
+        from repro.graph.generators import composite_social_graph
+        from tests.conftest import make_test_cluster
+
+        real = Surfer.run
+        calls = []
+
+        def capture(self, app, *args, **kwargs):
+            bound = inspect.signature(real).bind(self, app, *args, **kwargs)
+            bound.apply_defaults()
+            call = dict(bound.arguments)
+            del call["self"]
+            call["app"] = (type(app), vars(app))
+            calls.append(call)
+            return real(self, app, *args, **kwargs)
+
+        monkeypatch.setattr(Surfer, "run", capture)
+        graph = composite_social_graph(num_communities=4, community_size=32)
+        run_workload(Surfer(graph, make_test_cluster(4), num_parts=8), spec)
+        assert cli_main(["run"] + argv + self.DEPLOYMENT) == 0
+        from_runner, from_cli = calls
+        assert from_runner == from_cli

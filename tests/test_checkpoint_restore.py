@@ -137,7 +137,7 @@ class TestJobRestart:
         # recovery made the run slower, not cheaper
         assert job.response_time > baseline.response_time
         assert reconcile(job) == []
-        kinds = {e.kind for e in job.recovery_events}
+        kinds = {e.kind for e in job.events.instants}
         assert "job-restart" in kinds and "data-loss" in kinds
         m = job.events.metrics
         assert m.get("checkpoint.restart_attempts") >= 1
@@ -152,8 +152,7 @@ class TestJobRestart:
             NetworkRankingPropagation(), iterations=4, fault_plan=plan,
             checkpoint=CheckpointPolicy(interval=1),
         )
-        monitor = JobMonitor(job.executions, job.recovery_events,
-                             events=job.events)
+        monitor = JobMonitor(job.events)
         summary = monitor.restart_summary()
         assert summary is not None
         assert summary.startswith(f"restarted {job.restarts}×")
@@ -164,7 +163,7 @@ class TestJobRestart:
         job = make_surfer(tiny_graph).run_propagation(
             NetworkRankingPropagation(), iterations=2
         )
-        monitor = JobMonitor(job.executions, job.recovery_events)
+        monitor = JobMonitor(job.events)
         assert monitor.restart_summary() is None
         assert "restarted" not in monitor.report()
 

@@ -360,12 +360,12 @@ class TestRecoveryTrace:
         plan = FaultPlan().add_kill(0, 1.0)
         sched = StageScheduler(cluster, plan, store, heartbeat=0.5)
         sched.run_stage([Task("t", machine=0, partition=0, cpu_ops=300)])
-        counts = recovery_event_counts(sched.recovery_events)
+        counts = recovery_event_counts(sched.events.instants)
         assert counts["machine-down"] == 1
         assert counts["detect"] == 1
         assert counts["redispatch"] == 1
         assert counts["re-replicate"] >= 1
-        times, series = recovery_timeline(sched.recovery_events,
+        times, series = recovery_timeline(sched.events.instants,
                                           bucket_seconds=1.0)
         assert len(times) > 0
         assert sum(series["machine-down"]) == 1
@@ -388,7 +388,7 @@ class TestEndToEndJobs:
         assert not result.failed
         assert np.allclose(result.result, clean.result)
         assert result.metrics.re_replication_bytes > 0
-        counts = recovery_event_counts(result.recovery_events)
+        counts = recovery_event_counts(result.events.instants)
         assert counts["machine-down"] == 2
         assert counts.get("re-replicate", 0) >= 1
 
@@ -401,5 +401,5 @@ class TestEndToEndJobs:
         assert result.failed
         assert result.result is None
         assert result.error and "replica" in result.error
-        kinds = {e.kind for e in result.recovery_events}
+        kinds = {e.kind for e in result.events.instants}
         assert "data-loss" in kinds

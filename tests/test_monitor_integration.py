@@ -22,13 +22,13 @@ class TestMonitorOnRealRuns:
                                       iterations=2)
 
     def test_makespan_matches_metrics(self, job):
-        monitor = JobMonitor(job.executions)
+        monitor = JobMonitor(job.events)
         assert monitor.makespan == pytest.approx(
             job.metrics.response_time
         )
 
     def test_busy_time_matches_metrics(self, job):
-        monitor = JobMonitor(job.executions)
+        monitor = JobMonitor(job.events)
         total_busy = sum(u.busy_seconds
                          for u in monitor.machine_utilization())
         assert total_busy == pytest.approx(
@@ -36,14 +36,14 @@ class TestMonitorOnRealRuns:
         )
 
     def test_stage_summary_matches_structure(self, job):
-        summary = JobMonitor(job.executions).stage_summary()
+        summary = JobMonitor(job.events).stage_summary()
         assert set(summary) == {"transfer", "combine"}
         # 2 iterations x 8 partitions each
         assert summary["transfer"]["tasks"] == 16
         assert summary["combine"]["tasks"] == 16
 
     def test_progress_monotone(self, job):
-        execs = job.executions
+        execs = job.events.task_spans()
         horizon = max(e.end for e in execs)
         samples = [estimate_progress(execs, t)
                    for t in (0, horizon / 4, horizon / 2, horizon)]
@@ -58,10 +58,8 @@ class TestRunStages:
                            cpu_ops_per_sec=100.0, nic_bps=100.0)
         cluster = Cluster(t1(2, link_bps=100.0), machine_spec=spec)
         sched = StageScheduler(cluster)
-        results = sched.run_stages([
-            [Task("a", machine=0, cpu_ops=100)],
-            [Task("b", machine=1, cpu_ops=100)],
-        ])
+        results = [sched.run_stage([Task("a", machine=0, cpu_ops=100)]),
+                   sched.run_stage([Task("b", machine=1, cpu_ops=100)])]
         assert len(results) == 2
         assert results[1].start_time == pytest.approx(results[0].end_time)
         assert len(sched.executions) == 2

@@ -35,7 +35,7 @@ from repro.runtime.monitor import (
     estimate_progress,
     failed_task_seconds,
 )
-from repro.runtime.tasks import Task, TaskExecution
+from repro.runtime.trace import recovery_event_counts
 
 
 def small_surfer(seed=0, machines=8, parts=16):
@@ -123,8 +123,8 @@ class TestEventStream:
 # Progress estimation (the fixed semantics)
 # ----------------------------------------------------------------------
 def _exec(start, end, succeeded=True, machine=0):
-    task = Task("t", machine=machine)
-    return TaskExecution(task, machine, start, end, succeeded)
+    return Span(name="t", kind="work", start=start, end=end,
+                machine=machine, succeeded=succeeded)
 
 
 class TestEstimateProgress:
@@ -198,17 +198,26 @@ class TestJobEvents:
         assert nr_job.events.metrics.get("wall.udf_seconds") > 0.0
 
     def test_monitor_from_events_matches_executions(self, nr_job):
-        from_execs = JobMonitor(nr_job.executions)
-        from_spans = JobMonitor.from_events(nr_job.events)
-        assert from_spans.makespan == from_execs.makespan
-        assert from_spans.stage_summary() == from_execs.stage_summary()
-        assert ([u.busy_seconds for u in from_spans.machine_utilization()]
-                == [u.busy_seconds for u in from_execs.machine_utilization()])
+        # the monitor reads the stream only; the stream must say what
+        # the scheduler's raw dispatch record says
+        monitor = JobMonitor(nr_job.events)
+        execs = nr_job.executions
+        assert monitor.makespan == max(e.end for e in execs)
+        for kind, rec in monitor.stage_summary().items():
+            assert rec["tasks"] == sum(e.task.kind == kind for e in execs)
+        busy = {}
+        for e in execs:
+            busy[e.machine] = busy.get(e.machine, 0.0) + e.duration
+        assert ([u.busy_seconds for u in monitor.machine_utilization()]
+                == [busy[m] for m in sorted(busy)])
 
     def test_report_includes_metrics_section(self, nr_job):
-        text = JobMonitor.from_events(nr_job.events).report()
-        assert "metrics:" in text
+        # `repro profile` prints the registry section under the monitor
+        # report; the monitor itself reports utilization only
+        text = nr_job.events.metrics.report()
+        assert text.startswith("metrics:")
         assert "network.bytes_total" in text
+        assert "metrics:" not in JobMonitor(nr_job.events).report()
 
     def test_streams_are_per_job(self):
         surfer = small_surfer()
@@ -240,7 +249,7 @@ class TestReconciliation:
         plan = FaultPlan(kills=[MachineKill(machine=2, time=5.0)])
         job = surfer.run_propagation(prop_cls(), iterations=3,
                                      fault_plan=plan)
-        assert job.recovery_events, "fault plan should trigger recovery"
+        assert job.events.instants, "fault plan should trigger recovery"
         assert reconcile(job) == []
 
     @pytest.mark.parametrize("pipelined", [False, True])
@@ -261,13 +270,13 @@ class TestReconciliation:
         plan = FaultPlan(kills=[MachineKill(machine=2, time=5.0)])
         job = surfer.run_propagation(prop_cls(), iterations=3,
                                      fault_plan=plan)
-        assert len(job.events.instants) == len(job.recovery_events)
-        kinds = {i.kind for i in job.events.instants}
-        assert kinds == {ev.kind for ev in job.recovery_events}
-        for kind in kinds:
-            assert job.events.metrics.get(f"recovery.{kind}") == sum(
-                1 for ev in job.recovery_events if ev.kind == kind
-            )
+        # the instants are the only recovery record; the per-kind
+        # counters and the monitor's summary are derived views of them
+        counts = recovery_event_counts(job.events.instants)
+        assert {"machine-down", "detect", "redispatch"} <= set(counts)
+        for kind, n in counts.items():
+            assert job.events.metrics.get(f"recovery.{kind}") == n
+        assert JobMonitor(job.events).recovery_summary() == counts
 
 
 # ----------------------------------------------------------------------

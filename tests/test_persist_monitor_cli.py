@@ -8,8 +8,8 @@ from repro.cluster.topology import t1
 from repro.core.bandwidth_aware import bandwidth_aware_partition
 from repro.core.persist import load_plan, save_plan
 from repro.errors import PlacementError
+from repro.runtime.events import EventStream, Span
 from repro.runtime.monitor import JobMonitor, estimate_progress
-from repro.runtime.tasks import Task, TaskExecution
 
 
 class TestPersist:
@@ -52,8 +52,14 @@ class TestPersist:
 
 
 def _exec(machine, start, end, kind="work", succeeded=True):
-    return TaskExecution(Task("t", machine=machine, kind=kind),
-                         machine, start, end, succeeded)
+    return Span(name="t", kind=kind, start=start, end=end,
+                machine=machine, succeeded=succeeded)
+
+
+def _monitor(spans):
+    events = EventStream()
+    events.spans.extend(spans)
+    return JobMonitor(events)
 
 
 class TestMonitor:
@@ -68,28 +74,28 @@ class TestMonitor:
 
     def test_utilization(self):
         execs = [_exec(0, 0, 10), _exec(1, 0, 5)]
-        stats = JobMonitor(execs).machine_utilization()
+        stats = _monitor(execs).machine_utilization()
         assert stats[0].utilization == pytest.approx(1.0)
         assert stats[1].utilization == pytest.approx(0.5)
 
     def test_stragglers(self):
         execs = [_exec(0, 0, 10), _exec(1, 0, 100), _exec(2, 0, 12)]
-        assert JobMonitor(execs).stragglers() == [1]
+        assert _monitor(execs).stragglers() == [1]
 
     def test_stage_summary_counts_failures(self):
         execs = [_exec(0, 0, 5, kind="transfer"),
                  _exec(0, 5, 6, kind="transfer", succeeded=False)]
-        summary = JobMonitor(execs).stage_summary()
+        summary = _monitor(execs).stage_summary()
         assert summary["transfer"]["tasks"] == 2
         assert summary["transfer"]["failed"] == 1
 
     def test_report_renders(self):
         execs = [_exec(0, 0, 10, kind="map")]
-        report = JobMonitor(execs).report()
+        report = _monitor(execs).report()
         assert "makespan" in report and "map" in report
 
     def test_empty_monitor(self):
-        monitor = JobMonitor([])
+        monitor = _monitor([])
         assert monitor.makespan == 0.0
         assert monitor.stragglers() == []
         assert "makespan" in monitor.report()
@@ -114,6 +120,52 @@ class TestCli:
     def test_diam_has_no_mapreduce(self, capsys):
         assert cli_main(["run", "DIAM", "--engine", "mapreduce"]
                         + self.ARGS) == 2
+
+    @pytest.mark.parametrize("command", ["run", "profile", "chaos"])
+    @pytest.mark.parametrize("job, message", [
+        (["DIAM", "--engine", "mapreduce"],
+         "DIAM has no MapReduce implementation\n"),
+        (["NR", "--engine", "mapreduce", "--frontier"],
+         "--frontier requires the propagation engine\n"),
+    ])
+    def test_argument_errors_before_deployment(self, command, job, message,
+                                               capsys):
+        # default-sized deployment: partitioning it would take seconds
+        # and print the `graph:` line first
+        assert cli_main([command] + job) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message
+        assert captured.out == ""
+
+    def test_chaos_keeps_its_flags_and_defaults(self, capsys):
+        """chaos declares its options through the block run/profile use,
+        re-sized; it lists what it always listed."""
+        from repro.cli import _build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["chaos", "--help"])
+        assert exit_info.value.code == 0
+        listed = capsys.readouterr().out
+        for flag in ("--engine", "--frontier", "--topology", "--layout",
+                     "--machines", "--parts", "--iterations",
+                     "--communities", "--community-size", "--seed",
+                     "--replication", "--schedules",
+                     "--checkpoint-interval", "--max-restarts", "--bench"):
+            assert flag in listed
+        for flag in ("--kill", "--no-local-opts", "--sanitize", "--trace"):
+            assert flag not in listed
+        args = _build_parser().parse_args(["chaos", "NR"])
+        assert (args.machines, args.parts, args.communities,
+                args.community_size, args.replication,
+                args.checkpoint_interval) == (8, 16, 4, 32, 2, 1)
+        assert (args.engine, args.topology, args.layout, args.seed,
+                args.iterations, args.schedules, args.max_restarts) == (
+            "propagation", "T1", "bandwidth-aware", 0, None, 50, 3)
+        # run/profile keep the full-size defaults
+        args = _build_parser().parse_args(["run", "NR"])
+        assert (args.machines, args.parts, args.communities,
+                args.community_size, args.replication,
+                args.checkpoint_interval) == (16, 32, 16, 256, 3, 0)
 
     def test_partition_and_info(self, tmp_path, capsys):
         plan_path = str(tmp_path / "p.npz")

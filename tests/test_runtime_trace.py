@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.runtime.events import Span
-from repro.runtime.tasks import RecoveryEvent, Task, TaskExecution
+from repro.runtime.events import Instant, Span
 from repro.runtime.trace import (
     io_rate_timeline,
     machine_timeline,
@@ -14,10 +13,15 @@ from repro.runtime.trace import (
 
 def execution(machine, start, end, read=0.0, write=0.0, succeeded=True,
               name="t", planned=0.0):
-    task = Task(name, machine=machine, disk_read_bytes=read,
-                disk_write_bytes=write)
-    return TaskExecution(task, machine, start, end, succeeded,
-                         planned_duration=planned)
+    """One machine-level span, as the scheduler emits per execution."""
+    return Span(name=name, kind="transfer", start=start, end=end,
+                machine=machine, succeeded=succeeded, disk_read_bytes=read,
+                disk_write_bytes=write, planned_duration=planned)
+
+
+def instant(time, kind, machine):
+    """A recovery instant with no task attached (name = kind)."""
+    return Instant(time, kind, kind, machine)
 
 
 class TestIoRateTimeline:
@@ -88,10 +92,10 @@ class TestFailedTaskProration:
 
 class TestRecoveryTimeline:
     def test_bucket_boundaries(self):
-        events = [RecoveryEvent(0.0, "detect", 0),
-                  RecoveryEvent(9.999, "detect", 0),
-                  RecoveryEvent(10.0, "redispatch", 1),
-                  RecoveryEvent(20.0, "redispatch", 1)]
+        events = [instant(0.0, "detect", 0),
+                  instant(9.999, "detect", 0),
+                  instant(10.0, "redispatch", 1),
+                  instant(20.0, "redispatch", 1)]
         times, series = recovery_timeline(events, bucket_seconds=10.0)
         assert list(times) == [0.0, 10.0]
         # [0, 10) holds the first two; an event exactly on the horizon
@@ -100,7 +104,7 @@ class TestRecoveryTimeline:
         assert list(series["redispatch"]) == [0.0, 2.0]
 
     def test_total_events_conserved(self):
-        events = [RecoveryEvent(t, "detect", 0)
+        events = [instant(t, "detect", 0)
                   for t in (0.0, 3.0, 7.5, 12.0, 29.9)]
         __, series = recovery_timeline(events, bucket_seconds=10.0)
         assert series["detect"].sum() == len(events)
@@ -108,7 +112,7 @@ class TestRecoveryTimeline:
     def test_empty_and_non_finite(self):
         times, series = recovery_timeline([], 10.0)
         assert times.size == 0 and series == {}
-        only_inf = [RecoveryEvent(float("inf"), "data-loss", 0)]
+        only_inf = [instant(float("inf"), "data-loss", 0)]
         times, series = recovery_timeline(only_inf, 10.0)
         assert times.size == 0 and series == {}
 

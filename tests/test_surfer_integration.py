@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps import NetworkRankingPropagation
+from repro.apps import NetworkRankingMapReduce, NetworkRankingPropagation
 from repro.cluster.cluster import partitions_for_memory
 from repro.core.surfer import (
     ALL_LEVELS,
@@ -89,3 +89,42 @@ class TestRuns:
     def test_memory_rule_partition_count(self):
         # the paper's setting: 128 GB graph, 2 GB memory budget
         assert partitions_for_memory(128 * 1024**3, 2 * 1024**3) == 64
+
+
+class TestOneLaunchPath:
+    @pytest.fixture(scope="class")
+    def surfer(self, tiny_graph):
+        return Surfer(tiny_graph, make_test_cluster(4), num_parts=8, seed=2)
+
+    def test_app_class_picks_the_primitive(self, surfer):
+        prop = surfer.run(NetworkRankingPropagation(), 2)
+        assert [type(r).__name__ for r in prop.reports] == [
+            "IterationReport"] * 2
+        mr = surfer.run(NetworkRankingMapReduce(), 2)
+        assert [type(r).__name__ for r in mr.reports] == ["RoundReport"] * 2
+        assert np.allclose(prop.result, mr.result)
+
+    def test_named_entry_points_are_run(self, surfer):
+        a = surfer.run_propagation(NetworkRankingPropagation(),
+                                   iterations=2, local_opts=False)
+        b = surfer.run(NetworkRankingPropagation(), 2, local_opts=False)
+        assert np.array_equal(a.result, b.result)
+        assert a.metrics == b.metrics
+
+    def test_option_of_the_other_primitive_is_rejected(self, surfer):
+        with pytest.raises(JobError, match="frontier does not apply"):
+            surfer.run(NetworkRankingMapReduce(), frontier=True)
+        with pytest.raises(JobError, match="cascaded does not apply"):
+            surfer.run_mapreduce(NetworkRankingMapReduce(), cascaded=True)
+        with pytest.raises(JobError, match="combiner does not apply"):
+            surfer.run(NetworkRankingPropagation(), combiner=True)
+
+    def test_step_count_errors_keep_their_names(self, surfer):
+        with pytest.raises(JobError, match="iterations must be >= 1"):
+            surfer.run_propagation(NetworkRankingPropagation(), 0)
+        with pytest.raises(JobError, match="rounds must be >= 1"):
+            surfer.run_mapreduce(NetworkRankingMapReduce(), rounds=0)
+
+    def test_rejects_a_non_app(self, surfer):
+        with pytest.raises(JobError, match="neither"):
+            surfer.run(object())
