@@ -42,21 +42,19 @@ def main() -> None:
     graph = composite_social_graph(
         num_communities=16, community_size=256, k=8, seed=23
     )
-
-    def fresh_surfer() -> Surfer:
-        cluster = make_cluster(t1(16, SCALED_LINK_BPS))
-        return Surfer(graph, cluster, num_parts=32, seed=23)
-
+    # Deployed once; every job works on its own copy of the replica map,
+    # so the kill below leaves the deployment as it was.
+    surfer = Surfer(graph, make_cluster(t1(16, SCALED_LINK_BPS)),
+                    num_parts=32, seed=23)
     app = NetworkRankingPropagation()
 
     # Normal execution first, to know when to strike.
-    surfer = fresh_surfer()
     normal = surfer.run_propagation(app, iterations=3)
     kill_time = 0.3 * normal.response_time
     victim = int(surfer.store.primary(0))
 
-    # Now the same job with machine `victim` dying mid-run.
-    surfer = fresh_surfer()
+    # Now the same job, on the same deployment, with machine `victim`
+    # dying mid-run.
     plan = FaultPlan().add_kill(victim, kill_time)
     faulty = surfer.run_propagation(app, iterations=3, fault_plan=plan)
 

@@ -77,7 +77,7 @@ from repro.propagation.cascade import (
     compute_cascade_info,
 )
 from repro.propagation.engine import PropagationEngine
-from repro.runtime.chaos import run_chaos_sweep, surfer_factory
+from repro.runtime.chaos import run_chaos_sweep
 from repro.runtime.checkpoint import CheckpointPolicy
 from repro.runtime.scheduler import StageScheduler
 from repro.runtime.trace import io_rate_timeline, recovery_event_counts
@@ -638,12 +638,7 @@ def fig10_fault_tolerance(
     kill_time = kill_fraction * normal.metrics.response_time
     victim = int(surfer.store.primary(0))
     plan = FaultPlan().add_kill(victim, kill_time)
-    # fresh store: the failure mutates replica metadata
-    faulty_surfer = Surfer(
-        workload.graph, workload.cluster, num_parts=workload.num_parts,
-        layout="bandwidth-aware", seed=workload.seed,
-    )
-    faulty = faulty_surfer.run_propagation(
+    faulty = surfer.run_propagation(
         make_app("NR", "propagation"), iterations=iterations,
         local_opts=True, fault_plan=plan,
     )
@@ -711,18 +706,7 @@ def fault_scenario_sweep(
     base = workload.surfer("bandwidth-aware")
 
     def run(plan=None, pipelined=False, speculation=False):
-        # fresh Surfer per scenario: failures mutate replica metadata —
-        # but reuse the partition plan (copied, since Surfer refines the
-        # placement in place), which faults never touch
-        plan_copy = dataclasses.replace(
-            base.plan, placement=base.plan.placement.copy()
-        )
-        surfer = Surfer(
-            workload.graph, workload.cluster,
-            num_parts=workload.num_parts, layout="bandwidth-aware",
-            seed=workload.seed, plan=plan_copy,
-        )
-        return surfer.run_propagation(
+        return base.run_propagation(
             make_app("NR", "propagation"), iterations=iterations,
             local_opts=True, fault_plan=plan, pipelined=pipelined,
             speculation=speculation,
@@ -1285,16 +1269,14 @@ def chaos_smoke() -> dict:
     fault schedules."""
     graph = composite_social_graph(num_communities=4, community_size=32,
                                    k=4, seed=7)
-    make_surfer = surfer_factory(
-        graph, lambda: make_cluster(t1(8, SCALED_LINK_BPS)),
-        num_parts=8, replication=1, seed=3)
+    surfer = Surfer(graph, make_cluster(t1(8, SCALED_LINK_BPS)),
+                    num_parts=8, seed=3, replication=1)
     run_job = chaos_job(
         WorkloadSpec("chaos_smoke", app="NR", engine="propagation",
                      iterations=4),
         CheckpointPolicy(interval=1))
     report, wall = timed_job(
-        lambda: run_chaos_sweep(make_surfer, run_job, schedules=12,
-                                seed=2010))
+        lambda: run_chaos_sweep(surfer, run_job, schedules=12, seed=2010))
     restarted = report.restarted_job
     return {
         "summary": report.summary(),

@@ -43,7 +43,7 @@ from repro.bench.workloads import (
     STANDARD_COMMUNITIES,
     STANDARD_COMMUNITY_SIZE,
     STANDARD_K,
-    TOPOLOGY_NAMES,
+    TOPOLOGIES,
     Workload,
     make_cluster,
     standard_graph,
@@ -178,7 +178,7 @@ class GraphSpec:
 class ClusterSpec:
     """``[cluster]``: simulated cluster shape and deployment knobs."""
 
-    topology: str = _rule("T1", choices=TOPOLOGY_NAMES)
+    topology: str = _rule("T1", choices=tuple(TOPOLOGIES))
     machines: int = 32
     parts: int = 64
     layout: str = _rule("bandwidth-aware",
@@ -583,6 +583,19 @@ def _shard_surfer(cfg: ExperimentConfig, machines: int, parts: int,
                   replication=cfg.cluster.replication, plan=plan)
 
 
+def _deploy(cfg: ExperimentConfig, graph: Any, machines: int,
+            parts: int) -> Any:
+    """The Surfer ``[cluster]`` describes over an in-memory ``graph``."""
+    return Workload(
+        graph=graph,
+        cluster=make_cluster(topology_by_name(cfg.cluster.topology,
+                                              machines)),
+        num_parts=parts,
+        seed=cfg.cluster.seed,
+        replication=cfg.cluster.replication,
+    ).surfer(cfg.cluster.layout)
+
+
 def run_workload(surfer: Any, workload: WorkloadSpec,
                  **job_options: Any) -> Any:
     """Run one named job on a deployed Surfer; returns its ``JobResult``.
@@ -654,15 +667,7 @@ def _run_jobs_experiment(
                         else cfg.cluster.parts
                 key = (machines, parts, scale)
                 if key not in surfers:
-                    workload = Workload(
-                        graph=graph,
-                        cluster=make_cluster(
-                            topology_by_name(cfg.cluster.topology,
-                                             machines)),
-                        num_parts=parts,
-                        seed=cfg.cluster.seed,
-                    )
-                    surfers[key] = workload.surfer(cfg.cluster.layout)
+                    surfers[key] = _deploy(cfg, graph, machines, parts)
             run = functools.partial(run_workload, surfers[key], wl)
 
             peak: int | None = None
@@ -708,28 +713,19 @@ def _run_chaos_experiment(
     cfg: ExperimentConfig,
     progress: Callable[[str], None] | None,
 ) -> dict[str, dict]:
-    from repro.runtime.chaos import run_chaos_sweep, surfer_factory
+    from repro.runtime.chaos import run_chaos_sweep
     from repro.runtime.checkpoint import CheckpointPolicy
 
     spec = cfg.chaos
     assert spec is not None  # validated at parse time
-    graph = _build_graph(cfg.graph)
-    make_surfer = surfer_factory(
-        graph,
-        lambda: make_cluster(
-            topology_by_name(cfg.cluster.topology, cfg.cluster.machines)),
-        num_parts=cfg.cluster.parts,
-        replication=cfg.cluster.replication,
-        seed=cfg.cluster.seed,
-        layout=cfg.cluster.layout,
-    )
+    surfer = _deploy(cfg, _build_graph(cfg.graph), cfg.cluster.machines,
+                     cfg.cluster.parts)
     run_job = chaos_job(
         WorkloadSpec(spec.prefix, app=spec.app, engine=spec.engine,
                      iterations=spec.iterations, until_convergence=False),
         CheckpointPolicy(interval=spec.checkpoint_interval,
                          max_restarts=spec.max_restarts))
-    report = run_chaos_sweep(make_surfer, run_job, spec.schedules,
-                             spec.seed)
+    report = run_chaos_sweep(surfer, run_job, spec.schedules, spec.seed)
     if not report.ok:
         raise BenchRunError(
             "chaos sweep violated the recovery invariant:\n"

@@ -13,7 +13,9 @@ bench uses unless it sweeps the relevant parameter itself.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.spec import GIGABIT_BPS, MachineSpec
@@ -33,7 +35,7 @@ __all__ = [
     "PAPER_GRAPH_BYTES",
     "HARDWARE_SCALE",
     "SCALED_LINK_BPS",
-    "TOPOLOGY_NAMES",
+    "TOPOLOGIES",
 ]
 
 # ||G|| for the Table 1 elapsed-time model: the paper's >100 GB graph.
@@ -110,6 +112,7 @@ class Workload:
     cluster: Cluster
     num_parts: int
     seed: int
+    replication: int = 3
     _surfers: dict | None = None
 
     def surfer(self, layout: str) -> Surfer:
@@ -120,6 +123,7 @@ class Workload:
             self._surfers[layout] = Surfer(
                 self.graph, self.cluster, num_parts=self.num_parts,
                 layout=layout, seed=self.seed,
+                replication=self.replication,
                 data=cached_bisection(self.graph, self.num_parts,
                                       self.seed),
             )
@@ -174,36 +178,32 @@ def standard_workload(
     )
 
 
+#: The five topologies of Table 1 / Figure 6 by paper name, each a
+#: ``(num_machines, link_bps)`` builder — the one enumeration behind
+#: :func:`topology_suite`, :func:`topology_by_name`, the CLI's
+#: ``--topology`` and the bench configs' ``[cluster] topology``.
+TOPOLOGIES: dict[str, Callable[[int, float], Topology]] = {
+    "T1": t1,
+    "T2(2,1)": functools.partial(t2, 2, 1),
+    "T2(4,1)": functools.partial(t2, 4, 1),
+    "T2(4,2)": functools.partial(t2, 4, 2),
+    "T3": t3,
+}
+
+
 def topology_suite(num_machines: int = 32,
                    link_bps: float = SCALED_LINK_BPS) -> dict[str, Topology]:
-    """The five topologies of Table 1 / Figure 6 (regime-scaled links)."""
-    return {
-        "T1": t1(num_machines, link_bps),
-        "T2(2,1)": t2(2, 1, num_machines, link_bps),
-        "T2(4,1)": t2(4, 1, num_machines, link_bps),
-        "T2(4,2)": t2(4, 2, num_machines, link_bps),
-        "T3": t3(num_machines, link_bps),
-    }
-
-
-#: paper topology names accepted by :func:`topology_by_name` (and the
-#: CLI / bench-config surfaces built on it)
-TOPOLOGY_NAMES = ("T1", "T2(2,1)", "T2(4,1)", "T2(4,2)", "T3")
+    """Every paper topology, regime-scaled links."""
+    return {name: build(num_machines, link_bps)
+            for name, build in TOPOLOGIES.items()}
 
 
 def topology_by_name(name: str, num_machines: int,
                      link_bps: float = SCALED_LINK_BPS) -> Topology:
     """One paper topology by name (``T1``/``T2(p,l)``/``T3``)."""
-    if name == "T1":
-        return t1(num_machines, link_bps)
-    if name == "T3":
-        return t3(num_machines, link_bps)
-    try:
-        pods, levels = {
-            "T2(2,1)": (2, 1), "T2(4,1)": (4, 1), "T2(4,2)": (4, 2),
-        }[name]
-    except KeyError:
+    if name not in TOPOLOGIES:
         raise ValueError(
-            f"unknown topology {name!r}; expected one of {TOPOLOGY_NAMES}"
-        ) from None
-    return t2(pods, levels, num_machines, link_bps)
+            f"unknown topology {name!r}; expected one of "
+            f"{tuple(TOPOLOGIES)}"
+        )
+    return TOPOLOGIES[name](num_machines, link_bps)

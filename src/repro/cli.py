@@ -34,8 +34,11 @@ import os
 import sys
 
 from repro.apps import APP_ORDER, EXTENSION_APPS
-
-_TOPOLOGIES = ("T1", "T2(2,1)", "T2(4,1)", "T2(4,2)", "T3")
+from repro.bench.workloads import (
+    TOPOLOGIES,
+    make_cluster,
+    topology_by_name,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="sparse active-set propagation: Transfer "
                             "scans only frontier vertices "
                             "(propagation engine, frontier apps only)")
-        p.add_argument("--topology", choices=_TOPOLOGIES, default="T1")
+        p.add_argument("--topology", choices=list(TOPOLOGIES), default="T1")
         p.add_argument("--layout",
                        choices=("bandwidth-aware", "oblivious"),
                        default="bandwidth-aware")
@@ -145,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     part = sub.add_parser("partition",
                           help="partition a synthetic graph, save the plan")
     part.add_argument("output", help="plan file (.npz)")
-    part.add_argument("--topology", choices=_TOPOLOGIES, default="T1")
+    part.add_argument("--topology", choices=list(TOPOLOGIES), default="T1")
     part.add_argument("--machines", type=int, default=16)
     part.add_argument("--parts", type=int, default=32)
     part.add_argument("--layout",
@@ -272,12 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_topology(name: str, machines: int):
-    from repro.bench.workloads import topology_by_name
-
-    return topology_by_name(name, machines)
-
-
 def _make_graph(args, symmetrize: bool = False):
     from repro.graph.generators import composite_social_graph
 
@@ -311,16 +308,28 @@ def _job_spec(args, local_opts: bool = True):
                         frontier=args.frontier, local_opts=local_opts)
 
 
+def _deploy(args):
+    """The Surfer ``args`` describes: generate, partition, place, deploy.
+
+    The one deployment behind ``run`` / ``profile`` / ``chaos``.
+    """
+    from repro.apps import SYMMETRIC_APPS
+    from repro.core import Surfer
+
+    graph = _make_graph(args, symmetrize=args.app in SYMMETRIC_APPS)
+    cluster = make_cluster(topology_by_name(args.topology, args.machines))
+    return Surfer(graph, cluster, num_parts=args.parts,
+                  layout=args.layout, seed=args.seed,
+                  replication=args.replication)
+
+
 def _deploy_and_run(args):
-    """Build graph/cluster/Surfer per ``args`` and run the job.
+    """Deploy per ``args`` and run the job.
 
     Shared by ``run`` and ``profile``.  Returns ``(job, wall_clock_s)``,
     or ``(None, 0.0)`` on an argument error (already printed).
     """
-    from repro.apps import SYMMETRIC_APPS
     from repro.bench.runner import run_workload
-    from repro.bench.workloads import make_cluster
-    from repro.core import Surfer
     from repro.runtime.checkpoint import CheckpointPolicy
     from repro.runtime.events import wall_timer
 
@@ -328,11 +337,8 @@ def _deploy_and_run(args):
     if spec is None:
         return None, 0.0
     fault_plan = _parse_kills(args.kill)
-    graph = _make_graph(args, symmetrize=args.app in SYMMETRIC_APPS)
-    cluster = make_cluster(_make_topology(args.topology, args.machines))
-    surfer = Surfer(graph, cluster, num_parts=args.parts,
-                    layout=args.layout, seed=args.seed,
-                    replication=args.replication)
+    surfer = _deploy(args)
+    graph = surfer.graph
     print(f"graph: {graph.num_vertices} vertices, {graph.num_edges} edges"
           f" | ier {surfer.pgraph.inner_edge_ratio:.1%}"
           f" | {args.topology}, {args.machines} machines")
@@ -429,32 +435,24 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    from repro.apps import SYMMETRIC_APPS
     from repro.bench.benchjson import job_record, write_bench_json
     from repro.bench.runner import chaos_job
-    from repro.bench.workloads import make_cluster
-    from repro.runtime.chaos import run_chaos_sweep, surfer_factory
+    from repro.runtime.chaos import run_chaos_sweep
     from repro.runtime.checkpoint import CheckpointPolicy
     from repro.runtime.events import wall_timer
 
     spec = _job_spec(args)
     if spec is None:
         return 2
-    graph = _make_graph(args, symmetrize=args.app in SYMMETRIC_APPS)
     run_job = chaos_job(spec, CheckpointPolicy(
         interval=args.checkpoint_interval, max_restarts=args.max_restarts))
-    make_surfer = surfer_factory(
-        graph,
-        lambda: make_cluster(_make_topology(args.topology, args.machines)),
-        num_parts=args.parts, replication=args.replication,
-        seed=args.seed, layout=args.layout,
-    )
+    surfer = _deploy(args)
+    graph = surfer.graph
     print(f"graph: {graph.num_vertices} vertices, {graph.num_edges} edges"
           f" | {args.topology}, {args.machines} machines, "
           f"replication {args.replication}")
     timer = wall_timer()
-    report = run_chaos_sweep(make_surfer, run_job, args.schedules,
-                             args.seed)
+    report = run_chaos_sweep(surfer, run_job, args.schedules, args.seed)
     wall = timer.elapsed()
     print(report.summary())
     print(f"wall clock: {wall:,.1f}s real")
@@ -514,7 +512,7 @@ def _cmd_partition(args) -> int:
     from repro.runtime.events import wall_timer
 
     graph = _make_graph(args)
-    topology = _make_topology(args.topology, args.machines)
+    topology = topology_by_name(args.topology, args.machines)
     timer = wall_timer()
     build = (bandwidth_aware_partition if args.layout == "bandwidth-aware"
              else oblivious_partition)

@@ -11,6 +11,7 @@ does not hit a degraded replica set (:meth:`re_replicate`).
 
 from __future__ import annotations
 
+import copy
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -125,6 +126,18 @@ class PartitionStore:
                 raise PlacementError(
                     "partition_bytes length must match the replica sets"
                 )
+        return store
+
+    def copy(self) -> "PartitionStore":
+        """An independent replica map over the same partitions.
+
+        What a job works on: failures and repairs it applies stay out of
+        the store it was copied from (sizes and topology are shared —
+        nothing writes them).
+        """
+        store = copy.copy(self)
+        store._replicas = [list(reps) for reps in self._replicas]
+        store._failed = set(self._failed)
         return store
 
     @property

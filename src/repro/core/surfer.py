@@ -31,7 +31,7 @@ O4    bandwidth-aware      on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from repro.errors import DataLossError, JobError, SchedulingError
@@ -122,7 +122,13 @@ class JobResult:
 
 
 class Surfer:
-    """A partitioned graph deployed on a simulated cluster."""
+    """A partitioned graph deployed on a simulated cluster.
+
+    The deployment — ``plan``, ``pgraph``, the replica map ``store`` and
+    the dispatch ``assignment`` — is fixed at construction; every job
+    works on its own copy of the last two, so a job's failures, repairs
+    and restarts end with it.
+    """
 
     def __init__(
         self,
@@ -132,7 +138,6 @@ class Surfer:
         layout: str = "bandwidth-aware",
         seed: int = 0,
         replication: int = 3,
-        bisection_options=None,
         plan: PartitionPlan | None = None,
         data=None,
     ):
@@ -143,29 +148,26 @@ class Surfer:
         if plan is None:
             if layout == "bandwidth-aware":
                 plan = bandwidth_aware_partition(
-                    graph, cluster.topology, num_parts, seed=seed,
-                    options=bisection_options, data=data,
+                    graph, cluster.topology, num_parts, seed=seed, data=data,
                 )
             elif layout == "oblivious":
                 plan = oblivious_partition(
-                    graph, cluster.topology, num_parts, seed=seed,
-                    options=bisection_options, data=data,
+                    graph, cluster.topology, num_parts, seed=seed, data=data,
                 )
             else:
                 raise JobError(
                     "layout must be 'bandwidth-aware' or 'oblivious'"
                 )
-        self.plan = plan
         self.pgraph = PartitionedGraph(graph, plan.parts, plan.num_parts)
         # Intra-pod straggler relief: swap partitions between machines of
         # the same pod (bandwidth-neutral) when a machine would otherwise
         # pin the makespan - e.g. a co-located pair of hub partitions.
-        plan.placement = refine_colocated_placement(
+        self.plan = replace(plan, placement=refine_colocated_placement(
             self.pgraph, plan.placement, cluster.topology
-        )
+        ))
         replication = min(replication, cluster.num_machines)
         self.store = PartitionStore(
-            plan.placement, cluster.num_machines, replication, seed,
+            self.plan.placement, cluster.num_machines, replication, seed,
             partition_bytes=[self.pgraph.partition_bytes(p)
                              for p in range(self.pgraph.num_parts)],
             topology=cluster.topology,
@@ -285,7 +287,10 @@ class Surfer:
                     "(uses_frontier=True with a frontier() hook)"
                 )
         self.cluster.reset()
-        scheduler = StageScheduler(self.cluster, fault_plan, self.store,
+        # the job's own replica map: the scheduler applies failures and
+        # repairs to it, a restart swaps it, self.store stays as deployed
+        store = self.store.copy()
+        scheduler = StageScheduler(self.cluster, fault_plan, store,
                                    pipelined=pipelined,
                                    speculation=speculation,
                                    events=self._event_stream())
@@ -297,17 +302,18 @@ class Surfer:
             phase = min(info.d_min, steps)
             fractions = cascade_io_fractions(self.pgraph, info, phase)
 
-        def make_engine() -> PropagationEngine | MapReduceEngine:
+        def make_engine(
+            store: PartitionStore, assignment: Any,
+        ) -> PropagationEngine | MapReduceEngine:
             if mapreduce:
-                return MapReduceEngine(self.pgraph, self.store,
-                                       self.cluster,
-                                       assignment=self.assignment,
+                return MapReduceEngine(self.pgraph, store, self.cluster,
+                                       assignment=assignment,
                                        vectorized=vectorized,
                                        combiner=combiner)
             return PropagationEngine(
-                self.pgraph, self.store, self.cluster,
+                self.pgraph, store, self.cluster,
                 local_opts=local_opts, values_io_fraction=fractions,
-                assignment=self.assignment, vectorized=vectorized,
+                assignment=assignment, vectorized=vectorized,
                 frontier=frontier,
             )
 
@@ -316,7 +322,8 @@ class Surfer:
             return step(app, state, scheduler)
 
         return self._run_job(app, steps, until_convergence, converged,
-                             scheduler, checkpoint, make_engine, run_step)
+                             scheduler, store, checkpoint, make_engine,
+                             run_step)
 
     def run_propagation(self, app: PropagationApp, iterations: int = 1,
                         **options: Any) -> JobResult:
@@ -336,8 +343,9 @@ class Surfer:
         until: bool,
         converged: Callable[[Any], bool] | None,
         scheduler: StageScheduler,
+        store: PartitionStore,
         checkpoint: CheckpointPolicy | None,
-        make_engine: Callable[[], Any],
+        make_engine: Callable[[PartitionStore, Any], Any],
         run_step: Callable[[Any, Any], tuple[Any, Any]],
     ) -> JobResult:
         """The shared driver loop behind both primitives.
@@ -348,8 +356,10 @@ class Surfer:
         of restart-from-checkpoint attempts with exponential backoff.
         Without a policy the pre-checkpoint behaviour is preserved
         exactly: data loss yields a clean failed job, scheduling errors
-        propagate.
+        propagate.  ``store`` (the scheduler's) and ``assignment`` are the
+        job's own replica map and dispatch; a restart replaces both.
         """
+        assignment = self.assignment.copy()
         ckpt: CheckpointStore | None = None
         if checkpoint is not None and checkpoint.enabled:
             ckpt = CheckpointStore(checkpoint, self.pgraph,
@@ -364,16 +374,17 @@ class Surfer:
                 if restarting:
                     restarting = False
                     assert ckpt is not None
-                    completed, state = self._restore(ckpt, scheduler,
-                                                     restarts)
+                    completed, state, store, assignment = self._restore(
+                        ckpt, scheduler, store, restarts)
                     if state is None:
                         # data was lost before the first checkpoint
                         # committed: restart from scratch
                         state = app.setup(self.pgraph)
                     del reports[completed:]
                 if ckpt is not None and ckpt.latest() is None:
-                    self._write_checkpoint(ckpt, scheduler, state, 0)
-                engine = make_engine()
+                    self._write_checkpoint(ckpt, scheduler, store,
+                                           assignment, state, 0)
+                engine = make_engine(store, assignment)
                 while completed < steps:
                     out, report = run_step(engine, state)
                     apply_outputs(app, state, out)
@@ -383,8 +394,8 @@ class Surfer:
                         break
                     if (ckpt is not None and completed < steps
                             and completed % ckpt.policy.interval == 0):
-                        self._write_checkpoint(ckpt, scheduler, state,
-                                               completed)
+                        self._write_checkpoint(ckpt, scheduler, store,
+                                               assignment, state, completed)
                 return JobResult(
                     result=app.finalize(state),
                     metrics=self.cluster.metrics(),
@@ -415,8 +426,8 @@ class Surfer:
                 restarting = True
 
     def _write_checkpoint(self, ckpt: CheckpointStore,
-                          scheduler: StageScheduler, state: Any,
-                          step: int) -> None:
+                          scheduler: StageScheduler, store: PartitionStore,
+                          assignment: Any, state: Any, step: int) -> None:
         """Snapshot ``state`` and run the priced checkpoint-write stage.
 
         The snapshot is committed only after the stage completes; a
@@ -424,22 +435,26 @@ class Surfer:
         the latest consistent one.
         """
         snapshot = ckpt.snapshot_state(state)
-        tasks, nbytes = ckpt.write_tasks(self.store, self.assignment, step)
+        tasks, nbytes = ckpt.write_tasks(store, assignment, step)
         scheduler.run_stage(tasks)
         ckpt.commit(step, snapshot, nbytes)
 
-    def _restore(self, ckpt: CheckpointStore, scheduler: StageScheduler,
-                 attempt: int) -> tuple[int, Any]:
+    def _restore(
+        self, ckpt: CheckpointStore, scheduler: StageScheduler,
+        old: PartitionStore, attempt: int,
+    ) -> tuple[int, Any, PartitionStore, Any]:
         """One restart attempt: rebuild replicas, reload the checkpoint.
 
-        Survivor replica sets are recomputed from the alive machines;
-        partitions that lost every replica come back from the durable
-        tier onto the least-loaded survivor; the (placement-aware)
-        re-replication then restores the replication factor, and the
-        checkpointed state is read back — all as one foreground restore
-        stage whose tasks start no earlier than the exponential-backoff
-        deadline.  Returns ``(step, state)`` to resume from, with
-        ``state=None`` when no checkpoint had committed yet.
+        Survivor replica sets of ``old`` (the job's store) are recomputed
+        from the alive machines; partitions that lost every replica come
+        back from the durable tier onto the least-loaded survivor; the
+        (placement-aware) re-replication then restores the replication
+        factor, and the checkpointed state is read back — all as one
+        foreground restore stage whose tasks start no earlier than the
+        exponential-backoff deadline.  Returns ``(step, state, store, assignment)`` to resume
+        from — the rebuilt store, also handed to the scheduler, and its
+        rebalanced dispatch — with ``state=None`` when no checkpoint had
+        committed yet.
         """
         cluster = self.cluster
         chk = ckpt.latest()
@@ -457,7 +472,6 @@ class Surfer:
 
         alive = cluster.alive_machines()
         alive_set = set(alive)
-        old = self.store
         load = {m: 0 for m in alive}
         sets: list[list[int]] = []
         restored: list[int] = []
@@ -480,13 +494,12 @@ class Surfer:
             topology=cluster.topology,
         )
         copies = new_store.re_replicate(alive)
-        self.store = new_store
         scheduler.store = new_store
-        self.assignment = rebalance_placement(
+        assignment = rebalance_placement(
             new_store, estimate_partition_costs(self.pgraph)
         )
         tasks, state_bytes, durable_bytes = ckpt.restore_tasks(
-            new_store, self.assignment, restored, copies, ready
+            new_store, assignment, restored, copies, ready
         )
         scheduler.run_stage(tasks)  # may raise -> next restart attempt
         metrics.add("checkpoint.restores")
@@ -494,8 +507,9 @@ class Surfer:
         metrics.add("checkpoint.restored_partitions", len(restored))
         scheduler.data_loss = None
         if chk is None:
-            return 0, None
-        return chk.step, ckpt.snapshot_state(chk.state)
+            return 0, None, new_store, assignment
+        return (chk.step, ckpt.snapshot_state(chk.state), new_store,
+                assignment)
 
     def _attach_sanitizer(self, scheduler: StageScheduler,
                           sanitize: bool | None) -> None:

@@ -22,7 +22,7 @@ replayed in isolation by seed alone (``repro chaos --seed ...``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -33,7 +33,7 @@ from repro.core.surfer import JobResult, Surfer
 from repro.runtime.events import reconcile, wall_timer
 
 __all__ = ["ChaosOutcome", "ChaosReport", "random_fault_plan",
-           "results_identical", "run_chaos_sweep", "surfer_factory"]
+           "results_identical", "run_chaos_sweep"]
 
 
 def random_fault_plan(
@@ -201,7 +201,7 @@ class ChaosReport:
 
 
 def run_chaos_sweep(
-    make_surfer: Callable[[], Surfer],
+    surfer: Surfer,
     run_job: Callable[[Surfer, FaultPlan | None], JobResult],
     schedules: int,
     seed: int,
@@ -210,17 +210,16 @@ def run_chaos_sweep(
 ) -> ChaosReport:
     """Run ``schedules`` random fault schedules and check the invariant.
 
-    ``make_surfer`` must build a *fresh* deployment per call (the fault
-    path mutates stores and placements); ``run_job(surfer, plan)`` runs
-    the workload — with a checkpoint policy enabled, or the sweep will
-    simply count every unabsorbed data loss as a clean failure and
+    Every schedule runs on the one deployed ``surfer`` (a job's
+    failures and restarts never outlive it); ``run_job(surfer, plan)``
+    runs the workload — with a checkpoint policy enabled, or the sweep
+    will simply count every unabsorbed data loss as a clean failure and
     never exercise restart.  Schedule ``i`` draws from
     ``default_rng([seed, i])``; the fault horizon is the fault-free
     response time times ``horizon_factor``.
     """
     if schedules < 1:
         raise JobError("chaos sweep needs at least one schedule")
-    surfer = make_surfer()
     timer = wall_timer()
     baseline = run_job(surfer, None)
     baseline_wall = timer.elapsed()
@@ -250,9 +249,8 @@ def run_chaos_sweep(
         detail: str | None = None
         wall = 0.0
         try:
-            sched_surfer = make_surfer()
             timer = wall_timer()
-            job = run_job(sched_surfer, plan)
+            job = run_job(surfer, plan)
             wall = timer.elapsed()
         except Exception as exc:  # noqa: BLE001 -- any escape is a violation
             status = "violation"
@@ -289,35 +287,3 @@ def run_chaos_sweep(
             report.restarted_job = job
             report.restarted_wall_s = wall
     return report
-
-
-def surfer_factory(
-    graph: Any,
-    make_cluster: Callable[[], Any],
-    num_parts: int,
-    replication: int,
-    seed: int = 0,
-    layout: str = "bandwidth-aware",
-) -> Callable[[], Surfer]:
-    """A ``make_surfer`` that partitions once and redeploys per call.
-
-    Partitioning dominates small-graph setup time; a chaos sweep builds
-    one Surfer per schedule, so the factory computes the partition plan
-    on the first call and hands each deployment its own *copy* of the
-    placement (Surfer refines placements in place).
-    """
-    cache: list[Any] = []
-
-    def make() -> Surfer:
-        cluster = make_cluster()
-        if not cache:
-            first = Surfer(graph, cluster, num_parts=num_parts,
-                           layout=layout, seed=seed,
-                           replication=replication)
-            cache.append(first.plan)
-            return first
-        plan = replace(cache[0], placement=cache[0].placement.copy())
-        return Surfer(graph, cluster, num_parts=num_parts, seed=seed,
-                      replication=replication, plan=plan)
-
-    return make

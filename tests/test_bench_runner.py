@@ -343,6 +343,24 @@ class TestRunSuite:
                 assert result.records[name][metric] == \
                     again.records[name][metric]
 
+    def test_jobs_experiment_deploys_at_the_configured_replication(
+            self, tmp_path, monkeypatch):
+        from repro.core.surfer import Surfer
+
+        real = Surfer.run
+        replica_counts = set()
+
+        def capture(self, *args, **kwargs):
+            replica_counts.update(
+                len(self.store.replicas(p)) for p in range(self.num_parts))
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Surfer, "run", capture)
+        (tmp_path / "e2e.toml").write_text(textwrap.dedent(
+            TINY_E2E.replace("[cluster]", "[cluster]\n    replication = 1")))
+        run_suite("smoke", config_dir=tmp_path, repetitions=1)
+        assert replica_counts == {1}
+
     def test_suite_with_no_matching_workloads_is_empty(self, tmp_path):
         (tmp_path / "e2e.toml").write_text(textwrap.dedent(TINY_E2E))
         result = run_suite("paper", config_dir=tmp_path)

@@ -18,13 +18,13 @@ from repro.apps import (
     RecommenderPropagation,
 )
 from repro.cluster.faults import FaultPlan
+from repro.core.surfer import Surfer
 from repro.errors import JobError
 from repro.graph.generators import composite_social_graph
 from repro.runtime.chaos import (
     random_fault_plan,
     results_identical,
     run_chaos_sweep,
-    surfer_factory,
 )
 from repro.runtime.checkpoint import CheckpointPolicy
 from tests.conftest import make_test_cluster
@@ -36,9 +36,9 @@ def chaos_graph():
                                   k=4, seed=7)
 
 
-def make_factory(graph, replication):
-    return surfer_factory(graph, lambda: make_test_cluster(8),
-                          num_parts=8, replication=replication, seed=3)
+def deploy(graph, replication):
+    return Surfer(graph, make_test_cluster(8), num_parts=8,
+                  replication=replication, seed=3)
 
 
 def prop_runner(app_cls, iterations, until=False):
@@ -88,9 +88,9 @@ class TestPlanGeneration:
             assert len(plan.kills) <= 3
 
     def test_sweep_needs_schedules(self, chaos_graph):
-        make = make_factory(chaos_graph, replication=1)
+        surfer = deploy(chaos_graph, replication=1)
         with pytest.raises(JobError):
-            run_chaos_sweep(make, prop_runner(NetworkRankingPropagation,
+            run_chaos_sweep(surfer, prop_runner(NetworkRankingPropagation,
                                               3), 0, 1)
 
 
@@ -123,7 +123,7 @@ class TestChaosSweeps:
 
     def test_nr_propagation_replication1(self, chaos_graph):
         report = run_chaos_sweep(
-            make_factory(chaos_graph, replication=1),
+            deploy(chaos_graph, replication=1),
             prop_runner(NetworkRankingPropagation, 4),
             schedules=18, seed=101,
         )
@@ -134,7 +134,7 @@ class TestChaosSweeps:
     def test_cc_propagation_replication2(self, chaos_graph):
         graph = chaos_graph.symmetrized()
         report = run_chaos_sweep(
-            make_factory(graph, replication=2),
+            deploy(graph, replication=2),
             prop_runner(ConnectedComponentsPropagation, 20, until=True),
             schedules=16, seed=202,
         )
@@ -142,7 +142,7 @@ class TestChaosSweeps:
 
     def test_rs_propagation_replication1(self, chaos_graph):
         report = run_chaos_sweep(
-            make_factory(chaos_graph, replication=1),
+            deploy(chaos_graph, replication=1),
             prop_runner(RecommenderPropagation, 3),
             schedules=16, seed=303,
         )
@@ -159,14 +159,14 @@ class TestChaosSweeps:
             )
 
         report = run_chaos_sweep(
-            make_factory(chaos_graph, replication=1), run_job,
+            deploy(chaos_graph, replication=1), run_job,
             schedules=8, seed=404,
         )
         assert report.ok, report.summary()
 
     def test_sweep_outcome_bookkeeping(self, chaos_graph):
         report = run_chaos_sweep(
-            make_factory(chaos_graph, replication=1),
+            deploy(chaos_graph, replication=1),
             prop_runner(NetworkRankingPropagation, 3),
             schedules=6, seed=55,
         )
@@ -181,7 +181,7 @@ class TestChaosSweeps:
 
     def test_per_job_wall_clocks_recorded(self, chaos_graph):
         report = run_chaos_sweep(
-            make_factory(chaos_graph, replication=1),
+            deploy(chaos_graph, replication=1),
             prop_runner(NetworkRankingPropagation, 4),
             schedules=18, seed=101,
         )
@@ -205,7 +205,7 @@ class TestChaosSweeps:
             )
 
         report = run_chaos_sweep(
-            make_factory(chaos_graph, replication=1), run_job,
+            deploy(chaos_graph, replication=1), run_job,
             schedules=6, seed=77,
         )
         assert report.ok, report.summary()

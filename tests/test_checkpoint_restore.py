@@ -26,8 +26,8 @@ from repro.runtime.monitor import JobMonitor
 from tests.conftest import make_test_cluster
 
 
-def make_surfer(graph, machines=4, parts=8, replication=1, seed=3,
-                topology=None):
+def deploy(graph, machines=4, parts=8, replication=1, seed=3,
+           topology=None):
     return Surfer(graph, make_test_cluster(machines, topology=topology),
                   num_parts=parts, seed=seed, replication=replication)
 
@@ -58,7 +58,7 @@ class TestCheckpointPolicy:
             policy.backoff(0)
 
     def test_store_rejects_disabled_policy(self, tiny_graph):
-        surfer = make_surfer(tiny_graph)
+        surfer = deploy(tiny_graph)
         with pytest.raises(JobError):
             CheckpointStore(CheckpointPolicy(), surfer.pgraph,
                             EventStream())
@@ -66,7 +66,7 @@ class TestCheckpointPolicy:
 
 class TestSnapshots:
     def test_snapshot_copies_values_but_shares_graph(self, tiny_graph):
-        surfer = make_surfer(tiny_graph)
+        surfer = deploy(tiny_graph)
         ckpt = CheckpointStore(CheckpointPolicy(interval=1),
                                surfer.pgraph, EventStream())
         app = NetworkRankingPropagation()
@@ -82,7 +82,7 @@ class TestSnapshots:
         assert not np.array_equal(snap.values, state.values)
 
     def test_write_tasks_shapes_and_bytes(self, tiny_graph):
-        surfer = make_surfer(tiny_graph, replication=2)
+        surfer = deploy(tiny_graph, replication=2)
         ckpt = CheckpointStore(CheckpointPolicy(interval=1),
                                surfer.pgraph, EventStream())
         tasks, total = ckpt.write_tasks(surfer.store, surfer.assignment, 3)
@@ -101,7 +101,7 @@ class TestSnapshots:
         assert sent == recv
 
     def test_commit_counts(self, tiny_graph):
-        surfer = make_surfer(tiny_graph)
+        surfer = deploy(tiny_graph)
         events = EventStream()
         ckpt = CheckpointStore(CheckpointPolicy(interval=1),
                                surfer.pgraph, events)
@@ -117,12 +117,12 @@ class TestJobRestart:
     """The acceptance scenario: total partition loss, restart, recover."""
 
     def test_restart_is_bit_identical(self, tiny_graph):
-        baseline = make_surfer(tiny_graph).run_propagation(
+        baseline = deploy(tiny_graph).run_propagation(
             NetworkRankingPropagation(), iterations=4
         )
         assert not baseline.failed
 
-        surfer = make_surfer(tiny_graph)
+        surfer = deploy(tiny_graph)
         plan = FaultPlan().add_kill(surfer.store.primary(0), 1.0)
         # without a checkpoint policy this exact scenario dies with a
         # DataLossError (see test_data_loss_returns_clean_failed_job)
@@ -146,7 +146,7 @@ class TestJobRestart:
         assert m.get("checkpoint.backoff_seconds") > 0
 
     def test_monitor_reports_restart(self, tiny_graph):
-        surfer = make_surfer(tiny_graph)
+        surfer = deploy(tiny_graph)
         plan = FaultPlan().add_kill(surfer.store.primary(0), 1.0)
         job = surfer.run_propagation(
             NetworkRankingPropagation(), iterations=4, fault_plan=plan,
@@ -160,7 +160,7 @@ class TestJobRestart:
         assert summary in monitor.report()
 
     def test_no_restart_line_without_restarts(self, tiny_graph):
-        job = make_surfer(tiny_graph).run_propagation(
+        job = deploy(tiny_graph).run_propagation(
             NetworkRankingPropagation(), iterations=2
         )
         monitor = JobMonitor(job.events)
@@ -169,10 +169,10 @@ class TestJobRestart:
 
     def test_restart_before_first_interval_checkpoint(self, tiny_graph):
         """interval > iterations: recovery replays from superstep 0."""
-        baseline = make_surfer(tiny_graph).run_propagation(
+        baseline = deploy(tiny_graph).run_propagation(
             NetworkRankingPropagation(), iterations=3
         )
-        surfer = make_surfer(tiny_graph)
+        surfer = deploy(tiny_graph)
         plan = FaultPlan().add_kill(surfer.store.primary(0), 1.0)
         job = surfer.run_propagation(
             NetworkRankingPropagation(), iterations=3, fault_plan=plan,
@@ -184,7 +184,7 @@ class TestJobRestart:
         assert reconcile(job) == []
 
     def test_exhausted_restart_budget_fails_cleanly(self, tiny_graph):
-        surfer = make_surfer(tiny_graph, machines=4, replication=1)
+        surfer = deploy(tiny_graph, machines=4, replication=1)
         plan = FaultPlan()
         # stagger kills so each restart meets a fresh total loss
         victims = sorted({surfer.store.primary(p)
@@ -205,10 +205,10 @@ class TestJobRestart:
 
     def test_fault_free_checkpointed_run_identical_but_costlier(
             self, tiny_graph):
-        plain = make_surfer(tiny_graph).run_propagation(
+        plain = deploy(tiny_graph).run_propagation(
             NetworkRankingPropagation(), iterations=4
         )
-        job = make_surfer(tiny_graph).run_propagation(
+        job = deploy(tiny_graph).run_propagation(
             NetworkRankingPropagation(), iterations=4,
             checkpoint=CheckpointPolicy(interval=2),
         )
@@ -220,10 +220,10 @@ class TestJobRestart:
         assert reconcile(job) == []
 
     def test_mapreduce_restart_is_bit_identical(self, tiny_graph):
-        baseline = make_surfer(tiny_graph).run_mapreduce(
+        baseline = deploy(tiny_graph).run_mapreduce(
             NetworkRankingMapReduce(), rounds=3
         )
-        surfer = make_surfer(tiny_graph)
+        surfer = deploy(tiny_graph)
         plan = FaultPlan().add_kill(surfer.store.primary(0), 1.0)
         job = surfer.run_mapreduce(
             NetworkRankingMapReduce(), rounds=3, fault_plan=plan,

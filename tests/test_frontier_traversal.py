@@ -360,12 +360,9 @@ class TestFrontierRecovery:
         assert reconcile(job) == []
 
     def test_chaos_sweep_recovery_invariant(self, graph):
-        from repro.runtime.chaos import run_chaos_sweep, surfer_factory
+        from repro.runtime.chaos import run_chaos_sweep
 
-        make_surfer = surfer_factory(
-            graph, lambda: make_test_cluster(4),
-            num_parts=8, replication=2, seed=3,
-        )
+        surfer = _surfer(graph, replication=2)
         policy = CheckpointPolicy(interval=1, max_restarts=3)
 
         def run_job(surfer, plan):
@@ -375,7 +372,7 @@ class TestFrontierRecovery:
                 checkpoint=policy if plan is not None else None,
             )
 
-        report = run_chaos_sweep(make_surfer, run_job, 6, seed=11)
+        report = run_chaos_sweep(surfer, run_job, 6, seed=11)
         assert report.ok, report.summary()
 
 

@@ -51,7 +51,7 @@ def shard_graph(tmp_path_factory):
     return open_shard_graph(path)
 
 
-def make_surfer(graph, offsets):
+def deploy(graph, offsets):
     cluster = make_cluster(topology_by_name("T2(4,1)", 8))
     plan = contiguous_range_plan(graph, cluster.topology, P, seed=SEED,
                                  offsets=offsets)
@@ -152,7 +152,7 @@ class TestContiguousRangePlan:
 
     def test_surfer_dispatches_range_pgraph(self, in_memory):
         """Consecutive ids get CSR slices: zero-copy, nothing cached."""
-        pgraph = make_surfer(in_memory, None).pgraph
+        pgraph = deploy(in_memory, None).pgraph
         for p in range(P):
             _, dst = pgraph.partition_out_edges(p)
             assert np.shares_memory(dst, in_memory.out_indices)
@@ -202,7 +202,7 @@ class TestOutOfCoreJobParity:
         offsets = shard_graph.store.vertex_starts
         jobs = []
         for graph in (in_memory, shard_graph):
-            surfer = make_surfer(graph, offsets)
+            surfer = deploy(graph, offsets)
             jobs.append(surfer.run_propagation(
                 APP_REGISTRY["NR"][0](), iterations=3, vectorized=True))
         assert_jobs_identical(*jobs)
@@ -211,7 +211,7 @@ class TestOutOfCoreJobParity:
         offsets = shard_graph.store.vertex_starts
         jobs = []
         for graph in (in_memory, shard_graph):
-            surfer = make_surfer(graph, offsets)
+            surfer = deploy(graph, offsets)
             jobs.append(surfer.run_mapreduce(
                 APP_REGISTRY["NR"][1](), rounds=2, vectorized=True))
         assert_jobs_identical(*jobs)
@@ -220,7 +220,7 @@ class TestOutOfCoreJobParity:
         offsets = shard_graph.store.vertex_starts
         jobs = []
         for graph in (in_memory, shard_graph):
-            surfer = make_surfer(graph, offsets)
+            surfer = deploy(graph, offsets)
             jobs.append(surfer.run_propagation(
                 EXTENSION_APPS["BFS"][0](), iterations=64,
                 frontier=True, until_convergence=True, vectorized=True))
@@ -230,7 +230,7 @@ class TestOutOfCoreJobParity:
         offsets = shard_graph.store.vertex_starts
         registries = []
         for graph in (in_memory, shard_graph):
-            surfer = make_surfer(graph, offsets)
+            surfer = deploy(graph, offsets)
             job = surfer.run_propagation(APP_REGISTRY["NR"][0](),
                                          iterations=2, vectorized=True)
             registries.append(job.events.metrics)

@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.apps import NetworkRankingMapReduce, NetworkRankingPropagation
+from repro.apps import (
+    BreadthFirstSearchPropagation,
+    NetworkRankingMapReduce,
+    NetworkRankingPropagation,
+)
 from repro.cluster.cluster import partitions_for_memory
+from repro.cluster.faults import FaultPlan
+from repro.core.bandwidth_aware import bandwidth_aware_partition
 from repro.core.surfer import (
     ALL_LEVELS,
     O1,
@@ -13,6 +21,8 @@ from repro.core.surfer import (
     default_num_parts,
 )
 from repro.errors import JobError
+from repro.runtime.checkpoint import CheckpointPolicy
+from repro.runtime.events import reconcile
 from tests.conftest import make_test_cluster
 
 
@@ -128,3 +138,107 @@ class TestOneLaunchPath:
     def test_rejects_a_non_app(self, surfer):
         with pytest.raises(JobError, match="neither"):
             surfer.run(object())
+
+
+def _kill(surfer):
+    return FaultPlan().add_kill(surfer.store.primary(0), 1.0)
+
+
+#: every kind of job the deployment must survive unchanged; at
+#: replication 1 the bare kill is a clean failure and the checkpointed
+#: one restarts, at replication 3 both are absorbed by replica promotion
+JOBS = {
+    "clean NR": lambda s: s.run(NetworkRankingPropagation(), 3),
+    "kill": lambda s: s.run(NetworkRankingPropagation(), 3,
+                            fault_plan=_kill(s)),
+    "kill + checkpoint": lambda s: s.run(
+        NetworkRankingPropagation(), 3, fault_plan=_kill(s),
+        checkpoint=CheckpointPolicy(interval=1)),
+    "transient outage": lambda s: s.run(
+        NetworkRankingPropagation(), 3,
+        fault_plan=FaultPlan().add_transient(s.store.primary(0), 1.0,
+                                             downtime=5.0)),
+    "NR MapReduce": lambda s: s.run(NetworkRankingMapReduce(), 2),
+    "BFS frontier": lambda s: s.run(
+        BreadthFirstSearchPropagation(), 100, until_convergence=True,
+        frontier=True),
+}
+
+
+def _deploy(graph, replication):
+    return Surfer(graph, make_test_cluster(4), num_parts=8, seed=2,
+                  replication=replication)
+
+
+def _deployed_state(surfer):
+    store = surfer.store
+    return ([store.replicas(p) for p in range(store.num_partitions)],
+            store.failed_machines, surfer.assignment.tolist())
+
+
+def _outcome(job):
+    """Everything simulated a job reports; the two real-seconds counters
+    (``wall.udf_seconds``, ``scheduler.wall_seconds``) are dropped."""
+    counters = {name: value
+                for name, value in job.events.metrics.snapshot().items()
+                if "wall" not in name}
+    result = None if job.result is None else np.asarray(job.result)
+    return {
+        "failed": job.failed, "error": job.error,
+        "restarts": job.restarts, "checkpoints": job.checkpoints,
+        "result": result if result is None
+        else (result.dtype, result.tobytes()),
+        "metrics": job.metrics, "counters": counters,
+        "unreconciled": reconcile(job),
+    }
+
+
+class TestJobsLeaveTheDeploymentAlone:
+    """A Surfer is a deployment: a job's kills, repairs and restarts end
+    with the job, so any job reads the same on a reused Surfer as alone
+    on a freshly deployed one."""
+
+    @pytest.fixture(scope="class", params=[1, 3],
+                    ids=["replication1", "replication3"])
+    def deployment(self, request, tiny_graph):
+        alone = {name: _outcome(run(_deploy(tiny_graph, request.param)))
+                 for name, run in JOBS.items()}
+        surfer = _deploy(tiny_graph, request.param)
+        return surfer, _deployed_state(surfer), alone
+
+    def test_the_menu_exercises_recovery(self, deployment):
+        surfer, _, alone = deployment
+        if surfer.store.replication == 1:
+            assert alone["kill"]["failed"]
+            assert alone["kill + checkpoint"]["restarts"] >= 1
+        else:
+            assert alone["kill"]["metrics"].re_replication_bytes > 0
+        assert not any(alone[name]["failed"] for name in JOBS
+                       if name != "kill" or surfer.store.replication > 1)
+        assert alone["transient outage"]["counters"][
+            "recovery.machine-recovered"] >= 1
+        assert all(o["unreconciled"] == [] for o in alone.values())
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.permutations(sorted(JOBS)))
+    def test_any_job_order_reads_like_each_job_alone(self, deployment,
+                                                     order):
+        surfer, deployed, alone = deployment
+        for name in order:
+            assert _outcome(JOBS[name](surfer)) == alone[name], name
+            assert _deployed_state(surfer) == deployed, name
+
+    def test_the_handed_plan_is_not_written_into(self, small_graph):
+        cluster = make_test_cluster(4)
+        plan = bandwidth_aware_partition(small_graph, cluster.topology, 8,
+                                         seed=2)
+        handed = plan.placement.copy()
+        first = Surfer(small_graph, cluster, seed=2, plan=plan)
+        assert np.array_equal(plan.placement, handed)
+        # the refinement did move something, into the Surfer's own plan
+        assert not np.array_equal(first.plan.placement, handed)
+        second = Surfer(small_graph, make_test_cluster(4), seed=2,
+                        plan=plan)
+        assert np.array_equal(first.plan.placement, second.plan.placement)
+        assert _deployed_state(first) == _deployed_state(second)
