@@ -75,13 +75,13 @@ def multilevel_bisection(
         side = gggp_bisection(coarsest, rng, num_trials=options.gggp_trials)
     if options.refine:
         side = fm_refine(coarsest, side, epsilon=options.epsilon,
-                         max_passes=options.max_passes, rng=rng)
+                         max_passes=options.max_passes)
 
     for level in reversed(levels):
         side = level.project(side)
         if options.refine:
             side = fm_refine(level.fine, side, epsilon=options.epsilon,
-                             max_passes=options.max_passes, rng=rng)
+                             max_passes=options.max_passes)
 
     cut = weighted_cut(wgraph, side)
     return BisectionResult(

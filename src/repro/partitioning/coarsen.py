@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import PartitioningError
 from repro.partitioning.wgraph import WGraph
 
 __all__ = ["contract_matching", "CoarseningLevel", "coarsen_until"]
@@ -35,23 +36,24 @@ def contract_matching(
 ) -> tuple[WGraph, np.ndarray]:
     """Contract ``match`` and return ``(coarse_graph, fine_to_coarse)``."""
     n = wgraph.num_vertices
-    fine_to_coarse = -np.ones(n, dtype=np.int64)
-    next_id = 0
-    for v in range(n):
-        if fine_to_coarse[v] >= 0:
-            continue
-        u = match[v]
-        fine_to_coarse[v] = next_id
-        if u != v and fine_to_coarse[u] < 0:
-            fine_to_coarse[u] = next_id
-        next_id += 1
-    nc = next_id
+    match = np.asarray(match, dtype=np.int64)
+    ids = np.arange(n, dtype=np.int64)
+    in_range = match.shape == (n,) and bool(((match >= 0) & (match < n)).all())
+    if not in_range or not np.array_equal(match[match], ids):
+        raise PartitioningError(
+            "match must be an involution over the vertices "
+            "(match[match[v]] == v for every v)"
+        )
+    # a pair is numbered when its smaller member is reached in id order
+    leader = np.minimum(ids, match)
+    is_leader = leader == ids
+    fine_to_coarse = (np.cumsum(is_leader) - 1)[leader]
+    nc = int(np.count_nonzero(is_leader))
 
-    vweights = np.zeros(nc, dtype=np.int64)
-    np.add.at(vweights, fine_to_coarse, wgraph.vweights)
+    partner_weight = np.where(match == ids, 0, wgraph.vweights[match])
+    vweights = (wgraph.vweights + partner_weight)[is_leader]
 
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(wgraph.indptr))
-    csrc = fine_to_coarse[src]
+    csrc = fine_to_coarse[wgraph.edge_sources()]
     cdst = fine_to_coarse[wgraph.indices]
     keep = csrc != cdst  # drop intra-pair edges
     csrc, cdst, cw = csrc[keep], cdst[keep], wgraph.eweights[keep]

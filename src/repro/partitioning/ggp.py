@@ -15,41 +15,43 @@ import numpy as np
 
 from repro.errors import PartitioningError
 from repro.partitioning.metrics import weighted_cut
-from repro.partitioning.wgraph import WGraph
+from repro.partitioning.wgraph import AdjacencyLists, WGraph
 
 __all__ = ["gggp_bisection", "random_bisection"]
 
 
-def _grow_from_seed(wgraph: WGraph, seed: int, half_weight: int) -> np.ndarray:
-    """Grow side 0 from ``seed`` until it reaches ``half_weight``."""
-    n = wgraph.num_vertices
-    side = np.ones(n, dtype=np.int64)  # 1 = ungrown side
+def _grow_from_seed(
+    adjacency: AdjacencyLists, seed: int, half_weight: int
+) -> np.ndarray:
+    """Grow side 0 from ``seed`` until it reaches ``half_weight``.
+
+    ``adjacency`` is ``wgraph.tolists()``.  Always absorbs the frontier
+    vertex of maximum gain, smallest id among equals.
+    """
+    indptr, indices, eweights, vweights = adjacency
+    n = len(vweights)
+    side = [1] * n  # 1 = ungrown side
     # gain[v] = reduction in cut if v moves into side 0
-    gain = np.zeros(n, dtype=np.int64)
-    in_heap = np.zeros(n, dtype=bool)
+    gain = [0] * n
     heap: list[tuple[int, int]] = []
+    heappop, heappush = heapq.heappop, heapq.heappush
 
-    def push(v: int) -> None:
-        heapq.heappush(heap, (-int(gain[v]), int(v)))
-        in_heap[v] = True
+    def absorb(v: int) -> None:
+        side[v] = 0
+        for j in range(indptr[v], indptr[v + 1]):
+            u = indices[j]
+            if side[u] == 1:
+                gain[u] += 2 * eweights[j]
+                heappush(heap, (-gain[u], u))
 
-    side[seed] = 0
-    grown_weight = int(wgraph.vweights[seed])
-    for u, w in zip(wgraph.neighbors(seed), wgraph.edge_weights_of(seed)):
-        if side[u] == 1:
-            gain[u] += 2 * w
-            push(int(u))
-
+    absorb(seed)
+    grown_weight = vweights[seed]
     while grown_weight < half_weight and heap:
-        neg_gain, v = heapq.heappop(heap)
+        neg_gain, v = heappop(heap)
         if side[v] == 0 or -neg_gain != gain[v]:
             continue  # stale entry
-        side[v] = 0
-        grown_weight += int(wgraph.vweights[v])
-        for u, w in zip(wgraph.neighbors(v), wgraph.edge_weights_of(v)):
-            if side[u] == 1:
-                gain[u] += 2 * w
-                push(int(u))
+        absorb(v)
+        grown_weight += vweights[v]
 
     # If growth stalled (disconnected graph), absorb arbitrary vertices.
     if grown_weight < half_weight:
@@ -58,8 +60,8 @@ def _grow_from_seed(wgraph: WGraph, seed: int, half_weight: int) -> np.ndarray:
                 break
             if side[v] == 1:
                 side[v] = 0
-                grown_weight += int(wgraph.vweights[v])
-    return side
+                grown_weight += vweights[v]
+    return np.array(side, dtype=np.int64)
 
 
 def gggp_bisection(
@@ -78,9 +80,10 @@ def gggp_bisection(
     half_weight = (wgraph.total_vertex_weight + 1) // 2
     best: np.ndarray | None = None
     best_cut = -1
+    adjacency = wgraph.tolists()
     for _ in range(max(1, num_trials)):
         seed = int(rng.integers(n))
-        side = _grow_from_seed(wgraph, seed, half_weight)
+        side = _grow_from_seed(adjacency, seed, half_weight)
         cut = weighted_cut(wgraph, side)
         if best is None or cut < best_cut:
             best, best_cut = side, cut

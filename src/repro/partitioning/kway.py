@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.partitioning.metrics import validate_assignment
 from repro.partitioning.wgraph import WGraph
 
 __all__ = ["kway_refine_balance"]
@@ -32,12 +33,12 @@ def kway_refine_balance(
     and the cut damage bounded); each move picks the (vertex, target) pair
     with the best cut gain among the heaviest partition's boundary.
     """
-    parts = np.asarray(parts, dtype=np.int64).copy()
     n = wgraph.num_vertices
+    parts = validate_assignment(parts, n, num_parts).copy()
     if n == 0 or num_parts <= 1:
         return parts
-    weights = np.zeros(num_parts, dtype=np.float64)
-    np.add.at(weights, parts, wgraph.vweights.astype(np.float64))
+    weights = np.bincount(parts, weights=wgraph.vweights,
+                          minlength=num_parts)
     target = weights.sum() / num_parts
     ceiling = (1.0 + tolerance) * target
     if max_moves is None:
@@ -65,32 +66,43 @@ def _best_move(
     heavy: int,
     target: float,
 ) -> tuple[int, int] | None:
-    """Best (vertex, destination) migration out of partition ``heavy``."""
-    best: tuple[int, int] | None = None
-    best_score = -np.inf
+    """Best (vertex, destination) migration out of partition ``heavy``.
+
+    ``heavy`` must weigh more than ``target``.  Scores every (member,
+    neighbouring partition) pair at once; among equal scores the winner is
+    the pair a scan would meet first (DESIGN.md Section 11): smallest
+    member id, then the partition that appears first in that member's
+    adjacency row.
+    """
+    num_parts = weights.size
     members = np.flatnonzero(parts == heavy)
-    for v in members:
-        v = int(v)
-        vw = float(wgraph.vweights[v])
-        if vw > weights[heavy] - target:
-            # moving v would overshoot below the ideal weight
-            if vw > 1.5 * (weights[heavy] - target):
-                continue
-        # edge affinity towards each neighboring partition
-        affinity: dict[int, float] = {}
-        internal = 0.0
-        for u, w in zip(wgraph.neighbors(v), wgraph.edge_weights_of(v)):
-            q = int(parts[u])
-            if q == heavy:
-                internal += w
-            else:
-                affinity[q] = affinity.get(q, 0.0) + w
-        for q, external in affinity.items():
-            if weights[q] + vw > weights[heavy] - vw:
-                continue  # destination would become the new straggler
-            gain = external - internal  # cut improvement if positive
-            score = gain - 0.001 * weights[q] / max(target, 1.0)
-            if score > best_score:
-                best_score = score
-                best = (v, q)
-    return best
+    member_weight = wgraph.vweights[members].astype(np.float64)
+    # a member heavier than 1.5x the excess would overshoot below the ideal
+    fits = member_weight <= 1.5 * (weights[heavy] - target)
+    members, member_weight = members[fits], member_weight[fits]
+
+    # affinity[i, q]: edge weight from members[i] into partition q
+    owner, arcs = wgraph.rows_of(members)
+    arc_part = parts[wgraph.indices[arcs]]
+    cell = owner * num_parts + arc_part
+    size = members.size * num_parts
+    affinity = np.bincount(cell, weights=wgraph.eweights[arcs],
+                           minlength=size).reshape(members.size, num_parts)
+    adjacent = np.bincount(cell, minlength=size).reshape(affinity.shape) > 0
+    adjacent[:, heavy] = False
+    # not if the destination would become the new straggler
+    after_move = weights[None, :] + member_weight[:, None]
+    adjacent &= after_move <= (weights[heavy] - member_weight)[:, None]
+    if not adjacent.any():
+        return None
+
+    gain = affinity - affinity[:, [heavy]]  # cut improvement if positive
+    score = gain - (0.001 * weights / max(target, 1.0))[None, :]
+    score[~adjacent] = -np.inf
+    best = score.max()
+    row = int(np.argmax((score == best).any(axis=1)))
+    tied = np.flatnonzero(score[row] == best)
+    if tied.size > 1:
+        seen = arc_part[owner == row]
+        tied = seen[np.isin(seen, tied)]
+    return int(members[row]), int(tied[0])

@@ -23,9 +23,9 @@ def heavy_edge_matching(wgraph: WGraph, rng: np.random.Generator) -> np.ndarray:
     unmatched neighbor.  Unmatchable vertices stay matched to themselves.
     """
     n = wgraph.num_vertices
-    match = -np.ones(n, dtype=np.int64)
-    order = rng.permutation(n)
-    indptr, indices, eweights = wgraph.indptr, wgraph.indices, wgraph.eweights
+    order = rng.permutation(n).tolist()
+    indptr, indices, eweights, _ = wgraph.tolists()
+    match = [-1] * n
     for v in order:
         if match[v] >= 0:
             continue
@@ -44,7 +44,7 @@ def heavy_edge_matching(wgraph: WGraph, rng: np.random.Generator) -> np.ndarray:
             match[best] = v
         else:
             match[v] = v
-    return match
+    return np.array(match, dtype=np.int64)
 
 
 def random_matching(wgraph: WGraph, rng: np.random.Generator) -> np.ndarray:

@@ -51,9 +51,7 @@ def edge_cut(graph: Graph, parts: np.ndarray) -> int:
 def weighted_cut(wgraph: WGraph, parts: np.ndarray) -> int:
     """Total weight of cut undirected edges in a :class:`WGraph`."""
     parts = validate_assignment(parts, wgraph.num_vertices)
-    src = np.repeat(np.arange(wgraph.num_vertices, dtype=np.int64),
-                    np.diff(wgraph.indptr))
-    cut = parts[src] != parts[wgraph.indices]
+    cut = parts[wgraph.edge_sources()] != parts[wgraph.indices]
     return int(wgraph.eweights[cut].sum() // 2)
 
 

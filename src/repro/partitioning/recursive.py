@@ -142,14 +142,18 @@ def _induced_wgraph(root: WGraph, vertices: np.ndarray) -> WGraph:
     """Induced weighted subgraph on ``vertices`` with local ids."""
     local = -np.ones(root.num_vertices, dtype=np.int64)
     local[vertices] = np.arange(vertices.size)
-    src = np.repeat(np.arange(root.num_vertices, dtype=np.int64),
-                    np.diff(root.indptr))
-    keep = (local[src] >= 0) & (local[root.indices] >= 0)
-    lsrc = local[src[keep]]
-    ldst = local[root.indices[keep]]
-    lw = root.eweights[keep]
-    order = np.lexsort((ldst, lsrc))
-    lsrc, ldst, lw = lsrc[order], ldst[order], lw[order]
+    lsrc, arcs = root.rows_of(vertices)
+    ldst = local[root.indices[arcs]]
+    keep = ldst >= 0
+    lsrc, ldst, lw = lsrc[keep], ldst[keep], root.eweights[arcs[keep]]
+    # Rows come out grouped by source; within a row they are in neighbour
+    # order already when the root's rows are (every WGraph constructor
+    # sorts them) and ``vertices`` ascends, so the sort is for hand-built
+    # graphs only.
+    key = lsrc * np.int64(vertices.size) + ldst
+    if (key[1:] < key[:-1]).any():
+        order = np.argsort(key, kind="stable")
+        ldst, lw = ldst[order], lw[order]
     indptr = np.zeros(vertices.size + 1, dtype=np.int64)
     np.cumsum(np.bincount(lsrc, minlength=vertices.size), out=indptr[1:])
     return WGraph(indptr, ldst, lw, root.vweights[vertices])

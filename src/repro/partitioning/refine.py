@@ -14,10 +14,20 @@ import heapq
 
 import numpy as np
 
-from repro.partitioning.metrics import weighted_cut
-from repro.partitioning.wgraph import WGraph
+from repro.partitioning.wgraph import AdjacencyLists, WGraph
 
 __all__ = ["fm_refine", "compute_gains"]
+
+
+def _gains_and_cut(wgraph: WGraph, side: np.ndarray) -> tuple[np.ndarray, int]:
+    """Per-vertex move gains and the weighted cut of ``side``, in one pass."""
+    cut_arc = side[wgraph.edge_sources()] != side[wgraph.indices]
+    signed = np.where(cut_arc, wgraph.eweights, -wgraph.eweights)
+    # row sums as differences of the running total: exact int64, and an
+    # empty row (isolated vertex) comes out 0
+    running = np.concatenate(([0], np.cumsum(signed)))
+    gain = running[wgraph.indptr[1:]] - running[wgraph.indptr[:-1]]
+    return gain, int(wgraph.eweights[cut_arc].sum() // 2)
 
 
 def compute_gains(wgraph: WGraph, side: np.ndarray) -> np.ndarray:
@@ -26,13 +36,7 @@ def compute_gains(wgraph: WGraph, side: np.ndarray) -> np.ndarray:
     ``gain[v] = external_weight(v) - internal_weight(v)``; positive gains
     reduce the cut.
     """
-    n = wgraph.num_vertices
-    gain = np.zeros(n, dtype=np.int64)
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(wgraph.indptr))
-    same = side[src] == side[wgraph.indices]
-    np.subtract.at(gain, src[same], wgraph.eweights[same])
-    np.add.at(gain, src[~same], wgraph.eweights[~same])
-    return gain
+    return _gains_and_cut(wgraph, np.asarray(side))[0]
 
 
 def fm_refine(
@@ -40,7 +44,6 @@ def fm_refine(
     side: np.ndarray,
     epsilon: float = 0.05,
     max_passes: int = 8,
-    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Refine a bisection in place-copy; returns the improved assignment.
 
@@ -51,64 +54,79 @@ def fm_refine(
     n = wgraph.num_vertices
     if n <= 2:
         return side
-    total = wgraph.total_vertex_weight
-    min_side_weight = int((0.5 - epsilon) * total)
-
+    min_side_weight = int((0.5 - epsilon) * wgraph.total_vertex_weight)
+    adjacency = wgraph.tolists()  # shared by the passes, dropped on return
     for _ in range(max_passes):
-        improved = _fm_pass(wgraph, side, total, min_side_weight)
-        if not improved:
+        if not _fm_pass(wgraph, adjacency, side, min_side_weight):
             break
     return side
 
 
 def _fm_pass(
-    wgraph: WGraph, side: np.ndarray, total: int, min_side_weight: int
+    wgraph: WGraph,
+    adjacency: AdjacencyLists,
+    side: np.ndarray,
+    min_side_weight: int,
 ) -> bool:
-    """One FM pass; mutates ``side``; returns True if the cut improved."""
-    n = wgraph.num_vertices
-    gain = compute_gains(wgraph, side)
-    locked = np.zeros(n, dtype=bool)
-    side_weight = np.zeros(2, dtype=np.int64)
-    np.add.at(side_weight, side, wgraph.vweights)
+    """One FM pass; mutates ``side``; returns True if the cut improved.
 
-    heap: list[tuple[int, int]] = [(-int(gain[v]), v) for v in range(n)]
+    ``adjacency`` is ``wgraph.tolists()``.  The move order is the contract
+    (DESIGN.md Section 11): always the unlocked vertex of maximum gain,
+    smallest id among equals; a vertex whose move would break the balance
+    is locked where it stands.
+    """
+    indptr, indices, eweights, vweights = adjacency
+    gains, start_cut = _gains_and_cut(wgraph, side)
+    gain = gains.tolist()
+    where = side.tolist()
+    side_weight = [int(wgraph.vweights[side == s].sum()) for s in (0, 1)]
+    locked = [False] * len(gain)
+
+    heap = [(-g, v) for v, g in enumerate(gain)]
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
 
-    start_cut = weighted_cut(wgraph, side)
-    best_cut = start_cut
-    current_cut = start_cut
+    best_cut = current_cut = start_cut
+    # weight of cut edges whose two ends are both locked: those edges stay
+    # cut for the rest of the pass, so no later prefix can get below it
+    locked_cut = 0
     moves: list[int] = []
     best_prefix = 0
 
     while heap:
-        neg_gain, v = heapq.heappop(heap)
+        neg_gain, v = heappop(heap)
         if locked[v] or -neg_gain != gain[v]:
             continue
-        s = int(side[v])
-        if side_weight[s] - wgraph.vweights[v] < min_side_weight:
-            # moving v would violate balance; lock it out of this pass
-            locked[v] = True
-            continue
-        # perform the move
         locked[v] = True
-        current_cut -= int(gain[v])
-        side[v] = 1 - s
-        side_weight[s] -= wgraph.vweights[v]
-        side_weight[1 - s] += wgraph.vweights[v]
+        s = where[v]
+        vw = vweights[v]
+        if side_weight[s] - vw < min_side_weight:
+            continue  # moving v would violate balance: it sits this pass out
+        t = 1 - s
+        where[v] = t
+        side_weight[s] -= vw
+        side_weight[t] += vw
+        current_cut += neg_gain
         moves.append(v)
-        for u, w in zip(wgraph.neighbors(v), wgraph.edge_weights_of(v)):
+        for j in range(indptr[v], indptr[v + 1]):
+            u = indices[j]
             if locked[u]:
+                if where[u] != t:
+                    locked_cut += eweights[j]
                 continue
-            if side[u] == side[v]:
-                gain[u] -= 2 * w  # u's edge to v became internal
+            if where[u] == t:
+                g = gain[u] - 2 * eweights[j]  # u's edge to v became internal
             else:
-                gain[u] += 2 * w  # u's edge to v became external
-            heapq.heappush(heap, (-int(gain[u]), int(u)))
+                g = gain[u] + 2 * eweights[j]  # u's edge to v became external
+            gain[u] = g
+            heappush(heap, (-g, u))
         if current_cut < best_cut:
             best_cut = current_cut
             best_prefix = len(moves)
+        elif locked_cut >= best_cut:
+            break  # every later prefix has cut >= locked_cut >= best_cut
 
-    # roll back moves after the best prefix
-    for v in moves[best_prefix:]:
-        side[v] = 1 - side[v]
+    # the moves past the best prefix only ever touched `where`
+    kept = moves[:best_prefix]
+    side[kept] = 1 - side[kept]
     return best_cut < start_cut

@@ -15,7 +15,10 @@ import numpy as np
 from repro.errors import PartitioningError
 from repro.graph.digraph import Graph
 
-__all__ = ["WGraph"]
+__all__ = ["WGraph", "AdjacencyLists"]
+
+#: ``(indptr, indices, eweights, vweights)`` as lists of plain ints
+AdjacencyLists = tuple[list[int], list[int], list[int], list[int]]
 
 
 class WGraph:
@@ -66,6 +69,36 @@ class WGraph:
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
 
+    def edge_sources(self) -> np.ndarray:
+        """Source vertex of every stored arc, aligned with ``indices``."""
+        return np.repeat(np.arange(self.num_vertices, dtype=np.int64),
+                         np.diff(self.indptr))
+
+    def tolists(self) -> AdjacencyLists:
+        """``(indptr, indices, eweights, vweights)`` as lists of plain ints.
+
+        The form the partitioner's sequential loops (matching, GGGP growth,
+        FM) run over: indexing a list yields an ``int`` at a fraction of the
+        cost of boxing a NumPy scalar.  Callers drop the lists when their
+        loop ends; between loops the state lives in the arrays.
+        """
+        return (self.indptr.tolist(), self.indices.tolist(),
+                self.eweights.tolist(), self.vweights.tolist())
+
+    def rows_of(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The CSR rows of ``vertices`` as flat ``(owner, arcs)`` arrays.
+
+        ``arcs`` indexes ``indices`` / ``eweights`` row by row in the order
+        ``vertices`` lists them (stored order within a row); ``owner[i]`` is
+        the position in ``vertices`` of the row arc ``i`` belongs to.
+        """
+        starts = self.indptr[vertices]
+        counts = self.indptr[vertices + 1] - starts
+        owner = np.repeat(np.arange(vertices.size, dtype=np.int64), counts)
+        first = np.cumsum(counts) - counts  # offset of each row in `arcs`
+        arcs = np.arange(owner.size, dtype=np.int64) + (starts - first)[owner]
+        return owner, arcs
+
     @classmethod
     def from_digraph(cls, graph: Graph,
                      balance: str = "edges") -> "WGraph":
@@ -114,10 +147,11 @@ class WGraph:
 
     def validate_symmetry(self) -> bool:
         """True iff every stored arc has a mirror with equal weight."""
-        pairs: dict[tuple[int, int], int] = {}
-        for v in range(self.num_vertices):
-            for u, w in zip(self.neighbors(v), self.edge_weights_of(v)):
-                pairs[(v, int(u))] = int(w)
-        return all(
-            pairs.get((u, v)) == w for (v, u), w in pairs.items()
+        src = self.edge_sources()
+        forward = np.lexsort((self.eweights, self.indices, src))
+        mirror = np.lexsort((self.eweights, src, self.indices))
+        return bool(
+            np.array_equal(src[forward], self.indices[mirror])
+            and np.array_equal(self.indices[forward], src[mirror])
+            and np.array_equal(self.eweights[forward], self.eweights[mirror])
         )

@@ -15,6 +15,7 @@ from repro.bench.workloads import (
     standard_workload,
     topology_suite,
 )
+from repro.graph.generators import composite_social_graph
 
 
 class TestExperimentTable:
@@ -87,13 +88,14 @@ class TestWorkloads:
         assert standard_graph() is standard_graph()
 
     def test_cached_bisection_identity(self):
-        g = standard_graph()
+        g = composite_social_graph(4, 64, seed=3)
         a = cached_bisection(g, 16, 1)
         b = cached_bisection(g, 16, 1)
         assert a is b
 
     def test_workload_surfer_cached(self):
-        wl = standard_workload(num_machines=8, num_parts=16)
+        wl = standard_workload(graph=composite_social_graph(4, 64, seed=3),
+                               num_machines=8, num_parts=16)
         assert wl.surfer("oblivious") is wl.surfer("oblivious")
 
     def test_topology_suite_complete(self):

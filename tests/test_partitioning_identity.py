@@ -1,0 +1,350 @@
+"""The partitioner's determinism contract (DESIGN.md Section 11).
+
+Two layers hold the multilevel partitioner to the partitions it has always
+produced, so its loops can be rewritten for speed and nothing downstream
+(edge cuts, placements, every simulated counter) moves:
+
+* golden digests of whole ``recursive_bisection`` results, recorded at the
+  commit before the loops went onto lists and array ops (PR 23);
+* the scalar FM pass and k-way move that commit had, kept here as the
+  reference the production routines must agree with move for move on
+  small graphs built to tie.
+"""
+
+import hashlib
+import heapq
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.errors import PartitioningError
+from repro.graph.generators import composite_social_graph, erdos_renyi, rmat
+from repro.partitioning.bisect import BisectionOptions
+from repro.partitioning.coarsen import contract_matching
+from repro.partitioning.kway import _best_move
+from repro.partitioning.metrics import weighted_cut
+from repro.partitioning.recursive import recursive_bisection
+from repro.partitioning.refine import _fm_pass, compute_gains
+from repro.partitioning.wgraph import WGraph
+
+COMMON = settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+# ----------------------------------------------------------------------
+# (a) golden digests
+# ----------------------------------------------------------------------
+
+def partition_digest(result) -> str:
+    """sha1 over ``parts`` and the sorted sketch-node cuts and sizes."""
+    h = hashlib.sha1(np.ascontiguousarray(result.parts, dtype=np.int64).tobytes())
+    for table in (result.node_cuts, result.node_sizes):
+        rows = sorted((int(lvl), int(pre), int(val))
+                      for (lvl, pre), val in table.items())
+        h.update(repr(rows).encode())
+    return h.hexdigest()
+
+
+def _social():
+    return composite_social_graph(num_communities=8, community_size=128,
+                                  k=6, seed=3)
+
+
+def _shuffled_rows() -> WGraph:
+    """A hand-built WGraph whose CSR rows are *not* sorted by neighbour."""
+    wg = WGraph.from_digraph(erdos_renyi(400, 1600, seed=21))
+    rng = np.random.default_rng(5)
+    indices, eweights = wg.indices.copy(), wg.eweights.copy()
+    for v in range(wg.num_vertices):
+        lo, hi = int(wg.indptr[v]), int(wg.indptr[v + 1])
+        order = rng.permutation(hi - lo) + lo
+        indices[lo:hi], eweights[lo:hi] = wg.indices[order], wg.eweights[order]
+    return WGraph(wg.indptr, indices, eweights, wg.vweights)
+
+
+# name -> (wgraph factory, num_parts, seed, recursive_bisection kwargs)
+CASES = {
+    "social-p8-edges": (
+        lambda: WGraph.from_digraph(_social()), 8, 1, {}),
+    "social-p4-vertices": (
+        lambda: WGraph.from_digraph(
+            composite_social_graph(4, 64, k=5, seed=11), balance="vertices"),
+        4, 0, {}),
+    "social-p16-edges": (
+        lambda: WGraph.from_digraph(
+            composite_social_graph(16, 64, k=6, seed=5)), 16, 2, {}),
+    "rmat11-p16-edges": (
+        lambda: WGraph.from_digraph(rmat(11, edge_factor=8, seed=7)),
+        16, 1, {}),
+    "rmat11-p8-vertices-tight": (
+        lambda: WGraph.from_digraph(rmat(11, edge_factor=8, seed=7),
+                                    balance="vertices"),
+        8, 3, {"kway_tolerance": 0.01}),
+    "er-p8-edges": (
+        lambda: WGraph.from_digraph(erdos_renyi(1500, 6000, seed=4)),
+        8, 5, {}),
+    "er-sparse-p4-vertices": (  # isolated vertices, many components
+        lambda: WGraph.from_digraph(erdos_renyi(600, 500, seed=9),
+                                    balance="vertices"),
+        4, 0, {}),
+    "social-p8-random-initial": (
+        lambda: WGraph.from_digraph(_social()), 8, 1,
+        {"options": BisectionOptions(initial="random")}),
+    "social-p8-no-refine": (
+        lambda: WGraph.from_digraph(_social()), 8, 1,
+        {"options": BisectionOptions(refine=False)}),
+    "social-p8-no-kway": (
+        lambda: WGraph.from_digraph(_social()), 8, 4,
+        {"kway_tolerance": None}),
+    "shuffled-rows-p8": (_shuffled_rows, 8, 2, {}),
+}
+
+# Recorded at 9be9277 (PR 22), the last commit with the scalar loops.
+GOLDEN = {
+    "social-p8-edges": "80d961c40dd3ef6a03ccbf0b9fa58e6969039ba7",
+    "social-p4-vertices": "542d68d729fa9d93cc49a0fa3c80212566a10be0",
+    "social-p16-edges": "b7988329d4e23724e27a7900f4611b3a2e346598",
+    "rmat11-p16-edges": "64b87267a3536eb1d0954b0c18825a912d4ec1c2",
+    "rmat11-p8-vertices-tight": "a9beef05bde7ea09d9c5f383d29536b194b338a3",
+    "er-p8-edges": "d716fef23f0f2dd303992527e05d4bef319540ba",
+    "er-sparse-p4-vertices": "0b93e206000fb3a47e6ccdb59dc83ab0746e470a",
+    "social-p8-random-initial": "0f99c5a90ca64571624033513c8827c300385b81",
+    "social-p8-no-refine": "0def10d9e8edb605009e25a77b33d301cb54930f",
+    "social-p8-no-kway": "457feafb801e5b336dd76726c047d70f281edfdc",
+    "shuffled-rows-p8": "972cf9a8fef6750d0549084958631864d9ca8b50",
+}
+
+
+def run_case(name: str):
+    make, num_parts, seed, kwargs = CASES[name]
+    return recursive_bisection(make(), num_parts, seed=seed, **kwargs)
+
+
+class TestGoldenPartitions:
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_partition_is_the_recorded_one(self, name):
+        assert partition_digest(run_case(name)) == GOLDEN[name]
+
+    def test_same_seed_twice_is_the_same_partition(self):
+        wg = WGraph.from_digraph(_social())
+        a = recursive_bisection(wg, 8, seed=7)
+        b = recursive_bisection(wg, 8, seed=7)
+        assert np.array_equal(a.parts, b.parts)
+        assert a.node_cuts == b.node_cuts
+        assert a.node_sizes == b.node_sizes
+        c = recursive_bisection(wg, 8, seed=8)
+        assert not np.array_equal(a.parts, c.parts)
+
+
+# ----------------------------------------------------------------------
+# (b) scalar references, copied from the parent commit
+# ----------------------------------------------------------------------
+
+def reference_fm_pass(wgraph, side, total, min_side_weight) -> bool:
+    """One FM pass over NumPy scalars; mutates ``side``."""
+    n = wgraph.num_vertices
+    gain = np.zeros(n, dtype=np.int64)
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(wgraph.indptr))
+    same = side[src] == side[wgraph.indices]
+    np.subtract.at(gain, src[same], wgraph.eweights[same])
+    np.add.at(gain, src[~same], wgraph.eweights[~same])
+    locked = np.zeros(n, dtype=bool)
+    side_weight = np.zeros(2, dtype=np.int64)
+    np.add.at(side_weight, side, wgraph.vweights)
+
+    heap = [(-int(gain[v]), v) for v in range(n)]
+    heapq.heapify(heap)
+
+    start_cut = weighted_cut(wgraph, side)
+    best_cut = start_cut
+    current_cut = start_cut
+    moves = []
+    best_prefix = 0
+
+    while heap:
+        neg_gain, v = heapq.heappop(heap)
+        if locked[v] or -neg_gain != gain[v]:
+            continue
+        s = int(side[v])
+        if side_weight[s] - wgraph.vweights[v] < min_side_weight:
+            locked[v] = True
+            continue
+        locked[v] = True
+        current_cut -= int(gain[v])
+        side[v] = 1 - s
+        side_weight[s] -= wgraph.vweights[v]
+        side_weight[1 - s] += wgraph.vweights[v]
+        moves.append(v)
+        for u, w in zip(wgraph.neighbors(v), wgraph.edge_weights_of(v)):
+            if locked[u]:
+                continue
+            if side[u] == side[v]:
+                gain[u] -= 2 * w
+            else:
+                gain[u] += 2 * w
+            heapq.heappush(heap, (-int(gain[u]), int(u)))
+        if current_cut < best_cut:
+            best_cut = current_cut
+            best_prefix = len(moves)
+
+    for v in moves[best_prefix:]:
+        side[v] = 1 - side[v]
+    return best_cut < start_cut
+
+
+def reference_best_move(wgraph, parts, weights, heavy, target):
+    """Scan of every (member, neighbouring partition) pair of ``heavy``."""
+    best = None
+    best_score = -np.inf
+    members = np.flatnonzero(parts == heavy)
+    for v in members:
+        v = int(v)
+        vw = float(wgraph.vweights[v])
+        if vw > weights[heavy] - target:
+            if vw > 1.5 * (weights[heavy] - target):
+                continue
+        affinity = {}
+        internal = 0.0
+        for u, w in zip(wgraph.neighbors(v), wgraph.edge_weights_of(v)):
+            q = int(parts[u])
+            if q == heavy:
+                internal += w
+            else:
+                affinity[q] = affinity.get(q, 0.0) + w
+        for q, external in affinity.items():
+            if weights[q] + vw > weights[heavy] - vw:
+                continue
+            gain = external - internal
+            score = gain - 0.001 * weights[q] / max(target, 1.0)
+            if score > best_score:
+                best_score = score
+                best = (v, q)
+    return best
+
+
+@st.composite
+def tying_wgraphs(draw):
+    """Small weighted graphs built so gains and scores tie.
+
+    Unit (or near-unit) weights, duplicated neighbourhoods (twins that
+    differ only in id), isolated vertices and a second component that
+    shares no edge with the first.
+    """
+    n1 = draw(st.integers(2, 9))
+    n2 = draw(st.integers(0, 5))
+    isolated = draw(st.integers(0, 3))
+    pair = st.tuples(st.integers(0, n1 - 1), st.integers(0, n1 - 1))
+    edges = set(draw(st.lists(pair, max_size=3 * n1)))
+    if n2 >= 2:
+        pair2 = st.tuples(st.integers(n1, n1 + n2 - 1),
+                          st.integers(n1, n1 + n2 - 1))
+        edges |= set(draw(st.lists(pair2, max_size=2 * n2)))
+    edges = {(min(a, b), max(a, b)) for a, b in edges if a != b}
+    n = n1 + n2 + isolated
+    # twins: a new vertex wired to exactly the neighbours of an old one
+    for _ in range(draw(st.integers(0, 3))):
+        v = draw(st.integers(0, n1 - 1))
+        twin = n
+        n += 1
+        edges |= {(min(u, twin), max(u, twin))
+                  for a, b in list(edges) for u in ((b,) if a == v else
+                                                    (a,) if b == v else ())}
+    edges = sorted(edges)
+    unit = draw(st.booleans())
+    eweights = ([1] * len(edges) if unit else
+                draw(st.lists(st.integers(1, 3), min_size=len(edges),
+                              max_size=len(edges))))
+    vweights = ([1] * n if draw(st.booleans()) else
+                draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    return WGraph.from_edges(edges, n, eweights=eweights, vweights=vweights)
+
+
+class TestAgainstScalarReference:
+    @COMMON
+    @given(tying_wgraphs(), st.integers(0, 2**31 - 1),
+           st.sampled_from([0.0, 0.05, 0.2, 0.5]))
+    def test_fm_pass_makes_the_reference_moves(self, wg, seed, epsilon):
+        n = wg.num_vertices
+        side = np.random.default_rng(seed).integers(0, 2, n).astype(np.int64)
+        total = wg.total_vertex_weight
+        min_side_weight = int((0.5 - epsilon) * total)
+        expected = side.copy()
+        expected_flag = reference_fm_pass(wg, expected, total, min_side_weight)
+        # up to 8 passes, like fm_refine: later passes start from states
+        # the first one produced, where most gains are <= 0 and tie
+        for _ in range(8):
+            flag = _fm_pass(wg, wg.tolists(), side, min_side_weight)
+            assert flag == expected_flag
+            assert np.array_equal(side, expected)
+            if not flag:
+                break
+            expected_flag = reference_fm_pass(wg, expected, total,
+                                              min_side_weight)
+
+    @COMMON
+    @given(tying_wgraphs(), st.integers(0, 2**31 - 1))
+    def test_gains_match_the_scalar_definition(self, wg, seed):
+        side = np.random.default_rng(seed).integers(0, 2, wg.num_vertices)
+        gains = compute_gains(wg, side)
+        for v in range(wg.num_vertices):
+            ext = sum(int(w) for u, w in zip(wg.neighbors(v),
+                                             wg.edge_weights_of(v))
+                      if side[u] != side[v])
+            inn = sum(int(w) for u, w in zip(wg.neighbors(v),
+                                             wg.edge_weights_of(v))
+                      if side[u] == side[v])
+            assert gains[v] == ext - inn
+
+    @COMMON
+    @given(tying_wgraphs(), st.integers(2, 5), st.integers(0, 2**31 - 1))
+    def test_kway_move_is_the_reference_move(self, wg, num_parts, seed):
+        rng = np.random.default_rng(seed)
+        parts = rng.integers(0, num_parts, wg.num_vertices).astype(np.int64)
+        weights = np.bincount(parts, weights=wg.vweights,
+                              minlength=num_parts).astype(np.float64)
+        target = weights.sum() / num_parts
+        # replay the whole balancing run, move by move, from one start
+        for _ in range(4 * wg.num_vertices):
+            heavy = int(np.argmax(weights))
+            if weights[heavy] <= target:
+                break
+            expected = reference_best_move(wg, parts, weights, heavy, target)
+            assert _best_move(wg, parts, weights, heavy, target) == expected
+            if expected is None:
+                break
+            vertex, dest = expected
+            weights[heavy] -= wg.vweights[vertex]
+            weights[dest] += wg.vweights[vertex]
+            parts[vertex] = dest
+
+    @COMMON
+    @given(tying_wgraphs(), st.integers(3, 5), st.integers(0, 2**31 - 1),
+           st.integers(1, 6))
+    def test_kway_move_breaks_ties_like_the_scan(self, wg, num_parts, seed,
+                                                 excess):
+        """Equal-weight destinations: only the scan order picks the winner."""
+        rng = np.random.default_rng(seed)
+        parts = rng.integers(0, num_parts, wg.num_vertices).astype(np.int64)
+        heavy = int(rng.integers(num_parts))
+        weights = np.full(num_parts, 10.0)
+        weights[heavy] += excess
+        expected = reference_best_move(wg, parts, weights, heavy, 10.0)
+        assert _best_move(wg, parts, weights, heavy, 10.0) == expected
+
+
+class TestContractMatchingGuard:
+    def test_rejects_a_match_that_is_not_an_involution(self):
+        wg = WGraph.from_edges([(0, 1), (1, 2), (2, 3)], 4)
+        with pytest.raises(PartitioningError, match="involution"):
+            contract_matching(wg, np.array([1, 2, 1, 3]))
+
+    def test_numbers_pairs_by_their_smaller_member(self):
+        wg = WGraph.from_edges([(0, 3), (1, 2), (2, 3), (3, 4)], 5)
+        coarse, mapping = contract_matching(wg, np.array([3, 1, 4, 0, 2]))
+        assert mapping.tolist() == [0, 1, 2, 0, 2]
+        assert coarse.vweights.tolist() == [2, 1, 2]

@@ -61,3 +61,46 @@ class TestFromEdges:
         with pytest.raises(PartitioningError):
             WGraph(np.array([0, 1]), np.array([0]), np.array([1, 2]),
                    np.array([1]))
+
+
+class TestValidateSymmetry:
+    def test_empty_graph_is_symmetric(self):
+        assert WGraph.from_edges([], num_vertices=3).validate_symmetry()
+
+    def test_missing_mirror(self):
+        # arc 0->1 stored, 1->0 absent
+        wg = WGraph(np.array([0, 1, 1]), np.array([1]), np.array([1]),
+                    np.array([1, 1]))
+        assert not wg.validate_symmetry()
+
+    def test_mirror_with_another_weight(self):
+        wg = WGraph(np.array([0, 1, 2]), np.array([1, 0]), np.array([2, 3]),
+                    np.array([1, 1]))
+        assert not wg.validate_symmetry()
+
+    def test_row_order_does_not_matter(self):
+        wg = WGraph(np.array([0, 2, 3, 4]), np.array([2, 1, 0, 0]),
+                    np.array([7, 5, 5, 7]), np.array([1, 1, 1]))
+        assert wg.validate_symmetry()
+
+
+class TestRowAccess:
+    def test_rows_of_lists_each_row_in_stored_order(self):
+        wg = WGraph.from_edges([(0, 1), (0, 2), (1, 2), (2, 3)], 5,
+                               eweights=[1, 2, 3, 4])
+        owner, arcs = wg.rows_of(np.array([2, 4, 0]))
+        assert owner.tolist() == [0, 0, 0, 2, 2]
+        assert wg.indices[arcs].tolist() == [0, 1, 3, 1, 2]
+        assert wg.eweights[arcs].tolist() == [2, 3, 4, 1, 2]
+
+    def test_rows_of_nothing(self):
+        wg = WGraph.from_edges([(0, 1)], 2)
+        owner, arcs = wg.rows_of(np.zeros(0, dtype=np.int64))
+        assert owner.size == 0 and arcs.size == 0
+
+    def test_tolists_are_plain_ints(self):
+        wg = WGraph.from_edges([(0, 1)], 2, eweights=[3])
+        indptr, indices, eweights, vweights = wg.tolists()
+        assert (indptr, indices, eweights, vweights) == (
+            [0, 1, 2], [1, 0], [3, 3], [1, 1])
+        assert type(indices[0]) is int
