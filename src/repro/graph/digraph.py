@@ -16,8 +16,8 @@ import numpy as np
 
 from repro.errors import GraphError
 
-__all__ = ["Graph", "pair_keys", "csr_from_keys", "balanced_offsets",
-           "covers_range"]
+__all__ = ["Graph", "pair_keys", "edge_keys", "csr_from_keys",
+           "balanced_offsets", "covers_range"]
 
 # Pairs per block when ingesting a lazy edge iterable: bounds the
 # transient Python-object overhead to O(chunk) instead of O(m).
@@ -63,6 +63,41 @@ def pair_keys(
     return rows * np.int64(num_cols) + cols
 
 
+def edge_keys(
+    src: np.ndarray, dst: np.ndarray, num_vertices: int,
+    drop_self_loops: bool = False,
+) -> np.ndarray:
+    """Checked :func:`pair_keys` of aligned ``(src, dst)`` endpoint
+    arrays over ``num_vertices`` vertices, self loops left out when
+    ``drop_self_loops``.  Every edge ingest — ``Graph.from_edges``, the
+    generators' drain, the shard-store drain — validates its endpoints
+    here, before any edge is dropped."""
+    n = num_vertices
+    if src.size:
+        if min(src.min(), dst.min()) < 0:
+            raise GraphError("vertex ids must be non-negative")
+        if max(src.max(), dst.max()) >= n:
+            raise GraphError("edge endpoint exceeds num_vertices")
+    keys = pair_keys(src, dst, n, n)
+    return keys[src != dst] if drop_self_loops else keys
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``values``, ascending: one sort, then a
+    mask that drops every entry equal to its left neighbour.
+
+    Not ``np.unique``: NumPy 2.4.6 routes a bare 1-D ``np.unique``
+    through a hash table (``_unique_hash``) — 0.28 s for 786 k
+    ``int64`` keys where this takes 0.008 s for the same array."""
+    values = np.sort(values)
+    if values.size == 0:
+        return values
+    keep = np.empty(values.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def _decode_sorted_keys(
     keys: np.ndarray, num_rows: int, num_cols: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -80,7 +115,7 @@ def csr_from_keys(
     ascending, columns ascending within a row, duplicates dropped when
     ``dedup``.  Every pairs-to-CSR build in the repo — in-memory graphs
     and shard files alike — is this one sort."""
-    keys = np.unique(keys) if dedup else np.sort(keys)
+    keys = _sorted_distinct(keys) if dedup else np.sort(keys)
     return _decode_sorted_keys(keys, num_rows, num_cols)
 
 
@@ -165,17 +200,11 @@ class Graph:
             raise GraphError("edges must be (m, 2) pairs")
         src = arr[:, 0].astype(np.int64, copy=False)
         dst = arr[:, 1].astype(np.int64, copy=False)
-        if src.size and (src.min() < 0 or dst.min() < 0):
-            raise GraphError("vertex ids must be non-negative")
         if num_vertices is None:
             num_vertices = int(max(src.max(initial=-1), dst.max(initial=-1)) + 1)
-        elif src.size and max(src.max(), dst.max()) >= num_vertices:
-            raise GraphError("edge endpoint exceeds num_vertices")
-        if drop_self_loops and src.size:
-            keep = src != dst
-            src, dst = src[keep], dst[keep]
         n = num_vertices
-        return cls(*csr_from_keys(pair_keys(src, dst, n, n), n, n, dedup))
+        keys = edge_keys(src, dst, n, drop_self_loops)
+        return cls(*csr_from_keys(keys, n, n, dedup))
 
     @classmethod
     def empty(cls, num_vertices: int) -> "Graph":
@@ -353,7 +382,10 @@ class Graph:
         ``0 .. len(vertices)-1`` and ``original_ids[local] = global``.
         """
         verts = np.asarray(vertices, dtype=np.int64)
-        if verts.size != np.unique(verts).size:
+        if verts.size and not (0 <= verts.min()
+                               and verts.max() < self.num_vertices):
+            raise GraphError("subgraph vertices must lie in [0, n)")
+        if verts.size != _sorted_distinct(verts).size:
             raise GraphError("subgraph vertices must be distinct")
         local = -np.ones(self.num_vertices, dtype=np.int64)
         local[verts] = np.arange(verts.size)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.digraph import Graph
+from repro.graph.digraph import Graph, csr_from_keys, edge_keys
 from repro.graph.stream import (
     EdgeStream,
     stream_rmat,
@@ -62,15 +62,19 @@ def as_generator(seed: int | np.random.Generator) -> np.random.Generator:
 
 
 def _materialize(stream: EdgeStream, dedup: bool = True) -> Graph:
-    """Drain ``stream`` into an in-memory graph, self loops dropped."""
-    edges = np.zeros((stream.num_edges, 2), dtype=np.int64)
-    lo = 0
+    """Drain ``stream`` into an in-memory graph, self loops dropped.
+
+    Each chunk goes straight to its sort keys, so the drain holds one
+    ``int64`` per raw edge, never an ``(m, 2)`` endpoint array.
+    """
+    n = stream.num_vertices
+    keys = np.empty(stream.num_edges, dtype=np.int64)
+    hi = 0
     for src, dst in stream.chunks():
-        hi = lo + src.size
-        edges[lo:hi, 0], edges[lo:hi, 1] = src, dst
-        lo = hi
-    return Graph.from_edges(edges, num_vertices=stream.num_vertices,
-                            dedup=dedup, drop_self_loops=True)
+        chunk = edge_keys(src, dst, n, drop_self_loops=True)
+        keys[hi:hi + chunk.size] = chunk
+        hi += chunk.size
+    return Graph(*csr_from_keys(keys[:hi], n, n, dedup))
 
 
 def rmat(

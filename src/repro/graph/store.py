@@ -7,22 +7,30 @@ an :class:`~repro.graph.stream.EdgeStream` and opened via
 ``np.load(..., mmap_mode="r")`` — so building and processing a graph
 both keep peak RSS at O(largest shard + n), never O(m).
 
-Build (three passes, each O(chunk) + O(n) resident):
+Build (one drain of the stream, then one sort per shard):
 
-1. **count** — stream the edges once, drop self loops, accumulate raw
-   per-source degrees; choose edge-balanced shard boundaries from the
-   degree prefix sums (callers may pin boundaries, e.g. to partition
-   ranges so partition ``p`` *is* shard ``p``).
-2. **scatter** — stream again; a chunk's sorted
-   :func:`~repro.graph.digraph.pair_keys` fall into shard order, so
-   each shard's slice is appended to that shard's scratch file (one
-   cursor per shard; pass 1 sized the files).
-3. **finalize** — per shard, :func:`~repro.graph.digraph.csr_from_keys`
-   (the sort ``Graph.from_edges`` runs) turns the scratch keys into the
-   final local ``indptr``/``indices`` arrays.  Because shards are source
-   ranges, per-shard dedup equals global dedup, and the result is
-   bit-identical to ``Graph.from_edges(edges, dedup=...,
+1. **drain** — read the stream once.  Each chunk is checked, loses its
+   self loops, becomes sorted :func:`~repro.graph.digraph.pair_keys`
+   and is appended to one spool file as one sorted *run*, while its raw
+   per-source degrees are accumulated: O(chunk) + O(n) resident, 8 B of
+   scratch disk per raw edge.  The stream is never read again, so it
+   need not be re-iterable.
+2. **cut** — choose edge-balanced shard boundaries from the degree
+   prefix sums (callers may pin boundaries, e.g. to partition ranges so
+   partition ``p`` *is* shard ``p``).  A run is sorted, so a shard's
+   keys are one contiguous slice of it: one ``searchsorted`` per run
+   against ``starts * n`` finds every shard's slice.
+3. **finalize** — per shard, the run slices are concatenated, made
+   local to the shard's first row and handed to
+   :func:`~repro.graph.digraph.csr_from_keys` (the sort
+   ``Graph.from_edges`` runs), O(largest shard) resident.  Because
+   shards are source ranges, per-shard dedup equals global dedup, and
+   the result is bit-identical to ``Graph.from_edges(edges, dedup=...,
    drop_self_loops=...)`` on the materialized edge list.
+
+The finished directory is a contract: the same stream and options give
+the same bytes in every file, at any chunk size
+(tests/test_graph_store.py holds golden digests).
 
 The store is assembled in a temporary sibling directory and renamed
 into place after the manifest is written, so a directory that exists at
@@ -51,7 +59,7 @@ from repro.graph.digraph import (
     balanced_offsets,
     covers_range,
     csr_from_keys,
-    pair_keys,
+    edge_keys,
 )
 from repro.graph.stream import EdgeStream
 
@@ -66,6 +74,8 @@ __all__ = [
 
 MANIFEST_NAME = "manifest.json"
 STORE_FORMAT = "repro-shard-store/v1"
+# build scratch inside the temporary directory; gone before the rename
+_SPOOL_NAME = "spool.raw"
 
 
 def _expand_blocks(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -92,8 +102,10 @@ def build_shard_store(
     vertex_starts: Sequence[int] | np.ndarray | None = None,
     meta: dict | None = None,
 ) -> "ShardStore":
-    """Count-then-scatter an :class:`EdgeStream` into a shard store.
+    """Drain an :class:`EdgeStream`, once, into a shard store.
 
+    ``stream.chunks()`` is called exactly once: the edges go to a spool
+    of sorted runs and the shards are cut from those (module docstring).
     ``vertex_starts`` (S+1 offsets) pins the shard boundaries; the
     default is edge-balanced boundaries from the raw degree prefix sums.
     ``path`` must not hold anything yet; it appears only once the store
@@ -125,73 +137,19 @@ def _write_shards(
     vertex_starts: Sequence[int] | np.ndarray | None,
     meta: dict | None,
 ) -> None:
-    """The three build passes, into the (empty) directory ``path``."""
+    """Drain, cut and finalize, into the (empty) directory ``path``."""
     n = int(stream.num_vertices)
-
-    def kept_chunks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for src, dst in stream.chunks():
-            if drop_self_loops:
-                keep = src != dst
-                src, dst = src[keep], dst[keep]
-            if src.size:
-                yield src, dst
-
-    # -- pass 1: count raw per-source degrees -------------------------
-    raw_indptr = np.zeros(n + 1, dtype=np.int64)
-    for src, dst in kept_chunks():
-        if min(src.min(), dst.min()) < 0:
-            raise GraphError("vertex ids must be non-negative")
-        if max(src.max(), dst.max()) >= n:
-            raise GraphError("edge endpoint exceeds num_vertices")
-        raw_indptr[1:] += np.bincount(src, minlength=n)
-    np.cumsum(raw_indptr, out=raw_indptr)
-
+    spool_path = path / _SPOOL_NAME
+    raw_indptr, run_offsets = _drain_to_spool(stream, spool_path, n,
+                                              drop_self_loops)
     if vertex_starts is None:
         starts = balanced_offsets(raw_indptr, num_shards)
     else:
         starts = np.asarray(vertex_starts, dtype=np.int64)
         if not covers_range(starts, num_shards, n):
             raise GraphError("vertex_starts must be S+1 offsets over [0, n]")
-    raw_counts = np.diff(raw_indptr[starts])
-
-    # -- pass 2: append each chunk's keys to its shard's scratch file --
-    raw_paths = [path / f"shard{s:05d}.raw.npy" for s in range(num_shards)]
-    raw_maps = [
-        np.lib.format.open_memmap(raw_paths[s], mode="w+", dtype=np.int64,
-                                  shape=(int(raw_counts[s]),))
-        for s in range(num_shards)
-    ]
-    cursors = np.zeros(num_shards, dtype=np.int64)
-    for src, dst in kept_chunks():
-        # sorted keys fall into shard order; each shard's slice is made
-        # local to its first row, as its final indptr is
-        keys = np.sort(pair_keys(src, dst, n, n))
-        bounds = np.searchsorted(keys, starts * n)
-        for s in np.flatnonzero(np.diff(bounds)):
-            block = keys[bounds[s]:bounds[s + 1]] - starts[s] * n
-            raw_maps[s][cursors[s]:cursors[s] + block.size] = block
-            cursors[s] += block.size
-    for mm in raw_maps:
-        mm.flush()
-    del raw_maps
-
-    # -- pass 3: per-shard key sort (+ dedup), final npy files --------
-    shards = []
-    for s in range(num_shards):
-        local_n = int(starts[s + 1] - starts[s])
-        # keep the raw shard mapped: the sort gathers into a fresh array
-        indptr_local, indices = csr_from_keys(
-            np.load(raw_paths[s], mmap_mode="r"), local_n, n, dedup)
-        indptr_name = f"shard{s:05d}.indptr.npy"
-        indices_name = f"shard{s:05d}.indices.npy"
-        np.save(path / indptr_name, indptr_local)
-        np.save(path / indices_name, indices)
-        shards.append({
-            "indptr": indptr_name,
-            "indices": indices_name,
-            "num_edges": int(indices.size),
-        })
-        raw_paths[s].unlink()
+    shards = _finalize_shards(spool_path, run_offsets, starts, n, dedup, path)
+    spool_path.unlink()
 
     manifest = {
         "format": STORE_FORMAT,
@@ -207,6 +165,64 @@ def _write_shards(
         manifest["meta"] = dict(meta)
     with open(path / MANIFEST_NAME, "w", encoding="ascii") as handle:
         json.dump(manifest, handle, indent=1, sort_keys=True)
+
+
+def _drain_to_spool(
+    stream: EdgeStream, spool_path: Path, n: int, drop_self_loops: bool,
+) -> tuple[np.ndarray, list[int]]:
+    """The one pass over ``stream``: append each chunk's sorted keys to
+    the spool as one run.  Returns the raw (pre-dedup) CSR offsets and
+    the runs' boundaries in the spool, in keys."""
+    raw_indptr = np.zeros(n + 1, dtype=np.int64)
+    run_offsets = [0]
+    with open(spool_path, "wb") as spool:
+        for src, dst in stream.chunks():
+            keys = edge_keys(src, dst, n, drop_self_loops)
+            if keys.size == 0:
+                continue
+            keys.sort()
+            raw_indptr[1:] += np.bincount(keys // n, minlength=n)
+            keys.tofile(spool)
+            run_offsets.append(run_offsets[-1] + keys.size)
+    np.cumsum(raw_indptr, out=raw_indptr)
+    return raw_indptr, run_offsets
+
+
+def _finalize_shards(
+    spool_path: Path, run_offsets: list[int], starts: np.ndarray, n: int,
+    dedup: bool, path: Path,
+) -> list[dict]:
+    """Write every shard's final ``.npy`` pair from the spooled runs.
+
+    A run is sorted, so shard ``s``'s keys are one contiguous slice of
+    it, found by binary search; the slices of all runs, concatenated and
+    made local to the shard's first row (as its ``indptr`` is), go
+    through :func:`~repro.graph.digraph.csr_from_keys`.
+    """
+    # an empty file cannot be mapped; with no run it is never read
+    spool = (np.memmap(spool_path, dtype=np.int64, mode="r")
+             if run_offsets[-1] else np.zeros(0, dtype=np.int64))
+    runs = [spool[lo:hi] for lo, hi in zip(run_offsets, run_offsets[1:])]
+    first_keys = starts * n
+    cuts = [np.searchsorted(run, first_keys) for run in runs]
+    shards = []
+    for s in range(starts.size - 1):
+        pieces = [run[cut[s]:cut[s + 1]] for run, cut in zip(runs, cuts)]
+        keys = (np.concatenate(pieces) if pieces
+                else np.zeros(0, dtype=np.int64))
+        keys -= first_keys[s]
+        indptr_local, indices = csr_from_keys(
+            keys, int(starts[s + 1] - starts[s]), n, dedup)
+        indptr_name = f"shard{s:05d}.indptr.npy"
+        indices_name = f"shard{s:05d}.indices.npy"
+        np.save(path / indptr_name, indptr_local)
+        np.save(path / indices_name, indices)
+        shards.append({
+            "indptr": indptr_name,
+            "indices": indices_name,
+            "num_edges": int(indices.size),
+        })
+    return shards
 
 
 class ShardStore:

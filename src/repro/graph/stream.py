@@ -2,7 +2,7 @@
 
 Each model's edge sequence is defined here, once, as an
 :class:`EdgeStream` that emits it in bounded chunks.  A 10M+-edge graph
-is counted and scattered into the sharded store
+is drained once into the sharded store
 (:mod:`repro.graph.store`) with peak memory O(chunk), never O(m); the
 in-memory :func:`~repro.graph.generators.rmat`,
 :func:`~repro.graph.generators.small_world` and
@@ -53,12 +53,16 @@ DEFAULT_CHUNK_EDGES = 1 << 18  # 256K edges ~ 4 MiB per endpoint array
 
 @dataclass(frozen=True)
 class EdgeStream:
-    """A re-iterable bounded-memory edge sequence.
+    """A bounded-memory edge sequence.
 
     ``num_edges`` counts the *raw* emitted edges (before self-loop
-    dropping and dedup).  ``chunks()`` returns a fresh iterator of
-    aligned ``(src, dst)`` ``int64`` array pairs; iterate each pass in
-    order — the sequential generators thread RNG state chunk to chunk.
+    dropping and dedup).  ``chunks()`` returns an iterator of aligned
+    ``(src, dst)`` ``int64`` array pairs, to be consumed in order — the
+    sequential generators thread RNG state chunk to chunk.  A builder
+    (the shard store, the in-memory generators) calls it once, so a
+    one-shot source is a valid stream; the streams defined in this
+    module are also re-iterable — every ``chunks()`` call replays the
+    same sequence.
     """
 
     num_vertices: int
@@ -124,8 +128,9 @@ def stream_rmat(
     n = 1 << scale
     m = edge_factor * n
     p_src_right = c + d
-    p_dst_right_given_src_left = b / (a + b) if (a + b) > 0 else 0.0
-    p_dst_right_given_src_right = d / (c + d) if (c + d) > 0 else 0.0
+    # P(dst goes right | src went left), P(dst goes right | src went right)
+    p_dst_right = np.array([b / (a + b) if (a + b) > 0 else 0.0,
+                            d / (c + d) if (c + d) > 0 else 0.0])
 
     def emit() -> Iterator[tuple[np.ndarray, np.ndarray]]:
         for lo in range(0, m, chunk_size):
@@ -133,18 +138,21 @@ def stream_rmat(
             cnt = hi - lo
             src = np.zeros(cnt, dtype=np.int64)
             dst = np.zeros(cnt, dtype=np.int64)
+            # the id bits are shifted in in place: per bit, only the two
+            # random blocks are allocated
+            right = np.empty(cnt, dtype=bool)
+            p_dst = np.empty(cnt, dtype=np.float64)
             for bit in range(scale):
                 r1 = _random_block(seed, (2 * bit) * m + lo, cnt)
                 r2 = _random_block(seed, (2 * bit + 1) * m + lo, cnt)
-                src_right = r1 < p_src_right
-                p_dst = np.where(
-                    src_right,
-                    p_dst_right_given_src_right,
-                    p_dst_right_given_src_left,
-                )
-                dst_right = r2 < p_dst
-                src = (src << 1) | src_right.astype(np.int64)
-                dst = (dst << 1) | dst_right.astype(np.int64)
+                np.less(r1, p_src_right, out=right)
+                np.left_shift(src, 1, out=src)
+                np.bitwise_or(src, right, out=src)
+                # (mode="raise" would buffer ``out``; a bool index is 0/1)
+                np.take(p_dst_right, right, out=p_dst, mode="clip")
+                np.less(r2, p_dst, out=right)
+                np.left_shift(dst, 1, out=dst)
+                np.bitwise_or(dst, right, out=dst)
             yield src, dst
 
     return EdgeStream(n, m, chunk_size, emit)

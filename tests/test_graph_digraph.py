@@ -136,6 +136,18 @@ class TestDerived:
         with pytest.raises(GraphError):
             g.subgraph([0, 0])
 
+    @pytest.mark.parametrize("vertices", [[-1, 0], [0, 4], [7]])
+    def test_subgraph_rejects_out_of_range(self, vertices):
+        # not fancy indexing's answers: -1 wraps to vertex n-1, >= n is
+        # an IndexError
+        with pytest.raises(GraphError, match="subgraph vertices"):
+            simple_graph().subgraph(vertices)
+
+    def test_subgraph_of_nothing(self):
+        sub, ids = simple_graph().subgraph([])
+        assert sub.num_vertices == 0 and sub.num_edges == 0
+        assert ids.size == 0
+
     def test_equality(self):
         assert simple_graph() == simple_graph()
         assert simple_graph() != Graph.empty(4)

@@ -10,6 +10,10 @@ assembling the global indices array (``out_indices`` raises).
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,6 +34,15 @@ def reference_graph(stream) -> Graph:
              else np.zeros((0, 2), dtype=np.int64))
     return Graph.from_edges(edges, num_vertices=stream.num_vertices,
                             dedup=True, drop_self_loops=True)
+
+
+def directory_digest(path: Path) -> str:
+    """SHA-256 over every file of ``path``: names and contents."""
+    sha = hashlib.sha256()
+    for f in sorted(Path(path).iterdir()):
+        sha.update(f.name.encode("ascii") + b"\0")
+        sha.update(hashlib.sha256(f.read_bytes()).digest())
+    return sha.hexdigest()
 
 
 @pytest.fixture
@@ -82,6 +95,21 @@ class TestRoundTrip:
         assert store.num_edges == 3  # one dup and one self-loop dropped
         assert ShardBackedGraph(store) == reference_graph(stream)
 
+    @pytest.mark.parametrize("edge, message", [
+        ([0, 7], "exceeds num_vertices"),
+        ([-1, 0], "non-negative"),
+        ([7, 7], "exceeds num_vertices"),  # checked before loops are dropped
+    ])
+    def test_endpoints_checked_as_from_edges_checks_them(self, tmp_path,
+                                                         edge, message):
+        edges = np.array([[0, 1], edge], dtype=np.int64)
+        with pytest.raises(GraphError, match=message):
+            Graph.from_edges(edges, num_vertices=3, drop_self_loops=True)
+        with pytest.raises(GraphError, match=message):
+            build_shard_store(stream_from_edges(edges, num_vertices=3),
+                              tmp_path / "out" / "s", 2)
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_raw_duplicates_preserved_when_dedup_off(self, tmp_path):
         edges = np.array([[1, 0], [1, 0], [2, 2]], dtype=np.int64)
         stream = stream_from_edges(edges, num_vertices=3)
@@ -93,23 +121,142 @@ class TestRoundTrip:
                                       ref.out_indptr)
 
 
+# directory_digest of build_shard_store(stream_rmat(11, 8, seed=7), ...),
+# recorded at commit 06a4410 — the last with the three-pass, np.unique
+# build — keyed (num_shards, pinned vertex_starts, dedup, drop_self_loops)
+GOLDEN_PINNED = {
+    4: [0, 100, 100, 1500, 2048],  # shard 1 owns no vertex
+    # nor do shards 0, 2, 5 and 8
+    9: [0, 0, 17, 17, 300, 1024, 1024, 2000, 2048, 2048],
+}
+GOLDEN_STORES = {
+    (1, False, True, True):
+        "79308c2dca650f74f8e5b486dc7357ea973092d0ef8678639fa1d6a57b1e6b73",
+    (1, False, True, False):
+        "3495a3c923ac09901d7cf139639c4533da4595a3d12e3b5d580070f5326eab79",
+    (1, False, False, True):
+        "a2e0e483486dadd8bf0dcda2e128f611537316fb65d6325126c79b6c2be5103f",
+    (1, False, False, False):
+        "dc3814cfe0fb47c7621e1225168e8c765e6804dd8d1bc0bdfeb30ce5ea616890",
+    (4, False, True, True):
+        "811d0b3b061b3c387a38a8db4c4659dae0d3fe93755cbc39dd3a54b9f99150c9",
+    (4, False, True, False):
+        "70dd4983eb14c3094678185879a2d57d176184b9b282d9d15ed795155c128aa7",
+    (4, False, False, True):
+        "d93d5233aea2f713e5a9f591ff7d63c583639ee04f6fc9f688a108b978f618ab",
+    (4, False, False, False):
+        "6a0b9a81700115e874a515fadc79a187fbce5ac0b57972afda979bc7c9bcd379",
+    (4, True, True, True):
+        "440c8194cc6dc0663ae1496d04b33e182a66c3333c6aaccaa6f1f4a7f978fc0d",
+    (4, True, True, False):
+        "4278b8ae18db54ce87ea2e093a4bfa7364086160880d55a88f82ea17f1d56484",
+    (4, True, False, True):
+        "f2756fa3c2110c56c0dcd8eca21d3dd77b41ee7a7b9a2b19d7ab741f191c95d3",
+    (4, True, False, False):
+        "fe31f48292d45fd6c721361d02cd7d40aca47a4c66e81db77233b402c0a692e8",
+    (9, False, True, True):
+        "4efc818c1e0830767faf82373be825c009afa2c9c7808175dcad1fd444caca1b",
+    (9, False, True, False):
+        "83849a12764ee4057f19a68711922e8ee557d1cdecfaf777c2d94b59eaf4a121",
+    (9, False, False, True):
+        "084d29520306fd6f4048544c1b47c3e8bb7da61f1e9ed7384b0a890aff992ee8",
+    (9, False, False, False):
+        "5a2282062392849a7af0bd147a7c4e2c4dd0f55906c5b070ad5ea78c0c1e8dea",
+    (9, True, True, True):
+        "e756017e55c1dff298f5fbe3e0bdeee991b1ccbceb17bd5bfb400aeac45952b9",
+    (9, True, True, False):
+        "52962656b2673ad9c5055e9cd23c7210c1ddb46e032d161f114cbbf299a02606",
+    (9, True, False, True):
+        "baa3833be324066bcc2d1d9dff20b6b4655ab0f2ca98e4feea3fc0d389ed6958",
+    (9, True, False, False):
+        "f491d38f6ebbc2e1471fad0260c5ad2c6a979b6208bc65c88f0b15bb42af2a59",
+}
+
+
+class TestGoldenStoreBytes:
+    """The finished directory — every ``.npy``, the manifest — is a
+    contract: same stream and options, same bytes, at any chunk size."""
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_STORES), ids=str)
+    def test_store_directory_bytes(self, tmp_path, case):
+        num_shards, pinned, dedup, drop_self_loops = case
+        for chunk_size in (97, 1 << 18):  # 169 runs, one run
+            path = tmp_path / f"chunk{chunk_size}"
+            build_shard_store(
+                stream_rmat(11, 8, seed=7, chunk_size=chunk_size), path,
+                num_shards, dedup=dedup, drop_self_loops=drop_self_loops,
+                vertex_starts=GOLDEN_PINNED[num_shards] if pinned else None)
+            assert sorted(f.name for f in path.iterdir()) == sorted(
+                ["manifest.json"]
+                + [f"shard{s:05d}.{part}.npy" for s, part in
+                   itertools.product(range(num_shards),
+                                     ("indptr", "indices"))])
+            assert directory_digest(path) == GOLDEN_STORES[case]
+
+
 class TestBuildIsAtomic:
     """A directory that exists at ``path`` is a complete store."""
 
     def test_interrupted_build_leaves_nothing(self, tmp_path, rmat_stream):
-        passes = []
-
         def chunks():
-            passes.append(None)
-            if len(passes) == 2:  # the scatter pass
-                raise RuntimeError("disk full")
-            return rmat_stream.chunks()
+            it = rmat_stream.chunks()
+            yield next(it)  # one run reaches the spool
+            raise RuntimeError("disk full")
 
         broken = EdgeStream(rmat_stream.num_vertices, rmat_stream.num_edges,
                             rmat_stream.chunk_size, chunks)
         with pytest.raises(RuntimeError, match="disk full"):
             build_shard_store(broken, tmp_path / "out" / "s", 4)
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_interrupted_finalize_leaves_nothing(self, tmp_path, rmat_stream,
+                                                 monkeypatch):
+        real_save, saved = np.save, []
+
+        def save(file, arr):
+            if Path(file).name.startswith("shard00001"):
+                raise OSError("disk full")
+            saved.append(Path(file).name)
+            real_save(file, arr)
+
+        monkeypatch.setattr(np, "save", save)
+        with pytest.raises(OSError, match="disk full"):
+            build_shard_store(rmat_stream, tmp_path / "out" / "s", 4)
+        assert saved == ["shard00000.indptr.npy", "shard00000.indices.npy"]
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_stream_is_drained_once(self, tmp_path, rmat_stream):
+        drains = []
+
+        def chunks():
+            drains.append(None)
+            return rmat_stream.chunks()
+
+        counting = EdgeStream(rmat_stream.num_vertices, rmat_stream.num_edges,
+                              rmat_stream.chunk_size, chunks)
+        store = build_shard_store(counting, tmp_path / "s", 4)
+        assert len(drains) == 1
+        assert ShardBackedGraph(store) == reference_graph(rmat_stream)
+
+    def test_one_shot_stream_builds_the_same_store(self, tmp_path,
+                                                   rmat_stream):
+        # a builder needs one pass: a socket or a pipe is a valid stream
+        source = rmat_stream.chunks()
+
+        def once():
+            nonlocal source
+            it, source = source, None
+            if it is None:
+                raise AssertionError("one-shot stream drained twice")
+            return it
+
+        one_shot = EdgeStream(rmat_stream.num_vertices,
+                              rmat_stream.num_edges,
+                              rmat_stream.chunk_size, once)
+        build_shard_store(one_shot, tmp_path / "once", 4)
+        build_shard_store(rmat_stream, tmp_path / "again", 4)
+        assert (directory_digest(tmp_path / "once")
+                == directory_digest(tmp_path / "again"))
 
     def test_refuses_to_build_over_a_store(self, tmp_path, rmat_stream):
         build_shard_store(rmat_stream, tmp_path / "s", 2)

@@ -13,8 +13,10 @@ leaves open:
 * golden bytes: SHA-256 digests of the CSR arrays, recorded at the last
   commit that had a separate in-memory implementation of each model —
   neither the streams nor the CSR build may drift from them;
-* re-enterability: ``chunks()`` returns a fresh, identical iterator
-  each time (the count-then-scatter store build consumes it twice);
+* re-enterability: the built-in streams' ``chunks()`` returns a fresh,
+  identical iterator each time (no builder needs that — the store build
+  and the generators drain a stream once — but tests and benchmarks
+  replay a stream to cross-check what was built from it);
 * edge cases: empty streams, single-chunk streams, seed validation.
 """
 

@@ -110,6 +110,34 @@ class TestCsrKernel:
                for c in indices[indptr[r]:indptr[r + 1]]]
         assert got == sorted(set(pairs) if dedup else pairs)
 
+    @COMMON
+    @given(st.integers(1, 6), st.integers(1, 6), st.data(), st.booleans())
+    def test_matches_sorted_key_multiset(self, num_rows, num_cols, data,
+                                         dedup):
+        # raw keys, not pairs: few distinct values, so all-equal arrays,
+        # long runs of duplicates and sizes 0 / 1 all come up; one row
+        # puts every key in a single indptr bucket
+        keys = data.draw(st.lists(
+            st.integers(0, num_rows * num_cols - 1), max_size=60))
+        indptr, indices = csr_from_keys(
+            np.array(keys, dtype=np.int64), num_rows, num_cols, dedup)
+        want = sorted(set(keys)) if dedup else sorted(keys)
+        got = [r * num_cols + int(c) for r in range(num_rows)
+               for c in indices[indptr[r]:indptr[r + 1]]]
+        assert got == want
+        assert indptr[-1] == len(want) and np.all(np.diff(indptr) >= 0)
+
+    @pytest.mark.parametrize("keys", [[], [3], [3, 3, 3, 3], [5, 0, 5, 0]])
+    def test_degenerate_multisets(self, keys):
+        arr = np.array(keys, dtype=np.int64)
+        before = arr.copy()
+        indptr, indices = csr_from_keys(arr, 1, 6, dedup=True)
+        assert indices.tolist() == sorted(set(keys))
+        assert indptr.tolist() == [0, len(set(keys))]
+        assert csr_from_keys(arr, 1, 6)[1].tolist() == sorted(keys)
+        # the caller's array is not sorted in place
+        np.testing.assert_array_equal(arr, before)
+
     def test_no_rows_no_columns(self):
         empty = np.zeros(0, dtype=np.int64)
         indptr, indices = csr_from_keys(pair_keys(empty, empty, 0, 0), 0, 0)
