@@ -22,7 +22,9 @@ Three checks, hybrid static + dynamic:
   harvested bags feed associativity / commutativity / partial-fold /
   ufunc-parity checks of ``combine`` and ``merge``, and are replayed
   through ``combine_array`` (exact equality with ``combine``, the
-  empty bag included for ``combine_all_vertices`` apps).  Virtual-vertex
+  empty bag included for ``combine_all_vertices`` apps) and
+  ``reduce_array`` (exact equality with ``reduce``; output keys are
+  group keys, each at most once).  Virtual-vertex
   apps (VDD) are harvested through ``virtual_transfer`` /
   ``virtual_combine`` so the Section 3.3 path is exercised explicitly.
 * **PAR001** (static) — any app overriding an array fast-path hook
@@ -203,7 +205,8 @@ def check_array_parity(classes: list[type],
             ufunc_pairs = [("merge_ufunc", "merge")]
         elif issubclass(cls, MapReduceApp):
             base = MapReduceApp
-            hook_pairs = [("map_array", "map"), ("reduce_array", "reduce")]
+            hook_pairs = [("map_array", "map"), ("reduce_array", "reduce"),
+                          ("update_array", "update")]
             ufunc_pairs = [("combine_ufunc", "combine")]
         else:
             continue
@@ -512,13 +515,60 @@ def verify_propagation_app(cls: type, pgraph: Any = None) -> list[Finding]:
     return findings
 
 
+def _check_reduce_array(
+    app: Any, state: Any, records: list[tuple[Any, Any]],
+    groups: dict[Any, list[Any]],
+    run_reduce: Callable[[Any, list[Any]], list[tuple[Any, Any]]],
+    fail: Callable[[str], None],
+) -> None:
+    """``reduce_array`` must emit *exactly* the scalar ``reduce`` pairs
+    of every harvested group — replayed in arrival order through
+    :func:`~repro.fold.group_ids`, as a reducer does — with each output
+    key one of the group keys, at most once: the engine writes the
+    concatenated columns straight into the state."""
+    from repro.fold import group_ids
+
+    if not records:
+        return
+    keys, values = (np.asarray(col) for col in zip(*records))
+    uniq, gid, _ = group_ids(keys)
+    out = app.reduce_array(uniq, gid, values, state)
+    if out is None:
+        return  # declined: the engine hands reduce the bags
+    out_keys, out_values = out
+    if isinstance(out_values, np.ndarray):
+        out_values = out_values.tolist()
+    got: dict[Any, Any] = {}
+    for key, value in zip(np.asarray(out_keys).tolist(), out_values):
+        if key not in groups or key in got:
+            what = "twice" if key in got else "that no group has"
+            fail(f"reduce_array emits key {key!r} {what}; its columns are "
+                 "written into the state as they are, so output keys "
+                 "must be group keys, each once")
+            return
+        got[key] = value
+    want = [pair for key in uniq.tolist()
+            for pair in run_reduce(key, list(groups[key]))]
+    for key, value in want:
+        if key not in got or not got[key] == value:
+            fail(f"reduce_array disagrees with reduce at key {key!r} "
+                 f"(bag of {len(groups.get(key, []))}): {value!r} vs "
+                 f"{got.get(key)!r}")
+            return
+    if len(got) != len(want):
+        fail(f"reduce_array emits {len(got)} pairs where reduce emits "
+             f"{len(want)}")
+
+
 def verify_mapreduce_app(cls: type, pgraph: Any = None) -> list[Finding]:
     """UDF002 checks for one ``MapReduceApp`` subclass.
 
     Runs the app's own ``map`` over every partition, groups the emitted
-    pairs by key, then property-checks ``combine`` (map-side combiner
-    contract) and ``reduce`` (arrival-order insensitivity) on the
-    harvested bags.
+    pairs by key, replays every group through ``reduce_array`` (exact
+    equality with ``reduce``; output keys drawn from the group keys,
+    each at most once), then property-checks ``combine`` (map-side
+    combiner contract) and ``reduce`` (arrival-order insensitivity) on
+    the harvested bags.
     """
     from repro.mapreduce.api import MapReduceApp
 
@@ -534,13 +584,28 @@ def verify_mapreduce_app(cls: type, pgraph: Any = None) -> list[Finding]:
     try:
         app = _instantiate(cls)
         state = app.setup(pgraph)
-        groups: dict[Any, list[Any]] = {}
+        records: list[tuple[Any, Any]] = []
         for p in range(pgraph.num_parts):
             app.map(p, pgraph, state,
-                    lambda k, v: groups.setdefault(k, []).append(v))
+                    lambda k, v: records.append((k, v)))
+        groups: dict[Any, list[Any]] = {}
+        for k, v in records:
+            groups.setdefault(k, []).append(v)
     except Exception as exc:  # noqa: BLE001
         fail(f"contract harness failed to harvest payloads ({exc!r})")
         return findings
+
+    def run_reduce(key: Any, vals: list[Any]) -> list[tuple[Any, Any]]:
+        out: list[tuple[Any, Any]] = []
+        app.reduce(key, vals, state, lambda k, v: out.append((k, v)))
+        return out
+
+    if cls.reduce_array is not MapReduceApp.reduce_array:
+        try:
+            _check_reduce_array(app, state, records, groups, run_reduce,
+                                fail)
+        except Exception as exc:  # noqa: BLE001
+            fail(f"reduce_array contract check raised ({exc!r})")
 
     rich = _rich_groups(groups)
     if not rich:
@@ -553,11 +618,6 @@ def verify_mapreduce_app(cls: type, pgraph: Any = None) -> list[Finding]:
     if combine_ufunc is not None and not has_combine:
         fail("sets combine_ufunc without overriding combine(); the "
              "scalar combiner path would crash")
-
-    def run_reduce(key: Any, vals: list[Any]) -> list[tuple[Any, Any]]:
-        out: list[tuple[Any, Any]] = []
-        app.reduce(key, vals, state, lambda k, v: out.append((k, v)))
-        return out
 
     for key, vals in rich:
         try:

@@ -79,14 +79,11 @@ class DegreeDistributionMapReduce(MapReduceApp):
     def reduce(self, key, values, state, emit):
         emit(key, sum(values))
 
-    def reduce_array(self, keys, bounds, values, state):
-        if keys.size == 0:
-            return []
-        # counts are exact ints, so a running-sum difference per segment
-        # equals the scalar sum() in any order
-        running = np.concatenate(([0], np.cumsum(values)))
-        totals = running[bounds[1:]] - running[bounds[:-1]]
-        return list(zip(keys.tolist(), totals.tolist()))
+    def reduce_array(self, keys, gid, values, state):
+        # exact int64 totals, as the scalar sum() of int counts
+        totals = np.zeros(keys.size, dtype=values.dtype)
+        np.add.at(totals, gid, values)
+        return keys, totals
 
     def combine(self, key, values, state):
         return sum(values)

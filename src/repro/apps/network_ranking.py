@@ -147,15 +147,11 @@ class NetworkRankingMapReduce(MapReduceApp):
         rank = (1.0 - self.damping) / state.num_vertices + sum(values)
         emit(key, rank)
 
-    def reduce_array(self, keys, bounds, values, state):
-        if keys.size == 0:
-            return []
-        gids = np.repeat(np.arange(keys.size), np.diff(bounds))
-        # bincount accumulates in input order: 0.0 + v1 + v2 + ...,
+    def reduce_array(self, keys, gid, values, state):
+        # bincount accumulates in arrival order: 0.0 + v1 + v2 + ...,
         # matching the scalar sum() fold bit for bit
-        totals = np.bincount(gids, weights=values, minlength=keys.size)
-        ranks = (1.0 - self.damping) / state.num_vertices + totals
-        return list(zip(keys.tolist(), ranks.tolist()))
+        totals = np.bincount(gid, weights=values, minlength=keys.size)
+        return keys, (1.0 - self.damping) / state.num_vertices + totals
 
     def combine(self, key, values, state):
         return sum(values)

@@ -81,29 +81,23 @@ class ReverseLinkGraphMapReduce(MapReduceApp):
     def reduce(self, key, values, state, emit):
         emit(key, tuple(sorted(set(values))))
 
-    def reduce_array(self, keys, bounds, values, state):
+    def reduce_array(self, keys, gid, values, state):
         # no combiner possible here (bags don't fold to one value), but
         # the dedup+sort reduce vectorizes: one lexsort over (key, src)
         # then a per-group slice — tuple(sorted(set(bag))) exactly.
-        if keys.size == 0:
-            return []
-        counts = np.diff(bounds)
-        gids = np.repeat(np.arange(keys.size, dtype=np.int64), counts)
-        order = np.lexsort((values, gids))
+        order = np.lexsort((values, gid))
         sv = values[order]
-        sg = gids[order]
+        sg = gid[order]
         keep = np.empty(sv.size, dtype=bool)
-        keep[0] = True
+        keep[:1] = True
         keep[1:] = (sv[1:] != sv[:-1]) | (sg[1:] != sg[:-1])
         dv = sv[keep]
         dg = sg[keep]
         cuts = np.flatnonzero(dg[1:] != dg[:-1]) + 1
         gbounds = np.concatenate(([0], cuts, [dg.size])).tolist()
         vlist = dv.tolist()
-        return [
-            (key, tuple(vlist[gbounds[i]:gbounds[i + 1]]))
-            for i, key in enumerate(keys.tolist())
-        ]
+        return keys, [tuple(vlist[gbounds[i]:gbounds[i + 1]])
+                      for i in range(keys.size)]
 
     def output_nbytes(self, key, value):
         return 12.0 + 8.0 * len(value)

@@ -34,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.errors import DataLossError, JobError, SchedulingError
 from repro.cluster.cluster import Cluster, ClusterMetrics
 from repro.cluster.faults import FaultPlan
@@ -556,22 +558,27 @@ class Surfer:
 def apply_outputs(app: Any, state: Any, out: Any) -> None:
     """Fold one step's outputs into ``state``.
 
-    The one place that decides dict vs columns: the propagation
-    engine's array path returns ``(vertices, values)`` columns, which go
-    to ``update_array`` — unless the app overrides ``update`` alone,
-    whose dict it then gets, as does every app on a dict-producing path
-    (the scalar engine paths, MapReduce).
+    The one place that decides dict vs columns, for both primitives:
+    the array paths return ``(keys, values)`` columns — the propagation
+    engine's Combine output, or a MapReduce round every reducer of
+    which answered ``reduce_array`` — and those go to ``update_array``,
+    unless the app overrides ``update`` alone, whose dict it then gets,
+    as does every app on a dict-producing path (the scalar engine
+    paths, a MapReduce round with a declining reducer).
     """
     if isinstance(out, dict):
         app.update(state, out)
         return
-    vertices, values = out
+    keys, values = out
     cls = type(app)
-    if (cls.update_array is PropagationApp.update_array
-            and cls.update is not PropagationApp.update):
-        app.update(state, dict(zip(vertices.tolist(), values.tolist())))
+    base = MapReduceApp if isinstance(app, MapReduceApp) else PropagationApp
+    if (cls.update_array is base.update_array
+            and cls.update is not base.update):
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
+        app.update(state, dict(zip(keys.tolist(), values)))
     else:
-        app.update_array(state, vertices, values)
+        app.update_array(state, keys, values)
 
 
 def default_num_parts(num_machines: int) -> int:

@@ -44,7 +44,8 @@ class MapReduceApp:
         return None
 
     def update(self, state: Any, outputs: dict) -> None:
-        """Fold one round's reduce outputs into the state."""
+        """Fold one round's reduce outputs into the state (the dict
+        form; columnar rounds go to :meth:`update_array`)."""
         values = getattr(state, "values", None)
         if values is None:
             raise JobError(
@@ -97,23 +98,44 @@ class MapReduceApp:
         """
         return None
 
-    def reduce_array(self, keys: np.ndarray, bounds: np.ndarray,
+    def reduce_array(self, keys: np.ndarray, gid: np.ndarray,
                      values: np.ndarray,
-                     state: Any) -> list[tuple[Any, Any]] | None:
-        """Vectorized ``reduce`` over one reducer's sorted groups.
+                     state: Any) -> tuple[np.ndarray, Any] | None:
+        """Vectorized ``reduce`` over one reducer's records, unsorted.
 
-        ``keys`` holds the reducer's distinct keys sorted ascending,
-        ``values`` the concatenated bags (each key's values contiguous,
-        in shuffle arrival order — partition order, then emission
-        order), and ``bounds`` the ``len(keys) + 1`` segment boundaries:
-        key ``i``'s bag is ``values[bounds[i]:bounds[i+1]]``.  Must
-        return the output pairs as a list of Python-typed ``(key,
-        value)`` tuples bit-identical to calling the scalar ``reduce``
-        per group — or ``None`` to decline, making the engine fall back
-        to per-group scalar ``reduce`` calls (still on the array
-        shuffle).
+        ``values`` holds the reducer's records in shuffle arrival order
+        (partition order, then emission order), ``keys`` its distinct
+        keys sorted ascending and ``gid`` each record's index into
+        ``keys`` (see :func:`repro.fold.group_ids`): key ``i``'s bag is
+        ``values[gid == i]``, in the order the scalar ``reduce`` sees it.
+        Must return output columns ``(out_keys, out_values)`` —
+        ``out_values`` an aligned ndarray, or a list where the values are
+        not numeric — holding exactly the pairs the scalar ``reduce``
+        emits per group, each key drawn from ``keys`` at most once (the
+        engine writes the columns straight into the state).  Or ``None``
+        to decline: the whole round then falls back to sorted bags,
+        per-group scalar ``reduce`` calls and a dict of outputs (still
+        on the array shuffle).
         """
         return None
+
+    def update_array(self, state: Any, keys: np.ndarray,
+                     values: Any) -> None:
+        """Columnar ``update``: must leave ``state`` equal to
+        ``update(state, dict(zip(keys, values)))``.
+
+        Receives the round's ``reduce_array`` columns.  The default
+        mirrors the default ``update`` for an ndarray ``state.values``;
+        apps that override ``update`` get this hook only by overriding
+        it too (otherwise their ``update`` is handed the dict).
+        """
+        target = getattr(state, "values", None)
+        if not isinstance(target, np.ndarray):
+            raise JobError(
+                f"{self.name}: override update_array() or keep "
+                "state.values an ndarray"
+            )
+        target[keys] = values
 
     # ------------------------------------------------------------------
     # Cost-model sizing hooks

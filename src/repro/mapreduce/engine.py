@@ -16,11 +16,16 @@ engine's Transfer fast path):
 
 * **Array fast path** (``vectorized``) — apps that implement
   ``map_array`` emit columnar ``(keys, values)`` arrays; the engine
-  hash-partitions them with :func:`repro.hashing.stable_hash_array`, and
-  reducers run a sort-based group-by (stable argsort + segment
-  boundaries) instead of per-record dict inserts, calling
-  ``reduce_array`` when available.  Outputs and every cost counter are
-  bit-identical to the scalar oracle.
+  hash-partitions them with :func:`repro.hashing.stable_hash_array` and
+  buckets them per reducer with a stable radix sort of the narrowed
+  reducer ids.  Each reducer groups its records in arrival order with
+  :func:`repro.fold.group_ids` — no sort, no per-record dict insert —
+  and hands them to ``reduce_array``, whose ``(keys, values)`` columns
+  the round concatenates in reducer order, charges in closed form and
+  returns as columns for ``update_array``.  If any reducer declines
+  ``reduce_array``, the whole round falls back to sorted bags, scalar
+  ``reduce`` calls and the oracle's dict.  Outputs and every cost
+  counter are bit-identical to the scalar oracle.
 * **Map-side combiner** (``combiner``) — Hadoop-style: each mapper folds
   its output per key (``combine`` scalar / ``combine_ufunc`` array)
   before the shuffle, shrinking spill and network volume at the price of
@@ -33,6 +38,7 @@ engine's Transfer fast path):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -40,7 +46,7 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.cluster.storage import PartitionStore
 from repro.errors import JobError
-from repro.fold import fold_by_dest
+from repro.fold import fold_by_dest, group_ids
 from repro.hashing import stable_hash, stable_hash_array
 from repro.mapreduce.api import MapReduceApp, kv_nbytes
 from repro.runtime.events import wall_timer
@@ -61,6 +67,31 @@ def reducer_of(key: object, num_reducers: int) -> int:
     reducer.
     """
     return stable_hash(key) % num_reducers
+
+
+def _as_pairs(out: Any) -> list[tuple[Any, Any]]:
+    """One reducer's output — pairs, columns or None — as the oracle's
+    Python-typed ``(key, value)`` pairs."""
+    if out is None:
+        return []
+    if isinstance(out, list):
+        return out
+    keys, values = out
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return list(zip(keys.tolist(), values))
+
+
+def _concat_columns(columns: list[tuple[np.ndarray, Any]]) -> Any:
+    """The reducers' ``(keys, values)`` columns end to end, in reducer
+    order; an empty round is the oracle's empty dict."""
+    if not columns:
+        return {}
+    keys = np.concatenate([k for k, _ in columns])
+    parts = [v for _, v in columns]
+    if all(isinstance(v, np.ndarray) for v in parts):
+        return keys, np.concatenate(parts)
+    return keys, list(chain.from_iterable(parts))
 
 
 @dataclass
@@ -174,8 +205,14 @@ class MapReduceEngine:
         app: MapReduceApp,
         state: Any,
         scheduler: StageScheduler,
-    ) -> tuple[dict, RoundReport]:
-        """Run one map+shuffle+reduce round; returns (outputs, report)."""
+    ) -> tuple[Any, RoundReport]:
+        """Run one map+shuffle+reduce round; returns (outputs, report).
+
+        ``outputs`` is the oracle's ``{key: value}`` dict, or — when
+        every reducer of an array round answered ``reduce_array`` — its
+        ``(keys, values)`` columns in reducer order.  Fold either into
+        the state with :func:`repro.core.surfer.apply_outputs`.
+        """
         timer = wall_timer()
         num_reducers = self.cluster.num_machines
         if self.combiner:
@@ -241,40 +278,23 @@ class MapReduceEngine:
         timer = wall_timer()
 
         # -------- Reduce phase ------------------------------------------
-        outputs: dict = {}
+        reduce_bucket = (self._reduce_bucket_vectorized if use_fast
+                         else self._reduce_bucket_scalar)
+        reduced = [
+            reduce_bucket(app, state,
+                          [mo.chunks[r] for mo in per_part if r in mo.chunks])
+            for r in range(num_reducers)
+        ]
+        # columnar or dict as a whole: one reducer that declined
+        # reduce_array (its output is pairs) makes the round the oracle's
+        columnar = use_fast and not any(
+            isinstance(out, list) for out, _ in reduced)
+        outputs: Any = {}
         reduce_tasks: list[Task] = []
-        default_out_sizing = (
-            type(app).output_nbytes is MapReduceApp.output_nbytes)
-        num_vertices = self.pgraph.num_vertices
-        for r in range(num_reducers):
-            chunk_list = [mo.chunks[r] for mo in per_part
-                          if r in mo.chunks]
-            if use_fast:
-                emitted_out, cpu = self._reduce_bucket_vectorized(
-                    app, state, chunk_list)
-            else:
-                emitted_out, cpu = self._reduce_bucket_scalar(
-                    app, state, chunk_list)
-            finished = None
-            if use_fast and default_out_sizing:
-                finished = self._finish_outputs_vectorized(
-                    app, emitted_out, outputs)
-            if finished is not None:
-                out_bytes, writeback = finished
-            else:
-                out_bytes = 0.0
-                writeback = {}
-                for key, value in emitted_out:
-                    outputs[key] = value
-                    nbytes = app.output_nbytes(key, value)
-                    out_bytes += nbytes
-                    if app.writeback_to_partitions and isinstance(
-                        key, (int, np.integer)
-                    ) and 0 <= key < num_vertices:
-                        home = int(self.assignment[
-                            self.pgraph.partition_of(int(key))
-                        ])
-                        writeback[home] = writeback.get(home, 0.0) + nbytes
+        for r, (out, cpu) in enumerate(reduced):
+            if not columnar:
+                outputs.update(_as_pairs(out))
+            out_bytes, writeback = self._charge_outputs(app, out)
             staged = float(sum(bucket_sources[r].values()))
             inbound = sorted(bucket_sources[r].items())
             reduce_tasks.append(Task(
@@ -289,6 +309,9 @@ class MapReduceEngine:
                 receives=inbound,
                 input_transfers=inbound,
             ))
+        if columnar:
+            outputs = _concat_columns(
+                [out for out, _ in reduced if out is not None])
         reduce_wall = timer.elapsed()
         reduce_result = scheduler.run_stage(reduce_tasks)
 
@@ -378,7 +401,10 @@ class MapReduceEngine:
             if not self.combiner:
                 mo.spill_precombine = mo.spill
             if keys.size:
-                rids = stable_hash_array(keys) % num_reducers
+                # narrow ids take NumPy's radix sort; a stable sort gives
+                # the same permutation at any width
+                rids = (stable_hash_array(keys) % num_reducers).astype(
+                    np.min_scalar_type(num_reducers - 1))
                 counts = np.bincount(rids, minlength=num_reducers)
                 order = np.argsort(rids, kind="stable")
                 sk = keys[order]
@@ -415,63 +441,70 @@ class MapReduceEngine:
 
     def _reduce_bucket_vectorized(
         self, app: MapReduceApp, state: Any, chunk_list: list
-    ) -> tuple[list, float]:
-        """Sort-based group-by: stable argsort keeps each key's bag in
-        shuffle arrival order, matching the scalar dict-insert oracle."""
+    ) -> tuple[Any, float]:
+        """Group-by in arrival order (partition order, emission order
+        within) — each key's bag is the scalar dict-insert oracle's.
+
+        Returns ``reduce_array``'s ``(keys, values)`` columns; the scalar
+        ``reduce`` pairs over sorted bags if it declines; None for a
+        reducer that received nothing.
+        """
         if not chunk_list:
-            return [], 0.0
+            return None, 0.0
         keys = np.concatenate([c[0] for c in chunk_list])
         values = np.concatenate([c[1] for c in chunk_list])
-        order = np.argsort(keys, kind="stable")
-        k = keys[order]
-        v = values[order]
-        n = int(k.size)
-        new_group = np.empty(n, dtype=bool)
-        new_group[0] = True
-        np.not_equal(k[1:], k[:-1], out=new_group[1:])
-        starts = np.flatnonzero(new_group)
-        uniq = k[starts]
-        bounds = np.concatenate((starts, [n]))
-        cpu = float(n + uniq.size)
+        uniq, gid, counts = group_ids(keys)
+        cpu = float(keys.size + uniq.size)
         if type(app).reduce_array is not MapReduceApp.reduce_array:
-            pairs = app.reduce_array(uniq, bounds, v, state)
-            if pairs is not None:
-                return list(pairs), cpu
+            out = app.reduce_array(uniq, gid, values, state)
+            if out is not None:
+                out_keys, out_values = out
+                return (np.asarray(out_keys), out_values), cpu
         emitted_out: list[tuple[Any, Any]] = []
 
         def emit(key, value, _out=emitted_out):
             _out.append((key, value))
 
-        blist = bounds.tolist()
+        bags = values[np.argsort(gid, kind="stable")]
+        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
         for i, key in enumerate(uniq.tolist()):
-            app.reduce(key, v[blist[i]:blist[i + 1]].tolist(),
+            app.reduce(key, bags[bounds[i]:bounds[i + 1]].tolist(),
                        state, emit)
         return emitted_out, cpu
 
-    def _finish_outputs_vectorized(
-        self, app: MapReduceApp, pairs: list, outputs: dict
-    ) -> tuple[float, dict[int, float]] | None:
-        """Fold reduce output pairs into ``outputs`` + writeback in bulk.
+    def _charge_outputs(self, app: MapReduceApp,
+                        out: Any) -> tuple[float, dict[int, float]]:
+        """Output bytes and per-home writeback bytes of one reducer.
 
-        Only valid with default (constant) output sizing; per-record
-        byte sums and per-home writeback accumulations are products of
-        integer-valued floats, so they equal the scalar loop bit for
-        bit.  Returns None (caller falls back to the per-pair loop) for
-        writeback apps with non-integer keys.
+        Columns under default sizing are charged in closed form: every
+        record costs the same integer-valued byte count, so the products
+        equal the per-pair sums of the scalar loop bit for bit.
         """
-        rec = float(app.key_nbytes(None) + app.value_nbytes(None))
-        writeback: dict[int, float] = {}
-        if app.writeback_to_partitions and pairs:
-            keys = np.asarray([key for key, _ in pairs])
-            if keys.dtype.kind not in "iu":
-                return None
-            ok = (keys >= 0) & (keys < self.pgraph.num_vertices)
-            homes = self.assignment[self.pgraph.parts[keys[ok]]]
-            counts = np.bincount(homes)
-            writeback = {int(h): float(counts[h]) * rec
-                         for h in np.flatnonzero(counts)}
-        outputs.update(pairs)
-        return rec * len(pairs), writeback
+        if (isinstance(out, tuple)
+                and type(app).output_nbytes is MapReduceApp.output_nbytes):
+            keys = out[0]
+            rec = float(app.key_nbytes(None) + app.value_nbytes(None))
+            writeback: dict[int, float] = {}
+            if app.writeback_to_partitions and keys.dtype.kind in "iu":
+                ok = keys[(keys >= 0) & (keys < self.pgraph.num_vertices)]
+                counts = np.bincount(self.assignment[self.pgraph.parts[ok]])
+                writeback = {int(h): float(counts[h]) * rec
+                             for h in np.flatnonzero(counts)}
+            return rec * keys.size, writeback
+        out_bytes = 0.0
+        writeback = {}
+        num_vertices = self.pgraph.num_vertices
+        for key, value in _as_pairs(out):
+            nbytes = app.output_nbytes(key, value)
+            out_bytes += nbytes
+            if app.writeback_to_partitions and isinstance(
+                key, (int, np.integer)
+            ) and 0 <= key < num_vertices:
+                home = int(self.assignment[
+                    self.pgraph.partition_of(int(key))
+                ])
+                writeback[home] = writeback.get(home, 0.0) + nbytes
+        return out_bytes, writeback
 
     def _observe_round(self, scheduler: StageScheduler,
                        report: RoundReport,

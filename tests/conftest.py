@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import repro.fold
 from repro.apps.base import VertexState
 from repro.bench.workloads import HARDWARE_SCALE, TESTBED_MACHINE
 from repro.cluster.cluster import Cluster
 from repro.cluster.topology import t1, t2
 from repro.core.surfer import Surfer
 from repro.graph.generators import composite_social_graph, grid, ring
+from repro.mapreduce.api import MapReduceApp
 from repro.propagation.api import PropagationApp
 
 
@@ -94,6 +98,51 @@ class ArrivalOrderApp(PropagationApp):
 
     def finalize(self, state):
         return state.values
+
+
+class ArrivalOrderMapReduce(MapReduceApp):
+    """Reverses edges like RLG, but ``reduce`` emits its bag as it came
+    — a tuple in shuffle arrival order — so any deviation from the
+    scalar shuffle's order changes the result.  ``reduce_array`` rebuilds
+    the bags from the group ids; its values are a list of tuples under
+    default output sizing."""
+
+    name = "arrival-order-mr"
+
+    def setup(self, pgraph):
+        return VertexState(pgraph=pgraph, values={})
+
+    def map(self, partition, pgraph, state, emit):
+        src, dst = pgraph.partition_edges(partition)
+        for u, v in zip(src.tolist(), dst.tolist()):
+            emit(v, u)
+
+    def map_array(self, partition, pgraph, state):
+        src, dst = pgraph.partition_edges(partition)
+        return dst.astype(np.int64), src.astype(np.int64)
+
+    def reduce(self, key, values, state, emit):
+        emit(key, tuple(values))
+
+    def reduce_array(self, keys, gid, values, state):
+        bags = values[np.argsort(gid, kind="stable")].tolist()
+        ends = np.cumsum(np.bincount(gid, minlength=keys.size)).tolist()
+        return keys, [tuple(bags[lo:hi])
+                      for lo, hi in zip([0] + ends, ends)]
+
+    def update(self, state, outputs):
+        state.values.update(outputs)
+
+    def finalize(self, state):
+        return dict(state.values)
+
+
+def fold_with(strategy, dests, values, ufunc):
+    """``fold_by_dest`` with its strategy forced: ``"counting"`` or
+    ``"sorted"``."""
+    factor = {"counting": float("inf"), "sorted": 0}[strategy]
+    with mock.patch.object(repro.fold, "COUNTING_SPAN_FACTOR", factor):
+        return repro.fold.fold_by_dest(dests, values, ufunc)
 
 
 def assert_partition_valid(parts: np.ndarray, num_vertices: int,

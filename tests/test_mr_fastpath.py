@@ -26,8 +26,9 @@ from repro.errors import JobError
 from repro.graph.generators import composite_social_graph
 from repro.hashing import stable_hash, stable_hash_array
 from repro.mapreduce.api import MapReduceApp
-from repro.mapreduce.engine import reducer_of
+from repro.mapreduce.engine import MapReduceEngine, reducer_of
 from repro.runtime.events import reconcile
+from repro.runtime.scheduler import StageScheduler
 from tests.conftest import make_test_cluster
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -105,6 +106,17 @@ APPS = {
     "VDD": DegreeDistributionMapReduce,
     "RLG": ReverseLinkGraphMapReduce,
 }
+
+
+def _round_outputs(surfer, app, vectorized):
+    """One round's raw outputs, straight from the engine."""
+    state = app.setup(surfer.pgraph)
+    surfer.cluster.reset()
+    engine = MapReduceEngine(surfer.pgraph, surfer.store.copy(),
+                             surfer.cluster, assignment=surfer.assignment,
+                             vectorized=vectorized)
+    out, _ = engine.run_round(app, state, StageScheduler(surfer.cluster))
+    return out
 
 
 class TestFastPathEquivalence:
@@ -226,13 +238,76 @@ class TestFastPathEquivalence:
 
     def test_reduce_array_decline_uses_sorted_scalar_groups(self, surfer):
         class NoReduceArray(NetworkRankingMapReduce):
-            def reduce_array(self, keys, bounds, values, state):
+            def reduce_array(self, keys, gid, values, state):
                 return None
 
         fast = surfer.run_mapreduce(NoReduceArray(), vectorized=True)
         scalar = surfer.run_mapreduce(NoReduceArray(), vectorized=False)
         assert fast.result.tobytes() == scalar.result.tobytes()
         assert _job_signature(fast) == _job_signature(scalar)
+        assert isinstance(_round_outputs(surfer, NoReduceArray(), True),
+                          dict)
+
+    def test_columnar_round_returns_columns(self, surfer):
+        keys, ranks = _round_outputs(surfer, NetworkRankingMapReduce(), True)
+        scalar = _round_outputs(surfer, NetworkRankingMapReduce(), False)
+        assert isinstance(ranks, np.ndarray)
+        assert keys.size == len(scalar)
+        assert dict(zip(keys.tolist(), ranks.tolist())) == scalar
+
+    def test_partial_reduce_array_decline_gives_the_scalar_dict(self,
+                                                                 surfer):
+        class SomeDecline(NetworkRankingMapReduce):
+            def reduce_array(self, keys, gid, values, state):
+                if keys[0] % 2:  # reducers whose lowest key is odd
+                    return None
+                return super().reduce_array(keys, gid, values, state)
+
+        lowest = {}
+        for v in range(surfer.pgraph.num_vertices):
+            lowest.setdefault(reducer_of(v, surfer.cluster.num_machines), v)
+        assert {v % 2 for v in lowest.values()} == {0, 1}  # a real mix
+        fast = _round_outputs(surfer, SomeDecline(), True)
+        assert isinstance(fast, dict)
+        assert fast == _round_outputs(surfer, SomeDecline(), False)
+        jobs = [surfer.run_mapreduce(SomeDecline(), rounds=2,
+                                     vectorized=vectorized)
+                for vectorized in (False, True)]
+        assert jobs[0].result.tobytes() == jobs[1].result.tobytes()
+        assert _job_signature(jobs[0]) == _job_signature(jobs[1])
+
+    def test_update_only_app_receives_the_dict(self, surfer):
+        class UpdateOnly(NetworkRankingMapReduce):
+            def update(self, state, outputs):
+                state.extra.setdefault("received", []).append(outputs)
+                super().update(state, outputs)
+
+            def finalize(self, state):
+                return state.extra["received"]
+
+        scalar, fast = (
+            surfer.run_mapreduce(UpdateOnly(), rounds=2,
+                                 vectorized=vectorized).result
+            for vectorized in (False, True))
+        assert all(isinstance(out, dict) for out in fast)
+        assert fast == scalar
+
+    @pytest.mark.parametrize("writeback", [False, True])
+    def test_custom_output_sizing_charges_per_pair(self, surfer, writeback):
+        """RLG sizes each output by its list: the columnar round falls
+        back to the per-pair charge loop and must land on the same
+        output bytes and writeback."""
+
+        class Sized(ReverseLinkGraphMapReduce):
+            writeback_to_partitions = writeback
+
+        scalar = surfer.run_mapreduce(Sized(), vectorized=False)
+        fast = surfer.run_mapreduce(Sized(), vectorized=True)
+        assert _result_equal(scalar.result, fast.result)
+        assert _job_signature(scalar) == _job_signature(fast)
+        shipped = [e.task.sends for e in fast.executions
+                   if e.task.kind == "reduce"]
+        assert any(shipped) == writeback
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Property-based tests (hypothesis) on core data structures/invariants."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,10 +12,13 @@ import repro.fold
 from repro.apps import (
     BreadthFirstSearchPropagation,
     ConnectedComponentsPropagation,
+    DegreeDistributionMapReduce,
     DeltaPageRankPropagation,
     KCoreDecompositionPropagation,
+    NetworkRankingMapReduce,
     NetworkRankingPropagation,
     RecommenderPropagation,
+    ReverseLinkGraphMapReduce,
     ShortestPathsPropagation,
 )
 from repro.core.bandwidth_aware import PartitionPlan
@@ -22,10 +28,13 @@ from repro.errors import GraphError
 from repro.fold import (
     COUNTING_SPAN_FACTOR,
     fold_by_dest,
-    fold_counting,
-    fold_sorted,
+    group_counting,
+    group_ids,
+    group_sorted,
 )
 from repro.graph.digraph import Graph, csr_from_keys, pair_keys
+from repro.graph.store import build_shard_store, open_shard_graph
+from repro.graph.stream import stream_from_edges
 from repro.graph.io import (
     DEGREE_BYTES,
     VERTEX_ID_BYTES,
@@ -43,7 +52,12 @@ from repro.partitioning.metrics import (
 from repro.partitioning.refine import fm_refine
 from repro.partitioning.wgraph import WGraph
 from repro.runtime.events import reconcile
-from tests.conftest import ArrivalOrderApp, make_test_cluster
+from tests.conftest import (
+    ArrivalOrderApp,
+    ArrivalOrderMapReduce,
+    fold_with,
+    make_test_cluster,
+)
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -449,13 +463,12 @@ class TestFoldKernel:
         for d, v in zip(dests.tolist(), values.tolist()):
             folded[d] = merge(folded[d], v) if d in folded else v
             sizes[d] = sizes.get(d, 0) + 1
-        folds = [fold_by_dest]  # the only one that takes empty input
-        if dests.size:
-            folds.append(fold_sorted)
+        results = [fold_by_dest(dests, values, ufunc)]
+        if dests.size:  # the forced strategies take non-empty input
+            results.append(fold_with("sorted", dests, values, ufunc))
             if np.ptp(dests) < 2**20:  # counting allocates the span
-                folds.append(fold_counting)
-        for fold in folds:
-            uniq, merged, counts = fold(dests, values, ufunc)
+                results.append(fold_with("counting", dests, values, ufunc))
+        for uniq, merged, counts in results:
             assert uniq.tolist() == sorted(folded)
             assert merged.tolist() == [folded[d] for d in sorted(folded)]
             assert counts.tolist() == [sizes[d] for d in sorted(folded)]
@@ -463,20 +476,75 @@ class TestFoldKernel:
 
     def test_choice_follows_count_and_span(self, monkeypatch):
         """Counting while the span stays within a small multiple of the
-        message count, the sort beyond it — nothing else decides."""
+        message count, the sort beyond it — nothing else decides, and
+        the grouping and the fold decide alike."""
         chosen = []
-        for name in ("fold_counting", "fold_sorted"):
+        for name in ("group_counting", "group_sorted"):
+            real = getattr(repro.fold, name)
             monkeypatch.setattr(
                 repro.fold, name,
-                lambda *args, name=name: chosen.append(name))
+                lambda keys, name=name, real=real: (chosen.append(name),
+                                                    real(keys))[1])
         ones = np.ones(10)
         for span in (1, 10, 10 * COUNTING_SPAN_FACTOR,
                      10 * COUNTING_SPAN_FACTOR + 1, 2**40):
             dests = np.zeros(10, dtype=np.int64)
             dests[-1] = span - 1
+            group_ids(dests)
             fold_by_dest(dests, ones, np.add)
+        group_ids(np.array([b"a", b"b"]))
         fold_by_dest(np.array([b"a", b"b"]), ones[:2], np.add)
-        assert chosen == ["fold_counting"] * 3 + ["fold_sorted"] * 3
+        # a counting fold folds by slot and never calls group_counting
+        assert chosen == ["group_counting"] * 3 + ["group_sorted"] * 6
+
+
+@st.composite
+def key_columns(draw):
+    """Integer keys: none, one or many, negative or past ``2**63``, in a
+    narrow dtype, over a dense range or a huge span."""
+    dtype = draw(st.sampled_from([np.int64, np.uint64, np.int8]))
+    info = np.iinfo(dtype)
+    k = draw(st.integers(0, 40))
+    base = draw(st.integers(int(info.min), int(info.max)))
+    span = min(draw(st.sampled_from([1, 6, 64, 2**40])),
+               int(info.max) - base + 1)
+    keys = draw(st.lists(st.integers(base, base + span - 1),
+                         min_size=k, max_size=k))
+    return np.array(keys, dtype=dtype)
+
+
+class TestGroupIds:
+    @COMMON
+    @given(key_columns())
+    def test_strategies_equal_dict_group_by(self, keys):
+        positions: dict = {}
+        for j, key in enumerate(keys.tolist()):
+            positions.setdefault(key, []).append(j)
+        want = sorted(positions)
+        results = [group_ids(keys)]
+        if keys.size:  # the strategies take non-empty input
+            results.append(group_sorted(keys))
+            if int(keys.max()) - int(keys.min()) < 2**20:
+                results.append(group_counting(keys))
+        for uniq, gid, counts in results:
+            assert uniq.dtype == keys.dtype and gid.dtype == np.intp
+            assert uniq.tolist() == want
+            assert counts.tolist() == [len(positions[key]) for key in want]
+            # records stay put: group i's positions, in input order
+            assert [np.flatnonzero(gid == i).tolist()
+                    for i in range(uniq.size)] == [positions[key]
+                                                   for key in want]
+
+    @pytest.mark.parametrize("keys", [
+        np.zeros(0, dtype=np.uint64), np.array([-3]),
+        np.array([2**64 - 1, 2**63, 2**64 - 1], dtype=np.uint64),
+        np.array([127, -128, 0, 127], dtype=np.int8)])
+    def test_edge_cases(self, keys):
+        uniq, gid, counts = group_ids(keys)
+        assert uniq.dtype == keys.dtype
+        assert uniq.tolist() == sorted(set(keys.tolist()))
+        assert uniq[gid].tolist() == keys.tolist()
+        assert counts.sum() == keys.size
 
 
 # ----------------------------------------------------------------------
@@ -506,10 +574,16 @@ def sim_counters(job):
             if "wall" not in name}
 
 
+def same_result(a, b):
+    """Bitwise for arrays; ``==`` for dicts and graphs."""
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return a == b
+
+
 def assert_same_job(oracle, fast):
     assert not oracle.failed and not fast.failed
-    assert np.array_equal(np.asarray(oracle.result),
-                          np.asarray(fast.result))
+    assert same_result(oracle.result, fast.result)
     assert oracle.reports == fast.reports  # every field, every task
     assert oracle.metrics == fast.metrics
     assert sim_counters(oracle) == sim_counters(fast)
@@ -547,3 +621,58 @@ class TestArrayPathDifferential:
                             frontier=frontier, vectorized=vectorized)
                         for vectorized in (False, True))
                     assert_same_job(oracle, fast)
+
+
+#: every MapReduce app with ``map_array``: (factory, has ``combine``).
+#: NR is columnar into ``update_array``; VDD, RLG and ORDER override
+#: ``update`` alone and are handed the round's dict.
+MR_ARRAY_APPS = {
+    "NR": (NetworkRankingMapReduce, True),
+    "NR-naive": (lambda: NetworkRankingMapReduce(in_map_combining=False),
+                 True),
+    "VDD": (DegreeDistributionMapReduce, True),
+    "RLG": (ReverseLinkGraphMapReduce, False),
+    # test-only: reduce emits its bag in shuffle arrival order
+    "ORDER": (ArrivalOrderMapReduce, False),
+}
+
+
+def shard_backed_graph(edges, num_vertices, path):
+    """The drawn edge list, kept as drawn, as a two-shard store."""
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    build_shard_store(stream_from_edges(pairs, num_vertices), path, 2,
+                      dedup=False, drop_self_loops=False)
+    return open_shard_graph(path)
+
+
+class TestMapReduceArrayDifferential:
+    @pytest.mark.parametrize("name", MR_ARRAY_APPS)
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(raw_partitionings())
+    def test_columnar_equals_scalar(self, name, drawn):
+        """``vectorized=True`` against ``vectorized=False`` on raw edge
+        lists (self-loops, duplicates, isolated vertices, empty
+        partitions), with the combiner on and off where the app has
+        one, as index-set and sorted-range parts, in memory and
+        shard-backed."""
+        edges, parts, k = drawn
+        factory, has_combine = MR_ARRAY_APPS[name]
+        cluster = make_test_cluster(3)
+        with tempfile.TemporaryDirectory() as tmp:
+            graphs = (Graph.from_edges(edges, num_vertices=parts.size),
+                      shard_backed_graph(edges, parts.size,
+                                         os.path.join(tmp, "store")))
+            for graph in graphs:
+                for assignment in (parts, np.sort(parts)):
+                    plan = PartitionPlan(parts=assignment, num_parts=k,
+                                         placement=np.arange(k) % 3,
+                                         machine_sets={}, method="drawn")
+                    surfer = Surfer(graph, cluster, plan=plan)
+                    for combiner in (False, True)[:1 + has_combine]:
+                        oracle, fast = (
+                            surfer.run_mapreduce(
+                                factory(), rounds=2, combiner=combiner,
+                                vectorized=vectorized)
+                            for vectorized in (False, True))
+                        assert_same_job(oracle, fast)

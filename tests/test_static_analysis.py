@@ -321,7 +321,41 @@ class _FillerReadingCombineArray(NetworkRankingPropagation):
         return state.extra["teleport"] + folded + (counts == 0)
 
 
+class _ForeignKeyReduceArray(NetworkRankingMapReduce):
+    def reduce_array(self, keys, gid, values, state):
+        out_keys, ranks = super().reduce_array(keys, gid, values, state)
+        return out_keys + 1000, ranks  # keys no group has
+
+
+class _DisagreeingReduceArray(NetworkRankingMapReduce):
+    def reduce_array(self, keys, gid, values, state):
+        # forgets the teleport term the scalar reduce adds
+        return keys, np.bincount(gid, weights=values, minlength=keys.size)
+
+
 class TestContracts:
+    def test_reduce_array_must_emit_group_keys(self):
+        fs = verify_mapreduce_app(_ForeignKeyReduceArray)
+        assert rules_of(fs) == ["UDF002"]
+        assert "that no group has" in fs[0].message
+
+    def test_reduce_array_must_equal_reduce_exactly(self):
+        fs = verify_mapreduce_app(_DisagreeingReduceArray)
+        assert rules_of(fs) == ["UDF002"]
+        assert "reduce_array disagrees with reduce" in fs[0].message
+
+    def test_mapreduce_update_array_needs_update(self):
+        class UpdateArrayOnly(MapReduceApp):
+            name = "update-array-only"
+
+            def update_array(self, state, keys, values):
+                state.values[keys] = values
+
+        fs = check_array_parity([UpdateArrayOnly],
+                                "UpdateArrayOnly appears here")
+        assert rules_of(fs) == ["PAR001"]
+        assert "update()" in fs[0].message
+
     def test_combine_array_must_equal_combine_exactly(self):
         fs = verify_propagation_app(_FillerReadingCombineArray)
         assert rules_of(fs) == ["UDF002"]

@@ -23,7 +23,6 @@ from repro.cluster import FaultPlan
 from repro.core.range_plan import contiguous_range_plan
 from repro.core.surfer import Surfer
 from repro.errors import JobError
-from repro.fold import fold_counting, fold_sorted
 from repro.graph.generators import composite_social_graph
 from repro.graph.store import build_shard_store, open_shard_graph
 from repro.graph.stream import stream_rmat
@@ -32,7 +31,7 @@ from repro.propagation.engine import _bags, virtual_partition
 from repro.mapreduce.engine import reducer_of
 from repro.runtime.checkpoint import CheckpointPolicy
 from repro.runtime.events import reconcile
-from tests.conftest import ArrivalOrderApp, make_test_cluster
+from tests.conftest import ArrivalOrderApp, fold_with, make_test_cluster
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -123,8 +122,10 @@ class TestFromArrays:
         oracle = MessageBox(merge=lambda a, b: a + b)
         for d, v in zip(dests, values):
             oracle.add(int(d), v)
-        for fold in (fold_by_dest, fold_counting, fold_sorted):
-            uniq, merged, counts = fold(dests, values, np.add)
+        for uniq, merged, counts in (
+                fold_by_dest(dests, values, np.add),
+                fold_with("counting", dests, values, np.add),
+                fold_with("sorted", dests, values, np.add)):
             assert uniq.tolist() == sorted(oracle.data)
             assert merged.tolist() == [oracle.data[d]  # bitwise
                                        for d in uniq.tolist()]
