@@ -4,7 +4,7 @@
 mapreduce class, default iterations)``; the benchmark harness iterates it
 to regenerate Tables 2–4 and Figure 7.  :func:`make_app` is the one place
 a job named by ``(app, engine)`` becomes an instance with its default
-step count — every launcher (CLI, ``repro bench``, the experiment
+step count — every launcher (the CLI, chaos sweeps, the experiment
 registry) resolves through it.
 """
 

@@ -270,8 +270,8 @@ class DeltaPageRankPropagation(PropagationApp):
     semantics (no redistribution), so the :func:`repro.graph.algorithms.
     pagerank` oracle matches to within the tolerance.  Dense NR ships
     every edge every iteration; the delta formulation ships only the
-    shrinking frontier's edges — the convergent-tail saving the bench
-    config ``delta_pr.toml`` records.
+    shrinking frontier's edges — the convergent-tail saving
+    ``repro experiment delta_pr`` checks and gates.
     """
 
     name = "DPR"

@@ -1,9 +1,9 @@
-"""Benchmark workloads, the paper-fidelity experiment registry and
-the config-driven ``repro bench`` runner.
+"""Benchmark workloads and the experiment registry.
 
-The paper's tables, figures and ablations are enumerated in exactly one
-place, :data:`EXPERIMENTS`; their run functions live in
-:mod:`repro.bench.experiments`.
+The paper's tables, figures and ablations — and every job whose
+simulated cost is gated against a committed ``BENCH_PR*.json`` — are
+enumerated in exactly one place, :data:`EXPERIMENTS`; their run
+functions live in :mod:`repro.bench.experiments`.
 """
 
 from repro.bench.harness import ExperimentTable, format_value

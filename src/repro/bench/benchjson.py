@@ -1,7 +1,9 @@
 """Stable-schema bench JSON: the repo's persisted performance trajectory.
 
-Every PR appends one ``BENCH_<PR>.json`` at the repo root so regressions
-show up as a diff between consecutive files rather than as folklore.
+A PR that blesses new baselines (``repro experiment NAME… --bless
+PR<n>``) commits one ``BENCH_<PR>.json`` at the repo root, so cost
+changes show up as a diff between consecutive files rather than as
+folklore.
 The schema is deliberately small and frozen (``SCHEMA``):
 
 .. code-block:: json
@@ -46,7 +48,7 @@ RECORD_FIELDS = (
     "wall_clock_s",
 )
 
-#: optional per-record keys — present only where the runner measured
+#: optional per-record keys — present only where the experiment measured
 #: them (``peak_rss_bytes``: real process peak RSS around the run, the
 #: out-of-core benchmarks' bounded-memory claim; ``rss_degraded``:
 #: boolean flag set when the RSS sampling thread failed to shut down
@@ -82,7 +84,7 @@ def job_record(job, wall_clock_s: float,
                rss_degraded: bool = False) -> dict:
     """One workload record from a finished :class:`JobResult`.
 
-    ``peak_rss_bytes``, when the runner measured it, is recorded as an
+    ``peak_rss_bytes``, when the experiment measured it, is recorded as an
     optional field (see :data:`OPTIONAL_RECORD_FIELDS`);
     ``rss_degraded`` is only recorded when True, and marks an RSS
     number measured under a misbehaving sampler.
@@ -109,9 +111,12 @@ def job_record(job, wall_clock_s: float,
     return record
 
 
-def write_bench_json(path, workloads: dict[str, dict],
-                     pr: str = "PR3") -> dict:
-    """Validate and write a bench document; returns the document."""
+def write_bench_json(path, workloads: dict[str, dict], pr: str) -> dict:
+    """Validate and write a bench document; returns the document.
+
+    ``pr`` is the baseline's tag (``"PR26"``) when blessing, and
+    ``"current"`` for a local run that is not a baseline.
+    """
     doc = {"schema": SCHEMA, "pr": pr, "workloads": workloads}
     errors = validate_bench_json(doc)
     if errors:

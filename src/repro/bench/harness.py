@@ -1,4 +1,4 @@
-"""The plain-text table every experiment and ``repro bench`` renders to.
+"""The plain-text table every experiment renders to.
 
 :mod:`repro.bench.experiments` arranges each result in the paper's
 row/column layout as an :class:`ExperimentTable`, so shapes can be

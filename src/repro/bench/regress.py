@@ -1,9 +1,9 @@
 """Perf-trajectory regression gate over the ``BENCH_PR*.json`` history.
 
-The repo's quantitative claims (PR 2's ~6-7x Transfer fast path, PR 4's
-~4.4x MapReduce round, PR 6's recovery overhead) only stay claims while
-someone re-measures them.  This gate does that mechanically: every
-``repro bench --gate`` run compares the freshly measured records against
+The repo's simulated-cost claims (the Figure 7 gap, the MapReduce
+combiner ladder, the chaos sweep's recovery overhead) only stay claims
+while someone re-measures them.  This gate does that mechanically: every
+``repro experiment`` run compares the records its entries produce against
 the *latest committed baseline* for each workload (the highest-numbered
 ``BENCH_PR*.json`` that contains it) and fails when a metric regressed
 beyond its tolerance — or when a workload has no baseline at all, so the
@@ -28,7 +28,6 @@ __all__ = [
     "GateResult",
     "latest_baselines",
     "compare_records",
-    "gate",
 ]
 
 #: relative tolerance per metric (0.05 = current may exceed baseline by
@@ -95,20 +94,22 @@ class GateResult:
     def ok(self) -> bool:
         return not self.regressions and not self.missing
 
+    def failures(self) -> list[str]:
+        """One line per regressed metric and per unbaselined workload."""
+        return ([f"REGRESSION {f.describe()}" for f in self.regressions]
+                + [f"UNBASELINED {name}: no committed BENCH_PR*.json has "
+                   "it, so nothing was gated — commit one with `python -m "
+                   "repro experiment <entry> --bless PR<n>`"
+                   for name in self.missing])
+
     def render(self) -> str:
         if self.ok:
             return "gate: PASS — no metric regressed beyond tolerance"
-        lines = [f"gate: FAIL — {len(self.regressions)} regression(s) "
-                 f"beyond tolerance, {len(self.missing)} workload(s) "
-                 "without a baseline"]
-        for f in self.regressions:
-            lines.append(f"  REGRESSION {f.describe()}")
-        for name in self.missing:
-            lines.append(f"  UNBASELINED {name}: no committed "
-                         "BENCH_PR*.json has it, so nothing was gated — "
-                         "commit one with `python -m repro bench --suite "
-                         "<suite> --bless PR<n>`")
-        return "\n".join(lines)
+        return "\n".join(
+            [f"gate: FAIL — {len(self.regressions)} regression(s) beyond "
+             f"tolerance, {len(self.missing)} workload(s) without a "
+             "baseline"]
+            + [f"  {line}" for line in self.failures()])
 
 
 def latest_baselines(
@@ -171,11 +172,3 @@ def compare_records(
             ))
     return result
 
-
-def gate(
-    current: dict[str, dict],
-    history: list[dict],
-    tolerances: dict[str, float] | None = None,
-) -> GateResult:
-    """Alias for :func:`compare_records` (the CLI entry point)."""
-    return compare_records(current, history, tolerances=tolerances)

@@ -1,16 +1,15 @@
 """Cross-PR performance trajectory: join + render ``BENCH_PR*.json``.
 
-Each PR commits one ``BENCH_<PR>.json`` at the repo root.  Individually
-they are snapshots; joined per workload they are the repo's performance
-history — this module loads that history, appends the current run, and
-renders it as a markdown (or self-contained HTML) report with per-PR
-deltas, so "PR 4 made NR 4.4x faster" stays a number anyone can re-read
-instead of folklore in a commit message.
+A PR that moves a simulated cost commits one ``BENCH_<PR>.json`` at the
+repo root.  Individually they are snapshots; joined per workload they
+are the repo's cost history — this module loads that history, appends
+the current ``repro experiment`` run, and renders it as a markdown report
+with per-PR deltas, so "the combiner cuts the shuffle" stays a number
+anyone can re-read instead of folklore in a commit message.
 """
 
 from __future__ import annotations
 
-import html as _html
 import pathlib
 import re
 
@@ -25,7 +24,6 @@ __all__ = [
     "load_history",
     "workload_series",
     "render_markdown",
-    "render_html",
 ]
 
 _BENCH_RE = re.compile(r"^BENCH_PR(\d+)\.json$")
@@ -54,7 +52,11 @@ def load_history(root: str | pathlib.Path = ".") -> list[dict]:
         match = _BENCH_RE.match(path.name)
         if match is None:
             continue
-        doc = load_bench_json(path)
+        try:
+            doc = load_bench_json(path)
+        except ValueError as exc:  # not JSON at all
+            raise BenchRunError(
+                f"committed baseline {path} is invalid: {exc}") from exc
         errors = validate_bench_json(doc)
         if errors:
             raise BenchRunError(
@@ -122,7 +124,7 @@ def render_markdown(
     current: dict[str, dict] | None = None,
     current_label: str = "current",
     gate_result=None,
-    title: str = "repro bench — performance trajectory",
+    title: str = "simulated-cost trajectory",
 ) -> str:
     """The full trajectory as GitHub-flavoured markdown."""
     series = workload_series(history, current, current_label)
@@ -150,62 +152,8 @@ def render_markdown(
     lines.append(
         "Deltas are relative to the previous row (the last PR that "
         "measured the workload); `(=)` means within 0.05%. "
-        "`wall_clock_s` is real Python time (min-of-N sampled) — "
+        "`wall_clock_s` is real Python time — "
         "compare it across PRs measured on the same machine only."
     )
     return "\n".join(lines) + "\n"
 
-
-def render_html(
-    history: list[dict],
-    current: dict[str, dict] | None = None,
-    current_label: str = "current",
-    gate_result=None,
-    title: str = "repro bench — performance trajectory",
-) -> str:
-    """The same report as one self-contained HTML page."""
-    series = workload_series(history, current, current_label)
-    esc = _html.escape
-    parts = [
-        "<!DOCTYPE html>",
-        "<html><head><meta charset=\"utf-8\">",
-        f"<title>{esc(title)}</title>",
-        "<style>",
-        "body{font-family:system-ui,sans-serif;margin:2rem;"
-        "max-width:72rem}",
-        "table{border-collapse:collapse;margin:0.5rem 0 1.5rem}",
-        "th,td{border:1px solid #ccc;padding:0.25rem 0.6rem;"
-        "text-align:right;font-variant-numeric:tabular-nums}",
-        "th:first-child,td:first-child{text-align:left}",
-        "tr:last-child td{font-weight:600}",
-        "pre{background:#f6f6f6;padding:0.75rem;border-radius:4px}",
-        ".fail{color:#b00020}.pass{color:#0a7d33}",
-        "</style></head><body>",
-        f"<h1>{esc(title)}</h1>",
-    ]
-    prs = [str(d.get("pr", "?")) for d in history]
-    parts.append(
-        "<p>History: " + esc(", ".join(prs) or "(none)")
-        + (f" + {esc(current_label)} run" if current else "") + "</p>"
-    )
-    if gate_result is not None:
-        css = "pass" if gate_result.ok else "fail"
-        parts.append(f"<pre class=\"{css}\">"
-                     f"{esc(gate_result.render())}</pre>")
-    header = ["PR"] + [_HEADERS[m] for m in RECORD_FIELDS]
-    for name, entries in series.items():
-        parts.append(f"<h2>{esc(name)}</h2>")
-        parts.append("<table><thead><tr>"
-                     + "".join(f"<th>{esc(h)}</th>" for h in header)
-                     + "</tr></thead><tbody>")
-        for row in _workload_rows(entries):
-            parts.append("<tr>" + "".join(
-                f"<td>{esc(cell)}</td>" for cell in row) + "</tr>")
-        parts.append("</tbody></table>")
-    parts.append(
-        "<p>Deltas are relative to the previous row; (=) means within "
-        "0.05%. wall_clock_s is real Python time — cross-machine "
-        "comparisons are indicative only.</p>"
-    )
-    parts.append("</body></html>")
-    return "\n".join(parts) + "\n"

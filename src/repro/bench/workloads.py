@@ -8,23 +8,32 @@ synthetic recipe (Appendix F) at a tractable size and keep the paper's
 vertex samples for TC/TFL.
 
 ``standard_workload()`` is the shared configuration every table/figure
-bench uses unless it sweeps the relevant parameter itself.
+bench uses unless it sweeps the relevant parameter itself.  A job by
+name is a :class:`WorkloadSpec` launched with :func:`run_workload` — the
+one path ``repro run`` / ``profile`` / ``chaos`` and the experiments
+share.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
+from repro.apps import make_app
 from repro.cluster.cluster import Cluster
 from repro.cluster.spec import GIGABIT_BPS, MachineSpec
 from repro.cluster.topology import Topology, t1, t2, t3
 from repro.core.surfer import Surfer
 from repro.graph.digraph import Graph
 from repro.graph.generators import composite_social_graph
+from repro.runtime.events import wall_timer
 
 __all__ = [
+    "WorkloadSpec",
+    "run_workload",
+    "chaos_job",
+    "timed_job",
     "Workload",
     "standard_graph",
     "standard_workload",
@@ -180,8 +189,8 @@ def standard_workload(
 
 #: The five topologies of Table 1 / Figure 6 by paper name, each a
 #: ``(num_machines, link_bps)`` builder — the one enumeration behind
-#: :func:`topology_suite`, :func:`topology_by_name`, the CLI's
-#: ``--topology`` and the bench configs' ``[cluster] topology``.
+#: :func:`topology_suite`, :func:`topology_by_name` and the CLI's
+#: ``--topology``.
 TOPOLOGIES: dict[str, Callable[[int, float], Topology]] = {
     "T1": t1,
     "T2(2,1)": functools.partial(t2, 2, 1),
@@ -207,3 +216,69 @@ def topology_by_name(name: str, num_machines: int,
             f"{tuple(TOPOLOGIES)}"
         )
     return TOPOLOGIES[name](num_machines, link_bps)
+
+
+# ----------------------------------------------------------------------
+# One job by name, launched one way
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class WorkloadSpec:
+    """A named job: the app, its engine, step count and engine flags.
+
+    Unset fields take the app's defaults from
+    :func:`repro.apps.make_app`.
+    """
+
+    app: str
+    engine: str
+    iterations: int | None = None
+    vectorized: bool | None = None
+    local_opts: bool = True
+    #: sparse active-set Transfer (propagation engine, frontier apps)
+    frontier: bool = False
+    #: stop at the app's convergence test instead of the full budget
+    #: (default: the app's own — extension apps do, the paper's six not)
+    until_convergence: bool | None = None
+
+
+def run_workload(surfer: Surfer, workload: WorkloadSpec,
+                 **job_options: Any) -> Any:
+    """Run one named job on a deployed Surfer; returns its ``JobResult``.
+
+    The launch every entry point shares — ``repro run`` / ``profile`` /
+    ``chaos`` and the experiments: the spec names the job; ``job_options``
+    are the per-run extras of :meth:`Surfer.run
+    <repro.core.surfer.Surfer.run>` a spec does not describe
+    (``fault_plan``, ``checkpoint``, ``sanitize``).
+    """
+    app, steps, until = make_app(workload.app, workload.engine)
+    if workload.until_convergence is not None:
+        until = workload.until_convergence
+    return surfer.run(
+        app, workload.iterations or steps,
+        local_opts=workload.local_opts, frontier=workload.frontier,
+        vectorized=workload.vectorized, until_convergence=until,
+        **job_options,
+    )
+
+
+def chaos_job(workload: WorkloadSpec, policy: Any) -> Callable[..., Any]:
+    """The ``run_job`` of a chaos sweep: ``workload`` under each fault
+    plan, checkpointing under ``policy`` whenever there is a plan."""
+    def run_job(surfer: Surfer, plan: Any) -> Any:
+        return run_workload(
+            surfer, workload, fault_plan=plan,
+            checkpoint=policy if plan is not None else None,
+        )
+    return run_job
+
+
+def timed_job(run: Callable[[], Any]) -> tuple[Any, float]:
+    """Run one job closure; returns ``(job, wall_seconds)``.
+
+    Build the Surfer *outside* the closure: deployment setup
+    (partitioning above all) must never land in the timed region.
+    """
+    timer = wall_timer()
+    job = run()
+    return job, timer.elapsed()

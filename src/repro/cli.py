@@ -12,14 +12,13 @@
   application with checkpoint/restore enabled, verifying every schedule
   ends bit-identical to the fault-free baseline or as a cleanly-reported
   failure (exit 1 on any violation);
-* ``bench`` — run a declarative benchmark suite (``smoke``/``paper``/
-  ``full``) from the committed TOML experiment configs, emit
-  ``repro-bench/v1`` JSON plus the cross-PR trajectory report, and
-  optionally gate on regressions against the committed baselines;
 * ``experiment`` — run paper tables/figures/ablations from the
   :data:`repro.bench.experiments.EXPERIMENTS` registry (or ``all``),
-  print each in the paper's arrangement and exit 1 if any reported shape
-  is broken; ``--out DIR`` also writes ``DIR/<name>.txt``;
+  print each in the paper's arrangement, gate every ``repro-bench/v1``
+  record an entry produces against the committed ``BENCH_PR*.json``
+  history, and exit 1 if any reported shape is broken or any record
+  regressed; ``--out DIR`` also writes ``DIR/<name>.txt`` and the
+  trajectory report, ``--bless PR<n>`` writes ``BENCH_PR<n>.json``;
 * ``partition`` — partition a graph and save the plan to a ``.npz`` file;
 * ``info`` — describe a saved plan;
 * ``graphinfo`` — profile a synthetic or edge-list graph;
@@ -30,7 +29,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro.apps import APP_ORDER, EXTENSION_APPS
@@ -143,7 +141,13 @@ def _build_parser() -> argparse.ArgumentParser:
                           + ", ".join(EXPERIMENTS))
     exp.add_argument("--out", default=None, metavar="DIR",
                      help="also write each rendered table to "
-                          "DIR/<name>.txt (nothing is written without it)")
+                          "DIR/<name>.txt and the simulated-cost "
+                          "trajectory to DIR/trajectory.md (nothing is "
+                          "written without it)")
+    exp.add_argument("--bless", default=None, metavar="PR<n>",
+                     help="write the records of the entries that ran as "
+                          "the new baseline BENCH_PR<n>.json in the "
+                          "current directory (unless a shape is broken)")
 
     part = sub.add_parser("partition",
                           help="partition a synthetic graph, save the plan")
@@ -208,48 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                  help="describe an existing shard store")
     sinfo.add_argument("path", help="store directory")
 
-    bench = sub.add_parser(
-        "bench",
-        help="run a config-driven benchmark suite, render the cross-PR "
-             "trajectory and (optionally) gate against the committed "
-             "BENCH_PR*.json baselines",
-    )
-    bench.add_argument("--suite", choices=("smoke", "paper", "full"),
-                       default="smoke",
-                       help="which experiment tier to run (default smoke)")
-    bench.add_argument("--configs", default=None,
-                       help="experiment config directory (default: the "
-                            "committed src/repro/bench/configs)")
-    bench.add_argument("--repetitions", type=int, default=None,
-                       help="override every config's min-of-N "
-                            "wall-clock sampling count")
-    bench.add_argument("--json", dest="json_path", default=None,
-                       help="repro-bench/v1 output path "
-                            "(default bench_<suite>.json)")
-    bench.add_argument("--report", default=None,
-                       help="markdown trajectory report path "
-                            "(default bench_<suite>_trajectory.md)")
-    bench.add_argument("--html", default=None,
-                       help="also write the trajectory as a "
-                            "self-contained HTML page")
-    bench.add_argument("--gate", action="store_true",
-                       help="fail (exit 1) on any metric regression "
-                            "beyond tolerance vs the latest committed "
-                            "baseline, or on a workload that has none")
-    bench.add_argument("--bless", default=None, metavar="PRTAG",
-                       help="write this run as BENCH_<PRTAG>.json at "
-                            "the repo root (the new baseline), "
-                            "e.g. --bless PR7")
-    bench.add_argument("--root", default=".",
-                       help="directory holding the BENCH_PR*.json "
-                            "history (default: cwd)")
-    bench.add_argument("--list", action="store_true",
-                       help="list the discovered configs and exit")
-    bench.add_argument("--sanitize", action="store_true",
-                       help="run every workload under SimSan (sets "
-                            "REPRO_SANITIZE=1 for the suite); any "
-                            "violation fails the run")
-
     check = sub.add_parser(
         "check",
         help="run the domain-aware static-analysis gate "
@@ -287,13 +249,13 @@ def _make_graph(args, symmetrize: bool = False):
 
 
 def _job_spec(args, local_opts: bool = True):
-    """The job ``args`` names, as the runner's ``WorkloadSpec``.
+    """The job ``args`` names, as a ``WorkloadSpec``.
 
     Argument errors are reported here — before anything is generated or
     partitioned — as a message on stderr and ``None``.
     """
     from repro.apps import make_app
-    from repro.bench.runner import WorkloadSpec
+    from repro.bench.workloads import WorkloadSpec
     from repro.errors import JobError
 
     try:
@@ -303,8 +265,7 @@ def _job_spec(args, local_opts: bool = True):
     except JobError as exc:
         print(exc, file=sys.stderr)
         return None
-    return WorkloadSpec(f"{args.app}_{args.engine}", app=args.app,
-                        engine=args.engine, iterations=args.iterations,
+    return WorkloadSpec(args.app, args.engine, iterations=args.iterations,
                         frontier=args.frontier, local_opts=local_opts)
 
 
@@ -329,7 +290,7 @@ def _deploy_and_run(args):
     Shared by ``run`` and ``profile``.  Returns ``(job, wall_clock_s)``,
     or ``(None, 0.0)`` on an argument error (already printed).
     """
-    from repro.bench.runner import run_workload
+    from repro.bench.workloads import run_workload
     from repro.runtime.checkpoint import CheckpointPolicy
     from repro.runtime.events import wall_timer
 
@@ -429,14 +390,15 @@ def _cmd_profile(args) -> int:
           "chrome://tracing or https://ui.perfetto.dev")
     if args.bench:
         name = args.bench_name or f"profile_{args.app}_{args.engine}"
-        write_bench_json(args.bench, {name: job_record(job, wall)})
+        write_bench_json(args.bench, {name: job_record(job, wall)},
+                         pr="current")
         print(f"bench JSON    : {args.bench} (workload {name!r})")
     return 1 if problems else 0
 
 
 def _cmd_chaos(args) -> int:
     from repro.bench.benchjson import job_record, write_bench_json
-    from repro.bench.runner import chaos_job
+    from repro.bench.workloads import chaos_job
     from repro.runtime.chaos import run_chaos_sweep
     from repro.runtime.checkpoint import CheckpointPolicy
     from repro.runtime.events import wall_timer
@@ -467,7 +429,7 @@ def _cmd_chaos(args) -> int:
             workloads[f"{name}_restarted"] = job_record(
                 report.restarted_job, report.restarted_wall_s
             )
-        write_bench_json(args.bench, workloads, pr="PR6")
+        write_bench_json(args.bench, workloads, pr="current")
         print(f"bench JSON: {args.bench} "
               f"({len(workloads)} workload record(s))")
     return 0 if report.ok else 1
@@ -476,19 +438,52 @@ def _cmd_chaos(args) -> int:
 def _cmd_experiment(args) -> int:
     import pathlib
 
+    from repro.bench.benchjson import write_bench_json
     from repro.bench.experiments import EXPERIMENTS
+    from repro.bench.regress import GateResult, compare_records
+    from repro.bench.trajectory import load_history, render_markdown
+    from repro.errors import BenchRunError
 
     names = list(EXPERIMENTS) if "all" in args.names else args.names
+    if args.bless and not any(EXPERIMENTS[n].records for n in names):
+        print(f"--bless: none of {', '.join(names)} produces records",
+              file=sys.stderr)
+        return 2
+    try:
+        history = load_history()
+    except BenchRunError as exc:
+        print(f"baseline history: {exc}", file=sys.stderr)
+        return 2
     out = pathlib.Path(args.out) if args.out else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
+    records: dict[str, dict] = {}
+    gate = GateResult()
     broken = 0
     for name in names:
         exp = EXPERIMENTS[name]
-        result = exp.run()
+        try:
+            result = exp.run()
+            produced = exp.records(result) if exp.records else {}
+        except BenchRunError as exc:
+            # a failed or unreconciled job: no table, and no cost to gate
+            print(f"  BROKEN SHAPE [{name}]: {exc}\n")
+            broken += 1
+            continue
         text = exp.render(result)
         print(text)
         shapes = exp.check(result)
+        if produced:
+            verdict = compare_records(produced, history)
+            records.update(produced)
+            gate.findings += verdict.findings
+            if args.bless:
+                # re-baselined below: a moved cost is news, not a failure
+                for line in verdict.failures():
+                    print(f"  blessed over [{name}]: {line}")
+            else:
+                shapes += verdict.failures()
+                gate.missing += verdict.missing
         for shape in shapes:
             print(f"  BROKEN SHAPE [{name}]: {shape}")
         if not shapes:
@@ -497,6 +492,15 @@ def _cmd_experiment(args) -> int:
         if out is not None:
             (out / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
         broken += len(shapes)
+    if out is not None and records:
+        (out / "trajectory.md").write_text(
+            render_markdown(history, records,
+                            current_label=args.bless or "current",
+                            gate_result=gate), encoding="utf-8")
+    if args.bless and not broken:  # a broken shape is no baseline
+        path = f"BENCH_{args.bless}.json"
+        write_bench_json(path, records, pr=args.bless)
+        print(f"blessed {path}: {len(records)} record(s)")
     if broken:
         print(f"{broken} broken shape(s)", file=sys.stderr)
     return 1 if broken else 0
@@ -608,112 +612,6 @@ def _cmd_store(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    import pathlib
-
-    from repro.bench.benchjson import write_bench_json
-    from repro.bench.harness import ExperimentTable
-    from repro.bench.regress import gate as run_gate
-    from repro.bench.runner import discover_configs, run_suite
-    from repro.bench.trajectory import (
-        load_history,
-        render_html,
-        render_markdown,
-    )
-    from repro.errors import (
-        BenchConfigError,
-        BenchRunError,
-        JobError,
-        SanitizerError,
-    )
-
-    try:
-        configs = discover_configs(args.configs)
-    except BenchConfigError as exc:
-        print(f"config error: {exc.source}", file=sys.stderr)
-        for e in exc.errors:
-            print(f"  {e}", file=sys.stderr)
-        return 2
-    if args.list:
-        for cfg in configs:
-            kind = f" [{cfg.kind}]" if cfg.kind != "jobs" else ""
-            workloads = (len(cfg.workloads) if cfg.kind == "jobs" else 2)
-            print(f"{cfg.name}{kind}: suites {', '.join(cfg.suites)} — "
-                  f"{workloads} workload(s) — {cfg.description}")
-        return 0
-
-    if args.sanitize:
-        # the suite builds its jobs deep inside run_suite; the
-        # environment switch is the one knob every engine entry point
-        # already honours
-        os.environ["REPRO_SANITIZE"] = "1"
-    try:
-        result = run_suite(args.suite, config_dir=args.configs,
-                           repetitions=args.repetitions, progress=print)
-    except (BenchConfigError, BenchRunError, JobError) as exc:
-        print(f"bench run failed: {exc}", file=sys.stderr)
-        return 2
-    except SanitizerError as exc:
-        print(f"sanitizer violation: {exc}", file=sys.stderr)
-        return 2
-    if not result.records:
-        print(f"suite {args.suite!r} selected no workloads",
-              file=sys.stderr)
-        return 2
-
-    table = ExperimentTable(
-        title=f"repro bench — suite {args.suite!r} "
-              f"({len(result.records)} workloads, "
-              f"experiments: {', '.join(result.experiments)})",
-        columns=["makespan (s)", "machine (s)", "net (B)", "disk (B)",
-                 "messages", "tasks", "wall (s)"],
-    )
-    for name in sorted(result.records):
-        r = result.records[name]
-        table.add_row(name, [
-            r["makespan_s"], r["machine_time_s"], r["network_bytes"],
-            r["disk_bytes"], r["messages_shipped"], r["tasks"],
-            r["wall_clock_s"],
-        ])
-    print()
-    print(table.render())
-    print()
-
-    root = pathlib.Path(args.root)
-    history = load_history(root)
-    pr_tag = args.bless or "current"
-    json_path = args.json_path or f"bench_{args.suite}.json"
-    write_bench_json(json_path, result.records, pr=pr_tag)
-    print(f"bench JSON    : {json_path} (repro-bench/v1, pr={pr_tag})")
-    if args.bless:
-        bless_path = root / f"BENCH_{args.bless}.json"
-        write_bench_json(bless_path, result.records, pr=args.bless)
-        print(f"blessed       : {bless_path} (new committed baseline)")
-
-    gate_result = run_gate(result.records, history)
-    if args.bless:
-        # the bless above is these workloads' first baseline
-        gate_result.missing.clear()
-    report_path = args.report or f"bench_{args.suite}_trajectory.md"
-    markdown = render_markdown(history, result.records,
-                               current_label=pr_tag,
-                               gate_result=gate_result)
-    pathlib.Path(report_path).write_text(markdown, encoding="utf-8")
-    print(f"trajectory    : {report_path} "
-          f"({len(history)} committed baseline(s) joined)")
-    if args.html:
-        html_doc = render_html(history, result.records,
-                               current_label=pr_tag,
-                               gate_result=gate_result)
-        pathlib.Path(args.html).write_text(html_doc, encoding="utf-8")
-        print(f"trajectory    : {args.html} (HTML)")
-    print()
-    print(gate_result.render())
-    if args.gate and not gate_result.ok:
-        return 1
-    return 0
-
-
 def _cmd_check(args) -> int:
     from repro.analysis.runner import check_paths
     from repro.analysis.typing_gate import run_mypy
@@ -744,7 +642,6 @@ def main(argv: list[str] | None = None) -> int:
         "info": _cmd_info,
         "graphinfo": _cmd_graphinfo,
         "store": _cmd_store,
-        "bench": _cmd_bench,
         "check": _cmd_check,
     }
     return handlers[args.command](args)

@@ -377,7 +377,7 @@ class Surfer:
                     restarting = False
                     assert ckpt is not None
                     completed, state, store, assignment = self._restore(
-                        ckpt, scheduler, store, restarts)
+                        ckpt, scheduler, restarts)
                     if state is None:
                         # data was lost before the first checkpoint
                         # committed: restart from scratch
@@ -442,12 +442,13 @@ class Surfer:
         ckpt.commit(step, snapshot, nbytes)
 
     def _restore(
-        self, ckpt: CheckpointStore, scheduler: StageScheduler,
-        old: PartitionStore, attempt: int,
+        self, ckpt: CheckpointStore, scheduler: StageScheduler, attempt: int,
     ) -> tuple[int, Any, PartitionStore, Any]:
         """One restart attempt: rebuild replicas, reload the checkpoint.
 
-        Survivor replica sets of ``old`` (the job's store) are recomputed
+        Survivor replica sets of the job's current store — the
+        scheduler's, which an interrupted earlier restore already
+        replaced — are recomputed
         from the alive machines; partitions that lost every replica come
         back from the durable tier onto the least-loaded survivor; the
         (placement-aware) re-replication then restores the replication
@@ -459,6 +460,7 @@ class Surfer:
         committed yet.
         """
         cluster = self.cluster
+        old = scheduler.store
         chk = ckpt.latest()
         step = chk.step if chk is not None else 0
         backoff = ckpt.policy.backoff(attempt)

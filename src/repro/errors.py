@@ -53,24 +53,9 @@ class FaultInjectionError(SurferError):
     """Invalid fault-injection request (e.g. killing an unknown machine)."""
 
 
-class BenchConfigError(SurferError):
-    """A declarative benchmark config (TOML) failed validation.
-
-    ``errors`` carries every violation found, not just the first, so a
-    config author fixes one round-trip's worth of problems at a time.
-    """
-
-    def __init__(self, source: str, errors: list[str]) -> None:
-        self.source = source
-        self.errors = list(errors)
-        super().__init__(
-            f"invalid bench config {source}: " + "; ".join(self.errors)
-        )
-
-
 class BenchRunError(SurferError):
-    """A benchmark run violated an execution invariant (failed job,
-    trace/counter mismatch, nondeterministic simulated metrics)."""
+    """A benchmark run violated an execution invariant (a failed or
+    unreconciled job behind a record, an invalid committed baseline)."""
 
 
 class SanitizerError(SurferError):

@@ -1,4 +1,7 @@
-"""Unit tests for the bench harness, LoC counting and workloads."""
+"""Unit tests for the bench harness, LoC counting and workloads,
+including the one named-job launch path (``run_workload``)."""
+
+import inspect
 
 import pytest
 
@@ -10,7 +13,10 @@ from repro.bench.loc import (
     method_body_lines,
 )
 from repro.bench.workloads import (
+    WorkloadSpec,
     cached_bisection,
+    chaos_job,
+    run_workload,
     standard_graph,
     standard_workload,
     topology_suite,
@@ -103,3 +109,67 @@ class TestWorkloads:
         assert set(suite) == {"T1", "T2(2,1)", "T2(4,1)", "T2(4,2)", "T3"}
         for topo in suite.values():
             assert topo.num_machines == 16
+
+
+class TestLauncherAgreement:
+    """One launch path: the same job through run_workload and the CLI."""
+
+    DEPLOYMENT = ["--machines", "4", "--parts", "8", "--communities", "4",
+                  "--community-size", "32"]
+
+    @pytest.fixture()
+    def surfer_runs(self, monkeypatch):
+        """Every ``Surfer.run`` call, arguments bound and defaults
+        applied, the app as ``(type, vars)``."""
+        from repro.core.surfer import Surfer
+
+        real = Surfer.run
+        calls = []
+
+        def capture(self, app, *args, **kwargs):
+            bound = inspect.signature(real).bind(self, app, *args, **kwargs)
+            bound.apply_defaults()
+            call = dict(bound.arguments)
+            del call["self"]
+            call["app"] = (type(app), vars(app))
+            calls.append(call)
+            return real(self, app, *args, **kwargs)
+
+        monkeypatch.setattr(Surfer, "run", capture)
+        return calls
+
+    @staticmethod
+    def deploy():
+        from repro.core.surfer import Surfer
+        from tests.conftest import make_test_cluster
+
+        graph = composite_social_graph(num_communities=4, community_size=32)
+        return Surfer(graph, make_test_cluster(4), num_parts=8)
+
+    @pytest.mark.parametrize("spec, argv", [
+        (WorkloadSpec("NR", "mapreduce"), ["NR", "--engine", "mapreduce"]),
+        (WorkloadSpec("BFS", "propagation", frontier=True),
+         ["BFS", "--frontier"]),
+        (WorkloadSpec("CC", "propagation"), ["CC"]),
+    ], ids=["NR-mapreduce", "BFS-frontier", "CC"])
+    def test_run_workload_and_cli_agree(
+            self, spec, argv, surfer_runs, capsys):
+        from repro.cli import main as cli_main
+
+        run_workload(self.deploy(), spec)
+        assert cli_main(["run"] + argv + self.DEPLOYMENT) == 0
+        from_workload, from_cli = surfer_runs
+        assert from_workload == from_cli
+
+    def test_chaos_job_checkpoints_only_faulted_runs(self, surfer_runs):
+        from repro.cluster.faults import FaultPlan
+        from repro.runtime.checkpoint import CheckpointPolicy
+
+        policy = CheckpointPolicy(interval=1)
+        run_job = chaos_job(WorkloadSpec("NR", "propagation"), policy)
+        surfer = self.deploy()
+        run_job(surfer, None)
+        run_job(surfer, FaultPlan())
+        clean, faulted = surfer_runs
+        assert clean["checkpoint"] is None and clean["fault_plan"] is None
+        assert faulted["checkpoint"] is policy

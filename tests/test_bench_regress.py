@@ -16,12 +16,10 @@ from repro.bench.benchjson import RECORD_FIELDS, SCHEMA
 from repro.bench.regress import (
     DEFAULT_TOLERANCES,
     compare_records,
-    gate,
     latest_baselines,
 )
 from repro.bench.trajectory import (
     load_history,
-    render_html,
     render_markdown,
     workload_series,
 )
@@ -135,9 +133,6 @@ class TestGate:
         assert [f.metric for f in result.regressions] == [
             "messages_shipped"]
 
-    def test_gate_alias(self):
-        assert gate({"w": record(makespan_s=90.0)}, HISTORY).ok
-
 
 class TestTrajectory:
     def write_history(self, root):
@@ -204,17 +199,6 @@ class TestTrajectory:
         result = compare_records(current, history)
         text = render_markdown(history, current, gate_result=result)
         assert "gate: FAIL" in text
-
-    def test_render_html_self_contained(self, tmp_path):
-        self.write_history(tmp_path)
-        history = load_history(tmp_path)
-        current = {"w": record(makespan_s=50.0)}
-        result = compare_records(current, history)
-        page = render_html(history, current, gate_result=result)
-        assert page.startswith("<!DOCTYPE html>")
-        assert "<style>" in page        # no external assets
-        assert "class=\"pass\"" in page
-        assert "<h2>w</h2>" in page
 
     def test_empty_history_renders(self):
         text = render_markdown([], {"w": record()})

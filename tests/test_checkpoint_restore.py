@@ -183,6 +183,43 @@ class TestJobRestart:
         assert np.array_equal(baseline.result, job.result)
         assert reconcile(job) == []
 
+    def test_second_restart_resumes_from_the_interrupted_restore(
+            self, tiny_graph):
+        """A loss during the first restore stage: the second restart
+        rebuilds from the replica map that stage left behind, so only
+        the partitions the new victim held come back from the durable
+        tier — not the ones the first restore re-homed elsewhere."""
+        policy = CheckpointPolicy(interval=1)
+        surfer = deploy(tiny_graph)
+        first = surfer.store.primary(0)
+        once = surfer.run_propagation(
+            NetworkRankingPropagation(), iterations=4,
+            fault_plan=FaultPlan().add_kill(first, 1.0), checkpoint=policy,
+        )
+        rehomed = [s for s in once.events.task_spans()
+                   if s.name.startswith("restore-durable")]
+        assert len(rehomed) >= 2  # some re-homed partition stays alive
+        # kill the new holder of a re-homed partition mid-restore
+        victim = rehomed[0]
+        second = victim.machine
+        held = {p for p in range(surfer.num_parts)
+                if surfer.store.primary(p) == second}
+        held |= {int(s.name.rsplit(" p", 1)[1]) for s in rehomed
+                 if s.machine == second}
+        plan = (FaultPlan().add_kill(first, 1.0)
+                .add_kill(second, victim.start
+                          + 0.1 * (victim.end - victim.start)))
+        job = surfer.run_propagation(
+            NetworkRankingPropagation(), iterations=4, fault_plan=plan,
+            checkpoint=policy,
+        )
+        assert not job.failed and job.restarts == 2
+        assert np.array_equal(once.result, job.result)
+        assert reconcile(job) == []
+        # counted once, by the restore stage that completed
+        assert job.events.metrics.get(
+            "checkpoint.restored_partitions") == len(held)
+
     def test_exhausted_restart_budget_fails_cleanly(self, tiny_graph):
         surfer = deploy(tiny_graph, machines=4, replication=1)
         plan = FaultPlan()

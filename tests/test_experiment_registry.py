@@ -6,7 +6,9 @@ a small hand-built result.  A paper-shaped one must check clean and
 render under its title; a deliberately wrong one must make ``check`` name
 the broken shape and the CLI exit 1.  The two experiments that need no
 graph (``table1``, ``table4``) are also held byte-identical to the
-committed ``benchmarks/results/<name>.txt``.
+committed ``benchmarks/results/<name>.txt``, and the cheap entries that
+produce ``repro-bench/v1`` records are run and gated against the
+committed ``BENCH_PR*.json`` history.
 """
 
 import copy
@@ -19,8 +21,10 @@ import pytest
 
 from repro.apps import APP_ORDER
 from repro.bench.experiments import EXPERIMENTS
+from repro.bench.benchjson import load_bench_json
 from repro.bench.harness import ExperimentTable
 from repro.cli import main as cli_main
+from repro.errors import BenchRunError
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 TOPOLOGIES = ["T1", "T2(2,1)", "T2(4,1)", "T2(4,2)", "T3"]
@@ -53,6 +57,13 @@ def fault_scenario(response, completed=True, rerepl=0, **events):
     return {"response": response, "completed": completed,
             "re_replication_bytes": rerepl,
             "events": {k.replace("_", "-"): v for k, v in events.items()}}
+
+
+def bench_record(**overrides):
+    return {"makespan_s": 100.0, "machine_time_s": 400.0,
+            "network_bytes": 1000, "disk_bytes": 5000,
+            "messages_shipped": 500, "tasks": 64,
+            "wall_clock_s": 0.05} | overrides
 
 
 def mr_rows(**network):
@@ -155,8 +166,9 @@ CASES = {
         "transient: recovery does not touch storage"),
     "fig11": (
         "Figure 11",
-        {8: 130.0, 16: 125.0, 24: 180.0, 32: 197.0},
-        lambda s: s.update({32: 400.0}),
+        {m: {"response": t}
+         for m, t in {8: 130.0, 16: 125.0, 24: 180.0, 32: 197.0}.items()},
+        lambda s: s[32].update(response=400.0),
         "weak scaling: response time stays within a 2x band"),
     "fig12": (
         "Figure 12",
@@ -223,6 +235,26 @@ CASES = {
          "restarted_makespan": 150.0},
         lambda r: r.update(restarted_makespan=None),
         "a restarted schedule completes"),
+    "delta_pr": (
+        "delta-PageRank frontier tail vs dense NR",
+        {"delta_pr_frontier": bench_record(messages_shipped=4593),
+         "delta_pr_dense_nr": bench_record(messages_shipped=34424)},
+        lambda r: r["delta_pr_dense_nr"].update(messages_shipped=9000),
+        "dense NR ships >= 5x the delta-PageRank frontier tail's messages"),
+    "traversal_bfs": (
+        "BFS: sparse frontier vs dense propagation",
+        {"traversal_bfs_dense": bench_record(messages_shipped=595,
+                                             disk_bytes=291480),
+         "traversal_bfs_frontier": bench_record(messages_shipped=595,
+                                                disk_bytes=118308)},
+        lambda r: r["traversal_bfs_frontier"].update(disk_bytes=300000),
+        "the frontier Transfer reads fewer disk bytes"),
+    "fig11_xl": (
+        "Out-of-core XL",
+        {"fig11_xl_nr": bench_record(peak_rss_bytes=340_000_000),
+         "fig11_xl_bfs": bench_record(peak_rss_bytes=342_000_000)},
+        lambda r: r["fig11_xl_bfs"].update(peak_rss_bytes=2_000_000_000),
+        "fig11_xl_bfs: peak RSS stays <= 1.3 GB"),
 }
 
 
@@ -255,8 +287,9 @@ def test_wrong_result_names_the_shape_and_fails_the_cli(
     reported = exp.check(result)
     assert any(shape in line for line in reported), reported
 
-    monkeypatch.setitem(EXPERIMENTS, name,
-                        dataclasses.replace(exp, run=lambda: result))
+    # records=None: a hand-built result has no jobs to gate
+    monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(
+        exp, run=lambda: result, records=None))
     assert cli_main(["experiment", name]) == 1
     captured = capsys.readouterr()
     assert f"BROKEN SHAPE [{name}]" in captured.out
@@ -293,7 +326,8 @@ def test_committed_results_are_what_the_code_renders(name):
 
 
 def test_committed_results_cover_the_registry():
-    results = {p.stem for p in (REPO / "benchmarks" / "results").iterdir()}
+    results = {p.stem
+               for p in (REPO / "benchmarks" / "results").glob("*.txt")}
     assert results == set(EXPERIMENTS)
 
 
@@ -313,3 +347,99 @@ class TestWritesOnlyWithOut:
         committed = REPO / "benchmarks" / "results" / "table4.txt"
         assert (tmp_path / "d" / "table4.txt").read_bytes() == (
             committed.read_bytes())
+
+
+# ----------------------------------------------------------------------
+# The simulated-cost gate
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", ["chaos_smoke", "delta_pr", "traversal_bfs"])
+def test_cheap_entries_pass_the_simulated_cost_gate(name, monkeypatch,
+                                                    capsys):
+    """Tier-1 runs the record-producing entries that take well under a
+    second and gates them against the committed history, so a drift
+    in a simulated cost (a restart path that re-restores too much, a
+    frontier that reads too much) fails here, not only in CI."""
+    monkeypatch.chdir(REPO)
+    assert EXPERIMENTS[name].records is not None
+    code = cli_main(["experiment", name])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert f"shape reproduced [{name}]" in out
+
+
+class TestGateAndBless:
+    """``repro experiment`` judges records against the BENCH_PR*.json in
+    the current directory; ``--bless`` is the only writer of one."""
+
+    @pytest.fixture()
+    def entry(self, monkeypatch, tmp_path):
+        """table4 (no graph, milliseconds) made to produce one record."""
+        monkeypatch.chdir(tmp_path)
+        produced = {"w": bench_record()}
+        monkeypatch.setitem(EXPERIMENTS, "table4", dataclasses.replace(
+            EXPERIMENTS["table4"], records=lambda _: produced))
+        return produced
+
+    def test_unbaselined_record_is_a_broken_shape(self, entry, capsys):
+        assert cli_main(["experiment", "table4"]) == 1
+        out = capsys.readouterr().out
+        assert "BROKEN SHAPE [table4]: UNBASELINED w" in out
+
+    def test_bless_writes_the_baseline_the_next_run_passes(
+            self, entry, tmp_path, capsys):
+        assert cli_main(["experiment", "table4", "--bless", "PR7"]) == 0
+        doc = load_bench_json(tmp_path / "BENCH_PR7.json")
+        assert doc["pr"] == "PR7" and doc["workloads"] == entry
+        assert cli_main(["experiment", "table4"]) == 0
+
+    def test_regressed_record_names_the_metric(self, entry, tmp_path,
+                                               capsys):
+        assert cli_main(["experiment", "table4", "--bless", "PR7"]) == 0
+        entry["w"] = bench_record(tasks=65, disk_bytes=6000)
+        assert cli_main(["experiment", "table4", "--out", "d"]) == 1
+        out = capsys.readouterr().out
+        assert "BROKEN SHAPE [table4]: REGRESSION w.disk_bytes" in out
+        assert "BROKEN SHAPE [table4]: REGRESSION w.tasks" in out
+        trajectory = (tmp_path / "d" / "trajectory.md").read_text()
+        assert "gate: FAIL" in trajectory and "## w" in trajectory
+
+    def test_bless_over_a_moved_cost_prints_it_and_writes_it(
+            self, entry, tmp_path, capsys):
+        assert cli_main(["experiment", "table4", "--bless", "PR7"]) == 0
+        entry["w"] = bench_record(tasks=65)
+        capsys.readouterr()
+        assert cli_main(["experiment", "table4", "--bless", "PR8"]) == 0
+        out = capsys.readouterr().out
+        assert "blessed over [table4]: REGRESSION w.tasks" in out
+        assert "BROKEN SHAPE" not in out
+        doc = load_bench_json(tmp_path / "BENCH_PR8.json")
+        assert doc["workloads"]["w"]["tasks"] == 65
+        assert cli_main(["experiment", "table4"]) == 0
+
+    def test_a_broken_check_blocks_the_bless(self, entry, tmp_path,
+                                             monkeypatch, capsys):
+        monkeypatch.setitem(EXPERIMENTS, "table4", dataclasses.replace(
+            EXPERIMENTS["table4"], check=lambda _: ["the shape is off"]))
+        assert cli_main(["experiment", "table4", "--bless", "PR7"]) == 1
+        assert "BROKEN SHAPE [table4]: the shape is off" in (
+            capsys.readouterr().out)
+        assert not (tmp_path / "BENCH_PR7.json").exists()
+
+    def test_a_failed_job_is_a_broken_shape(self, entry, monkeypatch,
+                                            capsys):
+        def run():
+            raise BenchRunError("failed: machine 3 lost its only replica")
+        monkeypatch.setitem(EXPERIMENTS, "table4", dataclasses.replace(
+            EXPERIMENTS["table4"], run=run))
+        assert cli_main(["experiment", "table4"]) == 1
+        out = capsys.readouterr().out
+        assert "BROKEN SHAPE [table4]: failed: machine 3" in out
+
+    def test_a_malformed_baseline_exits_2(self, entry, tmp_path, capsys):
+        (tmp_path / "BENCH_PR7.json").write_text("{not json")
+        assert cli_main(["experiment", "table4"]) == 2
+        assert "BENCH_PR7.json is invalid" in capsys.readouterr().err
+
+    def test_bless_needs_an_entry_with_records(self, capsys):
+        assert cli_main(["experiment", "table1", "--bless", "PR7"]) == 2
+        assert "produces records" in capsys.readouterr().err

@@ -9,10 +9,13 @@ the gaps point) quickly; the full-size shapes are each experiment's
 import numpy as np
 import pytest
 
+from repro.bench.benchjson import SCHEMA, validate_bench_json
 from repro.bench.experiments import (
+    EXPERIMENTS,
     cascaded_propagation_experiment,
     fig7_mr_vs_prop,
     fig10_fault_tolerance,
+    fig11_xl,
     make_app,
     table1_partitioning,
     table4_loc,
@@ -82,6 +85,10 @@ class TestFig7:
         assert series["NR"]["speedup"] > 1.0
         assert series["NR"]["net_reduction_pct"] > 30.0
         assert 0.5 <= series["VDD"]["speedup"] <= 2.0
+        # the gated NR row carries both jobs' repro-bench/v1 records
+        prop = series["NR"]["records"]["propagation"]
+        assert prop["network_bytes"] == series["NR"]["prop_net"]
+        assert "records" not in series["VDD"]
 
 
 class TestCascade:
@@ -117,3 +124,20 @@ class TestOptimizationLevels:
         assert o4.metrics.response_time < o1.metrics.response_time
         assert o4.metrics.network_bytes <= o1.metrics.network_bytes
         assert o4.metrics.disk_bytes < o1.metrics.disk_bytes
+
+
+class TestFig11XL:
+    def test_out_of_core_records_carry_peak_rss(self):
+        """The XL pipeline end to end at R-MAT scale 8: streamed store,
+        range plan whose partitions alias the shards, NR and frontier
+        BFS, each record with its measured peak RSS."""
+        from repro.bench.memory import peak_rss_supported
+
+        records = fig11_xl(rmat_scale=8, edge_factor=4, seed=7)
+        assert set(records) == {"fig11_xl_nr", "fig11_xl_bfs"}
+        doc = {"schema": SCHEMA, "pr": "current", "workloads": records}
+        assert validate_bench_json(doc) == []
+        assert all(r["messages_shipped"] > 0 for r in records.values())
+        if peak_rss_supported():
+            assert all(r["peak_rss_bytes"] > 0 for r in records.values())
+        assert EXPERIMENTS["fig11_xl"].check(records) == []

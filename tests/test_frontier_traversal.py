@@ -302,8 +302,8 @@ class TestDirectionSwitching:
 # ----------------------------------------------------------------------
 class TestDeltaPageRankTail:
     def test_frontier_tail_ships_5x_fewer_messages_than_dense(self):
-        # the bench config delta_pr.toml records the same comparison;
-        # keep graph/seed in sync with it
+        # the delta_pr experiment gates the same comparison at the
+        # same graph/seed
         graph = web_feeder_graph(core=32, feeders=480, seed=2010)
         surfer = _surfer(graph, parts=8)
         dpr = surfer.run_propagation(

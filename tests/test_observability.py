@@ -346,7 +346,8 @@ class TestBenchJson:
 
     def test_write_load_round_trip(self, nr_job, tmp_path):
         path = tmp_path / "bench.json"
-        doc = write_bench_json(path, {"w": job_record(nr_job, 0.1)})
+        doc = write_bench_json(path, {"w": job_record(nr_job, 0.1)},
+                               pr="current")
         loaded = load_bench_json(path)
         assert loaded == doc
         assert loaded["schema"] == SCHEMA
@@ -376,7 +377,8 @@ class TestBenchJson:
 
     def test_write_refuses_invalid(self, tmp_path):
         with pytest.raises(ValueError):
-            write_bench_json(tmp_path / "bad.json", {"w": {"nope": 1}})
+            write_bench_json(tmp_path / "bad.json", {"w": {"nope": 1}},
+                             pr="current")
 
     def test_validate_rejects_bools(self, nr_job):
         # bool is an int subclass; True must not pass as a measurement

@@ -196,9 +196,11 @@ class TestCliExperimentFormatting:
 
         from repro.bench.experiments import EXPERIMENTS
         for name, result in stubs:
+            # a stubbed result has no jobs behind it: nothing to gate
             monkeypatch.setitem(
                 EXPERIMENTS, name,
-                dataclasses.replace(EXPERIMENTS[name], run=lambda r=result: r))
+                dataclasses.replace(EXPERIMENTS[name], run=lambda r=result: r,
+                                    records=None))
         assert cli_main(["experiment"] + [name for name, _ in stubs]) == 0
         out = capsys.readouterr().out
         for name, _ in stubs:
@@ -253,7 +255,7 @@ class TestCliExperimentFormatting:
     def test_fig11_and_fig12(self, monkeypatch, capsys):
         out, rows = self._run(
             monkeypatch, capsys,
-            ("fig11", {8: 10.0, 16: 9.0}),
+            ("fig11", {8: {"response": 10.0}, 16: {"response": 9.0}}),
             ("fig12", {8: {"prop_time": 5.0, "mr_time": 10.0,
                            "speedup": 2.0}}))
         assert ["16", "16", "9"] in rows
