@@ -2,7 +2,7 @@
 
 Public API highlights:
 
-* :mod:`repro.graph` — CSR digraphs, generators, adjacency I/O, oracles.
+* :mod:`repro.graph` — CSR digraphs, generators, the shard store, oracles.
 * :mod:`repro.partitioning` — from-scratch multilevel partitioner.
 * :mod:`repro.cluster` — deterministic cloud-cluster simulator (T1/T2/T3).
 * :mod:`repro.core` — bandwidth-aware partitioning, partition sketch,

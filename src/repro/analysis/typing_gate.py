@@ -1,19 +1,13 @@
-"""Strict typing gate (TYP001) plus an optional mypy bridge.
+"""Strict typing gate (TYP001).
 
-The container this repo develops in has no mypy, so the gate has two
-layers:
-
-* **TYP001** — a stdlib AST annotation-completeness lint over the
-  strict modules (``hashing.py``, ``runtime/``, ``mapreduce/``,
-  ``propagation/``): every top-level and method ``def`` must annotate
-  every parameter (``self``/``cls`` excepted) and its return type.
-  This is the subset of mypy-strict that is checkable without a type
-  checker, and it is what keeps the strict surface honest locally.
-* **mypy** — when installed (CI installs it; see the ``check`` job),
-  :func:`run_mypy` shells out with the pyproject config, which turns
-  on ``disallow_untyped_defs`` for the same strict modules.  When mypy
-  is absent the bridge reports that it skipped rather than failing, so
-  ``repro check`` degrades gracefully on dev boxes.
+A stdlib AST annotation-completeness lint over the strict modules
+(``hashing.py``, ``runtime/``, ``mapreduce/``, ``propagation/``): every
+top-level and method ``def`` must annotate every parameter
+(``self``/``cls`` excepted) and its return type.  This is the subset of
+mypy-strict that is checkable without a type checker, so the strict
+surface stays honest where mypy is not installed; CI's ``check`` job
+also runs mypy itself with the pyproject config, which turns on
+``disallow_untyped_defs`` for the same modules.
 
 Nested functions (closures like an engine's ``emit``) are exempt from
 TYP001: they are implementation detail of an annotated parent and mypy
@@ -23,9 +17,6 @@ infers them from context.
 from __future__ import annotations
 
 import ast
-import importlib.util
-import subprocess
-import sys
 
 from repro.analysis.findings import (
     Finding,
@@ -33,8 +24,7 @@ from repro.analysis.findings import (
     collect_suppressions,
 )
 
-__all__ = ["STRICT_PREFIXES", "check_annotations", "mypy_available",
-           "run_mypy"]
+__all__ = ["STRICT_PREFIXES", "check_annotations"]
 
 #: module paths (relative to the ``repro`` package) under strict typing
 STRICT_PREFIXES: tuple[str, ...] = (
@@ -113,22 +103,3 @@ def check_annotations(source: str, path: str) -> list[Finding]:
     visitor.visit(tree)
     return apply_suppressions(visitor.findings,
                               collect_suppressions(source))
-
-
-def mypy_available() -> bool:
-    return importlib.util.find_spec("mypy") is not None
-
-
-def run_mypy(paths: list[str]) -> tuple[bool, str]:
-    """(ok, output) from mypy, or (True, skip-note) when not installed.
-
-    CI installs mypy and runs this via ``repro check --mypy``; local
-    dev boxes without mypy skip cleanly — TYP001 still gates.
-    """
-    if not mypy_available():
-        return True, "mypy not installed; skipped (TYP001 still enforced)"
-    proc = subprocess.run(
-        [sys.executable, "-m", "mypy", *paths],
-        capture_output=True, text=True, check=False,
-    )
-    return proc.returncode == 0, proc.stdout + proc.stderr

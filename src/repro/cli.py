@@ -231,9 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--no-contracts", dest="contracts",
                        action="store_false",
                        help="skip the dynamic UDF contract verification")
-    check.add_argument("--mypy", action="store_true",
-                       help="also run mypy with the pyproject config "
-                            "(skips cleanly when mypy is not installed)")
     return parser
 
 
@@ -614,7 +611,6 @@ def _cmd_store(args) -> int:
 
 def _cmd_check(args) -> int:
     from repro.analysis.runner import check_paths
-    from repro.analysis.typing_gate import run_mypy
 
     report = check_paths(list(args.paths), contracts_pass=args.contracts)
     print(report.render())
@@ -622,13 +618,7 @@ def _cmd_check(args) -> int:
         with open(args.json_path, "w", encoding="utf-8") as fh:
             fh.write(report.to_json(list(args.paths)))
         print(f"findings JSON written to {args.json_path}")
-    exit_code = report.exit_code
-    if args.mypy:
-        ok, output = run_mypy(list(args.paths))
-        print(output.strip())
-        if not ok:
-            exit_code = 1
-    return exit_code
+    return report.exit_code
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -21,11 +21,6 @@ from repro.cluster.faults import (
     Slowdown,
     TransientFault,
 )
-from repro.cluster.calibration import (
-    CalibratedTopology,
-    calibrate_bandwidth,
-    calibrated_machine_graph,
-)
 
 __all__ = [
     "DEFAULT_MACHINE",
@@ -50,7 +45,4 @@ __all__ = [
     "Outage",
     "Slowdown",
     "TransientFault",
-    "CalibratedTopology",
-    "calibrate_bandwidth",
-    "calibrated_machine_graph",
 ]

@@ -181,14 +181,6 @@ class NetworkModel:
             time = max(time, nbytes / capacity)
         return time
 
-    def broadcast_time(self, src: int, dests, nbytes: float) -> float:
-        """Time to send ``nbytes`` to each destination, serialized at src."""
-        return float(sum(self.transfer_time(src, int(d), nbytes)
-                         for d in dests))
-
-    def aggregate_bandwidth(self, group_a, group_b) -> float:
-        return self.topology.aggregate_bandwidth(group_a, group_b)
-
     def all_to_all_time(self, machines, bytes_per_pair: float) -> float:
         """Worst-case all-to-all exchange time among ``machines``.
 

@@ -73,9 +73,6 @@ class PartitionPlan:
     def num_levels(self) -> int:
         return num_levels_for_parts(self.num_parts)
 
-    def machines_used(self) -> list[int]:
-        return sorted(set(int(m) for m in self.placement))
-
 
 def build_machine_tree(
     topology: Topology,

@@ -11,14 +11,9 @@ from repro.graph.generators import (
     star,
 )
 from repro.graph.io import (
-    adjacency_record_bytes,
     graph_storage_bytes,
     read_edge_list,
     write_edge_list,
-    read_adjacency_binary,
-    read_adjacency_text,
-    write_adjacency_binary,
-    write_adjacency_text,
 )
 from repro.graph.analysis import (
     GraphProfile,
@@ -46,14 +41,9 @@ __all__ = [
     "rmat",
     "small_world",
     "star",
-    "adjacency_record_bytes",
     "graph_storage_bytes",
-    "read_adjacency_binary",
-    "read_adjacency_text",
     "read_edge_list",
     "write_edge_list",
-    "write_adjacency_binary",
-    "write_adjacency_text",
     "GraphProfile",
     "clustering_coefficient",
     "ier_curve",

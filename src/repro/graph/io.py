@@ -1,30 +1,22 @@
-"""Graph serialization in Surfer's adjacency-list format.
+"""Graph record sizing and edge-list interchange.
 
 The paper stores graphs as records ``<ID, d, neighbors>`` where ``ID`` is the
 vertex id, ``d`` its out-degree and ``neighbors`` the ``d`` neighbor ids
-(Section 3).  We provide a text form (one record per line, whitespace
-separated) and a compact binary form, plus the byte-size accounting the
-cluster simulator uses to charge disk and network I/O.
+(Section 3).  The cluster simulator charges disk and network I/O by that
+record size; the on-disk graph itself is the shard store
+(:mod:`repro.graph.store`).  Edge lists are the interchange format with
+external tools.
 """
 
 from __future__ import annotations
 
-import io
-import struct
 from pathlib import Path
-from typing import BinaryIO, TextIO
-
-import numpy as np
+from typing import TextIO
 
 from repro.errors import GraphFormatError
 from repro.graph.digraph import Graph
 
 __all__ = [
-    "write_adjacency_text",
-    "read_adjacency_text",
-    "write_adjacency_binary",
-    "read_adjacency_binary",
-    "adjacency_record_bytes",
     "graph_storage_bytes",
     "read_edge_list",
     "write_edge_list",
@@ -38,14 +30,6 @@ VERTEX_ID_BYTES = 8   # vertex ids are int64
 DEGREE_BYTES = 4      # degree field
 VALUE_BYTES = 8       # one float64 application value
 
-_MAGIC = b"SRFG"
-_VERSION = 1
-
-
-def adjacency_record_bytes(degree: int) -> int:
-    """Size in bytes of one ``<ID, d, neighbors>`` record."""
-    return VERTEX_ID_BYTES + DEGREE_BYTES + VERTEX_ID_BYTES * degree
-
 
 def graph_storage_bytes(graph: Graph) -> int:
     """Total bytes of the adjacency-list encoding of ``graph``."""
@@ -53,152 +37,6 @@ def graph_storage_bytes(graph: Graph) -> int:
     return n * (VERTEX_ID_BYTES + DEGREE_BYTES) + m * VERTEX_ID_BYTES
 
 
-# ----------------------------------------------------------------------
-# Text format
-# ----------------------------------------------------------------------
-def write_adjacency_text(graph: Graph, dest: TextIO | str | Path) -> None:
-    """Write ``graph`` as ``ID d n0 n1 ...`` lines."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="ascii") as handle:
-            write_adjacency_text(graph, handle)
-        return
-    for v in range(graph.num_vertices):
-        nbrs = graph.out_neighbors(v)
-        fields = [str(v), str(nbrs.size)]
-        fields.extend(str(int(u)) for u in nbrs)
-        dest.write(" ".join(fields))
-        dest.write("\n")
-
-
-def read_adjacency_text(src: TextIO | str | Path) -> Graph:
-    """Parse the text adjacency format back into a :class:`Graph`."""
-    if isinstance(src, (str, Path)):
-        with open(src, "r", encoding="ascii") as handle:
-            return read_adjacency_text(handle)
-    records: dict[int, np.ndarray] = {}
-    max_vertex = -1
-    for lineno, line in enumerate(src, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        try:
-            vid = int(fields[0])
-            degree = int(fields[1])
-            nbrs = np.array([int(f) for f in fields[2:]], dtype=np.int64)
-        except (ValueError, IndexError) as exc:
-            raise GraphFormatError(f"line {lineno}: malformed record") from exc
-        if degree != nbrs.size:
-            raise GraphFormatError(
-                f"line {lineno}: declared degree {degree} but "
-                f"{nbrs.size} neighbors listed"
-            )
-        if vid < 0:
-            raise GraphFormatError(f"line {lineno}: negative vertex id")
-        if vid in records:
-            raise GraphFormatError(f"line {lineno}: duplicate vertex {vid}")
-        records[vid] = nbrs
-        max_vertex = max(max_vertex, vid, int(nbrs.max(initial=-1)))
-    n = max_vertex + 1
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for vid, nbrs in records.items():
-        indptr[vid + 1] = nbrs.size
-    np.cumsum(indptr, out=indptr)
-    indices = np.zeros(indptr[-1], dtype=np.int64)
-    for vid, nbrs in records.items():
-        indices[indptr[vid]: indptr[vid] + nbrs.size] = nbrs
-    return Graph(indptr, indices)
-
-
-# ----------------------------------------------------------------------
-# Binary format
-# ----------------------------------------------------------------------
-def write_adjacency_binary(graph: Graph, dest: BinaryIO | str | Path) -> None:
-    """Write ``graph`` in the compact binary container format."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "wb") as handle:
-            write_adjacency_binary(graph, handle)
-        return
-    dest.write(_MAGIC)
-    dest.write(struct.pack("<IQQ", _VERSION, graph.num_vertices,
-                           graph.num_edges))
-    dest.write(graph.out_indptr.astype("<i8").tobytes())
-    dest.write(graph.out_indices.astype("<i8").tobytes())
-
-
-_HEADER_FMT = "<IQQ"
-_HEADER_BYTES = len(_MAGIC) + struct.calcsize(_HEADER_FMT)
-
-
-def _parse_binary_header(magic: bytes, header: bytes) -> tuple[int, int]:
-    if magic != _MAGIC:
-        raise GraphFormatError("not a Surfer binary graph (bad magic)")
-    if len(header) != struct.calcsize(_HEADER_FMT):
-        raise GraphFormatError("truncated header")
-    version, n, m = struct.unpack(_HEADER_FMT, header)
-    if version != _VERSION:
-        raise GraphFormatError(f"unsupported version {version}")
-    return n, m
-
-
-def read_adjacency_binary(src: BinaryIO | str | Path,
-                          mmap: bool = False) -> Graph:
-    """Read a graph written by :func:`write_adjacency_binary`.
-
-    With ``mmap=True`` (filesystem paths only) the CSR payload is
-    memory-mapped read-only in place instead of loaded — opening a
-    multi-GB graph costs O(1) resident memory until pages are touched.
-    The default path reads each array with a single copy (``frombuffer``
-    is zero-copy; the little-endian cast is a no-op view on LE hosts).
-    """
-    if isinstance(src, (str, Path)):
-        if not mmap:
-            with open(src, "rb") as handle:
-                return read_adjacency_binary(handle)
-        with open(src, "rb") as handle:
-            n, m = _parse_binary_header(handle.read(4),
-                                        handle.read(struct.calcsize(_HEADER_FMT)))
-        if Path(src).stat().st_size < _HEADER_BYTES + 8 * (n + 1 + m):
-            raise GraphFormatError("truncated graph payload")
-        indptr = np.memmap(src, dtype="<i8", mode="r",
-                           offset=_HEADER_BYTES, shape=(n + 1,))
-        indices = np.memmap(src, dtype="<i8", mode="r",
-                            offset=_HEADER_BYTES + 8 * (n + 1), shape=(m,))
-        return Graph(indptr, indices)
-    if mmap:
-        raise GraphFormatError("mmap=True requires a filesystem path")
-    n, m = _parse_binary_header(src.read(4),
-                                src.read(struct.calcsize(_HEADER_FMT)))
-    indptr_bytes = src.read(8 * (n + 1))
-    indices_bytes = src.read(8 * m)
-    if len(indptr_bytes) != 8 * (n + 1) or len(indices_bytes) != 8 * m:
-        raise GraphFormatError("truncated graph payload")
-    indptr = np.frombuffer(indptr_bytes, dtype="<i8").astype(np.int64,
-                                                             copy=False)
-    indices = np.frombuffer(indices_bytes, dtype="<i8").astype(np.int64,
-                                                               copy=False)
-    return Graph(indptr, indices)
-
-
-def roundtrip_text(graph: Graph) -> Graph:
-    """Serialize and reparse through the text format (testing helper)."""
-    buf = io.StringIO()
-    write_adjacency_text(graph, buf)
-    buf.seek(0)
-    return read_adjacency_text(buf)
-
-
-def roundtrip_binary(graph: Graph) -> Graph:
-    """Serialize and reparse through the binary format (testing helper)."""
-    buf = io.BytesIO()
-    write_adjacency_binary(graph, buf)
-    buf.seek(0)
-    return read_adjacency_binary(buf)
-
-
-# ----------------------------------------------------------------------
-# Edge-list format (interchange with external tools)
-# ----------------------------------------------------------------------
 def write_edge_list(graph: Graph, dest: TextIO | str | Path,
                     delimiter: str = "\t") -> None:
     """Write ``graph`` as ``src<delimiter>dst`` lines (SNAP-style)."""

@@ -1,7 +1,7 @@
 """Multilevel graph-partitioning substrate (Metis-like, from scratch)."""
 
 from repro.partitioning.wgraph import WGraph
-from repro.partitioning.matching import heavy_edge_matching, random_matching
+from repro.partitioning.matching import heavy_edge_matching
 from repro.partitioning.coarsen import (
     CoarseningLevel,
     coarsen_until,
@@ -26,7 +26,6 @@ from repro.partitioning.baselines import (
 )
 from repro.partitioning.metrics import (
     balance,
-    cross_partition_edges,
     cut_matrix,
     edge_cut,
     inner_edge_ratio,
@@ -38,7 +37,6 @@ from repro.partitioning.metrics import (
 __all__ = [
     "WGraph",
     "heavy_edge_matching",
-    "random_matching",
     "CoarseningLevel",
     "coarsen_until",
     "contract_matching",
@@ -56,7 +54,6 @@ __all__ = [
     "hash_partition",
     "random_partition",
     "balance",
-    "cross_partition_edges",
     "cut_matrix",
     "edge_cut",
     "inner_edge_ratio",

@@ -13,7 +13,6 @@ import heapq
 
 import numpy as np
 
-from repro.errors import PartitioningError
 from repro.partitioning.metrics import weighted_cut
 from repro.partitioning.wgraph import AdjacencyLists, WGraph
 
@@ -106,10 +105,3 @@ def random_bisection(wgraph: WGraph, rng: np.random.Generator) -> np.ndarray:
         side[v] = 0
         acc += int(wgraph.vweights[v])
     return side
-
-
-def check_bisection(side: np.ndarray) -> None:
-    """Validate that ``side`` is a 0/1 array (helper for tests)."""
-    vals = np.unique(side)
-    if vals.size and not np.isin(vals, [0, 1]).all():
-        raise PartitioningError("bisection sides must be 0 or 1")

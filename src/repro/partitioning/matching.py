@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.partitioning.wgraph import WGraph
 
-__all__ = ["heavy_edge_matching", "random_matching"]
+__all__ = ["heavy_edge_matching"]
 
 
 def heavy_edge_matching(wgraph: WGraph, rng: np.random.Generator) -> np.ndarray:
@@ -45,30 +45,3 @@ def heavy_edge_matching(wgraph: WGraph, rng: np.random.Generator) -> np.ndarray:
         else:
             match[v] = v
     return np.array(match, dtype=np.int64)
-
-
-def random_matching(wgraph: WGraph, rng: np.random.Generator) -> np.ndarray:
-    """Match each vertex with a uniformly random unmatched neighbor.
-
-    A weaker heuristic kept as an ablation baseline for the coarsening
-    design choice (DESIGN.md Section 6).
-    """
-    n = wgraph.num_vertices
-    match = -np.ones(n, dtype=np.int64)
-    order = rng.permutation(n)
-    indptr, indices = wgraph.indptr, wgraph.indices
-    for v in order:
-        if match[v] >= 0:
-            continue
-        candidates = [
-            int(indices[j])
-            for j in range(indptr[v], indptr[v + 1])
-            if match[indices[j]] < 0 and indices[j] != v
-        ]
-        if candidates:
-            u = candidates[int(rng.integers(len(candidates)))]
-            match[v] = u
-            match[u] = v
-        else:
-            match[v] = v
-    return match

@@ -17,7 +17,6 @@ __all__ = [
     "edge_cut",
     "weighted_cut",
     "inner_edge_ratio",
-    "cross_partition_edges",
     "cut_matrix",
     "balance",
     "partition_sizes",
@@ -60,12 +59,6 @@ def inner_edge_ratio(graph: Graph, parts: np.ndarray) -> float:
     if graph.num_edges == 0:
         return 1.0
     return 1.0 - edge_cut(graph, parts) / graph.num_edges
-
-
-def cross_partition_edges(graph: Graph, parts: np.ndarray) -> np.ndarray:
-    """Boolean mask (aligned with CSR edge order) of cross-partition edges."""
-    parts = validate_assignment(parts, graph.num_vertices)
-    return parts[graph.edge_sources()] != parts[graph.out_indices]
 
 
 def cut_matrix(graph: Graph, parts: np.ndarray, num_parts: int) -> np.ndarray:

@@ -1,135 +1,17 @@
-"""Unit tests for adjacency-list serialization."""
+"""Unit tests for the adjacency-record sizing the cost model charges."""
 
-import io
-
-import numpy as np
-import pytest
-
-from repro.errors import GraphFormatError
 from repro.graph.digraph import Graph
-from repro.graph.io import (
-    adjacency_record_bytes,
-    graph_storage_bytes,
-    read_adjacency_binary,
-    read_adjacency_text,
-    roundtrip_binary,
-    roundtrip_text,
-    write_adjacency_text,
-)
+from repro.graph.io import graph_storage_bytes
 
 
 def sample() -> Graph:
     return Graph.from_edges([(0, 1), (0, 2), (2, 1)], num_vertices=4)
 
 
-class TestTextFormat:
-    def test_roundtrip(self, small_graph):
-        assert roundtrip_text(small_graph) == small_graph
-
-    def test_roundtrip_empty_vertices(self):
-        assert roundtrip_text(sample()) == sample()
-
-    def test_file_roundtrip(self, tmp_path):
-        path = tmp_path / "g.adj"
-        write_adjacency_text(sample(), path)
-        assert read_adjacency_text(path) == sample()
-
-    def test_format_content(self):
-        buf = io.StringIO()
-        write_adjacency_text(sample(), buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "0 2 1 2"
-        assert lines[3] == "3 0"
-
-    def test_comments_and_blanks_ignored(self):
-        text = "# comment\n\n0 1 1\n1 0\n"
-        g = read_adjacency_text(io.StringIO(text))
-        assert g.num_vertices == 2
-        assert g.has_edge(0, 1)
-
-    def test_rejects_degree_mismatch(self):
-        with pytest.raises(GraphFormatError):
-            read_adjacency_text(io.StringIO("0 2 1\n"))
-
-    def test_rejects_duplicate_vertex(self):
-        with pytest.raises(GraphFormatError):
-            read_adjacency_text(io.StringIO("0 0\n0 0\n"))
-
-    def test_rejects_garbage(self):
-        with pytest.raises(GraphFormatError):
-            read_adjacency_text(io.StringIO("zero one\n"))
-
-    def test_rejects_negative_id(self):
-        with pytest.raises(GraphFormatError):
-            read_adjacency_text(io.StringIO("-1 0\n"))
-
-
-class TestBinaryFormat:
-    def test_roundtrip(self, small_graph):
-        assert roundtrip_binary(small_graph) == small_graph
-
-    def test_file_roundtrip(self, tmp_path):
-        from repro.graph.io import write_adjacency_binary
-        path = tmp_path / "g.bin"
-        write_adjacency_binary(sample(), path)
-        assert read_adjacency_binary(path) == sample()
-
-    def test_rejects_bad_magic(self):
-        with pytest.raises(GraphFormatError):
-            read_adjacency_binary(io.BytesIO(b"NOPE" + b"\0" * 32))
-
-    def test_rejects_truncation(self):
-        buf = io.BytesIO()
-        from repro.graph.io import write_adjacency_binary
-        write_adjacency_binary(sample(), buf)
-        data = buf.getvalue()
-        with pytest.raises(GraphFormatError):
-            read_adjacency_binary(io.BytesIO(data[:-4]))
-
-
 class TestSizing:
-    def test_record_bytes(self):
-        assert adjacency_record_bytes(0) == 12
-        assert adjacency_record_bytes(3) == 12 + 24
-
     def test_graph_storage_bytes_matches_records(self):
+        # one <ID, d, neighbors> record per vertex: 8 B id + 4 B degree
+        # + 8 B per neighbor
         g = sample()
-        total = sum(adjacency_record_bytes(g.out_degree(v))
-                    for v in range(g.num_vertices))
+        total = sum(12 + 8 * g.out_degree(v) for v in range(g.num_vertices))
         assert graph_storage_bytes(g) == total
-
-
-class TestBinaryMmap:
-    def test_mmap_roundtrip(self, tmp_path):
-        from repro.graph.io import write_adjacency_binary
-        path = tmp_path / "g.bin"
-        write_adjacency_binary(sample(), path)
-        g = read_adjacency_binary(path, mmap=True)
-        assert g == sample()
-
-        def backed_by_memmap(a):
-            # Graph.__init__'s asarray strips the subclass but keeps
-            # the file-backed buffer: walk .base to find the memmap
-            while a is not None and not isinstance(a, np.memmap):
-                a = a.base
-            return isinstance(a, np.memmap)
-
-        assert backed_by_memmap(g.out_indptr)
-        assert backed_by_memmap(g.out_indices)
-
-    def test_mmap_requires_a_path(self):
-        buf = io.BytesIO()
-        from repro.graph.io import write_adjacency_binary
-        write_adjacency_binary(sample(), buf)
-        buf.seek(0)
-        with pytest.raises(GraphFormatError):
-            read_adjacency_binary(buf, mmap=True)
-
-    def test_mmap_rejects_truncation(self, tmp_path):
-        from repro.graph.io import write_adjacency_binary
-        path = tmp_path / "g.bin"
-        write_adjacency_binary(sample(), path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-4])
-        with pytest.raises(GraphFormatError):
-            read_adjacency_binary(path, mmap=True)

@@ -8,7 +8,7 @@ from repro.graph.generators import grid, ring
 from repro.partitioning.bisect import BisectionOptions, multilevel_bisection
 from repro.partitioning.coarsen import coarsen_until, contract_matching
 from repro.partitioning.ggp import gggp_bisection, random_bisection
-from repro.partitioning.matching import heavy_edge_matching, random_matching
+from repro.partitioning.matching import heavy_edge_matching
 from repro.partitioning.metrics import weighted_cut
 from repro.partitioning.refine import compute_gains, fm_refine
 from repro.partitioning.wgraph import WGraph
@@ -49,12 +49,6 @@ class TestMatching:
             for seed in range(30)
         )
         assert heavy >= 15
-
-    def test_random_matching_valid(self):
-        wg = WGraph.from_digraph(grid(4, 4))
-        match = random_matching(wg, np.random.default_rng(2))
-        for v in range(wg.num_vertices):
-            assert match[match[v]] == v
 
 
 class TestCoarsening:
