@@ -346,6 +346,48 @@ def _check_frontier_contract(cls: type, app: Any, state: Any,
     return findings
 
 
+def _is_id_list(value: Any) -> bool:
+    return isinstance(value, (tuple, list, set, frozenset))
+
+
+def _column(values: list[Any]) -> Any:
+    """Harvested values as the engines carry them: a ragged column for
+    id lists, an ndarray otherwise."""
+    from repro.fold import Ragged
+
+    if values and _is_id_list(values[0]):
+        return Ragged.from_rows(values)
+    return np.asarray(values)
+
+
+def _rows(column: Any) -> list[Any]:
+    return column.tolist() if hasattr(column, "tolist") else list(column)
+
+
+def _same(want: Any, got: Any) -> bool:
+    """Exact equality of a scalar result with its columnar twin; a set
+    equals a ragged row that lists each of its ids once."""
+    if isinstance(want, (set, frozenset)):
+        return len(got) == len(want) and set(got) == want
+    return bool(want == got)
+
+
+def _check_ragged_bytes(what: str, pairs: list[tuple[Any, float]],
+                        header: int, fail: Callable[[str], None]) -> None:
+    """The closed-form ragged charge — ``header + VALUE_BYTES·len`` per
+    id list — must equal the scalar sizing hook on every ``(value,
+    scalar bytes)`` pair, or the two paths price the same job apart."""
+    from repro.graph.io import VALUE_BYTES
+
+    for value, scalar in pairs:
+        closed = float(header + VALUE_BYTES * len(value))
+        if scalar != closed:
+            fail(f"{what} disagrees with the ragged closed-form charge on "
+                 f"{value!r}: {scalar!r} vs {closed!r} "
+                 f"({header} + {VALUE_BYTES}·len)")
+            return
+
+
 def _check_combine_array(cls: type, app: Any, state: Any,
                          groups: dict[Any, list[Any]], pgraph: Any,
                          fail: Callable[[str], None]) -> None:
@@ -353,7 +395,7 @@ def _check_combine_array(cls: type, app: Any, state: Any,
     harvested bags — folded in arrival order by ``merge_ufunc``, as the
     engine's Combine stage folds them — and, for
     ``combine_all_vertices`` apps, on the empty bag of every vertex."""
-    from repro.fold import fold_by_dest
+    from repro.fold import RECORD_HEADER, Ragged, fold_by_dest
 
     ufunc = getattr(cls, "merge_ufunc", None)
     if ufunc is None:
@@ -361,23 +403,33 @@ def _check_combine_array(cls: type, app: Any, state: Any,
              "nothing to fold the arrivals with")
         return
     bags = sorted(groups.items())
-    values = np.asarray([x for _, bag in bags for x in bag])
+    values = _column([x for _, bag in bags for x in bag])
     vertices, folded, counts = fold_by_dest(
         np.repeat([v for v, _ in bags], [len(bag) for _, bag in bags]),
         values, ufunc)
     cases = [(vertices, folded, counts, [bag for _, bag in bags])]
     if cls.combine_all_vertices:
         n = pgraph.num_vertices
-        cases.append((np.arange(n), np.zeros(n, dtype=values.dtype),
+        filler = (Ragged(np.zeros(n + 1, dtype=np.int64), values.flat[:0])
+                  if isinstance(values, Ragged)
+                  else np.zeros(n, dtype=values.dtype))
+        cases.append((np.arange(n), filler,
                       np.zeros(n, dtype=counts.dtype), [[]] * n))
     for vertices, folded, counts, case_bags in cases:
         got = app.combine_array(vertices, folded, counts, state)
         if got is None:
             continue  # declined: the engine hands combine the bags
-        for v, bag, g in zip(vertices.tolist(), case_bags,
-                             np.asarray(got).tolist()):
+        if isinstance(got, Ragged):
+            _check_ragged_bytes(
+                "result_nbytes",
+                [(row, app.result_nbytes(v, app.combine(v, list(bag),
+                                                        state)))
+                 for v, bag, row in zip(vertices.tolist(), case_bags,
+                                        got.tolist())],
+                RECORD_HEADER, fail)
+        for v, bag, g in zip(vertices.tolist(), case_bags, _rows(got)):
             want = app.combine(v, list(bag), state)
-            if want is None or not want == g:
+            if want is None or not _same(want, g):
                 fail(f"combine_array disagrees with combine at vertex "
                      f"{v} (bag of {len(bag)}): {want!r} vs {g!r}")
                 break
@@ -389,9 +441,12 @@ def verify_propagation_app(cls: type, pgraph: Any = None) -> list[Finding]:
     Harvests real messages by running the app's own ``transfer`` (or
     ``virtual_transfer`` for virtual-vertex apps — VDD's Section 3.3
     path) over ``pgraph``, then property-checks the fold UDFs on the
-    harvested bags.
+    harvested bags.  An app that folds ragged id lists (``merge_ufunc``
+    one of :data:`~repro.fold.RAGGED_FOLDS`) also has its scalar sizing
+    hooks checked against the closed-form ragged charges.
     """
-    from repro.propagation.api import PropagationApp
+    from repro.fold import MESSAGE_HEADER, RAGGED_FOLDS, fold_by_dest
+    from repro.propagation.api import PropagationApp, message_nbytes
 
     if pgraph is None:
         pgraph = make_contract_pgraph()
@@ -468,6 +523,17 @@ def verify_propagation_app(cls: type, pgraph: Any = None) -> list[Finding]:
     if is_assoc and not has_merge:
         fail("declares is_associative=True but does not override "
              "merge(); local combination would crash")
+    ragged = merge_ufunc in RAGGED_FOLDS
+    if ragged:
+        # every message, raw or merged by local combination, is charged
+        # in closed form on the array path
+        messages = [x for bag in groups.values() for x in bag]
+        if has_merge:
+            messages += [_fold(app.merge, vals) for _, vals in rich]
+        _check_ragged_bytes(
+            "value_nbytes",
+            [(x, message_nbytes(app, x)) for x in messages],
+            MESSAGE_HEADER, fail)
 
     for key, vals in rich:
         try:
@@ -505,9 +571,17 @@ def verify_propagation_app(cls: type, pgraph: Any = None) -> list[Finding]:
                          f"{key!r}: {base!r} vs {split!r}")
             if merge_ufunc is not None and has_merge:
                 a, b = vals[0], vals[1]
-                got = merge_ufunc(a, b)
                 want = app.merge(a, b)
-                if not _approx_eq(want, got):
+                if ragged:
+                    _, merged, _ = fold_by_dest(
+                        np.zeros(2, dtype=np.int64), _column([a, b]),
+                        merge_ufunc)
+                    got = merged.tolist()[0]
+                    same = _same(want, got)
+                else:
+                    got = merge_ufunc(a, b)
+                    same = _approx_eq(want, got)
+                if not same:
                     fail(f"merge_ufunc disagrees with merge at key "
                          f"{key!r}: {want!r} vs {got!r}")
         except Exception as exc:  # noqa: BLE001
@@ -525,21 +599,29 @@ def _check_reduce_array(
     of every harvested group — replayed in arrival order through
     :func:`~repro.fold.group_ids`, as a reducer does — with each output
     key one of the group keys, at most once: the engine writes the
-    concatenated columns straight into the state."""
-    from repro.fold import group_ids
+    concatenated columns straight into the state.  Ragged output values
+    are charged in closed form, so ``output_nbytes`` must agree with
+    that charge on every scalar output."""
+    from repro.fold import RECORD_HEADER, Ragged, group_ids
 
     if not records:
         return
-    keys, values = (np.asarray(col) for col in zip(*records))
+    keys = np.asarray([k for k, _ in records])
+    values = _column([v for _, v in records])
     uniq, gid, _ = group_ids(keys)
     out = app.reduce_array(uniq, gid, values, state)
     if out is None:
         return  # declined: the engine hands reduce the bags
     out_keys, out_values = out
-    if isinstance(out_values, np.ndarray):
-        out_values = out_values.tolist()
+    want = [pair for key in uniq.tolist()
+            for pair in run_reduce(key, list(groups[key]))]
+    if isinstance(out_values, Ragged):
+        _check_ragged_bytes(
+            "output_nbytes",
+            [(value, app.output_nbytes(key, value)) for key, value in want],
+            RECORD_HEADER, fail)
     got: dict[Any, Any] = {}
-    for key, value in zip(np.asarray(out_keys).tolist(), out_values):
+    for key, value in zip(np.asarray(out_keys).tolist(), _rows(out_values)):
         if key not in groups or key in got:
             what = "twice" if key in got else "that no group has"
             fail(f"reduce_array emits key {key!r} {what}; its columns are "
@@ -547,10 +629,8 @@ def _check_reduce_array(
                  "must be group keys, each once")
             return
         got[key] = value
-    want = [pair for key in uniq.tolist()
-            for pair in run_reduce(key, list(groups[key]))]
     for key, value in want:
-        if key not in got or not got[key] == value:
+        if key not in got or not _same(value, got[key]):
             fail(f"reduce_array disagrees with reduce at key {key!r} "
                  f"(bag of {len(groups.get(key, []))}): {value!r} vs "
                  f"{got.get(key)!r}")
@@ -568,9 +648,12 @@ def verify_mapreduce_app(cls: type, pgraph: Any = None) -> list[Finding]:
     equality with ``reduce``; output keys drawn from the group keys,
     each at most once), then property-checks ``combine`` (map-side
     combiner contract) and ``reduce`` (arrival-order insensitivity) on
-    the harvested bags.
+    the harvested bags.  Ragged columns out of ``map_array`` or
+    ``reduce_array`` also have the scalar sizing hooks checked against
+    the closed-form ragged charges.
     """
-    from repro.mapreduce.api import MapReduceApp
+    from repro.fold import MESSAGE_HEADER, Ragged
+    from repro.mapreduce.api import MapReduceApp, kv_nbytes
 
     if pgraph is None:
         pgraph = make_contract_pgraph()
@@ -606,6 +689,19 @@ def verify_mapreduce_app(cls: type, pgraph: Any = None) -> list[Finding]:
                                 fail)
         except Exception as exc:  # noqa: BLE001
             fail(f"reduce_array contract check raised ({exc!r})")
+    if cls.map_array is not MapReduceApp.map_array:
+        try:
+            # a ragged map_array column is shuffled at the closed-form
+            # charge, which every scalar record's size must equal
+            if any(isinstance((app.map_array(p, pgraph, state)
+                               or (None, None))[1], Ragged)
+                   for p in range(pgraph.num_parts)):
+                _check_ragged_bytes(
+                    "value_nbytes",
+                    [(v, kv_nbytes(app, k, v)) for k, v in records],
+                    MESSAGE_HEADER, fail)
+        except Exception as exc:  # noqa: BLE001
+            fail(f"map_array sizing check raised ({exc!r})")
 
     rich = _rich_groups(groups)
     if not rich:

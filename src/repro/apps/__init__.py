@@ -9,7 +9,7 @@ registry) resolves through it.
 """
 
 from repro.errors import JobError
-from repro.apps.base import VertexState, sample_mask, undirected_neighbor_sets
+from repro.apps.base import VertexState, sample_mask
 from repro.apps.network_ranking import (
     NetworkRankingMapReduce,
     NetworkRankingPropagation,
@@ -30,7 +30,6 @@ from repro.apps.degree_distribution import (
 from repro.apps.reverse_link_graph import (
     ReverseLinkGraphMapReduce,
     ReverseLinkGraphPropagation,
-    reversed_graph_from_lists,
 )
 from repro.apps.two_hop_friends import (
     TwoHopFriendsMapReduce,
@@ -117,7 +116,6 @@ def make_app(name: str, engine: str, **app_args):
 __all__ = [
     "VertexState",
     "sample_mask",
-    "undirected_neighbor_sets",
     "NetworkRankingMapReduce",
     "NetworkRankingPropagation",
     "RecommenderMapReduce",
@@ -129,7 +127,6 @@ __all__ = [
     "DegreeDistributionPropagation",
     "ReverseLinkGraphMapReduce",
     "ReverseLinkGraphPropagation",
-    "reversed_graph_from_lists",
     "TwoHopFriendsMapReduce",
     "TwoHopFriendsPropagation",
     "APP_REGISTRY",

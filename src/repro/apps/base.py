@@ -8,8 +8,10 @@ from typing import Any
 import numpy as np
 
 from repro.core.partitioned import PartitionedGraph
+from repro.fold import Ragged
 
-__all__ = ["VertexState", "sample_mask", "undirected_neighbor_sets"]
+__all__ = ["VertexState", "sample_mask", "no_rows", "assign_rows",
+           "assign_row_dict"]
 
 
 @dataclass
@@ -47,10 +49,27 @@ def sample_mask(num_vertices: int, ratio: float, seed: int = 0) -> np.ndarray:
     return hashed < np.uint64(int(ratio * 0xFFFFFFFF))
 
 
-def undirected_neighbor_sets(graph) -> list[set[int]]:
-    """Per-vertex undirected neighbor sets (for triangle counting)."""
-    indptr, indices, _ = graph.to_undirected()
-    return [
-        set(int(w) for w in indices[indptr[v]: indptr[v + 1]])
-        for v in range(graph.num_vertices)
-    ]
+def no_rows() -> tuple[np.ndarray, Ragged]:
+    """Per-vertex id lists as ``(vertices, rows)`` columns, none yet."""
+    return (np.zeros(0, dtype=np.int64),
+            Ragged(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)))
+
+
+def assign_rows(state: VertexState, vertices: np.ndarray,
+                rows: Ragged) -> None:
+    """``state.values[v] = row`` for id lists kept as ``(vertices, rows)``
+    columns (RLG, TFL): a vertex assigned again keeps only its latest
+    row, as ``dict.update`` would.  ``vertices`` are unique."""
+    old, old_rows = state.values
+    if old.size:
+        keep = ~np.isin(old, vertices)
+        vertices = np.concatenate((old[keep], vertices))
+        rows = np.concatenate((old_rows[keep], rows))
+    state.values = (vertices, rows)
+
+
+def assign_row_dict(state: VertexState, combined: dict) -> None:
+    """:func:`assign_rows` of a scalar path's ``{vertex: id list}``."""
+    assign_rows(state,
+                np.fromiter(combined, dtype=np.int64, count=len(combined)),
+                Ragged.from_rows(combined.values()))

@@ -1,30 +1,41 @@
 """RLG — reverse link graph (Appendix D) in both primitives.
 
 Reverses every edge and stores the reversed graph as adjacency lists:
-vertex ``v`` collects the sources of all its incoming edges.  Equivalent
-to :meth:`repro.graph.digraph.Graph.reverse`, which the tests use as the
-oracle.
+vertex ``v`` collects the distinct sources of its incoming edges.  On a
+graph without parallel edges that is
+:meth:`repro.graph.digraph.Graph.reverse`, which the tests use as the
+oracle; RLG dedups, so parallel edges collapse and the two differ — on
+``[(0, 1), (0, 1), (1, 2), (2, 0)]`` RLG keeps one edge ``1 -> 0`` where
+``reverse()`` keeps two.
+
+Both primitives also run columnar, the lists as one
+:class:`~repro.fold.Ragged` column: one-id rows out of ``transfer_array``
+joined in arrival order by ``merge_ufunc = np.concatenate`` (the scalar
+``a + b`` on tuples), then sorted and deduplicated once per vertex in
+``combine_array`` / ``reduce_array``.  Either path keeps the lists in
+the state as ``(vertices, rows)`` columns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import VertexState
+from repro.apps.base import VertexState, assign_row_dict, assign_rows, no_rows
+from repro.fold import Ragged, distinct_rows
 from repro.graph.digraph import Graph
 from repro.mapreduce.api import MapReduceApp
 from repro.propagation.api import PropagationApp
 
-__all__ = ["ReverseLinkGraphPropagation", "ReverseLinkGraphMapReduce",
-           "reversed_graph_from_lists"]
+__all__ = ["ReverseLinkGraphPropagation", "ReverseLinkGraphMapReduce"]
 
 
-def reversed_graph_from_lists(lists: dict, num_vertices: int) -> Graph:
-    """Assemble the reversed :class:`Graph` from per-vertex source lists."""
-    edges = [
-        (v, u) for v, sources in lists.items() for u in sources
-    ]
-    return Graph.from_edges(edges, num_vertices=num_vertices, dedup=True)
+def _reversed_graph(state) -> Graph:
+    """The reversed :class:`Graph` from the state's source lists."""
+    vertices, sources = state.values
+    edges = np.stack((np.repeat(vertices, sources.lengths()), sources.flat),
+                     axis=1)
+    return Graph.from_edges(edges, num_vertices=state.num_vertices,
+                            dedup=True)
 
 
 class ReverseLinkGraphPropagation(PropagationApp):
@@ -32,15 +43,23 @@ class ReverseLinkGraphPropagation(PropagationApp):
 
     name = "RLG"
     is_associative = True
+    merge_ufunc = staticmethod(np.concatenate)
 
     def setup(self, pgraph) -> VertexState:
-        return VertexState(pgraph=pgraph, values={})
+        return VertexState(pgraph=pgraph, values=no_rows())
 
     def transfer(self, u, v, state):
         return (u,)
 
+    def transfer_array(self, src, dst, state):
+        return Ragged(np.arange(src.size + 1, dtype=np.int64),
+                      src.astype(np.int64))
+
     def combine(self, v, values, state):
         return tuple(sorted(set(u for vs in values for u in vs)))
+
+    def combine_array(self, vertices, folded, counts, state):
+        return distinct_rows(folded.row_ids(), folded.flat, folded.size)
 
     def merge(self, a, b):
         return a + b
@@ -52,12 +71,13 @@ class ReverseLinkGraphPropagation(PropagationApp):
         return 12.0 + 8.0 * len(value)
 
     def update(self, state, combined):
-        state.values.update(combined)
+        assign_row_dict(state, combined)
+
+    def update_array(self, state, vertices, values):
+        assign_rows(state, vertices, values)
 
     def finalize(self, state):
-        return reversed_graph_from_lists(
-            state.values, state.num_vertices
-        )
+        return _reversed_graph(state)
 
 
 class ReverseLinkGraphMapReduce(MapReduceApp):
@@ -66,7 +86,7 @@ class ReverseLinkGraphMapReduce(MapReduceApp):
     name = "RLG"
 
     def setup(self, pgraph) -> VertexState:
-        return VertexState(pgraph=pgraph, values={})
+        return VertexState(pgraph=pgraph, values=no_rows())
 
     def map(self, partition, pgraph, state, emit):
         src, dst = pgraph.partition_edges(partition)
@@ -82,30 +102,17 @@ class ReverseLinkGraphMapReduce(MapReduceApp):
         emit(key, tuple(sorted(set(values))))
 
     def reduce_array(self, keys, gid, values, state):
-        # no combiner possible here (bags don't fold to one value), but
-        # the dedup+sort reduce vectorizes: one lexsort over (key, src)
-        # then a per-group slice — tuple(sorted(set(bag))) exactly.
-        order = np.lexsort((values, gid))
-        sv = values[order]
-        sg = gid[order]
-        keep = np.empty(sv.size, dtype=bool)
-        keep[:1] = True
-        keep[1:] = (sv[1:] != sv[:-1]) | (sg[1:] != sg[:-1])
-        dv = sv[keep]
-        dg = sg[keep]
-        cuts = np.flatnonzero(dg[1:] != dg[:-1]) + 1
-        gbounds = np.concatenate(([0], cuts, [dg.size])).tolist()
-        vlist = dv.tolist()
-        return keys, [tuple(vlist[gbounds[i]:gbounds[i + 1]])
-                      for i in range(keys.size)]
+        # tuple(sorted(set(bag))) for every group in one sort
+        return keys, distinct_rows(gid, values, keys.size)
 
     def output_nbytes(self, key, value):
         return 12.0 + 8.0 * len(value)
 
     def update(self, state, outputs):
-        state.values.update(outputs)
+        assign_row_dict(state, outputs)
+
+    def update_array(self, state, keys, values):
+        assign_rows(state, keys, values)
 
     def finalize(self, state):
-        return reversed_graph_from_lists(
-            state.values, state.num_vertices
-        )
+        return _reversed_graph(state)

@@ -12,11 +12,21 @@ mutual edges.
 With ``select_ratio < 1`` the count covers triangles whose *shipping pair*
 is selected (the paper samples 10 % of vertices).  Tests use ratio 1.0 and
 compare against the exact oracle.
+
+A self loop pairs a vertex with itself, which is no side of a triangle:
+it counts nothing.  The UDFs stay scalar (``transfer`` answers ``None``
+for unsampled targets), but the state is arrays: the undirected neighbor
+lists are the CSR rows of ``Graph.to_undirected`` — ascending, self
+loops dropped — and the mutual-edge test is a binary search of the
+out-row.
 """
 
 from __future__ import annotations
 
-from repro.apps.base import VertexState, sample_mask, undirected_neighbor_sets
+import numpy as np
+
+from repro.apps.base import VertexState, sample_mask
+from repro.fold import Ragged
 from repro.mapreduce.api import MapReduceApp
 from repro.propagation.api import PropagationApp
 
@@ -25,7 +35,8 @@ __all__ = ["TriangleCountingPropagation", "TriangleCountingMapReduce"]
 
 def _tc_state(pgraph, select_ratio: float, seed: int) -> VertexState:
     state = VertexState(pgraph=pgraph, values={})
-    state.extra["neighbor_sets"] = undirected_neighbor_sets(pgraph.graph)
+    indptr, indices, _ = pgraph.graph.to_undirected()
+    state.extra["rows"] = Ragged(indptr, indices)
     state.extra["selected"] = sample_mask(
         pgraph.num_vertices, select_ratio, seed
     )
@@ -37,27 +48,21 @@ def _count_pair(v: int, u: int, u_list, state) -> int:
 
     Counts only when the pair ``{u, v}`` is examined at this endpoint:
     always when ``v`` cannot reach ``u`` itself (one-way edge), and at the
-    larger endpoint on mutual edges.
+    larger endpoint on mutual edges; never for a self loop.
     """
-    sets = state.extra["neighbor_sets"]
-    if v < u and u in _out_sets(state)[v]:
-        return 0  # mutual edge: the larger endpoint examines this pair
-    common = sets[v].intersection(u_list)
-    common.discard(u)
-    common.discard(v)
-    return len(common)
-
-
-def _out_sets(state) -> list[set[int]]:
-    cached = state.extra.get("out_sets")
-    if cached is None:
-        graph = state.graph
-        cached = [
-            set(int(w) for w in graph.out_neighbors(v))
-            for v in range(graph.num_vertices)
-        ]
-        state.extra["out_sets"] = cached
-    return cached
+    if u == v:
+        return 0  # a self loop is no pair
+    if v < u:
+        out = state.graph.out_neighbors(v)
+        at = int(np.searchsorted(out, u))
+        if at < out.size and out[at] == u:
+            return 0  # mutual edge: the larger endpoint examines this pair
+    # u's edge to v puts u in v's row, so the row is not empty; neither
+    # row holds its own vertex, so the common ids are the third corners
+    row = state.extra["rows"][v]
+    ids = np.asarray(u_list, dtype=np.int64)
+    at = np.minimum(np.searchsorted(row, ids), row.size - 1)
+    return int(np.count_nonzero(row[at] == ids))
 
 
 class TriangleCountingPropagation(PropagationApp):
@@ -79,7 +84,7 @@ class TriangleCountingPropagation(PropagationApp):
     def transfer(self, u, v, state):
         if not state.extra["selected"][v]:
             return None
-        return (u, tuple(sorted(state.extra["neighbor_sets"][u])))
+        return (u, tuple(state.extra["rows"][u].tolist()))
 
     def combine(self, v, values, state):
         count = 0
@@ -120,12 +125,12 @@ class TriangleCountingMapReduce(MapReduceApp):
 
     def map(self, partition, pgraph, state, emit):
         selected = state.extra["selected"]
-        sets = state.extra["neighbor_sets"]
+        rows = state.extra["rows"]
         src, dst = pgraph.partition_edges(partition)
-        for u, v in zip(src, dst):
-            u, v = int(u), int(v)
-            if selected[u] and selected[v]:
-                emit(v, (u, tuple(sorted(sets[u]))))
+        keep = selected[src] & selected[dst]
+        for u, v in zip(src[keep].tolist(), dst[keep].tolist()):
+            u_list = tuple(rows[u].tolist())
+            emit(v, (u, u_list))
 
     def reduce(self, key, values, state, emit):
         count = 0

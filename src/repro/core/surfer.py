@@ -576,7 +576,7 @@ def apply_outputs(app: Any, state: Any, out: Any) -> None:
     base = MapReduceApp if isinstance(app, MapReduceApp) else PropagationApp
     if (cls.update_array is base.update_array
             and cls.update is not base.update):
-        if isinstance(values, np.ndarray):
+        if not isinstance(values, list):
             values = values.tolist()
         app.update(state, dict(zip(keys.tolist(), values)))
     else:

@@ -26,15 +26,26 @@ Both functions choose from what the input shows — the record count
 ``k`` and the id span — and nothing else.  A counting fold accumulates
 by slot and drops the empty slots afterwards, which spares it the
 per-record gather that ranks slots into group ids.
+
+Values that are vertex-id *lists* (RLG's reversed edges, TFL's friend
+lists) travel as one :class:`Ragged` column instead of one object per
+message.  Their fold is declared by the app's ``merge_ufunc`` like any
+other: ``np.concatenate`` joins a destination's lists in arrival order
+(the scalar ``a + b`` on tuples), ``np.union1d`` unites them (``a | b``
+on frozensets) with one sort of ``pair_keys(group, id)``.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["fold_by_dest", "group_ids"]
+from repro.graph.digraph import csr_from_keys, pair_keys
+from repro.graph.io import DEGREE_BYTES, VALUE_BYTES, VERTEX_ID_BYTES
+
+__all__ = ["MESSAGE_HEADER", "RAGGED_FOLDS", "RECORD_HEADER", "Ragged",
+           "distinct_rows", "fold_by_dest", "group_ids"]
 
 #: counting strategy when ``span <= COUNTING_SPAN_FACTOR * k``.  On
 #: 100 k uniformly random ids counting beats the stable sort up to
@@ -42,8 +53,137 @@ __all__ = ["fold_by_dest", "group_ids"]
 #: scratch never dwarfs the records it serves.
 COUNTING_SPAN_FACTOR = 4
 
+#: the two folds a :class:`Ragged` column takes (see the module docstring)
+RAGGED_FOLDS = (np.concatenate, np.union1d)
+#: per-row header bytes of a ragged message ``<dest, ids>`` and of a
+#: ragged output record ``<ID, d, ids>`` (the paper's adjacency record);
+#: each id adds ``VALUE_BYTES``
+MESSAGE_HEADER = VERTEX_ID_BYTES
+RECORD_HEADER = VERTEX_ID_BYTES + DEGREE_BYTES
+
 Grouped = tuple[np.ndarray, np.ndarray, np.ndarray]
-Folded = tuple[np.ndarray, np.ndarray, np.ndarray]
+Folded = tuple[np.ndarray, Any, np.ndarray]
+
+
+class Ragged:
+    """A column of variable-length ``int64`` id lists.
+
+    Row ``i`` is ``flat[offsets[i]:offsets[i + 1]]``; ``offsets`` starts
+    at 0 and ends at ``flat.size``.  The engines treat it like a value
+    column: a boolean mask, an index array or a slice selects rows,
+    ``np.concatenate`` joins columns end to end, ``size`` counts rows.
+    An ``int`` index reads one row as an array view.
+    """
+
+    __slots__ = ("offsets", "flat")
+
+    def __init__(self, offsets: np.ndarray, flat: np.ndarray) -> None:
+        self.offsets = offsets
+        self.flat = flat
+
+    @classmethod
+    def from_lengths(cls, lengths: np.ndarray, flat: np.ndarray) -> Ragged:
+        offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        return cls(offsets, flat)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Iterable[int]]) -> Ragged:
+        """The column of Python id lists (tuples, sets, ...)."""
+        rows = [tuple(row) for row in rows]
+        flat = np.fromiter((w for row in rows for w in row), dtype=np.int64)
+        return cls.from_lengths(np.array([len(row) for row in rows],
+                                         dtype=np.int64), flat)
+
+    @property
+    def size(self) -> int:
+        return self.offsets.size - 1
+
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def row_ids(self) -> np.ndarray:
+        """The row of every ``flat`` entry."""
+        return np.repeat(np.arange(self.size, dtype=np.int64),
+                         self.lengths())
+
+    def nbytes(self, header: float) -> float:
+        """``header`` bytes per row plus ``VALUE_BYTES`` per id: the
+        per-row sum in closed form (byte sizes are integer-valued)."""
+        return float(self.size * header + self.flat.size * VALUE_BYTES)
+
+    def __getitem__(self, key: Any) -> Any:
+        if isinstance(key, (int, np.integer)):
+            return self.flat[self.offsets[key]:self.offsets[key + 1]]
+        if isinstance(key, slice):
+            lo, hi, step = key.indices(self.size)
+            if step != 1:
+                raise IndexError("Ragged slices take step 1")
+            hi = max(lo, hi)
+            first = self.offsets[lo]
+            return Ragged(self.offsets[lo:hi + 1] - first,
+                          self.flat[first:self.offsets[hi]])
+        key = np.asarray(key)
+        if key.dtype == np.bool_:
+            key = np.flatnonzero(key)
+        return self.take(key)
+
+    def take(self, index: np.ndarray) -> Ragged:
+        """Rows ``index`` (any order, repeats allowed) as a new column."""
+        starts = self.offsets[index]
+        lengths = self.offsets[index + 1] - starts
+        out = Ragged.from_lengths(lengths, self.flat[:0])
+        total = int(out.offsets[-1])
+        if total:
+            gather = (np.arange(total, dtype=np.int64)
+                      + np.repeat(starts - out.offsets[:-1], lengths))
+            out.flat = self.flat[gather]
+        return out
+
+    def tolist(self) -> list[tuple[int, ...]]:
+        flat = self.flat.tolist()
+        bounds = self.offsets.tolist()
+        return [tuple(flat[bounds[i]:bounds[i + 1]])
+                for i in range(self.size)]
+
+    def __array_function__(self, func: Any, types: Any, args: Any,
+                           kwargs: Any) -> Any:
+        if func is not np.concatenate or kwargs:
+            return NotImplemented
+        return _concatenate(args[0])
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Ragged({self.tolist()!r})"
+
+
+def _concatenate(parts: Sequence[Ragged]) -> Ragged:
+    """``np.concatenate`` of ragged columns: rows end to end."""
+    if not all(isinstance(part, Ragged) for part in parts):
+        raise TypeError("np.concatenate joins Ragged columns only with "
+                        "Ragged columns")
+    return Ragged.from_lengths(
+        np.concatenate([part.lengths() for part in parts]),
+        np.concatenate([part.flat for part in parts]))
+
+
+def distinct_rows(rows_of: np.ndarray, ids: np.ndarray,
+                  num_rows: int) -> Ragged:
+    """Row ``r`` holds the distinct ``ids[rows_of == r]``, ascending.
+
+    One sort of :func:`~repro.graph.digraph.pair_keys` ``(row, id)``
+    keys with the sorted-distinct mask: each row's set union, as the
+    scalar ``tuple(sorted(set(...)))`` lists it.
+    """
+    if ids.size == 0:
+        return Ragged(np.zeros(num_rows + 1, dtype=np.int64),
+                      np.zeros(0, dtype=np.int64))
+    lo = int(ids.min())
+    width = int(ids.max()) - lo + 1
+    indptr, indices = csr_from_keys(
+        pair_keys(np.asarray(rows_of, dtype=np.int64), ids - lo, num_rows,
+                  width),
+        num_rows, width, dedup=True)
+    return Ragged(indptr, indices + lo)
 
 
 def group_ids(keys: np.ndarray) -> Grouped:
@@ -109,16 +249,18 @@ def group_sorted(keys: np.ndarray) -> Grouped:
     return d[starts], gid, np.diff(starts, append=d.size)
 
 
-def fold_by_dest(dests: np.ndarray, values: np.ndarray,
-                 ufunc: Any) -> Folded:
+def fold_by_dest(dests: np.ndarray, values: Any, ufunc: Any) -> Folded:
     """Left-fold ``values`` per destination, in input (emission) order:
     the groups of :func:`group_ids`, each reduced to one value.
 
     Returns ``(uniq_dests, merged, counts)`` with ``uniq_dests`` sorted
     ascending, ``merged[i]`` the left fold of ``ufunc`` over destination
     ``i``'s values in input order and ``counts[i]`` how many there were.
-    Empty input gives three empty arrays of the matching dtypes.
+    Empty input gives three empty arrays of the matching dtypes.  A
+    :class:`Ragged` column folds by one of :data:`RAGGED_FOLDS`.
     """
+    if isinstance(values, Ragged):
+        return _fold_rows(dests, values, ufunc)
     if dests.size == 0:
         return dests[:0], values[:0], np.zeros(0, dtype=np.intp)
     if _counting_fits(dests):
@@ -129,6 +271,22 @@ def fold_by_dest(dests: np.ndarray, values: np.ndarray,
         return uniq, merged[occupied], per_slot[occupied]
     uniq, gid, counts = group_sorted(dests)
     return uniq, _accumulate(gid, values, ufunc, uniq.size), counts
+
+
+def _fold_rows(dests: np.ndarray, values: Ragged, ufunc: Any) -> Folded:
+    """Each destination's rows joined in input order (``np.concatenate``)
+    or united, ascending (``np.union1d``)."""
+    if ufunc is not np.concatenate and ufunc is not np.union1d:
+        raise TypeError(f"a Ragged column folds by np.concatenate or "
+                        f"np.union1d, not {ufunc!r}")
+    uniq, gid, counts = group_ids(dests)
+    if ufunc is np.union1d:
+        return (uniq, distinct_rows(gid[values.row_ids()], values.flat,
+                                    uniq.size), counts)
+    joined = values.take(np.argsort(gid, kind="stable"))
+    bounds = np.zeros(uniq.size + 1, dtype=np.intp)
+    np.cumsum(counts, out=bounds[1:])
+    return uniq, Ragged(joined.offsets[bounds], joined.flat), counts
 
 
 def _accumulate(gid: np.ndarray, values: np.ndarray, ufunc: Any,

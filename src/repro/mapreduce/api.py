@@ -93,8 +93,10 @@ class MapReduceApp:
         ``map`` would have emitted; or ``None`` to decline, in which case
         the engine re-runs the whole round on the scalar oracle.  Record
         count, per-key value order and the bit patterns of the values
-        must match the scalar path exactly; key/value wire sizes must be
-        the defaults (the fast path sizes records in closed form).
+        must match the scalar path exactly; the key wire size must be
+        the default, and the value size too unless ``values`` is a
+        :class:`~repro.fold.Ragged` column of id lists (the fast path
+        sizes records in closed form).
         """
         return None
 

@@ -46,7 +46,14 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.cluster.storage import PartitionStore
 from repro.errors import JobError
-from repro.fold import fold_by_dest, group_ids
+from repro.fold import (
+    MESSAGE_HEADER,
+    RECORD_HEADER,
+    Ragged,
+    fold_by_dest,
+    group_ids,
+)
+from repro.graph.io import VALUE_BYTES
 from repro.hashing import stable_hash, stable_hash_array
 from repro.mapreduce.api import MapReduceApp, kv_nbytes
 from repro.runtime.events import wall_timer
@@ -77,7 +84,7 @@ def _as_pairs(out: Any) -> list[tuple[Any, Any]]:
     if isinstance(out, list):
         return out
     keys, values = out
-    if isinstance(values, np.ndarray):
+    if not isinstance(values, list):
         values = values.tolist()
     return list(zip(keys.tolist(), values))
 
@@ -89,9 +96,17 @@ def _concat_columns(columns: list[tuple[np.ndarray, Any]]) -> Any:
         return {}
     keys = np.concatenate([k for k, _ in columns])
     parts = [v for _, v in columns]
-    if all(isinstance(v, np.ndarray) for v in parts):
+    if all(isinstance(v, (np.ndarray, Ragged)) for v in parts):
         return keys, np.concatenate(parts)
     return keys, list(chain.from_iterable(parts))
+
+
+def _records_nbytes(values: np.ndarray | Ragged, rec_bytes: float) -> float:
+    """Shuffle bytes of a value column: ``rec_bytes`` per record, or the
+    ragged charge (``VERTEX_ID_BYTES + VALUE_BYTES·len`` each)."""
+    if isinstance(values, Ragged):
+        return values.nbytes(MESSAGE_HEADER)
+    return float(values.size) * rec_bytes
 
 
 @dataclass
@@ -176,9 +191,8 @@ class MapReduceEngine:
         why = None
         if cls.map_array is MapReduceApp.map_array:
             why = "map_array() is not implemented"
-        elif (cls.key_nbytes is not MapReduceApp.key_nbytes
-              or cls.value_nbytes is not MapReduceApp.value_nbytes):
-            why = "non-default key/value sizing needs per-record calls"
+        elif cls.key_nbytes is not MapReduceApp.key_nbytes:
+            why = "non-default key sizing needs per-record calls"
         elif self.combiner and app.combine_ufunc is None:
             why = "combiner=True needs combine_ufunc"
         if why is None:
@@ -227,7 +241,8 @@ class MapReduceEngine:
                 if self.vectorized:
                     raise JobError(
                         f"{app.name}: vectorized=True but map_array() "
-                        "declined the round"
+                        "declined the round (or emitted plain values "
+                        "under a non-default value_nbytes)"
                     )
                 use_fast = False
         if per_part is None:
@@ -380,24 +395,36 @@ class MapReduceEngine:
     def _map_phase_vectorized(
         self, app: MapReduceApp, state: Any, num_reducers: int
     ) -> list[_MapOutput] | None:
-        """Columnar map + combine + hash shuffle; None = app declined."""
-        rec_bytes = float(app.key_nbytes(None) + app.value_nbytes(None))
+        """Columnar map + combine + hash shuffle; None = app declined.
+
+        A :class:`~repro.fold.Ragged` value column is charged in closed
+        form whatever the app's ``value_nbytes``; plain values under a
+        non-default ``value_nbytes`` decline the round.
+        """
+        sized = type(app).value_nbytes is not MapReduceApp.value_nbytes
+        # a sized app's values are ragged, never charged per record
+        rec_bytes = (0.0 if sized else
+                     float(app.key_nbytes(None) + app.value_nbytes(None)))
         per_part: list[_MapOutput] = []
         for p in range(self.pgraph.num_parts):
             kv = app.map_array(p, self.pgraph, state)
             if kv is None:
                 return None
             keys = np.asarray(kv[0])
-            values = np.asarray(kv[1])
+            values = kv[1]
+            if not isinstance(values, Ragged):
+                if sized:
+                    return None
+                values = np.asarray(values)
             mo = _MapOutput(records=int(keys.size),
                             cpu_ops=float(keys.size))
-            mo.spill_precombine = rec_bytes * mo.records
+            mo.spill_precombine = _records_nbytes(values, rec_bytes)
             if self.combiner:
                 keys, values, _ = fold_by_dest(
                     keys, values, app.combine_ufunc)
                 mo.cpu_ops += float(mo.records + keys.size)
             mo.shuffled = int(keys.size)
-            mo.spill = rec_bytes * mo.shuffled
+            mo.spill = _records_nbytes(values, rec_bytes)
             if not self.combiner:
                 mo.spill_precombine = mo.spill
             if keys.size:
@@ -412,9 +439,9 @@ class MapReduceEngine:
                 bounds = np.concatenate(
                     ([0], np.cumsum(counts))).tolist()
                 for r in np.flatnonzero(counts).tolist():
-                    mo.chunks[r] = (sk[bounds[r]:bounds[r + 1]],
-                                    sv[bounds[r]:bounds[r + 1]])
-                    mo.sends[r] = float(counts[r]) * rec_bytes
+                    chunk = sv[bounds[r]:bounds[r + 1]]
+                    mo.chunks[r] = (sk[bounds[r]:bounds[r + 1]], chunk)
+                    mo.sends[r] = _records_nbytes(chunk, rec_bytes)
             per_part.append(mo)
         return per_part
 
@@ -478,19 +505,31 @@ class MapReduceEngine:
 
         Columns under default sizing are charged in closed form: every
         record costs the same integer-valued byte count, so the products
-        equal the per-pair sums of the scalar loop bit for bit.
+        equal the per-pair sums of the scalar loop bit for bit.  Ragged
+        values are too, whatever ``output_nbytes`` says: the record
+        ``<ID, d, ids>`` costs ``VERTEX_ID_BYTES + DEGREE_BYTES +
+        VALUE_BYTES·len``.
         """
-        if (isinstance(out, tuple)
-                and type(app).output_nbytes is MapReduceApp.output_nbytes):
+        ragged = isinstance(out, tuple) and isinstance(out[1], Ragged)
+        if ragged or (isinstance(out, tuple) and type(app).output_nbytes
+                      is MapReduceApp.output_nbytes):
             keys = out[0]
-            rec = float(app.key_nbytes(None) + app.value_nbytes(None))
+            sizes = (RECORD_HEADER + VALUE_BYTES * out[1].lengths()
+                     if ragged else None)
+            rec = (0.0 if ragged else
+                   float(app.key_nbytes(None) + app.value_nbytes(None)))
             writeback: dict[int, float] = {}
             if app.writeback_to_partitions and keys.dtype.kind in "iu":
-                ok = keys[(keys >= 0) & (keys < self.pgraph.num_vertices)]
-                counts = np.bincount(self.assignment[self.pgraph.parts[ok]])
-                writeback = {int(h): float(counts[h]) * rec
+                ok = (keys >= 0) & (keys < self.pgraph.num_vertices)
+                homes = self.assignment[self.pgraph.parts[keys[ok]]]
+                counts = np.bincount(homes)
+                per_home = (counts * rec if sizes is None else
+                            np.bincount(homes, weights=sizes[ok]))
+                writeback = {int(h): float(per_home[h])
                              for h in np.flatnonzero(counts)}
-            return rec * keys.size, writeback
+            if sizes is None:
+                return rec * keys.size, writeback
+            return out[1].nbytes(RECORD_HEADER), writeback
         out_bytes = 0.0
         writeback = {}
         num_vertices = self.pgraph.num_vertices

@@ -61,6 +61,9 @@ class PropagationApp:
     uses_frontier = False
     #: NumPy ufunc equivalent of ``merge`` (e.g. ``np.add``) — required
     #: for the array path of associative apps and for ``combine_array``.
+    #: Apps whose values are id lists name a ragged fold instead
+    #: (``staticmethod(np.concatenate)`` or ``staticmethod(np.union1d)``,
+    #: see :mod:`repro.fold`).
     merge_ufunc = None
 
     # ------------------------------------------------------------------
@@ -153,9 +156,12 @@ class PropagationApp:
                        state: Any) -> np.ndarray | None:
         """Vectorized ``transfer``: one value per edge ``(src[i], dst[i])``.
 
-        Opt-in hook of the array path.  Must return an array
-        aligned with ``src``/``dst`` whose element ``i`` is bit-identical
-        to ``transfer(src[i], dst[i], state)`` — or ``None`` to decline,
+        Opt-in hook of the array path.  Must return an array (or, for
+        id-list values, a :class:`~repro.fold.Ragged` column folded by a
+        ragged ``merge_ufunc``) aligned with ``src``/``dst`` whose
+        element ``i`` is bit-identical to ``transfer(src[i], dst[i],
+        state)`` — a ragged row equal as a list (``a + b`` apps) or as a
+        set (``a | b`` apps) — or ``None`` to decline,
         in which case the engine falls back to the scalar path.  Edges
         whose scalar ``transfer`` would return ``None`` cannot be
         expressed here; such apps MUST stay on the scalar path (decline

@@ -56,7 +56,7 @@ from repro.cluster.storage import PartitionStore
 from repro.errors import JobError
 from repro.graph.io import DEGREE_BYTES, VALUE_BYTES, VERTEX_ID_BYTES
 from repro.hashing import stable_hash
-from repro.fold import fold_by_dest
+from repro.fold import MESSAGE_HEADER, RECORD_HEADER, Ragged, fold_by_dest
 from repro.propagation.api import MessageBox, PropagationApp, message_nbytes
 from repro.runtime.events import wall_timer
 from repro.runtime.scheduler import StageScheduler
@@ -168,10 +168,13 @@ class _PartitionTransfer:
     cross_offsets: np.ndarray | None = None
 
 
-def _wire_bytes(app: PropagationApp, values: np.ndarray) -> float:
-    """Wire bytes of a column of messages (closed form when the app
-    keeps the constant ``value_nbytes``; byte sizes are integer-valued
-    floats, so the product equals the per-message sum bit for bit)."""
+def _wire_bytes(app: PropagationApp, values: np.ndarray | Ragged) -> float:
+    """Wire bytes of a column of messages (closed form for a ragged
+    column and when the app keeps the constant ``value_nbytes``; byte
+    sizes are integer-valued floats, so the product equals the
+    per-message sum bit for bit)."""
+    if isinstance(values, Ragged):
+        return values.nbytes(MESSAGE_HEADER)
     if type(app).value_nbytes is PropagationApp.value_nbytes:
         return float(values.size * (VERTEX_ID_BYTES + VALUE_BYTES))
     return float(sum(message_nbytes(app, v) for v in values.tolist()))
@@ -544,7 +547,8 @@ class PropagationEngine:
         values = app.transfer_array(src, dst, state)
         if values is None:
             return None
-        values = np.asarray(values)
+        if not isinstance(values, Ragged):
+            values = np.asarray(values)
         merging = self.local_opts and app.is_associative
 
         result = _PartitionTransfer()
@@ -847,10 +851,13 @@ class PropagationEngine:
                 vertices, folded, counts = pad, padded, lengths
             out = app.combine_array(vertices, folded, counts, state)
             if out is not None:
-                out = np.asarray(out)
-                if type(app).result_nbytes is PropagationApp.result_nbytes:
+                if isinstance(out, Ragged):
+                    output_bytes = out.nbytes(RECORD_HEADER)
+                elif type(app).result_nbytes is PropagationApp.result_nbytes:
+                    out = np.asarray(out)
                     output_bytes = float(out.size * VALUE_BYTES)
                 else:
+                    out = np.asarray(out)
                     output_bytes = float(sum(
                         app.result_nbytes(v, o)
                         for v, o in zip(vertices.tolist(), out.tolist())))

@@ -26,6 +26,7 @@ from repro.apps import (
 )
 from repro.core.surfer import Surfer
 from repro.errors import JobError
+from repro.graph import Graph
 from repro.graph import (
     count_triangles,
     degree_histogram,
@@ -174,6 +175,16 @@ class TestTriangleCounting:
             TriangleCountingMapReduce(select_ratio=0.5)
         )
         assert prop.result == mr.result
+
+    @pytest.mark.parametrize("cls", [TriangleCountingPropagation,
+                                     TriangleCountingMapReduce])
+    def test_self_loop_is_no_triangle(self, cls):
+        """A star 0 -> {1, 2, 3} with a self loop at its centre: vertex 0
+        ships its list to itself, which must not count as a pair."""
+        graph = Graph.from_edges([(0, 0), (0, 1), (0, 2), (0, 3)])
+        surfer = Surfer(graph, make_test_cluster(2), num_parts=2, seed=1)
+        assert count_triangles(graph) == 0
+        assert surfer.run(cls(select_ratio=1.0)).result == 0
 
     def test_sampling_reduces_count(self, surfer):
         full = surfer.run_propagation(

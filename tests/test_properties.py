@@ -20,7 +20,10 @@ from repro.apps import (
     NetworkRankingPropagation,
     RecommenderPropagation,
     ReverseLinkGraphMapReduce,
+    ReverseLinkGraphPropagation,
     ShortestPathsPropagation,
+    TwoHopFriendsMapReduce,
+    TwoHopFriendsPropagation,
 )
 from repro.core.bandwidth_aware import PartitionPlan
 from repro.core.partitioned import PartitionedGraph, VertexEncoding
@@ -28,6 +31,7 @@ from repro.core.surfer import Surfer
 from repro.errors import GraphError
 from repro.fold import (
     COUNTING_SPAN_FACTOR,
+    Ragged,
     fold_by_dest,
     group_counting,
     group_ids,
@@ -502,6 +506,70 @@ class TestFoldKernel:
 
 
 @st.composite
+def ragged_messages(draw):
+    """``(dests, rows)``: none, one or many id-list messages, empty rows
+    among them, ids repeated within and across rows."""
+    k = draw(st.integers(0, 30))
+    dests = draw(st.lists(st.integers(0, 5), min_size=k, max_size=k))
+    rows = draw(st.lists(st.lists(st.integers(0, 9), max_size=5),
+                         min_size=k, max_size=k))
+    return np.array(dests, dtype=np.int64), rows
+
+
+class TestRaggedFold:
+    @pytest.mark.parametrize("ufunc, as_value, merge", [
+        (np.concatenate, tuple, lambda a, b: a + b),
+        (np.union1d, frozenset, lambda a, b: a | b),
+    ], ids=["concatenate-tuples", "union1d-frozensets"])
+    @COMMON
+    @given(ragged_messages())
+    def test_equals_python_left_fold(self, ufunc, as_value, merge, drawn):
+        dests, rows = drawn
+        folded: dict = {}
+        sizes: dict = {}
+        for d, row in zip(dests.tolist(), rows):
+            value = as_value(row)
+            folded[d] = merge(folded[d], value) if d in folded else value
+            sizes[d] = sizes.get(d, 0) + 1
+        column = Ragged.from_rows(rows)
+        results = [fold_by_dest(dests, column, ufunc)]
+        if dests.size:  # the forced strategies take non-empty input
+            results += [fold_with(strategy, dests, column, ufunc)
+                        for strategy in ("sorted", "counting")]
+        want = sorted(folded)
+        for uniq, merged, counts in results:
+            assert uniq.tolist() == want
+            assert counts.tolist() == [sizes[d] for d in want]
+            got = merged.tolist()
+            if as_value is tuple:
+                assert got == [folded[d] for d in want]
+            else:  # a union lists each id once, ascending
+                assert got == [tuple(sorted(folded[d])) for d in want]
+
+    @COMMON
+    @given(ragged_messages(), st.data())
+    def test_column_operations_equal_list_operations(self, drawn, data):
+        _, rows = drawn
+        column = Ragged.from_rows(rows)
+        listed = [tuple(row) for row in rows]
+        assert column.tolist() == listed
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(rows),
+                                           max_size=len(rows))), dtype=bool)
+        assert column[mask].tolist() == [r for r, m in zip(listed, mask)
+                                         if m]
+        index = np.array(data.draw(st.lists(
+            st.integers(0, max(len(rows) - 1, 0)),
+            max_size=8 if rows else 0)), dtype=np.intp)
+        assert column[index].tolist() == [listed[i] for i in index]
+        cut = data.draw(st.integers(0, len(rows)))
+        assert column[cut:].tolist() == listed[cut:]
+        joined = np.concatenate([column[:cut], column[cut:]])
+        assert joined.tolist() == listed
+        assert column.nbytes(VERTEX_ID_BYTES) == sum(
+            VERTEX_ID_BYTES + 8 * len(row) for row in rows)
+
+
+@st.composite
 def key_columns(draw):
     """Integer keys: none, one or many, negative or past ``2**63``, in a
     narrow dtype, over a dense range or a huge span."""
@@ -565,6 +633,10 @@ ARRAY_APPS = {
     "SSSP": (ShortestPathsPropagation, False),
     "KCORE": (KCoreDecompositionPropagation, True),
     "DPR": (DeltaPageRankPropagation, False),
+    # ragged values: one-id rows joined, friend lists united
+    "RLG": (ReverseLinkGraphPropagation, False),
+    "TFL": (TwoHopFriendsPropagation, False),
+    "TFL-half": (lambda: TwoHopFriendsPropagation(select_ratio=0.5), False),
     # test-only: makes the arrival order itself observable
     "ORDER": (ArrivalOrderApp, False),
 }
@@ -627,14 +699,17 @@ class TestArrayPathDifferential:
 
 
 #: every MapReduce app with ``map_array``: (factory, has ``combine``).
-#: NR is columnar into ``update_array``; VDD, RLG and ORDER override
-#: ``update`` alone and are handed the round's dict.
+#: NR, RLG and TFL are columnar into ``update_array`` (RLG and TFL with
+#: ragged values); VDD and ORDER override ``update`` alone and are
+#: handed the round's dict.
 MR_ARRAY_APPS = {
     "NR": (NetworkRankingMapReduce, True),
     "NR-naive": (lambda: NetworkRankingMapReduce(in_map_combining=False),
                  True),
     "VDD": (DegreeDistributionMapReduce, True),
     "RLG": (ReverseLinkGraphMapReduce, False),
+    "TFL": (TwoHopFriendsMapReduce, False),
+    "TFL-half": (lambda: TwoHopFriendsMapReduce(select_ratio=0.5), False),
     # test-only: reduce emits its bag in shuffle arrival order
     "ORDER": (ArrivalOrderMapReduce, False),
 }

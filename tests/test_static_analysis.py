@@ -43,6 +43,7 @@ from repro.apps import (
     DegreeDistributionPropagation,
     NetworkRankingMapReduce,
     NetworkRankingPropagation,
+    TwoHopFriendsPropagation,
 )
 from repro.mapreduce.api import MapReduceApp
 from repro.propagation.api import PropagationApp
@@ -333,7 +334,17 @@ class _DisagreeingReduceArray(NetworkRankingMapReduce):
         return keys, np.bincount(gid, weights=values, minlength=keys.size)
 
 
+class _MissizedRaggedMessages(TwoHopFriendsPropagation):
+    def value_nbytes(self, value):
+        return 8.0 * (len(value) + 1)  # one id more than the column pays
+
+
 class TestContracts:
+    def test_ragged_sizing_must_match_the_closed_form(self):
+        fs = verify_propagation_app(_MissizedRaggedMessages)
+        assert rules_of(fs) == ["UDF002"]
+        assert "value_nbytes disagrees with the ragged" in fs[0].message
+
     def test_reduce_array_must_emit_group_keys(self):
         fs = verify_mapreduce_app(_ForeignKeyReduceArray)
         assert rules_of(fs) == ["UDF002"]
