@@ -14,9 +14,12 @@ Three checks, hybrid static + dynamic:
   (``transfer``/``combine``/``map``/``reduce``/``merge``/…) must not do
   I/O, touch process-global modules (``random``, ``os``, ``time``,
   ``subprocess``…), use ``global``/``nonlocal``, or mutate ``self`` —
-  a re-executed task (fault tolerance, speculation) would observe the
-  mutation from the first attempt.  Per-job scratch belongs in
-  ``VertexState.extra``, which the engines re-create on re-execution.
+  assign, augment or delete ``self.X`` or an item of it
+  (``self.X[k] = …``): a re-executed task (fault tolerance,
+  speculation) would observe the mutation from the first attempt, and a
+  reused app instance carries it into the next job.  Per-job scratch
+  belongs in ``VertexState.extra``, which the engines re-create on
+  re-execution.
 * **UDF002** (dynamic) — property checks on *real* payloads: the app's
   own ``transfer``/``map`` runs on a tiny partitioned graph and the
   harvested bags feed associativity / commutativity / partial-fold /
@@ -133,15 +136,29 @@ def _purity_violations(method: ast.FunctionDef, path: str,
                         and root.id in _IMPURE_ROOTS):
                     report(node,
                            f"call into process-global module {root.id!r}")
-        elif isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = (node.targets if isinstance(node, ast.Assign)
-                       else [node.target])
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
+            targets = ([node.target] if isinstance(node, ast.AugAssign)
+                       else node.targets)
             for target in targets:
-                if (isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"):
-                    report(node, f"mutates self.{target.attr}")
+                stored = _self_store(target)
+                if stored is not None:
+                    verb = ("deletes" if isinstance(node, ast.Delete)
+                            else "mutates")
+                    report(node, f"{verb} self.{stored}")
     return findings
+
+
+def _self_store(target: ast.expr) -> str | None:
+    """``X`` or ``X[...]`` when ``target`` is ``self.X`` or an item of
+    it (``self.X[k]``, ``self.X[k][j]``), else None."""
+    item = False
+    while isinstance(target, ast.Subscript):
+        target, item = target.value, True
+    if (isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Name)
+            and target.value.id == "self"):
+        return target.attr + ("[...]" if item else "")
+    return None
 
 
 def check_udf_purity(source: str, path: str) -> list[Finding]:

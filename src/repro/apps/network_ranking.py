@@ -13,11 +13,13 @@ map (Algorithm 2) must hand-roll the per-partition partial-rank hash table
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.apps.base import VertexState
 from repro.mapreduce.api import MapReduceApp
-from repro.fold import fold_by_dest
+from repro.fold import Grouping
 from repro.propagation.api import PropagationApp
 
 __all__ = ["NetworkRankingPropagation", "NetworkRankingMapReduce"]
@@ -72,6 +74,52 @@ class NetworkRankingPropagation(PropagationApp):
         return state.values
 
 
+@dataclass(frozen=True)
+class _RankTable:
+    """One partition's in-map hash table layout, a function of the graph
+    alone: ``keys`` is the emitted key column — the distinct edge
+    destinations ascending, then the partition's own vertices no edge
+    reaches — and ``slots[j]`` the position in ``keys`` of edge ``j``'s
+    destination (the ranked grouping of the destinations).  Both are
+    held narrow and read-only; a checkpoint shares the table rather
+    than copying it."""
+
+    slots: np.ndarray
+    keys: np.ndarray
+
+    @classmethod
+    def build(cls, pgraph, partition: int) -> _RankTable:
+        _, dst = pgraph.partition_edges(partition)
+        dests = Grouping(dst.astype(np.int64, copy=False),
+                         ranked=True).narrow()
+        uniq = dests.uniq
+        own = pgraph.partition_vertices[partition].astype(
+            np.int64, copy=False)
+        # uniq is sorted: membership test via binary search
+        if uniq.size:
+            pos = np.minimum(np.searchsorted(uniq, own), uniq.size - 1)
+            missing = own[uniq[pos] != own]
+        else:
+            missing = own
+        # vertex ids in the narrowest dtype that holds them: the shuffle
+        # hashes key values, not their width
+        keys = np.concatenate((uniq, missing)).astype(
+            np.min_scalar_type(max(pgraph.num_vertices - 1, 0)))
+        keys.flags.writeable = False
+        return cls(dests.index, keys)
+
+    def fold(self, deltas: np.ndarray) -> np.ndarray:
+        """Each key's partial rank: ``0.0 + d1 + d2 + ...`` over its
+        edges in scan order (the scalar table's chain; ``bincount``
+        accumulates in input order), 0.0 for the vertices no edge
+        reaches."""
+        return np.bincount(self.slots.astype(np.intp), weights=deltas,
+                           minlength=self.keys.size)
+
+    def __deepcopy__(self, memo: dict) -> _RankTable:
+        return self
+
+
 class NetworkRankingMapReduce(MapReduceApp):
     """MapReduce-based PageRank (Algorithm 2).
 
@@ -87,6 +135,11 @@ class NetworkRankingMapReduce(MapReduceApp):
     improves on; the combined shuffle is bit-identical to the in-map
     hash-table output, which makes the combiner's shuffle reduction
     directly measurable.
+
+    ``map_array`` lays out each partition's table once per job
+    (``state.extra["rank_tables"]``, keyed by partition): the graph fixes
+    which destinations share a slot, so later rounds only compute the
+    deltas and fold them with one ``bincount``.
     """
 
     name = "NR"
@@ -122,26 +175,26 @@ class NetworkRankingMapReduce(MapReduceApp):
             emit(v, partial)
 
     def map_array(self, partition, pgraph, state):
-        src, dst = pgraph.partition_edges(partition)
-        out_deg = state.extra["out_deg"]
-        deltas = self.damping * state.values[src] / out_deg[src]
-        own = pgraph.partition_vertices[partition].astype(
-            np.int64, copy=False)
+        own = pgraph.partition_vertices[partition]
+        deg = state.extra["out_deg"][own]
+        # damping * rank / out-degree once per source, repeated over its
+        # out-edges in scan order (ascending source): the per-edge
+        # expression element for element; a source without out-edges
+        # is repeated zero times and never divided
+        share = np.divide(self.damping * state.values[own], deg,
+                          out=np.zeros(own.size), where=deg > 0)
+        deltas = np.repeat(share, deg)
         if not self.in_map_combining:
-            keys = np.concatenate((dst.astype(np.int64, copy=False), own))
+            _, dst = pgraph.partition_edges(partition)
+            keys = np.concatenate((dst.astype(np.int64, copy=False),
+                                   own.astype(np.int64, copy=False)))
             values = np.concatenate((deltas, np.zeros(own.size)))
             return keys, values
-        uniq, merged, _ = fold_by_dest(
-            dst.astype(np.int64, copy=False), deltas, np.add)
-        # uniq is sorted: membership test via binary search
-        if uniq.size:
-            pos = np.minimum(np.searchsorted(uniq, own), uniq.size - 1)
-            missing = own[uniq[pos] != own]
-        else:
-            missing = own
-        keys = np.concatenate((uniq, missing))
-        values = np.concatenate((merged, np.zeros(missing.size)))
-        return keys, values
+        tables = state.extra.setdefault("rank_tables", {})
+        table = tables.get(partition)
+        if table is None:
+            table = tables[partition] = _RankTable.build(pgraph, partition)
+        return table.keys, table.fold(deltas)
 
     def reduce(self, key, values, state, emit):
         rank = (1.0 - self.damping) / state.num_vertices + sum(values)

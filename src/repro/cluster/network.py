@@ -95,19 +95,6 @@ class NetworkModel:
                 self.metrics.add("network.bytes_background", int(nbytes))
         return nbytes / self.topology.bandwidth(src, dst)
 
-    def effective_bandwidth(
-        self, src: int, dst: int, users: dict | None = None
-    ) -> float:
-        """Bandwidth of one flow given stage-wide congestion state.
-
-        ``users`` maps each shared-resource key to the set of machines
-        using it during the current stage; the flow receives a fair share
-        ``capacity / |users|`` of every resource it crosses, capped by the
-        full link rate.  Without ``users`` the pairwise worst case from
-        the topology applies.
-        """
-        return self.flow_constraint(src, dst, users)[0]
-
     def flow_constraint(
         self, src: int, dst: int, users: dict | None = None
     ) -> tuple[float, object]:

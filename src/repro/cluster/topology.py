@@ -73,30 +73,6 @@ class Topology:
     def describe(self) -> str:
         return f"{type(self).__name__}(n={self.num_machines})"
 
-    # -- derived helpers -----------------------------------------------
-    def bandwidth_matrix(self) -> np.ndarray:
-        """Dense pairwise bandwidth matrix; diagonal is ``inf``."""
-        n = self.num_machines
-        mat = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                mat[i, j] = np.inf if i == j else self.bandwidth(i, j)
-        return mat
-
-    def aggregate_bandwidth(self, group_a, group_b) -> float:
-        """Sum of pair bandwidths across two disjoint machine groups.
-
-        This is the quantity the bandwidth-aware partitioner minimizes on
-        the machine-graph bisection (Section 4.2).
-        """
-        set_b = set(int(m) for m in group_b)
-        total = 0.0
-        for a in group_a:
-            for b in set_b:
-                if int(a) != b:
-                    total += self.bandwidth(int(a), b)
-        return total
-
     def _check(self, machine: int) -> None:
         if not 0 <= machine < self.num_machines:
             raise TopologyError(

@@ -22,10 +22,17 @@ finds its group:
 * **sorted** — groups from one stable argsort: O(k log k), whatever the
   span.
 
-Both functions choose from what the input shows — the record count
-``k`` and the id span — and nothing else.  A counting fold accumulates
-by slot and drops the empty slots afterwards, which spares it the
+The choice is made from what the input shows — the record count ``k``
+and the id span — and nothing else.  A counting fold accumulates by
+slot and drops the empty slots afterwards, which spares it the
 per-record gather that ranks slots into group ids.
+
+Grouping the keys and folding the values are separate steps: a
+:class:`Grouping` is built once from a key column and folds any number
+of value columns over it.  :func:`group_ids` and :func:`fold_by_dest`
+build one and use it once; a MapReduce job whose fixed graph emits the
+same keys every round holds its groupings and only folds (DESIGN.md
+§4).
 
 Values that are vertex-id *lists* (RLG's reversed edges, TFL's friend
 lists) travel as one :class:`Ragged` column instead of one object per
@@ -44,8 +51,8 @@ import numpy as np
 from repro.graph.digraph import csr_from_keys, pair_keys
 from repro.graph.io import DEGREE_BYTES, VALUE_BYTES, VERTEX_ID_BYTES
 
-__all__ = ["MESSAGE_HEADER", "RAGGED_FOLDS", "RECORD_HEADER", "Ragged",
-           "distinct_rows", "fold_by_dest", "group_ids"]
+__all__ = ["MESSAGE_HEADER", "RAGGED_FOLDS", "RECORD_HEADER", "Grouping",
+           "Ragged", "distinct_rows", "fold_by_dest", "group_ids"]
 
 #: counting strategy when ``span <= COUNTING_SPAN_FACTOR * k``.  On
 #: 100 k uniformly random ids counting beats the stable sort up to
@@ -196,12 +203,107 @@ def group_ids(keys: np.ndarray) -> Grouped:
     is key ``i``'s bag in arrival order.  Empty input gives three empty
     arrays.
     """
-    if keys.size == 0:
-        none = np.zeros(0, dtype=np.intp)
-        return keys[:0], none, none
-    if _counting_fits(keys):
-        return group_counting(keys)
-    return group_sorted(keys)
+    grouping = Grouping(keys, ranked=True)
+    return grouping.uniq, grouping.index, grouping.counts
+
+
+class Grouping:
+    """The groups of one key column, built once and folded many times.
+
+    ``uniq`` holds the distinct keys ascending (the keys' dtype) and
+    ``counts`` how many records each has.  Record ``j`` folds into entry
+    ``index[j]`` of a ``width``-entry table.  A *ranked* grouping's
+    table is ``uniq`` itself, so ``index`` is each record's group id;
+    an unranked counting grouping (one fold, no rank gather) folds by
+    slot ``key - min`` and keeps the ``occupied`` slots afterwards.  The
+    sorted strategy is always ranked.  Both forms give the same groups
+    and the same order-exact fold.
+
+    Never changed once built: new keys take a new grouping, and a (deep)
+    copy is the object itself, so a checkpoint shares a held grouping
+    instead of copying it.  :meth:`narrow` — the form held across rounds
+    — also makes the arrays read-only.  (Fresh ones stay writable:
+    ``np.bincount`` copies a read-only input.)
+    """
+
+    __slots__ = ("uniq", "counts", "index", "width", "occupied")
+
+    def __init__(self, keys: np.ndarray, ranked: bool = False) -> None:
+        occupied = None
+        if keys.size == 0:
+            none = np.zeros(0, dtype=np.intp)
+            uniq, index, counts = keys[:0], none, none
+        elif not _counting_fits(keys):
+            uniq, index, counts = group_sorted(keys)
+        elif ranked:
+            uniq, index, counts = group_counting(keys)
+        else:
+            uniq, index, per_slot, occupied = _slots(keys)
+            counts = per_slot[occupied]
+            if occupied.size == per_slot.size:
+                occupied = None  # every slot holds a group: slot == rank
+        self.uniq, self.counts, self.index = uniq, counts, index
+        self.occupied = occupied
+        #: entries of the fold's table: groups, or slots when unranked
+        self.width = int(uniq.size if occupied is None else per_slot.size)
+
+    def rank(self) -> Grouping:
+        """This grouping, ranked: ``index`` becomes each record's group
+        id (one gather for an unranked one; itself when ranked)."""
+        if self.occupied is None:
+            return self
+        rank = np.empty(self.width, dtype=np.intp)
+        rank[self.occupied] = np.arange(self.occupied.size)
+        out = object.__new__(Grouping)
+        out.uniq, out.counts = self.uniq, self.counts
+        out.index = rank[self.index]
+        out.width, out.occupied = int(self.uniq.size), None
+        return out
+
+    def narrow(self) -> Grouping:
+        """This grouping held across rounds: ``index`` and ``counts`` in
+        the narrowest unsigned dtypes that hold them, every array
+        read-only.  Widen ``index`` to ``np.intp`` before indexing with
+        it (:meth:`fold` does)."""
+        out = object.__new__(Grouping)
+        out.uniq, out.occupied, out.width = (self.uniq, self.occupied,
+                                             self.width)
+        out.index = _narrowed(self.index, self.width)
+        out.counts = _narrowed(self.counts,
+                               int(self.counts.max(initial=0)) + 1)
+        for array in (out.uniq, out.counts, out.index, out.occupied):
+            if array is not None:
+                array.flags.writeable = False
+        return out
+
+    def fold(self, values: Any, ufunc: Any) -> Any:
+        """Left-fold ``values`` (aligned with the grouped keys) per
+        group, in input order: ``merged[i]`` folds group ``uniq[i]``'s
+        values by ``ufunc``.  A :class:`Ragged` column folds by one of
+        :data:`RAGGED_FOLDS`."""
+        size = values.size if isinstance(values, Ragged) else len(values)
+        if size != self.index.size:
+            raise ValueError(f"{size} values for a grouping of "
+                             f"{self.index.size} records")
+        if isinstance(values, Ragged):
+            return _fold_rows(self.rank(), values, ufunc)
+        if self.index.size == 0:
+            return values[:0]
+        merged = _accumulate(self.index.astype(np.intp, copy=False),
+                             values, ufunc, self.width)
+        return merged if self.occupied is None else merged[self.occupied]
+
+    def __copy__(self) -> Grouping:
+        return self
+
+    def __deepcopy__(self, memo: dict[int, Any]) -> Grouping:
+        return self
+
+
+def _narrowed(array: np.ndarray, bound: int) -> np.ndarray:
+    """Non-negative ``array`` (all below ``bound``) in the narrowest
+    unsigned dtype."""
+    return array.astype(np.min_scalar_type(max(bound - 1, 0)), copy=False)
 
 
 def _counting_fits(keys: np.ndarray) -> bool:
@@ -251,7 +353,7 @@ def group_sorted(keys: np.ndarray) -> Grouped:
 
 def fold_by_dest(dests: np.ndarray, values: Any, ufunc: Any) -> Folded:
     """Left-fold ``values`` per destination, in input (emission) order:
-    the groups of :func:`group_ids`, each reduced to one value.
+    one :class:`Grouping` of ``dests``, folded once.
 
     Returns ``(uniq_dests, merged, counts)`` with ``uniq_dests`` sorted
     ascending, ``merged[i]`` the left fold of ``ufunc`` over destination
@@ -259,34 +361,25 @@ def fold_by_dest(dests: np.ndarray, values: Any, ufunc: Any) -> Folded:
     Empty input gives three empty arrays of the matching dtypes.  A
     :class:`Ragged` column folds by one of :data:`RAGGED_FOLDS`.
     """
-    if isinstance(values, Ragged):
-        return _fold_rows(dests, values, ufunc)
-    if dests.size == 0:
-        return dests[:0], values[:0], np.zeros(0, dtype=np.intp)
-    if _counting_fits(dests):
-        # the counting groups, folded by slot before the empty slots go:
-        # group_counting's per-record rank gather is not needed here
-        uniq, slot, per_slot, occupied = _slots(dests)
-        merged = _accumulate(slot, values, ufunc, per_slot.size)
-        return uniq, merged[occupied], per_slot[occupied]
-    uniq, gid, counts = group_sorted(dests)
-    return uniq, _accumulate(gid, values, ufunc, uniq.size), counts
+    # a ragged fold needs group ids; a plain one folds by slot
+    grouping = Grouping(dests, ranked=isinstance(values, Ragged))
+    return grouping.uniq, grouping.fold(values, ufunc), grouping.counts
 
 
-def _fold_rows(dests: np.ndarray, values: Ragged, ufunc: Any) -> Folded:
-    """Each destination's rows joined in input order (``np.concatenate``)
-    or united, ascending (``np.union1d``)."""
+def _fold_rows(grouping: Grouping, values: Ragged, ufunc: Any) -> Ragged:
+    """Each group's rows joined in input order (``np.concatenate``) or
+    united, ascending (``np.union1d``); ``grouping`` ranked."""
     if ufunc is not np.concatenate and ufunc is not np.union1d:
         raise TypeError(f"a Ragged column folds by np.concatenate or "
                         f"np.union1d, not {ufunc!r}")
-    uniq, gid, counts = group_ids(dests)
+    gid = grouping.index
     if ufunc is np.union1d:
-        return (uniq, distinct_rows(gid[values.row_ids()], values.flat,
-                                    uniq.size), counts)
+        return distinct_rows(gid[values.row_ids()], values.flat,
+                             grouping.uniq.size)
     joined = values.take(np.argsort(gid, kind="stable"))
-    bounds = np.zeros(uniq.size + 1, dtype=np.intp)
-    np.cumsum(counts, out=bounds[1:])
-    return uniq, Ragged(joined.offsets[bounds], joined.flat), counts
+    bounds = np.zeros(grouping.uniq.size + 1, dtype=np.intp)
+    np.cumsum(grouping.counts, out=bounds[1:])
+    return Ragged(joined.offsets[bounds], joined.flat)
 
 
 def _accumulate(gid: np.ndarray, values: np.ndarray, ufunc: Any,

@@ -97,6 +97,13 @@ class MapReduceApp:
         the default, and the value size too unless ``values`` is a
         :class:`~repro.fold.Ragged` column of id lists (the fast path
         sizes records in closed form).
+
+        ``keys`` may repeat from round to round — a fixed graph's keys
+        usually do, and an app may return the very same (read-only)
+        array again.  The engine then replays the shuffle it planned
+        for them, but only after checking the keys against the copy it
+        holds, record for record, so keys that changed — even in place,
+        in an array returned before — take a new plan.
         """
         return None
 
@@ -110,6 +117,8 @@ class MapReduceApp:
         keys sorted ascending and ``gid`` each record's index into
         ``keys`` (see :func:`repro.fold.group_ids`): key ``i``'s bag is
         ``values[gid == i]``, in the order the scalar ``reduce`` sees it.
+        ``keys`` and ``gid`` are read-only: a reducer's grouping is
+        planned once and replayed while its input keys repeat.
         Must return output columns ``(out_keys, out_values)`` —
         ``out_values`` an aligned ndarray, or a list where the values are
         not numeric — holding exactly the pairs the scalar ``reduce``

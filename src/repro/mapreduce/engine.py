@@ -19,13 +19,24 @@ engine's Transfer fast path):
   hash-partitions them with :func:`repro.hashing.stable_hash_array` and
   buckets them per reducer with a stable radix sort of the narrowed
   reducer ids.  Each reducer groups its records in arrival order with
-  :func:`repro.fold.group_ids` — no sort, no per-record dict insert —
+  a :class:`repro.fold.Grouping` — no sort, no per-record dict insert —
   and hands them to ``reduce_array``, whose ``(keys, values)`` columns
   the round concatenates in reducer order, charges in closed form and
   returns as columns for ``update_array``.  If any reducer declines
   ``reduce_array``, the whole round falls back to sorted bags, scalar
   ``reduce`` calls and the oracle's dict.  Outputs and every cost
   counter are bit-identical to the scalar oracle.
+
+  The keys a fixed graph emits repeat round after round, so the engine
+  plans them once: per partition a :class:`_ShufflePlan` (the
+  combiner's grouping, the reducer permutation and its bounds), per
+  reducer its grouping.  A later round reuses a plan only after its
+  keys are shown to reproduce it — compared record for record with the
+  copy the plan holds, never trusted by array identity — and any
+  mismatch rebuilds that partition's plan and every reducer's.  Only
+  the host's recomputation goes: the simulated job still spills,
+  shuffles, sorts and writes back every round.  The engine is per job
+  (a restart builds a new one), and so are its plans.
 * **Map-side combiner** (``combiner``) — Hadoop-style: each mapper folds
   its output per key (``combine`` scalar / ``combine_ufunc`` array)
   before the shuffle, shrinking spill and network volume at the price of
@@ -46,13 +57,7 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.cluster.storage import PartitionStore
 from repro.errors import JobError
-from repro.fold import (
-    MESSAGE_HEADER,
-    RECORD_HEADER,
-    Ragged,
-    fold_by_dest,
-    group_ids,
-)
+from repro.fold import MESSAGE_HEADER, RECORD_HEADER, Grouping, Ragged
 from repro.graph.io import VALUE_BYTES
 from repro.hashing import stable_hash, stable_hash_array
 from repro.mapreduce.api import MapReduceApp, kv_nbytes
@@ -142,8 +147,9 @@ class _MapOutput:
 
     ``chunks`` maps reducer id to that reducer's share of this mapper's
     output: a list of ``(key, value)`` pairs on the scalar path, or a
-    ``(keys, values)`` array pair on the fast path — both in emission
-    order, so reducers see identical per-key bags either way.
+    value column on the fast path (its keys are the partition's plan's)
+    — both in emission order, so reducers see identical per-key bags
+    either way.
     """
 
     records: int = 0
@@ -153,6 +159,67 @@ class _MapOutput:
     cpu_ops: float = 0.0
     sends: dict[int, float] = field(default_factory=dict)
     chunks: dict[int, Any] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class _ShufflePlan:
+    """One partition's graph-only shuffle work for one key column.
+
+    ``held`` is a read-only copy of the raw keys and ``combine`` their
+    grouping for the map-side combiner (None without it).  The shuffled
+    keys — the raw ones, or the combined ``combine.uniq`` — permuted by
+    ``order`` (the stable sort of their reducer ids, held narrow) go to
+    reducer ``r`` in ``[bounds[r], bounds[r + 1])``; ``reducers`` lists
+    those with records.
+    """
+
+    num_reducers: int
+    held: np.ndarray
+    combine: Grouping | None
+    order: np.ndarray
+    bounds: list[int]
+    reducers: list[int]
+
+    @classmethod
+    def build(cls, keys: np.ndarray, combiner: bool,
+              num_reducers: int) -> _ShufflePlan:
+        combine = (Grouping(keys, ranked=True).narrow() if combiner
+                   else None)
+        shuffled = keys if combine is None else combine.uniq
+        if shuffled.size:
+            # narrow ids take NumPy's radix sort; a stable sort gives
+            # the same permutation at any width
+            rids = (stable_hash_array(shuffled) % num_reducers).astype(
+                np.min_scalar_type(num_reducers - 1))
+            counts = np.bincount(rids, minlength=num_reducers)
+            order = np.argsort(rids, kind="stable")
+        else:
+            counts = np.zeros(num_reducers, dtype=np.intp)
+            order = np.zeros(0, dtype=np.intp)
+        held = keys.copy()
+        order = order.astype(np.min_scalar_type(max(order.size - 1, 0)))
+        order.flags.writeable = held.flags.writeable = False
+        return cls(num_reducers, held, combine, order,
+                   [0] + np.cumsum(counts).tolist(),
+                   np.flatnonzero(counts).tolist())
+
+    def matches(self, keys: np.ndarray, combiner: bool,
+                num_reducers: int) -> bool:
+        """Whether ``keys`` reproduce this plan: the same reducers and
+        combiner mode, and the held keys record for record."""
+        return (num_reducers == self.num_reducers
+                and combiner == (self.combine is not None)
+                and keys.shape == self.held.shape
+                and keys.dtype == self.held.dtype
+                and bool(np.array_equal(keys, self.held)))
+
+    def permutation(self) -> np.ndarray:
+        return self.order.astype(np.intp, copy=False)
+
+    def sorted_keys(self) -> np.ndarray:
+        """The shuffled keys in reducer order (rebuilt, not held)."""
+        shuffled = self.held if self.combine is None else self.combine.uniq
+        return shuffled[self.permutation()]
 
 
 class MapReduceEngine:
@@ -180,6 +247,11 @@ class MapReduceEngine:
         #: fold map output per key before the shuffle (needs
         #: ``combine`` — plus ``combine_ufunc`` on the fast path).
         self.combiner = combiner
+        #: array rounds' shuffle plans, by partition index
+        self._plans: dict[int, _ShufflePlan] = {}
+        #: each reducer's grouping (None: received nothing), valid while
+        #: no partition's plan has been rebuilt since it was built
+        self._reducer_plans: list[Grouping | None] | None = None
 
     # ------------------------------------------------------------------
     # Fast-path gating
@@ -293,13 +365,17 @@ class MapReduceEngine:
         timer = wall_timer()
 
         # -------- Reduce phase ------------------------------------------
-        reduce_bucket = (self._reduce_bucket_vectorized if use_fast
-                         else self._reduce_bucket_scalar)
-        reduced = [
-            reduce_bucket(app, state,
-                          [mo.chunks[r] for mo in per_part if r in mo.chunks])
-            for r in range(num_reducers)
-        ]
+        inputs = [[mo.chunks[r] for mo in per_part if r in mo.chunks]
+                  for r in range(num_reducers)]
+        if use_fast:
+            if self._reducer_plans is None:
+                self._reducer_plans = self._reducer_groupings(num_reducers)
+            reduced = [
+                self._reduce_bucket_vectorized(app, state, chunks, grouping)
+                for chunks, grouping in zip(inputs, self._reducer_plans)]
+        else:
+            reduced = [self._reduce_bucket_scalar(app, state, chunks)
+                       for chunks in inputs]
         # columnar or dict as a whole: one reducer that declined
         # reduce_array (its output is pairs) makes the round the oracle's
         columnar = use_fast and not any(
@@ -416,34 +492,50 @@ class MapReduceEngine:
                 if sized:
                     return None
                 values = np.asarray(values)
+            plan = self._shuffle_plan(p, keys, num_reducers)
             mo = _MapOutput(records=int(keys.size),
                             cpu_ops=float(keys.size))
             mo.spill_precombine = _records_nbytes(values, rec_bytes)
-            if self.combiner:
-                keys, values, _ = fold_by_dest(
-                    keys, values, app.combine_ufunc)
-                mo.cpu_ops += float(mo.records + keys.size)
-            mo.shuffled = int(keys.size)
+            if plan.combine is not None:
+                values = plan.combine.fold(values, app.combine_ufunc)
+                mo.cpu_ops += float(mo.records + plan.order.size)
+            mo.shuffled = int(plan.order.size)
             mo.spill = _records_nbytes(values, rec_bytes)
             if not self.combiner:
                 mo.spill_precombine = mo.spill
-            if keys.size:
-                # narrow ids take NumPy's radix sort; a stable sort gives
-                # the same permutation at any width
-                rids = (stable_hash_array(keys) % num_reducers).astype(
-                    np.min_scalar_type(num_reducers - 1))
-                counts = np.bincount(rids, minlength=num_reducers)
-                order = np.argsort(rids, kind="stable")
-                sk = keys[order]
-                sv = values[order]
-                bounds = np.concatenate(
-                    ([0], np.cumsum(counts))).tolist()
-                for r in np.flatnonzero(counts).tolist():
-                    chunk = sv[bounds[r]:bounds[r + 1]]
-                    mo.chunks[r] = (sk[bounds[r]:bounds[r + 1]], chunk)
-                    mo.sends[r] = _records_nbytes(chunk, rec_bytes)
+            sv = values[plan.permutation()]
+            bounds = plan.bounds
+            for r in plan.reducers:
+                chunk = mo.chunks[r] = sv[bounds[r]:bounds[r + 1]]
+                mo.sends[r] = _records_nbytes(chunk, rec_bytes)
             per_part.append(mo)
         return per_part
+
+    def _shuffle_plan(self, p: int, keys: np.ndarray,
+                      num_reducers: int) -> _ShufflePlan:
+        """Partition ``p``'s plan for ``keys``: the held one if ``keys``
+        reproduce it, else a new one — and then every reducer's
+        grouping is rebuilt this round too."""
+        plan = self._plans.get(p)
+        if plan is None or not plan.matches(keys, self.combiner,
+                                            num_reducers):
+            plan = self._plans[p] = _ShufflePlan.build(
+                keys, self.combiner, num_reducers)
+            self._reducer_plans = None
+        return plan
+
+    def _reducer_groupings(self, num_reducers: int) -> list[Grouping | None]:
+        """Each reducer's grouping of the keys the partitions' current
+        plans send it, in arrival order (partition order, emission
+        order within); None for a reducer they send nothing."""
+        keys_of: list[list[np.ndarray]] = [[] for _ in range(num_reducers)]
+        for p in range(self.pgraph.num_parts):
+            plan = self._plans[p]
+            shuffled, bounds = plan.sorted_keys(), plan.bounds
+            for r in plan.reducers:
+                keys_of[r].append(shuffled[bounds[r]:bounds[r + 1]])
+        return [Grouping(np.concatenate(keys), ranked=True).narrow()
+                if keys else None for keys in keys_of]
 
     # ------------------------------------------------------------------
     # Reduce phase — per-reducer group-by + UDF
@@ -467,21 +559,23 @@ class MapReduceEngine:
         return emitted_out, cpu
 
     def _reduce_bucket_vectorized(
-        self, app: MapReduceApp, state: Any, chunk_list: list
+        self, app: MapReduceApp, state: Any, chunk_list: list,
+        grouping: Grouping | None,
     ) -> tuple[Any, float]:
         """Group-by in arrival order (partition order, emission order
         within) — each key's bag is the scalar dict-insert oracle's.
 
-        Returns ``reduce_array``'s ``(keys, values)`` columns; the scalar
+        ``grouping`` (ranked, narrowed) groups the concatenated chunk
+        keys.  Returns ``reduce_array``'s ``(keys, values)`` columns; the scalar
         ``reduce`` pairs over sorted bags if it declines; None for a
         reducer that received nothing.
         """
-        if not chunk_list:
+        if grouping is None:
             return None, 0.0
-        keys = np.concatenate([c[0] for c in chunk_list])
-        values = np.concatenate([c[1] for c in chunk_list])
-        uniq, gid, counts = group_ids(keys)
-        cpu = float(keys.size + uniq.size)
+        values = np.concatenate(chunk_list)
+        uniq, counts = grouping.uniq, grouping.counts
+        gid = grouping.index.astype(np.intp, copy=False)
+        cpu = float(gid.size + uniq.size)
         if type(app).reduce_array is not MapReduceApp.reduce_array:
             out = app.reduce_array(uniq, gid, values, state)
             if out is not None:
@@ -493,7 +587,7 @@ class MapReduceEngine:
             _out.append((key, value))
 
         bags = values[np.argsort(gid, kind="stable")]
-        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+        bounds = [0] + np.cumsum(counts, dtype=np.intp).tolist()
         for i, key in enumerate(uniq.tolist()):
             app.reduce(key, bags[bounds[i]:bounds[i + 1]].tolist(),
                        state, emit)

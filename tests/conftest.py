@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -137,11 +138,104 @@ class ArrivalOrderMapReduce(MapReduceApp):
         return dict(state.values)
 
 
-def fold_with(strategy, dests, values, ufunc):
-    """``fold_by_dest`` with its strategy forced: ``"counting"`` or
+class _RoundCountingMapReduce(MapReduceApp):
+    """Sums ``0.5 * rank`` of a key's sources plus one, like a damped
+    rank; counts its rounds in ``state.extra["round"]`` so ``map`` and
+    ``map_array`` can emit a round-dependent key column."""
+
+    writeback_to_partitions = True
+    combine_ufunc = np.add
+
+    def setup(self, pgraph):
+        state = VertexState(pgraph=pgraph,
+                            values=np.ones(pgraph.num_vertices))
+        state.extra["round"] = 0
+        return state
+
+    def map(self, partition, pgraph, state, emit):
+        keys, src = self.emitted(partition, pgraph, state)
+        for key, u in zip(keys.tolist(), src.tolist()):
+            emit(key, 0.5 * state.values[u])
+
+    def map_array(self, partition, pgraph, state):
+        keys, src = self.emitted(partition, pgraph, state)
+        return keys, 0.5 * state.values[src]
+
+    def reduce(self, key, values, state, emit):
+        emit(key, 1.0 + sum(values))
+
+    def reduce_array(self, keys, gid, values, state):
+        return keys, 1.0 + np.bincount(gid, weights=values,
+                                       minlength=keys.size)
+
+    def combine(self, key, values, state):
+        return sum(values)
+
+    def update(self, state, outputs):
+        super().update(state, outputs)
+        state.extra["round"] += 1
+
+    def update_array(self, state, keys, values):
+        super().update_array(state, keys, values)
+        state.extra["round"] += 1
+
+    def finalize(self, state):
+        return state.values
+
+
+class AlternatingKeysMapReduce(_RoundCountingMapReduce):
+    """Even partitions send each edge's value to its destination in even
+    rounds and to its source in odd ones; odd partitions always to the
+    destination.  A held shuffle plan must be rebuilt for the even
+    partitions every round, and every reducer's with them, while the
+    odd partitions' plans stay valid."""
+
+    name = "alternating-keys-mr"
+
+    def emitted(self, partition, pgraph, state):
+        src, dst = pgraph.partition_edges(partition)
+        flip = partition % 2 == 0 and state.extra["round"] % 2 == 1
+        return (src if flip else dst).astype(np.int64), src
+
+
+class InPlaceKeysMapReduce(_RoundCountingMapReduce):
+    """``map_array`` keeps each partition's key column in
+    ``state.extra`` and shifts it in place every round (``key + 1 mod
+    n``) before returning the very array it returned the round before,
+    so nothing that remembers the array — rather than its contents —
+    can tell the rounds apart.  ``map`` emits the same keys from the
+    round count."""
+
+    name = "in-place-keys-mr"
+
+    def emitted(self, partition, pgraph, state):
+        src, dst = pgraph.partition_edges(partition)
+        return (dst + state.extra["round"]) % pgraph.num_vertices, src
+
+    def map_array(self, partition, pgraph, state):
+        src, dst = pgraph.partition_edges(partition)
+        held = state.extra.setdefault("keys", {})
+        keys = held.get(partition)
+        if keys is None:
+            keys = held[partition] = dst.astype(np.int64)
+        else:
+            np.add(keys, 1, out=keys)
+            np.remainder(keys, pgraph.num_vertices, out=keys)
+        return keys, 0.5 * state.values[src]
+
+
+@contextmanager
+def fold_strategy(strategy):
+    """Force :mod:`repro.fold`'s strategy choice: ``"counting"`` or
     ``"sorted"``."""
     factor = {"counting": float("inf"), "sorted": 0}[strategy]
     with mock.patch.object(repro.fold, "COUNTING_SPAN_FACTOR", factor):
+        yield
+
+
+def fold_with(strategy, dests, values, ufunc):
+    """``fold_by_dest`` with its strategy forced."""
+    with fold_strategy(strategy):
         return repro.fold.fold_by_dest(dests, values, ufunc)
 
 

@@ -271,6 +271,60 @@ class TestJobRestart:
         assert np.array_equal(baseline.result, job.result)
         assert reconcile(job) == []
 
+    def test_mapreduce_restart_replays_shared_plans(self, tiny_graph,
+                                                    monkeypatch):
+        """Three checkpointed NR MapReduce rounds, a kill in the second:
+        the restart resumes from a snapshot that shares the first
+        round's rank tables with the live state (the same objects, not
+        copies) and builds a new engine with new shuffle plans.  Result
+        and every cost equal the scalar oracle's under the same fault,
+        and the result and every round's shuffle volume the clean job's
+        (its network bytes moved with the dead machine's partitions)."""
+        snapshots = []
+        snapshot_state = CheckpointStore.snapshot_state
+
+        def recording(store, state):
+            snapshot = snapshot_state(store, state)
+            snapshots.append((state, snapshot))
+            return snapshot
+
+        monkeypatch.setattr(CheckpointStore, "snapshot_state", recording)
+        policy = CheckpointPolicy(interval=1)
+        clean = deploy(tiny_graph).run_mapreduce(
+            NetworkRankingMapReduce(), rounds=3, checkpoint=policy,
+            vectorized=True)
+        second = clean.reports[1]
+        kill_at = (second.map_stage.start_time
+                   + second.reduce_stage.end_time) / 2
+        jobs = {}
+        for vectorized in (False, True):
+            snapshots.clear()
+            surfer = deploy(tiny_graph)
+            faults = FaultPlan().add_kill(surfer.store.primary(0), kill_at)
+            jobs[vectorized] = surfer.run_mapreduce(
+                NetworkRankingMapReduce(), rounds=3, fault_plan=faults,
+                checkpoint=policy, vectorized=vectorized)
+        oracle, job = jobs[False], jobs[True]
+        assert not job.failed and job.restarts == 1
+        assert np.array_equal(job.result, oracle.result)
+        assert job.reports == oracle.reports
+        assert job.metrics == oracle.metrics
+        assert np.array_equal(job.result, clean.result)
+        volumes = [[(r.map_records, r.shuffle_records, r.shuffle_bytes)
+                    for r in run.reports] for run in (clean, job)]
+        assert volumes[0] == volumes[1]
+        assert reconcile(job) == []
+        shared = [(state, snapshot) for state, snapshot in snapshots
+                  if "rank_tables" in snapshot.extra]
+        # the round-1 checkpoint, the restore from it, the round-2 one
+        assert len(shared) == 3
+        for state, snapshot in shared:
+            assert snapshot.values is not state.values
+            live = state.extra["rank_tables"]
+            copied = snapshot.extra["rank_tables"]
+            assert copied is not live and copied.keys() == live.keys()
+            assert all(copied[p] is live[p] for p in live)
+
 
 class TestStorageSatellites:
     def test_placement_aware_repair_prefers_same_pod(self):

@@ -34,9 +34,11 @@ class TestTransfer:
 
 
 class TestEffectiveBandwidth:
+    """One flow's fair-share bandwidth, as the scheduler prices it."""
+
     def test_no_users_falls_back_to_pairwise(self):
         net = NetworkModel(t2(2, 1, 32, link_bps=320.0))
-        assert net.effective_bandwidth(0, 16) == 10.0  # /32
+        assert net.flow_constraint(0, 16)[0] == 10.0  # /32
 
     def test_fair_share_with_full_contention(self):
         """All pod members on the uplink => the paper's worst case."""
@@ -44,27 +46,27 @@ class TestEffectiveBandwidth:
         net = NetworkModel(topo)
         users = {("uplink", 0, 2): set(range(16)),
                  ("uplink", 1, 2): set(range(16, 32))}
-        assert net.effective_bandwidth(0, 16, users) == pytest.approx(10.0)
+        assert net.flow_constraint(0, 16, users)[0] == pytest.approx(10.0)
 
     def test_few_users_get_more(self):
         topo = t2(2, 1, 32, link_bps=320.0)
         net = NetworkModel(topo)
         users = {("uplink", 0, 2): {0}, ("uplink", 1, 2): {16}}
-        bw = net.effective_bandwidth(0, 16, users)
+        bw = net.flow_constraint(0, 16, users)[0]
         assert bw > 10.0
         assert bw <= 320.0
 
     def test_intra_pod_unaffected(self):
         topo = t2(2, 1, 32, link_bps=320.0)
         net = NetworkModel(topo)
-        assert net.effective_bandwidth(0, 1, {}) == 320.0
+        assert net.flow_constraint(0, 1, {})[0] == 320.0
 
     def test_t3_slow_nic_resource(self):
         topo = t3(8, link_bps=100.0, seed=0)
         net = NetworkModel(topo)
         slow = int(topo.is_slow.argmax())
         fast = int((~topo.is_slow).argmax())
-        assert net.effective_bandwidth(fast, slow, {}) == 50.0
+        assert net.flow_constraint(fast, slow, {})[0] == 50.0
 
 
 class TestFlowsTime:

@@ -96,18 +96,3 @@ class TestHeterogeneous:
         a = t3(16, seed=3)
         b = t3(16, seed=3)
         assert np.array_equal(a.is_slow, b.is_slow)
-
-
-class TestDerived:
-    def test_bandwidth_matrix_symmetric(self):
-        topo = t2(2, 1, 8)
-        mat = topo.bandwidth_matrix()
-        assert np.array_equal(mat, mat.T)
-        assert np.all(np.isinf(np.diag(mat)))
-
-    def test_aggregate_bandwidth_pod_split_lowest(self):
-        """Splitting along the pod boundary crosses the least bandwidth."""
-        topo = t2(2, 1, 8)
-        pod_split = topo.aggregate_bandwidth(range(4), range(4, 8))
-        mixed = topo.aggregate_bandwidth([0, 1, 4, 5], [2, 3, 6, 7])
-        assert pod_split < mixed

@@ -21,8 +21,10 @@ from repro.apps import (
     NetworkRankingMapReduce,
     ReverseLinkGraphMapReduce,
 )
+from repro.core.bandwidth_aware import PartitionPlan
 from repro.core.surfer import Surfer
 from repro.errors import JobError
+from repro.graph.digraph import Graph
 from repro.graph.generators import composite_social_graph
 from repro.hashing import stable_hash, stable_hash_array
 from repro.mapreduce.api import MapReduceApp
@@ -247,6 +249,24 @@ class TestFastPathEquivalence:
         assert _job_signature(fast) == _job_signature(scalar)
         assert isinstance(_round_outputs(surfer, NoReduceArray(), True),
                           dict)
+
+    def test_nr_map_divides_only_sources_with_out_edges(self):
+        """NR's map works out ``damping * rank / out-degree`` once per
+        source: sinks and isolated vertices are never divided by their
+        zero degree, so the array round runs under ``np.errstate(all=
+        "raise")`` and still equals the oracle bit for bit."""
+        graph = Graph.from_edges(np.array([[0, 1], [0, 2], [3, 1]]),
+                                 num_vertices=6)
+        plan = PartitionPlan(parts=np.array([0, 0, 0, 1, 1, 1]),
+                             num_parts=2, placement=np.arange(2),
+                             machine_sets={}, method="drawn")
+        surfer = Surfer(graph, make_test_cluster(2), plan=plan)
+        with np.errstate(all="raise"):
+            fast = surfer.run_mapreduce(NetworkRankingMapReduce(),
+                                        rounds=3, vectorized=True)
+        oracle = surfer.run_mapreduce(NetworkRankingMapReduce(), rounds=3,
+                                      vectorized=False)
+        assert fast.result.tobytes() == oracle.result.tobytes()
 
     def test_columnar_round_returns_columns(self, surfer):
         keys, ranks = _round_outputs(surfer, NetworkRankingMapReduce(), True)

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core data structures/invariants."""
 
+import copy
 import io
 import os
 import tempfile
@@ -31,6 +32,7 @@ from repro.core.surfer import Surfer
 from repro.errors import GraphError
 from repro.fold import (
     COUNTING_SPAN_FACTOR,
+    Grouping,
     Ragged,
     fold_by_dest,
     group_counting,
@@ -39,6 +41,7 @@ from repro.fold import (
 )
 from repro.graph.digraph import Graph, csr_from_keys, pair_keys
 from repro.graph.store import build_shard_store, open_shard_graph
+from repro.mapreduce.engine import _ShufflePlan
 from repro.graph.stream import stream_from_edges
 from repro.graph.io import (
     DEGREE_BYTES,
@@ -58,8 +61,11 @@ from repro.partitioning.refine import fm_refine
 from repro.partitioning.wgraph import WGraph
 from repro.runtime.events import reconcile
 from tests.conftest import (
+    AlternatingKeysMapReduce,
     ArrivalOrderApp,
     ArrivalOrderMapReduce,
+    InPlaceKeysMapReduce,
+    fold_strategy,
     fold_with,
     make_test_cluster,
 )
@@ -417,9 +423,9 @@ class TestNetworkProperties:
 
         net = NetworkModel(t2(2, 1, 8, link_bps=100.0))
         if a != b:
-            assert net.effective_bandwidth(a, b, {}) <= 100.0
-            assert (net.effective_bandwidth(a, b, None)
-                    <= net.effective_bandwidth(a, b, {}))
+            assert net.flow_constraint(a, b, {})[0] <= 100.0
+            assert (net.flow_constraint(a, b, None)[0]
+                    <= net.flow_constraint(a, b, {})[0])
 
     @COMMON
     @given(st.integers(1, 6))
@@ -432,8 +438,8 @@ class TestNetworkProperties:
         key = ("uplink", 0, 2)
         few = {key: {0}}
         many = {key: set(range(extra_users + 1))}
-        assert (net.effective_bandwidth(0, 4, many)
-                <= net.effective_bandwidth(0, 4, few) + 1e-9)
+        assert (net.flow_constraint(0, 4, many)[0]
+                <= net.flow_constraint(0, 4, few)[0] + 1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -569,6 +575,55 @@ class TestRaggedFold:
             VERTEX_ID_BYTES + 8 * len(row) for row in rows)
 
 
+class TestGrouping:
+    @COMMON
+    @given(message_columns(), st.data())
+    def test_one_grouping_folds_like_fresh_folds(self, drawn, data):
+        """One grouping — either strategy, ranked or not, narrowed or
+        not — folds several value columns, ragged ones included, each
+        exactly as a fresh ``fold_by_dest`` of that column."""
+        dests, raw = drawn
+        rows = data.draw(st.lists(st.lists(st.integers(0, 9), max_size=4),
+                                  min_size=dests.size,
+                                  max_size=dests.size))
+        columns = [(raw, np.add), (raw.astype(np.int64), np.minimum),
+                   (raw > 0, np.logical_or),
+                   (Ragged.from_rows(rows), np.concatenate),
+                   (Ragged.from_rows(rows), np.union1d)]
+        fresh = [fold_by_dest(dests, values, ufunc)
+                 for values, ufunc in columns]
+        strategies = ["sorted"]
+        if dests.size and np.ptp(dests) < 2**20:  # counting allocates it
+            strategies.append("counting")
+        for strategy in strategies:
+            for ranked in (False, True):
+                with fold_strategy(strategy):
+                    built = Grouping(dests, ranked=ranked)
+                for grouping in (built, built.narrow()):
+                    for (values, ufunc), (uniq, merged, counts) in zip(
+                            columns, fresh):
+                        assert grouping.uniq.tobytes() == uniq.tobytes()
+                        assert grouping.counts.tolist() == counts.tolist()
+                        got = grouping.fold(values, ufunc)
+                        if isinstance(got, Ragged):
+                            assert got.tolist() == merged.tolist()
+                        else:
+                            assert got.dtype == merged.dtype
+                            assert got.tobytes() == merged.tobytes()
+
+    def test_held_grouping_is_read_only_and_shared_by_copies(self):
+        grouping = Grouping(np.array([3, 1, 3, 2])).narrow()
+        for array in (grouping.uniq, grouping.counts, grouping.index):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        assert copy.copy(grouping) is grouping
+        assert copy.deepcopy({"plan": grouping})["plan"] is grouping
+
+    def test_fold_rejects_misaligned_values(self):
+        with pytest.raises(ValueError):
+            Grouping(np.array([1, 2])).fold(np.ones(3), np.add)
+
+
 @st.composite
 def key_columns(draw):
     """Integer keys: none, one or many, negative or past ``2**63``, in a
@@ -616,6 +671,32 @@ class TestGroupIds:
         assert uniq.tolist() == sorted(set(keys.tolist()))
         assert uniq[gid].tolist() == keys.tolist()
         assert counts.sum() == keys.size
+
+
+class TestShufflePlan:
+    @COMMON
+    @given(key_columns(), st.booleans(), st.integers(1, 5), st.data())
+    def test_held_keys_reproduce_exactly(self, keys, combiner,
+                                         num_reducers, data):
+        """A plan matches its own keys — as a fresh array — and no
+        others: a changed record, a changed dtype, length, combiner
+        mode or reducer count each rebuild it.  Its shuffled keys come
+        back exactly."""
+        plan = _ShufflePlan.build(keys, combiner, num_reducers)
+        assert plan.matches(keys.copy(), combiner, num_reducers)
+        shuffled = plan.combine.uniq if combiner else keys
+        assert plan.sorted_keys().tobytes() == shuffled[
+            plan.permutation()].tobytes()
+        assert not plan.matches(keys, not combiner, num_reducers)
+        assert not plan.matches(keys, combiner, num_reducers + 1)
+        if keys.size:
+            assert not plan.matches(keys[:-1], combiner, num_reducers)
+            changed = keys.copy()
+            at = data.draw(st.integers(0, keys.size - 1))
+            changed[at] ^= 1
+            assert not plan.matches(changed, combiner, num_reducers)
+            assert not plan.matches(keys.astype(np.float64), combiner,
+                                    num_reducers)
 
 
 # ----------------------------------------------------------------------
@@ -712,6 +793,11 @@ MR_ARRAY_APPS = {
     "TFL-half": (lambda: TwoHopFriendsMapReduce(select_ratio=0.5), False),
     # test-only: reduce emits its bag in shuffle arrival order
     "ORDER": (ArrivalOrderMapReduce, False),
+    # test-only: round-dependent keys, so held shuffle plans go stale —
+    # a key set that alternates on half the partitions, and a key array
+    # shifted in place and returned again
+    "ALT": (AlternatingKeysMapReduce, True),
+    "INPLACE": (InPlaceKeysMapReduce, True),
 }
 
 
@@ -733,7 +819,8 @@ class TestMapReduceArrayDifferential:
         lists (self-loops, duplicates, isolated vertices, empty
         partitions), with the combiner on and off where the app has
         one, as index-set and sorted-range parts, in memory and
-        shard-backed."""
+        shard-backed.  Three rounds: whatever the engine and NR plan in
+        the first is replayed — or found stale and rebuilt — twice."""
         edges, parts, k = drawn
         factory, has_combine = MR_ARRAY_APPS[name]
         cluster = make_test_cluster(3)
@@ -750,7 +837,7 @@ class TestMapReduceArrayDifferential:
                     for combiner in (False, True)[:1 + has_combine]:
                         oracle, fast = (
                             surfer.run_mapreduce(
-                                factory(), rounds=2, combiner=combiner,
+                                factory(), rounds=3, combiner=combiner,
                                 vectorized=vectorized)
                             for vectorized in (False, True))
                         assert_same_job(oracle, fast)

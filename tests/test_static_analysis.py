@@ -278,6 +278,34 @@ class TestUdfPurity:
         assert rules_of(check_udf_purity(src, "src/repro/apps/a.py")) \
             == ["UDF001"]
 
+    @pytest.mark.parametrize("store", [
+        "self.plans[partition] = keys",
+        "self.plans[partition][0] += 1",
+        "del self.plans[partition]",
+    ])
+    def test_item_store_on_self_flagged(self, store):
+        """A plan cached in an item of ``self`` outlives its job on a
+        reused app instance — stored, augmented or deleted alike."""
+        src = ("class A(MapReduceApp):\n"
+               "    def map_array(self, partition, pg, state):\n"
+               f"        {store}\n"
+               "        return None\n")
+        findings = check_udf_purity(src, "src/repro/apps/a.py")
+        assert rules_of(findings) == ["UDF001"]
+        assert "self.plans[...]" in findings[0].message
+
+    def test_item_store_on_state_clean(self):
+        """Per-job scratch belongs in ``state.extra``, items included."""
+        src = ("class A(MapReduceApp):\n"
+               "    def map_array(self, partition, pg, state):\n"
+               "        state.extra.setdefault('plans', {})[partition] = 1\n"
+               "        state.extra['plans'][partition] += 1\n"
+               "        del state.extra['plans'][partition]\n"
+               "        plans = {}\n"
+               "        plans[partition] = 1\n"
+               "        return None\n")
+        assert check_udf_purity(src, "src/repro/apps/a.py") == []
+
     def test_pure_udf_and_non_udf_methods_clean(self):
         src = ("class A(PropagationApp):\n"
                "    def setup(self, pg):\n"
