@@ -25,7 +25,13 @@ finds its group:
 The choice is made from what the input shows — the record count ``k``
 and the id span — and nothing else.  A counting fold accumulates by
 slot and drops the empty slots afterwards, which spares it the
-per-record gather that ranks slots into group ids.
+per-record gather that ranks slots into group ids.  An *object* key
+column (virtual-vertex keys of any hashable type, ``int`` and ``str``
+mixed) has no order to sort by: its groups are numbered by first
+arrival in one dict pass, the order a dict keyed by them would list.
+
+A merge that is no NumPy ufunc — an app's Python ``merge`` — folds by
+the Python left fold itself, in input order, into an object column.
 
 Grouping the keys and folding the values are separate steps: a
 :class:`Grouping` is built once from a key column and folds any number
@@ -52,7 +58,8 @@ from repro.graph.digraph import csr_from_keys, pair_keys
 from repro.graph.io import DEGREE_BYTES, VALUE_BYTES, VERTEX_ID_BYTES
 
 __all__ = ["MESSAGE_HEADER", "RAGGED_FOLDS", "RECORD_HEADER", "Grouping",
-           "Ragged", "distinct_rows", "fold_by_dest", "group_ids"]
+           "Ragged", "distinct_rows", "fold_by_dest", "group_ids",
+           "object_column"]
 
 #: counting strategy when ``span <= COUNTING_SPAN_FACTOR * k``.  On
 #: 100 k uniformly random ids counting beats the stable sort up to
@@ -70,6 +77,15 @@ RECORD_HEADER = VERTEX_ID_BYTES + DEGREE_BYTES
 
 Grouped = tuple[np.ndarray, np.ndarray, np.ndarray]
 Folded = tuple[np.ndarray, Any, np.ndarray]
+
+#: a Python fold's "nothing folded yet" (a value may itself be None)
+_EMPTY = object()
+
+
+def object_column(items: Sequence[Any]) -> np.ndarray:
+    """``items`` as a 1-D object column, one element per item (a tuple
+    stays one element)."""
+    return np.fromiter(items, dtype=object, count=len(items))
 
 
 class Ragged:
@@ -197,10 +213,11 @@ def group_ids(keys: np.ndarray) -> Grouped:
     """Group ``keys`` without moving them.
 
     Returns ``(uniq, gid, counts)``: ``uniq`` the distinct keys sorted
-    ascending (``keys``' dtype), ``gid[j]`` the index into ``uniq`` of
-    record ``j``'s key and ``counts[i]`` how many records have key
-    ``uniq[i]``.  Records keep their input order, so ``values[gid == i]``
-    is key ``i``'s bag in arrival order.  Empty input gives three empty
+    ascending (``keys``' dtype; first-arrival order for object keys),
+    ``gid[j]`` the index into ``uniq`` of record ``j``'s key and
+    ``counts[i]`` how many records have key ``uniq[i]``.  Records keep
+    their input order, so ``values[gid == i]`` is key ``i``'s bag in
+    arrival order.  Empty input gives three empty
     arrays.
     """
     grouping = Grouping(keys, ranked=True)
@@ -210,14 +227,15 @@ def group_ids(keys: np.ndarray) -> Grouped:
 class Grouping:
     """The groups of one key column, built once and folded many times.
 
-    ``uniq`` holds the distinct keys ascending (the keys' dtype) and
-    ``counts`` how many records each has.  Record ``j`` folds into entry
-    ``index[j]`` of a ``width``-entry table.  A *ranked* grouping's
-    table is ``uniq`` itself, so ``index`` is each record's group id;
-    an unranked counting grouping (one fold, no rank gather) folds by
-    slot ``key - min`` and keeps the ``occupied`` slots afterwards.  The
-    sorted strategy is always ranked.  Both forms give the same groups
-    and the same order-exact fold.
+    ``uniq`` holds the distinct keys ascending (the keys' dtype; object
+    keys in first-arrival order) and ``counts`` how many records each
+    has.  Record ``j`` folds into entry ``index[j]`` of a
+    ``width``-entry table.  A *ranked* grouping's table is ``uniq``
+    itself, so ``index`` is each record's group id; an unranked counting
+    grouping (one fold, no rank gather) folds by slot ``key - min`` and
+    keeps the ``occupied`` slots afterwards.  The sorted and hashed
+    strategies are always ranked.  Both forms give the same groups and
+    the same order-exact fold.
 
     Never changed once built: new keys take a new grouping, and a (deep)
     copy is the object itself, so a checkpoint shares a held grouping
@@ -233,6 +251,8 @@ class Grouping:
         if keys.size == 0:
             none = np.zeros(0, dtype=np.intp)
             uniq, index, counts = keys[:0], none, none
+        elif keys.dtype == object:
+            uniq, index, counts = group_hashed(keys)
         elif not _counting_fits(keys):
             uniq, index, counts = group_sorted(keys)
         elif ranked:
@@ -280,13 +300,17 @@ class Grouping:
         """Left-fold ``values`` (aligned with the grouped keys) per
         group, in input order: ``merged[i]`` folds group ``uniq[i]``'s
         values by ``ufunc``.  A :class:`Ragged` column folds by one of
-        :data:`RAGGED_FOLDS`."""
+        :data:`RAGGED_FOLDS`; a ``ufunc`` that is no NumPy ufunc (a
+        Python ``merge(a, b)``) folds into an object column."""
         size = values.size if isinstance(values, Ragged) else len(values)
         if size != self.index.size:
             raise ValueError(f"{size} values for a grouping of "
                              f"{self.index.size} records")
         if isinstance(values, Ragged):
             return _fold_rows(self.rank(), values, ufunc)
+        if not isinstance(ufunc, np.ufunc):
+            ranked = self.rank()
+            return _fold_python(ranked.index, values, ufunc, ranked.width)
         if self.index.size == 0:
             return values[:0]
         merged = _accumulate(self.index.astype(np.intp, copy=False),
@@ -337,6 +361,16 @@ def group_counting(keys: np.ndarray) -> Grouped:
     return uniq, rank[slot], per_slot[occupied]
 
 
+def group_hashed(keys: np.ndarray) -> Grouped:
+    """The strategy for an object key column (any hashable keys, mixed
+    types too): groups numbered by first arrival; ``keys`` non-empty."""
+    first: dict[Any, int] = {}
+    gid = np.fromiter((first.setdefault(key, len(first))
+                       for key in keys.tolist()),
+                      dtype=np.intp, count=keys.size)
+    return object_column(list(first)), gid, np.bincount(gid)
+
+
 def group_sorted(keys: np.ndarray) -> Grouped:
     """The span-independent strategy; ``keys`` non-empty, any sortable
     dtype."""
@@ -356,13 +390,16 @@ def fold_by_dest(dests: np.ndarray, values: Any, ufunc: Any) -> Folded:
     one :class:`Grouping` of ``dests``, folded once.
 
     Returns ``(uniq_dests, merged, counts)`` with ``uniq_dests`` sorted
-    ascending, ``merged[i]`` the left fold of ``ufunc`` over destination
-    ``i``'s values in input order and ``counts[i]`` how many there were.
-    Empty input gives three empty arrays of the matching dtypes.  A
-    :class:`Ragged` column folds by one of :data:`RAGGED_FOLDS`.
+    ascending (object dests in first-arrival order), ``merged[i]`` the
+    left fold of ``ufunc`` over destination ``i``'s values in input
+    order and ``counts[i]`` how many there were.  Empty input gives
+    three empty arrays of the matching dtypes.  A :class:`Ragged` column
+    folds by one of :data:`RAGGED_FOLDS`, and a Python ``merge`` in
+    place of ``ufunc`` into an object column.
     """
-    # a ragged fold needs group ids; a plain one folds by slot
-    grouping = Grouping(dests, ranked=isinstance(values, Ragged))
+    # ragged and Python folds need group ids; a ufunc folds by slot
+    grouping = Grouping(dests, ranked=isinstance(values, Ragged)
+                        or not isinstance(ufunc, np.ufunc))
     return grouping.uniq, grouping.fold(values, ufunc), grouping.counts
 
 
@@ -380,6 +417,17 @@ def _fold_rows(grouping: Grouping, values: Ragged, ufunc: Any) -> Ragged:
     bounds = np.zeros(grouping.uniq.size + 1, dtype=np.intp)
     np.cumsum(grouping.counts, out=bounds[1:])
     return Ragged(joined.offsets[bounds], joined.flat)
+
+
+def _fold_python(gid: np.ndarray, values: np.ndarray, merge: Any,
+                 groups: int) -> np.ndarray:
+    """The Python left fold ``merge(merge(v1, v2), v3)`` of each group
+    in input order — the reference the array folds are held to."""
+    acc: list[Any] = [_EMPTY] * groups
+    for g, value in zip(gid.tolist(), values.tolist()):
+        held = acc[g]
+        acc[g] = value if held is _EMPTY else merge(held, value)
+    return object_column(acc)
 
 
 def _accumulate(gid: np.ndarray, values: np.ndarray, ufunc: Any,

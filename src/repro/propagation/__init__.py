@@ -1,6 +1,6 @@
 """The propagation primitive: API, engine, cascaded multi-iteration."""
 
-from repro.propagation.api import MessageBox, PropagationApp, message_nbytes
+from repro.propagation.api import PropagationApp, message_nbytes
 from repro.propagation.engine import (
     IterationReport,
     PropagationEngine,
@@ -13,7 +13,6 @@ from repro.propagation.cascade import (
 )
 
 __all__ = [
-    "MessageBox",
     "PropagationApp",
     "message_nbytes",
     "IterationReport",

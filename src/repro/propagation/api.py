@@ -13,8 +13,9 @@ plus optional hooks:
 * ``select(u, state)`` restricts transfers to a vertex subset (TC and TFL
   run on 10 % samples in the paper);
 * array twins (``transfer_array``, ``select_array``, ``combine_array``,
-  ``update_array``, ``merge_ufunc``) opt a numeric app into the engine's
-  columnar array path, bit-identical to the scalar UDFs;
+  ``update_array``, ``merge_ufunc``) replace the per-message and
+  per-vertex UDF calls with one call per message column, bit-identical
+  to the scalar UDFs;
 * virtual vertices (Section 3.3): apps with ``uses_virtual_vertices = True``
   implement ``virtual_transfer`` / ``virtual_combine``, letting
   vertex-oriented tasks such as VDD emulate MapReduce on top of
@@ -27,7 +28,6 @@ programmability claim (Table 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 import numpy as np
@@ -36,8 +36,7 @@ from repro.errors import JobError
 from repro.fold import fold_by_dest  # re-exported: its first home
 from repro.graph.io import VALUE_BYTES, VERTEX_ID_BYTES
 
-__all__ = ["PropagationApp", "MessageBox", "fold_by_dest",
-           "message_nbytes"]
+__all__ = ["PropagationApp", "fold_by_dest", "message_nbytes"]
 
 
 class PropagationApp:
@@ -162,15 +161,15 @@ class PropagationApp:
         element ``i`` is bit-identical to ``transfer(src[i], dst[i],
         state)`` — a ragged row equal as a list (``a + b`` apps) or as a
         set (``a | b`` apps) — or ``None`` to decline,
-        in which case the engine falls back to the scalar path.  Edges
-        whose scalar ``transfer`` would return ``None`` cannot be
-        expressed here; such apps MUST stay on the scalar path (decline
-        by returning ``None``).  Violating this diverges both the
-        results and the cost accounting: the scalar path charges one cpu
-        op per scanned edge plus one per *routed* message (a ``None``
-        return routes nothing), while the fast path charges exactly two
-        per edge — the "bit-identical" guarantee holds only when no edge
-        returns ``None``.
+        in which case the engine runs the scalar ``transfer`` over that
+        partition.  Edges whose scalar ``transfer`` would return
+        ``None`` cannot be expressed here; such apps MUST stay on the
+        scalar ``transfer`` (decline by returning ``None``).  Violating
+        this diverges both the results and the cost accounting: the
+        engine charges one cpu op per scanned edge plus one per *routed*
+        message, and a ``None`` return routes nothing, while every
+        element of this column is routed — the "bit-identical"
+        guarantee holds only when no edge returns ``None``.
         """
         return None
 
@@ -214,69 +213,3 @@ class PropagationApp:
 def message_nbytes(app: PropagationApp, value: Any) -> float:
     """Full message size: destination id plus payload."""
     return VERTEX_ID_BYTES + app.value_nbytes(value)
-
-
-@dataclass
-class MessageBox:
-    """Accumulates messages per destination, merging when allowed.
-
-    With a ``merge`` function each destination holds one merged value
-    (``counts`` remembers how many raw messages it stands for); without,
-    destinations hold bags (lists) of values.
-    """
-
-    merge: Any = None
-    data: dict = field(default_factory=dict)
-    counts: dict = field(default_factory=dict)
-    #: cached ``payload_bytes`` result; boxes live within one iteration
-    #: and are always sized against that iteration's single app.
-    _payload: float | None = field(default=None, repr=False, compare=False)
-
-    def add(self, dest: Any, value: Any) -> None:
-        if self.merge is None:
-            self.data.setdefault(dest, []).append(value)
-        elif dest in self.data:
-            self.data[dest] = self.merge(self.data[dest], value)
-        else:
-            self.data[dest] = value
-        self.counts[dest] = self.counts.get(dest, 0) + 1
-        self._payload = None
-
-    def values_of(self, dest: Any) -> list:
-        """The bag of values for ``dest`` (singleton when merged)."""
-        if dest not in self.data:
-            return []
-        if self.merge is None:
-            return self.data[dest]
-        return [self.data[dest]]
-
-    def payload_bytes(self, app: PropagationApp) -> float:
-        """Total wire bytes of the box's current contents (cached).
-
-        Apps that keep the default (constant) ``value_nbytes`` take a
-        closed-form count; byte sizes are integer-valued floats, so the
-        product equals the per-message summation bit for bit.
-        """
-        if self._payload is None:
-            if type(app).value_nbytes is PropagationApp.value_nbytes:
-                wire_messages = (len(self.data) if self.merge is not None
-                                 else sum(len(bag)
-                                          for bag in self.data.values()))
-                self._payload = float(
-                    wire_messages * (VERTEX_ID_BYTES + VALUE_BYTES)
-                )
-            else:
-                total = 0.0
-                for dest, stored in self.data.items():
-                    if self.merge is None:
-                        total += sum(message_nbytes(app, v) for v in stored)
-                    else:
-                        total += message_nbytes(app, stored)
-                self._payload = total
-        return self._payload
-
-    def message_count(self) -> int:
-        return sum(self.counts.values())
-
-    def __len__(self) -> int:
-        return len(self.data)

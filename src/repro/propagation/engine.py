@@ -22,14 +22,19 @@ Without local optimizations (levels O1/O2) every message is materialized
 to disk and every cross-partition message crosses the network unmerged —
 which is exactly the traffic gap Tables 2 and 3 measure.
 
-An iteration runs on one of two paths with bit-identical products.  The
-**scalar path** — per-edge ``transfer``, ``MessageBox`` routing,
-per-vertex ``combine`` — is the oracle and the only path for
-virtual-vertex and object-valued apps.  The **array path** keeps an
-app's messages as ``(dests, values)`` columns from ``transfer_array``
-through route (slice + concatenate in source order), the order-exact
-folds of :mod:`repro.fold` and ``combine_array`` to ``update_array``;
-docs/COST_MODEL.md has the column layout and the closed-form charges.
+Every app's messages travel one path, as ``(dests, values)`` columns.
+Each partition's Transfer emits one column: ``transfer_array``'s where
+the app has the hook and it answers, else the scalar ``transfer`` (or
+``virtual_transfer``) loop's, its values an object column.  One router
+then splits the column into local propagation, boundary spill and
+per-partition cross buckets, merging per destination with
+:func:`~repro.fold.fold_by_dest` — by the app's ``merge_ufunc`` over a
+typed column, by its Python ``merge`` over an object one.  Combine
+concatenates each partition's arrivals in source order and folds them
+for ``combine_array`` or hands the scalar ``combine`` its bags.
+``vectorized=False`` calls only the scalar UDFs, which keeps it the
+oracle the hooks are held to; docs/COST_MODEL.md has the column layout
+and the closed-form charges.
 
 **Frontier mode** (``frontier=True``, for apps with ``uses_frontier``)
 scans only each partition's active vertices per iteration: the Transfer
@@ -56,8 +61,9 @@ from repro.cluster.storage import PartitionStore
 from repro.errors import JobError
 from repro.graph.io import DEGREE_BYTES, VALUE_BYTES, VERTEX_ID_BYTES
 from repro.hashing import stable_hash
-from repro.fold import MESSAGE_HEADER, RECORD_HEADER, Ragged, fold_by_dest
-from repro.propagation.api import MessageBox, PropagationApp, message_nbytes
+from repro.fold import (MESSAGE_HEADER, RECORD_HEADER, Grouping, Ragged,
+                        fold_by_dest, object_column)
+from repro.propagation.api import PropagationApp, message_nbytes
 from repro.runtime.events import wall_timer
 from repro.runtime.scheduler import StageScheduler
 from repro.runtime.tasks import StageResult, Task
@@ -139,13 +145,11 @@ Outputs = dict | Columns
 
 @dataclass
 class _PartitionTransfer:
-    """Products of one partition's Transfer stage.
-
-    The accounting is common; the messages are ``MessageBox``es on the
-    scalar path and columns on the array path: ``local`` is the boundary
-    spill, ``cross`` every cross-partition message bucketed by
-    destination partition — partition ``q``'s slice is
-    ``cross_offsets[q]:cross_offsets[q + 1]``, in emission order.
+    """Products of one partition's Transfer stage: its accounting and its
+    messages as columns.  ``local`` is the boundary spill, ``cross``
+    every cross-partition message bucketed by destination partition —
+    partition ``q``'s slice is ``cross_offsets[q]:cross_offsets[q + 1]``,
+    in emission order.
     """
 
     spill_bytes: float = 0.0
@@ -161,8 +165,6 @@ class _PartitionTransfer:
     #: local propagation: its outputs and every vertex it visited
     inner_out: Outputs = field(default_factory=dict)
     inner_seen: Any = ()
-    boundary_box: MessageBox | None = None
-    cross_boxes: dict[int, MessageBox] = field(default_factory=dict)
     local: Columns | None = None
     cross: Columns | None = None
     cross_offsets: np.ndarray | None = None
@@ -180,19 +182,30 @@ def _wire_bytes(app: PropagationApp, values: np.ndarray | Ragged) -> float:
     return float(sum(message_nbytes(app, v) for v in values.tolist()))
 
 
-def _bags(dests: np.ndarray, values: np.ndarray) -> dict[int, list]:
-    """Arrival columns as ``{vertex: bag}``: vertices ascending, each
-    bag in arrival order (one stable sort) — what the scalar ``combine``
-    of an app without ``combine_array`` is handed."""
-    if not dests.size:
-        return {}
-    order = np.argsort(dests, kind="stable")
-    d = dests[order]
-    cuts = (np.flatnonzero(d[1:] != d[:-1]) + 1).tolist()
-    keys = d[[0, *cuts]].tolist()
-    bag = values[order].tolist()
-    return {key: bag[s:e]
-            for key, s, e in zip(keys, [0, *cuts], [*cuts, d.size])}
+def _typed(values: Any) -> bool:
+    """Whether a value column came from an array hook (typed or
+    ragged) rather than the scalar UDFs (an object column)."""
+    return isinstance(values, Ragged) or values.dtype != object
+
+
+def _bags(dests: np.ndarray, values: Any) -> dict:
+    """Arrival columns as ``{vertex: bag}``: vertices ascending (virtual
+    keys in first-arrival order), each bag in arrival order — what the
+    scalar ``combine`` is handed."""
+    grouping = Grouping(dests, ranked=True)
+    bag = values[np.argsort(grouping.index, kind="stable")].tolist()
+    ends = np.cumsum(grouping.counts).tolist()
+    return {key: bag[s:e] for key, s, e
+            in zip(grouping.uniq.tolist(), [0, *ends], ends)}
+
+
+def _concat(columns: list[Any]) -> Any:
+    """Value columns joined end to end; a ragged column joins an object
+    one (a partition whose ``transfer_array`` declined) as tuples."""
+    if not all(isinstance(c, Ragged) for c in columns):
+        columns = [object_column(c.tolist()) if isinstance(c, Ragged)
+                   else c for c in columns]
+    return np.concatenate(columns)
 
 
 def _merge_outputs(outs: list[Outputs]) -> Outputs:
@@ -234,11 +247,11 @@ class PropagationEngine:
         partition ``p`` (used by cascaded propagation to model skipped
         intermediate reads/writes).  ``assignment[p]`` is the machine the
         job manager dispatches partition ``p``'s tasks to (must hold a
-        replica); defaults to the primaries.  ``vectorized`` selects the
-        Transfer implementation: ``None`` takes the array fast path when
-        the app supports it, ``False`` forces the scalar path (the
-        equivalence oracle), ``True`` requires the fast path and raises
-        :class:`JobError` if the app cannot take it.  ``frontier=True``
+        replica); defaults to the primaries.  ``vectorized`` picks the
+        UDFs: ``None`` uses an array hook wherever one answers,
+        ``False`` calls only the scalar ones (the equivalence oracle),
+        ``True`` requires the hooks and raises :class:`JobError` if the
+        app lacks them or a hook declines.  ``frontier=True``
         enables sparse active-set execution for apps with
         ``uses_frontier = True``: each iteration scans only the app's
         active mask, prices the Transfer read by the chosen scan
@@ -282,9 +295,9 @@ class PropagationEngine:
     ) -> tuple[Outputs, IterationReport]:
         """Execute one iteration; returns (combine outputs, report).
 
-        The outputs are a ``{vertex: value}`` dict, or ``(vertices,
-        values)`` columns when the array path ran end to end (an app
-        with ``transfer_array`` and ``combine_array``).
+        The outputs are ``(vertices, values)`` columns when every
+        partition's Combine answered ``combine_array``, else one
+        ``{vertex: value}`` dict.
         """
         num_parts = self.pgraph.num_parts
         timer = wall_timer()
@@ -299,19 +312,10 @@ class PropagationEngine:
         transfer_result = scheduler.run_stage(transfer_tasks)
 
         timer = wall_timer()
-        columnar = transfers[0].local is not None  # all or none are
-        if not columnar:
-            inboxes, inbox_sources = self._route(transfers)
         outs: list[Outputs] = []
         combine_tasks: list[Task] = []
         for p in range(num_parts):
-            if columnar:
-                task, out = self._run_combine_array(app, state, p,
-                                                    transfers)
-            else:
-                task, out = self._run_combine(
-                    app, state, p, inboxes[p], inbox_sources[p],
-                    transfers[p])
+            task, out = self._run_combine_array(app, state, p, transfers)
             combine_tasks.append(task)
             outs.append(out)
         if self.local_opts:
@@ -467,42 +471,38 @@ class PropagationEngine:
         self, app: PropagationApp, state: Any,
         finfos: Sequence[_FrontierInfo | None],
     ) -> list[_PartitionTransfer]:
-        """Run every partition's transfer UDFs and sort the messages.
+        """Run every partition's transfer UDFs and route the messages.
 
-        Takes the array path (one ``transfer_array`` call per partition,
-        columnar products) when the app qualifies and the scalar
-        per-edge loop otherwise — for the whole iteration, so route and
-        Combine see one representation.  In frontier mode (``finfos[p]``
-        given) both paths scan exactly the planned active vertices — the
-        mask is authoritative and must agree with ``select`` (the UDF002
-        frontier contract), which is what keeps frontier and dense runs
-        message-for-message identical.
+        Each partition emits its column from ``transfer_array`` where
+        the app qualifies and the hook answers, else from the scalar
+        loop — a decline falls back for that partition only.  In
+        frontier mode (``finfos[p]`` given) both scan exactly the planned
+        active vertices — the mask is authoritative and must agree with
+        ``select`` (the UDF002 frontier contract), which is what keeps
+        frontier and dense runs message-for-message identical.
         """
-        parts = range(self.pgraph.num_parts)
-        if self._fast_path_ok(app):
-            transfers = []
-            for p in parts:
-                result = self._run_transfer_array(app, state, p, finfos[p])
-                if result is None:
-                    break
-                transfers.append(result)
-            else:
-                return transfers
-            if self.vectorized:
-                raise JobError(
-                    f"{app.name}: vectorized Transfer requested but "
-                    "transfer_array() declined"
-                )
-        elif self.vectorized:
+        hooks = self._fast_path_ok(app)
+        if self.vectorized and not hooks:
             raise JobError(
                 f"{app.name}: vectorized Transfer requested but the app "
                 "does not support the fast path"
             )
-        return [self._run_transfer_scalar(app, state, p, finfos[p])
-                for p in parts]
+        transfers = []
+        for p in range(self.pgraph.num_parts):
+            emitted = (self._emit_array(app, state, p, finfos[p])
+                       if hooks else None)
+            if emitted is None:
+                if self.vectorized:
+                    raise JobError(
+                        f"{app.name}: vectorized Transfer requested but "
+                        "transfer_array() declined"
+                    )
+                emitted = self._emit_scalar(app, state, p, finfos[p])
+            transfers.append(self._route_messages(app, state, p, *emitted))
+        return transfers
 
     def _fast_path_ok(self, app: PropagationApp) -> bool:
-        """Whether the app qualifies for the array path."""
+        """Whether the app's Transfer may take ``transfer_array``."""
         if self.vectorized is False:
             return False
         cls = type(app)
@@ -513,24 +513,18 @@ class PropagationEngine:
         if (cls.select is not PropagationApp.select
                 and cls.select_array is PropagationApp.select_array):
             return False  # scalar select overridden without array twin
-        if self.local_opts and app.is_associative and app.merge_ufunc is None:
-            return False  # merging needs a NumPy-expressible merge
         return True
 
-    def _run_transfer_array(
+    def _emit_array(
         self, app: PropagationApp, state: Any, p: int,
         finfo: _FrontierInfo | None = None,
-    ) -> _PartitionTransfer | None:
-        """Array-at-a-time Transfer of partition ``p``.
-
-        Replays the scalar path's routing, merging and cost accounting
-        on columns: one ``transfer_array`` call over the partition's
-        (selected) out-edges, inner/boundary/cross masks from
-        ``parts[dst]`` and ``boundary_mask``, per-destination merging by
-        :func:`~repro.fold.fold_by_dest`, cross messages bucketed by
-        destination partition.  Products — messages, byte counts, cpu
-        ops — are bit-identical to the scalar path.
-        """
+    ) -> tuple[np.ndarray, Any, float] | None:
+        """Partition ``p``'s messages from one ``transfer_array`` call
+        over its (selected) out-edges: ``(dests, values, scan ops)``, or
+        None when the hook declines.  Every scanned edge routes a
+        message — ``transfer_array`` has no per-edge None, so apps whose
+        scalar ``transfer`` may return None must decline (see
+        tests/test_observability.py::TestNoneTransferContract)."""
         pg = self.pgraph
         verts = pg.partition_vertices[p]
         if finfo is not None:
@@ -549,24 +543,91 @@ class PropagationEngine:
             return None
         if not isinstance(values, Ragged):
             values = np.asarray(values)
-        merging = self.local_opts and app.is_associative
+        return dst, values, float(src.size)
 
+    def _emit_scalar(
+        self, app: PropagationApp, state: Any, p: int,
+        finfo: _FrontierInfo | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, float]:
+        """Partition ``p``'s messages from the scalar UDFs: ``(dests,
+        values, scan ops)`` with the values (and virtual keys) as object
+        columns; one op per scanned edge, or per visited vertex for a
+        virtual-vertex app.
+
+        In frontier mode the loop walks the planned active vertices
+        directly and skips the per-vertex ``select`` call — the dense
+        scan charges nothing for that call, so as long as ``select``
+        agrees with the mask (the frontier contract) both emit identical
+        messages with identical cpu charges.
+        """
+        pg = self.pgraph
+        dests: list[Any] = []
+        values: list[Any] = []
+        scanned = 0
+        if app.uses_virtual_vertices:
+            for u in pg.partition_vertices[p].tolist():
+                scanned += 1
+                if app.select(u, state):
+                    for key, value in app.virtual_transfer(u, state):
+                        dests.append(key)
+                        values.append(value)
+            return (object_column(dests), object_column(values),
+                    float(scanned))
+        graph = pg.graph
+        for u in (finfo.active if finfo is not None
+                  else pg.partition_vertices[p]).tolist():
+            if finfo is None and not app.select(u, state):
+                continue
+            for v in graph.out_neighbors(u).tolist():
+                scanned += 1
+                value = app.transfer(u, v, state)
+                if value is not None:
+                    dests.append(v)
+                    values.append(value)
+        return (np.array(dests, dtype=np.int64), object_column(values),
+                float(scanned))
+
+    def _dest_parts(self, app: PropagationApp,
+                    dests: np.ndarray) -> np.ndarray:
+        """The partition each destination lives in: ``parts`` of a
+        vertex, :func:`virtual_partition` of a virtual key."""
+        if not app.uses_virtual_vertices:
+            return self.pgraph.parts[dests]
+        num_parts = self.pgraph.num_parts
+        return np.fromiter(
+            (virtual_partition(key, num_parts) for key in dests.tolist()),
+            dtype=np.intp, count=dests.size)
+
+    def _route_messages(
+        self, app: PropagationApp, state: Any, p: int, dst: np.ndarray,
+        values: Any, scan_ops: float,
+    ) -> _PartitionTransfer:
+        """Route partition ``p``'s emitted column.
+
+        Inner/boundary/cross masks from the destination partitions and
+        ``boundary_mask``; local propagation combines the inner
+        destinations now; with local optimizations an associative app
+        merges per destination (:func:`~repro.fold.fold_by_dest`) before
+        the spill and before the cross messages are bucketed by
+        destination partition.  Virtual keys are never inner: one that
+        hashes to ``p`` is spilled.  The charge: ``scan_ops``, +1 per
+        routed message, +1 per merged cross message.
+        """
+        pg = self.pgraph
         result = _PartitionTransfer()
-        m = int(src.size)
+        m = int(dst.size)
         result.messages = m
-        # scalar parity: +1 per scanned edge, +1 per routed message.
-        # This collapses to 2m only because every scanned edge routes a
-        # message: transfer_array cannot express per-edge None, so apps
-        # whose scalar transfer() may return None must decline the fast
-        # path (return None from transfer_array) or the scalar path's
-        # edges_scanned + messages_routed charge would diverge from
-        # this one (see tests/test_observability.py::TestNoneTransferContract).
-        result.cpu_ops = 2.0 * m
+        result.cpu_ops = scan_ops + m
+        merge = None
+        if self.local_opts and app.is_associative:
+            merge = (app.merge_ufunc
+                     if _typed(values) and app.merge_ufunc is not None
+                     else app.merge)
 
-        dest_parts = pg.parts[dst]
+        dest_parts = self._dest_parts(app, dst)
         local = dest_parts == p
         cross = ~local
-        if self.local_opts:
+        if self.local_opts and not app.uses_virtual_vertices:
             # Local propagation: combine inner vertices now, in memory.
             inner = local & ~pg.boundary_mask[dst]
             local &= ~inner
@@ -577,18 +638,18 @@ class PropagationEngine:
             result.locally_propagated = int(result.inner_seen.size)
 
         dests, vals = dst[local], values[local]
-        if merging:
-            dests, vals, _ = fold_by_dest(dests, vals, app.merge_ufunc)
+        if merge is not None:
+            dests, vals, _ = fold_by_dest(dests, vals, merge)
         result.local = (dests, vals)
         result.spill_bytes = _wire_bytes(app, vals)
 
         dests, vals = dst[cross], values[cross]
-        if merging:
+        if merge is not None:
             result.cpu_ops += float(dests.size)  # the merge work
-            # a destination vertex determines its partition: merge by
+            # a destination determines its partition: merge by
             # destination over the whole cross set, bucket afterwards
-            dests, vals, _ = fold_by_dest(dests, vals, app.merge_ufunc)
-            dest_parts = pg.parts[dests]
+            dests, vals, _ = fold_by_dest(dests, vals, merge)
+            dest_parts = self._dest_parts(app, dests)
         else:
             dest_parts = dest_parts[cross]
         order = np.argsort(dest_parts, kind="stable")
@@ -603,101 +664,6 @@ class PropagationEngine:
             int(q): _wire_bytes(app, vals[offsets[q]:offsets[q + 1]])
             for q in np.flatnonzero(per_part)
         }
-        return result
-
-    def _run_transfer_scalar(
-        self, app: PropagationApp, state: Any, p: int,
-        finfo: _FrontierInfo | None = None,
-    ) -> _PartitionTransfer:
-        """Per-edge Transfer of partition ``p`` (fallback and oracle).
-
-        In frontier mode the loop walks the planned active vertices
-        directly and skips the per-vertex ``select`` call — the dense
-        path charges nothing for that call, so as long as ``select``
-        agrees with the mask (the frontier contract) the two paths emit
-        identical messages with identical cpu charges.
-        """
-        pg = self.pgraph
-        result = _PartitionTransfer()
-        merge = app.merge if app.is_associative else None
-        # Local messages: merged eagerly for inner vertices under local
-        # optimizations (local propagation needs no associativity — all of
-        # an inner vertex's messages originate in this very task).
-        inner_box = MessageBox(merge=None)
-        # Messages to local boundary vertices must wait for remote
-        # arrivals, but an associative combine lets them collapse to one
-        # partial per destination before spilling (local combination,
-        # destination side).
-        boundary_box = MessageBox(
-            merge=merge if self.local_opts else None
-        )
-        result.boundary_box = boundary_box
-
-        def route(dest_partition: int, dest, value) -> None:
-            result.messages += 1
-            result.cpu_ops += 1.0
-            if dest_partition == p and not app.uses_virtual_vertices:
-                if self.local_opts and pg.is_inner(dest):
-                    inner_box.add(dest, value)
-                else:
-                    boundary_box.add(dest, value)
-                return
-            if dest_partition == p:
-                # virtual key hashed to the local partition: still local
-                boundary_box.add(dest, value)
-                return
-            box = result.cross_boxes.get(dest_partition)
-            if box is None:
-                box = MessageBox(merge=merge if self.local_opts else None)
-                result.cross_boxes[dest_partition] = box
-            box.add(dest, value)
-            if self.local_opts and merge is not None:
-                result.cpu_ops += 1.0  # the merge work
-
-        if app.uses_virtual_vertices:
-            for u in pg.partition_vertices[p]:
-                u = int(u)
-                result.cpu_ops += 1.0
-                if not app.select(u, state):
-                    continue
-                for key, value in app.virtual_transfer(u, state):
-                    route(virtual_partition(key, pg.num_parts), key, value)
-        else:
-            graph = pg.graph
-            parts = pg.parts
-            vertex_iter = (finfo.active if finfo is not None
-                           else pg.partition_vertices[p])
-            for u in vertex_iter:
-                u = int(u)
-                if finfo is None and not app.select(u, state):
-                    continue
-                for v in graph.out_neighbors(u):
-                    v = int(v)
-                    result.cpu_ops += 1.0
-                    value = app.transfer(u, v, state)
-                    if value is not None:
-                        route(int(parts[v]), v, value)
-
-        # Local propagation: combine inner vertices now, in memory.
-        if self.local_opts and not app.uses_virtual_vertices:
-            result.inner_out, cpu_ops, result.output_bytes = (
-                self._combine_bags(app, state, inner_box.data))
-            result.cpu_ops += cpu_ops
-            result.inner_seen = inner_box.data.keys()
-            result.locally_propagated = len(inner_box.data)
-        elif not self.local_opts:
-            # no local propagation: inner-destination messages spill too
-            for v, values in inner_box.data.items():
-                for value in values:
-                    boundary_box.add(v, value)
-
-        result.spill_bytes = boundary_box.payload_bytes(app)
-        # Cross boxes are merged only when local optimizations are on:
-        # at O1/O2 an associative app still ships every raw message.
-        merged = merge is not None and self.local_opts
-        for q, box in sorted(result.cross_boxes.items()):
-            result.send_bytes[q] = box.payload_bytes(app)
-            result.shipped += len(box) if merged else box.message_count()
         return result
 
     def _transfer_task(
@@ -748,58 +714,15 @@ class PropagationEngine:
     # ------------------------------------------------------------------
     # Combine stage
     # ------------------------------------------------------------------
-    def _route(
-        self, transfers: list[_PartitionTransfer]
-    ) -> tuple[list[MessageBox], list[dict[int, float]]]:
-        """Deliver cross boxes; returns per-partition inbox and the bytes
-        received from each source partition (for failure re-fetch)."""
-        num_parts = self.pgraph.num_parts
-        inboxes = [MessageBox(merge=None) for _ in range(num_parts)]
-        sources: list[dict[int, float]] = [{} for _ in range(num_parts)]
-        for p, t in enumerate(transfers):
-            # spilled local (boundary) messages
-            assert t.boundary_box is not None
-            for dest in t.boundary_box.data:
-                for value in t.boundary_box.values_of(dest):
-                    inboxes[p].add(dest, value)
-            for q, box in t.cross_boxes.items():
-                if t.send_bytes[q] > 0:
-                    sources[q][p] = t.send_bytes[q]
-                for dest, stored in box.data.items():
-                    for value in box.values_of(dest):
-                        inboxes[q].add(dest, value)
-        return inboxes, sources
-
-    def _run_combine(
-        self,
-        app: PropagationApp,
-        state: Any,
-        p: int,
-        inbox: MessageBox,
-        sources: dict[int, float],
-        transfer: _PartitionTransfer,
-    ) -> tuple[Task, dict]:
-        """Scalar Combine of partition ``p`` over its routed inbox."""
-        pad: Any = ()
-        if app.combine_all_vertices and not app.uses_virtual_vertices:
-            seen = transfer.inner_seen
-            pad = (u for u in self.pgraph.partition_vertices[p].tolist()
-                   if u not in seen)
-        combined, cpu_ops, output_bytes = self._combine_bags(
-            app, state, inbox.data, pad)
-        return (self._combine_task(p, sources, transfer, cpu_ops,
-                                   output_bytes), combined)
-
     def _run_combine_array(
         self, app: PropagationApp, state: Any, q: int,
         transfers: list[_PartitionTransfer],
     ) -> tuple[Task, Outputs]:
-        """Columnar route + Combine of partition ``q``.
+        """Route + Combine of partition ``q``.
 
         The arrival order is the contract: source partitions ascending —
         ``q``'s own boundary spill at position ``q``, cross slices
-        around it — and emission order within a source, exactly the bag
-        order the scalar route builds.
+        around it — and emission order within a source.
         """
         sources: dict[int, float] = {}
         arrivals: list[Columns] = []
@@ -813,13 +736,13 @@ class PropagationEngine:
                 arrivals.append((t.cross[0][lo:hi], t.cross[1][lo:hi]))
                 sources[p] = t.send_bytes[q]
         pad = None
-        if app.combine_all_vertices:
+        if app.combine_all_vertices and not app.uses_virtual_vertices:
             pad = self.pgraph.partition_vertices[q]
             seen = transfers[q].inner_seen
             pad = np.delete(pad, np.searchsorted(pad, seen))
         out, cpu_ops, output_bytes, _ = self._combine_columns(
             app, state, np.concatenate([a[0] for a in arrivals]),
-            np.concatenate([a[1] for a in arrivals]), pad)
+            _concat([a[1] for a in arrivals]), pad)
         return (self._combine_task(q, sources, transfers[q], cpu_ops,
                                    output_bytes), out)
 
@@ -832,13 +755,15 @@ class PropagationEngine:
 
         ``pad`` (ascending, a superset of the arrival vertices) lists
         the vertices to combine whether or not anything arrived —
-        ``combine_all_vertices``.  With ``combine_array`` the arrivals
-        take one order-exact fold and one hook call; otherwise they
-        become bags for the scalar loop.  Either way the charge is the
-        scalar one: one op per arrival plus one per combined vertex.
+        ``combine_all_vertices``.  A typed column of an app with
+        ``combine_array`` takes one order-exact fold and one hook call;
+        otherwise — an object column from the scalar UDFs, so always
+        under ``vectorized=False`` — the arrivals become bags for the
+        scalar loop.  Either way the charge is the scalar one: one op
+        per arrival plus one per combined vertex.
         """
         if (type(app).combine_array is not PropagationApp.combine_array
-                and app.merge_ufunc is not None):
+                and app.merge_ufunc is not None and _typed(values)):
             vertices, folded, counts = fold_by_dest(
                 dests, values, app.merge_ufunc)
             seen = vertices

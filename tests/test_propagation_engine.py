@@ -6,40 +6,10 @@ import pytest
 from repro.core.range_plan import contiguous_range_plan
 from repro.core.surfer import Surfer
 from repro.graph import Graph, pagerank
-from repro.propagation.api import MessageBox, PropagationApp, message_nbytes
+from repro.propagation.api import PropagationApp, message_nbytes
 from repro.propagation.engine import virtual_partition
 from repro.apps import NetworkRankingPropagation
 from tests.conftest import make_test_cluster
-
-
-class TestMessageBox:
-    def test_bag_semantics(self):
-        box = MessageBox()
-        box.add(1, 10)
-        box.add(1, 20)
-        assert box.values_of(1) == [10, 20]
-        assert box.message_count() == 2
-        assert len(box) == 1
-
-    def test_merge_semantics(self):
-        box = MessageBox(merge=lambda a, b: a + b)
-        box.add(1, 10)
-        box.add(1, 20)
-        assert box.values_of(1) == [30]
-        assert box.message_count() == 2
-
-    def test_missing_dest(self):
-        assert MessageBox().values_of(99) == []
-
-    def test_payload_bytes_counts_merged_once(self):
-        app = NetworkRankingPropagation()
-        raw = MessageBox()
-        merged = MessageBox(merge=lambda a, b: a + b)
-        for box in (raw, merged):
-            box.add(1, 1.0)
-            box.add(1, 2.0)
-        assert raw.payload_bytes(app) == 2 * message_nbytes(app, 1.0)
-        assert merged.payload_bytes(app) == message_nbytes(app, 3.0)
 
 
 class TestVirtualPartition:
@@ -205,3 +175,204 @@ class TestLocalPropagationCombinesOnce:
         # combine: one op for the vertex nothing arrived at
         assert cpu == {"transfer[0]": 4.0, "transfer[1]": 4.0,
                        "combine[0]": 1.0, "combine[1]": 1.0}
+
+
+# ----------------------------------------------------------------------
+# Routing and its charges, computed from the edge list
+# ----------------------------------------------------------------------
+#: two ranges, {0..3} and {4..7}; 1, 2, 5 and 6 touch no cross edge, so
+#: they are the inner vertices, and 0, 3, 4 and 7 the boundary ones
+_HAND_EDGES = [
+    (0, 1), (0, 2), (1, 2), (2, 1), (1, 3), (2, 3), (2, 0), (3, 0),
+    (4, 5), (4, 6), (5, 6), (6, 5), (5, 7), (6, 7), (6, 4), (7, 4),
+    (0, 4), (3, 4), (3, 7), (4, 0), (4, 3), (7, 0),
+]
+_HAND_PARTS = [0, 0, 0, 0, 1, 1, 1, 1]
+
+
+class _SumApp(PropagationApp):
+    """Array hooks and ``merge_ufunc``: ``u + 1`` along every edge."""
+
+    name = "hand-sum"
+    is_associative = True
+    merge_ufunc = np.add
+
+    def setup(self, pgraph):
+        return type("State", (), {"values": np.zeros(pgraph.num_vertices)})
+
+    def transfer(self, u, v, state):
+        return float(u + 1)
+
+    def transfer_array(self, src, dst, state):
+        return (src + 1).astype(np.float64)
+
+    def combine(self, v, values, state):
+        return sum(values)
+
+    def combine_array(self, vertices, folded, counts, state):
+        return folded
+
+    def merge(self, a, b):
+        return a + b
+
+
+class _TupleApp(PropagationApp):
+    """Object values, no ``transfer`` on edges with ``u + v`` divisible
+    by 3, merged in Python (tuple concatenation), sized per id."""
+
+    name = "hand-tuples"
+    is_associative = True
+
+    def setup(self, pgraph):
+        return type("State", (), {"values": {}})
+
+    def transfer(self, u, v, state):
+        return None if (u + v) % 3 == 0 else (u,)
+
+    def combine(self, v, values, state):
+        return tuple(sorted(u for value in values for u in value))
+
+    def merge(self, a, b):
+        return a + b
+
+    def value_nbytes(self, value):
+        return 8.0 * len(value)
+
+    def update(self, state, combined):
+        state.values.update(combined)
+
+
+class _VirtualSumApp(PropagationApp):
+    """Virtual keys of two types: ``u % 3`` for even ``u``, a string for
+    odd ones; every vertex also counts itself under ``"all"``."""
+
+    name = "hand-virtual"
+    is_associative = True
+    uses_virtual_vertices = True
+
+    def setup(self, pgraph):
+        return type("State", (), {"values": {}})
+
+    def virtual_transfer(self, u, state):
+        yield ("odd" if u % 2 else u % 3), u
+        yield "all", 1
+
+    def virtual_combine(self, key, values, state):
+        return sum(values)
+
+    def merge(self, a, b):
+        return a + b
+
+    def update(self, state, combined):
+        state.values.update(combined)
+
+
+def _hand_expectation(app, local_opts):
+    """The iteration's report fields and per-task cpu ops, derived from
+    the edge list alone: who emits what to which partition, what is
+    merged, what is spilled and what crosses."""
+    parts = _HAND_PARTS
+    num_parts = 2
+    boundary = {w for u, v in _HAND_EDGES if parts[u] != parts[v]
+                for w in (u, v)}
+    emitted = {p: [] for p in range(num_parts)}  # (dest, part, value)
+    scan = {p: 0 for p in range(num_parts)}
+    if app.uses_virtual_vertices:
+        for u in range(len(parts)):
+            scan[parts[u]] += 1  # one op per visited vertex
+            for key, value in app.virtual_transfer(u, None):
+                emitted[parts[u]].append(
+                    (key, virtual_partition(key, num_parts), value))
+    else:
+        for u, v in sorted(_HAND_EDGES):
+            scan[parts[u]] += 1  # one op per scanned edge
+            value = app.transfer(u, v, None)
+            if value is not None:
+                emitted[parts[u]].append((v, parts[v], value))
+
+    merging = local_opts and app.is_associative
+
+    def entries(messages):
+        """Wire entries: one per message, or one per destination."""
+        if not merging:
+            return messages
+        merged: dict = {}
+        for d, q, v in messages:
+            merged[d] = (q, app.merge(merged[d][1], v) if d in merged
+                         else v)
+        return [(d, q, v) for d, (q, v) in merged.items()]
+
+    def nbytes(wire):
+        return sum(message_nbytes(app, v) for _, _, v in wire)
+
+    report = dict(messages_emitted=0, messages_shipped=0,
+                  network_bytes=0.0, spill_bytes=0.0, locally_propagated=0)
+    cpu: dict[str, float] = {}
+    arrivals: dict[int, list] = {q: [] for q in range(num_parts)}
+    for p, messages in emitted.items():
+        inner = [d for d, q, _ in messages
+                 if local_opts and not app.uses_virtual_vertices
+                 and q == p and d not in boundary]
+        spilled = entries([m for m in messages
+                           if m[1] == p and m[0] not in inner])
+        cross = [m for m in messages if m[1] != p]
+        shipped = entries(cross)
+        report["messages_emitted"] += len(messages)
+        report["messages_shipped"] += len(shipped)
+        report["network_bytes"] += nbytes(shipped)
+        report["spill_bytes"] += nbytes(spilled)
+        report["locally_propagated"] += len(set(inner))
+        cpu[f"transfer[{p}]"] = (
+            scan[p] + len(messages)  # scan + route
+            + len(inner) + len(set(inner))  # local propagation's combine
+            + (len(cross) if merging else 0))  # the merge work
+        arrivals[p] += spilled
+        for d, q, v in shipped:
+            arrivals[q].append((d, q, v))
+    for q, got in arrivals.items():
+        cpu[f"combine[{q}]"] = float(len(got) + len({d for d, _, _ in got}))
+    return report, cpu
+
+
+class TestRoutingFromFirstPrinciples:
+    """Messages, spill and network bytes, local propagation and cpu ops
+    of one iteration on a hand-built two-partition graph, at O1 (no
+    local optimizations) and O4, for three app shapes: a
+    ``merge_ufunc`` app on its array hooks, an object-valued app that
+    drops edges and merges in Python, and a virtual-key app."""
+
+    @pytest.fixture(scope="class")
+    def surfer(self):
+        graph = Graph.from_edges(_HAND_EDGES, num_vertices=8)
+        cluster = make_test_cluster(2)
+        plan = contiguous_range_plan(graph, cluster.topology, 2,
+                                     offsets=np.array([0, 4, 8]))
+        surfer = Surfer(graph, cluster, plan=plan, replication=1)
+        assert surfer.pgraph.parts.tolist() == _HAND_PARTS
+        assert np.flatnonzero(~surfer.pgraph.boundary_mask).tolist() == [
+            1, 2, 5, 6]
+        return surfer
+
+    @pytest.mark.parametrize("local_opts", [False, True], ids=["O1", "O4"])
+    @pytest.mark.parametrize("app_cls", [_SumApp, _TupleApp,
+                                         _VirtualSumApp])
+    def test_counts_and_charges(self, surfer, app_cls, local_opts):
+        app = app_cls()
+        job = surfer.run_propagation(app, local_opts=local_opts)
+        report, cpu = _hand_expectation(app, local_opts)
+        (got,) = job.reports
+        assert {name: getattr(got, name) for name in report} == report
+        assert {e.task.name: e.task.cpu_ops
+                for e in job.executions} == cpu
+
+    def test_the_hand_graph_exercises_every_route(self):
+        """Inner, boundary and cross destinations all occur, and merging
+        collapses some of each kind at O4."""
+        for app in (_SumApp(), _TupleApp()):
+            o1, _ = _hand_expectation(app, local_opts=False)
+            o4, _ = _hand_expectation(app, local_opts=True)
+            assert o4["locally_propagated"] > 0
+            assert 0 < o4["spill_bytes"] < o1["spill_bytes"]
+            assert 0 < o4["messages_shipped"] < o1["messages_shipped"]
+        assert _hand_expectation(_TupleApp(), False)[0][
+            "messages_emitted"] < len(_HAND_EDGES)

@@ -8,6 +8,7 @@ every optimization level (see docs/COST_MODEL.md for the contract).
 
 from __future__ import annotations
 
+import functools
 import os
 import subprocess
 import sys
@@ -16,17 +17,20 @@ import numpy as np
 import pytest
 
 import repro
-from repro.apps import BreadthFirstSearchPropagation, NetworkRankingPropagation
+from repro.apps import (BreadthFirstSearchPropagation,
+                        NetworkRankingPropagation,
+                        ReverseLinkGraphPropagation)
 from repro.apps.connected_components import ConnectedComponentsPropagation
 from repro.apps.recommender import RecommenderPropagation
 from repro.cluster import FaultPlan
 from repro.core.range_plan import contiguous_range_plan
 from repro.core.surfer import Surfer
 from repro.errors import JobError
+from repro.fold import object_column
 from repro.graph.generators import composite_social_graph
 from repro.graph.store import build_shard_store, open_shard_graph
 from repro.graph.stream import stream_rmat
-from repro.propagation.api import MessageBox, PropagationApp, fold_by_dest
+from repro.propagation.api import PropagationApp, fold_by_dest
 from repro.propagation.engine import _bags, virtual_partition
 from repro.mapreduce.engine import reducer_of
 from repro.runtime.checkpoint import CheckpointPolicy
@@ -99,46 +103,56 @@ class TestFoldByDest:
 
 
 class TestFromArrays:
-    """The column -> bag helper and the fold kernel against the
-    sequence of ``MessageBox.add`` calls they replace (the class keeps
-    the name of the deleted ``MessageBox.from_arrays``)."""
+    """The column -> bag helper and the fold kernel against a
+    dict-of-lists reference and a ``functools.reduce`` left fold."""
+
+    @staticmethod
+    def _bags_by_dict(dests, values):
+        """Per-destination bags in arrival order, first arrival first."""
+        bags: dict = {}
+        for d, v in zip(dests.tolist(), values.tolist()):
+            bags.setdefault(d, []).append(v)
+        return bags
 
     def test_bags_match_add_sequence(self):
         dests = np.array([2, 1, 2, 2, 1])
         values = np.array([10, 20, 30, 40, 50])
-        oracle = MessageBox()
-        for d, v in zip(dests, values):
-            oracle.add(int(d), v)
+        reference = self._bags_by_dict(dests, values)
         bags = _bags(dests, values)
-        assert list(bags) == sorted(oracle.data)
-        for d in oracle.data:
-            assert bags[d] == [int(v) for v in oracle.values_of(d)]
+        assert list(bags) == sorted(reference)
+        assert bags == reference
         assert _bags(dests[:0], values[:0]) == {}
 
     def test_merged_match_add_sequence(self):
         rng = np.random.default_rng(5)
         dests = rng.integers(0, 10, 300)
         values = rng.random(300)
-        oracle = MessageBox(merge=lambda a, b: a + b)
-        for d, v in zip(dests, values):
-            oracle.add(int(d), v)
+        bags = self._bags_by_dict(dests, values)
+        reference = {d: functools.reduce(lambda a, b: a + b, bag)
+                     for d, bag in bags.items()}
         for uniq, merged, counts in (
                 fold_by_dest(dests, values, np.add),
                 fold_with("counting", dests, values, np.add),
-                fold_with("sorted", dests, values, np.add)):
-            assert uniq.tolist() == sorted(oracle.data)
-            assert merged.tolist() == [oracle.data[d]  # bitwise
+                fold_with("sorted", dests, values, np.add),
+                fold_by_dest(dests, values, lambda a, b: a + b)):
+            assert uniq.tolist() == sorted(reference)
+            assert merged.tolist() == [reference[d]  # bitwise
                                        for d in uniq.tolist()]
-            assert counts.tolist() == [oracle.counts[d]
-                                       for d in uniq.tolist()]
+            assert counts.tolist() == [len(bags[d]) for d in uniq.tolist()]
 
-    def test_payload_cache_invalidated_by_add(self):
-        app = NetworkRankingPropagation()
-        box = MessageBox()
-        box.add(1, 1.0)
-        first = box.payload_bytes(app)
-        box.add(2, 1.0)
-        assert box.payload_bytes(app) == 2 * first
+    def test_object_keys_group_by_first_arrival(self):
+        """Virtual keys may mix ``int`` and ``str``: no sort orders
+        them, so they group in first-arrival order, as a dict does."""
+        dests = object_column([1, "1", 2, 1, "1", ("t", 1)])
+        values = object_column([(1,), (2,), (3,), (4,), (5,), (6,)])
+        reference = self._bags_by_dict(dests, values)
+        assert list(_bags(dests, values).items()) == list(reference.items())
+        uniq, merged, counts = fold_by_dest(dests, values,
+                                            lambda a, b: a + b)
+        assert uniq.tolist() == list(reference)
+        assert merged.tolist() == [functools.reduce(lambda a, b: a + b, bag)
+                                   for bag in reference.values()]
+        assert counts.tolist() == [2, 2, 1, 1]
 
 
 # ----------------------------------------------------------------------
@@ -263,6 +277,40 @@ class TestFastPathEquivalence:
         assert np.array_equal(scalar.result, fast.result)
         assert _job_signature(scalar) == _job_signature(fast)
 
+    @pytest.mark.parametrize("local_opts", [True, False])
+    @pytest.mark.parametrize("app_cls", [NetworkRankingPropagation,
+                                         ReverseLinkGraphPropagation])
+    def test_declined_partitions_fall_back_alone(self, graph, app_cls,
+                                                 local_opts):
+        """A ``transfer_array`` that declines on the lower half of the
+        vertex ranges sends only those partitions through the scalar
+        ``transfer``: typed (or ragged) and object columns then meet in
+        one Combine, and every product still equals the oracle's."""
+        class HalfDeclining(app_cls):
+            def transfer_array(self, src, dst, state):
+                if src.size and src[0] < state.num_vertices // 2:
+                    return None
+                return super().transfer_array(src, dst, state)
+
+        n = graph.num_vertices
+        cluster = make_test_cluster(4)
+        plan = contiguous_range_plan(graph, cluster.topology, 4, seed=3,
+                                     offsets=np.arange(5) * n // 4)
+        surfer = Surfer(graph, cluster, seed=3, plan=plan)
+        scalar, mixed = (
+            surfer.run_propagation(app(), local_opts=local_opts,
+                                   vectorized=vectorized)
+            for app, vectorized in ((app_cls, False),
+                                    (HalfDeclining, None)))
+        with pytest.raises(JobError):
+            surfer.run_propagation(HalfDeclining(), vectorized=True)
+        if app_cls is ReverseLinkGraphPropagation:
+            assert (scalar.result.out_indices.tolist()
+                    == mixed.result.out_indices.tolist())
+        else:
+            assert scalar.result.tolist() == mixed.result.tolist()
+        assert _job_signature(scalar) == _job_signature(mixed)
+
     def test_force_vectorized_rejects_unsupported_app(self, graph):
         class NoArrayApp(PropagationApp):
             name = "no-array"
@@ -303,6 +351,45 @@ class TestFastPathEquivalence:
         assert np.array_equal(np.asarray(auto.result),
                               np.asarray(scalar.result))
         assert _job_signature(auto) == _job_signature(scalar)
+
+
+def _scalar_only(app_cls):
+    """``app_cls`` with every array hook failing the test when called."""
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError(f"{app_cls.name}: an array hook ran under "
+                             "vectorized=False")
+
+    return type(f"ScalarOnly{app_cls.__name__}", (app_cls,), {
+        hook: forbidden for hook in ("transfer_array", "combine_array",
+                                     "update_array")})
+
+
+class TestScalarOracle:
+    """``vectorized=False`` is the oracle: it calls the scalar UDFs
+    only, and its results and per-iteration reports equal those of the
+    ``vectorized=None`` job that takes the hooks."""
+
+    @pytest.mark.parametrize("local_opts", [True, False])
+    @pytest.mark.parametrize("app_cls, kwargs, result_of", [
+        (NetworkRankingPropagation, {"iterations": 3}, np.ndarray.tolist),
+        (ReverseLinkGraphPropagation, {},
+         lambda g: (g.out_indptr.tolist(), g.out_indices.tolist())),
+        (BreadthFirstSearchPropagation,
+         {"frontier": True, "until_convergence": True}, np.ndarray.tolist),
+    ], ids=["NR", "RLG", "BFS-frontier"])
+    def test_scalar_job_calls_no_hook_and_matches(self, small_graph,
+                                                  app_cls, kwargs,
+                                                  result_of, local_opts):
+        surfer = Surfer(small_graph, make_test_cluster(4), num_parts=8,
+                        seed=3)
+        oracle = surfer.run_propagation(_scalar_only(app_cls)(),
+                                        local_opts=local_opts,
+                                        vectorized=False, **kwargs)
+        hooked = surfer.run_propagation(app_cls(), local_opts=local_opts,
+                                        vectorized=None, **kwargs)
+        assert result_of(oracle.result) == result_of(hooked.result)
+        assert oracle.reports == hooked.reports
+        assert _job_signature(oracle) == _job_signature(hooked)
 
 
 # ----------------------------------------------------------------------

@@ -62,6 +62,41 @@ class _MultiEmit(PropagationApp):
         return state.values
 
 
+class _MixedKeys(PropagationApp):
+    """One iteration emits ``int`` and ``str`` virtual keys together —
+    ``1`` and ``"1"`` are different keys — which no sort can order."""
+
+    name = "mixed-keys"
+    uses_virtual_vertices = True
+    is_associative = True
+
+    def setup(self, pgraph):
+        class State:
+            values = {}
+        return State()
+
+    def virtual_transfer(self, u, state):
+        yield (u % 4 if u % 3 else str(u % 4)), u
+
+    def virtual_combine(self, key, values, state):
+        return sum(values)
+
+    def merge(self, a, b):
+        return a + b
+
+    def update(self, state, combined):
+        state.values = dict(combined)
+
+    def finalize(self, state):
+        return state.values
+
+
+#: what the dict-based router returned for ``_MixedKeys`` on the
+#: ``surfer`` fixture, in its order: keys by first arrival
+_MIXED_KEYS_RESULT = [(0, 21676), ("0", 10836), (1, 21930), (2, 21674),
+                      ("3", 10965), (3, 21931), ("2", 11094), ("1", 10710)]
+
+
 @pytest.fixture()
 def surfer(small_graph):
     return Surfer(small_graph, make_test_cluster(4), num_parts=8, seed=6)
@@ -91,6 +126,23 @@ class TestVirtualVertices:
         off = surfer.run_propagation(_GroupBySign(), local_opts=False)
         # 3 keys, many messages: merging must collapse traffic massively
         assert on.metrics.network_bytes < 0.5 * off.metrics.network_bytes
+
+
+class TestMixedKeyTypes:
+    @pytest.mark.parametrize("local_opts, shipped, network, spill", [
+        (True, 56, 896.0, 128.0), (False, 458, 7328.0, 864.0)])
+    def test_int_and_str_keys_in_one_iteration(self, small_graph, surfer,
+                                               local_opts, shipped,
+                                               network, spill):
+        job = surfer.run_propagation(_MixedKeys(), local_opts=local_opts)
+        assert list(job.result.items()) == _MIXED_KEYS_RESULT
+        n = small_graph.num_vertices
+        assert sum(job.result.values()) == n * (n - 1) // 2
+        (report,) = job.reports
+        assert (report.messages_emitted, report.messages_shipped,
+                report.network_bytes, report.spill_bytes,
+                report.locally_propagated) == (n, shipped, network,
+                                               spill, 0)
 
 
 class TestApiDefaults:
