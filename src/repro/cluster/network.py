@@ -9,11 +9,11 @@ network-I/O metric measures (Table 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster.topology import Topology
 
-__all__ = ["TrafficCounter", "NetworkModel"]
+__all__ = ["TrafficCounter", "NetworkModel", "StageConstraints"]
 
 
 @dataclass
@@ -29,25 +29,56 @@ class TrafficCounter:
     cross_pod_bytes: int = 0
     background_bytes: int = 0
     transfers: int = 0
-    per_pair: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def record(self, src: int, dst: int, nbytes: int,
-               cross_pod: bool, background: bool = False) -> None:
-        self.total_bytes += nbytes
-        self.transfers += 1
-        if cross_pod:
-            self.cross_pod_bytes += nbytes
-        if background:
-            self.background_bytes += nbytes
-        key = (src, dst)
-        self.per_pair[key] = self.per_pair.get(key, 0) + nbytes
 
     def reset(self) -> None:
         self.total_bytes = 0
         self.cross_pod_bytes = 0
         self.background_bytes = 0
         self.transfers = 0
-        self.per_pair.clear()
+
+
+class StageConstraints(dict):
+    """``(src, dst) -> (bandwidth, bottleneck key)`` of one stage's flows.
+
+    The users of each shared resource are the distinct ``user_machine``
+    entries of the ``pairs`` that carry bytes in the stage.  A flow's
+    bandwidth is its link rate or, if lower, the smallest fair share
+    ``capacity / #users`` of a resource on its path; the key names that
+    resource (None when only the full-rate link limits the flow).  Flows
+    limited by the *same* resource must share its capacity, while flows
+    limited by distinct resources can proceed in parallel.
+
+    Every given pair is resolved up front.  A pair first seen mid-stage
+    (a retry's refetch, a speculative backup) resolves on its first
+    lookup, against the same users.
+    """
+
+    def __init__(self, topology: Topology, pairs) -> None:
+        super().__init__()
+        self.topology = topology
+        paths = [(pair, topology.flow_resources(*pair)) for pair in pairs]
+        users: dict = {}
+        for __, resources in paths:
+            for key, __, user in resources:
+                users.setdefault(key, set()).add(user)
+        self.sharers = {key: len(machines) for key, machines in users.items()}
+        for pair, resources in paths:
+            self[pair] = self._resolve(resources)
+
+    def __missing__(self, pair: tuple[int, int]) -> tuple[float, object]:
+        self[pair] = constraint = self._resolve(
+            self.topology.flow_resources(*pair))
+        return constraint
+
+    def _resolve(self, resources) -> tuple[float, object]:
+        bw = self.topology.link_bps
+        bottleneck: object = None
+        for key, capacity, __ in resources:
+            share = capacity / max(1, self.sharers.get(key, 0))
+            if share < bw:
+                bw = share
+                bottleneck = key
+        return bw, bottleneck
 
 
 class NetworkModel:
@@ -84,88 +115,97 @@ class NetworkModel:
         """
         if src == dst or nbytes <= 0:
             return 0.0
-        cross_pod = self.topology.pod_of(src) != self.topology.pod_of(dst)
-        self.traffic.record(src, dst, int(nbytes), cross_pod, background)
-        if self.metrics is not None:
-            self.metrics.add("network.bytes_total", int(nbytes))
-            self.metrics.add("network.transfers")
-            if cross_pod:
-                self.metrics.add("network.bytes_cross_pod", int(nbytes))
-            if background:
-                self.metrics.add("network.bytes_background", int(nbytes))
-        return nbytes / self.topology.bandwidth(src, dst)
+        bw = self.topology.bandwidth(src, dst)
+        pods = self.topology.pods
+        cross_pod = int(nbytes) if pods[src] != pods[dst] else 0
+        self._record(int(nbytes), 1, cross_pod, background)
+        return nbytes / bw
 
-    def flow_constraint(
-        self, src: int, dst: int, users: dict | None = None
-    ) -> tuple[float, object]:
-        """(bandwidth, bottleneck resource key) of one flow.
+    def account_flows(self, machine: int, sends, fetches) -> None:
+        """Count one task's flows: ``sends`` leave ``machine`` and
+        ``fetches`` arrive at it, both ``[(peer, nbytes), ...]``.
 
-        The key identifies which shared resource limits the flow (None
-        when only the full-rate link does); flows limited by the *same*
-        resource must share its capacity, while flows limited by distinct
-        resources can proceed in parallel.
+        As with :meth:`transfer` of ``int(nbytes)``, a flow counts as one
+        transfer when it moves a whole byte between distinct machines.
+        Integer bytes add up exactly in any order, so the counters take
+        one update per call.  The peers must be checked machine ids (the
+        scheduler prices every flow before it charges it).
         """
-        if src == dst:
-            return float("inf"), None
-        if users is None:
-            bw = self.topology.bandwidth(src, dst)
-            key = None
-            if bw < self.topology.link_bps:
-                resources = self.topology.flow_resources(src, dst)
-                key = resources[0][0] if resources else ("pair", src, dst)
-            return bw, key
-        bw = self.topology.link_bps
-        bottleneck: object = None
-        for key, capacity, __ in self.topology.flow_resources(src, dst):
-            sharers = max(1, len(users.get(key, ())))
-            share = capacity / sharers
-            if share < bw:
-                bw = share
-                bottleneck = key
-        return bw, bottleneck
+        pods = self.topology.pods
+        pod = pods[machine]
+        nbytes = cross_pod = flows = 0
+        for peer, size in (*sends, *fetches):
+            n = int(size)
+            if n > 0 and peer != machine:
+                nbytes += n
+                flows += 1
+                if pods[peer] != pod:
+                    cross_pod += n
+        if flows:
+            self._record(nbytes, flows, cross_pod)
+
+    def _record(self, nbytes: int, transfers: int, cross_pod_bytes: int,
+                background: bool = False) -> None:
+        traffic = self.traffic
+        traffic.total_bytes += nbytes
+        traffic.transfers += transfers
+        traffic.cross_pod_bytes += cross_pod_bytes
+        if background:
+            traffic.background_bytes += nbytes
+        if self.metrics is not None:
+            self.metrics.add("network.bytes_total", nbytes)
+            self.metrics.add("network.transfers", transfers)
+            if cross_pod_bytes:
+                self.metrics.add("network.bytes_cross_pod", cross_pod_bytes)
+            if background:
+                self.metrics.add("network.bytes_background", nbytes)
 
     def flows_time(
         self,
         machine: int,
         flows,
         nic_bps: float,
+        constraints: StageConstraints,
         outbound: bool = True,
         max_streams: int = 8,
-        users: dict | None = None,
     ) -> float:
         """Time for one machine to move a set of concurrent flows.
 
-        ``flows`` is ``[(peer, nbytes), ...]``.  Flows are grouped by the
-        shared resource that bottlenecks them: flows through the *same*
-        congested resource (one pod uplink, one slow NIC) drain at that
-        resource's fair-share rate with no multiplexing gain, while flows
-        limited by distinct resources — or by nothing but the full-rate
-        link — proceed in parallel (up to ``max_streams`` for full-rate
-        flows), all capped by this machine's NIC.  This is the sender- and
-        receiver-occupancy model used for every task.
+        ``flows`` is ``[(peer, nbytes), ...]``, priced by the stage's
+        ``constraints``.  Flows are grouped by the shared resource that
+        bottlenecks them: flows through the *same* congested resource (one
+        pod uplink, one slow NIC) drain at that resource's fair-share rate
+        with no multiplexing gain, while flows limited by distinct
+        resources — or by nothing but the full-rate link — proceed in
+        parallel (up to ``max_streams`` for full-rate flows), all capped by
+        this machine's NIC.  This is the sender- and receiver-occupancy
+        model used for every task.  Bytes add up in flow order, per group
+        and in total, so the result is bit-stable.
         """
-        groups: dict[object, list[float]] = {}
+        groups: dict[object, list] = {}
         total = 0.0
         for peer, nbytes in flows:
-            peer = int(peer)
-            if peer == machine or nbytes <= 0:
-                continue
-            if outbound:
-                bw, key = self.flow_constraint(machine, peer, users)
-            else:
-                bw, key = self.flow_constraint(peer, machine, users)
-            entry = groups.setdefault(key, [0.0, 0, bw])
-            entry[0] += nbytes
-            entry[1] += 1
-            entry[2] = min(entry[2], bw)
-            total += nbytes
+            if nbytes > 0 and peer != machine:
+                bw, key = constraints[
+                    (machine, peer) if outbound else (peer, machine)]
+                entry = groups.get(key)
+                if entry is None:
+                    groups[key] = [0.0 + nbytes, 1, bw]
+                else:
+                    entry[0] += nbytes
+                    entry[1] += 1
+                    if bw < entry[2]:
+                        entry[2] = bw
+                total += nbytes
         if total <= 0:
             return 0.0
         time = total / nic_bps
         for key, (nbytes, count, bw) in groups.items():
-            streams = min(count, max_streams) if key is None else 1
-            capacity = min(nic_bps, bw * streams)
-            time = max(time, nbytes / capacity)
+            if key is None and count > 1:
+                bw *= count if count < max_streams else max_streams
+            group_time = nbytes / (bw if bw < nic_bps else nic_bps)
+            if group_time > time:
+                time = group_time
         return time
 
     def all_to_all_time(self, machines, bytes_per_pair: float) -> float:

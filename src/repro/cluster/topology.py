@@ -8,11 +8,16 @@ of the machines runs at half bandwidth, and a pair's bandwidth is the
 minimum of its endpoints'.
 
 A topology answers one question — ``bandwidth(i, j)`` in bytes/second — plus
-structural queries (pod membership, lowest common switch level) used by the
-machine-graph construction.
+structural queries (pod membership, lowest common switch level, the shared
+resources on a path) used by the machine-graph construction and the
+scheduler.  Every answer is a fixed fact of a machine or machine pair, so
+each topology tabulates them once (``pods``, ``bandwidths``,
+``pair_resources``) and the public queries are range-checked lookups.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -30,8 +35,30 @@ __all__ = [
 ]
 
 
+#: a shared resource on a path: ``(resource_key, capacity_bps, user_machine)``
+Resource = tuple[tuple, float, int]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class Topology:
-    """Pairwise-bandwidth model over machines ``0 .. n-1``."""
+    """Pairwise-bandwidth model over machines ``0 .. n-1``.
+
+    A subclass describes its network by ``_machine_pod(m)``,
+    ``_pair_bandwidth(src, dst)`` and ``_pair_resources(src, dst)``
+    (asked only for ``src != dst``).  Each table is built from them once,
+    on first read: ``pods`` (pod per machine), ``bandwidths`` (M x M
+    bytes/second, ``inf`` on the diagonal) and ``pair_resources`` (per
+    ordered pair, empty on the diagonal).  ``pod_of``, ``bandwidth`` and
+    ``flow_resources`` are range-checked lookups into them.
+
+    Topologies are immutable after construction: the tables are never
+    rebuilt, so no parameter may change once a topology exists (array
+    parameters and the tables are read-only).
+    """
 
     def __init__(self, num_machines: int, link_bps: float = GIGABIT_BPS):
         if num_machines <= 0:
@@ -41,19 +68,14 @@ class Topology:
         self.num_machines = num_machines
         self.link_bps = float(link_bps)
 
-    # -- interface -----------------------------------------------------
-    def bandwidth(self, src: int, dst: int) -> float:
-        """Bytes/second between two machines (infinite when src == dst)."""
-        raise NotImplementedError
-
-    def pod_of(self, machine: int) -> int:
-        """Pod index of ``machine`` (flat topologies are one pod)."""
-        self._check(machine)
+    # -- what a subclass describes ------------------------------------
+    def _machine_pod(self, machine: int) -> int:
         return 0
 
-    def flow_resources(
-        self, src: int, dst: int
-    ) -> list[tuple[tuple, float, int]]:
+    def _pair_bandwidth(self, src: int, dst: int) -> float:
+        raise NotImplementedError
+
+    def _pair_resources(self, src: int, dst: int) -> list[Resource]:
         """Shared congestible resources on the ``src -> dst`` path.
 
         Each entry is ``(resource_key, capacity_bps, user_machine)``: the
@@ -65,6 +87,44 @@ class Topology:
         more.  Flat topologies have no shared resources.
         """
         return []
+
+    # -- the tables ---------------------------------------------------
+    @cached_property
+    def pods(self) -> np.ndarray:
+        return _read_only(np.array(
+            [self._machine_pod(m) for m in range(self.num_machines)],
+            dtype=np.int64))
+
+    @cached_property
+    def bandwidths(self) -> np.ndarray:
+        n = range(self.num_machines)
+        return _read_only(np.array(
+            [[self._pair_bandwidth(src, dst) if src != dst else np.inf
+              for dst in n] for src in n], dtype=np.float64))
+
+    @cached_property
+    def pair_resources(self) -> tuple[tuple[tuple[Resource, ...], ...], ...]:
+        n = range(self.num_machines)
+        return tuple(tuple(tuple(self._pair_resources(src, dst))
+                           if src != dst else () for dst in n) for src in n)
+
+    # -- checked lookups ----------------------------------------------
+    def pod_of(self, machine: int) -> int:
+        """Pod index of ``machine`` (flat topologies are one pod)."""
+        self._check(machine)
+        return int(self.pods[machine])
+
+    def bandwidth(self, src: int, dst: int) -> float:
+        """Bytes/second between two machines (infinite when src == dst)."""
+        self._check(src)
+        self._check(dst)
+        return float(self.bandwidths[src, dst])
+
+    def flow_resources(self, src: int, dst: int) -> tuple[Resource, ...]:
+        """The ``src -> dst`` path's shared resources (``_pair_resources``)."""
+        self._check(src)
+        self._check(dst)
+        return self.pair_resources[src][dst]
 
     @property
     def num_pods(self) -> int:
@@ -83,11 +143,7 @@ class Topology:
 class FlatTopology(Topology):
     """T1: every machine pair shares the full link bandwidth."""
 
-    def bandwidth(self, src: int, dst: int) -> float:
-        self._check(src)
-        self._check(dst)
-        if src == dst:
-            return float("inf")
+    def _pair_bandwidth(self, src: int, dst: int) -> float:
         return self.link_bps
 
     def describe(self) -> str:
@@ -133,8 +189,7 @@ class TreeTopology(Topology):
     def num_pods(self) -> int:
         return self._num_pods
 
-    def pod_of(self, machine: int) -> int:
-        self._check(machine)
+    def _machine_pod(self, machine: int) -> int:
         return machine // self.pod_size
 
     def group_of(self, machine: int) -> int:
@@ -150,11 +205,7 @@ class TreeTopology(Topology):
             return 1
         return 2
 
-    def bandwidth(self, src: int, dst: int) -> float:
-        self._check(src)
-        self._check(dst)
-        if src == dst:
-            return float("inf")
+    def _pair_bandwidth(self, src: int, dst: int) -> float:
         level = self.common_switch_level(src, dst)
         if level == 0:
             return self.link_bps
@@ -172,9 +223,7 @@ class TreeTopology(Topology):
         factor = self.mid_factor if level == 1 else self.top_factor
         return self.pod_size * self.link_bps / factor
 
-    def flow_resources(
-        self, src: int, dst: int
-    ) -> list[tuple[tuple, float, int]]:
+    def _pair_resources(self, src: int, dst: int) -> list[Resource]:
         level = self.common_switch_level(src, dst)
         if level == 0:
             return []
@@ -213,22 +262,17 @@ class HeterogeneousTopology(Topology):
         slow = rng.choice(num_machines, size=num_slow, replace=False)
         self.is_slow = np.zeros(num_machines, dtype=bool)
         self.is_slow[slow] = True
+        self.is_slow.flags.writeable = False
         self.slow_factor = float(slow_factor)
 
-    def bandwidth(self, src: int, dst: int) -> float:
-        self._check(src)
-        self._check(dst)
-        if src == dst:
-            return float("inf")
+    def _pair_bandwidth(self, src: int, dst: int) -> float:
         if self.is_slow[src] or self.is_slow[dst]:
             return self.link_bps / self.slow_factor
         return self.link_bps
 
-    def flow_resources(
-        self, src: int, dst: int
-    ) -> list[tuple[tuple, float, int]]:
+    def _pair_resources(self, src: int, dst: int) -> list[Resource]:
         """A slow machine's NIC is the shared bottleneck of its flows."""
-        resources: list[tuple[tuple, float, int]] = []
+        resources: list[Resource] = []
         slow_bps = self.link_bps / self.slow_factor
         if self.is_slow[src]:
             resources.append((("slow-nic", src), slow_bps, src))

@@ -171,10 +171,11 @@ def _subtree_intensity(
 
 def _internal_bandwidth(topology: Topology, machines: list[int]) -> float:
     """Aggregate pairwise bandwidth inside a machine set."""
+    bandwidths = topology.bandwidths
     total = 0.0
     for i, a in enumerate(machines):
         for b in machines[i + 1:]:
-            total += topology.bandwidth(a, b)
+            total += float(bandwidths[a, b])
     return total
 
 

@@ -34,12 +34,11 @@ class MachineGraph:
         self.machines = [int(m) for m in machines]
         if len(set(self.machines)) != len(self.machines):
             raise PartitioningError("machine list contains duplicates")
-        n = len(self.machines)
-        self.weights = np.zeros((n, n))
-        for i, a in enumerate(self.machines):
-            for j, b in enumerate(self.machines):
-                if i != j:
-                    self.weights[i, j] = topology.bandwidth(a, b)
+        for m in self.machines:
+            topology.pod_of(m)  # raises TopologyError on a bad machine id
+        idx = np.array(self.machines, dtype=np.int64)
+        self.weights = topology.bandwidths[np.ix_(idx, idx)]
+        np.fill_diagonal(self.weights, 0.0)
 
     @property
     def num_machines(self) -> int:

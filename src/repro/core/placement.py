@@ -152,15 +152,13 @@ def refine_colocated_placement(
     num_parts = pgraph.num_parts
     local = estimate_partition_costs(pgraph, network_factor=0.0)
     traffic = partition_traffic_matrix(pgraph, message_bytes)
-    pods = np.array([topology.pod_of(m) for m in range(topology.num_machines)])
+    pods = topology.pods
     # Per-machine network slowdown relative to the cluster's typical pair
     # (heterogeneous clusters: a slow NIC doubles that machine's network
     # time, so hot partitions should drift towards fast machines).
-    best_peer = np.array([
-        max(topology.bandwidth(m, peer)
-            for peer in range(topology.num_machines) if peer != m)
-        for m in range(topology.num_machines)
-    ]) if topology.num_machines > 1 else np.ones(1)
+    off_diagonal = ~np.eye(topology.num_machines, dtype=bool)
+    best_peer = np.where(off_diagonal, topology.bandwidths, 0.0).max(
+        axis=1) if topology.num_machines > 1 else np.ones(1)
     penalty = best_peer.max() / np.maximum(best_peer, 1e-12)
 
     def loads(plc: np.ndarray) -> np.ndarray:

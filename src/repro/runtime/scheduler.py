@@ -25,11 +25,10 @@ production job manager needs:
 All recovery actions are recorded as
 :class:`~repro.runtime.events.Instant` entries on the job's event stream.
 
-Timing of one task:
-``disk_read + cpu + sum(network sends) + disk_write`` at the machine's
-rates, with network sends charged against the topology's pair bandwidth
-(co-located sends are free) and slowdown windows stretching the wall-clock
-time via :meth:`FaultPlan.advance`.
+Timing of one task: ``disk_read + cpu + disk_write`` at the machine's
+rates plus its sender and receiver network occupancy, priced by the
+stage's :class:`~repro.cluster.network.StageConstraints` (co-located
+flows are free), with slowdowns stretching it via :meth:`FaultPlan.advance`.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from collections import deque
 from repro.errors import DataLossError, SchedulingError
 from repro.cluster.cluster import Cluster
 from repro.cluster.faults import FaultPlan, Outage
+from repro.cluster.network import StageConstraints
 from repro.cluster.storage import PartitionStore
 from repro.runtime.events import EventStream, Span, wall_timer
 from repro.runtime.sanitizer import Sanitizer
@@ -53,6 +53,20 @@ HEARTBEAT_INTERVAL = 5.0
 SPECULATION_FACTOR = 2.0
 # Re-dispatch budget per task before the job is declared unschedulable.
 MAX_RETRIES = 5
+
+
+def _stage_pairs(tasks: list[Task]) -> set[tuple[int, int]]:
+    """The distinct ``(src, dst)`` machine pairs that carry bytes in a
+    stage: every task's sends, receives and fetches."""
+    pairs: set[tuple[int, int]] = set()
+    for task in tasks:
+        m = task.machine
+        pairs.update([(m, dst) for dst, nbytes in task.sends
+                      if nbytes > 0 and dst != m])
+        pairs.update([(src, m) for src, nbytes
+                      in (*task.receives, *task.fetches)
+                      if nbytes > 0 and src != m])
+    return pairs
 
 
 def _execution_span(e: TaskExecution) -> Span:
@@ -130,7 +144,7 @@ class StageScheduler:
         self.executions: list[TaskExecution] = []
         self.re_replication_bytes = 0
         self.data_loss: str | None = None
-        self._stage_users: dict = {}
+        self._constraints = StageConstraints(cluster.topology, ())
         self._seen_outages: set[tuple[int, float]] = set()
         self._stage_index = 0
 
@@ -141,7 +155,8 @@ class StageScheduler:
         start_time = max(
             (m.clock for m in self.cluster.machines), default=0.0
         )
-        self._stage_users = self._collect_resource_users(tasks)
+        self._constraints = StageConstraints(self.cluster.topology,
+                                             _stage_pairs(tasks))
         queues: dict[int, deque[Task]] = {}
         for task in tasks:
             queues.setdefault(task.machine, deque()).append(task)
@@ -372,9 +387,7 @@ class StageScheduler:
         """
         machine = self.cluster.machine(machine_id)
         spec = machine.spec
-        net = self.cluster.network
         plan = self.fault_plan
-        users = self._stage_users
         base = max(machine.clock, stage_start)
         # four lanes: read disk, CPU, NIC, write disk (the testbed
         # machines carry two disks — Appendix F)
@@ -401,13 +414,9 @@ class StageScheduler:
             read_time = (spec.disk_read_time(task.disk_read_bytes)
                          * task.disk_penalty)
             cpu_time = spec.cpu_time(task.cpu_ops)
-            net_time = net.flows_time(machine_id, task.sends,
-                                      spec.nic_bps, outbound=True,
-                                      users=users)
-            net_time += net.flows_time(
-                machine_id, list(task.receives) + list(task.fetches),
-                spec.nic_bps, outbound=False, users=users,
-            )
+            outbound, inbound = self._network_times(task, machine_id,
+                                                    spec.nic_bps)
+            net_time = outbound + inbound
             write_time = (spec.disk_write_time(task.disk_write_bytes)
                           * task.disk_penalty)
             read_start = max(arrival, read_free)
@@ -456,64 +465,45 @@ class StageScheduler:
             )
 
     # ------------------------------------------------------------------
-    def _collect_resource_users(self, tasks: list[Task]) -> dict:
-        """Who uses each shared network resource during this stage.
-
-        The per-resource user sets determine fair-share bandwidth: a pod
-        uplink crossed by every machine degrades to the topology's
-        worst-case pair bandwidth, while concentrated flows from a few
-        machines get proportionally more of the uplink.
-        """
-        topology = self.cluster.topology
-        users: dict = {}
-        for task in tasks:
-            for dst, nbytes in task.sends:
-                if nbytes > 0 and dst != task.machine:
-                    for key, __, user in topology.flow_resources(
-                        task.machine, dst
-                    ):
-                        users.setdefault(key, set()).add(user)
-            for src, nbytes in list(task.receives) + list(task.fetches):
-                if nbytes > 0 and src != task.machine:
-                    for key, __, user in topology.flow_resources(
-                        src, task.machine
-                    ):
-                        users.setdefault(key, set()).add(user)
-        return users
+    def _network_times(self, task: Task, machine_id: int,
+                       nic_bps: float) -> tuple[float, float]:
+        """Sender and receiver occupancy of ``task``, priced by stage."""
+        net = self.cluster.network
+        constraints = self._constraints
+        return (
+            net.flows_time(machine_id, task.sends, nic_bps, constraints),
+            net.flows_time(machine_id, [*task.receives, *task.fetches],
+                           nic_bps, constraints, outbound=False),
+        )
 
     def _task_duration(self, task: Task, machine_id: int) -> float:
         spec = self.cluster.machine(machine_id).spec
-        net = self.cluster.network
-        users = self._stage_users
         duration = (
             spec.disk_read_time(task.disk_read_bytes) * task.disk_penalty
             + spec.cpu_time(task.cpu_ops)
             + spec.disk_write_time(task.disk_write_bytes)
             * task.disk_penalty
         )
-        duration += net.flows_time(machine_id, task.sends, spec.nic_bps,
-                                   outbound=True, users=users)
-        inbound = list(task.receives) + list(task.fetches)
-        duration += net.flows_time(machine_id, inbound, spec.nic_bps,
-                                   outbound=False, users=users)
-        return duration
+        outbound, inbound = self._network_times(task, machine_id, spec.nic_bps)
+        return duration + outbound + inbound
 
     def _charge(self, task: Task, machine_id: int) -> None:
-        """Record resource counters for a successful execution."""
+        """Record resource counters for a successful execution; the
+        network counts the task's flows in one update."""
         machine = self.cluster.machine(machine_id)
         machine.disk_read_bytes += int(task.disk_read_bytes)
         machine.disk_write_bytes += int(task.disk_write_bytes)
         machine.cpu_ops += task.cpu_ops
         for dst, nbytes in task.sends:
             if dst != machine_id:
-                self.cluster.network.transfer(machine_id, dst, int(nbytes))
                 machine.bytes_sent += int(nbytes)
                 self.cluster.machine(dst).bytes_received += int(nbytes)
         for src, nbytes in task.fetches:
             if src != machine_id:
-                self.cluster.network.transfer(src, machine_id, int(nbytes))
                 self.cluster.machine(src).bytes_sent += int(nbytes)
                 machine.bytes_received += int(nbytes)
+        self.cluster.network.account_flows(machine_id, task.sends,
+                                           task.fetches)
 
     # ------------------------------------------------------------------
     def _mark_dead(self, machine_id: int, kill_time: float) -> None:

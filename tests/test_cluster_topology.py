@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TopologyError
+from repro.cluster.network import NetworkModel
 from repro.cluster.topology import (
     FlatTopology,
     HeterogeneousTopology,
@@ -29,10 +30,6 @@ class TestFlat:
         topo = t1(4)
         assert topo.num_pods == 1
         assert topo.pod_of(3) == 0
-
-    def test_rejects_bad_machine(self):
-        with pytest.raises(TopologyError):
-            t1(4).bandwidth(0, 9)
 
     def test_rejects_empty(self):
         with pytest.raises(TopologyError):
@@ -96,3 +93,57 @@ class TestHeterogeneous:
         a = t3(16, seed=3)
         b = t3(16, seed=3)
         assert np.array_equal(a.is_slow, b.is_slow)
+
+    def test_slow_set_is_immutable(self):
+        """The tables were built from ``is_slow``; it cannot drift."""
+        topo = t3(8, seed=0)
+        with pytest.raises(ValueError):
+            topo.is_slow[0] = not topo.is_slow[0]
+
+
+SHAPES = {"T1": lambda: t1(8, link_bps=100.0),
+          "T2(4,2)": lambda: t2(4, 2, 8, link_bps=320.0),
+          "T3": lambda: t3(8, link_bps=100.0, seed=1)}
+
+
+class TestTables:
+    """Every public query is a lookup into tables built once."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("bad", [-1, 8], ids=["minus-1", "M"])
+    def test_rejects_bad_machine(self, shape, bad):
+        topo = SHAPES[shape]()
+        with pytest.raises(TopologyError):
+            topo.pod_of(bad)
+        for src, dst in ((0, bad), (bad, 0)):
+            with pytest.raises(TopologyError):
+                topo.bandwidth(src, dst)
+            with pytest.raises(TopologyError):
+                topo.flow_resources(src, dst)
+            with pytest.raises(TopologyError):
+                NetworkModel(topo).transfer(src, dst, 10)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_lookups_answer_what_the_topology_describes(self, shape):
+        topo = SHAPES[shape]()
+        n = topo.num_machines
+        assert topo.bandwidths.shape == (n, n)
+        for src in range(n):
+            assert topo.pod_of(src) == topo._machine_pod(src)
+            assert topo.bandwidth(src, src) == float("inf")
+            assert topo.flow_resources(src, src) == ()
+            for dst in range(n):
+                if src != dst:
+                    assert (topo.bandwidth(src, dst)
+                            == topo._pair_bandwidth(src, dst))
+                    assert (topo.flow_resources(src, dst)
+                            == tuple(topo._pair_resources(src, dst)))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_tables_are_built_once_and_read_only(self, shape):
+        topo = SHAPES[shape]()
+        assert topo.bandwidths is topo.bandwidths
+        assert topo.pair_resources is topo.pair_resources
+        for table in (topo.pods, topo.bandwidths):
+            with pytest.raises(ValueError):
+                table[0] = 0

@@ -391,11 +391,12 @@ class TestNetworkProperties:
         st.floats(1.0, 1e6, allow_nan=False),
     )
     def test_flows_time_nonnegative_and_nic_bounded_below(self, flows, nic):
-        from repro.cluster.network import NetworkModel
+        from repro.cluster.network import NetworkModel, StageConstraints
         from repro.cluster.topology import t2
 
         net = NetworkModel(t2(2, 1, 8, link_bps=100.0))
-        t = net.flows_time(0, flows, nic_bps=nic)
+        stage = StageConstraints(net.topology, [(0, p) for p, __ in flows])
+        t = net.flows_time(0, flows, nic, stage)
         total = sum(b for __, b in flows)
         assert t >= total / nic - 1e-9
         assert t >= 0.0
@@ -407,39 +408,40 @@ class TestNetworkProperties:
                  min_size=1, max_size=8),
     )
     def test_flows_time_monotone_in_bytes(self, flows):
-        from repro.cluster.network import NetworkModel
+        from repro.cluster.network import NetworkModel, StageConstraints
         from repro.cluster.topology import t2
 
         net = NetworkModel(t2(2, 1, 8, link_bps=100.0))
-        base = net.flows_time(0, flows, nic_bps=50.0)
+        stage = StageConstraints(net.topology, [(0, p) for p, __ in flows])
+        base = net.flows_time(0, flows, 50.0, stage)
         bigger = [(peer, b * 2) for peer, b in flows]
-        assert net.flows_time(0, bigger, nic_bps=50.0) >= base - 1e-9
+        assert net.flows_time(0, bigger, 50.0, stage) >= base - 1e-9
 
     @COMMON
     @given(st.integers(0, 7), st.integers(0, 7))
     def test_effective_bandwidth_never_exceeds_link(self, a, b):
-        from repro.cluster.network import NetworkModel
+        from repro.cluster.network import StageConstraints
         from repro.cluster.topology import t2
 
-        net = NetworkModel(t2(2, 1, 8, link_bps=100.0))
+        topo = t2(2, 1, 8, link_bps=100.0)
         if a != b:
-            assert net.flow_constraint(a, b, {})[0] <= 100.0
-            assert (net.flow_constraint(a, b, None)[0]
-                    <= net.flow_constraint(a, b, {})[0])
+            alone = StageConstraints(topo, [(a, b)])[a, b][0]
+            assert alone <= 100.0
+            # the table's pair bandwidth is the fully contended worst case
+            assert topo.bandwidth(a, b) <= alone
 
     @COMMON
     @given(st.integers(1, 6))
     def test_fair_share_decreases_with_users(self, extra_users):
-        from repro.cluster.network import NetworkModel
+        from repro.cluster.network import StageConstraints
         from repro.cluster.topology import t2
 
         topo = t2(2, 1, 8, link_bps=100.0)
-        net = NetworkModel(topo)
-        key = ("uplink", 0, 2)
-        few = {key: {0}}
-        many = {key: set(range(extra_users + 1))}
-        assert (net.flow_constraint(0, 4, many)[0]
-                <= net.flow_constraint(0, 4, few)[0] + 1e-9)
+        # machines 0..3 form pod 0; each extra sender joins its uplink
+        few = StageConstraints(topo, [(0, 4)])
+        many = StageConstraints(topo, [(m, 4) for m in
+                                       range(min(extra_users, 3) + 1)])
+        assert many[0, 4][0] <= few[0, 4][0] + 1e-9
 
 
 # ----------------------------------------------------------------------
