@@ -46,6 +46,12 @@ message.  Their fold is declared by the app's ``merge_ufunc`` like any
 other: ``np.concatenate`` joins a destination's lists in arrival order
 (the scalar ``a + b`` on tuples), ``np.union1d`` unites them (``a | b``
 on frozensets) with one sort of ``pair_keys(group, id)``.
+
+The scalar UDFs ride the same columns.  A scalar ``combine`` or
+``reduce`` is handed :func:`bags` — each group's values as a list, in
+arrival order, groups in the grouping's order — and a step's outputs
+are assembled once by :func:`merge_outputs`: columns when every stage
+answered its array hook, else one dict.
 """
 
 from __future__ import annotations
@@ -58,7 +64,8 @@ from repro.graph.digraph import csr_from_keys, pair_keys
 from repro.graph.io import DEGREE_BYTES, VALUE_BYTES, VERTEX_ID_BYTES
 
 __all__ = ["MESSAGE_HEADER", "RAGGED_FOLDS", "RECORD_HEADER", "Grouping",
-           "Ragged", "distinct_rows", "fold_by_dest", "group_ids",
+           "Ragged", "bags", "concat_values", "distinct_rows",
+           "fold_by_dest", "group_ids", "is_typed", "merge_outputs",
            "object_column"]
 
 #: counting strategy when ``span <= COUNTING_SPAN_FACTOR * k``.  On
@@ -86,6 +93,54 @@ def object_column(items: Sequence[Any]) -> np.ndarray:
     """``items`` as a 1-D object column, one element per item (a tuple
     stays one element)."""
     return np.fromiter(items, dtype=object, count=len(items))
+
+
+def is_typed(values: Any) -> bool:
+    """Whether a value column came from an array hook (typed or
+    ragged) rather than the scalar UDFs (an object column)."""
+    return isinstance(values, Ragged) or values.dtype != object
+
+
+def concat_values(columns: Sequence[Any]) -> Any:
+    """Value columns joined end to end; a ragged column joins an object
+    one (from the scalar UDFs) as tuples."""
+    kinds = {type(c) for c in columns}
+    if Ragged in kinds and len(kinds) > 1:
+        columns = [object_column(c.tolist()) if isinstance(c, Ragged)
+                   else c for c in columns]
+    return np.concatenate(columns)
+
+
+def bags(grouping: Grouping, values: Any) -> list[list[Any]]:
+    """Each group's values as a Python list in arrival order, groups in
+    ``grouping.uniq``'s order — what a scalar ``combine`` or ``reduce``
+    is handed; ``grouping`` ranked."""
+    flat = values[np.argsort(grouping.index, kind="stable")].tolist()
+    ends = np.cumsum(grouping.counts).tolist()
+    return [flat[lo:hi] for lo, hi in zip([0, *ends], ends)]
+
+
+def _as_list(values: Any) -> list[Any]:
+    return values if isinstance(values, list) else values.tolist()
+
+
+def merge_outputs(outs: Sequence[Any]) -> Any:
+    """One step's outputs from its stages' ``(keys, values)`` columns
+    and ``{key: value}`` dicts: columns end to end when every stage
+    produced columns, else one dict (columns folded in, stage order
+    kept); no stage at all gives the empty dict.  Values that are lists
+    (not numeric) join as one list."""
+    if outs and all(isinstance(out, tuple) for out in outs):
+        keys = np.concatenate([k for k, _ in outs])
+        parts = [v for _, v in outs]
+        if any(isinstance(v, list) for v in parts):
+            return keys, [x for v in parts for x in _as_list(v)]
+        return keys, np.concatenate(parts)
+    merged: dict = {}
+    for out in outs:
+        merged.update(out if isinstance(out, dict)
+                      else zip(out[0].tolist(), _as_list(out[1])))
+    return merged
 
 
 class Ragged:

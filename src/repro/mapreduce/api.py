@@ -87,15 +87,16 @@ class MapReduceApp:
                   state: Any) -> tuple[np.ndarray, np.ndarray] | None:
         """Vectorized ``map``: columnar ``(keys, values)`` for a partition.
 
-        Opt-in hook of the MapReduce fast path.  Must return two aligned
-        ndarrays — integer (or fixed-width bytes) ``keys`` and ``values``
-        — listing, *in emission order*, exactly the pairs the scalar
-        ``map`` would have emitted; or ``None`` to decline, in which case
-        the engine re-runs the whole round on the scalar oracle.  Record
+        Opt-in hook of the MapReduce array path.  Must return two
+        aligned ndarrays — integer (or fixed-width bytes) ``keys`` and
+        ``values`` — listing, *in emission order*, exactly the pairs the
+        scalar ``map`` would have emitted; or ``None`` to decline, in
+        which case the engine runs the scalar ``map`` for this partition
+        alone and shuffles its pairs as columns with the others.  Record
         count, per-key value order and the bit patterns of the values
         must match the scalar path exactly; the key wire size must be
         the default, and the value size too unless ``values`` is a
-        :class:`~repro.fold.Ragged` column of id lists (the fast path
+        :class:`~repro.fold.Ragged` column of id lists (the array path
         sizes records in closed form).
 
         ``keys`` may repeat from round to round — a fixed graph's keys
@@ -124,9 +125,11 @@ class MapReduceApp:
         not numeric — holding exactly the pairs the scalar ``reduce``
         emits per group, each key drawn from ``keys`` at most once (the
         engine writes the columns straight into the state).  Or ``None``
-        to decline: the whole round then falls back to sorted bags,
-        per-group scalar ``reduce`` calls and a dict of outputs (still
-        on the array shuffle).
+        to decline: this reducer alone then hands the scalar ``reduce``
+        each group's bag, in ``keys`` order, and the round's outputs
+        become one dict.  Called only for a typed value column: a
+        reducer that received values from a scalar ``map`` takes the
+        scalar ``reduce`` directly.
         """
         return None
 

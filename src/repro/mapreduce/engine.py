@@ -11,56 +11,64 @@ One round = three phases folded into two barrier stages:
 * **Reduce** — one task per machine: stage the received pairs, group by
   key, run ``reduce``, write outputs.
 
-Two opt-in layers sit on top of that round (mirroring the propagation
-engine's Transfer fast path):
+Every app's records travel one path, as ``(keys, values)`` columns.
+Each partition's map emits one column: ``map_array``'s where the app
+qualifies (``vectorized``) and the hook answers, else the scalar
+``map``'s, whose ``emit`` appends to it — keys as an int64 column when
+every key is an integer, else as an object column, values as an object
+column.  A declining ``map_array`` falls back for its partition alone.
+The shuffle hash-partitions each column with
+:func:`repro.hashing.stable_hash_array` (an object column: with
+:func:`~repro.hashing.stable_hash` per key) and buckets it per reducer
+with a stable radix sort of the narrowed reducer ids.  Each reducer groups its
+records in arrival order with a :class:`repro.fold.Grouping` — no sort,
+no per-record dict insert — and hands a typed column to
+``reduce_array``; an object column, or a declining ``reduce_array``,
+takes the scalar ``reduce`` per group over the grouping's
+:func:`~repro.fold.bags`, for that reducer alone.  Records are charged
+in closed form unless the app overrides a sizing hook.  The round
+returns columns when every reducer answered ``reduce_array``, else one
+dict; ``vectorized=False`` calls only the scalar UDFs, which keeps it
+the oracle the hooks are held to (tests/test_mr_reference.py keeps the
+per-record dict round as the reference for both).
 
-* **Array fast path** (``vectorized``) — apps that implement
-  ``map_array`` emit columnar ``(keys, values)`` arrays; the engine
-  hash-partitions them with :func:`repro.hashing.stable_hash_array` and
-  buckets them per reducer with a stable radix sort of the narrowed
-  reducer ids.  Each reducer groups its records in arrival order with
-  a :class:`repro.fold.Grouping` — no sort, no per-record dict insert —
-  and hands them to ``reduce_array``, whose ``(keys, values)`` columns
-  the round concatenates in reducer order, charges in closed form and
-  returns as columns for ``update_array``.  If any reducer declines
-  ``reduce_array``, the whole round falls back to sorted bags, scalar
-  ``reduce`` calls and the oracle's dict.  Outputs and every cost
-  counter are bit-identical to the scalar oracle.
+The integer keys a fixed graph emits repeat round after round, so the
+engine plans them once: per partition a :class:`_ShufflePlan` (the
+combiner's grouping, the reducer permutation and its bounds), per
+reducer its grouping.  A later round reuses a plan only after its keys
+are shown to reproduce it — compared record for record with the copy
+the plan holds, never trusted by array identity — and any mismatch
+rebuilds that partition's plan and every reducer's.  An object key
+column is planned afresh every round: ``==`` and ``stable_hash``
+disagree across types (``1 == 1.0``).  Only the host's recomputation
+goes: the simulated job still spills, shuffles, sorts and writes back
+every round.  The engine is per job (a restart builds a new one), and
+so are its plans.
 
-  The keys a fixed graph emits repeat round after round, so the engine
-  plans them once: per partition a :class:`_ShufflePlan` (the
-  combiner's grouping, the reducer permutation and its bounds), per
-  reducer its grouping.  A later round reuses a plan only after its
-  keys are shown to reproduce it — compared record for record with the
-  copy the plan holds, never trusted by array identity — and any
-  mismatch rebuilds that partition's plan and every reducer's.  Only
-  the host's recomputation goes: the simulated job still spills,
-  shuffles, sorts and writes back every round.  The engine is per job
-  (a restart builds a new one), and so are its plans.
-* **Map-side combiner** (``combiner``) — Hadoop-style: each mapper folds
-  its output per key (``combine`` scalar / ``combine_ufunc`` array)
-  before the shuffle, shrinking spill and network volume at the price of
-  one cpu charge per folded record plus one per distinct key.  The
-  pre-combine volume is kept on the report so the shuffle reduction is
-  an observable quantity.  Both the scalar and the array path implement
-  it, so the bit-identity contract holds in either combiner mode.
+The **map-side combiner** (``combiner``) is Hadoop-style: each mapper
+folds its output per key before the shuffle — ``combine_ufunc`` over a
+typed column, the scalar ``combine`` per group over an object one —
+shrinking spill and network volume at the price of one cpu charge per
+folded record plus one per distinct key.  The pre-combine volume is
+kept on the report so the shuffle reduction is an observable quantity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import TYPE_CHECKING, Any
+from functools import cache, partial
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.storage import PartitionStore
 from repro.errors import JobError
-from repro.fold import MESSAGE_HEADER, RECORD_HEADER, Grouping, Ragged
-from repro.graph.io import VALUE_BYTES
+from repro.fold import (MESSAGE_HEADER, RECORD_HEADER, Grouping, Ragged, bags,
+                        concat_values, is_typed, merge_outputs, object_column)
+from repro.graph.io import VALUE_BYTES, VERTEX_ID_BYTES
 from repro.hashing import stable_hash, stable_hash_array
-from repro.mapreduce.api import MapReduceApp, kv_nbytes
+from repro.mapreduce.api import Emit, MapReduceApp, kv_nbytes
 from repro.runtime.events import wall_timer
 from repro.runtime.scheduler import StageScheduler
 from repro.runtime.tasks import StageResult, Task
@@ -68,50 +76,79 @@ from repro.runtime.tasks import StageResult, Task
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.partitioned import PartitionedGraph
 
-__all__ = ["MapReduceEngine", "RoundReport", "reducer_of"]
+__all__ = ["MapReduceEngine", "RoundReport"]
+
+#: records as aligned ``(keys, values)`` columns, in emission order
+Columns = tuple[np.ndarray, Any]
+#: one key/value record's bytes under the default sizing hooks
+KV_BYTES = float(VERTEX_ID_BYTES + VALUE_BYTES)
 
 
-def reducer_of(key: object, num_reducers: int) -> int:
-    """Hash partitioner of the shuffle (Knuth hash for int keys).
-
-    Built on :func:`repro.hashing.stable_hash` so every mapper — in any
-    process, under any ``PYTHONHASHSEED`` — sends a key to the same
-    reducer.
-    """
-    return stable_hash(key) % num_reducers
-
-
-def _as_pairs(out: Any) -> list[tuple[Any, Any]]:
-    """One reducer's output — pairs, columns or None — as the oracle's
-    Python-typed ``(key, value)`` pairs."""
-    if out is None:
-        return []
-    if isinstance(out, list):
-        return out
-    keys, values = out
-    if not isinstance(values, list):
-        values = values.tolist()
-    return list(zip(keys.tolist(), values))
+def _key_column(keys: list[Any]) -> np.ndarray:
+    """Scalar-emitted keys as a column: int64 when every key is an
+    integer (``3`` and ``np.int64(3)`` alike), else an object column."""
+    types = dict.fromkeys(map(type, keys))  # distinct, in arrival order
+    if all(issubclass(t, (int, np.integer)) for t in types):
+        try:
+            return np.array(keys, dtype=np.int64)
+        except OverflowError:
+            pass
+    return object_column(keys)
 
 
-def _concat_columns(columns: list[tuple[np.ndarray, Any]]) -> Any:
-    """The reducers' ``(keys, values)`` columns end to end, in reducer
-    order; an empty round is the oracle's empty dict."""
-    if not columns:
-        return {}
-    keys = np.concatenate([k for k, _ in columns])
-    parts = [v for _, v in columns]
-    if all(isinstance(v, (np.ndarray, Ragged)) for v in parts):
-        return keys, np.concatenate(parts)
-    return keys, list(chain.from_iterable(parts))
+def _scalar_columns(run: Callable[[Emit], Any]) -> Columns:
+    """The pairs ``run(emit)`` emits through scalar UDFs, as a key
+    column and an object value column."""
+    keys: list[Any] = []
+    values: list[Any] = []
+
+    def emit(key: Any, value: Any) -> None:
+        keys.append(key)
+        values.append(value)
+
+    run(emit)
+    return _key_column(keys), object_column(values)
 
 
-def _records_nbytes(values: np.ndarray | Ragged, rec_bytes: float) -> float:
-    """Shuffle bytes of a value column: ``rec_bytes`` per record, or the
-    ragged charge (``VERTEX_ID_BYTES + VALUE_BYTES·len`` each)."""
+@cache
+def _sized(cls: type, *hooks: str) -> bool:
+    """Whether the app class overrides any of the named sizing hooks."""
+    return any(getattr(cls, hook) is not getattr(MapReduceApp, hook)
+               for hook in hooks)
+
+
+def _wire_sizes(app: MapReduceApp, keys: np.ndarray,
+                values: Any) -> list[float] | None:
+    """Each record's ``kv_nbytes`` when the app overrides a sizing hook
+    on plain values; None when the column is charged in closed form."""
+    if (isinstance(values, Ragged)
+            or not _sized(type(app), "key_nbytes", "value_nbytes")):
+        return None
+    return [kv_nbytes(app, key, value)
+            for key, value in zip(keys.tolist(), values.tolist())]
+
+
+def _wire_nbytes(values: Any, sizes: list[float] | None) -> float:
+    """Shuffle bytes of a value column: the sum of its per-record
+    ``sizes`` in record order, else in closed form — the ragged charge
+    (``VERTEX_ID_BYTES + VALUE_BYTES·len`` each) or ``KV_BYTES``
+    each (byte sizes are integer-valued, so the product equals the
+    per-record sum bit for bit)."""
+    if sizes is not None:
+        return float(sum(sizes))
     if isinstance(values, Ragged):
         return values.nbytes(MESSAGE_HEADER)
-    return float(values.size) * rec_bytes
+    return float(values.size) * KV_BYTES
+
+
+def _reducer_ids(keys: np.ndarray, num_reducers: int) -> np.ndarray:
+    """The shuffle's hash partitioner, one reducer id per key."""
+    if keys.dtype == object:
+        hashed = np.fromiter((stable_hash(key) for key in keys.tolist()),
+                             dtype=np.int64, count=keys.size)
+    else:
+        hashed = stable_hash_array(keys)
+    return hashed % num_reducers
 
 
 @dataclass
@@ -146,12 +183,11 @@ class _MapOutput:
     """One map task's shuffle chunks and cost bookkeeping.
 
     ``chunks`` maps reducer id to that reducer's share of this mapper's
-    output: a list of ``(key, value)`` pairs on the scalar path, or a
-    value column on the fast path (its keys are the partition's plan's)
-    — both in emission order, so reducers see identical per-key bags
-    either way.
+    value column, in emission order (its keys are the plan's), so
+    reducers see each key's bag in the scalar order.
     """
 
+    plan: _ShufflePlan
     records: int = 0
     shuffled: int = 0
     spill: float = 0.0
@@ -189,7 +225,7 @@ class _ShufflePlan:
         if shuffled.size:
             # narrow ids take NumPy's radix sort; a stable sort gives
             # the same permutation at any width
-            rids = (stable_hash_array(shuffled) % num_reducers).astype(
+            rids = _reducer_ids(shuffled, num_reducers).astype(
                 np.min_scalar_type(num_reducers - 1))
             counts = np.bincount(rids, minlength=num_reducers)
             order = np.argsort(rids, kind="stable")
@@ -240,23 +276,24 @@ class MapReduceEngine:
         if assignment is None:
             assignment = store.placement_array()
         self.assignment = np.asarray(assignment, dtype=np.int64)
-        #: None = auto (fast path when the app supports it), False =
-        #: scalar oracle, True = require the fast path (JobError if the
-        #: app cannot take it).
+        #: None = use an array hook wherever one answers, False = scalar
+        #: UDFs only (the oracle), True = require the hooks (JobError if
+        #: the app lacks them or ``map_array`` declines).
         self.vectorized = vectorized
         #: fold map output per key before the shuffle (needs
-        #: ``combine`` — plus ``combine_ufunc`` on the fast path).
+        #: ``combine`` — plus ``combine_ufunc`` for ``map_array``).
         self.combiner = combiner
-        #: array rounds' shuffle plans, by partition index
+        #: typed key columns' shuffle plans, by partition index
         self._plans: dict[int, _ShufflePlan] = {}
         #: each reducer's grouping (None: received nothing), valid while
         #: no partition's plan has been rebuilt since it was built
         self._reducer_plans: list[Grouping | None] | None = None
 
     # ------------------------------------------------------------------
-    # Fast-path gating
+    # Hook gating
     # ------------------------------------------------------------------
     def _fast_path_ok(self, app: MapReduceApp) -> bool:
+        """Whether the app's map may take ``map_array``."""
         if self.vectorized is False:
             return False
         cls = type(app)
@@ -294,46 +331,26 @@ class MapReduceEngine:
     ) -> tuple[Any, RoundReport]:
         """Run one map+shuffle+reduce round; returns (outputs, report).
 
-        ``outputs`` is the oracle's ``{key: value}`` dict, or — when
-        every reducer of an array round answered ``reduce_array`` — its
-        ``(keys, values)`` columns in reducer order.  Fold either into
-        the state with :func:`repro.core.surfer.apply_outputs`.
+        ``outputs`` is ``reduce_array``'s ``(keys, values)`` columns in
+        reducer order when every reducer answered it, else one
+        ``{key: value}`` dict.  Fold either into the state with
+        :func:`repro.core.surfer.apply_outputs`.
         """
         timer = wall_timer()
         num_reducers = self.cluster.num_machines
         if self.combiner:
             self._check_combiner(app)
-        use_fast = self._fast_path_ok(app)
+        hooks = self._fast_path_ok(app)
 
         # -------- Map phase: run UDFs, bucket emissions per reducer ----
-        per_part = None
-        if use_fast:
-            per_part = self._map_phase_vectorized(app, state, num_reducers)
-            if per_part is None:
-                if self.vectorized:
-                    raise JobError(
-                        f"{app.name}: vectorized=True but map_array() "
-                        "declined the round (or emitted plain values "
-                        "under a non-default value_nbytes)"
-                    )
-                use_fast = False
-        if per_part is None:
-            per_part = self._map_phase_scalar(app, state, num_reducers)
-
+        per_part = [self._map_partition(app, state, p, num_reducers, hooks)
+                    for p in range(self.pgraph.num_parts)]
         bucket_sources: list[dict[int, float]] = [
             {} for _ in range(num_reducers)
         ]
         map_tasks: list[Task] = []
-        map_records = 0
-        shuffle_records = 0
-        shuffle_bytes = 0.0
-        shuffle_pre = 0.0
         for p, mo in enumerate(per_part):
             machine = int(self.assignment[p])
-            map_records += mo.records
-            shuffle_records += mo.shuffled
-            shuffle_bytes += mo.spill
-            shuffle_pre += mo.spill_precombine
             for r, nbytes in mo.sends.items():
                 src_map = bucket_sources[r]
                 src_map[machine] = src_map.get(machine, 0.0) + nbytes
@@ -365,27 +382,25 @@ class MapReduceEngine:
         timer = wall_timer()
 
         # -------- Reduce phase ------------------------------------------
-        inputs = [[mo.chunks[r] for mo in per_part if r in mo.chunks]
-                  for r in range(num_reducers)]
-        if use_fast:
-            if self._reducer_plans is None:
-                self._reducer_plans = self._reducer_groupings(num_reducers)
-            reduced = [
-                self._reduce_bucket_vectorized(app, state, chunks, grouping)
-                for chunks, grouping in zip(inputs, self._reducer_plans)]
-        else:
-            reduced = [self._reduce_bucket_scalar(app, state, chunks)
-                       for chunks in inputs]
-        # columnar or dict as a whole: one reducer that declined
-        # reduce_array (its output is pairs) makes the round the oracle's
-        columnar = use_fast and not any(
-            isinstance(out, list) for out, _ in reduced)
-        outputs: Any = {}
+        groupings = self._reducer_plans
+        if groupings is None:
+            plans = [mo.plan for mo in per_part]
+            groupings = self._reducer_groupings(plans, num_reducers)
+            if all(plan.held.dtype != object for plan in plans):
+                self._reducer_plans = groupings
+        outs: list[Any] = []
         reduce_tasks: list[Task] = []
-        for r, (out, cpu) in enumerate(reduced):
-            if not columnar:
-                outputs.update(_as_pairs(out))
-            out_bytes, writeback = self._charge_outputs(app, out)
+        for r, grouping in enumerate(groupings):
+            cpu = out_bytes = 0.0
+            writeback: dict[int, float] = {}
+            if grouping is not None:
+                chunks = [mo.chunks[r] for mo in per_part if r in mo.chunks]
+                keys, values, answered, cpu = self._reduce(
+                    app, state, concat_values(chunks), grouping)
+                out_bytes, writeback = self._charge_outputs(app, keys,
+                                                            values)
+                outs.append((keys, values) if answered else dict(
+                    zip(keys.tolist(), values.tolist())))
             staged = float(sum(bucket_sources[r].values()))
             inbound = sorted(bucket_sources[r].items())
             reduce_tasks.append(Task(
@@ -400,9 +415,7 @@ class MapReduceEngine:
                 receives=inbound,
                 input_transfers=inbound,
             ))
-        if columnar:
-            outputs = _concat_columns(
-                [out for out, _ in reduced if out is not None])
+        outputs = merge_outputs(outs)
         reduce_wall = timer.elapsed()
         reduce_result = scheduler.run_stage(reduce_tasks)
 
@@ -415,122 +428,103 @@ class MapReduceEngine:
         report = RoundReport(
             map_stage=map_result,
             reduce_stage=reduce_result,
-            map_records=map_records,
-            shuffle_bytes=shuffle_bytes,
+            map_records=sum(mo.records for mo in per_part),
+            shuffle_bytes=sum(mo.spill for mo in per_part),
             network_bytes=network_bytes,
-            shuffle_records=shuffle_records,
-            shuffle_bytes_precombine=shuffle_pre,
+            shuffle_records=sum(mo.shuffled for mo in per_part),
+            shuffle_bytes_precombine=sum(mo.spill_precombine
+                                         for mo in per_part),
         )
         self._observe_round(scheduler, report, map_wall + reduce_wall)
         return outputs, report
 
     # ------------------------------------------------------------------
-    # Map phase — scalar oracle
+    # Map phase
     # ------------------------------------------------------------------
-    def _map_phase_scalar(
-        self, app: MapReduceApp, state: Any, num_reducers: int
-    ) -> list[_MapOutput]:
-        per_part: list[_MapOutput] = []
-        for p in range(self.pgraph.num_parts):
-            emitted: list[tuple[Any, Any]] = []
-
-            def emit(key, value, _out=emitted):
-                _out.append((key, value))
-
-            app.map(p, self.pgraph, state, emit)
-            mo = _MapOutput(records=len(emitted),
-                            cpu_ops=float(len(emitted)))
-            if self.combiner:
-                mo.spill_precombine = float(sum(
-                    kv_nbytes(app, key, value) for key, value in emitted
-                ))
-                folded: dict[Any, list] = {}
-                for key, value in emitted:
-                    folded.setdefault(key, []).append(value)
-                pairs = []
-                for key, values in folded.items():
-                    pairs.append((key, app.combine(key, values, state)))
-                    mo.cpu_ops += len(values) + 1.0
-            else:
-                pairs = emitted
-            for key, value in pairs:
-                nbytes = kv_nbytes(app, key, value)
-                mo.spill += nbytes
-                r = reducer_of(key, num_reducers)
-                mo.chunks.setdefault(r, []).append((key, value))
-                mo.sends[r] = mo.sends.get(r, 0.0) + nbytes
-            mo.shuffled = len(pairs)
-            if not self.combiner:
-                mo.spill_precombine = mo.spill
-            per_part.append(mo)
-        return per_part
-
-    # ------------------------------------------------------------------
-    # Map phase — array fast path
-    # ------------------------------------------------------------------
-    def _map_phase_vectorized(
-        self, app: MapReduceApp, state: Any, num_reducers: int
-    ) -> list[_MapOutput] | None:
-        """Columnar map + combine + hash shuffle; None = app declined.
-
-        A :class:`~repro.fold.Ragged` value column is charged in closed
-        form whatever the app's ``value_nbytes``; plain values under a
-        non-default ``value_nbytes`` decline the round.
-        """
-        sized = type(app).value_nbytes is not MapReduceApp.value_nbytes
-        # a sized app's values are ragged, never charged per record
-        rec_bytes = (0.0 if sized else
-                     float(app.key_nbytes(None) + app.value_nbytes(None)))
-        per_part: list[_MapOutput] = []
-        for p in range(self.pgraph.num_parts):
-            kv = app.map_array(p, self.pgraph, state)
-            if kv is None:
-                return None
-            keys = np.asarray(kv[0])
-            values = kv[1]
-            if not isinstance(values, Ragged):
-                if sized:
-                    return None
-                values = np.asarray(values)
-            plan = self._shuffle_plan(p, keys, num_reducers)
-            mo = _MapOutput(records=int(keys.size),
-                            cpu_ops=float(keys.size))
-            mo.spill_precombine = _records_nbytes(values, rec_bytes)
-            if plan.combine is not None:
+    def _map_partition(self, app: MapReduceApp, state: Any, p: int,
+                       num_reducers: int, hooks: bool) -> _MapOutput:
+        """Partition ``p``'s map, combiner and hash shuffle: its column
+        from ``map_array`` (``hooks``) or, if that declines, from the
+        scalar ``map``.  A ragged value column is charged in closed form
+        whatever the app's ``value_nbytes``; plain values under a
+        non-default ``value_nbytes`` decline the hook."""
+        columns = self._map_array(app, state, p) if hooks else None
+        if columns is None:
+            if self.vectorized:
+                raise JobError(
+                    f"{app.name}: vectorized=True but map_array() "
+                    "declined (or emitted plain values under a "
+                    "non-default value_nbytes)"
+                )
+            columns = _scalar_columns(partial(app.map, p, self.pgraph,
+                                              state))
+        keys, values = columns
+        plan = self._shuffle_plan(p, keys, num_reducers)
+        mo = _MapOutput(plan, records=int(keys.size),
+                        cpu_ops=float(keys.size))
+        sizes = _wire_sizes(app, keys, values)
+        mo.spill = mo.spill_precombine = _wire_nbytes(values, sizes)
+        if plan.combine is not None:
+            keys = plan.combine.uniq
+            if is_typed(values):
                 values = plan.combine.fold(values, app.combine_ufunc)
-                mo.cpu_ops += float(mo.records + plan.order.size)
-            mo.shuffled = int(plan.order.size)
-            mo.spill = _records_nbytes(values, rec_bytes)
-            if not self.combiner:
-                mo.spill_precombine = mo.spill
-            sv = values[plan.permutation()]
-            bounds = plan.bounds
-            for r in plan.reducers:
-                chunk = mo.chunks[r] = sv[bounds[r]:bounds[r + 1]]
-                mo.sends[r] = _records_nbytes(chunk, rec_bytes)
-            per_part.append(mo)
-        return per_part
+            else:
+                values = object_column([
+                    app.combine(key, bag, state) for key, bag in
+                    zip(keys.tolist(), bags(plan.combine, values))])
+            mo.cpu_ops += float(mo.records + keys.size)
+            sizes = _wire_sizes(app, keys, values)
+            mo.spill = _wire_nbytes(values, sizes)
+        mo.shuffled = int(plan.order.size)
+        order = plan.permutation()
+        sv = values[order]
+        if sizes is not None:
+            sizes = [sizes[i] for i in order.tolist()]
+        bounds = plan.bounds
+        for r in plan.reducers:
+            lo, hi = bounds[r], bounds[r + 1]
+            chunk = mo.chunks[r] = sv[lo:hi]
+            mo.sends[r] = _wire_nbytes(
+                chunk, None if sizes is None else sizes[lo:hi])
+        return mo
+
+    def _map_array(self, app: MapReduceApp, state: Any,
+                   p: int) -> Columns | None:
+        """Partition ``p``'s ``map_array`` column, or None when it
+        declines (plain values under a sized ``value_nbytes`` too)."""
+        kv = app.map_array(p, self.pgraph, state)
+        if kv is None:
+            return None
+        values = kv[1]
+        if not isinstance(values, Ragged):
+            if _sized(type(app), "value_nbytes"):
+                return None
+            values = np.asarray(values)
+        return np.asarray(kv[0]), values
 
     def _shuffle_plan(self, p: int, keys: np.ndarray,
                       num_reducers: int) -> _ShufflePlan:
-        """Partition ``p``'s plan for ``keys``: the held one if ``keys``
-        reproduce it, else a new one — and then every reducer's
-        grouping is rebuilt this round too."""
+        """Partition ``p``'s plan for ``keys``: the held one if typed
+        ``keys`` reproduce it, else a new one — and then every reducer's
+        grouping is rebuilt this round too.  Object keys are planned
+        afresh and never held."""
         plan = self._plans.get(p)
-        if plan is None or not plan.matches(keys, self.combiner,
-                                            num_reducers):
-            plan = self._plans[p] = _ShufflePlan.build(
-                keys, self.combiner, num_reducers)
+        if (plan is None or keys.dtype == object
+                or not plan.matches(keys, self.combiner, num_reducers)):
+            plan = _ShufflePlan.build(keys, self.combiner, num_reducers)
+            if keys.dtype != object:
+                self._plans[p] = plan
             self._reducer_plans = None
         return plan
 
-    def _reducer_groupings(self, num_reducers: int) -> list[Grouping | None]:
-        """Each reducer's grouping of the keys the partitions' current
-        plans send it, in arrival order (partition order, emission
-        order within); None for a reducer they send nothing."""
+    @staticmethod
+    def _reducer_groupings(plans: list[_ShufflePlan],
+                           num_reducers: int) -> list[Grouping | None]:
+        """Each reducer's grouping of the keys the partitions' plans
+        send it, in arrival order (partition order, emission order
+        within); None for a reducer they send nothing."""
         keys_of: list[list[np.ndarray]] = [[] for _ in range(num_reducers)]
-        for p in range(self.pgraph.num_parts):
-            plan = self._plans[p]
+        for plan in plans:
             shuffled, bounds = plan.sorted_keys(), plan.bounds
             for r in plan.reducers:
                 keys_of[r].append(shuffled[bounds[r]:bounds[r + 1]])
@@ -540,104 +534,76 @@ class MapReduceEngine:
     # ------------------------------------------------------------------
     # Reduce phase — per-reducer group-by + UDF
     # ------------------------------------------------------------------
-    def _reduce_bucket_scalar(
-        self, app: MapReduceApp, state: Any, chunk_list: list
-    ) -> tuple[list, float]:
-        grouped: dict[Any, list] = {}
-        for chunk in chunk_list:  # partition order, emission order within
-            for key, value in chunk:
-                grouped.setdefault(key, []).append(value)
-        emitted_out: list[tuple[Any, Any]] = []
+    @staticmethod
+    def _reduce(app: MapReduceApp, state: Any, values: Any,
+                grouping: Grouping) -> tuple[np.ndarray, Any, bool, float]:
+        """One reducer's group-by in arrival order (partition order,
+        emission order within) — each key's bag is the scalar oracle's.
 
-        def emit(key, value, _out=emitted_out):
-            _out.append((key, value))
-
-        cpu = 0.0
-        for key, values in grouped.items():
-            app.reduce(key, values, state, emit)
-            cpu += len(values) + 1.0
-        return emitted_out, cpu
-
-    def _reduce_bucket_vectorized(
-        self, app: MapReduceApp, state: Any, chunk_list: list,
-        grouping: Grouping | None,
-    ) -> tuple[Any, float]:
-        """Group-by in arrival order (partition order, emission order
-        within) — each key's bag is the scalar dict-insert oracle's.
-
-        ``grouping`` (ranked, narrowed) groups the concatenated chunk
-        keys.  Returns ``reduce_array``'s ``(keys, values)`` columns; the scalar
-        ``reduce`` pairs over sorted bags if it declines; None for a
-        reducer that received nothing.
+        ``grouping`` (ranked, narrowed) groups the reducer's keys.  A
+        typed column — only ``map_array`` emits one — goes to
+        ``reduce_array``; an object one, or a declined hook, to the
+        scalar ``reduce`` per group in grouping order.  Returns the
+        output columns, whether ``reduce_array`` answered, and the cpu
+        charge.
         """
-        if grouping is None:
-            return None, 0.0
-        values = np.concatenate(chunk_list)
-        uniq, counts = grouping.uniq, grouping.counts
-        gid = grouping.index.astype(np.intp, copy=False)
-        cpu = float(gid.size + uniq.size)
-        if type(app).reduce_array is not MapReduceApp.reduce_array:
+        uniq = grouping.uniq
+        cpu = float(grouping.index.size + uniq.size)
+        if (is_typed(values)
+                and type(app).reduce_array is not MapReduceApp.reduce_array):
+            gid = grouping.index.astype(np.intp, copy=False)
             out = app.reduce_array(uniq, gid, values, state)
             if out is not None:
-                out_keys, out_values = out
-                return (np.asarray(out_keys), out_values), cpu
-        emitted_out: list[tuple[Any, Any]] = []
+                return np.asarray(out[0]), out[1], True, cpu
 
-        def emit(key, value, _out=emitted_out):
-            _out.append((key, value))
+        def run(emit: Emit) -> None:
+            for key, bag in zip(uniq.tolist(), bags(grouping, values)):
+                app.reduce(key, bag, state, emit)
 
-        bags = values[np.argsort(gid, kind="stable")]
-        bounds = [0] + np.cumsum(counts, dtype=np.intp).tolist()
-        for i, key in enumerate(uniq.tolist()):
-            app.reduce(key, bags[bounds[i]:bounds[i + 1]].tolist(),
-                       state, emit)
-        return emitted_out, cpu
+        out_keys, out_values = _scalar_columns(run)
+        return out_keys, out_values, False, cpu
 
-    def _charge_outputs(self, app: MapReduceApp,
-                        out: Any) -> tuple[float, dict[int, float]]:
+    def _charge_outputs(self, app: MapReduceApp, keys: np.ndarray,
+                        values: Any) -> tuple[float, dict[int, float]]:
         """Output bytes and per-home writeback bytes of one reducer.
 
-        Columns under default sizing are charged in closed form: every
-        record costs the same integer-valued byte count, so the products
-        equal the per-pair sums of the scalar loop bit for bit.  Ragged
-        values are too, whatever ``output_nbytes`` says: the record
-        ``<ID, d, ids>`` costs ``VERTEX_ID_BYTES + DEGREE_BYTES +
-        VALUE_BYTES·len``.
+        ``output_nbytes`` per record when the app overrides a sizing
+        hook, else in closed form: every record costs the same
+        integer-valued byte count, so the products equal the per-record
+        sums bit for bit.  Ragged values are closed form whatever
+        ``output_nbytes`` says: the record ``<ID, d, ids>`` costs
+        ``VERTEX_ID_BYTES + DEGREE_BYTES + VALUE_BYTES·len``.
         """
-        ragged = isinstance(out, tuple) and isinstance(out[1], Ragged)
-        if ragged or (isinstance(out, tuple) and type(app).output_nbytes
-                      is MapReduceApp.output_nbytes):
-            keys = out[0]
-            sizes = (RECORD_HEADER + VALUE_BYTES * out[1].lengths()
-                     if ragged else None)
-            rec = (0.0 if ragged else
-                   float(app.key_nbytes(None) + app.value_nbytes(None)))
-            writeback: dict[int, float] = {}
-            if app.writeback_to_partitions and keys.dtype.kind in "iu":
-                ok = (keys >= 0) & (keys < self.pgraph.num_vertices)
-                homes = self.assignment[self.pgraph.parts[keys[ok]]]
-                counts = np.bincount(homes)
-                per_home = (counts * rec if sizes is None else
-                            np.bincount(homes, weights=sizes[ok]))
-                writeback = {int(h): float(per_home[h])
-                             for h in np.flatnonzero(counts)}
-            if sizes is None:
-                return rec * keys.size, writeback
-            return out[1].nbytes(RECORD_HEADER), writeback
-        out_bytes = 0.0
-        writeback = {}
+        sizes: np.ndarray | None = None
+        if isinstance(values, Ragged):
+            sizes = RECORD_HEADER + VALUE_BYTES * values.lengths()
+            out_bytes = values.nbytes(RECORD_HEADER)
+        elif _sized(type(app), "output_nbytes", "key_nbytes", "value_nbytes"):
+            listed = values if isinstance(values, list) else values.tolist()
+            per_record = [app.output_nbytes(key, value)
+                          for key, value in zip(keys.tolist(), listed)]
+            out_bytes = float(sum(per_record))
+            sizes = np.array(per_record, dtype=np.float64)
+        else:
+            out_bytes = KV_BYTES * keys.size
+        if not app.writeback_to_partitions:
+            return out_bytes, {}
         num_vertices = self.pgraph.num_vertices
-        for key, value in _as_pairs(out):
-            nbytes = app.output_nbytes(key, value)
-            out_bytes += nbytes
-            if app.writeback_to_partitions and isinstance(
-                key, (int, np.integer)
-            ) and 0 <= key < num_vertices:
-                home = int(self.assignment[
-                    self.pgraph.partition_of(int(key))
-                ])
-                writeback[home] = writeback.get(home, 0.0) + nbytes
-        return out_bytes, writeback
+        if keys.dtype == object:  # only integer keys are vertices
+            keys = np.fromiter(
+                (int(key) if isinstance(key, (int, np.integer))
+                 and 0 <= key < num_vertices else -1
+                 for key in keys.tolist()),
+                dtype=np.int64, count=keys.size)
+        elif keys.dtype.kind not in "iu":
+            return out_bytes, {}
+        ok = (keys >= 0) & (keys < num_vertices)
+        homes = self.assignment[self.pgraph.parts[keys[ok]]]
+        counts = np.bincount(homes)
+        per_home = (counts * KV_BYTES if sizes is None else
+                    np.bincount(homes, weights=sizes[ok]))
+        return out_bytes, {int(h): float(per_home[h])
+                           for h in np.flatnonzero(counts)}
 
     def _observe_round(self, scheduler: StageScheduler,
                        report: RoundReport,

@@ -52,7 +52,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -62,7 +62,8 @@ from repro.errors import JobError
 from repro.graph.io import DEGREE_BYTES, VALUE_BYTES, VERTEX_ID_BYTES
 from repro.hashing import stable_hash
 from repro.fold import (MESSAGE_HEADER, RECORD_HEADER, Grouping, Ragged,
-                        fold_by_dest, object_column)
+                        bags, concat_values, fold_by_dest, is_typed,
+                        merge_outputs, object_column)
 from repro.propagation.api import PropagationApp, message_nbytes
 from repro.runtime.events import wall_timer
 from repro.runtime.scheduler import StageScheduler
@@ -182,45 +183,6 @@ def _wire_bytes(app: PropagationApp, values: np.ndarray | Ragged) -> float:
     return float(sum(message_nbytes(app, v) for v in values.tolist()))
 
 
-def _typed(values: Any) -> bool:
-    """Whether a value column came from an array hook (typed or
-    ragged) rather than the scalar UDFs (an object column)."""
-    return isinstance(values, Ragged) or values.dtype != object
-
-
-def _bags(dests: np.ndarray, values: Any) -> dict:
-    """Arrival columns as ``{vertex: bag}``: vertices ascending (virtual
-    keys in first-arrival order), each bag in arrival order — what the
-    scalar ``combine`` is handed."""
-    grouping = Grouping(dests, ranked=True)
-    bag = values[np.argsort(grouping.index, kind="stable")].tolist()
-    ends = np.cumsum(grouping.counts).tolist()
-    return {key: bag[s:e] for key, s, e
-            in zip(grouping.uniq.tolist(), [0, *ends], ends)}
-
-
-def _concat(columns: list[Any]) -> Any:
-    """Value columns joined end to end; a ragged column joins an object
-    one (a partition whose ``transfer_array`` declined) as tuples."""
-    if not all(isinstance(c, Ragged) for c in columns):
-        columns = [object_column(c.tolist()) if isinstance(c, Ragged)
-                   else c for c in columns]
-    return np.concatenate(columns)
-
-
-def _merge_outputs(outs: list[Outputs]) -> Outputs:
-    """One iteration's outputs: columns when every stage produced
-    columns, else one dict (columns folded in, stage order kept)."""
-    if all(isinstance(out, tuple) for out in outs):
-        return (np.concatenate([out[0] for out in outs]),
-                np.concatenate([out[1] for out in outs]))
-    combined: dict = {}
-    for out in outs:
-        combined.update(out if isinstance(out, dict)
-                        else zip(out[0].tolist(), out[1].tolist()))
-    return combined
-
-
 class PropagationEngine:
     """Executes propagation iterations on a partitioned graph."""
 
@@ -320,7 +282,7 @@ class PropagationEngine:
             outs.append(out)
         if self.local_opts:
             outs.extend(t.inner_out for t in transfers)
-        combined = _merge_outputs(outs)
+        combined = merge_outputs(outs)
         combine_wall = timer.elapsed()
         combine_result = scheduler.run_stage(combine_tasks)
 
@@ -621,7 +583,7 @@ class PropagationEngine:
         merge = None
         if self.local_opts and app.is_associative:
             merge = (app.merge_ufunc
-                     if _typed(values) and app.merge_ufunc is not None
+                     if is_typed(values) and app.merge_ufunc is not None
                      else app.merge)
 
         dest_parts = self._dest_parts(app, dst)
@@ -742,7 +704,7 @@ class PropagationEngine:
             pad = np.delete(pad, np.searchsorted(pad, seen))
         out, cpu_ops, output_bytes, _ = self._combine_columns(
             app, state, np.concatenate([a[0] for a in arrivals]),
-            _concat([a[1] for a in arrivals]), pad)
+            concat_values([a[1] for a in arrivals]), pad)
         return (self._combine_task(q, sources, transfers[q], cpu_ops,
                                    output_bytes), out)
 
@@ -758,12 +720,13 @@ class PropagationEngine:
         ``combine_all_vertices``.  A typed column of an app with
         ``combine_array`` takes one order-exact fold and one hook call;
         otherwise — an object column from the scalar UDFs, so always
-        under ``vectorized=False`` — the arrivals become bags for the
-        scalar loop.  Either way the charge is the scalar one: one op
-        per arrival plus one per combined vertex.
+        under ``vectorized=False`` — the scalar ``combine`` runs over
+        the same grouping's :func:`~repro.fold.bags`, padded vertices
+        last.  Either way the charge is the scalar one: one op per
+        arrival plus one per combined vertex.
         """
         if (type(app).combine_array is not PropagationApp.combine_array
-                and app.merge_ufunc is not None and _typed(values)):
+                and app.merge_ufunc is not None and is_typed(values)):
             vertices, folded, counts = fold_by_dest(
                 dests, values, app.merge_ufunc)
             seen = vertices
@@ -788,39 +751,24 @@ class PropagationEngine:
                         for v, o in zip(vertices.tolist(), out.tolist())))
                 return ((vertices, out), float(dests.size + vertices.size),
                         output_bytes, seen)
-        bags = _bags(dests, values)
-        combined, cpu_ops, output_bytes = self._combine_bags(
-            app, state, bags, () if pad is None else pad.tolist())
-        return (combined, cpu_ops, output_bytes,
-                np.fromiter(bags, dtype=dests.dtype, count=len(bags)))
-
-    def _combine_bags(
-        self, app: PropagationApp, state: Any, bags: dict,
-        pad: Iterable = (),
-    ) -> tuple[dict, float, float]:
-        """The scalar Combine loop over ``{vertex: bag}``; returns
-        (outputs, cpu ops, output bytes).  Vertices of ``pad`` without a
-        bag are combined over the empty bag."""
+        grouping = Grouping(dests, ranked=True)
+        keys = grouping.uniq.tolist()
+        grouped = bags(grouping, values)
+        if pad is not None:
+            extra = pad[~np.isin(pad, grouping.uniq)].tolist()
+            keys += extra
+            grouped += [[] for _ in extra]
         combine = (app.virtual_combine if app.uses_virtual_vertices
                    else app.combine)
         combined: dict = {}
-        cpu_ops = 0.0
         output_bytes = 0.0
-        for v, values in bags.items():
-            out = combine(v, values, state)
-            cpu_ops += len(values) + 1.0
-            if out is not None:
-                combined[v] = out
-                output_bytes += app.result_nbytes(v, out)
-        for u in pad:
-            if u in bags:
-                continue
-            out = combine(u, [], state)
-            cpu_ops += 1.0
-            if out is not None:
-                combined[u] = out
-                output_bytes += app.result_nbytes(u, out)
-        return combined, cpu_ops, output_bytes
+        for v, bag in zip(keys, grouped):
+            result = combine(v, bag, state)
+            if result is not None:
+                combined[v] = result
+                output_bytes += app.result_nbytes(v, result)
+        return (combined, float(dests.size + len(keys)), output_bytes,
+                grouping.uniq)
 
     def _combine_task(
         self, p: int, sources: dict[int, float],

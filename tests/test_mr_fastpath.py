@@ -20,6 +20,7 @@ from repro.apps import (
     DegreeDistributionMapReduce,
     NetworkRankingMapReduce,
     ReverseLinkGraphMapReduce,
+    TwoHopFriendsMapReduce,
 )
 from repro.core.bandwidth_aware import PartitionPlan
 from repro.core.surfer import Surfer
@@ -28,10 +29,10 @@ from repro.graph.digraph import Graph
 from repro.graph.generators import composite_social_graph
 from repro.hashing import stable_hash, stable_hash_array
 from repro.mapreduce.api import MapReduceApp
-from repro.mapreduce.engine import MapReduceEngine, reducer_of
+from repro.mapreduce.engine import MapReduceEngine
 from repro.runtime.events import reconcile
 from repro.runtime.scheduler import StageScheduler
-from tests.conftest import make_test_cluster
+from tests.conftest import make_test_cluster, scalar_only
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -62,11 +63,11 @@ class TestStableHashArray:
         # twin of the batched CRC32 hashes exactly those bytes
         assert hashed.tolist() == [stable_hash(k) for k in keys.tolist()]
 
-    def test_routing_matches_reducer_of(self):
+    def test_routing_matches_stable_hash(self):
         rng = np.random.default_rng(17)
         keys = rng.integers(-10**9, 10**9, 5000)
         routed = (stable_hash_array(keys) % 32).tolist()
-        assert routed == [reducer_of(int(k), 32) for k in keys]
+        assert routed == [stable_hash(int(k)) % 32 for k in keys]
 
     def test_rejects_unsupported_dtype(self):
         with pytest.raises(TypeError):
@@ -207,17 +208,33 @@ class TestFastPathEquivalence:
         scalar = surfer.run_mapreduce(FatKeys(), vectorized=False)
         assert _job_signature(auto) == _job_signature(scalar)
 
-    def test_map_array_decline_falls_back_whole_round(self, surfer):
+    def test_map_array_decline_falls_back_alone(self, surfer):
+        """A partition whose ``map_array`` declines runs the scalar
+        ``map``; every other partition keeps its column, and the round
+        equals the oracle's."""
+
         class Declines(NetworkRankingMapReduce):
+            def map(self, partition, pgraph, state, emit):
+                state.extra.setdefault("scalar", []).append(partition)
+                super().map(partition, pgraph, state, emit)
+
             def map_array(self, partition, pgraph, state):
                 if partition == 3:
-                    return None  # scalar re-run must cover all partitions
+                    return None
                 return super().map_array(partition, pgraph, state)
 
         with pytest.raises(JobError):
             surfer.run_mapreduce(Declines(), vectorized=True)
-        auto = surfer.run_mapreduce(Declines())
-        scalar = surfer.run_mapreduce(Declines(), vectorized=False)
+        app = Declines()
+        state = app.setup(surfer.pgraph)
+        engine = MapReduceEngine(surfer.pgraph, surfer.store.copy(),
+                                 surfer.cluster,
+                                 assignment=surfer.assignment)
+        engine.run_round(app, state, StageScheduler(surfer.cluster))
+        assert state.extra["scalar"] == [3]
+        auto = surfer.run_mapreduce(Declines(), rounds=2)
+        scalar = surfer.run_mapreduce(Declines(), rounds=2,
+                                      vectorized=False)
         assert auto.result.tobytes() == scalar.result.tobytes()
         assert _job_signature(auto) == _job_signature(scalar)
 
@@ -285,7 +302,8 @@ class TestFastPathEquivalence:
 
         lowest = {}
         for v in range(surfer.pgraph.num_vertices):
-            lowest.setdefault(reducer_of(v, surfer.cluster.num_machines), v)
+            lowest.setdefault(stable_hash(v) % surfer.cluster.num_machines,
+                              v)
         assert {v % 2 for v in lowest.values()} == {0, 1}  # a real mix
         fast = _round_outputs(surfer, SomeDecline(), True)
         assert isinstance(fast, dict)
@@ -294,6 +312,31 @@ class TestFastPathEquivalence:
                                      vectorized=vectorized)
                 for vectorized in (False, True)]
         assert jobs[0].result.tobytes() == jobs[1].result.tobytes()
+        assert _job_signature(jobs[0]) == _job_signature(jobs[1])
+
+    def test_partial_reduce_array_decline_on_ragged_rows(self, surfer):
+        """RLG reducers that answer give ragged rows, the declining ones
+        the scalar ``reduce``'s tuples: one dict holds both, equal to
+        the oracle's."""
+
+        class SomeDecline(ReverseLinkGraphMapReduce):
+            def reduce_array(self, keys, gid, values, state):
+                if keys[0] % 2:  # reducers whose lowest key is odd
+                    return None
+                return super().reduce_array(keys, gid, values, state)
+
+        lowest = {}
+        for v in np.unique(surfer.pgraph.graph.out_indices).tolist():
+            lowest.setdefault(stable_hash(v) % surfer.cluster.num_machines,
+                              v)
+        assert {v % 2 for v in lowest.values()} == {0, 1}  # a real mix
+        fast = _round_outputs(surfer, SomeDecline(), True)
+        assert isinstance(fast, dict)
+        assert all(isinstance(row, tuple) for row in fast.values())
+        assert fast == _round_outputs(surfer, SomeDecline(), False)
+        jobs = [surfer.run_mapreduce(SomeDecline(), vectorized=vectorized)
+                for vectorized in (False, True)]
+        assert _result_equal(jobs[0].result, jobs[1].result)
         assert _job_signature(jobs[0]) == _job_signature(jobs[1])
 
     def test_update_only_app_receives_the_dict(self, surfer):
@@ -328,6 +371,35 @@ class TestFastPathEquivalence:
         shipped = [e.task.sends for e in fast.executions
                    if e.task.kind == "reduce"]
         assert any(shipped) == writeback
+
+
+class TestScalarOracle:
+    """``vectorized=False`` is the oracle: it calls the scalar UDFs
+    only, and its results and per-round reports equal those of the
+    ``vectorized=None`` job that takes the hooks."""
+
+    @pytest.fixture(scope="class")
+    def surfer(self):
+        graph = composite_social_graph(num_communities=4,
+                                       community_size=48, k=5, seed=9)
+        return Surfer(graph, make_test_cluster(4), num_parts=8, seed=3)
+
+    @pytest.mark.parametrize("combiner", [False, True])
+    @pytest.mark.parametrize("app_cls", [
+        NetworkRankingMapReduce, DegreeDistributionMapReduce,
+        ReverseLinkGraphMapReduce, TwoHopFriendsMapReduce,
+    ], ids=["NR", "VDD", "RLG", "TFL"])
+    def test_scalar_job_calls_no_hook_and_matches(self, surfer, app_cls,
+                                                  combiner):
+        if combiner and app_cls.combine is MapReduceApp.combine:
+            pytest.skip("no combine()")
+        oracle = surfer.run_mapreduce(scalar_only(app_cls)(), rounds=2,
+                                      vectorized=False, combiner=combiner)
+        hooked = surfer.run_mapreduce(app_cls(), rounds=2, vectorized=None,
+                                      combiner=combiner)
+        assert _result_equal(oracle.result, hooked.result)
+        assert oracle.reports == hooked.reports
+        assert _job_signature(oracle) == _job_signature(hooked)
 
 
 # ----------------------------------------------------------------------

@@ -26,16 +26,17 @@ from repro.cluster import FaultPlan
 from repro.core.range_plan import contiguous_range_plan
 from repro.core.surfer import Surfer
 from repro.errors import JobError
-from repro.fold import object_column
+from repro.fold import Grouping, bags, object_column
 from repro.graph.generators import composite_social_graph
 from repro.graph.store import build_shard_store, open_shard_graph
 from repro.graph.stream import stream_rmat
+from repro.hashing import stable_hash
 from repro.propagation.api import PropagationApp, fold_by_dest
-from repro.propagation.engine import _bags, virtual_partition
-from repro.mapreduce.engine import reducer_of
+from repro.propagation.engine import virtual_partition
 from repro.runtime.checkpoint import CheckpointPolicy
 from repro.runtime.events import reconcile
-from tests.conftest import ArrivalOrderApp, fold_with, make_test_cluster
+from tests.conftest import (ArrivalOrderApp, fold_with, make_test_cluster,
+                            scalar_only)
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -100,6 +101,13 @@ class TestFoldByDest:
         assert uniq.size == merged.size == counts.size == 0
         assert (uniq.dtype, merged.dtype) == (np.int32, np.bool_)
         assert counts.dtype.kind == "i"
+
+
+def _bags(dests, values):
+    """``{key: bag}`` from :func:`repro.fold.bags` over ``dests``'
+    grouping, in grouping order."""
+    grouping = Grouping(dests, ranked=True)
+    return dict(zip(grouping.uniq.tolist(), bags(grouping, values)))
 
 
 class TestFromArrays:
@@ -353,17 +361,6 @@ class TestFastPathEquivalence:
         assert _job_signature(auto) == _job_signature(scalar)
 
 
-def _scalar_only(app_cls):
-    """``app_cls`` with every array hook failing the test when called."""
-    def forbidden(self, *args, **kwargs):
-        raise AssertionError(f"{app_cls.name}: an array hook ran under "
-                             "vectorized=False")
-
-    return type(f"ScalarOnly{app_cls.__name__}", (app_cls,), {
-        hook: forbidden for hook in ("transfer_array", "combine_array",
-                                     "update_array")})
-
-
 class TestScalarOracle:
     """``vectorized=False`` is the oracle: it calls the scalar UDFs
     only, and its results and per-iteration reports equal those of the
@@ -382,7 +379,7 @@ class TestScalarOracle:
                                                   result_of, local_opts):
         surfer = Surfer(small_graph, make_test_cluster(4), num_parts=8,
                         seed=3)
-        oracle = surfer.run_propagation(_scalar_only(app_cls)(),
+        oracle = surfer.run_propagation(scalar_only(app_cls)(),
                                         local_opts=local_opts,
                                         vectorized=False, **kwargs)
         hooked = surfer.run_propagation(app_cls(), local_opts=local_opts,
@@ -419,10 +416,10 @@ class TestShippedAccounting:
 # ----------------------------------------------------------------------
 _ROUTE_SNIPPET = """
 from repro.propagation.engine import virtual_partition
-from repro.mapreduce.engine import reducer_of
+from repro.hashing import stable_hash
 keys = ["user:42", "item-7", ("pair", 3), b"blob", 42, -5]
 print([virtual_partition(k, 16) for k in keys])
-print([reducer_of(k, 8) for k in keys])
+print([stable_hash(k) % 8 for k in keys])
 """
 
 
@@ -444,7 +441,7 @@ class TestRoutingDeterminism:
         # and the parent process (whatever its seed) agrees too
         keys = ["user:42", "item-7", ("pair", 3), b"blob", 42, -5]
         local = str([virtual_partition(k, 16) for k in keys]) + "\n" + \
-            str([reducer_of(k, 8) for k in keys]) + "\n"
+            str([stable_hash(k) % 8 for k in keys]) + "\n"
         assert out0 == local
 
     def test_int_routing_unchanged_from_seed(self):
@@ -452,5 +449,5 @@ class TestRoutingDeterminism:
         # existing layouts: keep it byte-for-byte
         assert virtual_partition(42, 16) == \
             ((42 * 2654435761) & 0xFFFFFFFF) % 16
-        assert reducer_of(np.int64(9), 8) == \
+        assert stable_hash(np.int64(9)) % 8 == \
             ((9 * 2654435761) & 0xFFFFFFFF) % 8
