@@ -144,9 +144,6 @@ class PartitionedGraph:
     def partition_of(self, vertex: int) -> int:
         return int(self.parts[vertex])
 
-    def is_inner(self, vertex: int) -> bool:
-        return not bool(self.boundary_mask[vertex])
-
     def partition_size(self, p: int) -> int:
         return self.partition_vertices[p].size
 

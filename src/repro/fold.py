@@ -14,6 +14,26 @@ not associative and the scalar UDF paths are the oracle.
 either reproduces the scalar chain exactly.  ``ufunc.reduceat`` does
 *not*: ``np.add.reduceat`` sums each segment pairwise.
 
+A ``ufunc.at`` fold starts each group from its first record and folds
+the rest in — unless the (ufunc, dtype) pair has a *seed* ``s`` with
+``ufunc(s, x) == x`` bit for bit for every ``x``.  Then the table is
+filled with ``s`` and one ``ufunc.at`` folds every record, since
+``ufunc(s, v1)`` is ``v1`` and the chain from there is the same:
+
+==================  ==============  ====================
+ufunc               dtypes          seed
+==================  ==============  ====================
+``minimum``         integer, float  dtype max, ``+inf``
+``maximum``         integer, float  dtype min, ``-inf``
+``logical_or``      bool            ``False``
+``logical_and``     bool            ``True``
+``add``             integer         ``0``
+==================  ==============  ====================
+
+No other pair is seeded: ``0.0 + -0.0`` is ``+0.0``, so a float
+``add`` has no seed (float64 ``add`` folds by ``bincount``, whose
+``0.0 + v1 + ...`` is the scalar ``sum()``), nor has ``multiply``.
+
 Two strategies give the same groups and differ only in how a record
 finds its group:
 
@@ -308,12 +328,12 @@ class Grouping:
             uniq, index, counts = keys[:0], none, none
         elif keys.dtype == object:
             uniq, index, counts = group_hashed(keys)
-        elif not _counting_fits(keys):
+        elif (lo := _counting_low(keys)) is None:
             uniq, index, counts = group_sorted(keys)
         elif ranked:
-            uniq, index, counts = group_counting(keys)
+            uniq, index, counts = group_counting(keys, lo)
         else:
-            uniq, index, per_slot, occupied = _slots(keys)
+            uniq, index, per_slot, occupied = _slots(keys, lo)
             counts = per_slot[occupied]
             if occupied.size == per_slot.size:
                 occupied = None  # every slot holds a group: slot == rank
@@ -385,19 +405,22 @@ def _narrowed(array: np.ndarray, bound: int) -> np.ndarray:
     return array.astype(np.min_scalar_type(max(bound - 1, 0)), copy=False)
 
 
-def _counting_fits(keys: np.ndarray) -> bool:
+def _counting_low(keys: np.ndarray) -> Any:
     """The strategy choice: counting for integer keys whose span is
-    within ``COUNTING_SPAN_FACTOR`` times their count (non-empty)."""
+    within ``COUNTING_SPAN_FACTOR`` times their count (non-empty).
+    Returns the least key when counting fits, else None — the bounds
+    are read once and the slots start from that key."""
     if keys.dtype.kind not in "iu":
-        return False
-    span = int(keys.max()) - int(keys.min()) + 1
-    return span <= COUNTING_SPAN_FACTOR * keys.size
-
-
-def _slots(keys: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Counting: ``(uniq, slot, per_slot, occupied)`` — each record's
-    slot ``key - min``, the records per slot, the occupied slots."""
+        return None
     lo = keys.min()
+    span = int(keys.max()) - int(lo) + 1
+    return lo if span <= COUNTING_SPAN_FACTOR * keys.size else None
+
+
+def _slots(keys: np.ndarray, lo: Any) -> tuple[np.ndarray, ...]:
+    """Counting: ``(uniq, slot, per_slot, occupied)`` — each record's
+    slot ``key - lo`` (``lo`` the least key), the records per slot, the
+    occupied slots."""
     slot = keys - lo
     if slot.dtype != np.intp:
         # offsets wrap in narrow signed dtypes; read them back unsigned
@@ -408,9 +431,10 @@ def _slots(keys: np.ndarray) -> tuple[np.ndarray, ...]:
     return uniq, slot, per_slot, occupied
 
 
-def group_counting(keys: np.ndarray) -> Grouped:
-    """The sort-free strategy; ``keys`` non-empty and integer."""
-    uniq, slot, per_slot, occupied = _slots(keys)
+def group_counting(keys: np.ndarray, lo: Any) -> Grouped:
+    """The sort-free strategy; ``keys`` non-empty and integer, ``lo``
+    the least of them."""
+    uniq, slot, per_slot, occupied = _slots(keys, lo)
     rank = np.empty(per_slot.size, dtype=np.intp)
     rank[occupied] = np.arange(occupied.size)
     return uniq, rank[slot], per_slot[occupied]
@@ -494,6 +518,12 @@ def _accumulate(gid: np.ndarray, values: np.ndarray, ufunc: Any,
     if ufunc is np.add and values.dtype == np.float64:
         # 0.0 + v1 + v2 + ...: the scalar sum()/merge chain exactly
         return np.bincount(gid, weights=values, minlength=groups)
+    seed = _seed(ufunc, values.dtype)
+    if seed is not None:
+        # ufunc(seed, v1) is v1 bit for bit: one pass from the seed
+        acc = np.full(groups, seed, dtype=values.dtype)
+        ufunc.at(acc, gid, values)
+        return acc
     # Start each slot from its earliest record, fold the rest in with
     # ufunc.at; ``k`` marks "no record" and is clipped/sliced away.
     k = int(gid.size)
@@ -505,3 +535,17 @@ def _accumulate(gid: np.ndarray, values: np.ndarray, ufunc: Any,
     rest = rest[:k]
     ufunc.at(acc, gid[rest], values[rest])
     return acc
+
+
+def _seed(ufunc: Any, dtype: np.dtype) -> Any:
+    """The seed ``s`` with ``ufunc(s, x) == x`` bit for bit for every
+    ``x`` of ``dtype`` (the module docstring's table), else None."""
+    if dtype.kind in "iu":
+        info = np.iinfo(dtype)
+        return {np.minimum: info.max, np.maximum: info.min,
+                np.add: 0}.get(ufunc)
+    if dtype.kind == "f":
+        return {np.minimum: np.inf, np.maximum: -np.inf}.get(ufunc)
+    if dtype.kind == "b":
+        return {np.logical_or: False, np.logical_and: True}.get(ufunc)
+    return None

@@ -26,12 +26,14 @@ Every app's messages travel one path, as ``(dests, values)`` columns.
 Each partition's Transfer emits one column: ``transfer_array``'s where
 the app has the hook and it answers, else the scalar ``transfer`` (or
 ``virtual_transfer``) loop's, its values an object column.  One router
-then splits the column into local propagation, boundary spill and
-per-partition cross buckets, merging per destination with
-:func:`~repro.fold.fold_by_dest` — by the app's ``merge_ufunc`` over a
-typed column, by its Python ``merge`` over an object one.  Combine
-concatenates each partition's arrivals in source order and folds them
-for ``combine_array`` or hands the scalar ``combine`` its bags.
+splits the column into local propagation, boundary spill and
+per-partition cross buckets; under local combination it first merges
+the column once per destination with :func:`~repro.fold.fold_by_dest` —
+by the app's ``merge_ufunc`` over a typed column, by its Python
+``merge`` over an object one — and splits the distinct destinations.
+Combine concatenates each partition's arrivals in source order and
+folds them for ``combine_array`` or hands the scalar ``combine`` its
+bags.
 ``vectorized=False`` calls only the scalar UDFs, which keeps it the
 oracle the hooks are held to; docs/COST_MODEL.md has the column layout
 and the closed-form charges.
@@ -49,10 +51,8 @@ dense path — only the transfer-task disk reads shrink and the
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -274,17 +274,14 @@ class PropagationEngine:
         transfer_result = scheduler.run_stage(transfer_tasks)
 
         timer = wall_timer()
-        outs: list[Outputs] = []
-        combine_tasks: list[Task] = []
-        for p in range(num_parts):
-            task, out = self._run_combine_array(app, state, p, transfers)
-            combine_tasks.append(task)
-            outs.append(out)
+        combines = [self._run_combine_array(app, state, p, transfers)
+                    for p in range(num_parts)]
+        outs: list[Outputs] = [out for _, out in combines]
         if self.local_opts:
             outs.extend(t.inner_out for t in transfers)
         combined = merge_outputs(outs)
         combine_wall = timer.elapsed()
-        combine_result = scheduler.run_stage(combine_tasks)
+        combine_result = scheduler.run_stage([task for task, _ in combines])
 
         report = IterationReport(
             transfer_stage=transfer_result,
@@ -566,54 +563,60 @@ class PropagationEngine:
     ) -> _PartitionTransfer:
         """Route partition ``p``'s emitted column.
 
-        Inner/boundary/cross masks from the destination partitions and
-        ``boundary_mask``; local propagation combines the inner
-        destinations now; with local optimizations an associative app
-        merges per destination (:func:`~repro.fold.fold_by_dest`) before
-        the spill and before the cross messages are bucketed by
-        destination partition.  Virtual keys are never inner: one that
-        hashes to ``p`` is spilled.  The charge: ``scan_ops``, +1 per
-        routed message, +1 per merged cross message.
+        With local optimizations an associative app's column folds once
+        per destination (:func:`~repro.fold.fold_by_dest`: its
+        ``merge_ufunc`` over a typed column, its ``merge`` over an
+        object one), and the inner/boundary/cross masks — destination
+        partitions and ``boundary_mask`` — split the distinct
+        destinations; any other column is split per message.  Local
+        propagation combines the inner destinations now: the folded
+        slice goes to ``combine_array`` where it applies, else (or when
+        it declines) the inner messages go to :meth:`_combine_columns`.
+        The spill and the cross messages, bucketed by destination
+        partition, wait for Combine.  Virtual keys are never inner: one
+        that hashes to ``p`` is spilled.  The charge: ``scan_ops``, +1
+        per routed message, +1 per merged cross message.
         """
         pg = self.pgraph
-        result = _PartitionTransfer()
-        m = int(dst.size)
-        result.messages = m
-        result.cpu_ops = scan_ops + m
-        merge = None
+        result = _PartitionTransfer(messages=int(dst.size),
+                                    cpu_ops=scan_ops + int(dst.size))
+        emitted = (dst, values)
+        counts = None
         if self.local_opts and app.is_associative:
-            merge = (app.merge_ufunc
-                     if is_typed(values) and app.merge_ufunc is not None
-                     else app.merge)
+            dst, values, counts = fold_by_dest(
+                dst, values,
+                app.merge_ufunc
+                if is_typed(values) and app.merge_ufunc is not None
+                else app.merge)
 
         dest_parts = self._dest_parts(app, dst)
         local = dest_parts == p
         cross = ~local
         if self.local_opts and not app.uses_virtual_vertices:
-            # Local propagation: combine inner vertices now, in memory.
             inner = local & ~pg.boundary_mask[dst]
             local &= ~inner
-            (result.inner_out, cpu_ops, result.output_bytes,
-             result.inner_seen) = self._combine_columns(
-                 app, state, dst[inner], values[inner])
+            seen = dst[inner]
+            combined = None
+            if counts is not None and self._combines_array(app, values):
+                combined = self._combine_folded(app, state, seen,
+                                                values[inner], counts[inner])
+            if combined is None:
+                raw = np.isin(emitted[0], seen)
+                combined = self._combine_columns(
+                    app, state, emitted[0][raw], emitted[1][raw])
+                seen = np.unique(seen)
+            result.inner_out, cpu_ops, result.output_bytes = combined
             result.cpu_ops += cpu_ops
-            result.locally_propagated = int(result.inner_seen.size)
+            result.inner_seen = seen
+            result.locally_propagated = int(seen.size)
 
-        dests, vals = dst[local], values[local]
-        if merge is not None:
-            dests, vals, _ = fold_by_dest(dests, vals, merge)
-        result.local = (dests, vals)
-        result.spill_bytes = _wire_bytes(app, vals)
+        result.local = (dst[local], values[local])
+        result.spill_bytes = _wire_bytes(app, result.local[1])
 
         dests, vals = dst[cross], values[cross]
-        if merge is not None:
-            result.cpu_ops += float(dests.size)  # the merge work
-            # a destination determines its partition: merge by
-            # destination over the whole cross set, bucket afterwards
-            dests, vals, _ = fold_by_dest(dests, vals, merge)
-            dest_parts = self._dest_parts(app, dests)
-        else:
-            dest_parts = dest_parts[cross]
+        dest_parts = dest_parts[cross]
+        if counts is not None:
+            result.cpu_ops += float(counts[cross].sum())  # the merge work
         order = np.argsort(dest_parts, kind="stable")
         dests, vals = dests[order], vals[order]
         per_part = np.bincount(dest_parts, minlength=pg.num_parts)
@@ -700,9 +703,8 @@ class PropagationEngine:
         pad = None
         if app.combine_all_vertices and not app.uses_virtual_vertices:
             pad = self.pgraph.partition_vertices[q]
-            seen = transfers[q].inner_seen
-            pad = np.delete(pad, np.searchsorted(pad, seen))
-        out, cpu_ops, output_bytes, _ = self._combine_columns(
+            pad = np.delete(pad, np.searchsorted(pad, transfers[q].inner_seen))
+        out, cpu_ops, output_bytes = self._combine_columns(
             app, state, np.concatenate([a[0] for a in arrivals]),
             concat_values([a[1] for a in arrivals]), pad)
         return (self._combine_task(q, sources, transfers[q], cpu_ops,
@@ -711,9 +713,9 @@ class PropagationEngine:
     def _combine_columns(
         self, app: PropagationApp, state: Any, dests: np.ndarray,
         values: np.ndarray, pad: np.ndarray | None = None,
-    ) -> tuple[Outputs, float, float, np.ndarray]:
+    ) -> tuple[Outputs, float, float]:
         """Combine arrival columns; returns (outputs, cpu ops, output
-        bytes, the vertices messages arrived at).
+        bytes).
 
         ``pad`` (ascending, a superset of the arrival vertices) lists
         the vertices to combine whether or not anything arrived —
@@ -725,11 +727,9 @@ class PropagationEngine:
         last.  Either way the charge is the scalar one: one op per
         arrival plus one per combined vertex.
         """
-        if (type(app).combine_array is not PropagationApp.combine_array
-                and app.merge_ufunc is not None and is_typed(values)):
+        if self._combines_array(app, values):
             vertices, folded, counts = fold_by_dest(
                 dests, values, app.merge_ufunc)
-            seen = vertices
             if pad is not None:
                 at = np.searchsorted(pad, vertices)
                 padded = np.zeros(pad.size, dtype=folded.dtype)
@@ -737,20 +737,10 @@ class PropagationEngine:
                 lengths = np.zeros(pad.size, dtype=counts.dtype)
                 lengths[at] = counts
                 vertices, folded, counts = pad, padded, lengths
-            out = app.combine_array(vertices, folded, counts, state)
-            if out is not None:
-                if isinstance(out, Ragged):
-                    output_bytes = out.nbytes(RECORD_HEADER)
-                elif type(app).result_nbytes is PropagationApp.result_nbytes:
-                    out = np.asarray(out)
-                    output_bytes = float(out.size * VALUE_BYTES)
-                else:
-                    out = np.asarray(out)
-                    output_bytes = float(sum(
-                        app.result_nbytes(v, o)
-                        for v, o in zip(vertices.tolist(), out.tolist())))
-                return ((vertices, out), float(dests.size + vertices.size),
-                        output_bytes, seen)
+            answered = self._combine_folded(app, state, vertices, folded,
+                                            counts)
+            if answered is not None:
+                return answered
         grouping = Grouping(dests, ranked=True)
         keys = grouping.uniq.tolist()
         grouped = bags(grouping, values)
@@ -767,8 +757,38 @@ class PropagationEngine:
             if result is not None:
                 combined[v] = result
                 output_bytes += app.result_nbytes(v, result)
-        return (combined, float(dests.size + len(keys)), output_bytes,
-                grouping.uniq)
+        return combined, float(dests.size + len(keys)), output_bytes
+
+    @staticmethod
+    def _combines_array(app: PropagationApp, values: Any) -> bool:
+        """Whether a typed column combines by ``merge_ufunc`` and
+        ``combine_array``."""
+        return (type(app).combine_array is not PropagationApp.combine_array
+                and app.merge_ufunc is not None and is_typed(values))
+
+    @staticmethod
+    def _combine_folded(
+        app: PropagationApp, state: Any, vertices: np.ndarray,
+        folded: Any, counts: np.ndarray,
+    ) -> tuple[Outputs, float, float] | None:
+        """``combine_array`` over folded columns: (outputs, cpu ops,
+        output bytes), None when it declines.  The charge is the scalar
+        one: one op per folded message plus one per vertex."""
+        out = app.combine_array(vertices, folded, counts, state)
+        if out is None:
+            return None
+        if isinstance(out, Ragged):
+            output_bytes = out.nbytes(RECORD_HEADER)
+        elif type(app).result_nbytes is PropagationApp.result_nbytes:
+            out = np.asarray(out)
+            output_bytes = float(out.size * VALUE_BYTES)
+        else:
+            out = np.asarray(out)
+            output_bytes = float(sum(
+                app.result_nbytes(v, o)
+                for v, o in zip(vertices.tolist(), out.tolist())))
+        return ((vertices, out), float(counts.sum() + vertices.size),
+                output_bytes)
 
     def _combine_task(
         self, p: int, sources: dict[int, float],

@@ -34,7 +34,7 @@ class TestStructure:
         g = Graph.from_edges([(0, 1), (1, 0), (2, 3)], num_vertices=4)
         pg = PartitionedGraph(g, np.array([0, 0, 1, 1]), 2)
         assert pg.inner_vertex_ratio == 1.0
-        assert pg.is_inner(0)
+        assert not pg.boundary_mask[0]
 
     def test_boundary_tables_match_paper_structures(self):
         """Section 5.1's per-partition boundary-vertex table is the
