@@ -42,37 +42,18 @@ class PartitionStore:
         chosen by copy bandwidth from the primary, not just by load.
         """
         placement = np.asarray(placement, dtype=np.int64)
-        if replication < 1:
-            raise PlacementError("replication must be >= 1")
-        if replication > num_machines:
-            raise PlacementError(
-                "replication cannot exceed the number of machines"
-            )
-        if placement.size and (
-            placement.min() < 0 or placement.max() >= num_machines
-        ):
-            raise PlacementError("placement machine id out of range")
-        self.num_machines = num_machines
-        self.replication = replication
-        if partition_bytes is None:
-            self.partition_bytes = np.zeros(placement.size, dtype=np.int64)
-        else:
-            self.partition_bytes = np.asarray(partition_bytes,
-                                              dtype=np.int64)
-            if self.partition_bytes.size != placement.size:
-                raise PlacementError(
-                    "partition_bytes length must match the placement"
-                )
-        self.topology = topology
         rng = np.random.default_rng(seed)
-        self._replicas: list[list[int]] = []
-        self._failed: set[int] = set()
-        for p, primary in enumerate(placement):
+
+        def replica_set(primary: int) -> list[int]:
             others = [m for m in range(num_machines) if m != primary]
             extra = rng.choice(
                 others, size=replication - 1, replace=False
             ).tolist() if replication > 1 else []
-            self._replicas.append([int(primary)] + [int(m) for m in extra])
+            return [primary, *extra]
+
+        # lazily: the replication check runs before the first draw
+        self._build(map(replica_set, placement.tolist()), num_machines,
+                    replication, partition_bytes, (), topology)
 
     @classmethod
     def from_replica_sets(
@@ -91,15 +72,27 @@ class PartitionStore:
         machines (plus any partitions freshly restored from the durable
         tier).  ``failed`` machines are excluded from future repair.
         """
+        store = cls.__new__(cls)
+        store._build(replica_sets, num_machines, replication,
+                     partition_bytes, failed, topology)
+        return store
+
+    def _build(self, replica_sets: Iterable[Sequence[int]],
+               num_machines: int, replication: int, partition_bytes,
+               failed: Iterable[int], topology) -> None:
+        """Validate and install the replica sets — the one path both
+        constructors share."""
         if replication < 1:
             raise PlacementError("replication must be >= 1")
-        failed_set = {int(m) for m in failed}
-        store = cls.__new__(cls)
-        store.num_machines = num_machines
-        store.replication = replication
-        store.topology = topology
-        store._failed = failed_set
-        store._replicas = []
+        if replication > num_machines:
+            raise PlacementError(
+                "replication cannot exceed the number of machines"
+            )
+        self.num_machines = num_machines
+        self.replication = replication
+        self.topology = topology
+        self._failed = {int(m) for m in failed}
+        self._replicas: list[list[int]] = []
         for p, reps in enumerate(replica_sets):
             holders = [int(m) for m in reps]
             if not holders:
@@ -107,7 +100,7 @@ class PartitionStore:
             for m in holders:
                 if not 0 <= m < num_machines:
                     raise PlacementError(f"unknown machine {m}")
-                if m in failed_set:
+                if m in self._failed:
                     raise PlacementError(
                         f"replica of partition {p} on failed machine {m}"
                     )
@@ -115,18 +108,14 @@ class PartitionStore:
                 raise PlacementError(
                     f"duplicate replica holders for partition {p}"
                 )
-            store._replicas.append(holders)
+            self._replicas.append(holders)
         if partition_bytes is None:
-            store.partition_bytes = np.zeros(len(store._replicas),
-                                             dtype=np.int64)
-        else:
-            store.partition_bytes = np.asarray(partition_bytes,
-                                               dtype=np.int64)
-            if store.partition_bytes.size != len(store._replicas):
-                raise PlacementError(
-                    "partition_bytes length must match the replica sets"
-                )
-        return store
+            partition_bytes = np.zeros(len(self._replicas), dtype=np.int64)
+        self.partition_bytes = np.asarray(partition_bytes, dtype=np.int64)
+        if self.partition_bytes.size != len(self._replicas):
+            raise PlacementError(
+                "partition_bytes length must match the partitions"
+            )
 
     def copy(self) -> "PartitionStore":
         """An independent replica map over the same partitions.
@@ -165,10 +154,6 @@ class PartitionStore:
         """Primary machine per partition as an array."""
         return np.array([r[0] for r in self._replicas], dtype=np.int64)
 
-    def partitions_on(self, machine: int) -> list[int]:
-        """Partitions whose *primary* replica lives on ``machine``."""
-        return [p for p, r in enumerate(self._replicas) if r[0] == machine]
-
     # ------------------------------------------------------------------
     def handle_failure(self, machine: int) -> list[int]:
         """Drop ``machine`` from every replica set; promote survivors.
@@ -194,18 +179,6 @@ class PartitionStore:
                 moved.append(p)
             self._replicas[p] = survivors
         return moved
-
-    def add_replica(self, partition: int, machine: int) -> None:
-        """Register a freshly copied replica of ``partition``."""
-        if not 0 <= machine < self.num_machines:
-            raise PlacementError(f"unknown machine {machine}")
-        if machine in self._failed:
-            raise PlacementError(
-                f"cannot place a replica on failed machine {machine}"
-            )
-        reps = self._replicas[partition]
-        if machine not in reps:
-            reps.append(machine)
 
     def under_replicated(self) -> list[int]:
         """Partitions currently holding fewer than ``replication`` copies."""

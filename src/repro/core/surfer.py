@@ -509,7 +509,6 @@ class Surfer:
         metrics.add("checkpoint.restores")
         metrics.add("checkpoint.bytes_read", state_bytes + durable_bytes)
         metrics.add("checkpoint.restored_partitions", len(restored))
-        scheduler.data_loss = None
         if chk is None:
             return 0, None, new_store, assignment
         return (chk.step, ckpt.snapshot_state(chk.state), new_store,

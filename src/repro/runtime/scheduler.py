@@ -2,7 +2,7 @@
 
 Surfer's job manager is deliberately simple (Appendix B): it dispatches one
 task at a time to each slave and re-executes tasks lost to machine failures.
-We reproduce that — each machine runs its queue serially; a stage is a
+We reproduce that — each machine drains its queue in order; a stage is a
 barrier (the Combine stage starts only after every Transfer finished, as
 Algorithm 5 requires) — and extend it with the recovery machinery a
 production job manager needs:
@@ -14,7 +14,7 @@ production job manager needs:
   kill, but the machine rejoins at the end of its outage window and keeps
   working through its remaining queue;
 * **stragglers**: with ``speculation`` enabled, a task whose duration
-  exceeds ``speculation_factor`` × the stage's median gets a backup copy on
+  exceeds ``SPECULATION_FACTOR`` × the stage's median gets a backup copy on
   the least-loaded replica holder; the first finisher wins and the loser is
   cancelled (MapReduce-style speculative execution);
 * **re-replication**: after a permanent failure the partition store
@@ -22,18 +22,26 @@ production job manager needs:
   to the network as background flows, so a later failure does not hit a
   degraded replica set.
 
+One drain runs every queue — the stage's first dispatch and every retry —
+with one rule each for an outage at dispatch, a task lost mid-flight, a
+permanent kill's fail-over and a successful commit.  Only the pricing of a
+task differs between the modes: the serial job manager runs it on one
+lane (``disk_read + cpu + network + disk_write`` in one piece), the
+pipelined one on four lanes (read disk, CPU, NIC, write disk) chained
+phase by phase; lanes move only when a task commits.  Network occupancy is
+priced by the stage's :class:`~repro.cluster.network.StageConstraints`
+(co-located flows are free), and slowdowns stretch each piece via
+:meth:`FaultPlan.advance`.
+
 All recovery actions are recorded as
 :class:`~repro.runtime.events.Instant` entries on the job's event stream.
-
-Timing of one task: ``disk_read + cpu + disk_write`` at the machine's
-rates plus its sender and receiver network occupancy, priced by the
-stage's :class:`~repro.cluster.network.StageConstraints` (co-located
-flows are free), with slowdowns stretching it via :meth:`FaultPlan.advance`.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
+from typing import Callable
 
 from repro.errors import DataLossError, SchedulingError
 from repro.cluster.cluster import Cluster
@@ -112,8 +120,6 @@ class StageScheduler:
         heartbeat: float = HEARTBEAT_INTERVAL,
         pipelined: bool = False,
         speculation: bool = False,
-        speculation_factor: float = SPECULATION_FACTOR,
-        max_retries: int = MAX_RETRIES,
         events: EventStream | None = None,
     ) -> None:
         """``pipelined=True`` overlaps consecutive tasks' phases on a
@@ -125,32 +131,31 @@ class StageScheduler:
 
         ``speculation=True`` enables MapReduce-style backup tasks for
         stragglers."""
-        if speculation_factor <= 1.0:
-            raise SchedulingError("speculation_factor must be > 1")
-        if max_retries < 1:
-            raise SchedulingError("max_retries must be >= 1")
         self.cluster = cluster
         self.fault_plan = fault_plan or FaultPlan()
         self.store = store
         self.heartbeat = heartbeat
         self.pipelined = pipelined
         self.speculation = speculation
-        self.speculation_factor = speculation_factor
-        self.max_retries = max_retries
         self.events = events if events is not None else EventStream()
         #: SimSan hook — attached by the Surfer facade when sanitizing;
         #: observe-only, so a sanitized run stays bit-identical
         self.sanitizer: Sanitizer | None = None
         self.executions: list[TaskExecution] = []
-        self.re_replication_bytes = 0
-        self.data_loss: str | None = None
         self._constraints = StageConstraints(cluster.topology, ())
         self._seen_outages: set[tuple[int, float]] = set()
         self._stage_index = 0
 
     # ------------------------------------------------------------------
     def run_stage(self, tasks: list[Task]) -> StageResult:
-        """Run ``tasks`` to completion and barrier all machine clocks."""
+        """Run ``tasks`` to completion and barrier all machine clocks.
+
+        A stage that aborts (unrecoverable data loss or an exhausted
+        retry budget) still records the work it already charged to the
+        machines and the network, so a failed (or restarted) job's trace
+        reconciles; only a completed stage barriers the clocks — an
+        aborting job is unwinding, not synchronizing.
+        """
         timer = wall_timer()
         start_time = max(
             (m.clock for m in self.cluster.machines), default=0.0
@@ -165,13 +170,11 @@ class StageScheduler:
         failed: deque[tuple[Task, float]] = deque()
         failures = 0
         instants_before = len(self.events.instants)
-        drain = (self._drain_queue_pipelined if self.pipelined
-                 else self._drain_queue)
-
+        completed = False
         try:
             for machine_id in sorted(queues):
-                drain(machine_id, queues[machine_id], start_time,
-                      stage_execs, failed)
+                self._drain_queue(machine_id, queues[machine_id],
+                                  start_time, stage_execs, failed)
 
             # Re-execute tasks lost to failures on replica holders.
             guard = 0
@@ -183,50 +186,42 @@ class StageScheduler:
                     )
                 task, detect = failed.popleft()
                 failures += 1
-                if task.attempt >= self.max_retries:
+                if task.attempt >= MAX_RETRIES:
                     raise SchedulingError(
                         f"task {task.name} exceeded the retry budget "
-                        f"({self.max_retries} attempts)"
+                        f"({MAX_RETRIES} attempts)"
                     )
-                new_machine = self._reassign(task)
+                # no is_down filter: a retry may wait out a transient
+                new_machine = self._least_loaded(
+                    task, lambda m: self.cluster.machine(m).alive)
+                if new_machine is None:
+                    raise SchedulingError(
+                        "no machines left alive to re-execute on")
                 retry = self._clone_task(task, new_machine, detect, "#retry")
-                self._event(detect, "redispatch", new_machine,
-                            task=retry.name, partition=task.partition)
-                drain(new_machine, deque([retry]), start_time,
-                      stage_execs, failed)
+                self.note_recovery(detect, "redispatch", new_machine,
+                                   task=retry.name, partition=task.partition)
+                self._drain_queue(new_machine, deque([retry]), start_time,
+                                  stage_execs, failed)
 
             if self.speculation:
                 self._speculate(stage_execs)
-        except (DataLossError, SchedulingError):
-            # The stage is aborting (unrecoverable data loss or an
-            # exhausted retry budget), but the work already executed was
-            # charged to the machines and the network — record its spans
-            # so the failed (or restarted) job's trace still reconciles.
-            # No barrier: the job is unwinding, not synchronizing.
-            abort_end = max(
+            completed = True
+        finally:
+            end_time = max(
                 (e.end for e in stage_execs), default=start_time
             )
+            if completed:
+                # Barrier: every machine waits for the stage to complete.
+                for m in self.cluster.machines:
+                    if m.alive:
+                        m.clock = max(m.clock, end_time)
             self.executions.extend(stage_execs)
-            self._record_stage(tasks, stage_execs, start_time, abort_end,
+            self._record_stage(tasks, stage_execs, start_time, end_time,
                                failures, timer.elapsed())
             if self.sanitizer is not None:
-                # keep the shadow counts conserved across the restart;
-                # the aborted stage's events still barrier for ordering
+                # an aborted stage's events still barrier for ordering,
+                # which keeps the shadow counts conserved across a restart
                 self.sanitizer.on_stage(stage_execs)
-            raise
-
-        end_time = max(
-            (e.end for e in stage_execs), default=start_time
-        )
-        # Barrier: every machine waits for the stage to complete.
-        for m in self.cluster.machines:
-            if m.alive:
-                m.clock = max(m.clock, end_time)
-        self.executions.extend(stage_execs)
-        self._record_stage(tasks, stage_execs, start_time, end_time,
-                           failures, timer.elapsed())
-        if self.sanitizer is not None:
-            self.sanitizer.on_stage(stage_execs)
         return StageResult(
             executions=stage_execs,
             start_time=start_time,
@@ -266,18 +261,14 @@ class StageScheduler:
                       task: str | None = None,
                       partition: int | None = None,
                       nbytes: int = 0) -> None:
-        """Record a recovery action decided *outside* the scheduler.
+        """Record one recovery action: an instant plus a ``recovery.<kind>``
+        count.
 
-        The job-level restart driver (checkpoint/restore in
-        ``core/surfer.py``) announces its actions — ``job-restart`` above
-        all — through this hook so they land on the same instants and
-        ``recovery.*`` counters as the scheduler's own fault handling.
+        The scheduler's own fault handling records through this, and so
+        does the job-level restart driver (checkpoint/restore in
+        ``core/surfer.py``) for the actions it decides — ``job-restart``
+        above all — so both land on the same instants and counters.
         """
-        self._event(time, kind, machine, task, partition, nbytes)
-
-    def _event(self, time: float, kind: str, machine: int,
-               task: str | None = None, partition: int | None = None,
-               nbytes: int = 0) -> None:
         self.events.instant(time, task if task is not None else kind,
                             kind, machine, partition, nbytes)
         self.events.metrics.add(f"recovery.{kind}")
@@ -288,8 +279,8 @@ class StageScheduler:
         detect = at + self.heartbeat
         for t in tasks:
             failed.append((t, detect))
-            self._event(detect, "detect", machine_id, task=t.name,
-                        partition=t.partition)
+            self.note_recovery(detect, "detect", machine_id, task=t.name,
+                               partition=t.partition)
 
     def _mark_down(self, machine_id: int, outage: Outage) -> None:
         """Record a transient outage window (once per window)."""
@@ -300,8 +291,8 @@ class StageScheduler:
         machine = self.cluster.machine(machine_id)
         machine.down_seconds += outage.end - outage.start
         machine.recoveries += 1
-        self._event(outage.start, "machine-down", machine_id)
-        self._event(outage.end, "machine-recovered", machine_id)
+        self.note_recovery(outage.start, "machine-down", machine_id)
+        self.note_recovery(outage.end, "machine-recovered", machine_id)
 
     # ------------------------------------------------------------------
     def _drain_queue(
@@ -312,157 +303,119 @@ class StageScheduler:
         stage_execs: list[TaskExecution],
         failed: deque,
     ) -> None:
-        machine = self.cluster.machine(machine_id)
-        plan = self.fault_plan
-        while queue:
-            task = queue.popleft()
-            start = max(machine.clock, stage_start, task.earliest_start)
-            outage = plan.next_outage(machine_id, start)
-            if outage is not None and outage.start <= start:
-                if outage.permanent:
-                    self._mark_dead(machine_id, outage.start)
-                    self._fail_over(machine_id, [task, *queue],
-                                    outage.start, failed)
-                    return
-                # transiently down at dispatch time: the queue simply
-                # waits out the outage on the machine
-                self._mark_down(machine_id, outage)
-                machine.clock = max(machine.clock, outage.end)
-                queue.appendleft(task)
-                continue
-            duration = self._task_duration(task, machine_id)
-            end = plan.advance(machine_id, start, duration)
-            if outage is not None and end > outage.start:
-                # Task dies mid-flight; time up to the outage is wasted.
-                # The execution records the full dispatched duration so
-                # trace analysis can prorate bytes over the partial run.
-                machine.busy_time += outage.start - start
-                machine.clock = outage.start
-                stage_execs.append(
-                    TaskExecution(task, machine_id, start,
-                                  outage.start, False,
-                                  planned_duration=end - start)
-                )
-                if outage.permanent:
-                    self._mark_dead(machine_id, outage.start)
-                    self._fail_over(machine_id, [task, *queue],
-                                    outage.start, failed)
-                    return
-                # transient: the in-flight task fails over, the machine
-                # rejoins at the end of the window with its queue.  The
-                # clock stays at the failure point — if more work remains
-                # the next dispatch waits out the window (identical
-                # timing), and an emptied queue leaves no clock beyond
-                # the last recorded span.
-                self._mark_down(machine_id, outage)
-                self._fail_over(machine_id, [task], outage.start, failed)
-                continue
-            self._charge(task, machine_id)
-            machine.clock = end
-            machine.busy_time += end - start
-            machine.tasks_executed += 1
-            stage_execs.append(
-                TaskExecution(task, machine_id, start, end, True,
-                              planned_duration=end - start)
-            )
+        """Run one machine's queue in order, through any outage.
 
-    def _drain_queue_pipelined(
-        self,
-        machine_id: int,
-        queue: deque[Task],
-        stage_start: float,
-        stage_execs: list[TaskExecution],
-        failed: deque,
-    ) -> None:
-        """Flow-shop execution: disk, CPU and NIC are independent lanes.
-
-        Each task runs its phases in order (read -> compute -> network ->
-        write); a phase starts when both the previous phase of the same
-        task and the lane's previous occupant have finished.  Total work
-        (busy time, byte counters) is identical to serial execution —
-        only the elapsed time shrinks.  Faults use the task's full
-        pipeline window [arrival, write_end): an outage inside it loses
-        the in-flight task, and after a transient recovery the lanes
-        restart cold at the end of the window.
+        ``ready`` is when the machine takes its next task: a serial
+        machine takes it when the last one ends, a pipelined one at once
+        (the task then queues on the lanes).  Faults use the task's
+        window ``[start, end)``: an outage already open at dispatch makes
+        the queue wait it out; one that opens inside the window loses the
+        in-flight task, charged up to the failure point.
         """
         machine = self.cluster.machine(machine_id)
-        spec = machine.spec
         plan = self.fault_plan
-        base = max(machine.clock, stage_start)
-        # four lanes: read disk, CPU, NIC, write disk (the testbed
-        # machines carry two disks — Appendix F)
-        read_free = cpu_free = net_free = write_free = base
+        ready = max(machine.clock, stage_start)
+        lanes = [ready] * (4 if self.pipelined else 1)
         while queue:
             task = queue.popleft()
-            arrival = max(base, task.earliest_start)
-            outage = plan.next_outage(machine_id, arrival)
-            if outage is not None and outage.start <= arrival:
-                if outage.permanent:
-                    self._mark_dead(machine_id, outage.start)
-                    self._fail_over(machine_id, [task, *queue],
-                                    outage.start, failed)
-                    return
-                self._mark_down(machine_id, outage)
-                base = max(base, outage.end)
-                read_free = max(read_free, base)
-                cpu_free = max(cpu_free, base)
-                net_free = max(net_free, base)
-                write_free = max(write_free, base)
-                machine.clock = max(machine.clock, base)
-                queue.appendleft(task)
-                continue
-            read_time = (spec.disk_read_time(task.disk_read_bytes)
-                         * task.disk_penalty)
-            cpu_time = spec.cpu_time(task.cpu_ops)
-            outbound, inbound = self._network_times(task, machine_id,
-                                                    spec.nic_bps)
-            net_time = outbound + inbound
-            write_time = (spec.disk_write_time(task.disk_write_bytes)
-                          * task.disk_penalty)
-            read_start = max(arrival, read_free)
-            read_end = plan.advance(machine_id, read_start, read_time)
-            cpu_start = max(read_end, cpu_free)
-            cpu_end = plan.advance(machine_id, cpu_start, cpu_time)
-            net_start = max(cpu_end, net_free)
-            net_end = plan.advance(machine_id, net_start, net_time)
-            write_start = max(net_end, write_free)
-            write_end = plan.advance(machine_id, write_start, write_time)
-            if outage is not None and write_end > outage.start:
-                # the pipeline stalls at the outage; the in-flight task
-                # is lost along with its partial overlapped progress
-                machine.busy_time += max(0.0, outage.start - arrival)
+            start = max(ready, task.earliest_start)
+            outage = plan.next_outage(machine_id, start)
+            if outage is None or outage.start > start:
+                ends, busy = self._run_lanes(task, machine_id, start, lanes)
+                end = ends[-1]
+                if outage is None or end <= outage.start:
+                    self._commit(task, machine_id, start, end, busy,
+                                 stage_execs)
+                    lanes = ends
+                    if not self.pipelined:
+                        ready = end
+                    continue
+                # The task dies mid-flight; time up to the outage is
+                # wasted.  The execution records the full dispatched
+                # duration so trace analysis can prorate bytes over the
+                # partial run.
+                machine.busy_time += outage.start - start
                 machine.clock = max(machine.clock, outage.start)
                 stage_execs.append(
-                    TaskExecution(task, machine_id, arrival,
-                                  outage.start, False,
-                                  planned_duration=write_end - arrival)
+                    TaskExecution(task, machine_id, start, outage.start,
+                                  False, planned_duration=end - start)
                 )
-                if outage.permanent:
-                    self._mark_dead(machine_id, outage.start)
-                    self._fail_over(machine_id, [task, *queue],
-                                    outage.start, failed)
-                    return
-                # the lanes restart cold after the window, but the clock
+            if outage.permanent:
+                self._mark_dead(machine_id, outage.start)
+                self._fail_over(machine_id, [task, *queue], outage.start,
+                                failed)
+                return
+            self._mark_down(machine_id, outage)
+            if outage.start > start:
+                # the in-flight task fails over and the machine rejoins
+                # at the end of the window with its queue.  The clock
                 # stays at the failure point until real work moves it —
-                # an emptied queue must not leave a clock past the last
-                # recorded span
-                self._mark_down(machine_id, outage)
+                # an emptied queue leaves no clock beyond the last
+                # recorded span.  The pipelined lanes restart cold after
+                # the window; the serial lane holds at the failure point,
+                # so its next dispatch waits the window out (or, dead by
+                # then, stops the clock there).
                 self._fail_over(machine_id, [task], outage.start, failed)
-                base = max(base, outage.end)
-                read_free = cpu_free = net_free = write_free = base
-                continue
-            duration = ((read_end - read_start) + (cpu_end - cpu_start)
-                        + (net_end - net_start) + (write_end - write_start))
-            read_free, cpu_free = read_end, cpu_end
-            net_free, write_free = net_end, write_end
-            self._charge(task, machine_id)
-            machine.clock = max(machine.clock, write_end)
-            machine.busy_time += duration
-            machine.tasks_executed += 1
-            stage_execs.append(
-                TaskExecution(task, machine_id, arrival, write_end, True,
-                              planned_duration=write_end - arrival)
-            )
+                ready = (max(ready, outage.end) if self.pipelined
+                         else outage.start)
+                lanes = [ready] * len(lanes)
+            else:
+                # transiently down at dispatch time: the queue simply
+                # waits out the outage on the machine
+                ready = max(ready, outage.end)
+                lanes = [max(lane, ready) for lane in lanes]
+                machine.clock = max(machine.clock, ready)
+                queue.appendleft(task)
+
+    def _run_lanes(self, task: Task, machine_id: int, start: float,
+                   lanes: list[float]) -> tuple[list[float], float]:
+        """Price ``task`` arriving at ``start`` on the machine's lanes.
+
+        Each piece starts when both the task's previous piece and the
+        lane's previous occupant have finished.  Returns each lane's end
+        and the busy time (the sum of the pieces — identical to serial
+        execution; pipelining shrinks only the elapsed time).
+        """
+        plan = self.fault_plan
+        if self.pipelined:
+            # four lanes: read disk, CPU, NIC, write disk (the testbed
+            # machines carry two disks — Appendix F)
+            spec = self.cluster.machine(machine_id).spec
+            outbound, inbound = self._network_times(task, machine_id,
+                                                    spec.nic_bps)
+            pieces = [
+                spec.disk_read_time(task.disk_read_bytes)
+                * task.disk_penalty,
+                spec.cpu_time(task.cpu_ops),
+                outbound + inbound,
+                spec.disk_write_time(task.disk_write_bytes)
+                * task.disk_penalty,
+            ]
+        else:
+            pieces = [self._task_duration(task, machine_id)]
+        ends: list[float] = []
+        busy = 0.0
+        t = start
+        for lane, work in zip(lanes, pieces):
+            t0 = max(t, lane)
+            t = plan.advance(machine_id, t0, work)
+            busy += t - t0
+            ends.append(t)
+        return ends, busy
+
+    def _commit(self, task: Task, machine_id: int, start: float,
+                end: float, busy: float,
+                stage_execs: list[TaskExecution]) -> None:
+        """Record a successful execution and charge its resources."""
+        machine = self.cluster.machine(machine_id)
+        self._charge(task, machine_id)
+        machine.clock = max(machine.clock, end)
+        machine.busy_time += busy
+        machine.tasks_executed += 1
+        stage_execs.append(
+            TaskExecution(task, machine_id, start, end, True,
+                          planned_duration=end - start)
+        )
 
     # ------------------------------------------------------------------
     def _network_times(self, task: Task, machine_id: int,
@@ -511,14 +464,13 @@ class StageScheduler:
         if not machine.alive:
             return
         machine.fail(kill_time)
-        self._event(kill_time, "machine-down", machine_id)
+        self.note_recovery(kill_time, "machine-down", machine_id)
         if self.store is None:
             return
         try:
             self.store.handle_failure(machine_id)
-        except DataLossError as exc:
-            self.data_loss = str(exc)
-            self._event(kill_time, "data-loss", machine_id)
+        except DataLossError:
+            self.note_recovery(kill_time, "data-loss", machine_id)
             raise
         self._re_replicate(kill_time + self.heartbeat)
 
@@ -537,34 +489,32 @@ class StageScheduler:
                 src_m.bytes_sent += nbytes
                 dst_m.disk_write_bytes += nbytes
                 dst_m.bytes_received += nbytes
-            self.re_replication_bytes += nbytes
             self.events.metrics.add("scheduler.re_replication_bytes",
                                     nbytes)
-            self._event(now, "re-replicate", dst, partition=p,
-                        nbytes=nbytes)
+            self.note_recovery(now, "re-replicate", dst, partition=p,
+                               nbytes=nbytes)
 
     # ------------------------------------------------------------------
-    def _reassign(self, task: Task) -> int:
-        """Pick the machine to re-execute a failed task on.
+    def _least_loaded(self, task: Task,
+                      usable: Callable[[int], bool]) -> int | None:
+        """The least-loaded ``usable`` machine to (re-)run ``task`` on.
 
-        Prefers the least-loaded alive holder of the task's partition
-        (after failover the store only lists survivors), falling back to
-        the least-loaded alive machine — the greedy job manager's rule.
+        Prefers a holder of the task's partition (after failover the
+        store only lists survivors), falling back to any alive machine —
+        the greedy job manager's rule.  Replica order (primary first)
+        breaks clock ties, so the promoted survivor beats a freshly
+        re-replicated copy.  ``None`` when no machine is usable.
         """
-        dead = {m.machine_id for m in self.cluster.machines
-                if not m.alive}
+        def clock(m: int) -> float:
+            return self.cluster.machine(m).clock
+
         if self.store is not None and task.partition is not None:
-            # replica order (primary first) breaks clock ties, so the
-            # promoted survivor beats a freshly re-replicated copy
             holders = [m for m in self.store.replicas(task.partition)
-                       if m not in dead]
+                       if usable(m)]
             if holders:
-                return min(holders,
-                           key=lambda m: self.cluster.machine(m).clock)
-        alive = self.cluster.alive_machines()
-        if not alive:
-            raise SchedulingError("no machines left alive to re-execute on")
-        return min(alive, key=lambda m: self.cluster.machine(m).clock)
+                return min(holders, key=clock)
+        machines = [m for m in self.cluster.alive_machines() if usable(m)]
+        return min(machines, key=clock, default=None)
 
     def _clone_task(self, task: Task, new_machine: int,
                     earliest: float, suffix: str) -> Task:
@@ -573,34 +523,24 @@ class StageScheduler:
         Combine-type tasks must re-fetch their remote inputs before
         re-running (Appendix B): the input transfers become explicit sends
         charged against the network (modeled as reads from the sources).
+        The clone reads its partition on its own machine, so it drops the
+        original's remote ``fetches``.
         """
         refetch = [
             (src, nbytes)
             for src, nbytes in task.input_transfers
             if src != new_machine and self.cluster.machine(src).alive
         ]
-        return Task(
-            name=task.name + suffix,
-            machine=new_machine,
-            kind=task.kind,
-            partition=task.partition,
-            disk_read_bytes=task.disk_read_bytes,
-            cpu_ops=task.cpu_ops,
-            disk_write_bytes=task.disk_write_bytes,
-            sends=list(task.sends) + refetch,
-            receives=list(task.receives),
-            input_transfers=list(task.input_transfers),
-            earliest_start=earliest,
-            disk_penalty=task.disk_penalty,
-            attempt=task.attempt + 1,
-        )
+        return replace(task, name=task.name + suffix, machine=new_machine,
+                       sends=[*task.sends, *refetch], fetches=[],
+                       earliest_start=earliest, attempt=task.attempt + 1)
 
     # ------------------------------------------------------------------
     def _speculate(self, stage_execs: list[TaskExecution]) -> None:
         """Launch backup copies for stragglers; first finisher wins.
 
         A machine's *final* task of the stage is a speculation candidate
-        when its duration exceeds ``speculation_factor`` × the stage's
+        when its duration exceeds ``SPECULATION_FACTOR`` × the stage's
         median task duration: that is the task pinning the stage barrier,
         so rescuing it shortens the makespan.  The backup launches on the
         least-loaded alive replica holder at the moment the straggler is
@@ -614,7 +554,7 @@ class StageScheduler:
         median = durations[len(durations) // 2]
         if median <= 0:
             return
-        threshold = self.speculation_factor * median
+        threshold = SPECULATION_FACTOR * median
         last: dict[int, TaskExecution] = {}
         for e in succ:
             cur = last.get(e.machine)
@@ -634,7 +574,10 @@ class StageScheduler:
                        threshold: float) -> None:
         task = e.task
         detect = e.start + threshold
-        backup_machine = self._backup_machine(task, e.machine, detect)
+        backup_machine = self._least_loaded(
+            task, lambda m: (m != e.machine
+                             and self.cluster.machine(m).alive
+                             and not self.fault_plan.is_down(m, detect)))
         if backup_machine is None:
             return
         holder = self.cluster.machine(backup_machine)
@@ -644,18 +587,12 @@ class StageScheduler:
         b_start = max(detect, holder.clock)
         duration = self._task_duration(backup, backup_machine)
         b_end = self.fault_plan.advance(backup_machine, b_start, duration)
-        self._event(detect, "spec-launch", backup_machine,
-                    task=backup.name, partition=task.partition)
+        self.note_recovery(detect, "spec-launch", backup_machine,
+                           task=backup.name, partition=task.partition)
         if b_end < e.end:
             # Backup wins; the original attempt is cancelled at b_end.
-            self._charge(backup, backup_machine)
-            holder.clock = max(holder.clock, b_end)
-            holder.busy_time += b_end - b_start
-            holder.tasks_executed += 1
-            stage_execs.append(
-                TaskExecution(backup, backup_machine, b_start, b_end, True,
-                              planned_duration=b_end - b_start)
-            )
+            self._commit(backup, backup_machine, b_start, b_end,
+                         b_end - b_start, stage_execs)
             original = self.cluster.machine(e.machine)
             original.busy_time -= e.end - b_end
             original.clock = b_end
@@ -676,10 +613,10 @@ class StageScheduler:
             m.add("scheduler.spec_charged_network_bytes",
                   sum(int(b) for d, b in task.sends if d != e.machine)
                   + sum(int(b) for s, b in task.fetches if s != e.machine))
-            self._event(b_end, "spec-win", backup_machine,
-                        task=backup.name, partition=task.partition)
-            self._event(b_end, "spec-cancel", e.machine, task=task.name,
-                        partition=task.partition)
+            self.note_recovery(b_end, "spec-win", backup_machine,
+                               task=backup.name, partition=task.partition)
+            self.note_recovery(b_end, "spec-cancel", e.machine,
+                               task=task.name, partition=task.partition)
         else:
             # Original wins; the backup is cancelled when it finishes.
             # The wasted backup time occupies the holder but moves no
@@ -690,26 +627,5 @@ class StageScheduler:
                 TaskExecution(backup, backup_machine, b_start, e.end,
                               False, planned_duration=b_end - b_start)
             )
-            self._event(e.end, "spec-cancel", backup_machine,
-                        task=backup.name, partition=task.partition)
-
-    def _backup_machine(self, task: Task, exclude: int,
-                        now: float) -> int | None:
-        """Least-loaded alive replica holder to run a backup copy on."""
-        plan = self.fault_plan
-        candidates: list[int] = []
-        if self.store is not None and task.partition is not None:
-            candidates = [
-                m for m in self.store.replicas(task.partition)
-                if m != exclude and self.cluster.machine(m).alive
-                and not plan.is_down(m, now)
-            ]
-        if not candidates:
-            candidates = [
-                m for m in self.cluster.alive_machines()
-                if m != exclude and not plan.is_down(m, now)
-            ]
-        if not candidates:
-            return None
-        return min(candidates,
-                   key=lambda m: self.cluster.machine(m).clock)
+            self.note_recovery(e.end, "spec-cancel", backup_machine,
+                               task=backup.name, partition=task.partition)

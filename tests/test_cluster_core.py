@@ -96,11 +96,6 @@ class TestPartitionStore:
             assert len(set(reps)) == 3
             assert reps[0] == store.primary(p) == p
 
-    def test_partitions_on(self):
-        store = PartitionStore([0, 0, 1], num_machines=4, replication=1)
-        assert store.partitions_on(0) == [0, 1]
-        assert store.partitions_on(1) == [2]
-
     def test_failure_promotes_replica(self):
         store = PartitionStore([0, 1], num_machines=4, replication=3,
                                seed=1)
