@@ -22,8 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
-__all__ = ["RssMeasurement", "measure_peak_rss", "current_rss_bytes",
-           "peak_rss_supported"]
+__all__ = ["RssMeasurement", "measure_peak_rss", "current_rss_bytes"]
 
 _STATUS = "/proc/self/status"
 _CLEAR_REFS = "/proc/self/clear_refs"
@@ -79,11 +78,6 @@ def _reset_peak() -> bool:
         return True
     except OSError:
         return False
-
-
-def peak_rss_supported() -> bool:
-    """Whether any peak-RSS mechanism is available on this host."""
-    return current_rss_bytes() is not None
 
 
 def measure_peak_rss(fn: Callable[[], Any]) -> tuple[Any, RssMeasurement]:

@@ -27,7 +27,6 @@ __all__ = [
     "count_triangles",
     "two_hop_neighbors",
     "dijkstra",
-    "core_numbers",
 ]
 
 
@@ -226,25 +225,6 @@ def count_triangles(graph: Graph) -> int:
     return int(hit.sum())
 
 
-def _count_triangles_reference(graph: Graph) -> int:
-    """Per-vertex set-intersection triangle count (the pre-vectorization
-    implementation, kept as the parity oracle for tests)."""
-    indptr, indices, _ = graph.to_undirected()
-    n = graph.num_vertices
-    neighbor_sets = [
-        set(indices[indptr[v]: indptr[v + 1]].tolist()) for v in range(n)
-    ]
-    total = 0
-    for v in range(n):
-        for u in neighbor_sets[v]:
-            if u <= v:
-                continue
-            # count w > u to count each triangle exactly once
-            common = neighbor_sets[v] & neighbor_sets[u]
-            total += sum(1 for w in common if w > u)
-    return total
-
-
 def dijkstra(
     graph: Graph, source: int,
     weight: Callable[[int, int], int],
@@ -268,36 +248,6 @@ def dijkstra(
             if dist[v] < 0:
                 heapq.heappush(heap, (d + int(weight(u, v)), v))
     return dist
-
-
-def core_numbers(graph: Graph) -> np.ndarray:
-    """Coreness of every vertex by peeling (the KCORE oracle).
-
-    Undirected semantics: run on a symmetrized graph, where
-    ``out_degrees`` is the undirected degree.  Batagelj–Zaveršnik
-    peeling with a lazy heap: repeatedly remove a minimum-degree vertex;
-    its coreness is the largest minimum seen so far.
-    """
-    n = graph.num_vertices
-    cur = graph.out_degrees().astype(np.int64).copy()
-    core = np.zeros(n, dtype=np.int64)
-    heap = [(int(cur[v]), v) for v in range(n)]
-    heapq.heapify(heap)
-    done = np.zeros(n, dtype=bool)
-    k = 0
-    while heap:
-        d, v = heapq.heappop(heap)
-        if done[v] or d != cur[v]:
-            continue  # stale lazy-heap entry
-        done[v] = True
-        k = max(k, d)
-        core[v] = k
-        for u in graph.out_neighbors(v):
-            u = int(u)
-            if not done[u] and cur[u] > d:
-                cur[u] -= 1
-                heapq.heappush(heap, (int(cur[u]), u))
-    return core
 
 
 def two_hop_neighbors(graph: Graph, vertex: int) -> set[int]:

@@ -245,11 +245,6 @@ class Graph:
     def out_degree(self, v: int) -> int:
         return int(self.out_indptr[v + 1] - self.out_indptr[v])
 
-    def in_degree(self, v: int) -> int:
-        self._ensure_in_csr()
-        assert self._in_indptr is not None
-        return int(self._in_indptr[v + 1] - self._in_indptr[v])
-
     def out_degrees(self) -> np.ndarray:
         """Out-degree of every vertex as an ``int64`` array."""
         return np.diff(self.out_indptr)

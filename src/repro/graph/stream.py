@@ -45,7 +45,6 @@ __all__ = [
     "stream_rmat",
     "stream_small_world",
     "stream_web_feeder",
-    "stream_from_edges",
 ]
 
 DEFAULT_CHUNK_EDGES = 1 << 18  # 256K edges ~ 4 MiB per endpoint array
@@ -261,28 +260,3 @@ def stream_web_feeder(
                    np.concatenate(dsts).astype(np.int64, copy=False))
 
     return EdgeStream(n, m, chunk_size, emit)
-
-
-# ----------------------------------------------------------------------
-# Wrapping an existing edge array (tests, external data)
-# ----------------------------------------------------------------------
-def stream_from_edges(
-    edges: np.ndarray,
-    num_vertices: int,
-    chunk_size: int = DEFAULT_CHUNK_EDGES,
-) -> EdgeStream:
-    """Wrap an in-memory ``(m, 2)`` edge array as an :class:`EdgeStream`."""
-    arr = np.asarray(edges, dtype=np.int64)
-    if arr.size == 0:
-        arr = arr.reshape(0, 2)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise GraphError("edges must be (m, 2) pairs")
-    chunk_size = _check_chunk_size(chunk_size)
-    m = arr.shape[0]
-
-    def emit() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for lo in range(0, m, chunk_size):
-            hi = min(lo + chunk_size, m)
-            yield arr[lo:hi, 0], arr[lo:hi, 1]
-
-    return EdgeStream(int(num_vertices), m, chunk_size, emit)

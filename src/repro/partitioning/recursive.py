@@ -50,16 +50,6 @@ class RecursivePartition:
     def num_levels(self) -> int:
         return num_levels_for_parts(self.num_parts)
 
-    def side_at_level(self, level: int) -> np.ndarray:
-        """0/1 side taken by each vertex at bisection ``level`` (0-based)."""
-        shift = self.num_levels - 1 - level
-        return (self.parts >> shift) & 1
-
-    def prefix_at_level(self, level: int) -> np.ndarray:
-        """Sketch-node id (bit prefix) of each vertex at depth ``level``."""
-        shift = self.num_levels - level
-        return self.parts >> shift
-
     def total_cut_at_level(self, level: int) -> int:
         """``T_l``: total cut among partitions at sketch depth ``level``.
 

@@ -147,7 +147,10 @@ class PropagationApp:
 
         ``None`` (the default) means *all selected*, matching the default
         scalar ``select``.  Apps that override ``select`` must also
-        override this to be eligible for the fast path.
+        override this to be eligible for the fast path.  Like every
+        array hook, it may run concurrently for different partitions
+        and may only read ``state``; all writes belong in ``update`` /
+        ``update_array``.
         """
         return None
 
@@ -170,6 +173,10 @@ class PropagationApp:
         message, and a ``None`` return routes nothing, while every
         element of this column is routed — the "bit-identical"
         guarantee holds only when no edge returns ``None``.
+
+        It may run concurrently for different partitions, and so may
+        the scalar ``select`` / ``transfer`` fallback of a partition it
+        declines: both may only read ``state``.
         """
         return None
 
@@ -186,6 +193,8 @@ class PropagationApp:
         output": apps whose ``combine`` may return ``None`` or reads
         more than its bag keep the default, and the engine hands
         ``combine`` the bags (as it does when this returns ``None``).
+        It, and that ``combine`` fallback, may run concurrently for
+        different partitions and may only read ``state``.
         """
         return None
 

@@ -56,9 +56,6 @@ class CascadeInfo:
         """Vertices in ``V_k`` (can batch ``k`` iterations locally)."""
         return (self.depth < 0) | (self.depth >= k)
 
-    def v_inf_mask(self) -> np.ndarray:
-        return self.depth < 0
-
     def ratio_v_k(self, k: int = 2) -> float:
         """Fraction of vertices in ``V_k`` — the paper reports 7 % at k=2."""
         if self.depth.size == 0:
@@ -78,16 +75,6 @@ class CascadeInfo:
         """
         finite = [d for d in self.partition_diameters if d > 0]
         return min(finite) if finite else 1
-
-    def phase_lengths(self, iterations: int) -> list[int]:
-        """Split ``iterations`` into cascaded phases of length ``d_min``."""
-        if iterations <= 0:
-            return []
-        span = max(1, self.d_min)
-        lengths = [span] * (iterations // span)
-        if iterations % span:
-            lengths.append(iterations % span)
-        return lengths
 
 
 def compute_cascade_info(pgraph: PartitionedGraph) -> CascadeInfo:

@@ -38,6 +38,9 @@ bags.
 oracle the hooks are held to; docs/COST_MODEL.md has the column layout
 and the closed-form charges.
 
+A large array-path Transfer runs its partitions on the partition pool,
+so the UDFs may run concurrently and may only read the state.
+
 **Frontier mode** (``frontier=True``, for apps with ``uses_frontier``)
 scans only each partition's active vertices per iteration: the Transfer
 read is priced by a top-down/bottom-up direction switch keyed on
@@ -66,6 +69,7 @@ from repro.fold import (MESSAGE_HEADER, RECORD_HEADER, Grouping, Ragged,
                         merge_outputs, object_column)
 from repro.propagation.api import PropagationApp, message_nbytes
 from repro.runtime.events import wall_timer
+from repro.runtime.partition_pool import map_partitions
 from repro.runtime.scheduler import StageScheduler
 from repro.runtime.tasks import StageResult, Task
 
@@ -125,10 +129,11 @@ class _FrontierInfo:
     is the matching working set for the memory-penalty rule.
     ``exchange_sends`` carries the frontier summary to every other
     machine hosting partitions, priced through the regular Task send
-    path so ``reconcile()`` stays exact.
+    path so ``reconcile()`` stays exact.  ``m_f``: the edges scanned.
     """
 
     active: np.ndarray
+    m_f: int
     direction: str
     read_bytes: float
     resident_bytes: float
@@ -414,6 +419,7 @@ class PropagationEngine:
                         if summary > 0 else [])
             infos.append(_FrontierInfo(
                 active=active,
+                m_f=m_f,
                 direction=direction,
                 read_bytes=read_bytes,
                 resident_bytes=resident,
@@ -446,19 +452,23 @@ class PropagationEngine:
                 f"{app.name}: vectorized Transfer requested but the app "
                 "does not support the fast path"
             )
-        transfers = []
-        for p in range(self.pgraph.num_parts):
+
+        def transfer(p: int) -> _PartitionTransfer:
             emitted = (self._emit_array(app, state, p, finfos[p])
                        if hooks else None)
             if emitted is None:
                 if self.vectorized:
                     raise JobError(
                         f"{app.name}: vectorized Transfer requested but "
-                        "transfer_array() declined"
+                        f"transfer_array() declined on partition {p}"
                     )
                 emitted = self._emit_scalar(app, state, p, finfos[p])
-            transfers.append(self._route_messages(app, state, p, *emitted))
-        return transfers
+            return self._route_messages(app, state, p, *emitted)
+
+        scanned = (sum(i.m_f for i in finfos if i is not None)
+                   if self.frontier else self.pgraph.graph.num_edges)
+        return map_partitions(transfer, self.pgraph.num_parts,
+                              scanned if hooks else 0)
 
     def _fast_path_ok(self, app: PropagationApp) -> bool:
         """Whether the app's Transfer may take ``transfer_array``."""

@@ -14,7 +14,7 @@ the fault-recovery path — emits into one :class:`EventStream` per job:
   overhead can be separated in one trace.
 * :class:`Instant` — a point event (fault detected, task re-dispatched,
   replica re-created, ...).
-* :class:`MetricsRegistry` — named monotonic counters and gauges shared
+* :class:`MetricsRegistry` — named monotonic counters shared
   by the scheduler, the engines and the network model; the registry is
   the single source the reports and the BENCH JSON read from.
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any
 
 __all__ = [
@@ -221,7 +221,7 @@ class Instant:
 
 
 class MetricsRegistry:
-    """Named monotonic counters and last-value gauges.
+    """Named monotonic counters.
 
     Counter names are dotted paths (``network.bytes_total``,
     ``propagation.messages_shipped``); the registry is deliberately
@@ -232,26 +232,17 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self.counters: dict[str, float] = {}
-        self.gauges: dict[str, float] = {}
 
     def add(self, name: str, value: float = 1.0) -> None:
         """Increment counter ``name`` by ``value``."""
         self.counters[name] = self.counters.get(name, 0.0) + value
 
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = float(value)
-
     def get(self, name: str, default: float = 0.0) -> float:
-        if name in self.counters:
-            return self.counters[name]
-        return self.gauges.get(name, default)
+        return self.counters.get(name, default)
 
     def snapshot(self) -> dict[str, float]:
-        """All counters and gauges as one flat dict (gauges prefixed)."""
-        out = dict(sorted(self.counters.items()))
-        out.update({f"gauge:{k}": v
-                    for k, v in sorted(self.gauges.items())})
-        return out
+        """All counters as one flat dict, sorted by name."""
+        return dict(sorted(self.counters.items()))
 
     def report(self) -> str:
         lines = ["metrics:"]
@@ -260,8 +251,6 @@ class MetricsRegistry:
                 lines.append(f"  {name:40s} {int(value):>16,d}")
             else:
                 lines.append(f"  {name:40s} {value:>16,.2f}")
-        for name, value in sorted(self.gauges.items()):
-            lines.append(f"  {name:40s} {value:>16,.2f} (gauge)")
         return "\n".join(lines)
 
 
@@ -289,18 +278,10 @@ class EventStream:
             Instant(time, name, kind, machine, partition, nbytes)
         )
 
-    def annotate_last(self, **changes: Any) -> None:
-        """Replace fields of the most recent span (frozen dataclass)."""
-        if self.spans:
-            self.spans[-1] = replace(self.spans[-1], **changes)
-
     # -- queries -------------------------------------------------------
     def task_spans(self) -> list[Span]:
         """Machine-level work spans (excludes stage/iteration framing)."""
         return [s for s in self.spans if s.machine >= 0]
-
-    def spans_of_kind(self, kind: str) -> list[Span]:
-        return [s for s in self.spans if s.kind == kind]
 
     def machines(self) -> list[int]:
         return sorted({s.machine for s in self.task_spans()})

@@ -15,8 +15,21 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.topology import t1, t2
 from repro.core.surfer import Surfer
 from repro.graph.generators import composite_social_graph, grid, ring
+from repro.graph.stream import DEFAULT_CHUNK_EDGES, EdgeStream
 from repro.mapreduce.api import MapReduceApp
 from repro.propagation.api import PropagationApp
+
+
+def stream_from_edges(edges, num_vertices,
+                      chunk_size=DEFAULT_CHUNK_EDGES) -> EdgeStream:
+    """An in-memory ``(m, 2)`` edge array as an :class:`EdgeStream`."""
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+
+    def emit():
+        for lo in range(0, len(arr), chunk_size):
+            yield arr[lo:lo + chunk_size, 0], arr[lo:lo + chunk_size, 1]
+
+    return EdgeStream(int(num_vertices), len(arr), chunk_size, emit)
 
 
 @pytest.fixture(scope="session")

@@ -131,13 +131,13 @@ class TestFig11XL:
         """The XL pipeline end to end at R-MAT scale 8: streamed store,
         range plan whose partitions alias the shards, NR and frontier
         BFS, each record with its measured peak RSS."""
-        from repro.bench.memory import peak_rss_supported
+        from repro.bench.memory import current_rss_bytes
 
         records = fig11_xl(rmat_scale=8, edge_factor=4, seed=7)
         assert set(records) == {"fig11_xl_nr", "fig11_xl_bfs"}
         doc = {"schema": SCHEMA, "pr": "current", "workloads": records}
         assert validate_bench_json(doc) == []
         assert all(r["messages_shipped"] > 0 for r in records.values())
-        if peak_rss_supported():
+        if current_rss_bytes() is not None:
             assert all(r["peak_rss_bytes"] > 0 for r in records.values())
         assert EXPERIMENTS["fig11_xl"].check(records) == []

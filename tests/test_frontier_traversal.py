@@ -19,6 +19,7 @@ the delta-PageRank convergent-tail message saving (>= 5x vs dense NR).
 
 from __future__ import annotations
 
+import heapq
 import os
 import subprocess
 import sys
@@ -43,7 +44,6 @@ from repro.core.surfer import Surfer
 from repro.errors import JobError
 from repro.graph.algorithms import (
     bfs_levels,
-    core_numbers,
     dijkstra,
     pagerank,
 )
@@ -57,6 +57,36 @@ from repro.runtime.events import reconcile
 from tests.conftest import make_test_cluster
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+
+def core_numbers(graph) -> np.ndarray:
+    """Coreness of every vertex by peeling (the KCORE oracle).
+
+    Undirected semantics: run on a symmetrized graph, where
+    ``out_degrees`` is the undirected degree.  Batagelj–Zaveršnik
+    peeling with a lazy heap: repeatedly remove a minimum-degree vertex;
+    its coreness is the largest minimum seen so far.
+    """
+    n = graph.num_vertices
+    cur = graph.out_degrees().astype(np.int64).copy()
+    core = np.zeros(n, dtype=np.int64)
+    heap = [(int(cur[v]), v) for v in range(n)]
+    heapq.heapify(heap)
+    done = np.zeros(n, dtype=bool)
+    k = 0
+    while heap:
+        d, v = heapq.heappop(heap)
+        if done[v] or d != cur[v]:
+            continue  # stale lazy-heap entry
+        done[v] = True
+        k = max(k, d)
+        core[v] = k
+        for u in graph.out_neighbors(v):
+            u = int(u)
+            if not done[u] and cur[u] > d:
+                cur[u] -= 1
+                heapq.heappush(heap, (int(cur[u]), u))
+    return core
 
 #: app name -> (class, needs undirected/symmetrized graph)
 TRAVERSAL_APPS = {

@@ -121,7 +121,7 @@ class TestSimpleShapes:
         g = star(4, out=True)
         assert g.out_degree(0) == 4
         g_in = star(4, out=False)
-        assert g_in.in_degree(0) == 4
+        assert g_in.in_degrees()[0] == 4
 
     def test_erdos_renyi_bounds(self):
         g = erdos_renyi(100, 300, seed=0)

@@ -25,7 +25,8 @@ from repro.graph.store import (
     build_shard_store,
     open_shard_graph,
 )
-from repro.graph.stream import EdgeStream, stream_from_edges, stream_rmat
+from repro.graph.stream import EdgeStream, stream_rmat
+from tests.conftest import stream_from_edges
 
 
 def reference_graph(stream) -> Graph:

@@ -37,11 +37,11 @@ from repro.graph.generators import (
 )
 from repro.graph.stream import (
     EdgeStream,
-    stream_from_edges,
     stream_rmat,
     stream_small_world,
     stream_web_feeder,
 )
+from tests.conftest import stream_from_edges
 
 CHUNK_SIZES = (997, 4096, 1 << 30)
 

