@@ -1066,7 +1066,8 @@ def ablation_partition_size() -> dict:
             "response": job.metrics.response_time,
             "ier": 100 * surfer.pgraph.inner_edge_ratio,
             "penalized_tasks": sum(
-                1 for e in job.executions if e.task.disk_penalty > 1.0),
+                1 for e in job.events.task_spans()
+                if e.task.disk_penalty > 1.0),
         }
     return rows
 
@@ -1162,7 +1163,7 @@ def _job_signature(job: Any, report_fields: tuple[str, ...]) -> tuple:
         [(e.task.name, e.task.cpu_ops, e.task.disk_read_bytes,
           e.task.disk_write_bytes, tuple(e.task.sends),
           tuple(e.task.receives), e.task.disk_penalty)
-         for e in job.executions],
+         for e in job.events.task_spans()],
         (job.metrics.network_bytes, job.metrics.disk_bytes,
          job.metrics.response_time),
     )

@@ -316,6 +316,7 @@ def _deploy_and_run(args):
 def _parse_kills(specs):
     """``--kill M@T`` arguments into a FaultPlan (None when empty)."""
     from repro.cluster.faults import FaultPlan
+    from repro.errors import FaultInjectionError
 
     if not specs:
         return None
@@ -327,6 +328,8 @@ def _parse_kills(specs):
         except ValueError:
             raise SystemExit(f"bad --kill {spec!r}: expected M@T, "
                              f"e.g. 3@10.5")
+        except FaultInjectionError as exc:
+            raise SystemExit(f"bad --kill {spec!r}: {exc}")
     return plan
 
 

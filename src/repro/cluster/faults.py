@@ -132,8 +132,9 @@ class FaultPlan:
     # ------------------------------------------------------------------
     @staticmethod
     def _validate(machine: int, time: float) -> None:
-        if time < 0:
-            raise FaultInjectionError("event time must be non-negative")
+        if not math.isfinite(time) or time < 0:
+            raise FaultInjectionError(
+                "event time must be finite and non-negative")
         if machine < 0:
             raise FaultInjectionError("machine id must be non-negative")
 
@@ -149,8 +150,8 @@ class FaultPlan:
     def add_transient(self, machine: int, time: float,
                       downtime: float) -> "FaultPlan":
         self._validate(machine, time)
-        if downtime <= 0:
-            raise FaultInjectionError("downtime must be positive")
+        if not math.isfinite(downtime) or downtime <= 0:
+            raise FaultInjectionError("downtime must be finite and positive")
         windows = self._transients.setdefault(machine, [])
         _check_overlap(windows, time, time + downtime, "transient fault")
         bisect.insort(windows, TransientFault(machine, time, downtime),
@@ -160,10 +161,11 @@ class FaultPlan:
     def add_slowdown(self, machine: int, time: float, duration: float,
                      factor: float) -> "FaultPlan":
         self._validate(machine, time)
-        if duration <= 0:
-            raise FaultInjectionError("slowdown duration must be positive")
-        if factor <= 1.0:
-            raise FaultInjectionError("slowdown factor must be > 1")
+        if not math.isfinite(duration) or duration <= 0:
+            raise FaultInjectionError(
+                "slowdown duration must be finite and positive")
+        if not math.isfinite(factor) or factor <= 1.0:
+            raise FaultInjectionError("slowdown factor must be finite and > 1")
         windows = self._slowdowns.setdefault(machine, [])
         _check_overlap(windows, time, time + duration, "slowdown")
         bisect.insort(windows, Slowdown(machine, time, duration, factor),

@@ -64,7 +64,6 @@ from repro.runtime.checkpoint import CheckpointPolicy, CheckpointStore
 from repro.runtime.events import EventStream
 from repro.runtime.sanitizer import Sanitizer, sanitize_enabled
 from repro.runtime.scheduler import StageScheduler
-from repro.runtime.tasks import TaskExecution
 
 __all__ = ["OptimizationLevel", "O1", "O2", "O3", "O4", "ALL_LEVELS",
            "JobResult", "Surfer", "apply_outputs"]
@@ -107,7 +106,6 @@ class JobResult:
     result: Any
     metrics: ClusterMetrics
     reports: list = field(default_factory=list)
-    executions: list[TaskExecution] = field(default_factory=list)
     failed: bool = False
     error: str | None = None
     events: EventStream | None = None
@@ -402,7 +400,6 @@ class Surfer:
                     result=app.finalize(state),
                     metrics=self.cluster.metrics(),
                     reports=reports,
-                    executions=scheduler.executions,
                     events=scheduler.events,
                     restarts=restarts,
                     checkpoints=len(ckpt.checkpoints) if ckpt else 0,
@@ -547,7 +544,6 @@ class Surfer:
             result=None,
             metrics=self.cluster.metrics(),
             reports=reports,
-            executions=scheduler.executions,
             failed=True,
             error=str(exc),
             events=scheduler.events,

@@ -69,9 +69,9 @@ from repro.fold import (MESSAGE_HEADER, RECORD_HEADER, Grouping, Ragged, bags,
 from repro.graph.io import VALUE_BYTES, VERTEX_ID_BYTES
 from repro.hashing import stable_hash, stable_hash_array
 from repro.mapreduce.api import Emit, MapReduceApp, kv_nbytes
-from repro.runtime.events import wall_timer
+from repro.runtime.events import Span, wall_timer
 from repro.runtime.scheduler import StageScheduler
-from repro.runtime.tasks import StageResult, Task
+from repro.runtime.tasks import Task
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.partitioned import PartitionedGraph
@@ -155,8 +155,8 @@ def _reducer_ids(keys: np.ndarray, num_reducers: int) -> np.ndarray:
 class RoundReport:
     """Cost breakdown of one MapReduce round."""
 
-    map_stage: StageResult
-    reduce_stage: StageResult
+    map_stage: Span
+    reduce_stage: Span
     map_records: int = 0
     shuffle_bytes: float = 0.0
     network_bytes: float = 0.0
@@ -168,7 +168,7 @@ class RoundReport:
 
     @property
     def elapsed(self) -> float:
-        return self.reduce_stage.end_time - self.map_stage.start_time
+        return self.reduce_stage.end - self.map_stage.start
 
     @property
     def combine_reduction(self) -> float:
@@ -611,13 +611,13 @@ class MapReduceEngine:
         """Record the round's span and metrics on the job's stream."""
         stream = scheduler.events
         rounds = int(stream.metrics.get("mapreduce.rounds"))
-        stream.emit(
+        stream.span(Span(
             name=f"round[{rounds}]",
             kind="round",
-            start=report.map_stage.start_time,
-            end=report.reduce_stage.end_time,
+            start=report.map_stage.start,
+            end=report.reduce_stage.end,
             wall_self_seconds=udf_wall_seconds,
-        )
+        ))
         m = stream.metrics
         m.add("mapreduce.rounds")
         m.add("mapreduce.map_records", report.map_records)

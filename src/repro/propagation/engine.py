@@ -68,10 +68,10 @@ from repro.fold import (MESSAGE_HEADER, RECORD_HEADER, Grouping, Ragged,
                         bags, concat_values, fold_by_dest, is_typed,
                         merge_outputs, object_column)
 from repro.propagation.api import PropagationApp, message_nbytes
-from repro.runtime.events import wall_timer
+from repro.runtime.events import Span, wall_timer
 from repro.runtime.partition_pool import map_partitions
 from repro.runtime.scheduler import StageScheduler
-from repro.runtime.tasks import StageResult, Task
+from repro.runtime.tasks import Task
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.partitioned import PartitionedGraph
@@ -100,8 +100,8 @@ class IterationReport:
     partitions scanned bottom-up.
     """
 
-    transfer_stage: StageResult
-    combine_stage: StageResult
+    transfer_stage: Span
+    combine_stage: Span
     messages_emitted: int = 0
     messages_shipped: int = 0
     network_bytes: float = 0.0
@@ -114,7 +114,7 @@ class IterationReport:
 
     @property
     def elapsed(self) -> float:
-        return self.combine_stage.end_time - self.transfer_stage.start_time
+        return self.combine_stage.end - self.transfer_stage.start
 
 
 @dataclass
@@ -323,13 +323,13 @@ class PropagationEngine:
         """
         stream = scheduler.events
         iteration = int(stream.metrics.get("propagation.iterations"))
-        stream.emit(
+        stream.span(Span(
             name=f"iteration[{iteration}]",
             kind="iteration",
-            start=report.transfer_stage.start_time,
-            end=report.combine_stage.end_time,
+            start=report.transfer_stage.start,
+            end=report.combine_stage.end,
             wall_self_seconds=udf_wall_seconds,
-        )
+        ))
         m = stream.metrics
         m.add("propagation.iterations")
         m.add("propagation.messages_emitted", report.messages_emitted)

@@ -14,7 +14,7 @@ from repro.runtime.checkpoint import (
     CheckpointPolicy,
     CheckpointStore,
 )
-from repro.runtime.tasks import StageResult, Task, TaskExecution
+from repro.runtime.tasks import Task
 from repro.runtime.scheduler import (
     HEARTBEAT_INTERVAL,
     MAX_RETRIES,
@@ -46,9 +46,7 @@ __all__ = [
     "reconcile",
     "write_chrome_trace",
     "failed_task_seconds",
-    "StageResult",
     "Task",
-    "TaskExecution",
     "HEARTBEAT_INTERVAL",
     "MAX_RETRIES",
     "SPECULATION_FACTOR",

@@ -9,14 +9,19 @@ the fault-recovery path — emits into one :class:`EventStream` per job:
 * :class:`Span` — one timed unit of simulated work (a task execution, a
   barrier stage, an iteration), carrying the simulated window, the
   machine/partition it ran on, and its cost counters (cpu ops,
-  disk/network bytes).  ``wall_self_seconds`` records the *real* Python
-  time spent producing the span, so simulated cost and simulator
-  overhead can be separated in one trace.
+  disk/network bytes).  A task execution's span also carries the
+  :class:`~repro.runtime.tasks.Task` it ran, so the span is the
+  scheduler's one record of the execution.  ``wall_self_seconds``
+  records the *real* Python time spent producing the span, so simulated
+  cost and simulator overhead can be separated in one trace.
 * :class:`Instant` — a point event (fault detected, task re-dispatched,
   replica re-created, ...).
 * :class:`MetricsRegistry` — named monotonic counters shared
   by the scheduler, the engines and the network model; the registry is
   the single source the reports and the BENCH JSON read from.
+
+The job's log is ``job.events`` alone: nothing else keeps a per-task or
+per-stage record of what ran.
 
 :func:`chrome_trace` serializes a stream into the Chrome ``traceEvents``
 JSON format, loadable in ``chrome://tracing`` or Perfetto: one process
@@ -28,8 +33,10 @@ from __future__ import annotations
 
 import json
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
+
+from repro.runtime.tasks import Task
 
 __all__ = [
     "Span",
@@ -164,7 +171,9 @@ class Span:
     run-level spans (barrier stages, iterations) that belong to no single
     machine.  Cost counters describe the work *attempted* in the window;
     for failed spans (``succeeded=False``) the charged fraction is
-    ``duration / planned_duration``.
+    ``duration / planned_duration``.  ``task`` is the dispatched
+    :class:`~repro.runtime.tasks.Task` on a machine-level span (a retry
+    or backup carries its clone) and ``None`` on a framing span.
     """
 
     name: str
@@ -184,8 +193,10 @@ class Span:
     #: for successful spans; larger for spans cut short by a fault)
     planned_duration: float = 0.0
     #: real (wall-clock) seconds of Python time spent producing this
-    #: span, exclusive of child spans — simulator overhead, not model
-    wall_self_seconds: float = 0.0
+    #: span, exclusive of child spans — simulator overhead, not model,
+    #: so it takes no part in equality
+    wall_self_seconds: float = field(default=0.0, compare=False)
+    task: Task | None = None
 
     @property
     def duration(self) -> float:
@@ -265,11 +276,6 @@ class EventStream:
     # -- emission ------------------------------------------------------
     def span(self, span: Span) -> None:
         self.spans.append(span)
-
-    def emit(self, **kwargs: Any) -> Span:
-        s = Span(**kwargs)
-        self.spans.append(s)
-        return s
 
     def instant(self, time: float, name: str, kind: str,
                 machine: int = -1, partition: int | None = None,

@@ -15,10 +15,11 @@ checks, as the job runs:
   the barrier joins all clocks, ordering later stages after earlier
   ones.
 * **Shadow counter conservation** — the sanitizer independently counts
-  task executions, failures and stages from the raw execution records
-  and, at *every* superstep boundary (not only at job end), requires
-  the metrics registry and the full :func:`~repro.runtime.events
-  .reconcile` contract to agree with the cluster's own counters.
+  task executions, failures and stages from each stage's execution
+  spans as the scheduler hands them over and, at *every* superstep
+  boundary (not only at job end), requires the metrics registry and the
+  full :func:`~repro.runtime.events.reconcile` contract to agree with
+  the cluster's own counters.
 * **Span push/pop discipline** — every machine-level span must be
   framed by its stage span, every work stage by its iteration/round
   span (:meth:`EventStream.verify_frame_discipline`).
@@ -40,8 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.errors import SanitizerError
-from repro.runtime.events import EventStream, reconcile
-from repro.runtime.tasks import TaskExecution
+from repro.runtime.events import EventStream, Span, reconcile
 
 __all__ = [
     "TaskEvent",
@@ -161,7 +161,7 @@ class Sanitizer:
         self._shadow_failed = 0
 
     # -- hooks ---------------------------------------------------------
-    def on_stage(self, executions: Sequence[TaskExecution]) -> None:
+    def on_stage(self, executions: Sequence[Span]) -> None:
         """Called by the scheduler after each stage is recorded.
 
         Feeds the race detector with the stage's *successful*
@@ -174,10 +174,9 @@ class Sanitizer:
                 self._shadow_executed += 1
             else:
                 self._shadow_failed += 1
-            if e.succeeded and e.task.partition is not None:
-                self.detector.record(
-                    e.machine, e.task.partition,
-                    OP_BY_KIND.get(e.task.kind, "read"), e.task.name)
+            if e.succeeded and e.partition is not None:
+                self.detector.record(e.machine, e.partition,
+                                     OP_BY_KIND.get(e.kind, "read"), e.name)
         races = self.detector.barrier()
         self.stages_checked += 1
         if races:

@@ -50,10 +50,10 @@ from repro.cluster.network import StageConstraints
 from repro.cluster.storage import PartitionStore
 from repro.runtime.events import EventStream, Span, wall_timer
 from repro.runtime.sanitizer import Sanitizer
-from repro.runtime.tasks import StageResult, Task, TaskExecution
+from repro.runtime.tasks import Task
 
-__all__ = ["StageScheduler", "HEARTBEAT_INTERVAL", "SPECULATION_FACTOR",
-           "MAX_RETRIES"]
+__all__ = ["StageScheduler", "execution_span", "HEARTBEAT_INTERVAL",
+           "SPECULATION_FACTOR", "MAX_RETRIES"]
 
 # Failure-detection latency of the heartbeat protocol, simulated seconds.
 HEARTBEAT_INTERVAL = 5.0
@@ -77,35 +77,37 @@ def _stage_pairs(tasks: list[Task]) -> set[tuple[int, int]]:
     return pairs
 
 
-def _execution_span(e: TaskExecution) -> Span:
-    """One observability span per task execution.
+def execution_span(task: Task, machine: int, start: float, end: float,
+                   succeeded: bool, planned_duration: float = 0.0) -> Span:
+    """The one record of a (possibly failed) run of ``task`` on ``machine``.
 
-    ``net_send_bytes`` is the traffic this task puts on the wire (its
-    non-local sends plus its remote input fetches — both directions the
-    scheduler charges to the network); ``net_recv_bytes`` is the inbound
-    NIC occupancy (receives plus fetches).  Counters mirror the task's
-    dispatched demands; the charged fraction of a failed span is
-    ``duration / planned_duration``.
+    ``planned_duration`` is the slowdown-stretched duration the task was
+    dispatched with (``0.0``: unknown).  ``net_send_bytes`` is the
+    traffic this task puts on the wire (its non-local sends plus its
+    remote input fetches — both directions the scheduler charges to the
+    network); ``net_recv_bytes`` is the inbound NIC occupancy (receives
+    plus fetches).  Counters mirror the task's dispatched demands; the
+    charged fraction of a failed span is ``duration / planned_duration``.
     """
-    task = e.task
-    sends = sum(b for dst, b in task.sends if dst != e.machine)
-    fetches = sum(b for src, b in task.fetches if src != e.machine)
-    receives = sum(b for src, b in task.receives if src != e.machine)
+    sends = sum(b for dst, b in task.sends if dst != machine)
+    fetches = sum(b for src, b in task.fetches if src != machine)
+    receives = sum(b for src, b in task.receives if src != machine)
     return Span(
         name=task.name,
         kind=task.kind,
-        start=e.start,
-        end=e.end,
-        machine=e.machine,
+        start=start,
+        end=end,
+        machine=machine,
         partition=task.partition,
-        succeeded=e.succeeded,
+        succeeded=succeeded,
         attempt=task.attempt,
         cpu_ops=task.cpu_ops,
         disk_read_bytes=task.disk_read_bytes,
         disk_write_bytes=task.disk_write_bytes,
         net_send_bytes=sends + fetches,
         net_recv_bytes=receives + fetches,
-        planned_duration=e.planned_duration,
+        planned_duration=planned_duration,
+        task=task,
     )
 
 
@@ -141,14 +143,16 @@ class StageScheduler:
         #: SimSan hook — attached by the Surfer facade when sanitizing;
         #: observe-only, so a sanitized run stays bit-identical
         self.sanitizer: Sanitizer | None = None
-        self.executions: list[TaskExecution] = []
         self._constraints = StageConstraints(cluster.topology, ())
         self._seen_outages: set[tuple[int, float]] = set()
         self._stage_index = 0
 
     # ------------------------------------------------------------------
-    def run_stage(self, tasks: list[Task]) -> StageResult:
+    def run_stage(self, tasks: list[Task]) -> Span:
         """Run ``tasks`` to completion and barrier all machine clocks.
+
+        Returns the stage's span; its executions are the task spans the
+        stream holds just before it.
 
         A stage that aborts (unrecoverable data loss or an exhausted
         retry budget) still records the work it already charged to the
@@ -166,10 +170,9 @@ class StageScheduler:
         for task in tasks:
             queues.setdefault(task.machine, deque()).append(task)
 
-        stage_execs: list[TaskExecution] = []
+        stage_execs: list[Span] = []
         failed: deque[tuple[Task, float]] = deque()
         failures = 0
-        instants_before = len(self.events.instants)
         completed = False
         try:
             for machine_id in sorted(queues):
@@ -215,47 +218,41 @@ class StageScheduler:
                 for m in self.cluster.machines:
                     if m.alive:
                         m.clock = max(m.clock, end_time)
-            self.executions.extend(stage_execs)
-            self._record_stage(tasks, stage_execs, start_time, end_time,
-                               failures, timer.elapsed())
+            stage = self._record_stage(tasks, stage_execs, start_time,
+                                       end_time, failures, timer.elapsed())
             if self.sanitizer is not None:
                 # an aborted stage's events still barrier for ordering,
                 # which keeps the shadow counts conserved across a restart
                 self.sanitizer.on_stage(stage_execs)
-        return StageResult(
-            executions=stage_execs,
-            start_time=start_time,
-            end_time=end_time,
-            failures=failures,
-            recovery_events=self.events.instants[instants_before:],
-        )
+        return stage
 
     # ------------------------------------------------------------------
-    def _record_stage(self, tasks: list[Task],
-                      stage_execs: list[TaskExecution],
+    def _record_stage(self, tasks: list[Task], stage_execs: list[Span],
                       start_time: float, end_time: float,
-                      failures: int, wall_seconds: float) -> None:
-        """Emit one stage span plus one span per task execution."""
+                      failures: int, wall_seconds: float) -> Span:
+        """Append the stage's execution spans, then its stage span."""
         stream = self.events
         metrics = stream.metrics
         kinds = "+".join(sorted({t.kind for t in tasks})) or "empty"
         for e in stage_execs:
-            stream.span(_execution_span(e))
             if e.succeeded:
                 metrics.add("scheduler.tasks_executed")
             else:
                 metrics.add("scheduler.task_failures")
+        stream.spans.extend(stage_execs)
         metrics.add("scheduler.stages")
         metrics.add("scheduler.retries", failures)
         metrics.add("scheduler.wall_seconds", wall_seconds)
-        stream.span(Span(
+        stage = Span(
             name=f"stage[{self._stage_index}] {kinds}",
             kind="stage",
             start=start_time,
             end=end_time,
             wall_self_seconds=wall_seconds,
-        ))
+        )
+        stream.span(stage)
         self._stage_index += 1
+        return stage
 
     def note_recovery(self, time: float, kind: str, machine: int = -1,
                       task: str | None = None,
@@ -300,7 +297,7 @@ class StageScheduler:
         machine_id: int,
         queue: deque[Task],
         stage_start: float,
-        stage_execs: list[TaskExecution],
+        stage_execs: list[Span],
         failed: deque,
     ) -> None:
         """Run one machine's queue in order, through any outage.
@@ -337,8 +334,8 @@ class StageScheduler:
                 machine.busy_time += outage.start - start
                 machine.clock = max(machine.clock, outage.start)
                 stage_execs.append(
-                    TaskExecution(task, machine_id, start, outage.start,
-                                  False, planned_duration=end - start)
+                    execution_span(task, machine_id, start, outage.start,
+                                   False, planned_duration=end - start)
                 )
             if outage.permanent:
                 self._mark_dead(machine_id, outage.start)
@@ -405,7 +402,7 @@ class StageScheduler:
 
     def _commit(self, task: Task, machine_id: int, start: float,
                 end: float, busy: float,
-                stage_execs: list[TaskExecution]) -> None:
+                stage_execs: list[Span]) -> None:
         """Record a successful execution and charge its resources."""
         machine = self.cluster.machine(machine_id)
         self._charge(task, machine_id)
@@ -413,8 +410,8 @@ class StageScheduler:
         machine.busy_time += busy
         machine.tasks_executed += 1
         stage_execs.append(
-            TaskExecution(task, machine_id, start, end, True,
-                          planned_duration=end - start)
+            execution_span(task, machine_id, start, end, True,
+                           planned_duration=end - start)
         )
 
     # ------------------------------------------------------------------
@@ -536,7 +533,7 @@ class StageScheduler:
                        earliest_start=earliest, attempt=task.attempt + 1)
 
     # ------------------------------------------------------------------
-    def _speculate(self, stage_execs: list[TaskExecution]) -> None:
+    def _speculate(self, stage_execs: list[Span]) -> None:
         """Launch backup copies for stragglers; first finisher wins.
 
         A machine's *final* task of the stage is a speculation candidate
@@ -555,7 +552,7 @@ class StageScheduler:
         if median <= 0:
             return
         threshold = SPECULATION_FACTOR * median
-        last: dict[int, TaskExecution] = {}
+        last: dict[int, Span] = {}
         for e in succ:
             cur = last.get(e.machine)
             if cur is None or e.end > cur.end:
@@ -569,8 +566,7 @@ class StageScheduler:
         for e in candidates:
             self._speculate_one(e, stage_execs, threshold)
 
-    def _speculate_one(self, e: TaskExecution,
-                       stage_execs: list[TaskExecution],
+    def _speculate_one(self, e: Span, stage_execs: list[Span],
                        threshold: float) -> None:
         task = e.task
         detect = e.start + threshold
@@ -597,7 +593,7 @@ class StageScheduler:
             original.busy_time -= e.end - b_end
             original.clock = b_end
             idx = next(i for i, x in enumerate(stage_execs) if x is e)
-            stage_execs[idx] = TaskExecution(
+            stage_execs[idx] = execution_span(
                 task, e.machine, e.start, b_end, False,
                 planned_duration=e.planned_duration or e.duration,
             )
@@ -624,8 +620,8 @@ class StageScheduler:
             holder.clock = max(holder.clock, e.end)
             holder.busy_time += e.end - b_start
             stage_execs.append(
-                TaskExecution(backup, backup_machine, b_start, e.end,
-                              False, planned_duration=b_end - b_start)
+                execution_span(backup, backup_machine, b_start, e.end,
+                               False, planned_duration=b_end - b_start)
             )
             self.note_recovery(e.end, "spec-cancel", backup_machine,
                                task=backup.name, partition=task.partition)

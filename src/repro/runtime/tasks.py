@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.runtime.events import Instant
-
-__all__ = ["Task", "TaskExecution", "StageResult"]
+__all__ = ["Task"]
 
 
 @dataclass
@@ -52,45 +50,3 @@ class Task:
     #: how many times this task has already been re-dispatched after a
     #: failure or launched speculatively; bounds the retry loop
     attempt: int = 0
-
-
-@dataclass(frozen=True)
-class TaskExecution:
-    """A (possibly failed) run of a task on a machine.
-
-    ``planned_duration`` is the full duration the scheduler dispatched
-    the task with (slowdown-stretched), recorded at dispatch time.  For
-    successful executions it equals ``duration``; for executions cut
-    short by a fault it is the duration the task *would* have had, which
-    is what byte proration over the partial window must divide by.
-    ``0.0`` (the default, for hand-built executions) means unknown —
-    consumers fall back to ``duration``.
-    """
-
-    task: Task
-    machine: int
-    start: float
-    end: float
-    succeeded: bool
-    planned_duration: float = 0.0
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-@dataclass
-class StageResult:
-    """Outcome of one synchronized stage."""
-
-    executions: list[TaskExecution]
-    start_time: float
-    end_time: float
-    failures: int = 0
-    #: the recovery actions taken during the stage (a slice of the job
-    #: stream's instants)
-    recovery_events: list[Instant] = field(default_factory=list)
-
-    @property
-    def elapsed(self) -> float:
-        return self.end_time - self.start_time

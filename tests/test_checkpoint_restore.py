@@ -294,8 +294,8 @@ class TestJobRestart:
             NetworkRankingMapReduce(), rounds=3, checkpoint=policy,
             vectorized=True)
         second = clean.reports[1]
-        kill_at = (second.map_stage.start_time
-                   + second.reduce_stage.end_time) / 2
+        kill_at = (second.map_stage.start
+                   + second.reduce_stage.end) / 2
         jobs = {}
         for vectorized in (False, True):
             snapshots.clear()
@@ -308,6 +308,7 @@ class TestJobRestart:
         assert not job.failed and job.restarts == 1
         assert np.array_equal(job.result, oracle.result)
         assert job.reports == oracle.reports
+        assert job.events.task_spans() == oracle.events.task_spans()
         assert job.metrics == oracle.metrics
         assert np.array_equal(job.result, clean.result)
         volumes = [[(r.map_records, r.shuffle_records, r.shuffle_bytes)

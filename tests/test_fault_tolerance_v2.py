@@ -54,6 +54,24 @@ class TestFaultPlan:
         with pytest.raises(FaultInjectionError):
             FaultPlan().add_slowdown(-1, 1.0, duration=5.0, factor=2.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_values_rejected(self, bad):
+        adds = [
+            lambda: FaultPlan().add_kill(0, bad),
+            lambda: FaultPlan().add_transient(0, bad, downtime=1.0),
+            lambda: FaultPlan().add_transient(0, 1.0, downtime=bad),
+            lambda: FaultPlan().add_slowdown(0, bad, duration=1.0,
+                                             factor=2.0),
+            lambda: FaultPlan().add_slowdown(0, 1.0, duration=bad,
+                                             factor=2.0),
+            lambda: FaultPlan().add_slowdown(0, 1.0, duration=1.0,
+                                             factor=bad),
+        ]
+        for add in adds:
+            with pytest.raises(FaultInjectionError):
+                add()
+
     def test_overlapping_windows_rejected(self):
         plan = FaultPlan().add_transient(0, 1.0, downtime=2.0)
         with pytest.raises(FaultInjectionError):
@@ -167,17 +185,17 @@ class TestSchedulerRecovery:
                                seed=0)
         plan = FaultPlan().add_kill(0, 0.0)
         sched = StageScheduler(cluster, plan, store, heartbeat=0.5)
-        result = sched.run_stage([
+        sched.run_stage([
             Task("a", machine=0, partition=0, cpu_ops=100),
             Task("b", machine=0, partition=1, cpu_ops=100),
         ])
         assert not cluster.machine(0).alive
         assert cluster.machine(0).busy_time == 0.0
-        winners = [e for e in result.executions if e.succeeded]
+        winners = [e for e in sched.events.task_spans() if e.succeeded]
         assert len(winners) == 2
         assert all(e.machine != 0 for e in winners)
         assert all(e.start >= 0.5 for e in winners)  # heartbeat delay
-        assert result.failures == 2
+        assert sched.events.metrics.get("scheduler.retries") == 2
 
     def test_failure_of_reassigned_machine(self):
         """The retry's machine dies too; the task lands on a third one."""
@@ -187,14 +205,14 @@ class TestSchedulerRecovery:
         plan = (FaultPlan().add_kill(0, 0.5)
                 .add_kill(first_backup, 2.0))
         sched = StageScheduler(cluster, plan, store, heartbeat=0.1)
-        result = sched.run_stage([
+        sched.run_stage([
             Task("t", machine=0, partition=0, cpu_ops=300)
         ])
-        winners = [e for e in result.executions if e.succeeded]
+        winners = [e for e in sched.events.task_spans() if e.succeeded]
         assert len(winners) == 1
         assert winners[0].machine not in {0, first_backup}
         assert winners[0].task.attempt == 2  # two re-dispatches
-        assert result.failures == 2
+        assert sched.events.metrics.get("scheduler.retries") == 2
         assert not cluster.machine(0).alive
         assert not cluster.machine(first_backup).alive
 
@@ -216,17 +234,17 @@ class TestSchedulerRecovery:
                                seed=0)
         plan = FaultPlan().add_transient(0, 1.0, downtime=2.0)
         sched = StageScheduler(cluster, plan, store, heartbeat=0.5)
-        result = sched.run_stage([
+        sched.run_stage([
             Task("a", machine=0, partition=0, cpu_ops=300),
             Task("b", machine=0, partition=1, cpu_ops=100),
         ])
         # the in-flight task a failed over to machine 1 ...
-        assert result.failures == 1
-        retry = next(e for e in result.executions
+        assert sched.events.metrics.get("scheduler.retries") == 1
+        retry = next(e for e in sched.events.task_spans()
                      if e.succeeded and e.task.name == "a#retry")
         assert retry.machine == 1
         # ... while queued task b waited out the outage on machine 0
-        b = next(e for e in result.executions
+        b = next(e for e in sched.events.task_spans()
                  if e.succeeded and e.task.name == "b")
         assert b.machine == 0 and b.start >= 3.0
         assert cluster.machine(0).alive
@@ -235,7 +253,7 @@ class TestSchedulerRecovery:
         # a transient outage never touches the replica metadata
         assert store.failed_machines == frozenset()
         assert store.replicas(0) == [0, 1]
-        kinds = {e.kind for e in result.recovery_events}
+        kinds = {e.kind for e in sched.events.instants}
         assert {"machine-down", "machine-recovered",
                 "detect", "redispatch"} <= kinds
 
@@ -245,9 +263,9 @@ class TestSchedulerRecovery:
         plan = FaultPlan().add_transient(0, 0.0, downtime=2.0)
         sched = StageScheduler(cluster, plan, heartbeat=0.5)
         result = sched.run_stage([Task("t", machine=0, cpu_ops=100)])
-        assert result.failures == 0
-        assert result.executions[0].start == pytest.approx(2.0)
-        assert result.elapsed == pytest.approx(3.0)
+        assert sched.events.metrics.get("scheduler.retries") == 0
+        assert sched.events.task_spans()[0].start == pytest.approx(2.0)
+        assert result.duration == pytest.approx(3.0)
 
     def test_double_failure_with_triple_replication(self):
         cluster = make_cluster(5)
@@ -258,8 +276,9 @@ class TestSchedulerRecovery:
         sched = StageScheduler(cluster, plan, store, heartbeat=0.1)
         tasks = [Task(f"t{p}", machine=store.primary(p), partition=p,
                       cpu_ops=300) for p in range(3)]
-        result = sched.run_stage(tasks)
-        done = {e.task.partition for e in result.executions if e.succeeded}
+        sched.run_stage(tasks)
+        done = {e.task.partition for e in sched.events.task_spans()
+                if e.succeeded}
         assert done == {0, 1, 2}
         assert sched.events.metrics.get("scheduler.re_replication_bytes") > 0
         assert cluster.network.traffic.background_bytes > 0
@@ -276,17 +295,17 @@ class TestSchedulerRecovery:
         result = sched.run_stage(tasks)
         # straggler detected at 2x median (2s); backup runs 2s..3s and
         # wins against the original's 10s
-        assert result.elapsed == pytest.approx(3.0)
-        spec = next(e for e in result.executions
+        assert result.duration == pytest.approx(3.0)
+        spec = next(e for e in sched.events.task_spans()
                     if e.task.name.endswith("#spec"))
         assert spec.succeeded and spec.machine != 0
-        cancelled = next(e for e in result.executions
+        cancelled = next(e for e in sched.events.task_spans()
                          if e.task.name == "t0")
         assert not cancelled.succeeded
         assert cancelled.end == pytest.approx(3.0)
         # the cancelled attempt is only charged up to the cancel point
         assert cluster.machine(0).busy_time == pytest.approx(3.0)
-        kinds = [e.kind for e in result.recovery_events]
+        kinds = [e.kind for e in sched.events.instants]
         assert kinds.count("spec-launch") == 1
         assert kinds.count("spec-win") == 1
         assert kinds.count("spec-cancel") == 1
@@ -300,14 +319,14 @@ class TestSchedulerRecovery:
         result = sched.run_stage(tasks)
         # original takes 2.5s; backup launches at 2.0s and would finish
         # at 3.0s, so the original wins and the backup is cancelled
-        assert result.elapsed == pytest.approx(2.5)
-        original = next(e for e in result.executions
+        assert result.duration == pytest.approx(2.5)
+        original = next(e for e in sched.events.task_spans()
                         if e.task.name == "t0")
         assert original.succeeded
-        backup = next(e for e in result.executions
+        backup = next(e for e in sched.events.task_spans()
                       if e.task.name.endswith("#spec"))
         assert not backup.succeeded
-        kinds = [e.kind for e in result.recovery_events]
+        kinds = [e.kind for e in sched.events.instants]
         assert kinds.count("spec-launch") == 1
         assert kinds.count("spec-win") == 0
         assert kinds.count("spec-cancel") == 1
@@ -319,8 +338,8 @@ class TestSchedulerRecovery:
         sched = StageScheduler(cluster, speculation=True)
         tasks = [Task(f"t{m}", machine=m, cpu_ops=100) for m in range(4)]
         result = sched.run_stage(tasks)
-        assert result.elapsed == pytest.approx(1.0)
-        assert result.recovery_events == []
+        assert result.duration == pytest.approx(1.0)
+        assert sched.events.instants == []
 
     def test_pipelined_matches_serial_recovery(self):
         """Pipelined and serial drains recover the same task set."""
@@ -331,14 +350,14 @@ class TestSchedulerRecovery:
             plan = FaultPlan().add_kill(0, 1.0)
             sched = StageScheduler(cluster, plan, store, heartbeat=0.5,
                                    pipelined=pipelined)
-            result = sched.run_stage([
+            sched.run_stage([
                 Task("a", machine=0, partition=0, cpu_ops=100,
                      disk_read_bytes=50),
                 Task("b", machine=0, partition=1, cpu_ops=100,
                      disk_read_bytes=50),
             ])
             return {(e.task.name.split("#")[0], e.machine)
-                    for e in result.executions if e.succeeded}
+                    for e in sched.events.task_spans() if e.succeeded}
         assert run(False) == run(True)
 
 

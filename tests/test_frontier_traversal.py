@@ -125,7 +125,7 @@ def _job_signature(job):
         (e.task.name, e.task.cpu_ops, e.task.disk_read_bytes,
          e.task.disk_write_bytes, tuple(e.task.sends),
          tuple(e.task.receives), e.task.disk_penalty)
-        for e in job.executions
+        for e in job.events.task_spans()
     ]
     metrics = (job.metrics.network_bytes, job.metrics.disk_bytes,
                job.metrics.response_time)
@@ -251,7 +251,8 @@ class TestFrontierDenseEquivalence:
     def test_transfer_cpu_identical_across_modes(self, graph, app_name):
         dense = _run(app_name, graph, frontier=False)
         sparse = _run(app_name, graph, frontier=True)
-        for ed, es in zip(dense.executions, sparse.executions):
+        for ed, es in zip(dense.events.task_spans(),
+                          sparse.events.task_spans()):
             assert ed.task.name == es.task.name
             assert ed.task.cpu_ops == es.task.cpu_ops
 

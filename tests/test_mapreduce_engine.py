@@ -81,7 +81,8 @@ class TestEngine:
     def test_reduce_runs_on_every_machine(self, surfer):
         job = surfer.run_mapreduce(_WordCountApp())
         reduce_machines = {
-            e.machine for e in job.executions if e.task.kind == "reduce"
+            e.machine for e in job.events.task_spans()
+            if e.task.kind == "reduce"
         }
         assert reduce_machines == set(range(4))
 

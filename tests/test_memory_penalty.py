@@ -30,7 +30,7 @@ class TestSchedulerPenalty:
         penalized = sched.run_stage([Task("b", machine=0,
                                           disk_read_bytes=100,
                                           disk_penalty=4.0)])
-        assert penalized.elapsed == pytest.approx(4 * plain.elapsed)
+        assert penalized.duration == pytest.approx(4 * plain.duration)
 
     def test_penalty_does_not_inflate_byte_counters(self):
         cluster = cluster_with_memory(1e9, 1)
@@ -63,14 +63,16 @@ class TestEnginePenalty:
         surfer = Surfer(tiny_graph, cluster_with_memory(10.0),
                         num_parts=8, seed=4)
         job = surfer.run_propagation(NetworkRankingPropagation())
-        assert all(e.task.disk_penalty > 1.0 for e in job.executions
+        assert all(e.task.disk_penalty > 1.0
+                   for e in job.events.task_spans()
                    if e.task.kind == "transfer")
 
     def test_no_penalty_when_fits(self, tiny_graph):
         surfer = Surfer(tiny_graph, cluster_with_memory(1e12),
                         num_parts=8, seed=4)
         job = surfer.run_propagation(NetworkRankingPropagation())
-        assert all(e.task.disk_penalty == 1.0 for e in job.executions)
+        assert all(e.task.disk_penalty == 1.0
+                   for e in job.events.task_spans())
 
     def test_mapreduce_penalty(self, tiny_graph):
         from repro.apps import NetworkRankingMapReduce

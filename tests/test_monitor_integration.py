@@ -61,5 +61,5 @@ class TestRunStages:
         results = [sched.run_stage([Task("a", machine=0, cpu_ops=100)]),
                    sched.run_stage([Task("b", machine=1, cpu_ops=100)])]
         assert len(results) == 2
-        assert results[1].start_time == pytest.approx(results[0].end_time)
-        assert len(sched.executions) == 2
+        assert results[1].start == pytest.approx(results[0].end)
+        assert len(sched.events.task_spans()) == 2

@@ -87,7 +87,7 @@ def _job_signature(job):
         (e.task.name, e.task.cpu_ops, e.task.disk_read_bytes,
          e.task.disk_write_bytes, tuple(e.task.sends),
          tuple(e.task.receives), e.task.disk_penalty)
-        for e in job.executions
+        for e in job.events.task_spans()
     ]
     metrics = (job.metrics.network_bytes, job.metrics.disk_bytes,
                job.metrics.response_time)
@@ -368,7 +368,7 @@ class TestFastPathEquivalence:
         fast = surfer.run_mapreduce(Sized(), vectorized=True)
         assert _result_equal(scalar.result, fast.result)
         assert _job_signature(scalar) == _job_signature(fast)
-        shipped = [e.task.sends for e in fast.executions
+        shipped = [e.task.sends for e in fast.events.task_spans()
                    if e.task.kind == "reduce"]
         assert any(shipped) == writeback
 
@@ -399,6 +399,7 @@ class TestScalarOracle:
                                       combiner=combiner)
         assert _result_equal(oracle.result, hooked.result)
         assert oracle.reports == hooked.reports
+        assert oracle.events.task_spans() == hooked.events.task_spans()
         assert _job_signature(oracle) == _job_signature(hooked)
 
 

@@ -278,7 +278,8 @@ def as_dict(outputs) -> dict:
 
 
 def run_rounds(surfer, app, rounds, reference, **options):
-    """``rounds`` rounds of ``app``: (outputs as dicts, reports)."""
+    """``rounds`` rounds of ``app``: (outputs as dicts, reports, every
+    task's span)."""
     surfer.cluster.reset()
     engine = MapReduceEngine(surfer.pgraph, surfer.store.copy(),
                              surfer.cluster, assignment=surfer.assignment,
@@ -292,7 +293,7 @@ def run_rounds(surfer, app, rounds, reference, **options):
         outs.append(as_dict(out))
         reports.append(report)
         apply_outputs(app, state, out)
-    return outs, reports
+    return outs, reports, scheduler.events.task_spans()
 
 
 def assert_matches_reference(surfer, factory, has_combine, rounds=2):
@@ -304,6 +305,7 @@ def assert_matches_reference(surfer, factory, has_combine, rounds=2):
                              combiner=combiner, vectorized=vectorized)
             assert got[0] == want[0], (vectorized, combiner)
             assert got[1] == want[1], (vectorized, combiner)
+            assert got[2] == want[2], (vectorized, combiner)
 
 
 def drawn_surfer(drawn):
@@ -355,6 +357,6 @@ class TestObjectKeys:
                              placement=np.arange(2), machine_sets={},
                              method="drawn")
         surfer = Surfer(graph, make_test_cluster(2), plan=plan)
-        outs, _ = run_rounds(surfer, Threes(), 1, False)
+        outs = run_rounds(surfer, Threes(), 1, False)[0]
         assert outs == [{3: (0, 10, 1, 11), "three": (20,)}]
         assert_matches_reference(surfer, Threes, True)

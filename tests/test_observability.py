@@ -1,6 +1,7 @@
 """Tests for the observability layer: spans, metrics, Chrome traces,
 reconciliation, bench JSON and the None-transfer cost contract."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.bench.benchjson import (
 )
 from repro.bench.workloads import make_cluster
 from repro.cluster.faults import FaultPlan, MachineKill
+from repro.cluster.storage import PartitionStore
 from repro.cluster.topology import t2
 from repro.core import Surfer
 from repro.errors import JobError
@@ -35,6 +37,8 @@ from repro.runtime.monitor import (
     estimate_progress,
     failed_task_seconds,
 )
+from repro.runtime.scheduler import StageScheduler
+from repro.runtime.tasks import Task
 from repro.runtime.trace import recovery_event_counts
 
 
@@ -46,10 +50,20 @@ def small_surfer(seed=0, machines=8, parts=16):
 
 
 @pytest.fixture(scope="module")
-def nr_job():
-    surfer = small_surfer()
+def nr_surfer():
+    return small_surfer()
+
+
+@pytest.fixture(scope="module")
+def nr_job(nr_surfer):
     prop_cls, __, __ = APP_REGISTRY["NR"]
-    return surfer.run_propagation(prop_cls(), iterations=2)
+    return nr_surfer.run_propagation(prop_cls(), iterations=2)
+
+
+def nr_job_tasks(surfer):
+    """The ``nr_job`` executions the engine dispatches: one Transfer and
+    one Combine per partition per iteration, with no faults to retry."""
+    return 2 * 2 * surfer.num_parts
 
 
 # ----------------------------------------------------------------------
@@ -78,8 +92,9 @@ class TestMetricsRegistry:
 class TestEventStream:
     def test_task_spans_exclude_run_level(self):
         s = EventStream()
-        s.emit(name="t", kind="transfer", start=0.0, end=1.0, machine=2)
-        s.emit(name="stage[0]", kind="stage", start=0.0, end=1.0)
+        s.span(Span(name="t", kind="transfer", start=0.0, end=1.0,
+                    machine=2))
+        s.span(Span(name="stage[0]", kind="stage", start=0.0, end=1.0))
         assert len(s.task_spans()) == 1
         assert s.machines() == [2]
         assert s.makespan == 1.0
@@ -94,10 +109,11 @@ class TestEventStream:
 
     def test_stage_totals_skip_failed_cost(self):
         s = EventStream()
-        s.emit(name="ok", kind="transfer", start=0.0, end=2.0, machine=0,
-               cpu_ops=10.0, disk_read_bytes=100.9)
-        s.emit(name="bad", kind="transfer", start=0.0, end=1.0, machine=1,
-               succeeded=False, cpu_ops=99.0, disk_read_bytes=500.0)
+        s.span(Span(name="ok", kind="transfer", start=0.0, end=2.0,
+                    machine=0, cpu_ops=10.0, disk_read_bytes=100.9))
+        s.span(Span(name="bad", kind="transfer", start=0.0, end=1.0,
+                    machine=1, succeeded=False, cpu_ops=99.0,
+                    disk_read_bytes=500.0))
         totals = s.stage_totals()["transfer"]
         assert totals["tasks"] == 2
         assert totals["failed"] == 1
@@ -159,12 +175,22 @@ class TestEstimateProgress:
 # Job-level span emission and the monitor built on it
 # ----------------------------------------------------------------------
 class TestJobEvents:
-    def test_spans_cover_every_execution(self, nr_job):
+    def test_spans_cover_every_execution(self, nr_surfer, nr_job):
+        # checked against the engine's dispatch and the machines' own
+        # commit counts, not against the span list itself
         stream = nr_job.events
         assert stream is not None
-        assert len(stream.task_spans()) == len(nr_job.executions)
-        kinds = {s.kind for s in stream.task_spans()}
-        assert kinds == {"transfer", "combine"}
+        spans = stream.task_spans()
+        assert len(spans) == nr_job_tasks(nr_surfer)
+        assert len(spans) == sum(m.tasks_executed
+                                 for m in nr_surfer.cluster.machines)
+        per_unit = {}
+        for s in spans:
+            assert s.task is not None and s.task.name == s.name
+            key = (s.kind, s.partition)
+            per_unit[key] = per_unit.get(key, 0) + 1
+        assert per_unit == {(kind, p): 2 for kind in ("transfer", "combine")
+                            for p in range(nr_surfer.num_parts)}
 
     def test_stage_and_iteration_spans(self, nr_job):
         stream = nr_job.events
@@ -175,9 +201,9 @@ class TestJobEvents:
         # framing spans live on no machine
         assert all(s.machine == -1 for s in stages + iters)
 
-    def test_metrics_registry_populated(self, nr_job):
+    def test_metrics_registry_populated(self, nr_surfer, nr_job):
         m = nr_job.events.metrics
-        assert m.get("scheduler.tasks_executed") == len(nr_job.executions)
+        assert m.get("scheduler.tasks_executed") == nr_job_tasks(nr_surfer)
         assert m.get("network.bytes_total") == nr_job.metrics.network_bytes
         emitted = sum(r.messages_emitted for r in nr_job.reports)
         assert m.get("propagation.messages_emitted") == emitted
@@ -186,19 +212,41 @@ class TestJobEvents:
         assert nr_job.events.wall_seconds() > 0.0
         assert nr_job.events.metrics.get("wall.udf_seconds") > 0.0
 
-    def test_monitor_from_events_matches_executions(self, nr_job):
-        # the monitor reads the stream only; the stream must say what
-        # the scheduler's raw dispatch record says
+    def test_monitor_from_events_matches_executions(self, nr_surfer,
+                                                     nr_job):
+        # the monitor reads the stream only; it must say what the
+        # cluster's machines counted and what the engine dispatched
         monitor = JobMonitor(nr_job.events)
-        execs = nr_job.executions
-        assert monitor.makespan == max(e.end for e in execs)
-        for kind, rec in monitor.stage_summary().items():
-            assert rec["tasks"] == sum(e.task.kind == kind for e in execs)
-        busy = {}
-        for e in execs:
-            busy[e.machine] = busy.get(e.machine, 0.0) + e.duration
-        assert ([u.busy_seconds for u in monitor.machine_utilization()]
-                == [busy[m] for m in sorted(busy)])
+        assert monitor.makespan == nr_job.metrics.response_time
+        summary = monitor.stage_summary()
+        assert sorted(summary) == ["combine", "transfer"]
+        for rec in summary.values():
+            assert rec["tasks"] == nr_job_tasks(nr_surfer) // 2
+        machines = [m for m in nr_surfer.cluster.machines
+                    if m.tasks_executed]
+        stats = monitor.machine_utilization()
+        assert [u.machine for u in stats] == [m.machine_id for m in machines]
+        assert [u.tasks for u in stats] == [m.tasks_executed
+                                            for m in machines]
+        assert [u.busy_seconds for u in stats] == pytest.approx(
+            [m.busy_time for m in machines], rel=1e-12)
+
+    def test_retry_span_carries_the_cloned_task(self):
+        cluster = make_cluster(t2(2, 1, 4, 200e6))
+        store = PartitionStore([0], num_machines=4, replication=2, seed=0)
+        sched = StageScheduler(cluster, FaultPlan().add_kill(0, 0.25),
+                               store, heartbeat=0.5)
+        task = Task("t", machine=0, partition=0, cpu_ops=1e12,
+                    fetches=[(3, 64)])
+        sched.run_stage([task])
+        lost, retry = sched.events.task_spans()
+        assert lost.task is task and not lost.succeeded
+        assert lost.end == 0.25
+        assert retry.succeeded and retry.machine == store.replicas(0)[0]
+        assert retry.task == dataclasses.replace(
+            task, name="t#retry", machine=retry.machine, fetches=[],
+            earliest_start=0.75, attempt=task.attempt + 1)
+        assert retry.attempt == 1
 
     def test_report_includes_metrics_section(self, nr_job):
         # `repro profile` prints the registry section under the monitor
@@ -324,13 +372,13 @@ class TestChromeTrace:
 # Bench JSON
 # ----------------------------------------------------------------------
 class TestBenchJson:
-    def test_job_record_fields(self, nr_job):
+    def test_job_record_fields(self, nr_surfer, nr_job):
         rec = job_record(nr_job, wall_clock_s=1.5)
         assert set(rec) == set(RECORD_FIELDS)
         assert rec["makespan_s"] == pytest.approx(
             nr_job.metrics.response_time)
         assert rec["network_bytes"] == nr_job.metrics.network_bytes
-        assert rec["tasks"] == len(nr_job.executions)
+        assert rec["tasks"] == nr_job_tasks(nr_surfer)
         assert rec["wall_clock_s"] == 1.5
 
     def test_write_load_round_trip(self, nr_job, tmp_path):

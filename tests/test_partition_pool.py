@@ -12,7 +12,6 @@ instant — or, where the loop raises, the same exception.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import tempfile
 import threading
@@ -82,10 +81,9 @@ def outcome(run):
         job = run()
     except Exception as exc:  # the loop's error must be the pool's
         return ("raised", type(exc), str(exc))
-    spans = [dataclasses.replace(s, wall_self_seconds=0.0)
-             for s in job.events.spans]
     return (job.failed, job.error, job.metrics, job.reports,
-            sim_counters(job), spans, job.events.instants, job.result)
+            sim_counters(job), job.events.spans, job.events.instants,
+            job.result)
 
 
 def assert_same_outcome(pool, loop):

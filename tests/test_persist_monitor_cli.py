@@ -137,6 +137,21 @@ class TestCli:
         assert captured.err == message
         assert captured.out == ""
 
+    @pytest.mark.parametrize("kills, reason", [
+        (["1@nan"], "finite"),
+        (["1@-3"], "non-negative"),
+        (["1@5", "1@5"], "already scheduled"),
+    ])
+    def test_bad_kill_exits_before_deployment(self, kills, reason):
+        argv = ["profile", "NR"] + self.ARGS
+        for spec in kills:
+            argv += ["--kill", spec]
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(argv)
+        message = str(exit_info.value.code)
+        assert message.startswith(f"bad --kill {kills[-1]!r}: ")
+        assert reason in message
+
     def test_chaos_keeps_its_flags_and_defaults(self, capsys):
         """chaos declares its options through the block run/profile use,
         re-sized; it lists what it always listed."""

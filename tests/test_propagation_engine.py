@@ -170,7 +170,8 @@ class TestLocalPropagationCombinesOnce:
         assert sorted(state.calls) == [(0, []), (1, [1.0]), (2, []),
                                        (3, [1.0])]
         assert state.values.tolist() == [-1.0, 0.0, -1.0, 0.0]
-        cpu = {e.task.name: e.task.cpu_ops for e in job.executions}
+        cpu = {e.task.name: e.task.cpu_ops
+               for e in job.events.task_spans()}
         # transfer: 2 per edge + (1 arrival + 1 vertex) locally combined;
         # combine: one op for the vertex nothing arrived at
         assert cpu == {"transfer[0]": 4.0, "transfer[1]": 4.0,
@@ -363,7 +364,7 @@ class TestRoutingFromFirstPrinciples:
         (got,) = job.reports
         assert {name: getattr(got, name) for name in report} == report
         assert {e.task.name: e.task.cpu_ops
-                for e in job.executions} == cpu
+                for e in job.events.task_spans()} == cpu
 
     def test_the_hand_graph_exercises_every_route(self):
         """Inner, boundary and cross destinations all occur, and merging

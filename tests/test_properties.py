@@ -742,7 +742,8 @@ def same_result(a, b):
 def assert_same_job(oracle, fast):
     assert not oracle.failed and not fast.failed
     assert same_result(oracle.result, fast.result)
-    assert oracle.reports == fast.reports  # every field, every task
+    assert oracle.reports == fast.reports  # every field, every stage
+    assert oracle.events.task_spans() == fast.events.task_spans()
     assert oracle.metrics == fast.metrics
     assert sim_counters(oracle) == sim_counters(fast)
     assert reconcile(oracle) == [] and reconcile(fast) == []

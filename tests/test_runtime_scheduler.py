@@ -25,7 +25,7 @@ class TestBasicScheduling:
             Task("t", machine=0, disk_read_bytes=100, cpu_ops=100,
                  disk_write_bytes=100)
         ])
-        assert result.elapsed == pytest.approx(3.0)
+        assert result.duration == pytest.approx(3.0)
         assert cluster.machine(0).busy_time == pytest.approx(3.0)
 
     def test_tasks_serialize_per_machine(self):
@@ -33,7 +33,7 @@ class TestBasicScheduling:
         sched = StageScheduler(cluster)
         tasks = [Task(f"t{i}", machine=0, cpu_ops=100) for i in range(3)]
         result = sched.run_stage(tasks)
-        assert result.elapsed == pytest.approx(3.0)
+        assert result.duration == pytest.approx(3.0)
 
     def test_tasks_parallel_across_machines(self):
         cluster = make_cluster()
@@ -41,7 +41,7 @@ class TestBasicScheduling:
         tasks = [Task("a", machine=0, cpu_ops=100),
                  Task("b", machine=1, cpu_ops=100)]
         result = sched.run_stage(tasks)
-        assert result.elapsed == pytest.approx(1.0)
+        assert result.duration == pytest.approx(1.0)
 
     def test_stage_barrier(self):
         cluster = make_cluster()
@@ -49,8 +49,8 @@ class TestBasicScheduling:
         sched.run_stage([Task("slow", machine=0, cpu_ops=500)])
         # machine 1 idled through stage 1 but starts stage 2 at the barrier
         result = sched.run_stage([Task("next", machine=1, cpu_ops=100)])
-        assert result.start_time == pytest.approx(5.0)
-        assert result.end_time == pytest.approx(6.0)
+        assert result.start == pytest.approx(5.0)
+        assert result.end == pytest.approx(6.0)
 
     def test_network_send_charged_and_counted(self):
         cluster = make_cluster()
@@ -58,7 +58,7 @@ class TestBasicScheduling:
         result = sched.run_stage([
             Task("s", machine=0, sends=[(1, 200)])
         ])
-        assert result.elapsed == pytest.approx(2.0)
+        assert result.duration == pytest.approx(2.0)
         assert cluster.network.traffic.total_bytes == 200
         assert cluster.machine(0).bytes_sent == 200
         assert cluster.machine(1).bytes_received == 200
@@ -67,7 +67,7 @@ class TestBasicScheduling:
         cluster = make_cluster()
         sched = StageScheduler(cluster)
         result = sched.run_stage([Task("s", machine=0, sends=[(0, 500)])])
-        assert result.elapsed == 0.0
+        assert result.duration == 0.0
         assert cluster.network.traffic.total_bytes == 0
 
     def test_receive_charged_not_counted(self):
@@ -76,7 +76,7 @@ class TestBasicScheduling:
         result = sched.run_stage([
             Task("r", machine=1, receives=[(0, 300)])
         ])
-        assert result.elapsed == pytest.approx(3.0)
+        assert result.duration == pytest.approx(3.0)
         assert cluster.network.traffic.total_bytes == 0
 
     def test_fetch_charged_and_counted(self):
@@ -85,7 +85,7 @@ class TestBasicScheduling:
         result = sched.run_stage([
             Task("f", machine=1, fetches=[(0, 300)])
         ])
-        assert result.elapsed == pytest.approx(3.0)
+        assert result.duration == pytest.approx(3.0)
         assert cluster.network.traffic.total_bytes == 300
 
     def test_busy_time_excludes_barrier_wait(self):
@@ -103,11 +103,11 @@ class TestFaults:
         store = PartitionStore([0], num_machines=3, replication=2, seed=0)
         plan = FaultPlan().add_kill(0, 1.0)
         sched = StageScheduler(cluster, plan, store, heartbeat=0.5)
-        result = sched.run_stage([
+        sched.run_stage([
             Task("t", machine=0, partition=0, cpu_ops=300)
         ])
-        assert result.failures == 1
-        execs = result.executions
+        assert sched.events.metrics.get("scheduler.retries") == 1
+        execs = sched.events.task_spans()
         assert len(execs) == 2
         assert not execs[0].succeeded
         assert execs[1].succeeded
@@ -120,12 +120,13 @@ class TestFaults:
                                seed=0)
         plan = FaultPlan().add_kill(0, 0.5)
         sched = StageScheduler(cluster, plan, store, heartbeat=0.1)
-        result = sched.run_stage([
+        sched.run_stage([
             Task("a", machine=0, partition=0, cpu_ops=100),
             Task("b", machine=0, partition=1, cpu_ops=100),
         ])
         assert not cluster.machine(0).alive
-        survivors = {e.machine for e in result.executions if e.succeeded}
+        survivors = {e.machine for e in sched.events.task_spans()
+                     if e.succeeded}
         assert survivors == {1}
 
     def test_detection_waits_for_heartbeat(self):
@@ -133,10 +134,10 @@ class TestFaults:
         store = PartitionStore([0], num_machines=2, replication=2, seed=0)
         plan = FaultPlan().add_kill(0, 1.0)
         sched = StageScheduler(cluster, plan, store, heartbeat=5.0)
-        result = sched.run_stage([
+        sched.run_stage([
             Task("t", machine=0, partition=0, cpu_ops=300)
         ])
-        retry = [e for e in result.executions if e.succeeded][0]
+        retry = [e for e in sched.events.task_spans() if e.succeeded][0]
         assert retry.start >= 1.0 + 5.0
 
     def test_combine_refetches_inputs(self):
@@ -171,10 +172,10 @@ class TestFaults:
         store = PartitionStore([0], num_machines=2, replication=2, seed=0)
         plan = FaultPlan().add_kill(0, 1.5)
         sched = StageScheduler(cluster, plan, store, heartbeat=0.1)
-        result = sched.run_stage([
+        sched.run_stage([
             Task("t", machine=0, partition=0, cpu_ops=300)
         ])
-        failed = result.executions[0]
+        failed = sched.events.task_spans()[0]
         assert not failed.succeeded
         assert failed.end == pytest.approx(1.5)
         assert cluster.machine(0).busy_time == pytest.approx(1.5)

@@ -27,7 +27,8 @@ from repro.runtime.sanitizer import (
     VectorClockRaceDetector,
     sanitize_enabled,
 )
-from repro.runtime.tasks import Task, TaskExecution
+from repro.runtime.scheduler import execution_span
+from repro.runtime.tasks import Task
 
 from tests.conftest import make_test_cluster
 
@@ -36,8 +37,7 @@ def execution(machine, kind, partition, *, succeeded=True, start=0.0,
               end=1.0):
     task = Task(name=f"{kind}[{partition}]@{machine}", machine=machine,
                 kind=kind, partition=partition)
-    return TaskExecution(task=task, machine=machine, start=start,
-                         end=end, succeeded=succeeded)
+    return execution_span(task, machine, start, end, succeeded)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ machines with one least-loaded rule and closes a stage through one
 reference: its stage loop with separate barrier and abort closes, the
 serial and the pipelined drain, the retry and the backup pickers, the
 field-by-field task clone and the speculative-backup step, each as it
-was (only the renamed ``note_recovery`` hook and the retry budget's
-constant differ).  Every execution, machine field, ``TrafficCounter``
+was (only the renamed ``note_recovery`` hook, the retry budget's
+constant and the ``execution_span`` record differ).  Every execution, machine field, ``TrafficCounter``
 field, counter (except wall seconds), instant and span, the replica map
 and any abort must agree bit for bit.
 """
@@ -16,7 +16,6 @@ and any abort must agree bit for bit.
 from __future__ import annotations
 
 import copy
-import dataclasses
 from collections import deque
 
 import pytest
@@ -31,10 +30,10 @@ from repro.cluster.storage import PartitionStore
 from repro.cluster.topology import t1, t2
 from repro.errors import (DataLossError, FaultInjectionError,
                           SchedulingError)
-from repro.runtime.events import wall_timer
+from repro.runtime.events import Span, wall_timer
 from repro.runtime.scheduler import (MAX_RETRIES, StageScheduler,
-                                     _stage_pairs)
-from repro.runtime.tasks import StageResult, Task, TaskExecution
+                                     _stage_pairs, execution_span)
+from repro.runtime.tasks import Task
 
 
 # ----------------------------------------------------------------------
@@ -54,10 +53,9 @@ class ReferenceScheduler(StageScheduler):
         for task in tasks:
             queues.setdefault(task.machine, deque()).append(task)
 
-        stage_execs: list[TaskExecution] = []
+        stage_execs: list[Span] = []
         failed: deque[tuple[Task, float]] = deque()
         failures = 0
-        instants_before = len(self.events.instants)
         drain = (self._drain_queue_pipelined if self.pipelined
                  else self._drain_queue)
 
@@ -93,7 +91,6 @@ class ReferenceScheduler(StageScheduler):
             abort_end = max(
                 (e.end for e in stage_execs), default=start_time
             )
-            self.executions.extend(stage_execs)
             self._record_stage(tasks, stage_execs, start_time, abort_end,
                                failures, timer.elapsed())
             if self.sanitizer is not None:
@@ -106,18 +103,11 @@ class ReferenceScheduler(StageScheduler):
         for m in self.cluster.machines:
             if m.alive:
                 m.clock = max(m.clock, end_time)
-        self.executions.extend(stage_execs)
-        self._record_stage(tasks, stage_execs, start_time, end_time,
-                           failures, timer.elapsed())
+        stage = self._record_stage(tasks, stage_execs, start_time,
+                                   end_time, failures, timer.elapsed())
         if self.sanitizer is not None:
             self.sanitizer.on_stage(stage_execs)
-        return StageResult(
-            executions=stage_execs,
-            start_time=start_time,
-            end_time=end_time,
-            failures=failures,
-            recovery_events=self.events.instants[instants_before:],
-        )
+        return stage
 
     def _drain_queue(self, machine_id, queue, stage_start, stage_execs,
                      failed):
@@ -143,9 +133,9 @@ class ReferenceScheduler(StageScheduler):
                 machine.busy_time += outage.start - start
                 machine.clock = outage.start
                 stage_execs.append(
-                    TaskExecution(task, machine_id, start,
-                                  outage.start, False,
-                                  planned_duration=end - start)
+                    execution_span(task, machine_id, start,
+                                   outage.start, False,
+                                   planned_duration=end - start)
                 )
                 if outage.permanent:
                     self._mark_dead(machine_id, outage.start)
@@ -160,8 +150,8 @@ class ReferenceScheduler(StageScheduler):
             machine.busy_time += end - start
             machine.tasks_executed += 1
             stage_execs.append(
-                TaskExecution(task, machine_id, start, end, True,
-                              planned_duration=end - start)
+                execution_span(task, machine_id, start, end, True,
+                               planned_duration=end - start)
             )
 
     def _drain_queue_pipelined(self, machine_id, queue, stage_start,
@@ -210,9 +200,9 @@ class ReferenceScheduler(StageScheduler):
                 machine.busy_time += max(0.0, outage.start - arrival)
                 machine.clock = max(machine.clock, outage.start)
                 stage_execs.append(
-                    TaskExecution(task, machine_id, arrival,
-                                  outage.start, False,
-                                  planned_duration=write_end - arrival)
+                    execution_span(task, machine_id, arrival,
+                                   outage.start, False,
+                                   planned_duration=write_end - arrival)
                 )
                 if outage.permanent:
                     self._mark_dead(machine_id, outage.start)
@@ -233,8 +223,8 @@ class ReferenceScheduler(StageScheduler):
             machine.busy_time += duration
             machine.tasks_executed += 1
             stage_execs.append(
-                TaskExecution(task, machine_id, arrival, write_end, True,
-                              planned_duration=write_end - arrival)
+                execution_span(task, machine_id, arrival, write_end, True,
+                               planned_duration=write_end - arrival)
             )
 
     def _reassign(self, task):
@@ -294,14 +284,14 @@ class ReferenceScheduler(StageScheduler):
             holder.busy_time += b_end - b_start
             holder.tasks_executed += 1
             stage_execs.append(
-                TaskExecution(backup, backup_machine, b_start, b_end, True,
-                              planned_duration=b_end - b_start)
+                execution_span(backup, backup_machine, b_start, b_end, True,
+                               planned_duration=b_end - b_start)
             )
             original = self.cluster.machine(e.machine)
             original.busy_time -= e.end - b_end
             original.clock = b_end
             idx = next(i for i, x in enumerate(stage_execs) if x is e)
-            stage_execs[idx] = TaskExecution(
+            stage_execs[idx] = execution_span(
                 task, e.machine, e.start, b_end, False,
                 planned_duration=e.planned_duration or e.duration,
             )
@@ -321,8 +311,8 @@ class ReferenceScheduler(StageScheduler):
             holder.clock = max(holder.clock, e.end)
             holder.busy_time += e.end - b_start
             stage_execs.append(
-                TaskExecution(backup, backup_machine, b_start, e.end,
-                              False, planned_duration=b_end - b_start)
+                execution_span(backup, backup_machine, b_start, e.end,
+                               False, planned_duration=b_end - b_start)
             )
             self.note_recovery(e.end, "spec-cancel", backup_machine,
                                task=backup.name, partition=task.partition)
@@ -458,22 +448,19 @@ def run(scheduler_cls, scenario):
         except (DataLossError, SchedulingError) as exc:
             outcome.append(("raised", type(exc).__name__, str(exc)))
             break
-        outcome.append((result.executions, result.start_time,
-                        result.end_time, result.failures,
-                        result.recovery_events))
+        outcome.append(result)
     machines = [vars(mach).copy() for mach in cluster.machines]
     for state in machines:
         state.pop("spec")
     return {
         "stages": outcome,
-        "executions": scheduler.executions,
+        "executions": scheduler.events.task_spans(),
         "machines": machines,
         "traffic": vars(cluster.network.traffic).copy(),
         "counters": {k: v for k, v in scheduler.events.metrics.counters.items()
                      if k != "scheduler.wall_seconds"},
         "instants": scheduler.events.instants,
-        "spans": [dataclasses.replace(s, wall_self_seconds=0.0)
-                  for s in scheduler.events.spans],
+        "spans": scheduler.events.spans,
         "replicas": None if store is None else (
             [store.replicas(p) for p in range(store.num_partitions)],
             store.failed_machines),

@@ -218,14 +218,15 @@ def run(scheduler_cls, name, m, nic, plan, pipelined, speculation, stages):
     cluster.network.metrics = scheduler.events.metrics
     outcome = []
     for tasks in stages:
+        before = len(scheduler.events.spans)
         try:
-            result = scheduler.run_stage(copy.deepcopy(tasks))
+            scheduler.run_stage(copy.deepcopy(tasks))
         except SchedulingError as exc:
             outcome.append(("raised", str(exc)))
             break
         outcome.append([(e.task.name, e.machine, e.start, e.end,
                          e.succeeded, e.planned_duration)
-                        for e in result.executions])
+                        for e in scheduler.events.spans[before:-1]])
     machines = [vars(mach).copy() for mach in cluster.machines]
     for state in machines:
         state.pop("spec")

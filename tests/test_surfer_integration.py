@@ -92,9 +92,9 @@ class TestRuns:
     def test_executions_recorded(self, small_graph):
         s = Surfer(small_graph, make_test_cluster(4), num_parts=8, seed=0)
         job = s.run_propagation(NetworkRankingPropagation())
-        kinds = {e.task.kind for e in job.executions}
+        kinds = {e.task.kind for e in job.events.task_spans()}
         assert kinds == {"transfer", "combine"}
-        assert len(job.executions) == 2 * s.num_parts
+        assert len(job.events.task_spans()) == 2 * s.num_parts
 
     def test_memory_rule_partition_count(self):
         # the paper's setting: 128 GB graph, 2 GB memory budget

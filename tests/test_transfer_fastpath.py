@@ -176,7 +176,7 @@ def _job_signature(job):
         (e.task.name, e.task.cpu_ops, e.task.disk_read_bytes,
          e.task.disk_write_bytes, tuple(e.task.sends),
          tuple(e.task.receives), e.task.disk_penalty)
-        for e in job.executions
+        for e in job.events.task_spans()
     ]
     metrics = (job.metrics.network_bytes, job.metrics.disk_bytes,
                job.metrics.response_time)
@@ -386,6 +386,7 @@ class TestScalarOracle:
                                         vectorized=None, **kwargs)
         assert result_of(oracle.result) == result_of(hooked.result)
         assert oracle.reports == hooked.reports
+        assert oracle.events.task_spans() == hooked.events.task_spans()
         assert _job_signature(oracle) == _job_signature(hooked)
 
 
