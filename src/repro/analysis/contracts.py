@@ -411,7 +411,9 @@ def _check_combine_array(cls: type, app: Any, state: Any,
     """``combine_array`` must equal ``combine`` *exactly* on the
     harvested bags — folded in arrival order by ``merge_ufunc``, as the
     engine's Combine stage folds them — and, for
-    ``combine_all_vertices`` apps, on the empty bag of every vertex."""
+    ``combine_all_vertices`` apps, on the empty bag of every vertex.  A
+    ``(values, present)`` answer is replayed as "None is a mask":
+    ``present`` must be False exactly where ``combine`` returns None."""
     from repro.fold import RECORD_HEADER, Ragged, fold_by_dest
 
     ufunc = getattr(cls, "merge_ufunc", None)
@@ -436,16 +438,27 @@ def _check_combine_array(cls: type, app: Any, state: Any,
         got = app.combine_array(vertices, folded, counts, state)
         if got is None:
             continue  # declined: the engine hands combine the bags
+        present = np.ones(vertices.size, dtype=bool)
+        if isinstance(got, tuple):
+            got, present = got[0], np.asarray(got[1], dtype=bool)
         if isinstance(got, Ragged):
             _check_ragged_bytes(
                 "result_nbytes",
                 [(row, app.result_nbytes(v, app.combine(v, list(bag),
                                                         state)))
-                 for v, bag, row in zip(vertices.tolist(), case_bags,
-                                        got.tolist())],
+                 for v, bag, row, kept in zip(vertices.tolist(), case_bags,
+                                              got.tolist(), present)
+                 if kept],
                 RECORD_HEADER, fail)
-        for v, bag, g in zip(vertices.tolist(), case_bags, _rows(got)):
+        for v, bag, g, kept in zip(vertices.tolist(), case_bags, _rows(got),
+                                   present.tolist()):
             want = app.combine(v, list(bag), state)
+            if not kept:
+                if want is not None:
+                    fail(f"combine_array masks out vertex {v}, where "
+                         f"combine returns {want!r}")
+                    break
+                continue
             if want is None or not _same(want, g):
                 fail(f"combine_array disagrees with combine at vertex "
                      f"{v} (bag of {len(bag)}): {want!r} vs {g!r}")
@@ -810,6 +823,7 @@ PARITY_SUITES: tuple[str, ...] = (
     "tests/test_mr_fastpath.py",
     "tests/test_frontier_traversal.py",
     "tests/test_properties.py",
+    "tests/test_rs_tfl_arrays.py",
 )
 
 

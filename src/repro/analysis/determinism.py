@@ -15,7 +15,8 @@ drift is the canonical example):
   Exempt paths: the bench harness (measures real machines) and the
   fault-plan seeding helpers.
 * **DET003** — iterating a ``set``/``frozenset`` in the engine,
-  partitioning, core or runtime trees without an explicit ``sorted()``:
+  partitioning, core, runtime or app trees without an explicit
+  ``sorted()``:
   set order depends on the per-process hash salt, so anything it feeds
   (message routing, partition assignment, shuffle order, tie-breaks)
   diverges across processes.
@@ -44,9 +45,11 @@ __all__ = ["lint_source", "DET003_SCOPE", "DET004_SCOPE"]
 
 #: module-path prefixes (relative to the ``repro`` package) where DET003
 #: applies: trees whose iteration order feeds routing, partition
-#: assignment, shuffle order or scheduling tie-breaks.
+#: assignment, shuffle order or scheduling tie-breaks — and the apps,
+#: whose scalar ``map`` emission order is a shuffle's record order.
 DET003_SCOPE: tuple[str, ...] = (
     "propagation/", "mapreduce/", "partitioning/", "core/", "runtime/",
+    "apps/",
 )
 
 #: module-path prefixes where DET004 applies (simulated-time regions).

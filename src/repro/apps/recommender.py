@@ -5,6 +5,15 @@ friends each iteration; a recommended person accepts with probability
 ``p``.  Acceptance coins are a deterministic per-(vertex, iteration) hash
 so every engine, optimization level and primitive produces the identical
 adoption set.
+
+Both primitives also run columnar.  :func:`accepts_array` is the coin
+over a vertex column, exactly: only the hash's low 32 bits decide, so
+``v · 2654435761`` may wrap in ``uint64``.  Propagation's
+``combine_array`` answers ``(values, present)``: a vertex that neither
+adopted nor won its coin gets no output, as when ``combine`` returns
+``None``.  MapReduce's ``map_array`` emits what ``map`` does — each
+partition's distinct recommended targets ascending (flag 1), then its
+adopters (flag 2) — and ``reduce_array`` keeps ``carry | coin``.
 """
 
 from __future__ import annotations
@@ -15,13 +24,36 @@ from repro.apps.base import VertexState, sample_mask
 from repro.mapreduce.api import MapReduceApp
 from repro.propagation.api import PropagationApp
 
-__all__ = ["RecommenderPropagation", "RecommenderMapReduce", "accepts"]
+__all__ = ["RecommenderPropagation", "RecommenderMapReduce", "accepts",
+           "accepts_array"]
 
 
 def accepts(v: int, iteration: int, probability: float, seed: int) -> bool:
     """Deterministic acceptance coin for vertex ``v`` at ``iteration``."""
     h = ((v * 2654435761) ^ (iteration * 40503) ^ seed) & 0xFFFFFFFF
     return h < probability * 0x100000000
+
+
+def accepts_array(vertices: np.ndarray, iteration: int, probability: float,
+                  seed: int) -> np.ndarray:
+    """:func:`accepts` for every vertex of a column, bit for bit: the
+    product wraps in ``uint64`` (its low 32 bits are exact) and
+    ``iteration`` and ``seed``, any Python ints, fold to 32 bits as
+    ``& 0xFFFFFFFF`` folds them."""
+    mix = np.uint64(((iteration * 40503) ^ seed) & 0xFFFFFFFF)
+    h = (vertices.astype(np.uint64) * np.uint64(2654435761)) ^ mix
+    return (h & np.uint64(0xFFFFFFFF)) < probability * 0x100000000
+
+
+def _coins(app, vertices: np.ndarray, state: VertexState) -> np.ndarray:
+    return accepts_array(vertices, state.extra["iteration"],
+                         app.probability, app.seed)
+
+
+def _adopt(state: VertexState, vertices: np.ndarray,
+           adopted: np.ndarray) -> None:
+    state.values[vertices] = adopted
+    state.extra["iteration"] += 1
 
 
 def _rs_state(pgraph, initial_ratio: float, seed: int) -> VertexState:
@@ -68,6 +100,11 @@ class RecommenderPropagation(PropagationApp):
                        self.seed)
         return True if (values and coin) else None
 
+    def combine_array(self, vertices, folded, counts, state):
+        present = state.values[vertices] | (
+            (counts > 0) & _coins(self, vertices, state))
+        return np.ones(vertices.size, dtype=bool), present
+
     def merge(self, a, b):
         return a or b
 
@@ -78,6 +115,9 @@ class RecommenderPropagation(PropagationApp):
         for v, adopted in combined.items():
             state.values[v] = adopted
         state.extra["iteration"] += 1
+
+    def update_array(self, state, vertices, values):
+        _adopt(state, vertices, values)
 
     def finalize(self, state):
         return state.values
@@ -109,11 +149,21 @@ class RecommenderMapReduce(MapReduceApp):
         for u, v in zip(src, dst):
             if state.values[u]:
                 recommended.add(int(v))
-        for v in recommended:
+        for v in sorted(recommended):
             emit(v, 1)
         for u in pgraph.partition_vertices[partition]:
             if state.values[u]:
                 emit(int(u), 2)  # carry: already an adopter
+
+    def map_array(self, partition, pgraph, state):
+        src, dst = pgraph.partition_edges(partition)
+        targets = np.unique(dst[state.values[src]])
+        verts = pgraph.partition_vertices[partition]
+        carry = verts[state.values[verts]]
+        keys = np.concatenate((targets, carry)).astype(np.int64)
+        flags = np.repeat(np.array([1, 2], dtype=np.int64),
+                          [targets.size, carry.size])
+        return keys, flags
 
     def reduce(self, key, values, state, emit):
         if 2 in values:
@@ -122,6 +172,11 @@ class RecommenderMapReduce(MapReduceApp):
                      self.seed):
             emit(key, True)
 
+    def reduce_array(self, keys, gid, values, state):
+        adopt = _coins(self, keys, state)
+        adopt[gid[values == 2]] = True  # carry
+        return keys[adopt], np.ones(int(adopt.sum()), dtype=bool)
+
     def value_nbytes(self, value):
         return 1.0
 
@@ -129,6 +184,9 @@ class RecommenderMapReduce(MapReduceApp):
         for v, adopted in outputs.items():
             state.values[v] = adopted
         state.extra["iteration"] += 1
+
+    def update_array(self, state, keys, values):
+        _adopt(state, keys, values)
 
     def finalize(self, state):
         return state.values

@@ -20,22 +20,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import VertexState, assign_row_dict, assign_rows, no_rows
+from repro.apps.base import (
+    VertexState,
+    assign_row_dict,
+    assign_rows,
+    no_rows,
+    rows_graph,
+)
 from repro.fold import Ragged, distinct_rows
-from repro.graph.digraph import Graph
 from repro.mapreduce.api import MapReduceApp
 from repro.propagation.api import PropagationApp
 
 __all__ = ["ReverseLinkGraphPropagation", "ReverseLinkGraphMapReduce"]
-
-
-def _reversed_graph(state) -> Graph:
-    """The reversed :class:`Graph` from the state's source lists."""
-    vertices, sources = state.values
-    edges = np.stack((np.repeat(vertices, sources.lengths()), sources.flat),
-                     axis=1)
-    return Graph.from_edges(edges, num_vertices=state.num_vertices,
-                            dedup=True)
 
 
 class ReverseLinkGraphPropagation(PropagationApp):
@@ -77,7 +73,7 @@ class ReverseLinkGraphPropagation(PropagationApp):
         assign_rows(state, vertices, values)
 
     def finalize(self, state):
-        return _reversed_graph(state)
+        return rows_graph(state)
 
 
 class ReverseLinkGraphMapReduce(MapReduceApp):
@@ -115,4 +111,4 @@ class ReverseLinkGraphMapReduce(MapReduceApp):
         assign_rows(state, keys, values)
 
     def finalize(self, state):
-        return _reversed_graph(state)
+        return rows_graph(state)

@@ -3,7 +3,9 @@
 Each selected vertex pushes its out-neighbor list to each of its
 out-neighbors; a vertex's two-hop friend list is the deduplicated union of
 the lists it receives, i.e. the people its in-neighbors point to.  The
-per-vertex oracle is :func:`repro.graph.algorithms.two_hop_neighbors`.
+result is a :class:`~repro.graph.digraph.Graph` whose row ``v`` lists
+``v``'s two-hop friends ascending; the per-vertex oracle is
+:func:`repro.graph.algorithms.two_hop_neighbors`.
 
 Neighbor lists make the intermediate data enormous — the paper's TFL is
 its most network-intensive workload (2.9 TB at O1, Table 3) and the one
@@ -28,6 +30,7 @@ from repro.apps.base import (
     assign_row_dict,
     assign_rows,
     no_rows,
+    rows_graph,
     sample_mask,
 )
 from repro.fold import Ragged, distinct_rows
@@ -43,14 +46,6 @@ def _tfl_state(pgraph, select_ratio: float, seed: int) -> VertexState:
         pgraph.num_vertices, select_ratio, seed
     )
     return state
-
-
-def _friend_sets(state) -> dict[int, set[int]]:
-    vertices, rows = state.values
-    flat = rows.flat.tolist()
-    bounds = rows.offsets.tolist()
-    return {v: set(flat[bounds[i]:bounds[i + 1]])
-            for i, v in enumerate(vertices.tolist())}
 
 
 class TwoHopFriendsPropagation(PropagationApp):
@@ -106,7 +101,7 @@ class TwoHopFriendsPropagation(PropagationApp):
         assign_rows(state, vertices, values)
 
     def finalize(self, state):
-        return _friend_sets(state)
+        return rows_graph(state)
 
 
 class TwoHopFriendsMapReduce(MapReduceApp):
@@ -162,4 +157,4 @@ class TwoHopFriendsMapReduce(MapReduceApp):
         assign_rows(state, keys, values)
 
     def finalize(self, state):
-        return _friend_sets(state)
+        return rows_graph(state)

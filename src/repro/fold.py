@@ -84,9 +84,9 @@ from repro.graph.digraph import csr_from_keys, pair_keys
 from repro.graph.io import DEGREE_BYTES, VALUE_BYTES, VERTEX_ID_BYTES
 
 __all__ = ["MESSAGE_HEADER", "RAGGED_FOLDS", "RECORD_HEADER", "Grouping",
-           "Ragged", "bags", "concat_values", "distinct_rows",
+           "Ragged", "Sizes", "bags", "concat_values", "distinct_rows",
            "fold_by_dest", "group_ids", "is_typed", "merge_outputs",
-           "object_column"]
+           "object_column", "record_sizes"]
 
 #: counting strategy when ``span <= COUNTING_SPAN_FACTOR * k``.  On
 #: 100 k uniformly random ids counting beats the stable sort up to
@@ -170,7 +170,9 @@ class Ragged:
     at 0 and ends at ``flat.size``.  The engines treat it like a value
     column: a boolean mask, an index array or a slice selects rows,
     ``np.concatenate`` joins columns end to end, ``size`` counts rows.
-    An ``int`` index reads one row as an array view.
+    An ``int`` index reads one row as an array view.  Indices follow
+    Python's rules: a negative one counts from the end, and one out of
+    range raises :class:`IndexError`.
     """
 
     __slots__ = ("offsets", "flat")
@@ -198,7 +200,7 @@ class Ragged:
         return self.offsets.size - 1
 
     def lengths(self) -> np.ndarray:
-        return np.diff(self.offsets)
+        return self.offsets[1:] - self.offsets[:-1]  # np.diff, sans overhead
 
     def row_ids(self) -> np.ndarray:
         """The row of every ``flat`` entry."""
@@ -212,7 +214,8 @@ class Ragged:
 
     def __getitem__(self, key: Any) -> Any:
         if isinstance(key, (int, np.integer)):
-            return self.flat[self.offsets[key]:self.offsets[key + 1]]
+            row = range(self.size)[key]  # Python's wrap and IndexError
+            return self.flat[self.offsets[row]:self.offsets[row + 1]]
         if isinstance(key, slice):
             lo, hi, step = key.indices(self.size)
             if step != 1:
@@ -227,7 +230,14 @@ class Ragged:
         return self.take(key)
 
     def take(self, index: np.ndarray) -> Ragged:
-        """Rows ``index`` (any order, repeats allowed) as a new column."""
+        """Rows ``index`` (any order, repeats allowed, negative ones
+        counted from the end) as a new column."""
+        index = np.asarray(index, dtype=np.intp)
+        if index.size and index.min() < 0:
+            if index.min() < -self.size:
+                raise IndexError(f"row index {int(index.min())} out of "
+                                 f"range for {self.size} rows")
+            index = np.where(index < 0, index + self.size, index)
         starts = self.offsets[index]
         lengths = self.offsets[index + 1] - starts
         out = Ragged.from_lengths(lengths, self.flat[:0])
@@ -262,6 +272,111 @@ def _concatenate(parts: Sequence[Ragged]) -> Ragged:
     return Ragged.from_lengths(
         np.concatenate([part.lengths() for part in parts]),
         np.concatenate([part.flat for part in parts]))
+
+
+class Sizes:
+    """The byte sizes of one column's records, sized once.
+
+    Every record costs ``each`` bytes (``column`` None), or record ``j``
+    costs ``column[j]``.  Byte sizes are integer-valued floats, so a
+    float64 ``column`` sums the same in any order — bit for bit the
+    per-record sum — and its group sums come from one ``bincount``.  A
+    column that holds a size that is not (an object column, see
+    :meth:`of`) keeps the per-record Python ``sum`` in record order.
+    """
+
+    __slots__ = ("count", "each", "column")
+
+    def __init__(self, count: int = 0, each: float = 0.0,
+                 column: np.ndarray | None = None) -> None:
+        self.count = count if column is None else int(column.size)
+        self.each = each
+        self.column = column
+
+    @classmethod
+    def of(cls, sizes: list[Any],
+           inverse: np.ndarray | None = None) -> Sizes:
+        """A sizing hook's results: record ``j`` costs ``sizes[j]``, or
+        ``sizes[inverse[j]]``.  A float64 column when every size is
+        integer-valued and the column cannot sum past 2**53, else the
+        hook's own results."""
+        column = np.array(sizes, dtype=np.float64)
+        count = len(sizes) if inverse is None else inverse.size
+        if not (np.array_equal(column, np.trunc(column))
+                and count * np.abs(column).max(initial=0.0) < 2.0**53):
+            column = object_column(sizes)
+        return cls(column=column if inverse is None else column[inverse])
+
+    def take(self, index: np.ndarray) -> Sizes:
+        """The sizes of the records ``index`` selects (a boolean mask or
+        indices)."""
+        if self.column is not None:
+            return Sizes(column=self.column[index])
+        index = np.asarray(index)
+        return Sizes(int(np.count_nonzero(index) if index.dtype == np.bool_
+                         else index.size), self.each)
+
+    def total(self) -> float:
+        if self.column is None:
+            return self.count * self.each
+        if self.column.dtype == object:
+            return float(sum(self.column.tolist()))
+        return float(self.column.sum())
+
+    def by(self, groups: np.ndarray, width: int,
+           counts: np.ndarray | None = None) -> np.ndarray:
+        """Per-group sums: entry ``g`` sums the records ``groups == g``
+        (``width`` groups; ``counts``, if the caller has it, is
+        ``np.bincount(groups, minlength=width)``)."""
+        if self.column is None:
+            if counts is None:
+                counts = np.bincount(groups, minlength=width)
+            return counts * self.each
+        if self.column.dtype != object:
+            return np.bincount(groups, weights=self.column, minlength=width)
+        per: list[list[Any]] = [[] for _ in range(width)]
+        for g, size in zip(groups.tolist(), self.column.tolist()):
+            per[g].append(size)
+        return np.array([float(sum(sizes)) for sizes in per])
+
+    def segments(self, bounds: Sequence[int]) -> np.ndarray:
+        """Per-segment sums: entry ``i`` sums records
+        ``bounds[i]:bounds[i + 1]``."""
+        bounds = np.asarray(bounds)
+        counts = bounds[1:] - bounds[:-1]
+        if self.column is None:
+            return counts * self.each
+        return self.by(np.repeat(np.arange(counts.size), counts),
+                       counts.size)
+
+
+def record_sizes(values: Any, header: float,
+                 value_nbytes: Any = None) -> Sizes:
+    """Each record's bytes: ``header`` plus its payload.
+
+    A :class:`Ragged` row's payload is ``VALUE_BYTES`` per id, read off
+    the offsets; any other value's is ``value_nbytes(value)``, or
+    ``VALUE_BYTES`` when no hook is given.  A typed column calls the
+    hook once per distinct value — distinct by bit pattern, so ``-0.0``
+    and ``0.0`` are sized apart — and an object column or a list once
+    per record.
+    """
+    if isinstance(values, Ragged):
+        return Sizes(column=header + VALUE_BYTES
+                     * values.lengths().astype(np.float64))
+    if value_nbytes is None:
+        return Sizes(len(values), float(header + VALUE_BYTES))
+    inverse = None
+    if isinstance(values, np.ndarray) and (
+            values.dtype.kind in "biuSU"
+            or (values.dtype.kind == "f" and values.itemsize <= 8)):
+        bits = (values.view(f"u{values.itemsize}")
+                if values.dtype.kind == "f" else values)
+        _, first, inverse = np.unique(bits, return_index=True,
+                                      return_inverse=True)
+        values = values[first]
+    return Sizes.of([header + value_nbytes(v) for v in _as_list(values)],
+                    inverse)
 
 
 def distinct_rows(rows_of: np.ndarray, ids: np.ndarray,

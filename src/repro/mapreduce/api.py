@@ -94,10 +94,11 @@ class MapReduceApp:
         which case the engine runs the scalar ``map`` for this partition
         alone and shuffles its pairs as columns with the others.  Record
         count, per-key value order and the bit patterns of the values
-        must match the scalar path exactly; the key wire size must be
-        the default, and the value size too unless ``values`` is a
-        :class:`~repro.fold.Ragged` column of id lists (the array path
-        sizes records in closed form).
+        must match the scalar path exactly.  The key wire size must be
+        the default; the value size may be any: a typed column under an
+        overridden ``value_nbytes`` is sized once per distinct value
+        (:func:`repro.fold.record_sizes`), a
+        :class:`~repro.fold.Ragged` column of id lists in closed form.
 
         ``keys`` may repeat from round to round — a fixed graph's keys
         usually do, and an app may return the very same (read-only)

@@ -25,8 +25,11 @@ records in arrival order with a :class:`repro.fold.Grouping` — no sort,
 no per-record dict insert — and hands a typed column to
 ``reduce_array``; an object column, or a declining ``reduce_array``,
 takes the scalar ``reduce`` per group over the grouping's
-:func:`~repro.fold.bags`, for that reducer alone.  Records are charged
-in closed form unless the app overrides a sizing hook.  The round
+:func:`~repro.fold.bags`, for that reducer alone.  Each column is sized
+once (:func:`_record_sizes`): in closed form under the default hooks
+and for ragged values, one ``value_nbytes`` call per distinct value of
+a typed column, one hook call per record only where the app sizes keys
+or output records itself.  The round
 returns columns when every reducer answered ``reduce_array``, else one
 dict; ``vectorized=False`` calls only the scalar UDFs, which keeps it
 the oracle the hooks are held to (tests/test_mr_reference.py keeps the
@@ -64,9 +67,10 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.cluster.storage import PartitionStore
 from repro.errors import JobError
-from repro.fold import (MESSAGE_HEADER, RECORD_HEADER, Grouping, Ragged, bags,
-                        concat_values, is_typed, merge_outputs, object_column)
-from repro.graph.io import VALUE_BYTES, VERTEX_ID_BYTES
+from repro.fold import (MESSAGE_HEADER, RECORD_HEADER, Grouping, Ragged,
+                        Sizes, bags, concat_values, is_typed, merge_outputs,
+                        object_column, record_sizes)
+from repro.graph.io import VERTEX_ID_BYTES
 from repro.hashing import stable_hash, stable_hash_array
 from repro.mapreduce.api import Emit, MapReduceApp, kv_nbytes
 from repro.runtime.events import Span, wall_timer
@@ -80,8 +84,6 @@ __all__ = ["MapReduceEngine", "RoundReport"]
 
 #: records as aligned ``(keys, values)`` columns, in emission order
 Columns = tuple[np.ndarray, Any]
-#: one key/value record's bytes under the default sizing hooks
-KV_BYTES = float(VERTEX_ID_BYTES + VALUE_BYTES)
 
 
 def _key_column(keys: list[Any]) -> np.ndarray:
@@ -117,28 +119,28 @@ def _sized(cls: type, *hooks: str) -> bool:
                for hook in hooks)
 
 
-def _wire_sizes(app: MapReduceApp, keys: np.ndarray,
-                values: Any) -> list[float] | None:
-    """Each record's ``kv_nbytes`` when the app overrides a sizing hook
-    on plain values; None when the column is charged in closed form."""
-    if (isinstance(values, Ragged)
-            or not _sized(type(app), "key_nbytes", "value_nbytes")):
-        return None
-    return [kv_nbytes(app, key, value)
-            for key, value in zip(keys.tolist(), values.tolist())]
+def _record_sizes(app: MapReduceApp, keys: np.ndarray, values: Any,
+                  output: bool = False) -> Sizes:
+    """Each record's shuffle bytes (``output``: its output bytes).
 
-
-def _wire_nbytes(values: Any, sizes: list[float] | None) -> float:
-    """Shuffle bytes of a value column: the sum of its per-record
-    ``sizes`` in record order, else in closed form — the ragged charge
-    (``VERTEX_ID_BYTES + VALUE_BYTES·len`` each) or ``KV_BYTES``
-    each (byte sizes are integer-valued, so the product equals the
-    per-record sum bit for bit)."""
-    if sizes is not None:
-        return float(sum(sizes))
+    A ragged column is charged in closed form whatever the hooks say —
+    ``<key, ids>`` on the wire, ``<ID, d, ids>`` as output.  An app that
+    sizes keys (for outputs: or whole records) gets one hook call per
+    record; any other column is sized by :func:`~repro.fold.record_sizes`
+    with the default key bytes as header, calling an overridden
+    ``value_nbytes`` once per distinct value of a typed column."""
     if isinstance(values, Ragged):
-        return values.nbytes(MESSAGE_HEADER)
-    return float(values.size) * KV_BYTES
+        return record_sizes(values, RECORD_HEADER if output
+                            else MESSAGE_HEADER)
+    per_record = ("key_nbytes", "output_nbytes") if output else (
+        "key_nbytes",)
+    if _sized(type(app), *per_record):
+        size = app.output_nbytes if output else partial(kv_nbytes, app)
+        listed = values if isinstance(values, list) else values.tolist()
+        return Sizes.of([size(key, value)
+                         for key, value in zip(keys.tolist(), listed)])
+    return record_sizes(values, float(VERTEX_ID_BYTES), (
+        app.value_nbytes if _sized(type(app), "value_nbytes") else None))
 
 
 def _reducer_ids(keys: np.ndarray, num_reducers: int) -> np.ndarray:
@@ -445,25 +447,21 @@ class MapReduceEngine:
                        num_reducers: int, hooks: bool) -> _MapOutput:
         """Partition ``p``'s map, combiner and hash shuffle: its column
         from ``map_array`` (``hooks``) or, if that declines, from the
-        scalar ``map``.  A ragged value column is charged in closed form
-        whatever the app's ``value_nbytes``; plain values under a
-        non-default ``value_nbytes`` decline the hook."""
+        scalar ``map``, sized by :func:`_record_sizes`."""
         columns = self._map_array(app, state, p) if hooks else None
         if columns is None:
             if self.vectorized:
                 raise JobError(
                     f"{app.name}: vectorized=True but map_array() "
-                    "declined (or emitted plain values under a "
-                    "non-default value_nbytes)"
-                )
+                    "declined")
             columns = _scalar_columns(partial(app.map, p, self.pgraph,
                                               state))
         keys, values = columns
         plan = self._shuffle_plan(p, keys, num_reducers)
         mo = _MapOutput(plan, records=int(keys.size),
                         cpu_ops=float(keys.size))
-        sizes = _wire_sizes(app, keys, values)
-        mo.spill = mo.spill_precombine = _wire_nbytes(values, sizes)
+        sizes = _record_sizes(app, keys, values)
+        mo.spill = mo.spill_precombine = sizes.total()
         if plan.combine is not None:
             keys = plan.combine.uniq
             if is_typed(values):
@@ -473,34 +471,28 @@ class MapReduceEngine:
                     app.combine(key, bag, state) for key, bag in
                     zip(keys.tolist(), bags(plan.combine, values))])
             mo.cpu_ops += float(mo.records + keys.size)
-            sizes = _wire_sizes(app, keys, values)
-            mo.spill = _wire_nbytes(values, sizes)
+            sizes = _record_sizes(app, keys, values)
+            mo.spill = sizes.total()
         mo.shuffled = int(plan.order.size)
         order = plan.permutation()
         sv = values[order]
-        if sizes is not None:
-            sizes = [sizes[i] for i in order.tolist()]
         bounds = plan.bounds
+        sends = sizes.take(order).segments(bounds)
         for r in plan.reducers:
-            lo, hi = bounds[r], bounds[r + 1]
-            chunk = mo.chunks[r] = sv[lo:hi]
-            mo.sends[r] = _wire_nbytes(
-                chunk, None if sizes is None else sizes[lo:hi])
+            mo.chunks[r] = sv[bounds[r]:bounds[r + 1]]
+            mo.sends[r] = float(sends[r])
         return mo
 
     def _map_array(self, app: MapReduceApp, state: Any,
                    p: int) -> Columns | None:
         """Partition ``p``'s ``map_array`` column, or None when it
-        declines (plain values under a sized ``value_nbytes`` too)."""
+        declines."""
         kv = app.map_array(p, self.pgraph, state)
         if kv is None:
             return None
         values = kv[1]
-        if not isinstance(values, Ragged):
-            if _sized(type(app), "value_nbytes"):
-                return None
-            values = np.asarray(values)
-        return np.asarray(kv[0]), values
+        return np.asarray(kv[0]), (values if isinstance(values, Ragged)
+                                   else np.asarray(values))
 
     def _shuffle_plan(self, p: int, keys: np.ndarray,
                       num_reducers: int) -> _ShufflePlan:
@@ -565,27 +557,10 @@ class MapReduceEngine:
 
     def _charge_outputs(self, app: MapReduceApp, keys: np.ndarray,
                         values: Any) -> tuple[float, dict[int, float]]:
-        """Output bytes and per-home writeback bytes of one reducer.
-
-        ``output_nbytes`` per record when the app overrides a sizing
-        hook, else in closed form: every record costs the same
-        integer-valued byte count, so the products equal the per-record
-        sums bit for bit.  Ragged values are closed form whatever
-        ``output_nbytes`` says: the record ``<ID, d, ids>`` costs
-        ``VERTEX_ID_BYTES + DEGREE_BYTES + VALUE_BYTES·len``.
-        """
-        sizes: np.ndarray | None = None
-        if isinstance(values, Ragged):
-            sizes = RECORD_HEADER + VALUE_BYTES * values.lengths()
-            out_bytes = values.nbytes(RECORD_HEADER)
-        elif _sized(type(app), "output_nbytes", "key_nbytes", "value_nbytes"):
-            listed = values if isinstance(values, list) else values.tolist()
-            per_record = [app.output_nbytes(key, value)
-                          for key, value in zip(keys.tolist(), listed)]
-            out_bytes = float(sum(per_record))
-            sizes = np.array(per_record, dtype=np.float64)
-        else:
-            out_bytes = KV_BYTES * keys.size
+        """Output bytes and per-home writeback bytes of one reducer,
+        each record sized once by :func:`_record_sizes`."""
+        sizes = _record_sizes(app, keys, values, output=True)
+        out_bytes = sizes.total()
         if not app.writeback_to_partitions:
             return out_bytes, {}
         num_vertices = self.pgraph.num_vertices
@@ -600,8 +575,7 @@ class MapReduceEngine:
         ok = (keys >= 0) & (keys < num_vertices)
         homes = self.assignment[self.pgraph.parts[keys[ok]]]
         counts = np.bincount(homes)
-        per_home = (counts * KV_BYTES if sizes is None else
-                    np.bincount(homes, weights=sizes[ok]))
+        per_home = sizes.take(ok).by(homes, counts.size, counts)
         return out_bytes, {int(h): float(per_home[h])
                            for h in np.flatnonzero(counts)}
 

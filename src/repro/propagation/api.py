@@ -181,7 +181,7 @@ class PropagationApp:
         return None
 
     def combine_array(self, vertices: np.ndarray, folded: np.ndarray,
-                      counts: np.ndarray, state: Any) -> np.ndarray | None:
+                      counts: np.ndarray, state: Any) -> Any:
         """Vectorized ``combine`` over one partition's arrivals.
 
         ``folded[i]`` is the left fold of ``merge_ufunc`` over vertex
@@ -189,12 +189,17 @@ class PropagationApp:
         length — 0 only for ``combine_all_vertices`` vertices nothing
         arrived at, where ``folded[i]`` is unspecified filler.  Element
         ``i`` of the result must be bit-identical to
-        ``combine(vertices[i], bag_i, state)`` and cannot be "no
-        output": apps whose ``combine`` may return ``None`` or reads
-        more than its bag keep the default, and the engine hands
-        ``combine`` the bags (as it does when this returns ``None``).
-        It, and that ``combine`` fallback, may run concurrently for
-        different partitions and may only read ``state``.
+        ``combine(vertices[i], bag_i, state)``.  An app whose
+        ``combine`` may return ``None`` answers ``(values, present)``
+        instead — "None is a mask": where ``present[i]`` is False the
+        vertex gets no output (no update, no output bytes), exactly as
+        when ``combine`` returns ``None``, and ``values[i]`` is ignored;
+        ``values`` is an array or a ragged column like a plain answer.
+        Apps whose ``combine`` reads more than its bag keep the default,
+        and the engine hands ``combine`` the bags (as it does when this
+        returns ``None``).  It, and that ``combine`` fallback, may run
+        concurrently for different partitions and may only read
+        ``state``.
         """
         return None
 
@@ -211,7 +216,12 @@ class PropagationApp:
     # Cost-model sizing hooks
     # ------------------------------------------------------------------
     def value_nbytes(self, value: Any) -> float:
-        """On-wire payload size of one transfer value."""
+        """On-wire payload size of one transfer value.
+
+        The engine sizes a typed message column once per distinct value
+        (see :func:`repro.fold.record_sizes`), so the size must depend
+        on the value alone; a ragged column is charged in closed form,
+        ``VALUE_BYTES`` per id."""
         return float(VALUE_BYTES)
 
     def result_nbytes(self, v: Any, value: Any) -> float:

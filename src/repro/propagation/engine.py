@@ -33,7 +33,9 @@ by the app's ``merge_ufunc`` over a typed column, by its Python
 ``merge`` over an object one — and splits the distinct destinations.
 Combine concatenates each partition's arrivals in source order and
 folds them for ``combine_array`` or hands the scalar ``combine`` its
-bags.
+bags.  Each routed column is sized once
+(:func:`~repro.fold.record_sizes`), its spill and per-partition sends
+summed from those sizes.
 ``vectorized=False`` calls only the scalar UDFs, which keeps it the
 oracle the hooks are held to; docs/COST_MODEL.md has the column layout
 and the closed-form charges.
@@ -66,8 +68,8 @@ from repro.graph.io import DEGREE_BYTES, VALUE_BYTES, VERTEX_ID_BYTES
 from repro.hashing import stable_hash
 from repro.fold import (MESSAGE_HEADER, RECORD_HEADER, Grouping, Ragged,
                         bags, concat_values, fold_by_dest, is_typed,
-                        merge_outputs, object_column)
-from repro.propagation.api import PropagationApp, message_nbytes
+                        merge_outputs, object_column, record_sizes)
+from repro.propagation.api import PropagationApp
 from repro.runtime.events import Span, wall_timer
 from repro.runtime.partition_pool import map_partitions
 from repro.runtime.scheduler import StageScheduler
@@ -176,18 +178,6 @@ class _PartitionTransfer:
     cross_offsets: np.ndarray | None = None
 
 
-def _wire_bytes(app: PropagationApp, values: np.ndarray | Ragged) -> float:
-    """Wire bytes of a column of messages (closed form for a ragged
-    column and when the app keeps the constant ``value_nbytes``; byte
-    sizes are integer-valued floats, so the product equals the
-    per-message sum bit for bit)."""
-    if isinstance(values, Ragged):
-        return values.nbytes(MESSAGE_HEADER)
-    if type(app).value_nbytes is PropagationApp.value_nbytes:
-        return float(values.size * (VERTEX_ID_BYTES + VALUE_BYTES))
-    return float(sum(message_nbytes(app, v) for v in values.tolist()))
-
-
 class PropagationEngine:
     """Executes propagation iterations on a partitioned graph."""
 
@@ -279,8 +269,15 @@ class PropagationEngine:
         transfer_result = scheduler.run_stage(transfer_tasks)
 
         timer = wall_timer()
-        combines = [self._run_combine_array(app, state, p, transfers)
-                    for p in range(num_parts)]
+        # who sends each partition messages, ascending: itself (its
+        # spill) and every partition with a cross slice for it
+        senders: list[list[int]] = [[] for _ in range(num_parts)]
+        for p, t in enumerate(transfers):
+            for q in (p, *t.send_bytes):
+                senders[q].append(p)
+        combines = [self._run_combine_array(app, state, q, transfers,
+                                            senders[q])
+                    for q in range(num_parts)]
         outs: list[Outputs] = [out for _, out in combines]
         if self.local_opts:
             outs.extend(t.inner_out for t in transfers)
@@ -620,25 +617,27 @@ class PropagationEngine:
             result.inner_seen = seen
             result.locally_propagated = int(seen.size)
 
+        # every message sized once (the hook once per distinct value)
+        sizes = record_sizes(values, MESSAGE_HEADER, (
+            None if type(app).value_nbytes is PropagationApp.value_nbytes
+            else app.value_nbytes))
         result.local = (dst[local], values[local])
-        result.spill_bytes = _wire_bytes(app, result.local[1])
+        result.spill_bytes = sizes.take(local).total()
 
-        dests, vals = dst[cross], values[cross]
+        cross = np.flatnonzero(cross)
         dest_parts = dest_parts[cross]
         if counts is not None:
             result.cpu_ops += float(counts[cross].sum())  # the merge work
-        order = np.argsort(dest_parts, kind="stable")
-        dests, vals = dests[order], vals[order]
+        cross = cross[np.argsort(dest_parts, kind="stable")]
         per_part = np.bincount(dest_parts, minlength=pg.num_parts)
         offsets = np.zeros(pg.num_parts + 1, dtype=np.intp)
         np.cumsum(per_part, out=offsets[1:])
-        result.cross = (dests, vals)
+        result.cross = (dst[cross], values[cross])
         result.cross_offsets = offsets
-        result.shipped = int(dests.size)
-        result.send_bytes = {
-            int(q): _wire_bytes(app, vals[offsets[q]:offsets[q + 1]])
-            for q in np.flatnonzero(per_part)
-        }
+        result.shipped = int(cross.size)
+        sends = sizes.take(cross).segments(offsets)
+        result.send_bytes = {int(q): float(sends[q])
+                             for q in np.flatnonzero(per_part)}
         return result
 
     def _transfer_task(
@@ -691,9 +690,10 @@ class PropagationEngine:
     # ------------------------------------------------------------------
     def _run_combine_array(
         self, app: PropagationApp, state: Any, q: int,
-        transfers: list[_PartitionTransfer],
+        transfers: list[_PartitionTransfer], senders: list[int],
     ) -> tuple[Task, Outputs]:
-        """Route + Combine of partition ``q``.
+        """Route + Combine of partition ``q``, sent messages by
+        ``senders`` (ascending, ``q`` among them).
 
         The arrival order is the contract: source partitions ascending —
         ``q``'s own boundary spill at position ``q``, cross slices
@@ -701,12 +701,13 @@ class PropagationEngine:
         """
         sources: dict[int, float] = {}
         arrivals: list[Columns] = []
-        for p, t in enumerate(transfers):
+        for p in senders:
+            t = transfers[p]
             assert (t.local is not None and t.cross is not None
                     and t.cross_offsets is not None)
             if p == q:
                 arrivals.append(t.local)
-            elif q in t.send_bytes:
+            else:
                 lo, hi = t.cross_offsets[q:q + 2]
                 arrivals.append((t.cross[0][lo:hi], t.cross[1][lo:hi]))
                 sources[p] = t.send_bytes[q]
@@ -783,10 +784,16 @@ class PropagationEngine:
     ) -> tuple[Outputs, float, float] | None:
         """``combine_array`` over folded columns: (outputs, cpu ops,
         output bytes), None when it declines.  The charge is the scalar
-        one: one op per folded message plus one per vertex."""
+        one: one op per folded message plus one per vertex, and output
+        bytes for the vertices with an output — a ``(values, present)``
+        answer has none where ``present`` is False."""
         out = app.combine_array(vertices, folded, counts, state)
         if out is None:
             return None
+        cpu_ops = float(counts.sum() + vertices.size)
+        if isinstance(out, tuple):  # "None is a mask"
+            present = np.asarray(out[1], dtype=bool)
+            vertices, out = vertices[present], out[0][present]
         if isinstance(out, Ragged):
             output_bytes = out.nbytes(RECORD_HEADER)
         elif type(app).result_nbytes is PropagationApp.result_nbytes:
@@ -797,8 +804,7 @@ class PropagationEngine:
             output_bytes = float(sum(
                 app.result_nbytes(v, o)
                 for v, o in zip(vertices.tolist(), out.tolist())))
-        return ((vertices, out), float(counts.sum() + vertices.size),
-                output_bytes)
+        return (vertices, out), cpu_ops, output_bytes
 
     def _combine_task(
         self, p: int, sources: dict[int, float],

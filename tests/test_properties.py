@@ -19,6 +19,7 @@ from repro.apps import (
     KCoreDecompositionPropagation,
     NetworkRankingMapReduce,
     NetworkRankingPropagation,
+    RecommenderMapReduce,
     RecommenderPropagation,
     ReverseLinkGraphMapReduce,
     ReverseLinkGraphPropagation,
@@ -705,9 +706,10 @@ class TestShufflePlan:
 # The scalar oracle vs the array path: differential matrix
 # ----------------------------------------------------------------------
 #: every app with ``transfer_array``: (factory, deploy on the symmetrized
-#: graph).  NR/CC/BFS/SSSP/DPR are columnar end to end; RS (``combine``
-#: may answer None) and KCORE (``combine`` reads its neighbours) take
-#: the bag fallback after the array Transfer.
+#: graph).  NR/CC/BFS/SSSP/DPR/RS are columnar end to end (RS's
+#: ``combine_array`` answers a mask where ``combine`` may answer None);
+#: KCORE (``combine`` reads its neighbours) takes the bag fallback after
+#: the array Transfer.
 ARRAY_APPS = {
     "NR": (NetworkRankingPropagation, False),
     "CC": (ConnectedComponentsPropagation, True),
@@ -783,11 +785,12 @@ class TestArrayPathDifferential:
 
 
 #: every MapReduce app with ``map_array``: (factory, has ``combine``).
-#: NR, RLG and TFL are columnar into ``update_array`` (RLG and TFL with
-#: ragged values); VDD and ORDER override ``update`` alone and are
-#: handed the round's dict.
+#: NR, RS, RLG and TFL are columnar into ``update_array`` (RLG and TFL
+#: with ragged values, RS with a sized ``value_nbytes``); VDD and ORDER
+#: override ``update`` alone and are handed the round's dict.
 MR_ARRAY_APPS = {
     "NR": (NetworkRankingMapReduce, True),
+    "RS": (lambda: RecommenderMapReduce(initial_ratio=0.5), False),
     "NR-naive": (lambda: NetworkRankingMapReduce(in_map_combining=False),
                  True),
     "VDD": (DegreeDistributionMapReduce, True),

@@ -39,6 +39,7 @@ from repro.core.bandwidth_aware import PartitionPlan
 from repro.core.range_plan import contiguous_range_plan
 from repro.core.surfer import Surfer
 from repro.fold import (
+    MESSAGE_HEADER,
     RECORD_HEADER,
     Grouping,
     Ragged,
@@ -47,14 +48,11 @@ from repro.fold import (
     is_typed,
 )
 from repro.graph.digraph import Graph
+from repro.graph.io import VALUE_BYTES, VERTEX_ID_BYTES
 from repro.graph.store import build_shard_store, open_shard_graph
 from repro.graph.stream import stream_rmat
-from repro.propagation.api import PropagationApp
-from repro.propagation.engine import (
-    PropagationEngine,
-    _PartitionTransfer,
-    _wire_bytes,
-)
+from repro.propagation.api import PropagationApp, message_nbytes
+from repro.propagation.engine import PropagationEngine, _PartitionTransfer
 from tests.conftest import make_test_cluster
 from tests.test_properties import raw_partitionings
 
@@ -62,18 +60,34 @@ from tests.test_properties import raw_partitionings
 # ----------------------------------------------------------------------
 # The per-message route
 # ----------------------------------------------------------------------
+def _wire_bytes(app, values):
+    """Wire bytes of a column of messages: one ``message_nbytes`` call
+    per message summed in order, unless the column is ragged or the app
+    keeps the default ``value_nbytes`` (closed form)."""
+    if isinstance(values, Ragged):
+        return values.nbytes(MESSAGE_HEADER)
+    if type(app).value_nbytes is PropagationApp.value_nbytes:
+        return float(values.size * (VERTEX_ID_BYTES + VALUE_BYTES))
+    return float(sum(message_nbytes(app, v) for v in values.tolist()))
+
+
 def reference_combine(app, state, dests, values):
     """Local propagation of the inner messages: one fold and one
     ``combine_array`` call for a typed column of an app with both hooks,
     else (or when the hook declines) the scalar ``combine`` over each
     destination's bag; (outputs, cpu ops, output bytes), output bytes
-    summed per output."""
+    summed per output.  A ``(values, present)`` answer keeps the present
+    vertices only, as the scalar ``combine`` drops a None."""
     if (type(app).combine_array is not PropagationApp.combine_array
             and app.merge_ufunc is not None and is_typed(values)):
         vertices, folded, counts = fold_by_dest(dests, values,
                                                 app.merge_ufunc)
         out = app.combine_array(vertices, folded, counts, state)
         if out is not None:
+            cpu = float(dests.size + vertices.size)
+            if isinstance(out, tuple):
+                present = np.asarray(out[1], dtype=bool)
+                vertices, out = vertices[present], out[0][present]
             if isinstance(out, Ragged):
                 nbytes = out.nbytes(RECORD_HEADER)
             else:
@@ -81,7 +95,7 @@ def reference_combine(app, state, dests, values):
                 nbytes = float(sum(
                     app.result_nbytes(v, o)
                     for v, o in zip(vertices.tolist(), out.tolist())))
-            return (vertices, out), float(dests.size + vertices.size), nbytes
+            return (vertices, out), cpu, nbytes
     grouping = Grouping(dests, ranked=True)
     combined = {}
     nbytes = 0.0
@@ -229,8 +243,9 @@ class OddPartitionsDeclineNR(NetworkRankingPropagation):
         return super().combine_array(vertices, folded, counts, state)
 
 
-#: name -> app factory.  RS and KCORE have no ``combine_array``: the
-#: scalar ``combine`` takes their inner messages; NR-odd's hook declines
+#: name -> app factory.  KCORE has no ``combine_array``: the scalar
+#: ``combine`` takes its inner messages; RS's answers a mask (no output
+#: where ``combine`` returns None); NR-odd's hook declines
 #: on odd partitions; VDD's virtual keys are never inner; TC is not
 #: associative and routes per message
 ROUTED_APPS = {

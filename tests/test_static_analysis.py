@@ -43,8 +43,10 @@ from repro.apps import (
     DegreeDistributionPropagation,
     NetworkRankingMapReduce,
     NetworkRankingPropagation,
+    RecommenderPropagation,
     TwoHopFriendsPropagation,
 )
+from repro.apps.recommender import accepts_array
 from repro.mapreduce.api import MapReduceApp
 from repro.propagation.api import PropagationApp
 
@@ -148,6 +150,15 @@ class TestDet003:
     def test_out_of_scope_tree_clean(self):
         src = "def f(xs):\n    for x in set(xs):\n        g(x)\n"
         assert lint_source(src, "src/repro/graph/analysis.py") == []
+
+    def test_app_emission_order_flagged(self):
+        # a scalar map's emission order is its shuffle's record order
+        src = ("def map(self, partition, pgraph, state, emit):\n"
+               "    recommended = set()\n"
+               "    for v in recommended:\n"
+               "        emit(v, 1)\n")
+        assert rules_of(lint_source(
+            src, "src/repro/apps/recommender.py")) == ["DET003"]
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +373,19 @@ class _DisagreeingReduceArray(NetworkRankingMapReduce):
         return keys, np.bincount(gid, weights=values, minlength=keys.size)
 
 
+class _CarrylessMask(RecommenderPropagation):
+    def combine_array(self, vertices, folded, counts, state):
+        # drops the carry: an adopter that loses the coin gets no output
+        return np.ones(vertices.size, dtype=bool), accepts_array(
+            vertices, state.extra["iteration"], self.probability, self.seed)
+
+
+class _UnmaskedCombineArray(RecommenderPropagation):
+    def combine_array(self, vertices, folded, counts, state):
+        # answers every vertex, where combine returns None for some
+        return np.ones(vertices.size, dtype=bool)
+
+
 class _MissizedRaggedMessages(TwoHopFriendsPropagation):
     def value_nbytes(self, value):
         return 8.0 * (len(value) + 1)  # one id more than the column pays
@@ -394,6 +418,14 @@ class TestContracts:
                                 "UpdateArrayOnly appears here")
         assert rules_of(fs) == ["PAR001"]
         assert "update()" in fs[0].message
+
+    def test_combine_array_mask_must_match_combines_none(self):
+        fs = verify_propagation_app(_CarrylessMask)
+        assert rules_of(fs) == ["UDF002"]
+        assert "masks out vertex" in fs[0].message
+        fs = verify_propagation_app(_UnmaskedCombineArray)
+        assert rules_of(fs) == ["UDF002"]
+        assert "combine_array disagrees with combine" in fs[0].message
 
     def test_combine_array_must_equal_combine_exactly(self):
         fs = verify_propagation_app(_FillerReadingCombineArray)
