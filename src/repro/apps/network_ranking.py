@@ -167,12 +167,14 @@ class NetworkRankingMapReduce(MapReduceApp):
         for u, v in zip(src, dst):
             delta = self.damping * state.values[u] / out_deg[u]
             rtable[int(v)] = rtable.get(int(v), 0.0) + delta
+        # the distinct destinations ascending, then the partition's own
+        # vertices no edge reaches: ``map_array``'s table order
+        for v in sorted(rtable):
+            emit(v, rtable[v])
         for u in pgraph.partition_vertices[partition]:
             u = int(u)
             if u not in rtable:
-                rtable[u] = 0.0
-        for v, partial in rtable.items():
-            emit(v, partial)
+                emit(u, 0.0)
 
     def map_array(self, partition, pgraph, state):
         own = pgraph.partition_vertices[partition]

@@ -569,25 +569,30 @@ def _cmd_store(args) -> int:
     from repro.runtime.events import wall_timer
 
     if args.store_command == "build":
+        from repro.errors import GraphError
         from repro.graph.stream import (
             stream_rmat,
             stream_small_world,
             stream_web_feeder,
         )
 
-        if args.kind == "rmat":
-            stream = stream_rmat(args.scale, edge_factor=args.edge_factor,
-                                 seed=args.seed)
-        elif args.kind == "small-world":
-            stream = stream_small_world(args.vertices, k=args.k,
-                                        rewire_p=args.rewire_p,
-                                        seed=args.seed)
-        else:
-            stream = stream_web_feeder(args.core, args.feeders,
-                                       seed=args.seed)
         timer = wall_timer()
-        store = build_shard_store(stream, args.output,
-                                  num_shards=args.shards)
+        try:
+            if args.kind == "rmat":
+                stream = stream_rmat(args.scale,
+                                     edge_factor=args.edge_factor,
+                                     seed=args.seed)
+            elif args.kind == "small-world":
+                stream = stream_small_world(args.vertices, k=args.k,
+                                            rewire_p=args.rewire_p,
+                                            seed=args.seed)
+            else:
+                stream = stream_web_feeder(args.core, args.feeders,
+                                           seed=args.seed)
+            store = build_shard_store(stream, args.output,
+                                      num_shards=args.shards)
+        except GraphError as exc:
+            raise SystemExit(f"store build: {exc}")
         elapsed = timer.elapsed()
         print(f"built {args.output}: {store.num_vertices:,} vertices, "
               f"{store.num_edges:,} edges in {store.num_shards} "

@@ -49,6 +49,12 @@ class JobError(SurferError):
     """A job specification is invalid (bad UDFs, missing annotations...)."""
 
 
+class ByteSizeError(JobError):
+    """A sizing hook (``value_nbytes``, ``key_nbytes``,
+    ``output_nbytes``) returned a byte size that is not a whole number:
+    the cluster's traffic counters count whole bytes."""
+
+
 class FaultInjectionError(SurferError):
     """Invalid fault-injection request (e.g. killing an unknown machine)."""
 

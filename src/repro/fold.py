@@ -80,6 +80,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from repro.errors import ByteSizeError
 from repro.graph.digraph import csr_from_keys, pair_keys
 from repro.graph.io import DEGREE_BYTES, VALUE_BYTES, VERTEX_ID_BYTES
 
@@ -278,11 +279,10 @@ class Sizes:
     """The byte sizes of one column's records, sized once.
 
     Every record costs ``each`` bytes (``column`` None), or record ``j``
-    costs ``column[j]``.  Byte sizes are integer-valued floats, so a
-    float64 ``column`` sums the same in any order — bit for bit the
-    per-record sum — and its group sums come from one ``bincount``.  A
-    column that holds a size that is not (an object column, see
-    :meth:`of`) keeps the per-record Python ``sum`` in record order.
+    costs ``column[j]``.  Byte sizes are whole numbers held as floats
+    (the cluster's traffic counters count whole bytes), so a float64
+    ``column`` sums the same in any order — bit for bit the per-record
+    sum — and its group sums come from one ``bincount``.
     """
 
     __slots__ = ("count", "each", "column")
@@ -294,17 +294,24 @@ class Sizes:
         self.column = column
 
     @classmethod
-    def of(cls, sizes: list[Any],
+    def of(cls, sizes: list[Any], hook: str,
            inverse: np.ndarray | None = None) -> Sizes:
         """A sizing hook's results: record ``j`` costs ``sizes[j]``, or
-        ``sizes[inverse[j]]``.  A float64 column when every size is
-        integer-valued and the column cannot sum past 2**53, else the
-        hook's own results."""
+        ``sizes[inverse[j]]``.  Raises :class:`~repro.errors.ByteSizeError`
+        naming ``hook`` when a size is not a whole number of bytes, or
+        when the column could sum past 2**53 (where float sums stop
+        being exact)."""
         column = np.array(sizes, dtype=np.float64)
         count = len(sizes) if inverse is None else inverse.size
-        if not (np.array_equal(column, np.trunc(column))
-                and count * np.abs(column).max(initial=0.0) < 2.0**53):
-            column = object_column(sizes)
+        fractional = column != np.trunc(column)
+        if fractional.any():
+            raise ByteSizeError(
+                f"{hook} sized a record at {float(column[fractional][0])!r} "
+                f"bytes: a byte size must be a whole number")
+        if count * np.abs(column).max(initial=0.0) >= 2.0**53:
+            raise ByteSizeError(
+                f"{hook}: {count} records of up to "
+                f"{np.abs(column).max():.0f} bytes could sum past 2**53")
         return cls(column=column if inverse is None else column[inverse])
 
     def take(self, index: np.ndarray) -> Sizes:
@@ -319,8 +326,6 @@ class Sizes:
     def total(self) -> float:
         if self.column is None:
             return self.count * self.each
-        if self.column.dtype == object:
-            return float(sum(self.column.tolist()))
         return float(self.column.sum())
 
     def by(self, groups: np.ndarray, width: int,
@@ -332,12 +337,7 @@ class Sizes:
             if counts is None:
                 counts = np.bincount(groups, minlength=width)
             return counts * self.each
-        if self.column.dtype != object:
-            return np.bincount(groups, weights=self.column, minlength=width)
-        per: list[list[Any]] = [[] for _ in range(width)]
-        for g, size in zip(groups.tolist(), self.column.tolist()):
-            per[g].append(size)
-        return np.array([float(sum(sizes)) for sizes in per])
+        return np.bincount(groups, weights=self.column, minlength=width)
 
     def segments(self, bounds: Sequence[int]) -> np.ndarray:
         """Per-segment sums: entry ``i`` sums records
@@ -376,6 +376,7 @@ def record_sizes(values: Any, header: float,
                                       return_inverse=True)
         values = values[first]
     return Sizes.of([header + value_nbytes(v) for v in _as_list(values)],
+                    getattr(value_nbytes, "__qualname__", "value_nbytes"),
                     inverse)
 
 

@@ -32,6 +32,7 @@ the shard-store build), with identical semantics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -78,6 +79,8 @@ def _require_int_seed(seed: int | np.random.Generator) -> int:
     if isinstance(seed, np.random.Generator):
         raise GraphError(
             "streaming generators need an int seed (positional RNG access)")
+    if int(seed) < 0:
+        raise GraphError(f"seed must be non-negative, got {seed}")
     return int(seed)
 
 
@@ -94,6 +97,13 @@ def _check_chunk_size(chunk_size: int) -> int:
     if chunk_size <= 0:
         raise GraphError("chunk_size must be positive")
     return chunk_size
+
+
+def _check_count(name: str, value: int) -> int:
+    if not (value >= 0 and float(value).is_integer()):
+        raise GraphError(f"{name} must be a non-negative integer, "
+                         f"got {value!r}")
+    return int(value)
 
 
 # ----------------------------------------------------------------------
@@ -116,9 +126,26 @@ def stream_rmat(
     ``i``'s draws therefore sit at fixed stream positions ``2*bit*m + i``
     and ``(2*bit + 1)*m + i``, so any edge range can be regenerated
     independently via ``PCG64.advance``.
+
+    Bit ``bit`` of edge ``i`` (most significant first) is defined by
+    its two draws ``r1``, ``r2``: the source goes right when
+    ``r1 < c + d``, and the destination goes right when ``r2 < p_left
+    = b / (a + b)`` after a left source, or ``r2 < p_right = d / (c +
+    d)`` after a right one (a zero denominator gives a zero
+    probability).  :func:`_rmat_edges` computes exactly that.  With
+    ``p_lo, p_hi = min, max(p_left, p_right)`` and ``hi_side`` the
+    source side whose probability is ``p_hi``, the destination bit is
+    ``(r2 < p_lo) | ((r2 < p_hi) & (right == hi_side))``: where
+    ``r2 < p_lo`` both thresholds hold, where ``p_lo <= r2 < p_hi``
+    only ``p_hi``'s does, and past ``p_hi`` neither — so every edge
+    compares the same double against the same double as the
+    per-edge-threshold form, and the bits are the same bits.
     """
     if scale < 0:
         raise GraphError("scale must be non-negative")
+    edge_factor = _check_count("edge_factor", edge_factor)
+    if not all(math.isfinite(p) for p in (a, b, c)):
+        raise GraphError("R-MAT probabilities must be finite")
     d = 1.0 - a - b - c
     if min(a, b, c, d) < 0:
         raise GraphError("R-MAT probabilities must be non-negative")
@@ -126,35 +153,58 @@ def stream_rmat(
     chunk_size = _check_chunk_size(chunk_size)
     n = 1 << scale
     m = edge_factor * n
-    p_src_right = c + d
-    # P(dst goes right | src went left), P(dst goes right | src went right)
-    p_dst_right = np.array([b / (a + b) if (a + b) > 0 else 0.0,
-                            d / (c + d) if (c + d) > 0 else 0.0])
+    p_left = b / (a + b) if (a + b) > 0 else 0.0
+    p_right = d / (c + d) if (c + d) > 0 else 0.0
 
     def emit() -> Iterator[tuple[np.ndarray, np.ndarray]]:
         for lo in range(0, m, chunk_size):
-            hi = min(lo + chunk_size, m)
-            cnt = hi - lo
-            src = np.zeros(cnt, dtype=np.int64)
-            dst = np.zeros(cnt, dtype=np.int64)
-            # the id bits are shifted in in place: per bit, only the two
-            # random blocks are allocated
-            right = np.empty(cnt, dtype=bool)
-            p_dst = np.empty(cnt, dtype=np.float64)
-            for bit in range(scale):
-                r1 = _random_block(seed, (2 * bit) * m + lo, cnt)
-                r2 = _random_block(seed, (2 * bit + 1) * m + lo, cnt)
-                np.less(r1, p_src_right, out=right)
-                np.left_shift(src, 1, out=src)
-                np.bitwise_or(src, right, out=src)
-                # (mode="raise" would buffer ``out``; a bool index is 0/1)
-                np.take(p_dst_right, right, out=p_dst, mode="clip")
-                np.less(r2, p_dst, out=right)
-                np.left_shift(dst, 1, out=dst)
-                np.bitwise_or(dst, right, out=dst)
-            yield src, dst
+            yield _rmat_edges(seed, scale, m, c + d, p_left, p_right,
+                              lo, min(chunk_size, m - lo))
 
     return EdgeStream(n, m, chunk_size, emit)
+
+
+def _rmat_edges(seed: int, scale: int, m: int, p_src_right: float,
+                p_left: float, p_right: float, lo: int,
+                count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edges ``[lo, lo + count)`` of :func:`stream_rmat`'s sequence.
+
+    A function of the edge range alone, not of how the stream is
+    chunked.  Each bit is shifted into a ``uint8`` accumulator per
+    endpoint (doubling is the one-bit shift), and the accumulators fold
+    into the ``int64`` ids every eight bits and at the last bit.
+    """
+    p_lo, p_hi = min(p_left, p_right), max(p_left, p_right)
+    hi_side = p_right > p_left
+    src = np.zeros(count, dtype=np.int64)
+    dst = np.zeros(count, dtype=np.int64)
+    acc_src = np.zeros(count, dtype=np.uint8)
+    acc_dst = np.zeros(count, dtype=np.uint8)
+    right = np.empty(count, dtype=bool)
+    below_lo = np.empty(count, dtype=bool)
+    band = np.empty(count, dtype=bool)
+    for bit in range(scale):
+        r1 = _random_block(seed, (2 * bit) * m + lo, count)
+        r2 = _random_block(seed, (2 * bit + 1) * m + lo, count)
+        np.less(r1, p_src_right, out=right)
+        np.less(r2, p_lo, out=below_lo)
+        if p_hi > p_lo:
+            np.less(r2, p_hi, out=band)
+            # & (right == hi_side): ``band > right`` is ``band & ~right``
+            (np.logical_and if hi_side else np.greater)(band, right,
+                                                         out=band)
+            np.logical_or(below_lo, band, out=below_lo)
+        np.add(acc_src, acc_src, out=acc_src)
+        np.bitwise_or(acc_src, right.view(np.uint8), out=acc_src)
+        np.add(acc_dst, acc_dst, out=acc_dst)
+        np.bitwise_or(acc_dst, below_lo.view(np.uint8), out=acc_dst)
+        if bit % 8 == 7 or bit == scale - 1:
+            # eight doublings push a folded byte out of the accumulator
+            width = bit % 8 + 1
+            for ids, acc in ((src, acc_src), (dst, acc_dst)):
+                np.left_shift(ids, width, out=ids)
+                np.bitwise_or(ids, acc, out=ids)
+    return src, dst
 
 
 # ----------------------------------------------------------------------
@@ -180,6 +230,7 @@ def stream_small_world(
         raise GraphError("num_vertices must be positive")
     if not 0 <= rewire_p <= 1:
         raise GraphError("rewire_p must lie in [0, 1]")
+    k = _check_count("k", k)
     seed = _require_int_seed(seed)
     chunk_size = _check_chunk_size(chunk_size)
     n = num_vertices
@@ -223,6 +274,8 @@ def stream_web_feeder(
     """
     if core <= 0 or feeders < 0:
         raise GraphError("core must be positive and feeders non-negative")
+    chords_per_vertex = _check_count("chords_per_vertex", chords_per_vertex)
+    feeder_degree = _check_count("feeder_degree", feeder_degree)
     seed = _require_int_seed(seed)
     chunk_size = _check_chunk_size(chunk_size)
     n = core + feeders

@@ -159,6 +159,12 @@ class MapReduceApp:
         return float(VERTEX_ID_BYTES)
 
     def value_nbytes(self, value: Any) -> float:
+        """On-wire payload size of one intermediate value.
+
+        A size is a whole number of bytes, as are ``key_nbytes``' and
+        ``output_nbytes``' (the cluster's traffic counters count whole
+        bytes): a fractional one raises
+        :class:`~repro.errors.ByteSizeError`."""
         return float(VALUE_BYTES)
 
     def output_nbytes(self, key: Any, value: Any) -> float:

@@ -138,7 +138,10 @@ def _record_sizes(app: MapReduceApp, keys: np.ndarray, values: Any,
         size = app.output_nbytes if output else partial(kv_nbytes, app)
         listed = values if isinstance(values, list) else values.tolist()
         return Sizes.of([size(key, value)
-                         for key, value in zip(keys.tolist(), listed)])
+                         for key, value in zip(keys.tolist(), listed)],
+                        f"{type(app).__qualname__}."
+                        + ("output_nbytes" if output
+                           else "key_nbytes + value_nbytes"))
     return record_sizes(values, float(VERTEX_ID_BYTES), (
         app.value_nbytes if _sized(type(app), "value_nbytes") else None))
 

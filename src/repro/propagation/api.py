@@ -221,7 +221,9 @@ class PropagationApp:
         The engine sizes a typed message column once per distinct value
         (see :func:`repro.fold.record_sizes`), so the size must depend
         on the value alone; a ragged column is charged in closed form,
-        ``VALUE_BYTES`` per id."""
+        ``VALUE_BYTES`` per id.  A size is a whole number of bytes (the
+        cluster's traffic counters count whole bytes): a fractional one
+        raises :class:`~repro.errors.ByteSizeError`."""
         return float(VALUE_BYTES)
 
     def result_nbytes(self, v: Any, value: Any) -> float:

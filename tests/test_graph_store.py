@@ -339,3 +339,40 @@ class TestShardBackedGraph:
             stream_from_edges(edges, num_vertices=4), tmp_path / "s", 2)
         assert (sorted(ShardBackedGraph(store).iter_edges())
                 == sorted(map(tuple, edges.tolist())))
+
+
+class TestStoreCli:
+    """``repro store build`` / ``info``: a bad generator argument is a
+    one-line error and a non-zero exit, before anything is written."""
+
+    def test_build_then_info(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        out = tmp_path / "rmat"
+        assert cli_main(["store", "build", str(out), "--scale", "8",
+                         "--shards", "2", "--seed", "3"]) == 0
+        built = ShardStore(out)
+        assert built.num_edges == reference_graph(
+            stream_rmat(8, edge_factor=8, seed=3)).num_edges
+        assert cli_main(["store", "info", str(out)]) == 0
+        assert f"edges     : {built.num_edges:,}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args, what", [
+        (["--edge-factor", "-1"], "edge_factor"),
+        (["--kind", "small-world", "--k", "-2"], "k must be"),
+        (["--kind", "small-world", "--vertices", "0"], "num_vertices"),
+        (["--seed", "-3"], "seed must be non-negative"),
+        (["--kind", "web", "--seed", "-1"], "seed must be non-negative"),
+        (["--shards", "0"], "num_shards"),
+    ])
+    def test_bad_argument_exits_with_one_line(self, tmp_path, args, what):
+        from repro.cli import main as cli_main
+
+        out = tmp_path / "bad"
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["store", "build", str(out), "--scale", "6"] + args)
+        message = exit_info.value.code
+        assert isinstance(message, str)  # a message is exit status 1
+        assert message.startswith("store build: ") and what in message
+        assert "\n" not in message
+        assert not out.exists()

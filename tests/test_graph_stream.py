@@ -17,7 +17,9 @@ leaves open:
   identical iterator each time (no builder needs that — the store build
   and the generators drain a stream once — but tests and benchmarks
   replay a stream to cross-check what was built from it);
-* edge cases: empty streams, single-chunk streams, seed validation.
+* edge cases: empty streams, single-chunk streams, argument validation;
+* R-MAT's fused kernel against a per-edge reference written from
+  :func:`~repro.graph.stream.stream_rmat`'s definition.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graph.digraph import Graph
@@ -37,6 +41,7 @@ from repro.graph.generators import (
 )
 from repro.graph.stream import (
     EdgeStream,
+    _rmat_edges,
     stream_rmat,
     stream_small_world,
     stream_web_feeder,
@@ -235,3 +240,127 @@ class TestStreamBasics:
         g = graph_of(stream)
         assert g.num_vertices == 4
         assert g.num_edges == 0
+
+    @pytest.mark.parametrize("build, what", [
+        (lambda: stream_rmat(8, a=float("nan")), "finite"),
+        (lambda: stream_rmat(8, b=float("inf")), "R-MAT probabilities"),
+        (lambda: stream_rmat(8, edge_factor=-1), "edge_factor"),
+        (lambda: stream_rmat(8, edge_factor=1.5), "edge_factor"),
+        (lambda: stream_rmat(8, seed=-3), "seed"),
+        (lambda: stream_small_world(10, k=-2), "k"),
+        (lambda: stream_small_world(10, seed=-1), "seed"),
+        (lambda: stream_web_feeder(8, 4, chords_per_vertex=-1),
+         "chords_per_vertex"),
+        (lambda: stream_web_feeder(8, 4, feeder_degree=-2), "feeder_degree"),
+        (lambda: stream_web_feeder(8, 4, seed=-7), "seed"),
+    ])
+    def test_bad_arguments_rejected(self, build, what):
+        with pytest.raises(GraphError, match=what):
+            build()
+
+
+# ----------------------------------------------------------------------
+# R-MAT's kernel against its definition
+# ----------------------------------------------------------------------
+# (a, b, c): p_right < p_left, p_right > p_left, p_right == p_left,
+# a + b == 0 and c + d == 0
+RMAT_PROBS = [(0.57, 0.19, 0.19), (0.4, 0.1, 0.1), (0.25, 0.25, 0.25),
+              (0.0, 0.0, 0.5), (0.5, 0.5, 0.0)]
+
+
+@st.composite
+def rmat_probs(draw):
+    """One of :data:`RMAT_PROBS`, or any valid ``(a, b, c)``."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(RMAT_PROBS))
+    a = draw(st.floats(0.0, 1.0))
+    b = draw(st.floats(0.0, 1.0 - a))
+    c = draw(st.floats(0.0, max(0.0, 1.0 - a - b)))
+    assume(1.0 - a - b - c >= 0)
+    return a, b, c
+
+
+def draws_at(seed, positions):
+    """``default_rng(seed).random``'s values at stream ``positions``."""
+    if not positions:
+        return []
+    if max(positions) < 1 << 16:
+        return np.random.default_rng(seed).random(
+            max(positions) + 1)[positions].tolist()
+    values = []
+    for pos in positions:
+        bits = np.random.PCG64(seed)
+        bits.advance(pos)
+        values.append(np.random.Generator(bits).random())
+    return values
+
+
+def reference_rmat(scale, m, probs, seed, lo, count):
+    """Edges ``[lo, lo + count)`` one at a time, as ``stream_rmat``'s
+    docstring defines them: bit ``bit`` (most significant first) of
+    edge ``i`` reads draws ``2*bit*m + i`` and ``(2*bit + 1)*m + i``;
+    the source goes right when ``r1 < c + d``, the destination when
+    ``r2`` is below ``b / (a + b)`` after a left source and
+    ``d / (c + d)`` after a right one (0 for a zero denominator)."""
+    a, b, c = probs
+    d = 1.0 - a - b - c
+    p_left = b / (a + b) if a + b > 0 else 0.0
+    p_right = d / (c + d) if c + d > 0 else 0.0
+    edges = []
+    for i in range(lo, lo + count):
+        positions = [(2 * bit + half) * m + i
+                     for bit in range(scale) for half in (0, 1)]
+        drawn = draws_at(seed, positions)
+        src = dst = 0
+        for bit in range(scale):
+            r1, r2 = drawn[2 * bit], drawn[2 * bit + 1]
+            right = r1 < c + d
+            down = r2 < (p_right if right else p_left)
+            src, dst = 2 * src + right, 2 * dst + down
+        edges.append((src, dst))
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+class TestRmatKernel:
+    """The fused kernel (bits shifted into byte accumulators, folded
+    every eight bits; the destination threshold as two comparisons)
+    emits exactly the edges the per-edge definition gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10), st.integers(0, 3), rmat_probs(),
+           st.integers(0, 2**32), st.integers(0, 2**16))
+    @example(8, 2, RMAT_PROBS[0], 0, 6)
+    @example(9, 1, RMAT_PROBS[1], 1, 1 << 9)
+    def test_stream_at_any_chunk_size(self, scale, edge_factor, probs,
+                                      seed, pick):
+        m = edge_factor << scale
+        chunk = 1 + pick % max(m, 1)  # 1..m
+        stream = stream_rmat(scale, edge_factor, *probs, seed=seed,
+                             chunk_size=chunk)
+        assert [src.size for src, _ in stream.chunks()] == [
+            min(chunk, m - lo) for lo in range(0, m, chunk)]
+        np.testing.assert_array_equal(
+            collect(stream), reference_rmat(scale, m, probs, seed, 0, m))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 20), st.integers(1, 2), rmat_probs(),
+           st.integers(0, 2**32), st.integers(0, 2**21),
+           st.integers(0, 2**21))
+    @example(16, 1, RMAT_PROBS[2], 3, 23, 2**16 - 24)
+    @example(20, 2, RMAT_PROBS[3], 4, 9, 2**20 + 5)
+    @example(17, 1, RMAT_PROBS[4], 5, 15, 0)
+    def test_any_window_at_any_scale(self, scale, edge_factor, probs, seed,
+                                     pick_count, pick_lo):
+        """A window ``[lo, lo + count)`` anywhere in a stream of up to
+        ``2**21`` edges, regenerated on its own."""
+        m = edge_factor << scale
+        count = 1 + pick_count % min(m, 24)
+        lo = pick_lo % (m - count + 1)
+        a, b, c = probs
+        d = 1.0 - a - b - c
+        src, dst = _rmat_edges(seed, scale, m, c + d,
+                               b / (a + b) if a + b > 0 else 0.0,
+                               d / (c + d) if c + d > 0 else 0.0, lo, count)
+        np.testing.assert_array_equal(
+            np.stack([src, dst], axis=1),
+            reference_rmat(scale, m, probs, seed, lo, count))

@@ -14,6 +14,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.apps import (
@@ -33,6 +35,7 @@ from repro.mapreduce.engine import MapReduceEngine
 from repro.runtime.events import reconcile
 from repro.runtime.scheduler import StageScheduler
 from tests.conftest import make_test_cluster, scalar_only
+from tests.test_properties import raw_partitionings
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -399,6 +402,35 @@ class TestScalarOracle:
         assert oracle.reports == hooked.reports
         assert oracle.events.task_spans() == hooked.events.task_spans()
         assert _job_signature(oracle) == _job_signature(hooked)
+
+
+class TestEmissionOrder:
+    """``map_array`` lists its pairs in the scalar ``map``'s emission
+    order, partition by partition: keys, and value bits."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(raw_partitionings(), st.booleans())
+    def test_network_ranking_map_matches_map_array(self, drawn,
+                                                   in_map_combining):
+        edges, parts, k = drawn
+        graph = Graph.from_edges(edges, num_vertices=parts.size)
+        for assignment in (parts, np.sort(parts)):
+            plan = PartitionPlan(parts=assignment, num_parts=k,
+                                 placement=np.arange(k) % 3,
+                                 machine_sets={}, method="drawn")
+            pgraph = Surfer(graph, make_test_cluster(3), plan=plan).pgraph
+            app = NetworkRankingMapReduce(in_map_combining=in_map_combining)
+            state = app.setup(pgraph)
+            state.values[:] = np.random.default_rng(k).random(parts.size)
+            for p in range(k):
+                pairs = []
+                app.map(p, pgraph, state,
+                        lambda key, value: pairs.append((key, value)))
+                keys, values = app.map_array(p, pgraph, state)
+                assert keys.tolist() == [key for key, _ in pairs]
+                assert values.tobytes() == np.array(
+                    [value for _, value in pairs], dtype=np.float64).tobytes()
 
 
 # ----------------------------------------------------------------------

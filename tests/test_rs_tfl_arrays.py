@@ -34,13 +34,12 @@ from repro.apps.base import VertexState, rows_graph, sample_mask
 from repro.apps.recommender import accepts, accepts_array
 from repro.core.bandwidth_aware import PartitionPlan
 from repro.core.surfer import Surfer
+from repro.errors import ByteSizeError
 from repro.fold import MESSAGE_HEADER, Ragged, Sizes, record_sizes
 from repro.graph.algorithms import two_hop_neighbors
 from repro.graph.digraph import Graph
-from repro.mapreduce.api import kv_nbytes
 from tests.conftest import make_test_cluster
 from tests.test_properties import assert_same_job, raw_partitionings
-from tests.test_route_reference import run_every_app
 
 DIFFERENTIAL = settings(max_examples=25, deadline=None,
                         suppress_health_check=[HealthCheck.too_slow])
@@ -264,28 +263,21 @@ class TestRecordSizes:
             float(sum(s for s, g in zip(per_record(values, 8, hook), groups)
                       if g == want)) for want in range(3)]
 
-    def test_non_integer_sizes_keep_the_per_record_sum(self):
-        """A size that is not integer-valued: every sum is Python's
-        ``sum`` of the records in record order, the old per-record
-        charge, never a product, a pairwise or a bincount sum."""
+    def test_non_integer_size_names_the_hook(self):
+        """The cluster counts whole bytes: a fractional size is an
+        error naming the hook, not a charge."""
         rng = np.random.default_rng(5)
         values = rng.random(1000)
 
         def hook(value):
             return 0.1 + (value > 0.5) * 0.2
 
-        sizes = record_sizes(values, 8, hook)
-        want = per_record(values, 8, hook)
-        assert sizes.column.dtype == object
-        assert sizes.total() == float(sum(want))
-        groups = rng.integers(0, 4, values.size)
-        assert sizes.by(groups, 4).tolist() == [
-            float(sum(s for s, g in zip(want, groups.tolist()) if g == q))
-            for q in range(4)]
-        order = np.argsort(groups, kind="stable")
-        bounds = np.searchsorted(groups[order], np.arange(5))
-        assert sizes.take(order).segments(bounds).tolist() == (
-            sizes.by(groups, 4).tolist())
+        with pytest.raises(ByteSizeError, match="hook"):
+            record_sizes(values, 8, hook)
+        with pytest.raises(ByteSizeError, match="hook"):
+            record_sizes(values.tolist(), 8, hook)
+        with pytest.raises(ByteSizeError, match="hook"):
+            record_sizes(values, 8, lambda value: math.nan)
 
     def test_default_and_ragged_sizes_are_closed_form(self):
         sizes = record_sizes(np.zeros(7), MESSAGE_HEADER)
@@ -296,9 +288,13 @@ class TestRecordSizes:
         assert record_sizes(rows, MESSAGE_HEADER).total() == rows.nbytes(
             MESSAGE_HEADER)
 
-    def test_sizes_of_guards_the_float_range(self):
-        assert Sizes.of([2.0**52, 1.0]).column.dtype == object
-        assert Sizes.of([2.0, 1.0]).column.dtype == np.float64
+    def test_sizes_of_rejects_sums_past_the_float_range(self):
+        with pytest.raises(ByteSizeError, match="Hook.value_nbytes"):
+            Sizes.of([2.0**52, 1.0], "Hook.value_nbytes")
+        with pytest.raises(ByteSizeError, match="Hook.value_nbytes"):
+            Sizes.of([math.inf], "Hook.value_nbytes")
+        assert Sizes.of([2.0, 1.0], "Hook.value_nbytes").column.tolist() == [
+            2.0, 1.0]
 
 
 class FractionalNR(NetworkRankingPropagation):
@@ -311,62 +307,49 @@ class FractionalNR(NetworkRankingPropagation):
 
 
 class FractionalNRMapReduce(NetworkRankingMapReduce):
-    """NR whose records cost a non-integer number of bytes, on the naive
-    map: its ``map_array`` lists the pairs in the scalar emission order
-    (the in-map table's column is ascending, the scalar table's is in
-    first-arrival order, which only a non-integer size can tell)."""
+    """NR whose records cost a non-integer number of bytes."""
 
     name = "NR-fractional-mr"
-
-    def __init__(self):
-        super().__init__(in_map_combining=False)
 
     def value_nbytes(self, value):
         return 0.1 if value < 0.001 else 0.3
 
 
-class TestNonIntegerSizesInTheEngines:
-    """The cluster's traffic counters hold whole bytes, so neither
-    ``reconcile()`` nor SimSan's per-superstep check can match a
-    fractional charge: these jobs run without the sanitizer."""
+class FractionalKeysMapReduce(NetworkRankingMapReduce):
+    """NR whose keys cost a non-integer number of bytes (sized per
+    record)."""
 
-    @pytest.fixture(autouse=True)
-    def _unsanitized(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "0")
+    name = "NR-fractional-keys"
 
-    def test_propagation_route_keeps_the_per_message_sum(self, small_graph):
-        """Every route's spill and per-partition send bytes equal the
-        per-message route's Python sums."""
-        surfer = Surfer(small_graph, make_test_cluster(4), num_parts=8,
-                        seed=3)
-        with mock.patch.dict("tests.test_route_reference.ROUTED_APPS",
-                             {"NR-fractional": FractionalNR}):
-            seen = run_every_app(surfer, names=["NR-fractional"])
-        assert seen["routes"]
+    def key_nbytes(self, key):
+        return 4.5
 
-    def test_mapreduce_round_keeps_the_per_record_sum(self, small_graph):
-        """Typed columns under the fractional ``value_nbytes`` take the
-        array path (no decline), agree with the scalar UDFs, and each
-        map task's spill is the Python ``sum`` of its records'
-        ``kv_nbytes`` in emission order."""
-        surfer = Surfer(small_graph, make_test_cluster(4), num_parts=8,
-                        seed=3)
-        oracle, fast = (surfer.run(FractionalNRMapReduce(), 1,
-                                   vectorized=vec)
-                        for vec in (False, True))
-        assert np.array_equal(oracle.result, fast.result)
-        assert oracle.reports == fast.reports
-        assert oracle.events.task_spans() == fast.events.task_spans()
-        app = FractionalNRMapReduce()
-        state = app.setup(surfer.pgraph)
-        spills = []
-        for p in range(surfer.pgraph.num_parts):
-            records = []
-            app.map(p, surfer.pgraph, state,
-                    lambda k, v: records.append(kv_nbytes(app, k, v)))
-            spills.append(float(sum(records)))
-        assert fast.reports[0].shuffle_bytes == sum(spills)
-        assert spills != [float(round(s)) for s in spills]
+
+class TestNonIntegerSizesAreRejected:
+    """The cluster's traffic counters hold whole bytes, so a job whose
+    sizing hook answers a fraction fails with the hook's name instead
+    of charging bytes ``reconcile()`` cannot match."""
+
+    @pytest.fixture
+    def surfer(self, small_graph):
+        return Surfer(small_graph, make_test_cluster(4), num_parts=8, seed=3)
+
+    @pytest.mark.parametrize("vectorized", [None, False])
+    def test_propagation_job_names_the_hook(self, surfer, vectorized):
+        with pytest.raises(ByteSizeError,
+                           match="FractionalNR.value_nbytes sized a record"):
+            surfer.run(FractionalNR(), 1, vectorized=vectorized)
+
+    @pytest.mark.parametrize("app, hook", [
+        (FractionalNRMapReduce, "FractionalNRMapReduce.value_nbytes"),
+        (FractionalKeysMapReduce,
+         "FractionalKeysMapReduce.key_nbytes \\+ value_nbytes"),
+    ], ids=["value_nbytes", "key_nbytes"])
+    @pytest.mark.parametrize("vectorized", [None, False])
+    def test_mapreduce_job_names_the_hook(self, surfer, app, hook,
+                                          vectorized):
+        with pytest.raises(ByteSizeError, match=hook):
+            surfer.run(app(), 1, vectorized=vectorized)
 
 
 # ----------------------------------------------------------------------
