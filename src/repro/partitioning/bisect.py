@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.errors import PartitioningError
 from repro.partitioning.coarsen import coarsen_until
 from repro.partitioning.ggp import gggp_bisection, random_bisection
 from repro.partitioning.metrics import weighted_cut
-from repro.partitioning.refine import fm_refine
+from repro.partitioning.refine import check_epsilon, fm_refine
 from repro.partitioning.wgraph import WGraph
 
 __all__ = ["BisectionOptions", "BisectionResult", "multilevel_bisection"]
@@ -40,6 +41,18 @@ class BisectionOptions:
     refine: bool = True
     initial: str = "gggp"
     max_passes: int = 8
+
+    def __post_init__(self) -> None:
+        if self.initial not in ("gggp", "random"):
+            raise PartitioningError(
+                f"initial must be 'gggp' or 'random', got {self.initial!r}")
+        check_epsilon(self.epsilon)
+        if self.gggp_trials < 1:
+            raise PartitioningError(
+                f"gggp_trials must be >= 1, got {self.gggp_trials!r}")
+        if self.max_passes < 0:
+            raise PartitioningError(
+                f"max_passes must be >= 0, got {self.max_passes!r}")
 
 
 @dataclass

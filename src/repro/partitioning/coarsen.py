@@ -53,22 +53,21 @@ def contract_matching(
     partner_weight = np.where(match == ids, 0, wgraph.vweights[match])
     vweights = (wgraph.vweights + partner_weight)[is_leader]
 
-    csrc = fine_to_coarse[wgraph.edge_sources()]
+    csrc = np.repeat(fine_to_coarse, np.diff(wgraph.indptr))
     cdst = fine_to_coarse[wgraph.indices]
-    keep = csrc != cdst  # drop intra-pair edges
-    csrc, cdst, cw = csrc[keep], cdst[keep], wgraph.eweights[keep]
-    if csrc.size:
-        key = csrc * np.int64(nc) + cdst
-        order = np.argsort(key, kind="stable")
-        key, cw = key[order], cw[order]
-        boundaries = np.flatnonzero(np.diff(key)) + 1
-        starts = np.concatenate([[0], boundaries])
-        merged_key = key[starts]
-        merged_w = np.add.reduceat(cw, starts)
-        msrc = (merged_key // nc).astype(np.int64)
-        mdst = (merged_key % nc).astype(np.int64)
-    else:
-        msrc = mdst = merged_w = np.zeros(0, dtype=np.int64)
+    key = csrc * np.int64(nc) + cdst
+    key[csrc == cdst] = -1  # intra-pair edges vanish: one group, sorted first
+    # reduceat sums int64 weights, exact in any order, so the order among
+    # equal keys cannot reach the result: no stable sort needed
+    order = np.argsort(key)
+    key = key[order]
+    # -2 is below every key, so position 0 always starts a group
+    starts = np.flatnonzero(np.diff(key, prepend=-2))
+    merged_w = np.add.reduceat(wgraph.eweights[order], starts)
+    first = order[starts]
+    if key.size and key[0] < 0:
+        first, merged_w = first[1:], merged_w[1:]
+    msrc, mdst = csrc[first], cdst[first]
 
     indptr = np.zeros(nc + 1, dtype=np.int64)
     np.cumsum(np.bincount(msrc, minlength=nc), out=indptr[1:])

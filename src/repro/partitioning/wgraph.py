@@ -22,11 +22,14 @@ AdjacencyLists = tuple[list[int], list[int], list[int], list[int]]
 
 
 class WGraph:
-    """Symmetric weighted CSR graph (no self loops).
+    """Symmetric weighted CSR graph (no self loops, positive weights).
 
     ``indices[indptr[v]:indptr[v+1]]`` are the neighbors of ``v`` and
     ``eweights`` the matching edge weights; each undirected edge is stored
-    twice (once per endpoint) with equal weight.
+    twice (once per endpoint) with equal weight.  Every weight counts
+    original edges or vertices, so it is at least 1: ``from_digraph``
+    counts them, contraction sums them, induction keeps them and
+    ``from_edges`` rejects anything else.
     """
 
     __slots__ = ("indptr", "indices", "eweights", "vweights")
@@ -127,13 +130,28 @@ class WGraph:
         eweights=None,
         vweights=None,
     ) -> "WGraph":
-        """Build from undirected edge pairs (each given once)."""
+        """Build from undirected edge pairs (each given once).
+
+        Raises ``PartitioningError`` on a self loop, an id outside
+        ``[0, num_vertices)`` or a weight that is not positive: the class
+        keeps no self loops, and weights count original vertices and edges.
+        """
         arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
                          dtype=np.int64)
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         w = (np.ones(arr.shape[0], dtype=np.int64) if eweights is None
              else np.asarray(eweights, dtype=np.int64))
+        if arr.ndim != 2 or arr.shape[1] != 2 or w.shape != arr.shape[:1]:
+            raise PartitioningError(
+                "edges must be (u, v) pairs with one weight per pair")
+        if ((arr < 0) | (arr >= num_vertices)).any():
+            raise PartitioningError(
+                f"edge endpoint outside [0, {num_vertices})")
+        if (arr[:, 0] == arr[:, 1]).any():
+            raise PartitioningError("self loop in edges")
+        if (w <= 0).any():
+            raise PartitioningError("edge weights must be positive")
         src = np.concatenate([arr[:, 0], arr[:, 1]])
         dst = np.concatenate([arr[:, 1], arr[:, 0]])
         ww = np.concatenate([w, w])
@@ -143,6 +161,8 @@ class WGraph:
         np.cumsum(np.bincount(src, minlength=num_vertices), out=indptr[1:])
         vw = (np.ones(num_vertices, dtype=np.int64) if vweights is None
               else np.asarray(vweights, dtype=np.int64))
+        if (vw <= 0).any():
+            raise PartitioningError("vertex weights must be positive")
         return cls(indptr, dst, ww, vw)
 
     def validate_symmetry(self) -> bool:

@@ -23,10 +23,15 @@ from repro.errors import PartitioningError
 from repro.graph.generators import composite_social_graph, erdos_renyi, rmat
 from repro.partitioning.bisect import BisectionOptions
 from repro.partitioning.coarsen import contract_matching
-from repro.partitioning.kway import _best_move
+from repro.partitioning.kway import (
+    _affinity_table,
+    _apply_move,
+    _best_move,
+    kway_refine_balance,
+)
 from repro.partitioning.metrics import weighted_cut
 from repro.partitioning.recursive import recursive_bisection
-from repro.partitioning.refine import _fm_pass, compute_gains
+from repro.partitioning.refine import _fm_pass, _key_rows, compute_gains
 from repro.partitioning.wgraph import WGraph
 
 COMMON = settings(
@@ -264,6 +269,52 @@ def tying_wgraphs(draw):
     return WGraph.from_edges(edges, n, eweights=eweights, vweights=vweights)
 
 
+@st.composite
+def heavy_wgraphs(draw):
+    """Graphs with n at 2^k and 2^k ± 1 and edge weights up to ~2^55.
+
+    Scaling every weight by one base keeps the ties of unit weights while
+    ``gain << shift`` passes 2^31 and, at the top bases, the int64 guard
+    of the key arrays (so both ways of building keys run).  Every sum the
+    reference takes stays inside int64.
+    """
+    n = max(2, 2 ** draw(st.integers(1, 5)) + draw(st.sampled_from([-1, 0, 1])))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = sorted({(min(a, b), max(a, b))
+                    for a, b in draw(st.lists(pair, max_size=3 * n))
+                    if a != b})
+    base = draw(st.sampled_from([1, 2**20, 2**33, 2**45, 2**50, 2**53]))
+    units = draw(st.lists(st.integers(1, 3), min_size=len(edges),
+                          max_size=len(edges)))
+    vweights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    return WGraph.from_edges(edges, n, eweights=[base * u for u in units],
+                             vweights=vweights)
+
+
+def reference_contraction(wgraph, match):
+    """Coarse CSR of ``match`` by summing arcs into a dict."""
+    n = wgraph.num_vertices
+    mapping, vweights = {}, []
+    for v in range(n):
+        if v <= match[v]:
+            mapping[v] = mapping[int(match[v])] = len(vweights)
+            vweights.append(int(wgraph.vweights[v]) + (
+                int(wgraph.vweights[match[v]]) if match[v] != v else 0))
+    merged = {}
+    for v in range(n):
+        for u, w in zip(wgraph.neighbors(v), wgraph.edge_weights_of(v)):
+            a, b = mapping[v], mapping[int(u)]
+            if a != b:
+                merged[a, b] = merged.get((a, b), 0) + int(w)
+    rows = sorted(merged)
+    indptr = np.zeros(len(vweights) + 1, dtype=np.int64)
+    for a, _ in rows:
+        indptr[a + 1] += 1
+    return (np.cumsum(indptr), [b for _, b in rows],
+            [merged[r] for r in rows], vweights,
+            [mapping[v] for v in range(n)])
+
+
 class TestAgainstScalarReference:
     @COMMON
     @given(tying_wgraphs(), st.integers(0, 2**31 - 1),
@@ -278,13 +329,44 @@ class TestAgainstScalarReference:
         # up to 8 passes, like fm_refine: later passes start from states
         # the first one produced, where most gains are <= 0 and tie
         for _ in range(8):
-            flag = _fm_pass(wg, wg.tolists(), side, min_side_weight)
+            flag = _fm_pass(wg, _key_rows(wg), side, min_side_weight)
             assert flag == expected_flag
             assert np.array_equal(side, expected)
             if not flag:
                 break
             expected_flag = reference_fm_pass(wg, expected, total,
                                               min_side_weight)
+
+    @COMMON
+    @given(heavy_wgraphs(), st.integers(0, 2**31 - 1),
+           st.sampled_from([0.0, 0.05, 0.2, 0.45]))
+    def test_fm_pass_with_wide_keys_makes_the_reference_moves(
+            self, wg, seed, epsilon):
+        n = wg.num_vertices
+        side = np.random.default_rng(seed).integers(0, 2, n).astype(np.int64)
+        total = wg.total_vertex_weight
+        min_side_weight = int((0.5 - epsilon) * total)
+        expected = side.copy()
+        rows = _key_rows(wg)
+        for _ in range(8):
+            expected_flag = reference_fm_pass(wg, expected, total,
+                                              min_side_weight)
+            flag = _fm_pass(wg, rows, side, min_side_weight)
+            assert flag == expected_flag
+            assert np.array_equal(side, expected)
+            if not flag:
+                break
+
+    def test_keys_leave_int64_arrays_only_when_they_must(self):
+        # n = 33 gives shift 6: keys of weighted degree 2^54 fit in 62 bits,
+        # those of 2^55 do not
+        edges = [(0, v) for v in range(1, 33)]
+        fits = WGraph.from_edges(edges, 33, eweights=[2**49] * 32)
+        wide = WGraph.from_edges(edges, 33, eweights=[2**50] * 32)
+        assert not _key_rows(fits).wide
+        assert _key_rows(wide).wide
+        assert _key_rows(fits).dkey[0] == 2**50 << 6
+        assert _key_rows(wide).dkey[0] == 2**51 << 6
 
     @COMMON
     @given(tying_wgraphs(), st.integers(0, 2**31 - 1))
@@ -308,19 +390,50 @@ class TestAgainstScalarReference:
         weights = np.bincount(parts, weights=wg.vweights,
                               minlength=num_parts).astype(np.float64)
         target = weights.sum() / num_parts
-        # replay the whole balancing run, move by move, from one start
+        affinity = _affinity_table(wg, parts, num_parts)
+        # replay the whole balancing run, move by move, from one start,
+        # through the running tables
         for _ in range(4 * wg.num_vertices):
             heavy = int(np.argmax(weights))
             if weights[heavy] <= target:
                 break
             expected = reference_best_move(wg, parts, weights, heavy, target)
-            assert _best_move(wg, parts, weights, heavy, target) == expected
+            assert _best_move(wg, parts, affinity, weights, heavy,
+                              target) == expected
             if expected is None:
                 break
             vertex, dest = expected
             weights[heavy] -= wg.vweights[vertex]
             weights[dest] += wg.vweights[vertex]
+            _apply_move(wg, parts, affinity, vertex, dest)
+            assert np.array_equal(affinity,
+                                  _affinity_table(wg, parts, num_parts))
+
+    @COMMON
+    @given(tying_wgraphs(), st.integers(2, 5), st.integers(0, 2**31 - 1),
+           st.sampled_from([0.0, 0.05, 0.3]))
+    def test_kway_run_is_the_reference_run(self, wg, num_parts, seed,
+                                           tolerance):
+        """``kway_refine_balance`` ends where the scalar moves end."""
+        rng = np.random.default_rng(seed)
+        start = rng.integers(0, num_parts, wg.num_vertices).astype(np.int64)
+        parts = start.copy()
+        weights = np.bincount(parts, weights=wg.vweights,
+                              minlength=num_parts)
+        target = weights.sum() / num_parts
+        for _ in range(8 * wg.num_vertices):
+            heavy = int(np.argmax(weights))
+            if weights[heavy] <= (1.0 + tolerance) * target:
+                break
+            move = reference_best_move(wg, parts, weights, heavy, target)
+            if move is None:
+                break
+            vertex, dest = move
+            weights[heavy] -= wg.vweights[vertex]
+            weights[dest] += wg.vweights[vertex]
             parts[vertex] = dest
+        got = kway_refine_balance(wg, start, num_parts, tolerance=tolerance)
+        assert np.array_equal(got, parts)
 
     @COMMON
     @given(tying_wgraphs(), st.integers(3, 5), st.integers(0, 2**31 - 1),
@@ -333,8 +446,42 @@ class TestAgainstScalarReference:
         heavy = int(rng.integers(num_parts))
         weights = np.full(num_parts, 10.0)
         weights[heavy] += excess
+        affinity = _affinity_table(wg, parts, num_parts)
         expected = reference_best_move(wg, parts, weights, heavy, 10.0)
-        assert _best_move(wg, parts, weights, heavy, 10.0) == expected
+        assert _best_move(wg, parts, affinity, weights, heavy,
+                          10.0) == expected
+
+
+class TestContraction:
+    @COMMON
+    @given(st.integers(2, 40), st.data())
+    def test_contraction_is_the_dict_summed_one(self, n, data):
+        """Dense graphs, random (not necessarily adjacent) pairs: many
+        fine arcs land on each coarse key."""
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges = sorted({(min(a, b), max(a, b))
+                        for a, b in data.draw(st.lists(pair, max_size=6 * n))
+                        if a != b})
+        eweights = data.draw(st.lists(st.integers(1, 5), min_size=len(edges),
+                                      max_size=len(edges)))
+        vweights = data.draw(st.lists(st.integers(1, 4), min_size=n,
+                                      max_size=n))
+        wg = WGraph.from_edges(edges, n, eweights=eweights, vweights=vweights)
+        order = data.draw(st.permutations(range(n)))
+        num_pairs = data.draw(st.integers(0, n // 2))
+        match = np.arange(n)
+        for i in range(num_pairs):
+            a, b = order[2 * i], order[2 * i + 1]
+            match[a], match[b] = b, a
+        coarse, mapping = contract_matching(wg, match)
+        indptr, indices, weights, cweights, cmap = reference_contraction(
+            wg, match)
+        assert mapping.tolist() == cmap
+        assert coarse.indptr.tolist() == indptr.tolist()
+        assert coarse.indices.tolist() == indices
+        assert coarse.eweights.tolist() == weights
+        assert coarse.vweights.tolist() == cweights
+        assert coarse.validate_symmetry()
 
 
 class TestContractMatchingGuard:

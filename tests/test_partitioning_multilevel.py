@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import PartitioningError
 from repro.graph.digraph import Graph
 from repro.graph.generators import grid, ring
 from repro.partitioning.bisect import BisectionOptions, multilevel_bisection
@@ -137,6 +138,14 @@ class TestFM:
         refined = fm_refine(wg, side)
         assert weighted_cut(wg, refined) == 1
 
+    @pytest.mark.parametrize("epsilon", [0.5, 0.7, -0.01, float("nan"),
+                                         float("inf")])
+    def test_fm_refuses_an_epsilon_outside_the_range(self, epsilon):
+        # at 0.7 the side floor is negative: FM used to empty a side
+        wg = WGraph.from_edges([(0, 1), (1, 2)], 3)
+        with pytest.raises(PartitioningError, match="epsilon"):
+            fm_refine(wg, np.array([0, 1, 1]), epsilon=epsilon)
+
     def test_fm_respects_balance(self):
         wg = WGraph.from_digraph(grid(4, 4))
         side = np.zeros(16, dtype=np.int64)
@@ -189,3 +198,22 @@ class TestMultilevel:
             WGraph.from_edges([], num_vertices=1),
             np.random.default_rng(0),
         ).side) == [0]
+
+
+class TestBisectionOptions:
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"initial": "bogus"}, "initial"),
+        ({"epsilon": 0.5}, "epsilon"),
+        ({"epsilon": -0.1}, "epsilon"),
+        ({"epsilon": float("nan")}, "epsilon"),
+        ({"gggp_trials": 0}, "gggp_trials"),
+        ({"max_passes": -1}, "max_passes"),
+    ])
+    def test_a_bad_field_is_refused(self, kwargs, field):
+        with pytest.raises(PartitioningError, match=field):
+            BisectionOptions(**kwargs)
+
+    def test_the_edges_of_the_ranges_are_accepted(self):
+        BisectionOptions(epsilon=0.0, gggp_trials=1, max_passes=0,
+                         initial="random")
+        BisectionOptions(epsilon=0.499)

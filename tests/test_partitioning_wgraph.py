@@ -57,6 +57,28 @@ class TestFromEdges:
         assert wg.num_edges == 0
         assert wg.num_vertices == 3
 
+    def test_self_loop_is_refused(self):
+        with pytest.raises(PartitioningError, match="self loop"):
+            WGraph.from_edges([(0, 0), (0, 1), (1, 2), (2, 3), (3, 0)], 4)
+
+    @pytest.mark.parametrize("edge", [(0, 4), (-1, 2), (5, 9)])
+    def test_id_out_of_range_is_refused(self, edge):
+        with pytest.raises(PartitioningError, match="outside"):
+            WGraph.from_edges([(0, 1), edge], 4)
+
+    @pytest.mark.parametrize("weight", [0, -3])
+    def test_non_positive_edge_weight_is_refused(self, weight):
+        with pytest.raises(PartitioningError, match="positive"):
+            WGraph.from_edges([(0, 1), (1, 2)], 3, eweights=[1, weight])
+
+    def test_non_positive_vertex_weight_is_refused(self):
+        with pytest.raises(PartitioningError, match="positive"):
+            WGraph.from_edges([(0, 1)], 2, vweights=[1, 0])
+
+    def test_one_weight_per_pair(self):
+        with pytest.raises(PartitioningError, match="one weight per pair"):
+            WGraph.from_edges([(0, 1), (1, 2)], 3, eweights=[1])
+
     def test_alignment_validation(self):
         with pytest.raises(PartitioningError):
             WGraph(np.array([0, 1]), np.array([0]), np.array([1, 2]),
