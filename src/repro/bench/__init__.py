@@ -1,7 +1,7 @@
 """Benchmark workloads and the experiment registry.
 
 The paper's tables, figures and ablations — and every job whose
-simulated cost is gated against a committed ``BENCH_PR*.json`` — are
+simulated cost the committed ``benchmarks/results/`` tables hold — are
 enumerated in exactly one place, :data:`EXPERIMENTS`; their run
 functions live in :mod:`repro.bench.experiments`.
 """

@@ -1,9 +1,9 @@
-"""Stable-schema bench JSON: the repo's persisted performance trajectory.
+"""Stable-schema bench JSON: one job's costs as a ``repro-bench/v1`` record.
 
-A PR that blesses new baselines (``repro experiment NAME… --bless
-PR<n>``) commits one ``BENCH_<PR>.json`` at the repo root, so cost
-changes show up as a diff between consecutive files rather than as
-folklore.
+:func:`job_record` builds the record of a finished job; ``repro profile
+--bench`` and ``repro chaos --bench`` write them to a document, and the
+experiment registry prints their simulated costs in the committed
+``benchmarks/results/`` tables, which are the cost baseline.
 The schema is deliberately small and frozen (``SCHEMA``):
 
 .. code-block:: json
@@ -114,8 +114,7 @@ def job_record(job, wall_clock_s: float,
 def write_bench_json(path, workloads: dict[str, dict], pr: str) -> dict:
     """Validate and write a bench document; returns the document.
 
-    ``pr`` is the baseline's tag (``"PR26"``) when blessing, and
-    ``"current"`` for a local run that is not a baseline.
+    ``pr`` tags the document; the CLI writes ``"current"``.
     """
     doc = {"schema": SCHEMA, "pr": pr, "workloads": workloads}
     errors = validate_bench_json(doc)

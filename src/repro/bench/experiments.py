@@ -4,13 +4,19 @@
 ablations, the two fast-path timings, the chaos smoke, the simulated-cost
 workloads) to an :class:`Experiment`: the paper's reported shape as one
 line, ``run()`` (the full pipeline on the simulator), ``render(result)``
-(the paper's row/column arrangement as plain text), ``check(result)``
-(one line per broken shape, empty = reproduced) and, for entries whose
-jobs carry a simulated-cost baseline, ``records(result)`` (their
-``repro-bench/v1`` records).  ``python -m repro experiment NAME… | all
-[--out DIR] [--bless PR<n>]`` is the only entry point; it always runs
-``check``, gates every record against the committed ``BENCH_PR*.json``
-history, and exits 1 on a broken shape or a regressed record.
+(the paper's row/column arrangement as plain text) and ``check(result)``
+(one line per broken shape, empty = reproduced).  ``python -m repro
+experiment NAME… | all [--out DIR]`` is the only entry point; it always
+runs ``check`` and exits 1 on a broken shape.
+
+An entry whose jobs carry a simulated cost renders each job's
+``repro-bench/v1`` record through one records table, every cost exactly
+as :func:`~repro.bench.benchjson.job_record` stored it.  The committed
+``benchmarks/results/<name>.txt`` are therefore the simulated-cost
+baseline: CI diffs ``experiment all --out`` against them byte for byte,
+and accepting a moved cost means rewriting them with ``--out
+benchmarks/results``.  Only ``transfer_fastpath`` and ``mr_fastpath``
+print real wall clock, and CI leaves those two out of the diff.
 
 Absolute numbers differ from the paper (our substrate is a simulator at
 reduced scale); the *shapes* — who wins, by what factor, where the gaps
@@ -117,9 +123,6 @@ class Experiment:
     render: Callable[[Any], str]
     #: one line per broken shape; empty = reproduced
     check: Callable[[Any], list[str]]
-    #: ``{workload: repro-bench/v1 record}`` of jobs ``run`` timed; the
-    #: CLI gates them against the committed ``BENCH_PR*.json`` history
-    records: Callable[[Any], dict[str, dict]] | None = None
 
 
 #: what a shape generator yields: (does it hold, the shape in words)
@@ -129,7 +132,7 @@ Shapes = Iterator[tuple[bool, str]]
 def _record(job: Any, wall: float, **measured: Any) -> dict:
     """``job``'s ``repro-bench/v1`` record.  A failed job, or one whose
     event stream does not reconcile with the cluster counters, has no
-    cost to gate: that is an invariant violation, not a number."""
+    cost to print: that is an invariant violation, not a number."""
     problems = [f"failed: {job.error}"] if job.failed else reconcile(job)
     if problems:
         raise BenchRunError("; ".join(problems))
@@ -179,6 +182,34 @@ def _rows(title: str, columns: list[tuple[str, str, int]],
                for _, field, digits in columns])
              for key, r in rows.items()])
     return render
+
+
+#: the simulated-cost fields of a ``repro-bench/v1`` record, in the
+#: order every records table prints them
+_RECORD_COLUMNS = [("makespan (s)", "makespan_s"),
+                   ("machine time (s)", "machine_time_s"),
+                   ("network (B)", "network_bytes"),
+                   ("disk (B)", "disk_bytes"),
+                   ("messages", "messages_shipped"),
+                   ("tasks", "tasks")]
+
+
+def _records_table(title: str, records: dict[str, dict]) -> str:
+    """One row per record, each cost exactly as :func:`job_record` stored
+    it (``str``, never ``format_value``'s rounding), so a byte diff
+    of the rendered table holds every simulated cost to the last digit."""
+    return _text(title, [header for header, _ in _RECORD_COLUMNS],
+                 [(name, [str(record[field]) for _, field in _RECORD_COLUMNS])
+                  for name, record in records.items()])
+
+
+def _with_records(render: Callable[[Any], str],
+                  title: str) -> Callable[[Any], str]:
+    """``render``'s table, then ``result["records"]`` as a records table."""
+    def both(result: Any) -> str:
+        return (render(result) + "\n\n"
+                + _records_table(title, result["records"]))
+    return both
 
 
 def make_app(name: str, kind: str):
@@ -495,19 +526,31 @@ def _check_fig6(series: dict) -> Shapes:
 # ----------------------------------------------------------------------
 # Figure 7 — MapReduce vs propagation per application
 # ----------------------------------------------------------------------
+#: the combiner ladder's rows: NR's MapReduce formulations, then the
+#: propagation job they are up against
+_LADDER_LABELS = {"mapreduce": "in-map combining (as above)",
+                  "mr_naive": "naive map, no combiner",
+                  "mr_combiner": "naive map + combiner",
+                  "propagation": "propagation (as above)"}
+
+
 def fig7_mr_vs_prop(
     workload: Workload | None = None,
     apps=APP_ORDER,
-) -> dict[str, dict[str, float]]:
-    """Response time and network traffic: MapReduce vs. P-Surfer (O4).
+) -> dict[str, Any]:
+    """Response time and network traffic: MapReduce vs. P-Surfer (O4),
+    and on NR (which ``apps`` must include) the combiner ladder: the
+    naive per-edge map without and with a map-side combiner.
 
-    Returns ``{app: {prop_time, mr_time, speedup, prop_net, mr_net,
-    net_reduction_pct}}``; the NR row, the gated one, also carries
-    ``records``: both jobs' ``{engine: repro-bench/v1 record}``.
+    Returns ``{"apps": {app: {prop_time, mr_time, speedup, prop_net,
+    mr_net, net_reduction_pct}}, "ladder": {job: {shuffle, network}},
+    "precombine_bytes", "combine_reduction", "records"}``; ``records``
+    holds the four NR jobs' ``repro-bench/v1`` records.
     """
     workload = workload or standard_workload()
     surfer = workload.surfer("bandwidth-aware")
-    series: dict[str, dict[str, Any]] = {}
+    series: dict[str, dict[str, float]] = {}
+    timed: dict[str, tuple[Any, float]] = {}
     for name in apps:
         iters = default_iterations(name)
         prop, prop_wall = timed_job(lambda: surfer.run_propagation(
@@ -528,15 +571,56 @@ def fig7_mr_vs_prop(
                 100.0 * (1 - prop_net / mr_net) if mr_net else 0.0
             ),
         }
-        if name == "NR":  # the gated row: fig7_nr_{propagation,mapreduce}
-            series[name]["records"] = {"propagation": _record(prop, prop_wall),
-                                       "mapreduce": _record(mr, mr_wall)}
-    return series
+        if name == "NR":
+            timed["propagation"] = (prop, prop_wall)
+            timed["mapreduce"] = (mr, mr_wall)
+    for key, combiner in (("mr_naive", False), ("mr_combiner", True)):
+        timed[key] = timed_job(lambda: surfer.run_mapreduce(
+            NetworkRankingMapReduce(in_map_combining=False),
+            rounds=default_iterations("NR"), combiner=combiner))
+    jobs = {key: job for key, (job, _) in timed.items()}
+    combined = jobs["mr_combiner"].reports[0]
+    return {
+        "apps": series,
+        "ladder": {key: {"shuffle": (None if key == "propagation" else
+                                     int(jobs[key].reports[0].shuffle_bytes)),
+                         "network": int(jobs[key].metrics.network_bytes)}
+                   for key in _LADDER_LABELS},
+        "precombine_bytes": combined.shuffle_bytes_precombine,
+        "combine_reduction": combined.combine_reduction,
+        "records": {f"fig7_nr_{key}": _record(job, wall)
+                    for key, (job, wall) in timed.items()},
+    }
+
+
+_FIG7_COLUMNS = [("prop time", "prop_time", 1), ("mr time", "mr_time", 1),
+                 ("speedup", "speedup", 2), ("prop net", "prop_net", 0),
+                 ("mr net", "mr_net", 0),
+                 ("net reduction %", "net_reduction_pct", 1)]
+
+def _render_fig7(result: dict) -> str:
+    ladder = result["ladder"]
+    combiner = _text(
+        "Figure 7, NR: what a map-side combiner buys MapReduce",
+        ["shuffle B", "network B"],
+        [(_LADDER_LABELS[key], ["" if r["shuffle"] is None else r["shuffle"],
+                                r["network"]])
+         for key, r in ladder.items()],
+        notes=(
+            "combiner cuts {:.1f}% of the naive shuffle ({:,.0f} -> {:,.0f} B)"
+            " yet propagation still ships {:.2f}x less than combined MR"
+            .format(100.0 * result["combine_reduction"],
+                    result["precombine_bytes"], ladder["mr_combiner"]["shuffle"],
+                    ladder["mr_combiner"]["network"]
+                    / ladder["propagation"]["network"]),
+        ))
+    return (_rows("Figure 7: MapReduce vs propagation",
+                  _FIG7_COLUMNS)(result["apps"]) + "\n\n" + combiner)
 
 
 @_collect
-def _check_fig7(series: dict) -> Shapes:
-    for app, r in series.items():
+def _check_fig7(result: dict) -> Shapes:
+    for app, r in result["apps"].items():
         if app == "VDD":
             yield 0.7 <= r["speedup"] <= 1.5, (
                 "VDD: vertex-oriented task runs at parity on both engines "
@@ -548,6 +632,14 @@ def _check_fig7(series: dict) -> Shapes:
         yield r["net_reduction_pct"] >= 40.0, (
             f"{app}: propagation ships >= 40 % less network I/O than "
             f"MapReduce (paper 42.3-96 %)")
+    net = {key: row["network"] for key, row in result["ladder"].items()}
+    yield net["mr_combiner"] < net["mr_naive"], (
+        "NR: the combiner shrinks the wire volume")
+    # the (R-1)/R structural handicap shrinks, it does not vanish
+    yield net["propagation"] < net["mr_combiner"], (
+        "NR: propagation still ships less than combined MapReduce")
+    yield 0.0 < result["combine_reduction"] < 1.0, (
+        "NR: the combiner removes some but not all of the naive shuffle")
 
 
 # ----------------------------------------------------------------------
@@ -853,12 +945,14 @@ def _check_fault_sweep(result: dict) -> Shapes:
 def fig11_scalability(
     machine_counts=(8, 16, 24, 32),
     seed: int = 2010,
-) -> dict[int, dict[str, Any]]:
+) -> dict[str, dict]:
     """P-Surfer NR response time with machines and graph scaled together.
 
-    Returns ``{machines: {response, record}}``.
+    Returns ``{"response": {machines: s}, "records":
+    {fig11_nr_<machines>_machines: record}}``.
     """
-    series: dict[int, dict[str, Any]] = {}
+    response: dict[int, float] = {}
+    records: dict[str, dict] = {}
     for m in machine_counts:
         graph = scaled_graph(m, seed=seed)
         num_parts = parts_for(graph, m)
@@ -866,24 +960,23 @@ def fig11_scalability(
                       cluster=make_cluster(t1(m, SCALED_LINK_BPS)),
                       num_parts=num_parts, seed=seed)
         surfer = wl.surfer("bandwidth-aware")
-        job, record = _timed_record(lambda: surfer.run_propagation(
-            make_app("NR", "propagation"), iterations=1, local_opts=True
-        ))
-        series[m] = {"response": job.metrics.response_time,
-                     "record": record}
-    return series
+        job, records[f"fig11_nr_{m}_machines"] = _timed_record(
+            lambda: surfer.run_propagation(
+                make_app("NR", "propagation"), iterations=1, local_opts=True))
+        response[m] = job.metrics.response_time
+    return {"response": response, "records": records}
 
 
-def _render_fig11(series: dict) -> str:
+def _render_fig11(result: dict) -> str:
     return _text("Figure 11: P-Surfer NR weak scaling",
                  ["machines", "response (s)"],
-                 [(str(m), [m, round(r["response"], 1)])
-                  for m, r in series.items()])
+                 [(str(m), [m, round(t, 1)])
+                  for m, t in result["response"].items()])
 
 
 @_collect
-def _check_fig11(series: dict) -> Shapes:
-    times = [series[m]["response"] for m in sorted(series)]
+def _check_fig11(result: dict) -> Shapes:
+    times = [result["response"][m] for m in sorted(result["response"])]
     yield max(times) <= 2.0 * min(times), (
         "weak scaling: response time stays within a 2x band")
     yield times[-1] <= 1.7 * times[0], (
@@ -1137,22 +1230,6 @@ MIN_FASTPATH_SPEEDUP = 3.0
 _FASTPATH_ROUNDS = 5
 
 
-def _best_of_interleaved(runs: dict[str, Callable[[], Any]],
-                         wall: Callable[[Any], float] | None = None) -> dict:
-    """``{key: (min wall, last product)}`` over interleaved rounds, so
-    clock-frequency drift hits every implementation alike.  ``wall``
-    reads the seconds off the product instead of timing the whole run."""
-    best: dict[str, tuple[float, Any]] = {}
-    for _ in range(_FASTPATH_ROUNDS):
-        for key, run in runs.items():
-            product, elapsed = timed_job(run)
-            if wall is not None:
-                elapsed = wall(product)
-            if key not in best or elapsed < best[key][0]:
-                best[key] = (elapsed, product)
-    return best
-
-
 def _job_signature(job: Any, report_fields: tuple[str, ...]) -> tuple:
     """Everything deterministic a job produced: output bytes, the named
     report fields, every task's costs, the cluster totals."""
@@ -1169,145 +1246,78 @@ def _job_signature(job: Any, report_fields: tuple[str, ...]) -> tuple:
     )
 
 
+def _fastpath(surfer: Surfer, job: Callable[[bool], Any],
+              report_fields: tuple[str, ...],
+              wall: Callable[[Any], float] | None = None) -> dict:
+    """``job(vectorized)`` for the scalar oracle and the vectorized path,
+    interleaved so clock-frequency drift hits both alike: each side's
+    best wall over the rounds, and whether their products are identical.
+    ``wall`` reads the seconds off a job instead of timing the whole run.
+    """
+    best: dict[bool, tuple[float, Any]] = {}
+    for _ in range(_FASTPATH_ROUNDS):
+        for vectorized in (False, True):
+            product, elapsed = timed_job(functools.partial(job, vectorized))
+            if wall is not None:
+                elapsed = wall(product)
+            if vectorized not in best or elapsed < best[vectorized][0]:
+                best[vectorized] = (elapsed, product)
+    (scalar_s, scalar), (vec_s, vec) = best[False], best[True]
+    return {"edges": surfer.graph.num_edges, "parts": surfer.num_parts,
+            "scalar_s": scalar_s, "vec_s": vec_s,
+            "identical": (_job_signature(scalar, report_fields)
+                          == _job_signature(vec, report_fields))}
+
+
 def transfer_fastpath() -> dict:
     """The real engine work of one NR iteration on the standard
     deployment — Transfer, route and Combine, i.e. the job's
     ``wall.udf_seconds`` — scalar oracle vs the columnar array path."""
     surfer = standard_workload().surfer("bandwidth-aware")
-
-    def iteration(vectorized: bool) -> Callable[[], Any]:
-        return lambda: surfer.run_propagation(
-            NetworkRankingPropagation(), iterations=1,
-            vectorized=vectorized)
-
-    best = _best_of_interleaved(
-        {"scalar": iteration(False), "vec": iteration(True)},
+    return _fastpath(
+        surfer,
+        lambda vectorized: surfer.run_propagation(
+            NetworkRankingPropagation(), iterations=1, vectorized=vectorized),
+        ("messages_emitted", "messages_shipped", "network_bytes",
+         "spill_bytes", "locally_propagated"),
         wall=lambda job: job.events.metrics.get("wall.udf_seconds"))
-    fields = ("messages_emitted", "messages_shipped", "network_bytes",
-              "spill_bytes", "locally_propagated")
-    return {
-        "edges": surfer.graph.num_edges,
-        "parts": surfer.num_parts,
-        "scalar_s": best["scalar"][0],
-        "vec_s": best["vec"][0],
-        "identical": (_job_signature(best["scalar"][1], fields)
-                      == _job_signature(best["vec"][1], fields)),
-    }
 
 
-def _render_transfer_fastpath(r: dict) -> str:
-    return _text(
-        "Transfer + route + Combine: scalar vs. columnar (NR, fig11-scale "
-        f"workload, {r['edges']} edges, {r['parts']} partitions)",
-        ["iteration (ms)", "speedup"],
-        [("scalar (oracle)", [round(r["scalar_s"] * 1000, 1), 1.0]),
-         ("columnar (array path)", [round(r["vec_s"] * 1000, 1),
-                                    round(r["scalar_s"] / r["vec_s"], 2)])],
-        notes=(f"best of {_FASTPATH_ROUNDS} rounds; products verified "
-               "bit-identical",))
+def mr_fastpath() -> dict:
+    """The fig7-scale NR MapReduce job, scalar oracle vs vectorized."""
+    surfer = standard_workload().surfer("bandwidth-aware")
+    return _fastpath(
+        surfer,
+        lambda vectorized: surfer.run_mapreduce(
+            NetworkRankingMapReduce(), rounds=default_iterations("NR"),
+            vectorized=vectorized),
+        ("map_records", "shuffle_records", "shuffle_bytes",
+         "shuffle_bytes_precombine", "network_bytes"))
 
 
-def _fastpath_shapes(r: dict) -> Shapes:
+def _render_fastpath(title: str, column: str,
+                     vec_label: str) -> Callable[[dict], str]:
+    """The fast-path table: ``title`` (formatted with the result) over
+    the scalar and vectorized walls in ms and the speedup."""
+    def render(r: dict) -> str:
+        return _text(
+            title.format_map(r), [column, "speedup"],
+            [("scalar (oracle)", [round(r["scalar_s"] * 1000, 1), 1.0]),
+             (vec_label, [round(r["vec_s"] * 1000, 1),
+                          round(r["scalar_s"] / r["vec_s"], 2)])],
+            notes=(f"best of {_FASTPATH_ROUNDS} rounds; products verified "
+                   "bit-identical",))
+    return render
+
+
+@_collect
+def _check_fastpath(r: dict) -> Shapes:
     yield r["identical"], (
         "scalar and vectorized implementations produce identical products "
         "(outputs, counters, per-task costs)")
     yield r["scalar_s"] / r["vec_s"] >= MIN_FASTPATH_SPEEDUP, (
         f"the vectorized path is >= {MIN_FASTPATH_SPEEDUP:g}x faster than "
         f"the scalar oracle")
-
-
-def _mr_signature(job: Any) -> tuple:
-    return _job_signature(job, (
-        "map_records", "shuffle_records", "shuffle_bytes",
-        "shuffle_bytes_precombine", "network_bytes"))
-
-
-def mr_fastpath() -> dict:
-    """The fig7-scale NR MapReduce job, scalar vs vectorized, plus the
-    map-side combiner on the naive per-edge formulation and the
-    propagation run it is up against in Figure 7."""
-    surfer = standard_workload().surfer("bandwidth-aware")
-    iters = default_iterations("NR")
-
-    def mapreduce(naive: bool = False, **kwargs) -> Callable[[], Any]:
-        return lambda: surfer.run_mapreduce(
-            NetworkRankingMapReduce(in_map_combining=not naive),
-            rounds=iters, **kwargs)
-
-    best = _best_of_interleaved({"scalar": mapreduce(vectorized=False),
-                                 "vec": mapreduce(vectorized=True)})
-    timed = {key: (job, wall) for key, (wall, job) in best.items()}
-    timed["naive"] = timed_job(mapreduce(naive=True))
-    timed["combiner"] = timed_job(mapreduce(naive=True, combiner=True))
-    timed["prop"] = timed_job(lambda: surfer.run_propagation(
-        make_app("NR", "propagation"), iterations=iters, local_opts=True))
-    rows = {
-        key: {"wall_s": wall,
-              "network": int(job.metrics.network_bytes),
-              "shuffle": (None if key == "prop"
-                          else int(job.reports[0].shuffle_bytes))}
-        for key, (job, wall) in timed.items()
-    }
-    report = timed["combiner"][0].reports[0]
-    return {
-        "edges": surfer.graph.num_edges,
-        "parts": surfer.num_parts,
-        "scalar_s": rows["scalar"]["wall_s"],
-        "vec_s": rows["vec"]["wall_s"],
-        "identical": (_mr_signature(timed["scalar"][0])
-                      == _mr_signature(timed["vec"][0])),
-        "rows": rows,
-        "precombine_bytes": report.shuffle_bytes_precombine,
-        "combine_reduction": report.combine_reduction,
-        "records": {f"fig7_nr_mr_{name}": _record(*timed[key])
-                    for name, key in (("scalar", "scalar"),
-                                      ("fastpath", "vec"),
-                                      ("naive", "naive"),
-                                      ("combiner", "combiner"))},
-    }
-
-
-def _render_mr_fastpath(r: dict) -> str:
-    rows = r["rows"]
-
-    def row(label: str, key: str, speedup) -> tuple[str, list]:
-        shuffle = rows[key]["shuffle"]
-        return label, [round(rows[key]["wall_s"] * 1000, 1), speedup,
-                       "" if shuffle is None else shuffle,
-                       rows[key]["network"]]
-
-    return _text(
-        "MapReduce round: scalar vs. vectorized (NR, fig7-scale workload, "
-        f"{r['edges']} edges, {r['parts']} partitions)",
-        ["job wall (ms)", "speedup", "shuffle B", "network B"],
-        [row("scalar (before)", "scalar", 1.0),
-         row("vectorized (after)", "vec",
-             round(r["scalar_s"] / r["vec_s"], 2)),
-         row("naive map, no combiner", "naive", ""),
-         row("naive map + combiner", "combiner", ""),
-         row("propagation (Figure 7 rival)", "prop", "")],
-        notes=(
-            f"best of {_FASTPATH_ROUNDS} interleaved rounds; job products "
-            "verified bit-identical",
-            "combiner cuts {:.1f}% of the naive shuffle ({:,.0f} -> {:,.0f} B)"
-            " yet propagation still ships {:.2f}x less than combined MR"
-            .format(100.0 * r["combine_reduction"], r["precombine_bytes"],
-                    rows["combiner"]["shuffle"],
-                    rows["combiner"]["network"] / rows["prop"]["network"]),
-        ))
-
-
-@_collect
-def _check_mr_fastpath(r: dict) -> Shapes:
-    yield from _fastpath_shapes(r)
-    net = {key: row["network"] for key, row in r["rows"].items()}
-    yield net["combiner"] < net["naive"], (
-        "the combiner shrinks the wire volume")
-    # the (R-1)/R structural handicap shrinks, it does not vanish
-    yield net["prop"] < net["combiner"], (
-        "propagation still ships less than combined MapReduce")
-    yield 0.0 < r["combine_reduction"] < 1.0, (
-        "the combiner removes some but not all of the naive shuffle")
 
 
 # ----------------------------------------------------------------------
@@ -1329,8 +1339,8 @@ def chaos_smoke() -> dict:
     report, wall = timed_job(
         lambda: run_chaos_sweep(surfer, run_job, schedules=12, seed=2010))
     restarted = report.restarted_job
-    # the fault-free run next to the most-restarted schedule, each with
-    # its own wall clock, so recovery overhead stays a gated number
+    # the fault-free run next to the most-restarted schedule, so the
+    # recovery overhead is a printed, diffed cost
     records = {"chaos_nr_baseline": _record(report.baseline,
                                             report.baseline_wall_s)}
     if restarted is not None:
@@ -1364,15 +1374,8 @@ def _check_chaos_smoke(r: dict) -> Shapes:
 
 # ----------------------------------------------------------------------
 # Simulated-cost workloads off the paper's figures: a design claim each,
-# judged by ``check``; their records are what the gate holds steady
+# judged by ``check``; their result is the records table itself
 # ----------------------------------------------------------------------
-#: a records-only result's table: one row per workload record
-_RECORD_COLUMNS = [("makespan (s)", "makespan_s", 1),
-                   ("machine time (s)", "machine_time_s", 1),
-                   ("network (B)", "network_bytes", 0),
-                   ("disk (B)", "disk_bytes", 0),
-                   ("messages", "messages_shipped", 0),
-                   ("tasks", "tasks", 0)]
 
 
 def _run_records(surfer: Surfer,
@@ -1408,7 +1411,7 @@ def delta_pr() -> dict[str, dict]:
     })
 
 
-#: the frontier tail's message saving over dense NR (7.49x when blessed)
+#: the frontier tail's message saving over dense NR (7.49x in the table)
 MIN_DELTA_PR_SAVING = 5.0
 
 
@@ -1452,8 +1455,10 @@ def _check_traversal_bfs(records: dict) -> Shapes:
 
 #: peak RSS ceiling of the out-of-core run: the scale-20 graph's CSR
 #: alone is ~100 MB and its edge list ~200 MB, so a breach means the
-#: O(shard) bound became O(graph pipeline) somewhere on the path
-XL_PEAK_RSS_BYTES = 1.3e9
+#: O(shard) bound became O(graph pipeline) somewhere on the path.  0.8 GB
+#: keeps each job within 1.5x of its first recorded peak (0.77 GB NR,
+#: 0.53 GB BFS); both now peak near 0.33 GB
+XL_PEAK_RSS_BYTES = 8.0e8
 
 
 def fig11_xl(rmat_scale: int = 20, edge_factor: int = 12,
@@ -1541,16 +1546,11 @@ EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
     Experiment(
         "fig7",
         "propagation 1.7-5.8x faster than MapReduce with 42.3-96 % less "
-        "network I/O on every app except VDD (parity)",
+        "network I/O on every app except VDD (parity); a map-side combiner "
+        "narrows NR's gap but keeps it",
         fig7_mr_vs_prop,
-        _rows("Figure 7: MapReduce vs propagation",
-              [("prop time", "prop_time", 1), ("mr time", "mr_time", 1),
-               ("speedup", "speedup", 2), ("prop net", "prop_net", 0),
-               ("mr net", "mr_net", 0),
-               ("net reduction %", "net_reduction_pct", 1)]),
-        _check_fig7,
-        lambda s: {f"fig7_nr_{engine}": record
-                   for engine, record in s["NR"]["records"].items()}),
+        _with_records(_render_fig7, "Figure 7: the NR jobs' simulated costs"),
+        _check_fig7),
     Experiment(
         "cascade",
         "with a ~7 % V_k ratio, cascading saves ~8 % response time and "
@@ -1578,9 +1578,9 @@ EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
         "fig11",
         "response time stays roughly flat as machines grow 8 -> 32 with "
         "proportionally larger graphs",
-        fig11_scalability, _render_fig11, _check_fig11,
-        lambda s: {f"fig11_nr_{m}_machines": r["record"]
-                   for m, r in s.items()}),
+        fig11_scalability,
+        _with_records(_render_fig11, "Figure 11: simulated costs"),
+        _check_fig11),
     Experiment(
         "fig12",
         "propagation 4.6-7.8x faster than MapReduce on NR at every "
@@ -1639,41 +1639,52 @@ EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
         "transfer_fastpath",
         "docs/COST_MODEL.md: the columnar array path (Transfer, route, "
         "Combine) is bit-identical to the scalar oracle and >= 3x faster",
-        transfer_fastpath, _render_transfer_fastpath,
-        _collect(_fastpath_shapes)),
+        transfer_fastpath,
+        _render_fastpath(
+            "Transfer + route + Combine: scalar vs. columnar (NR, "
+            "fig11-scale workload, {edges} edges, {parts} partitions)",
+            "iteration (ms)", "columnar (array path)"),
+        _check_fastpath),
     Experiment(
         "mr_fastpath",
         "docs/COST_MODEL.md: the vectorized MapReduce round is bit-identical "
-        "and >= 3x faster; a combiner narrows but keeps Figure 7's gap",
-        mr_fastpath, _render_mr_fastpath, _check_mr_fastpath,
-        lambda r: r["records"]),
+        "to the scalar oracle and >= 3x faster",
+        mr_fastpath,
+        _render_fastpath(
+            "MapReduce round: scalar vs. vectorized (NR, fig7-scale "
+            "workload, {edges} edges, {parts} partitions)",
+            "job wall (ms)", "vectorized"),
+        _check_fastpath),
     Experiment(
         "chaos_smoke",
         "recovery invariant: every random fault schedule ends bit-identical "
         "or as a clean failure, and restarts cost visible makespan",
-        chaos_smoke, lambda r: r["summary"], _check_chaos_smoke,
-        lambda r: r["records"]),
+        chaos_smoke,
+        _with_records(lambda r: r["summary"], "Chaos smoke: simulated costs"),
+        _check_chaos_smoke),
     Experiment(
         "delta_pr",
         "design claim: delta-PageRank's frontier tail touches only the "
         "converging core, so dense NR ships >= 5x its messages",
         delta_pr,
-        _rows("delta-PageRank frontier tail vs dense NR (web-feeder graph, "
-              "no local optimizations)", _RECORD_COLUMNS),
-        _check_delta_pr, lambda records: records),
+        functools.partial(
+            _records_table, "delta-PageRank frontier tail vs dense NR "
+            "(web-feeder graph, no local optimizations)"),
+        _check_delta_pr),
     Experiment(
         "traversal_bfs",
         "design claim: the sparse frontier Transfer ships the dense BFS's "
         "messages and reads fewer disk bytes",
         traversal_bfs,
-        _rows("BFS: sparse frontier vs dense propagation", _RECORD_COLUMNS),
-        _check_traversal_bfs, lambda records: records),
+        functools.partial(_records_table,
+                          "BFS: sparse frontier vs dense propagation"),
+        _check_traversal_bfs),
     Experiment(
         "fig11_xl",
         "design claim: a 10M+-edge graph runs out of core through the shard "
-        "store with peak RSS O(shard), under 1.3 GB for NR and BFS",
+        "store with peak RSS O(shard), under 0.8 GB for NR and BFS",
         fig11_xl,
-        _rows("Out-of-core XL: streamed R-MAT through an 8-shard store "
-              "(T2(4,1), 8 machines)", _RECORD_COLUMNS),
-        _check_fig11_xl, lambda records: records),
+        functools.partial(_records_table, "Out-of-core XL: streamed R-MAT "
+                          "through an 8-shard store (T2(4,1), 8 machines)"),
+        _check_fig11_xl),
 )}

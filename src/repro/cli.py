@@ -14,11 +14,10 @@
   failure (exit 1 on any violation);
 * ``experiment`` — run paper tables/figures/ablations from the
   :data:`repro.bench.experiments.EXPERIMENTS` registry (or ``all``),
-  print each in the paper's arrangement, gate every ``repro-bench/v1``
-  record an entry produces against the committed ``BENCH_PR*.json``
-  history, and exit 1 if any reported shape is broken or any record
-  regressed; ``--out DIR`` also writes ``DIR/<name>.txt`` and the
-  trajectory report, ``--bless PR<n>`` writes ``BENCH_PR<n>.json``;
+  print each in the paper's arrangement (every simulated cost of a
+  recorded job to the last digit) and exit 1 if any reported shape is
+  broken; ``--out DIR`` also writes ``DIR/<name>.txt``, the form of the
+  committed ``benchmarks/results/`` baseline;
 * ``partition`` — partition a graph and save the plan to a ``.npz`` file;
 * ``info`` — describe a saved plan;
 * ``graphinfo`` — profile a synthetic or edge-list graph;
@@ -141,13 +140,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           + ", ".join(EXPERIMENTS))
     exp.add_argument("--out", default=None, metavar="DIR",
                      help="also write each rendered table to "
-                          "DIR/<name>.txt and the simulated-cost "
-                          "trajectory to DIR/trajectory.md (nothing is "
-                          "written without it)")
-    exp.add_argument("--bless", default=None, metavar="PR<n>",
-                     help="write the records of the entries that ran as "
-                          "the new baseline BENCH_PR<n>.json in the "
-                          "current directory (unless a shape is broken)")
+                          "DIR/<name>.txt (nothing is written without "
+                          "it); --out benchmarks/results rewrites the "
+                          "committed baseline")
 
     part = sub.add_parser("partition",
                           help="partition a synthetic graph, save the plan")
@@ -438,52 +433,26 @@ def _cmd_chaos(args) -> int:
 def _cmd_experiment(args) -> int:
     import pathlib
 
-    from repro.bench.benchjson import write_bench_json
     from repro.bench.experiments import EXPERIMENTS
-    from repro.bench.regress import GateResult, compare_records
-    from repro.bench.trajectory import load_history, render_markdown
     from repro.errors import BenchRunError
 
     names = list(EXPERIMENTS) if "all" in args.names else args.names
-    if args.bless and not any(EXPERIMENTS[n].records for n in names):
-        print(f"--bless: none of {', '.join(names)} produces records",
-              file=sys.stderr)
-        return 2
-    try:
-        history = load_history()
-    except BenchRunError as exc:
-        print(f"baseline history: {exc}", file=sys.stderr)
-        return 2
     out = pathlib.Path(args.out) if args.out else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-    records: dict[str, dict] = {}
-    gate = GateResult()
     broken = 0
     for name in names:
         exp = EXPERIMENTS[name]
         try:
             result = exp.run()
-            produced = exp.records(result) if exp.records else {}
         except BenchRunError as exc:
-            # a failed or unreconciled job: no table, and no cost to gate
+            # a failed or unreconciled job: no table, and no cost to print
             print(f"  BROKEN SHAPE [{name}]: {exc}\n")
             broken += 1
             continue
         text = exp.render(result)
         print(text)
         shapes = exp.check(result)
-        if produced:
-            verdict = compare_records(produced, history)
-            records.update(produced)
-            gate.findings += verdict.findings
-            if args.bless:
-                # re-baselined below: a moved cost is news, not a failure
-                for line in verdict.failures():
-                    print(f"  blessed over [{name}]: {line}")
-            else:
-                shapes += verdict.failures()
-                gate.missing += verdict.missing
         for shape in shapes:
             print(f"  BROKEN SHAPE [{name}]: {shape}")
         if not shapes:
@@ -492,15 +461,6 @@ def _cmd_experiment(args) -> int:
         if out is not None:
             (out / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
         broken += len(shapes)
-    if out is not None and records:
-        (out / "trajectory.md").write_text(
-            render_markdown(history, records,
-                            current_label=args.bless or "current",
-                            gate_result=gate), encoding="utf-8")
-    if args.bless and not broken:  # a broken shape is no baseline
-        path = f"BENCH_{args.bless}.json"
-        write_bench_json(path, records, pr=args.bless)
-        print(f"blessed {path}: {len(records)} record(s)")
     if broken:
         print(f"{broken} broken shape(s)", file=sys.stderr)
     return 1 if broken else 0

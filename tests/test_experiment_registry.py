@@ -4,11 +4,12 @@ No experiment is *run* here (``python -m repro experiment all`` takes
 minutes): every :data:`~repro.bench.experiments.EXPERIMENTS` entry is fed
 a small hand-built result.  A paper-shaped one must check clean and
 render under its title; a deliberately wrong one must make ``check`` name
-the broken shape and the CLI exit 1.  The two experiments that need no
-graph (``table1``, ``table4``) are also held byte-identical to the
-committed ``benchmarks/results/<name>.txt``, and the cheap entries that
-produce ``repro-bench/v1`` records are run and gated against the
-committed ``BENCH_PR*.json`` history.
+the broken shape and the CLI exit 1.  The committed
+``benchmarks/results/<name>.txt`` are the simulated-cost baseline: the
+two experiments that need no graph (``table1``, ``table4``) and the
+cheap entries that print ``repro-bench/v1`` records are run here and
+held byte-identical to them, and a one-unit move of any recorded cost
+must change the rendered table.
 """
 
 import copy
@@ -21,7 +22,6 @@ import pytest
 
 from repro.apps import APP_ORDER
 from repro.bench.experiments import EXPERIMENTS
-from repro.bench.benchjson import load_bench_json
 from repro.bench.harness import ExperimentTable
 from repro.cli import main as cli_main
 from repro.errors import BenchRunError
@@ -60,15 +60,27 @@ def fault_scenario(response, completed=True, rerepl=0, **events):
 
 
 def bench_record(**overrides):
-    return {"makespan_s": 100.0, "machine_time_s": 400.0,
-            "network_bytes": 1000, "disk_bytes": 5000,
+    """A record as ``job_record`` stores it: seconds to 6 decimals."""
+    return {"makespan_s": 1911.122489, "machine_time_s": 5706.461511,
+            "network_bytes": 437632, "disk_bytes": 2960672,
             "messages_shipped": 500, "tasks": 64,
             "wall_clock_s": 0.05} | overrides
 
 
-def mr_rows(**network):
-    return {key: {"wall_s": 0.05, "network": net,
-                  "shuffle": None if key == "prop" else 500}
+def records(*names):
+    return {name: bench_record() for name in names}
+
+
+def app_row(prop_time, mr_time, prop_net, mr_net):
+    return {"prop_time": prop_time, "mr_time": mr_time,
+            "speedup": mr_time / prop_time, "prop_net": prop_net,
+            "mr_net": mr_net,
+            "net_reduction_pct": 100.0 * (1 - prop_net / mr_net)}
+
+
+def ladder(**network):
+    return {key: {"network": net,
+                  "shuffle": None if key == "propagation" else net // 2}
             for key, net in network.items()}
 
 
@@ -119,14 +131,15 @@ CASES = {
         "T2(2,1): bandwidth-aware placement wins strongly"),
     "fig7": (
         "Figure 7",
-        {app: {"prop_time": 100.0, "mr_time": 300.0, "speedup": 3.0,
-               "prop_net": 1000.0, "mr_net": 5000.0,
-               "net_reduction_pct": 80.0}
-         for app in APP_ORDER} | {
-            "VDD": {"prop_time": 100.0, "mr_time": 90.0, "speedup": 0.9,
-                    "prop_net": 1000.0, "mr_net": 1000.0,
-                    "net_reduction_pct": 0.0}},
-        lambda s: s["NR"].update(prop_time=400.0, speedup=0.75),
+        {"apps": {app: app_row(100.0, 300.0, 1000.0, 5000.0)
+                  for app in APP_ORDER}
+         | {"VDD": app_row(100.0, 90.0, 1000.0, 1000.0)},
+         "ladder": ladder(mapreduce=700, mr_naive=2000, mr_combiner=700,
+                          propagation=150),
+         "precombine_bytes": 1900, "combine_reduction": 0.73,
+         "records": records("fig7_nr_propagation", "fig7_nr_mapreduce",
+                            "fig7_nr_mr_naive", "fig7_nr_mr_combiner")},
+        lambda r: r["apps"]["NR"].update(prop_time=400.0, speedup=0.75),
         "NR: propagation is faster than MapReduce"),
     "cascade": (
         "Cascaded propagation",
@@ -166,9 +179,10 @@ CASES = {
         "transient: recovery does not touch storage"),
     "fig11": (
         "Figure 11",
-        {m: {"response": t}
-         for m, t in {8: 130.0, 16: 125.0, 24: 180.0, 32: 197.0}.items()},
-        lambda s: s[32].update(response=400.0),
+        {"response": {8: 130.0, 16: 125.0, 24: 180.0, 32: 197.0},
+         "records": records(*(f"fig11_nr_{m}_machines"
+                              for m in (8, 16, 24, 32)))},
+        lambda r: r["response"].update({32: 400.0}),
         "weak scaling: response time stays within a 2x band"),
     "fig12": (
         "Figure 12",
@@ -222,17 +236,15 @@ CASES = {
     "mr_fastpath": (
         "MapReduce round",
         {"edges": 1000, "parts": 8, "scalar_s": 0.17, "vec_s": 0.04,
-         "identical": True, "precombine_bytes": 1900,
-         "combine_reduction": 0.73,
-         "rows": mr_rows(scalar=700, vec=700, naive=2000, combiner=700,
-                         prop=150)},
+         "identical": True},
         lambda r: r.update(identical=False),
         "scalar and vectorized implementations produce identical"),
     "chaos_smoke": (
         "chaos sweep",
         {"summary": "chaos sweep: 12 schedules (seed 2010)", "ok": True,
          "wall_s": 5.0, "baseline_makespan": 100.0,
-         "restarted_makespan": 150.0},
+         "restarted_makespan": 150.0,
+         "records": records("chaos_nr_baseline", "chaos_nr_restarted")},
         lambda r: r.update(restarted_makespan=None),
         "a restarted schedule completes"),
     "delta_pr": (
@@ -254,7 +266,7 @@ CASES = {
         {"fig11_xl_nr": bench_record(peak_rss_bytes=340_000_000),
          "fig11_xl_bfs": bench_record(peak_rss_bytes=342_000_000)},
         lambda r: r["fig11_xl_bfs"].update(peak_rss_bytes=2_000_000_000),
-        "fig11_xl_bfs: peak RSS stays <= 1.3 GB"),
+        "fig11_xl_bfs: peak RSS stays <= 0.8 GB"),
 }
 
 
@@ -287,9 +299,8 @@ def test_wrong_result_names_the_shape_and_fails_the_cli(
     reported = exp.check(result)
     assert any(shape in line for line in reported), reported
 
-    # records=None: a hand-built result has no jobs to gate
     monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(
-        exp, run=lambda: result, records=None))
+        exp, run=lambda: result))
     assert cli_main(["experiment", name]) == 1
     captured = capsys.readouterr()
     assert f"BROKEN SHAPE [{name}]" in captured.out
@@ -350,83 +361,60 @@ class TestWritesOnlyWithOut:
 
 
 # ----------------------------------------------------------------------
-# The simulated-cost gate
+# The simulated-cost baseline: the committed tables
 # ----------------------------------------------------------------------
+#: the six simulated costs of a record, each printed in full
+COSTS = ("makespan_s", "machine_time_s", "network_bytes", "disk_bytes",
+         "messages_shipped", "tasks")
+
+
+def records_in(result):
+    """Every ``repro-bench/v1`` record anywhere in a hand-built result."""
+    if isinstance(result, dict):
+        if all(field in result for field in COSTS):
+            yield result
+            return
+        for value in result.values():
+            yield from records_in(value)
+
+
+@pytest.mark.parametrize("field", COSTS)
+@pytest.mark.parametrize("name", ["fig7", "fig11", "chaos_smoke", "delta_pr",
+                                  "traversal_bfs", "fig11_xl"])
+def test_a_one_unit_cost_move_changes_the_table(name, field):
+    """The byte diff against ``benchmarks/results/`` is the cost gate, so
+    the table must show the smallest move ``job_record`` can store: +1 on
+    a count or byte total, +1e-6 on a simulated-seconds field."""
+    result = copy.deepcopy(CASES[name][1])
+    render = EXPERIMENTS[name].render
+    before = render(result)
+    assert any(records_in(result))
+    for record in records_in(result):
+        kept = record[field]
+        unit = 1 if isinstance(kept, int) else 1e-6
+        record[field] = round(kept + unit, 6)
+        assert render(result) != before, (name, field)
+        record[field] = kept
+
+
 @pytest.mark.parametrize("name", ["chaos_smoke", "delta_pr", "traversal_bfs"])
-def test_cheap_entries_pass_the_simulated_cost_gate(name, monkeypatch,
-                                                    capsys):
+def test_cheap_entries_pass_the_simulated_cost_gate(name, tmp_path, capsys):
     """Tier-1 runs the record-producing entries that take well under a
-    second and gates them against the committed history, so a drift
+    second and diffs ``--out`` against the committed table, so a drift
     in a simulated cost (a restart path that re-restores too much, a
     frontier that reads too much) fails here, not only in CI."""
-    monkeypatch.chdir(REPO)
-    assert EXPERIMENTS[name].records is not None
-    code = cli_main(["experiment", name])
+    code = cli_main(["experiment", name, "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 0, out
     assert f"shape reproduced [{name}]" in out
+    committed = REPO / "benchmarks" / "results" / f"{name}.txt"
+    assert (tmp_path / f"{name}.txt").read_bytes() == committed.read_bytes()
 
 
 class TestGateAndBless:
-    """``repro experiment`` judges records against the BENCH_PR*.json in
-    the current directory; ``--bless`` is the only writer of one."""
+    """A job that fails or does not reconcile has no cost to print."""
 
-    @pytest.fixture()
-    def entry(self, monkeypatch, tmp_path):
-        """table4 (no graph, milliseconds) made to produce one record."""
-        monkeypatch.chdir(tmp_path)
-        produced = {"w": bench_record()}
-        monkeypatch.setitem(EXPERIMENTS, "table4", dataclasses.replace(
-            EXPERIMENTS["table4"], records=lambda _: produced))
-        return produced
-
-    def test_unbaselined_record_is_a_broken_shape(self, entry, capsys):
-        assert cli_main(["experiment", "table4"]) == 1
-        out = capsys.readouterr().out
-        assert "BROKEN SHAPE [table4]: UNBASELINED w" in out
-
-    def test_bless_writes_the_baseline_the_next_run_passes(
-            self, entry, tmp_path, capsys):
-        assert cli_main(["experiment", "table4", "--bless", "PR7"]) == 0
-        doc = load_bench_json(tmp_path / "BENCH_PR7.json")
-        assert doc["pr"] == "PR7" and doc["workloads"] == entry
-        assert cli_main(["experiment", "table4"]) == 0
-
-    def test_regressed_record_names_the_metric(self, entry, tmp_path,
-                                               capsys):
-        assert cli_main(["experiment", "table4", "--bless", "PR7"]) == 0
-        entry["w"] = bench_record(tasks=65, disk_bytes=6000)
-        assert cli_main(["experiment", "table4", "--out", "d"]) == 1
-        out = capsys.readouterr().out
-        assert "BROKEN SHAPE [table4]: REGRESSION w.disk_bytes" in out
-        assert "BROKEN SHAPE [table4]: REGRESSION w.tasks" in out
-        trajectory = (tmp_path / "d" / "trajectory.md").read_text()
-        assert "gate: FAIL" in trajectory and "## w" in trajectory
-
-    def test_bless_over_a_moved_cost_prints_it_and_writes_it(
-            self, entry, tmp_path, capsys):
-        assert cli_main(["experiment", "table4", "--bless", "PR7"]) == 0
-        entry["w"] = bench_record(tasks=65)
-        capsys.readouterr()
-        assert cli_main(["experiment", "table4", "--bless", "PR8"]) == 0
-        out = capsys.readouterr().out
-        assert "blessed over [table4]: REGRESSION w.tasks" in out
-        assert "BROKEN SHAPE" not in out
-        doc = load_bench_json(tmp_path / "BENCH_PR8.json")
-        assert doc["workloads"]["w"]["tasks"] == 65
-        assert cli_main(["experiment", "table4"]) == 0
-
-    def test_a_broken_check_blocks_the_bless(self, entry, tmp_path,
-                                             monkeypatch, capsys):
-        monkeypatch.setitem(EXPERIMENTS, "table4", dataclasses.replace(
-            EXPERIMENTS["table4"], check=lambda _: ["the shape is off"]))
-        assert cli_main(["experiment", "table4", "--bless", "PR7"]) == 1
-        assert "BROKEN SHAPE [table4]: the shape is off" in (
-            capsys.readouterr().out)
-        assert not (tmp_path / "BENCH_PR7.json").exists()
-
-    def test_a_failed_job_is_a_broken_shape(self, entry, monkeypatch,
-                                            capsys):
+    def test_a_failed_job_is_a_broken_shape(self, monkeypatch, capsys):
         def run():
             raise BenchRunError("failed: machine 3 lost its only replica")
         monkeypatch.setitem(EXPERIMENTS, "table4", dataclasses.replace(
@@ -434,12 +422,3 @@ class TestGateAndBless:
         assert cli_main(["experiment", "table4"]) == 1
         out = capsys.readouterr().out
         assert "BROKEN SHAPE [table4]: failed: machine 3" in out
-
-    def test_a_malformed_baseline_exits_2(self, entry, tmp_path, capsys):
-        (tmp_path / "BENCH_PR7.json").write_text("{not json")
-        assert cli_main(["experiment", "table4"]) == 2
-        assert "BENCH_PR7.json is invalid" in capsys.readouterr().err
-
-    def test_bless_needs_an_entry_with_records(self, capsys):
-        assert cli_main(["experiment", "table1", "--bless", "PR7"]) == 2
-        assert "produces records" in capsys.readouterr().err

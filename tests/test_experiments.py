@@ -6,7 +6,6 @@ the gaps point) quickly; the full-size shapes are each experiment's
 ``python -m repro experiment all``.
 """
 
-import numpy as np
 import pytest
 
 from repro.bench.benchjson import SCHEMA, validate_bench_json
@@ -81,14 +80,20 @@ class TestTable5:
 
 class TestFig7:
     def test_propagation_wins_where_expected(self, small_workload):
-        series = fig7_mr_vs_prop(small_workload, apps=("NR", "VDD"))
+        result = fig7_mr_vs_prop(small_workload, apps=("NR", "VDD"))
+        series = result["apps"]
         assert series["NR"]["speedup"] > 1.0
         assert series["NR"]["net_reduction_pct"] > 30.0
         assert 0.5 <= series["VDD"]["speedup"] <= 2.0
-        # the gated NR row carries both jobs' repro-bench/v1 records
-        prop = series["NR"]["records"]["propagation"]
+        # the printed records are NR's: both engines, then the ladder
+        records = result["records"]
+        assert list(records) == ["fig7_nr_propagation", "fig7_nr_mapreduce",
+                                 "fig7_nr_mr_naive", "fig7_nr_mr_combiner"]
+        prop = records["fig7_nr_propagation"]
         assert prop["network_bytes"] == series["NR"]["prop_net"]
-        assert "records" not in series["VDD"]
+        net = {key: row["network"] for key, row in result["ladder"].items()}
+        assert net["mr_combiner"] < net["mr_naive"]
+        assert net["mapreduce"] == records["fig7_nr_mapreduce"]["network_bytes"]
 
 
 class TestCascade:

@@ -417,6 +417,19 @@ class TestBenchJson:
             write_bench_json(tmp_path / "bad.json", {"w": {"nope": 1}},
                              pr="current")
 
+    def test_schema_accepts_and_checks_optional_field(self, nr_job):
+        rec = job_record(nr_job, 0.1)
+
+        def doc(record):
+            return {"schema": SCHEMA, "pr": "PR9", "workloads": {"w": record}}
+
+        assert validate_bench_json(doc(dict(rec, peak_rss_bytes=123))) == []
+        assert validate_bench_json(doc(rec)) == []
+        bad = doc(dict(rec, peak_rss_bytes="big"))
+        assert any("peak_rss_bytes" in e for e in validate_bench_json(bad))
+        negative = doc(dict(rec, peak_rss_bytes=-1))
+        assert any("negative" in e for e in validate_bench_json(negative))
+
     def test_validate_rejects_bools(self, nr_job):
         # bool is an int subclass; True must not pass as a measurement
         rec = job_record(nr_job, 0.1)

@@ -211,11 +211,9 @@ class TestCliExperimentFormatting:
 
         from repro.bench.experiments import EXPERIMENTS
         for name, result in stubs:
-            # a stubbed result has no jobs behind it: nothing to gate
             monkeypatch.setitem(
                 EXPERIMENTS, name,
-                dataclasses.replace(EXPERIMENTS[name], run=lambda r=result: r,
-                                    records=None))
+                dataclasses.replace(EXPERIMENTS[name], run=lambda r=result: r))
         assert cli_main(["experiment"] + [name for name, _ in stubs]) == 0
         out = capsys.readouterr().out
         for name, _ in stubs:
@@ -239,13 +237,27 @@ class TestCliExperimentFormatting:
         assert ["T2(2,1)", "2e+03", "1e+03", "50"] in rows
 
     def test_fig7(self, monkeypatch, capsys):
+        record = {"makespan_s": 197.204533, "machine_time_s": 4066.015378,
+                  "network_bytes": 155808, "disk_bytes": 2052952,
+                  "messages_shipped": 15176, "tasks": 128,
+                  "wall_clock_s": 0.05}
         out, rows = self._run(monkeypatch, capsys, ("fig7", {
-            "NR": {"prop_time": 100.0, "mr_time": 300.0, "speedup": 3.0,
-                   "prop_net": 1000.0, "mr_net": 5000.0,
-                   "net_reduction_pct": 80.0},
+            "apps": {"NR": {"prop_time": 100.0, "mr_time": 300.0,
+                            "speedup": 3.0, "prop_net": 1000.0,
+                            "mr_net": 5000.0, "net_reduction_pct": 80.0}},
+            "ladder": {"mapreduce": {"shuffle": 600, "network": 5000},
+                       "mr_naive": {"shuffle": 1900, "network": 9000},
+                       "mr_combiner": {"shuffle": 600, "network": 5000},
+                       "propagation": {"shuffle": None, "network": 1000}},
+            "precombine_bytes": 1900, "combine_reduction": 0.684,
+            "records": {"fig7_nr_propagation": record},
         }))
         assert "net reduction %" in out
         assert ["NR", "100", "300", "3", "1000", "5000", "80"] in rows
+        assert ["naive", "map,", "no", "combiner", "1900", "9000"] in rows
+        assert "combiner cuts 68.4% of the naive shuffle" in out
+        assert ["fig7_nr_propagation", "197.204533", "4066.015378",
+                "155808", "2052952", "15176", "128"] in rows
 
     def test_fig9(self, monkeypatch, capsys):
         _, rows = self._run(monkeypatch, capsys, ("fig9", {
@@ -270,7 +282,7 @@ class TestCliExperimentFormatting:
     def test_fig11_and_fig12(self, monkeypatch, capsys):
         out, rows = self._run(
             monkeypatch, capsys,
-            ("fig11", {8: {"response": 10.0}, 16: {"response": 9.0}}),
+            ("fig11", {"response": {8: 10.0, 16: 9.0}, "records": {}}),
             ("fig12", {8: {"prop_time": 5.0, "mr_time": 10.0,
                            "speedup": 2.0}}))
         assert ["16", "16", "9"] in rows
