@@ -1,4 +1,12 @@
-"""Project-wide symbol table and call graph (pure stdlib ``ast``).
+"""Parsed files, the project symbol table and call graph (pure stdlib
+``ast``).
+
+:func:`parse_file` is where ``repro check`` reads a file: it tokenizes
+the source once (for the inline suppression markers) and parses it
+once, into a :class:`SourceFile` that every pass consumes.  A ``repro``
+package module also gets its :class:`ModuleIndex` there, whose
+``bindings`` are the one import view the passes resolve names through
+(:func:`qualified_name`).
 
 The interprocedural passes (:mod:`repro.analysis.taint`) need to answer
 one question the per-file lints cannot: *which function does this call
@@ -21,9 +29,15 @@ the taint pass never guesses.
 from __future__ import annotations
 
 import ast
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
+from repro.analysis.findings import collect_suppressions
+
 __all__ = [
+    "SourceFile",
+    "parse_file",
+    "qualified_name",
     "FunctionInfo",
     "ClassInfo",
     "ModuleIndex",
@@ -35,11 +49,8 @@ __all__ = [
 
 
 def module_path(path: str) -> str | None:
-    """Path relative to the ``repro`` package, or None if outside it.
-
-    Mirrors the determinism pass's scoping helper so every pass agrees
-    on what is "inside the package".
-    """
+    """Path relative to the ``repro`` package, or None if outside it:
+    what every pass scopes its rules by."""
     norm = path.replace("\\", "/")
     marker = "repro/"
     idx = norm.rfind(marker)
@@ -93,6 +104,10 @@ class ModuleIndex:
     import_aliases: dict[str, str] = field(default_factory=dict)
     #: local name -> dotted qname (``from repro.hashing import stable_hash``)
     from_imports: dict[str, str] = field(default_factory=dict)
+    #: the import view: local name -> dotted name of the module or member
+    #: it binds (``import numpy.random`` binds ``numpy``; ``import
+    #: numpy.random as npr`` binds ``numpy.random``)
+    bindings: dict[str, str] = field(default_factory=dict)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
 
@@ -116,8 +131,9 @@ def _index_module(path: str, tree: ast.Module, module: str) -> ModuleIndex:
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                idx.import_aliases[alias.asname
-                                   or alias.name.split(".")[0]] = alias.name
+                local = alias.asname or alias.name.split(".")[0]
+                idx.import_aliases[local] = alias.name
+                idx.bindings[local] = alias.name if alias.asname else local
         elif isinstance(node, ast.ImportFrom):
             target = _resolve_relative(module, node)
             if target is None:
@@ -125,7 +141,8 @@ def _index_module(path: str, tree: ast.Module, module: str) -> ModuleIndex:
             for alias in node.names:
                 if alias.name == "*":
                     continue
-                idx.from_imports[alias.asname or alias.name] = (
+                local = alias.asname or alias.name
+                idx.from_imports[local] = idx.bindings[local] = (
                     f"{target}.{alias.name}")
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -156,26 +173,6 @@ class ProjectIndex:
     modules: dict[str, ModuleIndex] = field(default_factory=dict)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
-
-    # ------------------------------------------------------------------
-    def add_source(self, path: str, source: str) -> None:
-        """Index one file (ignored when outside the ``repro`` package
-        or unparsable — parse errors surface as E999 elsewhere)."""
-        module = dotted_module(path)
-        if module is None:
-            return
-        try:
-            tree = ast.parse(source)
-        except SyntaxError:
-            return
-        idx = _index_module(path, tree, module)
-        self.modules[module] = idx
-        for info in idx.functions.values():
-            self.functions[info.qname] = info
-        for cls in idx.classes.values():
-            self.classes[cls.qname] = cls
-            for info in cls.methods.values():
-                self.functions[info.qname] = info
 
     # ------------------------------------------------------------------
     def _base_class(self, mod: ModuleIndex, name: str) -> ClassInfo | None:
@@ -241,9 +238,60 @@ class ProjectIndex:
         return None
 
 
-def build_project_index(sources: dict[str, str]) -> ProjectIndex:
-    """Index ``{path: source}`` into one :class:`ProjectIndex`."""
+def build_project_index(files: Iterable[SourceFile]) -> ProjectIndex:
+    """One :class:`ProjectIndex` over the package modules of ``files``
+    (files outside the package, or unparsable, carry no index)."""
     index = ProjectIndex()
-    for path in sorted(sources):
-        index.add_source(path, sources[path])
+    for file in sorted(files, key=lambda f: f.path):
+        idx = file.index
+        if idx is None:
+            continue
+        index.modules[idx.module] = idx
+        for info in idx.functions.values():
+            index.functions[info.qname] = info
+        for cls in idx.classes.values():
+            index.classes[cls.qname] = cls
+            for info in cls.methods.values():
+                index.functions[info.qname] = info
     return index
+
+
+@dataclass
+class SourceFile:
+    """One scanned file, tokenized and parsed once for every pass."""
+
+    path: str
+    #: path relative to the ``repro`` package; None outside it
+    mod: str | None
+    #: line -> rule ids waived by an inline marker on that line
+    suppressions: dict[int, set[str]]
+    #: None when the source failed to parse (``error`` says where)
+    tree: ast.Module | None
+    error: SyntaxError | None = None
+    #: symbols and import view; None outside the package or unparsable
+    index: ModuleIndex | None = None
+
+
+def parse_file(path: str, source: str) -> SourceFile:
+    """Tokenize and parse ``source`` as the file at ``path``."""
+    suppressions = collect_suppressions(source)
+    mod = module_path(path)
+    try:
+        tree = ast.parse(source)
+    except SyntaxError as exc:
+        return SourceFile(path, mod, suppressions, None, exc)
+    module = dotted_module(path)
+    return SourceFile(
+        path, mod, suppressions, tree,
+        index=None if module is None else _index_module(path, tree, module))
+
+
+def qualified_name(node: ast.expr, bindings: dict[str, str]) -> str | None:
+    """The dotted name ``node`` denotes through a module's import view
+    (``np.random.rand`` -> ``numpy.random.rand``), or None."""
+    if isinstance(node, ast.Name):
+        return bindings.get(node.id)
+    if isinstance(node, ast.Attribute):
+        base = qualified_name(node.value, bindings)
+        return None if base is None else f"{base}.{node.attr}"
+    return None

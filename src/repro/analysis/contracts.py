@@ -51,11 +51,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.analysis.findings import (
-    Finding,
-    apply_suppressions,
-    collect_suppressions,
-)
+from repro.analysis.callgraph import SourceFile
+from repro.analysis.findings import Finding
 
 __all__ = [
     "check_udf_purity",
@@ -161,22 +158,22 @@ def _self_store(target: ast.expr) -> str | None:
     return None
 
 
-def check_udf_purity(source: str, path: str) -> list[Finding]:
-    """UDF001 over every app subclass defined directly in ``source``."""
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        return []  # E999 is reported by the determinism pass
+def check_udf_purity(file: SourceFile) -> list[Finding]:
+    """UDF001 over every app subclass defined directly in one parsed
+    file."""
     findings: list[Finding] = []
-    for node in ast.walk(tree):
+    if file.tree is None:
+        return findings
+    for node in ast.walk(file.tree):
         if not (isinstance(node, ast.ClassDef)
                 and _base_names(node) & _APP_BASES):
             continue
         for item in node.body:
             if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and item.name in UDF_METHOD_NAMES):
-                findings.extend(_purity_violations(item, path, node.name))
-    return apply_suppressions(findings, collect_suppressions(source))
+                findings.extend(
+                    _purity_violations(item, file.path, node.name))
+    return findings
 
 
 # ---------------------------------------------------------------------------

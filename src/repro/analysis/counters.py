@@ -31,6 +31,7 @@ import ast
 import re
 from dataclasses import dataclass
 
+from repro.analysis.callgraph import SourceFile
 from repro.analysis.findings import Finding
 
 __all__ = ["CounterUse", "collect_counter_uses", "check_counter_uses",
@@ -81,22 +82,18 @@ def _counter_arg(node: ast.Call) -> tuple[str, bool] | None:
     return None
 
 
-def collect_counter_uses(source: str, path: str) -> list[CounterUse]:
-    """Every counter-shaped ``.add()``/``.get()`` site in ``source``.
+def collect_counter_uses(file: SourceFile) -> list[CounterUse]:
+    """Every counter-shaped ``.add()``/``.get()`` site in one parsed file.
 
     Only files inside the ``repro`` package participate: the canonical
     registry governs the production counters; tests minting synthetic
     names to exercise registry mechanics are not conservation
     violations.
     """
-    if "repro/" not in path.replace("\\", "/"):
+    if file.index is None:
         return []
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        return []  # E999 is reported by the determinism pass
     uses: list[CounterUse] = []
-    for node in ast.walk(tree):
+    for node in ast.walk(file.index.tree):
         if not (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr in _COUNTER_METHODS):
@@ -108,7 +105,7 @@ def collect_counter_uses(source: str, path: str) -> list[CounterUse]:
         if arg is None:
             continue
         name, is_prefix = arg
-        uses.append(CounterUse(name, is_prefix, path, node.lineno))
+        uses.append(CounterUse(name, is_prefix, file.path, node.lineno))
     return uses
 
 

@@ -97,7 +97,7 @@ def collect_suppressions(source: str) -> dict[int, set[str]]:
     Parsed from the token stream so markers inside string literals do
     not count.  ``*`` suppresses every rule on the line.  Sources that
     fail to tokenize yield no suppressions (the parse error surfaces
-    through the AST passes instead).
+    as E999 instead).
     """
     out: dict[int, set[str]] = {}
     try:
@@ -116,12 +116,13 @@ def collect_suppressions(source: str) -> dict[int, set[str]]:
 
 
 def apply_suppressions(
-    findings: list[Finding], suppressions: dict[int, set[str]]
+    findings: list[Finding], suppressions: dict[str, dict[int, set[str]]]
 ) -> list[Finding]:
-    """Mark findings whose line carries a matching ignore marker."""
+    """Mark findings whose line carries a matching ignore marker
+    (``suppressions``: path -> line -> rule ids)."""
     out: list[Finding] = []
     for f in findings:
-        rules = suppressions.get(f.line, set())
+        rules = suppressions.get(f.path, {}).get(f.line, set())
         if f.rule in rules or "*" in rules:
             out.append(Finding(f.rule, f.path, f.line, f.message, True))
         else:

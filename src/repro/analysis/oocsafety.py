@@ -23,7 +23,8 @@ rules police the hazard class:
 Values are typed by *construction site* (``np.load(mmap_mode=...)``,
 ``np.memmap``, ``open_memmap``, and the shard accessor methods of
 ``graph/store.py``/``graph/stream.py``) and flow through names and
-subscripts within a function.  Like every pass, findings honour inline
+subscripts within a function; names resolve through the module's import
+view.  Like every rule, findings honour inline
 ``# repro: ignore[OOC00x] -- reason`` waivers for the sites where the
 materialization is the documented contract (e.g. ``to_graph()``).
 """
@@ -32,12 +33,8 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.determinism import _module_path
-from repro.analysis.findings import (
-    Finding,
-    apply_suppressions,
-    collect_suppressions,
-)
+from repro.analysis.callgraph import SourceFile, qualified_name
+from repro.analysis.findings import Finding
 
 __all__ = ["check_ooc_safety", "SHARD_ACCESSORS"]
 
@@ -52,35 +49,12 @@ _MATERIALIZERS = frozenset({"asarray", "array", "ascontiguousarray"})
 
 
 class _OocVisitor(ast.NodeVisitor):
-    def __init__(self, path: str):
+    def __init__(self, path: str, bindings: dict[str, str]):
         self.path = path
+        self.bindings = bindings
         self.findings: list[Finding] = []
-        self.numpy_aliases: set[str] = set()
-        #: from-imported numpy materializers (``from numpy import asarray``)
-        self.np_names: set[str] = set()
-        #: from-imported names of ``numpy.lib.format.open_memmap``
-        self.open_memmap_names: set[str] = set()
         #: scope stack: name -> "ro" | "rw"
         self._scopes: list[dict[str, str]] = [{}]
-
-    # -- imports -------------------------------------------------------
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name in ("numpy", "numpy.random"):
-                self.numpy_aliases.add(
-                    alias.asname or alias.name.split(".")[0])
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module == "numpy":
-            for alias in node.names:
-                if alias.name in _MATERIALIZERS:
-                    self.np_names.add(alias.asname or alias.name)
-        elif node.module == "numpy.lib.format":
-            for alias in node.names:
-                if alias.name == "open_memmap":
-                    self.open_memmap_names.add(alias.asname or alias.name)
-        self.generic_visit(node)
 
     # -- helpers -------------------------------------------------------
     def _report(self, rule: str, node: ast.AST, message: str) -> None:
@@ -88,11 +62,11 @@ class _OocVisitor(ast.NodeVisitor):
             Finding(rule, self.path, getattr(node, "lineno", 1), message))
 
     def _np_attr(self, func: ast.expr) -> str | None:
-        if (isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id in self.numpy_aliases):
-            return func.attr
-        return None
+        """The ``X`` of a call to ``numpy.X`` (``np.X``, or ``X``
+        from-imported from numpy)."""
+        module, _, attr = (qualified_name(func, self.bindings)
+                           or "").rpartition(".")
+        return attr if module == "numpy" else None
 
     def _kw_mode(self, call: ast.Call, name: str) -> str | None:
         for kw in call.keywords:
@@ -116,8 +90,8 @@ class _OocVisitor(ast.NodeVisitor):
             mode = self._kw_mode(call, "mode") or "r+"
             return "ro" if mode == "r" else "rw"
         is_open_memmap = (
-            (isinstance(func, ast.Name)
-             and func.id in self.open_memmap_names)
+            qualified_name(func, self.bindings)
+            == "numpy.lib.format.open_memmap"
             or (isinstance(func, ast.Attribute)
                 and func.attr == "open_memmap"))
         if is_open_memmap:
@@ -188,14 +162,11 @@ class _OocVisitor(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         attr = self._np_attr(func)
-        is_np_mat = (attr in _MATERIALIZERS
-                     or (isinstance(func, ast.Name)
-                         and func.id in self.np_names))
-        if is_np_mat and node.args and self._intent(node.args[0]) is not None:
-            name = attr if attr is not None else func.id  # type: ignore[union-attr]
+        if (attr in _MATERIALIZERS and node.args
+                and self._intent(node.args[0]) is not None):
             self._report(
                 "OOC001", node,
-                f"np.{name}() over a memmap/shard-served value "
+                f"np.{attr}() over a memmap/shard-served value "
                 "materializes (or silently aliases) O(graph) bytes; "
                 "stream per-shard slices instead",
             )
@@ -269,19 +240,11 @@ class _OocVisitor(ast.NodeVisitor):
             )
 
 
-def check_ooc_safety(source: str, path: str) -> list[Finding]:
-    """Run OOC001–OOC003 over ``source`` as if it lived at ``path``.
-
-    Only package modules are scanned (``_module_path``); a syntax error
-    is reported by the determinism pass, not duplicated here.
-    """
-    if _module_path(path) is None:
+def check_ooc_safety(file: SourceFile) -> list[Finding]:
+    """OOC001–OOC003 over one parsed file; only package modules are
+    scanned."""
+    if file.index is None:
         return []
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        return []
-    visitor = _OocVisitor(path)
-    visitor.visit(tree)
-    return apply_suppressions(visitor.findings,
-                              collect_suppressions(source))
+    visitor = _OocVisitor(file.path, file.index.bindings)
+    visitor.visit(file.index.tree)
+    return visitor.findings

@@ -1,14 +1,17 @@
 """``repro check`` orchestration: discover files, run every pass.
 
-One :func:`check_paths` call is the whole gate: determinism lints
-(DET001–DET004), out-of-core safety (OOC001–OOC003), UDF purity
-(UDF001), annotation completeness (TYP001) and counter-use collection
-run per file; the cross-file passes run once over the accumulated
-state — interprocedural taint (DET005/DET006) over the project call
-graph, CNT001/CNT002 against ``CANONICAL_COUNTERS``, the dynamic
-UDF002/PAR001 contract verification over the app registries, and
-finally SUP001, which re-audits every inline suppression marker
-against everything the other passes produced (a marker that no longer
+One :func:`check_paths` call is the whole gate.  Each file is read,
+tokenized and parsed once (:func:`repro.analysis.callgraph.parse_file`);
+the per-file passes — determinism lints (DET001–DET004), UDF purity
+(UDF001), out-of-core safety (OOC001–OOC003), annotation completeness
+(TYP001) and counter-use collection — read that one record.  The
+cross-file passes then run once over the accumulated state —
+interprocedural taint (DET005/DET006) over the project call graph,
+CNT001/CNT002 against ``CANONICAL_COUNTERS`` and the dynamic
+UDF002/PAR001 contract verification over the app registries.  Every
+pass returns raw findings; the runner applies the inline suppression
+markers once, and finally SUP001 re-audits every marker against
+everything the other passes produced (a marker that no longer
 suppresses anything is itself a finding).  CNT002 ("registered but
 never touched") only fires when the scan actually covered the runtime
 tree — a partial path list cannot prove a counter is unused.
@@ -27,11 +30,14 @@ from repro.analysis import (
     taint,
     typing_gate,
 )
-from repro.analysis.callgraph import build_project_index
+from repro.analysis.callgraph import (
+    SourceFile,
+    build_project_index,
+    parse_file,
+)
 from repro.analysis.findings import (
     Finding,
     apply_suppressions,
-    collect_suppressions,
     findings_to_json,
     render_findings,
 )
@@ -139,19 +145,22 @@ def check_stale_suppressions(
     return out
 
 
-def check_paths(
-    paths: list[str],
-    *,
-    contracts_pass: bool = True,
-    counters_pass: bool = True,
-    typing_pass: bool = True,
-) -> CheckReport:
+#: the per-file passes: each reads one parsed file, returns raw findings
+FILE_PASSES = (
+    determinism.lint_file,
+    contracts.check_udf_purity,
+    oocsafety.check_ooc_safety,
+    typing_gate.check_annotations,
+)
+
+
+def check_paths(paths: list[str], *, contracts_pass: bool = True
+                ) -> CheckReport:
     """Run the full static-analysis gate over ``paths``."""
     report = CheckReport()
+    raw: list[Finding] = []
+    files: list[SourceFile] = []
     uses: list[counters.CounterUse] = []
-    sources: dict[str, str] = {}
-    suppressions: dict[str, dict[int, set[str]]] = {}
-    saw_registry = False
 
     for path in iter_python_files(paths):
         try:
@@ -162,40 +171,33 @@ def check_paths(
                 Finding("E999", path, 1, f"unreadable source ({exc})"))
             continue
         report.files_scanned += 1
-        sources[path] = source
-        suppressions[path] = collect_suppressions(source)
-        norm = path.replace("\\", "/")
-        report.findings.extend(determinism.lint_source(source, path))
-        report.findings.extend(contracts.check_udf_purity(source, path))
-        report.findings.extend(oocsafety.check_ooc_safety(source, path))
-        if typing_pass:
-            report.findings.extend(
-                typing_gate.check_annotations(source, path))
-        if counters_pass:
-            uses.extend(counters.collect_counter_uses(source, path))
-            if norm.endswith("repro/runtime/events.py"):
-                saw_registry = True
+        file = parse_file(path, source)
+        files.append(file)
+        if file.error is not None:
+            report.findings.append(Finding(
+                "E999", path, file.error.lineno or 1,
+                f"source failed to parse: {file.error.msg}"))
+            continue
+        for check in FILE_PASSES:
+            raw.extend(check(file))
+        uses.extend(counters.collect_counter_uses(file))
 
+    suppressions = {file.path: file.suppressions for file in files}
     # interprocedural taint over the project call graph (only package
     # modules index; test files merely provide suppression context)
-    index = build_project_index(sources)
-    report.findings.extend(taint.check_taint(index, sources))
-
-    if counters_pass:
-        for f in counters.check_counter_uses(uses):
-            report.findings.extend(apply_suppressions(
-                [f], suppressions.get(f.path, {})))
-        if saw_registry:
-            # the scan covered the runtime tree: absence is provable
-            report.findings.extend(counters.check_registry_coverage(uses))
-            report.registry_audited = True
+    raw.extend(taint.check_taint(build_project_index(files), suppressions))
+    raw.extend(counters.check_counter_uses(uses))
+    if any(file.mod == "runtime/events.py" for file in files):
+        # the scan covered the runtime tree: absence is provable
+        raw.extend(counters.check_registry_coverage(uses))
+        report.registry_audited = True
 
     if contracts_pass:
-        report.findings.extend(contracts.verify_registered_apps())
+        raw.extend(contracts.verify_registered_apps())
         report.contracts_ran = True
 
+    report.findings.extend(apply_suppressions(raw, suppressions))
     # SUP001 runs last: it audits the markers against every pass above
     report.findings.extend(
         check_stale_suppressions(report.findings, suppressions))
-
     return report

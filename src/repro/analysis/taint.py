@@ -11,9 +11,9 @@ a helper function launders them trivially::
 This pass closes that hole.  Using the project call graph
 (:mod:`repro.analysis.callgraph`) it computes, by fixpoint, the set of
 functions whose **return value carries nondeterminism** — a direct
-source (``hash()``/``id()``, wall clock, unseeded RNG, unordered set
-order) flowing into a ``return``, or a call to an already-tainted
-function doing so.  Then:
+source (:func:`repro.analysis.determinism.classify_source`: ``hash()``/
+``id()``, wall clock, unseeded RNG, frozen set order) flowing into a
+``return``, or a call to an already-tainted function doing so.  Then:
 
 * **DET005** — a call site inside the determinism-critical scopes
   (:data:`repro.analysis.determinism.DET003_SCOPE`) that provably
@@ -38,126 +38,10 @@ from repro.analysis.callgraph import (
     ProjectIndex,
     module_path,
 )
-from repro.analysis.determinism import (
-    DET003_SCOPE,
-    _DET002_EXEMPT,
-    _NUMPY_SEEDED_OK,
-    _WALL_CLOCK_ATTRS,
-)
-from repro.analysis.findings import (
-    Finding,
-    apply_suppressions,
-    collect_suppressions,
-)
+from repro.analysis.determinism import DET003_SCOPE, classify_source
+from repro.analysis.findings import Finding
 
 __all__ = ["check_taint", "compute_tainted"]
-
-#: modules whose wall-clock reads are the sanctioned clock, not a source
-_WALL_EXEMPT: tuple[str, ...] = ("runtime/events.py",)
-#: builtins that freeze an unordered set's iteration order into a value
-_SET_CONSUMERS = frozenset({"list", "tuple", "iter"})
-_SET_METHODS = frozenset(
-    {"union", "intersection", "difference", "symmetric_difference"}
-)
-
-
-class _Env:
-    """Import-alias view of one module, derived from its index."""
-
-    def __init__(self, mod: ModuleIndex):
-        ia, fi = mod.import_aliases, mod.from_imports
-        self.time_aliases = {n for n, m in ia.items() if m == "time"}
-        self.time_names = {
-            n: q.rsplit(".", 1)[1]
-            for n, q in fi.items() if q.startswith("time.")
-        }
-        self.numpy_aliases = {
-            n for n, m in ia.items() if m in ("numpy", "numpy.random")
-        }
-        self.npr_aliases = (
-            {n for n, m in ia.items() if m == "numpy.random"}
-            | {n for n, q in fi.items() if q == "numpy.random"}
-        )
-        self.npr_names = {
-            n: q.split(".")[-1]
-            for n, q in fi.items()
-            if q.startswith("numpy.random.") and q != "numpy.random"
-        }
-        self.random_aliases = {n for n, m in ia.items() if m == "random"}
-        self.random_names = {
-            n: q.rsplit(".", 1)[1]
-            for n, q in fi.items()
-            if q.startswith("random.") and q.count(".") == 1
-        }
-
-
-def _is_set_expr(node: ast.expr) -> bool:
-    """Syntactic set producer (no local type tracking — conservative)."""
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in ("set", "frozenset"):
-            return True
-        if isinstance(func, ast.Attribute) and func.attr in _SET_METHODS:
-            return True
-    return False
-
-
-def _npr_attr(func: ast.expr, env: _Env) -> str | None:
-    """The ``X`` of ``np.random.X`` / ``npr.X`` attribute calls."""
-    if not isinstance(func, ast.Attribute):
-        return None
-    base = func.value
-    if (isinstance(base, ast.Attribute) and base.attr == "random"
-            and isinstance(base.value, ast.Name)
-            and base.value.id in env.numpy_aliases):
-        return func.attr
-    if isinstance(base, ast.Name) and base.id in env.npr_aliases:
-        return func.attr
-    return None
-
-
-def _direct_source(
-    node: ast.Call, env: _Env, modpath: str
-) -> tuple[str, str] | None:
-    """(base rule, reason) when ``node`` is a nondeterminism source."""
-    func = node.func
-    if isinstance(func, ast.Name) and func.id in ("hash", "id"):
-        return "DET001", f"process-salted built-in {func.id}()"
-    if not modpath.startswith(_WALL_EXEMPT):
-        if (isinstance(func, ast.Attribute)
-                and func.attr in _WALL_CLOCK_ATTRS
-                and isinstance(func.value, ast.Name)
-                and func.value.id in env.time_aliases):
-            return "DET004", f"wall clock time.{func.attr}()"
-        if (isinstance(func, ast.Name)
-                and env.time_names.get(func.id) in _WALL_CLOCK_ATTRS):
-            return "DET004", f"wall clock time.{env.time_names[func.id]}()"
-    if not modpath.startswith(_DET002_EXEMPT):
-        attr = _npr_attr(func, env)
-        if attr is None and isinstance(func, ast.Name):
-            attr = env.npr_names.get(func.id)
-        if attr is not None:
-            if attr not in _NUMPY_SEEDED_OK:
-                return "DET002", f"unseeded numpy.random.{attr}"
-            if attr == "default_rng" and (
-                not node.args
-                or (isinstance(node.args[0], ast.Constant)
-                    and node.args[0].value is None)
-            ):
-                return "DET002", "seedless default_rng()"
-        if (isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id in env.random_aliases):
-            return "DET002", f"process-global stdlib random.{func.attr}"
-        if isinstance(func, ast.Name) and func.id in env.random_names:
-            return ("DET002",
-                    f"process-global stdlib random.{env.random_names[func.id]}")
-    if (isinstance(func, ast.Name) and func.id in _SET_CONSUMERS
-            and node.args and _is_set_expr(node.args[0])):
-        return "DET003", f"{func.id}() freezes an unordered set's order"
-    return None
 
 
 def _iter_body_nodes(fn_node: ast.AST):
@@ -184,7 +68,7 @@ class _FnFacts:
 
 def _fn_facts(
     info: FunctionInfo,
-    env: _Env,
+    bindings: dict[str, str],
     index: ProjectIndex,
     suppressed: dict[int, set[str]],
 ) -> _FnFacts:
@@ -218,13 +102,11 @@ def _fn_facts(
 
     facts = _FnFacts()
     modpath = module_path(info.path) or ""
-    seen_calls: set[int] = set()
     for expr in exprs:
         for sub in ast.walk(expr):
-            if not isinstance(sub, ast.Call) or id(sub) in seen_calls:  # repro: ignore[DET001] -- AST node identity within one process
+            if not isinstance(sub, ast.Call):
                 continue
-            seen_calls.add(id(sub))  # repro: ignore[DET001] -- AST node identity within one process
-            hit = _direct_source(sub, env, modpath)
+            hit = classify_source(sub, bindings, modpath)
             if hit is not None:
                 rule, reason = hit
                 waived = suppressed.get(sub.lineno, set())
@@ -250,7 +132,7 @@ def compute_tainted(
         if mod is None:
             continue
         facts[qname] = _fn_facts(
-            info, _Env(mod), index, suppressions.get(info.path, {}))
+            info, mod.bindings, index, suppressions.get(info.path, {}))
 
     tainted: dict[str, str] = {}
     for qname, fn in sorted(facts.items()):
@@ -327,7 +209,7 @@ class _CallSiteVisitor(ast.NodeVisitor):
 
 def _check_defaults(
     info: FunctionInfo,
-    env: _Env,
+    bindings: dict[str, str],
     index: ProjectIndex,
     tainted: dict[str, str],
 ) -> list[Finding]:
@@ -340,7 +222,7 @@ def _check_defaults(
         for sub in ast.walk(default):
             if not isinstance(sub, ast.Call):
                 continue
-            hit = _direct_source(sub, env, modpath)
+            hit = classify_source(sub, bindings, modpath)
             reason = hit[1] if hit is not None else None
             if reason is None:
                 callee = index.resolve_call(sub, info.module, info.cls)
@@ -358,37 +240,23 @@ def _check_defaults(
 
 
 def check_taint(
-    index: ProjectIndex, sources: dict[str, str]
+    index: ProjectIndex, suppressions: dict[str, dict[int, set[str]]]
 ) -> list[Finding]:
-    """Run DET005/DET006 over an indexed project.
+    """DET005/DET006 over an indexed project (raw findings).
 
-    ``sources`` maps each indexed path to its text, so inline
-    suppression markers are honoured both as taint waivers (a waived
-    source does not taint) and on the new findings themselves.
+    ``suppressions`` maps each indexed path to its inline markers: a
+    waived source does not taint.
     """
-    suppressions = {
-        path: collect_suppressions(text) for path, text in sources.items()
-    }
     tainted = compute_tainted(index, suppressions)
-
-    by_path: dict[str, list[Finding]] = {}
+    out: list[Finding] = []
     for mod in index.modules.values():
         modpath = module_path(mod.path)
         if modpath is not None and modpath.startswith(DET003_SCOPE):
             visitor = _CallSiteVisitor(mod, index, tainted)
             visitor.visit(mod.tree)
-            if visitor.findings:
-                by_path.setdefault(mod.path, []).extend(visitor.findings)
+            out.extend(visitor.findings)
     for _, info in sorted(index.functions.items()):
         mod = index.modules.get(info.module)
-        if mod is None:
-            continue
-        found = _check_defaults(info, _Env(mod), index, tainted)
-        if found:
-            by_path.setdefault(info.path, []).extend(found)
-
-    out: list[Finding] = []
-    for path in sorted(by_path):
-        out.extend(apply_suppressions(
-            by_path[path], suppressions.get(path, {})))
+        if mod is not None:
+            out.extend(_check_defaults(info, mod.bindings, index, tainted))
     return out

@@ -18,11 +18,8 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.findings import (
-    Finding,
-    apply_suppressions,
-    collect_suppressions,
-)
+from repro.analysis.callgraph import SourceFile
+from repro.analysis.findings import Finding
 
 __all__ = ["STRICT_PREFIXES", "check_annotations"]
 
@@ -30,14 +27,6 @@ __all__ = ["STRICT_PREFIXES", "check_annotations"]
 STRICT_PREFIXES: tuple[str, ...] = (
     "hashing.py", "runtime/", "mapreduce/", "propagation/",
 )
-
-
-def _module_path(path: str) -> str | None:
-    norm = path.replace("\\", "/")
-    idx = norm.rfind("repro/")
-    if idx < 0:
-        return None
-    return norm[idx + len("repro/"):]
 
 
 class _AnnotationVisitor(ast.NodeVisitor):
@@ -90,16 +79,11 @@ class _AnnotationVisitor(ast.NodeVisitor):
         self._depth -= 1
 
 
-def check_annotations(source: str, path: str) -> list[Finding]:
-    """TYP001 over ``source`` if ``path`` is inside the strict surface."""
-    mod = _module_path(path)
-    if mod is None or not mod.startswith(STRICT_PREFIXES):
+def check_annotations(file: SourceFile) -> list[Finding]:
+    """TYP001 over one parsed file if it is inside the strict surface."""
+    if (file.index is None or file.mod is None
+            or not file.mod.startswith(STRICT_PREFIXES)):
         return []
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        return []  # E999 is reported by the determinism pass
-    visitor = _AnnotationVisitor(path)
-    visitor.visit(tree)
-    return apply_suppressions(visitor.findings,
-                              collect_suppressions(source))
+    visitor = _AnnotationVisitor(file.path)
+    visitor.visit(file.index.tree)
+    return visitor.findings

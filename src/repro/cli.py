@@ -218,14 +218,10 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--json", dest="json_path", default=None,
                        help="write the repro-check/v1 findings document "
                             "to this path")
-    check.add_argument("--contracts", dest="contracts",
-                       action="store_true", default=True,
-                       help="verify UDF contracts dynamically over the "
-                            "app registries (default; includes VDD's "
-                            "virtual-vertex combine path)")
     check.add_argument("--no-contracts", dest="contracts",
                        action="store_false",
-                       help="skip the dynamic UDF contract verification")
+                       help="skip the dynamic UDF contract verification "
+                            "over the app registries (run by default)")
     return parser
 
 

@@ -12,7 +12,7 @@ something imports the package itself or a name the package defines.
 
 import pathlib
 
-from repro.analysis.callgraph import build_project_index
+from repro.analysis.callgraph import build_project_index, parse_file
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 ROOT = "repro.__main__"
@@ -26,10 +26,9 @@ ALLOWED_ORPHANS = {
 
 
 def _project_index():
-    return build_project_index({
-        str(path): path.read_text(encoding="utf-8")
-        for path in SRC.rglob("*.py")
-    })
+    return build_project_index(
+        parse_file(str(path), path.read_text(encoding="utf-8"))
+        for path in SRC.rglob("*.py"))
 
 
 def _is_package(index, module):
@@ -88,7 +87,7 @@ def test_allowed_orphans_are_still_orphans():
 
 
 def test_package_reexports_do_not_count_as_use():
-    index = build_project_index({
+    index = build_project_index(parse_file(path, text) for path, text in {
         "src/repro/__main__.py": "from repro.pkg import used\n",
         "src/repro/pkg/__init__.py": (
             "from repro.pkg.a import used\n"
@@ -96,6 +95,6 @@ def test_package_reexports_do_not_count_as_use():
         "src/repro/pkg/a.py": "def used():\n    from repro.pkg import c\n",
         "src/repro/pkg/b.py": "def unused():\n    pass\n",
         "src/repro/pkg/c.py": "",
-    })
+    }.items())
     assert _import_closure(index, ROOT) == {
         "repro.__main__", "repro.pkg.a", "repro.pkg.c"}

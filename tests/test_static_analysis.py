@@ -9,35 +9,32 @@ this test file with ``repro check tests`` stays clean.
 
 from __future__ import annotations
 
+import ast
 import json
+import tokenize
 
 import numpy as np
 import pytest
 
+from repro.analysis import contracts, counters, oocsafety, typing_gate
 from repro.analysis.contracts import (
     check_array_parity,
-    check_udf_purity,
     verify_mapreduce_app,
     verify_propagation_app,
     verify_registered_apps,
 )
-from repro.analysis.counters import (
-    check_counter_uses,
-    check_registry_coverage,
-    collect_counter_uses,
-)
-from repro.analysis.callgraph import build_project_index
-from repro.analysis.determinism import lint_source
+from repro.analysis.counters import check_counter_uses, check_registry_coverage
+from repro.analysis.callgraph import build_project_index, parse_file
+from repro.analysis.determinism import lint_file
 from repro.analysis.findings import (
     RULES,
     Finding,
+    apply_suppressions,
     collect_suppressions,
     findings_to_json,
 )
-from repro.analysis.oocsafety import check_ooc_safety
 from repro.analysis.runner import check_paths, check_stale_suppressions
 from repro.analysis.taint import check_taint, compute_tainted
-from repro.analysis.typing_gate import check_annotations
 from repro.apps import (
     APP_REGISTRY,
     DegreeDistributionPropagation,
@@ -56,6 +53,33 @@ ENGINE = "src/repro/mapreduce/engine.py"
 def rules_of(findings, active_only=True):
     return sorted({f.rule for f in findings
                    if not (active_only and f.suppressed)})
+
+
+def run_pass(check, src, path):
+    """One per-file pass over ``src`` as if it lived at ``path``, its
+    suppressions applied as the runner applies them."""
+    file = parse_file(path, src)
+    return apply_suppressions(check(file), {path: file.suppressions})
+
+
+def lint_source(src, path):
+    return run_pass(lint_file, src, path)
+
+
+def check_udf_purity(src, path):
+    return run_pass(contracts.check_udf_purity, src, path)
+
+
+def check_ooc_safety(src, path):
+    return run_pass(oocsafety.check_ooc_safety, src, path)
+
+
+def check_annotations(src, path):
+    return run_pass(typing_gate.check_annotations, src, path)
+
+
+def collect_counter_uses(src, path):
+    return counters.collect_counter_uses(parse_file(path, src))
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +238,10 @@ class TestSuppression:
         src = 'msg = "# repro: ignore[DET001]"\n'
         assert collect_suppressions(src) == {}
 
-    def test_syntax_error_reports_e999(self):
-        fs = lint_source("def broken(:\n", ENGINE)
-        assert rules_of(fs) == ["E999"]
+    def test_syntax_error_reports_e999(self, tmp_path):
+        (tmp_path / "broken.py").write_text("def broken(:\n")
+        report = check_paths([str(tmp_path)], contracts_pass=False)
+        assert rules_of(report.findings) == ["E999"]
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +557,16 @@ class TestTypingGate:
 # DET005/DET006 — interprocedural taint over the project call graph
 # ---------------------------------------------------------------------------
 
+def parse_all(sources):
+    return [parse_file(path, text) for path, text in sources.items()]
+
+
 def taint_findings(sources):
-    return check_taint(build_project_index(sources), sources)
+    files = parse_all(sources)
+    suppressions = {f.path: f.suppressions for f in files}
+    return apply_suppressions(
+        check_taint(build_project_index(files), suppressions),
+        suppressions)
 
 
 KEYS = "src/repro/util/keys.py"
@@ -607,13 +640,13 @@ class TestDet005:
         assert all(f.rule != "DET005" for f in fs)
 
     def test_compute_tainted_reports_reason_chain(self):
-        index = build_project_index({
+        index = build_project_index(parse_all({
             KEYS: ("def raw(obj):\n"
                    "    return hash(obj)\n"
                    "\n"
                    "def launder(obj):\n"
                    "    return raw(obj)\n"),
-        })
+        }))
         tainted = compute_tainted(index)
         assert "process-salted" in tainted["repro.util.keys.raw"]
         assert tainted["repro.util.keys.launder"].startswith(
@@ -660,6 +693,67 @@ class TestDet006:
                    "    return time.time() if t is None else t\n"),
         })
         assert all(f.rule != "DET006" for f in fs)
+
+
+# ---------------------------------------------------------------------------
+# One source classifier: the DET lint and the taint pass agree
+# ---------------------------------------------------------------------------
+
+HELPER = "src/repro/runtime/helper.py"  # inside every DET scope
+
+#: import form -> the calls it binds, each with the rule the DET lint
+#: reports on it (None: not a nondeterminism source)
+IMPORT_FORMS = {
+    "import numpy as np": {
+        "np.random.rand(3)": "DET002",
+        "np.zeros(3)": None,
+        "np.random.default_rng()": "DET002",
+        "np.random.default_rng(7)": None,
+        "np.random.default_rng(seed=42)": None,
+        "np.random.default_rng(seed=None)": "DET002",
+    },
+    "import numpy.random": {
+        "numpy.random.rand(3)": "DET002",
+        "numpy.zeros(3)": None,
+        "numpy.random.default_rng(None)": "DET002",
+    },
+    "import numpy.random as npr": {
+        "npr.rand(3)": "DET002",
+        "npr.default_rng()": "DET002",
+        "npr.default_rng(seed=42)": None,
+    },
+    "from numpy import random": {
+        "random.rand(3)": "DET002",
+        "random.default_rng(1)": None,
+    },
+    "from numpy.random import rand": {"rand(3)": "DET002"},
+    "import time as t": {
+        "t.time()": "DET004",
+        "t.perf_counter()": "DET004",
+        "t.sleep(0)": None,
+    },
+    "from time import perf_counter as pc": {"pc()": "DET004"},
+    "import random as rnd": {"rnd.choice(x)": "DET002"},
+}
+#: calls that are sources whatever the module imports
+UNBOUND_SOURCES = {"hash(x)": "DET001", "id(x)": "DET001",
+                   "list({x, 1})": "DET003", "tuple(set(x))": "DET003"}
+CALLS = sorted({call for calls in IMPORT_FORMS.values() for call in calls}
+               | set(UNBOUND_SOURCES))
+
+
+class TestOneClassifier:
+    @pytest.mark.parametrize("form", sorted(IMPORT_FORMS))
+    @pytest.mark.parametrize("call", CALLS)
+    def test_lint_and_taint_agree(self, form, call):
+        """A helper's return is tainted exactly when the DET lint flags
+        the same call inside a DET scope (``call`` is on line 4)."""
+        rule = IMPORT_FORMS[form].get(call, UNBOUND_SOURCES.get(call))
+        src = f"{form}\n\ndef helper(x):\n    return {call}\n"
+        flagged = [f.rule for f in lint_source(src, HELPER) if f.line == 4]
+        tainted = "repro.runtime.helper.helper" in compute_tainted(
+            build_project_index(parse_all({HELPER: src})))
+        assert (flagged, tainted) == ([rule] if rule else [], bool(rule))
 
 
 # ---------------------------------------------------------------------------
@@ -838,6 +932,38 @@ class TestRunner:
         assert report.active == [], report.render()
         assert report.exit_code == 0
         assert report.registry_audited  # src covers runtime/events.py
+
+    def test_each_file_is_tokenized_and_parsed_once(self, tmp_path,
+                                                    monkeypatch):
+        pkg = tmp_path / "repro" / "runtime"
+        pkg.mkdir(parents=True)
+        (pkg / "a.py").write_text(
+            "import numpy as np\n"
+            "def f(xs: list) -> list:\n"
+            "    return list(set(xs))\n")
+        (pkg / "b.py").write_text(
+            "from repro.runtime.a import f\n"
+            "def g(m, xs):  # repro: ignore[TYP001] -- fixture\n"
+            "    m.add('mapreduce.rounds')\n"
+            "    return f(xs)\n")
+        (tmp_path / "test_c.py").write_text("x = 1\n")
+        calls = {"tokenize": 0, "parse": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(tokenize, "generate_tokens",
+                            counted("tokenize", tokenize.generate_tokens))
+        monkeypatch.setattr(ast, "parse", counted("parse", ast.parse))
+        report = check_paths([str(tmp_path)], contracts_pass=False)
+        assert report.files_scanned == 3
+        assert rules_of(report.findings, active_only=False) == [
+            "DET003", "DET005", "TYP001"]
+        assert rules_of(report.active) == ["DET003", "DET005"]
+        assert calls == {"tokenize": 3, "parse": 3}
 
     def test_partial_scan_skips_registry_coverage(self):
         report = check_paths(["src/repro/apps"], contracts_pass=False)
