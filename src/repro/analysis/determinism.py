@@ -120,6 +120,26 @@ def _is_set_expr(node: ast.expr, local_sets: set[str] | None = None
     return False
 
 
+def set_binding(node: ast.AST, local_sets: set[str]) -> str | None:
+    """The local name ``node`` binds to an unordered set, or None:
+    ``s = set(...)``, a set literal, comprehension or operator
+    (:func:`_is_set_expr`, ``local_sets`` naming the sets bound so far),
+    or an annotated ``s: set[...]``."""
+    if isinstance(node, ast.Assign):
+        if (len(node.targets) == 1 and isinstance(node.targets[0], ast.Name)
+                and _is_set_expr(node.value, local_sets)):
+            return node.targets[0].id
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                        ast.Name):
+        ann = ast.unparse(node.annotation) if node.annotation else ""
+        if (ann.startswith(("set[", "set ", "frozenset"))
+                or ann in ("set", "Set")
+                or (node.value is not None
+                    and _is_set_expr(node.value, local_sets))):
+            return node.target.id
+    return None
+
+
 def _seedless(call: ast.Call) -> bool:
     """No positional seed and no ``seed=``, or the seed is ``None``."""
     seeds = [*call.args[:1],
@@ -231,23 +251,13 @@ class _DeterminismVisitor(ast.NodeVisitor):
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._visit_function(node, node.name == "__hash__")
 
-    def visit_Assign(self, node: ast.Assign) -> None:
-        if (len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and _is_set_expr(node.value, self._local_sets())):
-            self._local_sets().add(node.targets[0].id)
+    def _bind(self, node: ast.Assign | ast.AnnAssign) -> None:
+        name = set_binding(node, self._local_sets())
+        if name is not None:
+            self._local_sets().add(name)
         self.generic_visit(node)
 
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        ann = ast.unparse(node.annotation) if node.annotation else ""
-        if isinstance(node.target, ast.Name) and (
-            ann.startswith(("set[", "set ", "frozenset"))
-            or ann in ("set", "Set")
-            or (node.value is not None
-                and _is_set_expr(node.value, self._local_sets()))
-        ):
-            self._local_sets().add(node.target.id)
-        self.generic_visit(node)
+    visit_Assign = visit_AnnAssign = _bind
 
     # -- iteration sites ----------------------------------------------
     def visit_For(self, node: ast.For) -> None:

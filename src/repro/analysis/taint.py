@@ -38,7 +38,8 @@ from repro.analysis.callgraph import (
     ProjectIndex,
     module_path,
 )
-from repro.analysis.determinism import DET003_SCOPE, classify_source
+from repro.analysis.determinism import (DET003_SCOPE, classify_source,
+                                        set_binding)
 from repro.analysis.findings import Finding
 
 __all__ = ["check_taint", "compute_tainted"]
@@ -74,7 +75,10 @@ def _fn_facts(
 ) -> _FnFacts:
     assigns: dict[str, list[ast.expr]] = {}
     returns: list[ast.expr] = []
+    binds: list[ast.Assign | ast.AnnAssign] = []
     for node in _iter_body_nodes(info.node):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            binds.append(node)
         if isinstance(node, ast.Assign):
             for target in node.targets:
                 if isinstance(target, ast.Name):
@@ -100,13 +104,21 @@ def _fn_facts(
                 exprs.extend(assigns.get(sub.id, ()))
         i += 1
 
+    # the function's set-valued locals, bound in source order as the
+    # DET lint binds them
+    local_sets: set[str] = set()
+    for node in sorted(binds, key=lambda n: (n.lineno, n.col_offset)):
+        name = set_binding(node, local_sets)
+        if name is not None:
+            local_sets.add(name)
+
     facts = _FnFacts()
     modpath = module_path(info.path) or ""
     for expr in exprs:
         for sub in ast.walk(expr):
             if not isinstance(sub, ast.Call):
                 continue
-            hit = classify_source(sub, bindings, modpath)
+            hit = classify_source(sub, bindings, modpath, local_sets)
             if hit is not None:
                 rule, reason = hit
                 waived = suppressed.get(sub.lineno, set())

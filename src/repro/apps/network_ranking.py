@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.apps.base import VertexState
 from repro.mapreduce.api import MapReduceApp
-from repro.fold import Grouping
 from repro.propagation.api import PropagationApp
 
 __all__ = ["NetworkRankingPropagation", "NetworkRankingMapReduce"]
@@ -80,9 +79,16 @@ class _RankTable:
     alone: ``keys`` is the emitted key column — the distinct edge
     destinations ascending, then the partition's own vertices no edge
     reaches — and ``slots[j]`` the position in ``keys`` of edge ``j``'s
-    destination (the ranked grouping of the destinations).  Both are
-    held narrow and read-only; a checkpoint shares the table rather
-    than copying it."""
+    destination.  Both are held narrow (``keys`` in the narrowest dtype
+    that holds ``n - 1``, ``slots`` in the narrowest that holds the
+    number of distinct destinations less one) and read-only; a
+    checkpoint shares the table rather than copying it.
+
+    :meth:`build` needs no sort and no grouping: a presence mask over
+    the span of the partition's ids (destinations and own vertices,
+    min to max) marks the destinations, its nonzero offsets are the
+    distinct ones ascending, and a rank array filled at those offsets
+    maps each edge to its slot."""
 
     slots: np.ndarray
     keys: np.ndarray
@@ -90,23 +96,27 @@ class _RankTable:
     @classmethod
     def build(cls, pgraph, partition: int) -> _RankTable:
         _, dst = pgraph.partition_edges(partition)
-        dests = Grouping(dst.astype(np.int64, copy=False),
-                         ranked=True).narrow()
-        uniq = dests.uniq
-        own = pgraph.partition_vertices[partition].astype(
-            np.int64, copy=False)
-        # uniq is sorted: membership test via binary search
-        if uniq.size:
-            pos = np.minimum(np.searchsorted(uniq, own), uniq.size - 1)
-            missing = own[uniq[pos] != own]
-        else:
-            missing = own
+        own = pgraph.partition_vertices[partition]
+        # a source is an own vertex: no own vertices, no edges
+        lo = int(dst.min(initial=own.min())) if own.size else 0
+        hi = int(dst.max(initial=own.max())) if own.size else -1
+        if lo:
+            dst, own = dst - lo, own - lo
+        present = np.zeros(hi - lo + 1, dtype=np.bool_)
+        present[dst] = True
+        uniq = np.flatnonzero(present)
+        rank = np.empty(present.size,
+                        dtype=np.min_scalar_type(max(uniq.size - 1, 0)))
+        rank[uniq] = np.arange(uniq.size)
         # vertex ids in the narrowest dtype that holds them: the shuffle
         # hashes key values, not their width
-        keys = np.concatenate((uniq, missing)).astype(
+        keys = np.concatenate((uniq, own[~present[own]])).astype(
             np.min_scalar_type(max(pgraph.num_vertices - 1, 0)))
-        keys.flags.writeable = False
-        return cls(dests.index, keys)
+        if lo:
+            keys += lo
+        slots = rank[dst]
+        keys.flags.writeable = slots.flags.writeable = False
+        return cls(slots, keys)
 
     def fold(self, deltas: np.ndarray) -> np.ndarray:
         """Each key's partial rank: ``0.0 + d1 + d2 + ...`` over its

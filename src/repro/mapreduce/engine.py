@@ -38,15 +38,17 @@ per-record dict round as the reference for both).
 The integer keys a fixed graph emits repeat round after round, so the
 engine plans them once: per partition a :class:`_ShufflePlan` (the
 combiner's grouping, the reducer permutation and its bounds), per
-reducer its grouping.  A later round reuses a plan only after its keys
-are shown to reproduce it — compared record for record with the copy
-the plan holds, never trusted by array identity — and any mismatch
-rebuilds that partition's plan and every reducer's.  An object key
-column is planned afresh every round: ``==`` and ``stable_hash``
-disagree across types (``1 == 1.0``).  Only the host's recomputation
-goes: the simulated job still spills, shuffles, sorts and writes back
-every round.  The engine is per job (a restart builds a new one), and
-so are its plans.
+reducer its grouping and its output keys' writeback homes.  A later
+round reuses either only after its keys are shown to reproduce it —
+compared record for record with the held copy (:func:`_same_keys`),
+never trusted by array identity.  A shuffle mismatch rebuilds that
+partition's plan and every reducer's grouping, an output mismatch that
+reducer's homes; output records are still sized every round.  An
+object key column is shuffle-planned afresh every round: ``==`` and
+``stable_hash`` disagree across types (``1 == 1.0``).  Only the host's
+recomputation goes: the simulated job still spills, shuffles, sorts and
+writes back every round.  The engine is per job (a restart builds a new
+one with the new assignment), and so is everything it holds.
 
 The **map-side combiner** (``combiner``) is Hadoop-style: each mapper
 folds its output per key before the shuffle — ``combine_ufunc`` over a
@@ -202,6 +204,13 @@ class _MapOutput:
     chunks: dict[int, Any] = field(default_factory=dict)
 
 
+def _same_keys(keys: np.ndarray, held: np.ndarray) -> bool:
+    """Whether ``keys`` equal the ``held`` copy record for record (same
+    dtype and shape): the one test before a held plan is reused."""
+    return (keys.shape == held.shape and keys.dtype == held.dtype
+            and bool(np.array_equal(keys, held)))
+
+
 @dataclass(frozen=True)
 class _ShufflePlan:
     """One partition's graph-only shuffle work for one key column.
@@ -250,9 +259,7 @@ class _ShufflePlan:
         combiner mode, and the held keys record for record."""
         return (num_reducers == self.num_reducers
                 and combiner == (self.combine is not None)
-                and keys.shape == self.held.shape
-                and keys.dtype == self.held.dtype
-                and bool(np.array_equal(keys, self.held)))
+                and _same_keys(keys, self.held))
 
     def permutation(self) -> np.ndarray:
         return self.order.astype(np.intp, copy=False)
@@ -293,6 +300,8 @@ class MapReduceEngine:
         #: each reducer's grouping (None: received nothing), valid while
         #: no partition's plan has been rebuilt since it was built
         self._reducer_plans: list[Grouping | None] | None = None
+        #: each reducer's held writeback homes (see _charge_outputs)
+        self._charges: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # Hook gating
@@ -318,13 +327,6 @@ class MapReduceEngine:
             )
         return False
 
-    def _check_combiner(self, app: MapReduceApp) -> None:
-        if type(app).combine is MapReduceApp.combine:
-            raise JobError(
-                f"{app.name}: combiner=True but combine() is not "
-                "implemented"
-            )
-
     # ------------------------------------------------------------------
     # Round driver
     # ------------------------------------------------------------------
@@ -343,8 +345,9 @@ class MapReduceEngine:
         """
         timer = wall_timer()
         num_reducers = self.cluster.num_machines
-        if self.combiner:
-            self._check_combiner(app)
+        if self.combiner and type(app).combine is MapReduceApp.combine:
+            raise JobError(f"{app.name}: combiner=True but combine() is "
+                           "not implemented")
         hooks = self._fast_path_ok(app)
 
         # -------- Map phase: run UDFs, bucket emissions per reducer ----
@@ -378,7 +381,7 @@ class MapReduceEngine:
                 disk_read_bytes=self.pgraph.partition_bytes(p) + mo.spill,
                 cpu_ops=cpu,
                 disk_write_bytes=mo.spill,  # map-output spill
-                sends=[(r, b) for r, b in sorted(mo.sends.items())],
+                sends=sorted(mo.sends.items()),
                 fetches=fetches,
                 disk_penalty=penalty,
             ))
@@ -402,7 +405,7 @@ class MapReduceEngine:
                 chunks = [mo.chunks[r] for mo in per_part if r in mo.chunks]
                 keys, values, answered, cpu = self._reduce(
                     app, state, concat_values(chunks), grouping)
-                out_bytes, writeback = self._charge_outputs(app, keys,
+                out_bytes, writeback = self._charge_outputs(app, r, keys,
                                                             values)
                 outs.append((keys, values) if answered else dict(
                     zip(keys.tolist(), values.tolist())))
@@ -451,15 +454,18 @@ class MapReduceEngine:
         """Partition ``p``'s map, combiner and hash shuffle: its column
         from ``map_array`` (``hooks``) or, if that declines, from the
         scalar ``map``, sized by :func:`_record_sizes`."""
-        columns = self._map_array(app, state, p) if hooks else None
-        if columns is None:
+        kv = app.map_array(p, self.pgraph, state) if hooks else None
+        if kv is None:
             if self.vectorized:
                 raise JobError(
                     f"{app.name}: vectorized=True but map_array() "
                     "declined")
-            columns = _scalar_columns(partial(app.map, p, self.pgraph,
-                                              state))
-        keys, values = columns
+            keys, values = _scalar_columns(partial(app.map, p, self.pgraph,
+                                                   state))
+        else:
+            keys, values = np.asarray(kv[0]), kv[1]
+            if not isinstance(values, Ragged):
+                values = np.asarray(values)
         plan = self._shuffle_plan(p, keys, num_reducers)
         mo = _MapOutput(plan, records=int(keys.size),
                         cpu_ops=float(keys.size))
@@ -485,17 +491,6 @@ class MapReduceEngine:
             mo.chunks[r] = sv[bounds[r]:bounds[r + 1]]
             mo.sends[r] = float(sends[r])
         return mo
-
-    def _map_array(self, app: MapReduceApp, state: Any,
-                   p: int) -> Columns | None:
-        """Partition ``p``'s ``map_array`` column, or None when it
-        declines."""
-        kv = app.map_array(p, self.pgraph, state)
-        if kv is None:
-            return None
-        values = kv[1]
-        return np.asarray(kv[0]), (values if isinstance(values, Ragged)
-                                   else np.asarray(values))
 
     def _shuffle_plan(self, p: int, keys: np.ndarray,
                       num_reducers: int) -> _ShufflePlan:
@@ -558,10 +553,14 @@ class MapReduceEngine:
         out_keys, out_values = _scalar_columns(run)
         return out_keys, out_values, False, cpu
 
-    def _charge_outputs(self, app: MapReduceApp, keys: np.ndarray,
+    def _charge_outputs(self, app: MapReduceApp, r: int, keys: np.ndarray,
                         values: Any) -> tuple[float, dict[int, float]]:
-        """Output bytes and per-home writeback bytes of one reducer,
-        each record sized once by :func:`_record_sizes`."""
+        """Output bytes and per-home writeback bytes of reducer ``r``,
+        each record sized once by :func:`_record_sizes`.  The homes of
+        its integer keys (``ok``: which are vertices; their machines,
+        its ``bincount`` and the nonzero machines) depend on the keys
+        alone, so they are held with a read-only copy of the keys and
+        replayed while a round's keys equal it (:func:`_same_keys`)."""
         sizes = _record_sizes(app, keys, values, output=True)
         out_bytes = sizes.total()
         if not app.writeback_to_partitions:
@@ -575,12 +574,18 @@ class MapReduceEngine:
                 dtype=np.int64, count=keys.size)
         elif keys.dtype.kind not in "iu":
             return out_bytes, {}
-        ok = (keys >= 0) & (keys < num_vertices)
-        homes = self.assignment[self.pgraph.parts[keys[ok]]]
-        counts = np.bincount(homes)
+        held = self._charges.get(r)
+        if held is None or not _same_keys(keys, held[0]):
+            ok = (keys >= 0) & (keys < num_vertices)
+            homes = self.assignment[self.pgraph.parts[keys[ok]]]
+            counts = np.bincount(homes)
+            held = self._charges[r] = (keys.copy(), ok, homes, counts,
+                                       np.flatnonzero(counts).tolist())
+            for array in held[:4]:
+                array.flags.writeable = False
+        __, ok, homes, counts, machines = held
         per_home = sizes.take(ok).by(homes, counts.size, counts)
-        return out_bytes, {int(h): float(per_home[h])
-                           for h in np.flatnonzero(counts)}
+        return out_bytes, {h: float(per_home[h]) for h in machines}
 
     def _observe_round(self, scheduler: StageScheduler,
                        report: RoundReport,

@@ -63,7 +63,7 @@ SPECULATION_FACTOR = 2.0
 MAX_RETRIES = 5
 
 
-def _stage_pairs(tasks: list[Task]) -> set[tuple[int, int]]:
+def _stage_pairs(tasks: list[Task]) -> frozenset[tuple[int, int]]:
     """The distinct ``(src, dst)`` machine pairs that carry bytes in a
     stage: every task's sends, receives and fetches."""
     pairs: set[tuple[int, int]] = set()
@@ -74,7 +74,7 @@ def _stage_pairs(tasks: list[Task]) -> set[tuple[int, int]]:
         pairs.update([(src, m) for src, nbytes
                       in (*task.receives, *task.fetches)
                       if nbytes > 0 and src != m])
-    return pairs
+    return frozenset(pairs)
 
 
 def execution_span(task: Task, machine: int, start: float, end: float,
@@ -144,6 +144,13 @@ class StageScheduler:
         #: observe-only, so a sanitized run stays bit-identical
         self.sanitizer: Sanitizer | None = None
         self._constraints = StageConstraints(cluster.topology, ())
+        #: one constraint table per distinct pair set, built on its first
+        #: stage and reused: a table is a function of the (immutable)
+        #: topology and the pair set alone, and a pair a stage resolves
+        #: on lookup (a retry's refetch, a speculative backup) resolves
+        #: against the same sharers a fresh table would count
+        self._constraint_tables: dict[frozenset[tuple[int, int]],
+                                      StageConstraints] = {}
         self._seen_outages: set[tuple[int, float]] = set()
         self._stage_index = 0
 
@@ -164,8 +171,11 @@ class StageScheduler:
         start_time = max(
             (m.clock for m in self.cluster.machines), default=0.0
         )
-        self._constraints = StageConstraints(self.cluster.topology,
-                                             _stage_pairs(tasks))
+        pairs = _stage_pairs(tasks)
+        if pairs not in self._constraint_tables:
+            self._constraint_tables[pairs] = StageConstraints(
+                self.cluster.topology, pairs)
+        self._constraints = self._constraint_tables[pairs]
         queues: dict[int, deque[Task]] = {}
         for task in tasks:
             queues.setdefault(task.machine, deque()).append(task)

@@ -24,6 +24,7 @@ from repro.apps import (
     ReverseLinkGraphMapReduce,
     TwoHopFriendsMapReduce,
 )
+from repro.apps.network_ranking import _RankTable
 from repro.core.bandwidth_aware import PartitionPlan
 from repro.core.surfer import Surfer
 from repro.errors import JobError
@@ -431,6 +432,135 @@ class TestEmissionOrder:
                 assert keys.tolist() == [key for key, _ in pairs]
                 assert values.tobytes() == np.array(
                     [value for _, value in pairs], dtype=np.float64).tobytes()
+
+
+# ----------------------------------------------------------------------
+# NR's rank table against its definition
+# ----------------------------------------------------------------------
+def _drawn_pgraph(edges, parts, k):
+    graph = Graph.from_edges(edges, num_vertices=parts.size)
+    plan = PartitionPlan(parts=parts, num_parts=k,
+                         placement=np.arange(k) % 3, machine_sets={},
+                         method="drawn")
+    return Surfer(graph, make_test_cluster(3), plan=plan).pgraph
+
+
+def assert_rank_tables_match_definition(pgraph):
+    """Per partition: ``keys`` is the distinct destinations ascending,
+    then the own vertices no edge reaches; ``slots`` maps each edge to
+    its destination's key; both read-only and as narrow as they go."""
+    n = pgraph.num_vertices
+    for p in range(pgraph.num_parts):
+        table = _RankTable.build(pgraph, p)
+        dst = pgraph.partition_edges(p)[1].tolist()
+        distinct = sorted(set(dst))
+        reached = set(distinct)
+        assert table.keys.tolist() == distinct + [
+            v for v in pgraph.partition_vertices[p].tolist()
+            if v not in reached]
+        assert table.keys[table.slots.astype(np.intp)].tolist() == dst
+        assert not table.keys.flags.writeable
+        assert not table.slots.flags.writeable
+        assert table.keys.dtype == np.min_scalar_type(n - 1)
+        assert table.slots.dtype == np.min_scalar_type(
+            max(len(distinct) - 1, 0))
+
+
+class TestRankTable:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(raw_partitionings())
+    def test_index_set_and_range_plans(self, drawn):
+        """Self loops, duplicate edges, isolated vertices and empty
+        partitions, under the drawn (index-set) assignment and its
+        sorted (range) form."""
+        edges, parts, k = drawn
+        for assignment in (parts, np.sort(parts)):
+            assert_rank_tables_match_definition(
+                _drawn_pgraph(edges, assignment, k))
+
+    @pytest.mark.parametrize("n", [256, 257, 65_536, 65_537])
+    def test_dtype_edges(self, n):
+        """Partition 0 (vertex 0 points at every vertex) has ``n``
+        distinct destinations, so both dtypes sit at their edge;
+        partition 1's ids start at ``n // 2`` and its last vertex is
+        reached by no edge of its own."""
+        half = n // 2
+        src = np.concatenate((np.zeros(n, dtype=np.int64),
+                              np.full(n - 1 - half, n - 1)))
+        dst = np.concatenate((np.arange(n), np.arange(half, n - 1)))
+        parts = (np.arange(n) >= half).astype(np.int64)
+        pgraph = _drawn_pgraph(np.stack((src, dst), axis=1), parts, 2)
+        assert_rank_tables_match_definition(pgraph)
+        assert _RankTable.build(pgraph, 1).keys[-1] == n - 1
+
+
+# ----------------------------------------------------------------------
+# A held output charge is dropped when the output keys change
+# ----------------------------------------------------------------------
+def _dropping_network_ranking(dropped):
+    """NR whose reducers leave out key ``dropped[round % 2]``."""
+
+    class DroppingNetworkRanking(NetworkRankingMapReduce):
+        def setup(self, pgraph):
+            state = super().setup(pgraph)
+            state.extra["round"] = 0
+            return state
+
+        def reduce(self, key, values, state, emit):
+            if key != dropped[state.extra["round"] % 2]:
+                super().reduce(key, values, state, emit)
+
+        def reduce_array(self, keys, gid, values, state):
+            keys, ranks = super().reduce_array(keys, gid, values, state)
+            kept = keys != dropped[state.extra["round"] % 2]
+            return keys[kept], ranks[kept]
+
+        def update(self, state, outputs):
+            super().update(state, outputs)
+            state.extra["round"] += 1
+
+        def update_array(self, state, keys, values):
+            super().update_array(state, keys, values)
+            state.extra["round"] += 1
+
+    return DroppingNetworkRanking
+
+
+class TestHeldOutputCharge:
+    def test_changed_output_keys_are_charged_afresh(self):
+        """Alternate rounds leave out keys on two different home
+        machines, so a writeback charge replayed from the previous round
+        would send a record's bytes to the wrong home.  Each reducer's
+        writeback is checked against its definition — one output record
+        per kept key the hash partitioner sends it, charged to the key's
+        home — and against the ``vectorized=False`` job."""
+        graph = composite_social_graph(num_communities=4,
+                                       community_size=48, k=5, seed=9)
+        surfer = Surfer(graph, make_test_cluster(4), num_parts=8, seed=3)
+        n, machines = graph.num_vertices, surfer.cluster.num_machines
+        homes = surfer.assignment[surfer.pgraph.parts]
+        dropped = (0, int(np.flatnonzero(homes != homes[0])[0]))
+        app_cls = _dropping_network_ranking(dropped)
+        oracle = surfer.run_mapreduce(app_cls(), rounds=4,
+                                      vectorized=False)
+        fast = surfer.run_mapreduce(app_cls(), rounds=4, vectorized=True)
+        assert _result_equal(oracle.result, fast.result)
+        assert oracle.reports == fast.reports
+        assert _job_signature(oracle) == _job_signature(fast)
+        assert reconcile(oracle) == reconcile(fast) == []
+
+        reducer = stable_hash_array(np.arange(n, dtype=np.int64)) % machines
+        record = app_cls().output_nbytes(0, 0.0)
+        for m in range(machines):
+            sent = [e.task.sends for e in fast.events.task_spans()
+                    if e.task.name == f"reduce[{m}]"]
+            assert len(sent) == 4
+            for r, sends in enumerate(sent):
+                kept = (reducer == m) & (np.arange(n) != dropped[r % 2])
+                counts = np.bincount(homes[kept], minlength=machines)
+                assert sends == [(h, float(c * record))
+                                 for h, c in enumerate(counts) if c]
 
 
 # ----------------------------------------------------------------------

@@ -278,6 +278,36 @@ class TestTablePathEqualsReference:
         assert (new_machine, 5) not in collected
         assert table["counters"]["network.bytes_cross_pod"] > 0
 
+    @pytest.mark.parametrize("pipelined", [False, True])
+    def test_reused_table_keeps_a_pair_added_mid_stage(self, pipelined):
+        """Two stages with one pair set price off one constraint table.
+        The first stage's retry refetch adds a pair to it on lookup; the
+        second stage sees that entry and must still price every flow as
+        a fresh table (and the per-flow reference) would."""
+        tasks = [Task(f"t{i}", machine=i % 4, partition=i, cpu_ops=500.0,
+                      sends=[((i + 1) % 4, 200)],
+                      input_transfers=[(5, 300.0), (6, 0), (1, 50)])
+                 for i in range(8)]
+        collected = _stage_pairs(tasks)
+        plan = FaultPlan().add_kill(1, 1.5)
+        scenario = ("T2(4,2)", 8, 250.0, plan, pipelined, False,
+                    [tasks, tasks])
+        table = assert_same(scenario)
+        assert all(any("#retry" in e[0] for e in stage)
+                   for stage in table["stages"])
+
+        cluster = Cluster(TOPOLOGIES["T2(4,2)"](8), machine_spec=MachineSpec(
+            disk_read_bps=400.0, disk_write_bps=300.0,
+            cpu_ops_per_sec=500.0, nic_bps=250.0))
+        scheduler = StageScheduler(cluster, plan, pipelined=pipelined)
+        scheduler.run_stage(copy.deepcopy(tasks))
+        (reused,) = scheduler._constraint_tables.values()
+        added = set(reused) - collected
+        assert added  # the refetch's pairs, resolved on lookup
+        scheduler.run_stage(copy.deepcopy(tasks))
+        assert scheduler._constraint_tables == {collected: reused}
+        assert scheduler._constraints is reused
+
     def test_speculation_lands_outside_the_collected_pairs(self):
         """A slowed straggler gets a backup whose refetch crosses pods on
         a pair no task of the stage used."""

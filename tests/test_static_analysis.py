@@ -571,6 +571,7 @@ def taint_findings(sources):
 
 KEYS = "src/repro/util/keys.py"
 ROUTE = "src/repro/core/route.py"
+HELPER = "src/repro/runtime/helper.py"  # inside every DET scope
 
 
 class TestDet005:
@@ -639,6 +640,34 @@ class TestDet005:
         })
         assert all(f.rule != "DET005" for f in fs)
 
+    def test_set_valued_local_taints_like_the_lint_flags_it(self):
+        # the lint's DET003 tracks ``s = set(xs)``; the taint pass must
+        # see the same local set, or ``list(s)`` leaves helper clean
+        helper = ("def helper(xs):\n"
+                  "    s = set(xs)\n"
+                  "    return list(s)\n")
+        assert [f.rule for f in lint_source(helper, HELPER)
+                if f.line == 3] == ["DET003"]
+        fs = taint_findings({
+            HELPER: helper,
+            ROUTE: ("from repro.runtime.helper import helper\n"
+                    "\n"
+                    "def route(xs):\n"
+                    "    return helper(xs)\n"),
+        })
+        assert [(f.rule, f.path, f.line) for f in fs
+                if f.rule == "DET005"] == [("DET005", ROUTE, 4)]
+
+    @pytest.mark.parametrize("binding", [
+        "s: set[int] = set()", "s = {x for x in xs}", "s = {1} | set(xs)",
+        "t = set(xs)\n    s = t & {1}"])
+    def test_every_set_binding_the_lint_tracks_taints(self, binding):
+        src = f"def helper(xs):\n    {binding}\n    return tuple(s)\n"
+        tainted = compute_tainted(build_project_index(parse_all(
+            {HELPER: src})))
+        assert "freezes" in tainted["repro.runtime.helper.helper"]
+        assert "DET003" in rules_of(lint_source(src, HELPER))
+
     def test_compute_tainted_reports_reason_chain(self):
         index = build_project_index(parse_all({
             KEYS: ("def raw(obj):\n"
@@ -698,8 +727,6 @@ class TestDet006:
 # ---------------------------------------------------------------------------
 # One source classifier: the DET lint and the taint pass agree
 # ---------------------------------------------------------------------------
-
-HELPER = "src/repro/runtime/helper.py"  # inside every DET scope
 
 #: import form -> the calls it binds, each with the rule the DET lint
 #: reports on it (None: not a nondeterminism source)
