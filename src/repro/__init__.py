@@ -5,7 +5,7 @@ Public API highlights:
 * :mod:`repro.graph` — CSR digraphs, generators, the shard store, oracles.
 * :mod:`repro.partitioning` — from-scratch multilevel partitioner.
 * :mod:`repro.cluster` — deterministic cloud-cluster simulator (T1/T2/T3).
-* :mod:`repro.core` — bandwidth-aware partitioning, partition sketch,
+* :mod:`repro.core` — bandwidth-aware partitioning and placement, the
   partitioned graph, the Surfer engine facade.
 * :mod:`repro.propagation` — the transfer/combine primitive with the
   O1–O4 optimization levels and cascaded multi-iteration execution.

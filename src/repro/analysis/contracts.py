@@ -301,12 +301,11 @@ def make_contract_pgraph() -> Any:
     return PartitionedGraph(graph, parts, 3)
 
 
-def _rich_groups(groups: dict[Any, list[Any]],
-                 limit: int = 4) -> list[tuple[Any, list[Any]]]:
-    """Up to ``limit`` (key, bag) pairs with the largest bags first."""
+def _rich_groups(groups: dict[Any, list[Any]]) -> list[tuple[Any, list[Any]]]:
+    """Up to four (key, bag) pairs with the largest bags first."""
     ordered = sorted(groups.items(),
                      key=lambda kv: (-len(kv[1]), str(kv[0])))
-    return [(k, vals) for k, vals in ordered if len(vals) >= 2][:limit]
+    return [(k, vals) for k, vals in ordered if len(vals) >= 2][:4]
 
 
 def _fold(merge: Callable[[Any, Any], Any], values: list[Any]) -> Any:
@@ -779,14 +778,10 @@ def verify_mapreduce_app(cls: type, pgraph: Any = None) -> list[Finding]:
     return findings
 
 
-def verify_registered_apps(
-    parity_source: str | None = None,
-) -> list[Finding]:
-    """Run UDF002 + PAR001 over every registered app (both registries).
-
-    ``parity_source`` defaults to the concatenated fast-path parity
-    suites found next to the installed tree; tests inject fixture text.
-    """
+def verify_registered_apps() -> list[Finding]:
+    """Run UDF002 + PAR001 over every registered app (both registries),
+    PAR001 against the concatenated fast-path parity suites found next
+    to the installed tree."""
     from repro.apps import APP_REGISTRY, EXTENSION_APPS
 
     prop_classes: list[type] = []
@@ -800,9 +795,6 @@ def verify_registered_apps(
         if mr_cls is not None:
             mr_classes.append(mr_cls)
 
-    if parity_source is None:
-        parity_source = _default_parity_source()
-
     pgraph = make_contract_pgraph()
     findings: list[Finding] = []
     for cls in prop_classes:
@@ -810,7 +802,8 @@ def verify_registered_apps(
     for cls in mr_classes:
         findings.extend(verify_mapreduce_app(cls, pgraph))
     findings.extend(
-        check_array_parity(prop_classes + mr_classes, parity_source))
+        check_array_parity(prop_classes + mr_classes,
+                           _default_parity_source()))
     return findings
 
 

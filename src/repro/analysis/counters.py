@@ -117,16 +117,9 @@ def _registry() -> tuple[dict[str, str], tuple[str, ...]]:
     return CANONICAL_COUNTERS, DYNAMIC_COUNTER_PREFIXES
 
 
-def check_counter_uses(
-    uses: list[CounterUse],
-    registered: dict[str, str] | None = None,
-    prefixes: tuple[str, ...] | None = None,
-) -> list[Finding]:
+def check_counter_uses(uses: list[CounterUse]) -> list[Finding]:
     """CNT001 for every use site naming an unregistered counter."""
-    if registered is None or prefixes is None:
-        canon, dyn = _registry()
-        registered = canon if registered is None else registered
-        prefixes = dyn if prefixes is None else prefixes
+    registered, prefixes = _registry()
     findings: list[Finding] = []
     for use in uses:
         if use.is_prefix:
@@ -151,7 +144,6 @@ def check_counter_uses(
 def check_registry_coverage(
     uses: list[CounterUse],
     registered: dict[str, str] | None = None,
-    registry_path: str = _REGISTRY_PATH,
 ) -> list[Finding]:
     """CNT002: registered counters no scanned module ever touches.
 
@@ -164,7 +156,7 @@ def check_registry_coverage(
     findings: list[Finding] = []
     for name in sorted(set(registered) - touched):
         findings.append(Finding(
-            "CNT002", registry_path, 1,
+            "CNT002", _REGISTRY_PATH, 1,
             f"counter {name!r} is registered in CANONICAL_COUNTERS but "
             "no scanned module increments or reads it; remove it or "
             "wire the increment",

@@ -68,11 +68,11 @@ def neighborhood_function_exact(graph, max_hops: int) -> list[int]:
     return totals
 
 
-def effective_diameter(n_of_h: list[float], quantile: float = 0.9) -> int:
-    """Smallest ``h`` whose ``N(h)`` reaches ``quantile`` of the plateau."""
+def effective_diameter(n_of_h: list[float]) -> int:
+    """Smallest ``h`` whose ``N(h)`` reaches 90 % of the plateau."""
     if not n_of_h:
         return 0
-    target = quantile * n_of_h[-1]
+    target = 0.9 * n_of_h[-1]
     for h, value in enumerate(n_of_h):
         if value >= target:
             return h

@@ -11,7 +11,7 @@ runs ``check`` and exits 1 on a broken shape.
 
 An entry whose jobs carry a simulated cost renders each job's
 ``repro-bench/v1`` record through one records table, every cost exactly
-as :func:`~repro.bench.benchjson.job_record` stored it.  The committed
+as :func:`job_record` stored it.  The committed
 ``benchmarks/results/<name>.txt`` are therefore the simulated-cost
 baseline: CI diffs ``experiment all --out`` against them byte for byte,
 and accepting a moved cost means rewriting them with ``--out
@@ -43,7 +43,6 @@ from repro.apps import (
     NetworkRankingPropagation,
     make_app as resolve_app,
 )
-from repro.bench.benchjson import job_record
 from repro.bench.harness import ExperimentTable
 from repro.bench.loc import (
     MAPREDUCE_UDFS,
@@ -56,6 +55,7 @@ from repro.bench.workloads import (
     HARDWARE_SCALE,
     PAPER_GRAPH_BYTES,
     SCALED_LINK_BPS,
+    STANDARD_SEED,
     TESTBED_MACHINE,
     Workload,
     WorkloadSpec,
@@ -108,7 +108,7 @@ from repro.runtime.trace import io_rate_timeline, recovery_event_counts
 # the run functions stay importable by name (tests/test_experiments.py
 # calls them at reduced size) but are enumerated only in EXPERIMENTS
 __all__ = ["Experiment", "EXPERIMENTS", "make_app", "default_iterations",
-           "parts_for"]
+           "parts_for", "job_record"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -127,6 +127,51 @@ class Experiment:
 
 #: what a shape generator yields: (does it hold, the shape in words)
 Shapes = Iterator[tuple[bool, str]]
+
+
+def _messages_shipped(registry) -> float:
+    """The message counter of the engine that actually ran the job.
+
+    A registry may carry *both* counter families — e.g. the propagation
+    counter canonically registered at 0 on a MapReduce job — so a plain
+    ``get(propagation..., default=get(mapreduce...))`` masks the
+    fallback behind the zero and records 0 for MR workloads.  Key on
+    the engines' round/iteration counters instead: whichever engine
+    drove the job is the one whose message counter we report.
+    """
+    if registry.get("propagation.iterations") > 0:
+        return registry.get("propagation.messages_shipped")
+    if registry.get("mapreduce.rounds") > 0:
+        return registry.get("mapreduce.map_records")
+    return 0.0
+
+
+def job_record(job, wall_clock_s: float,
+               peak_rss_bytes: int | None = None,
+               rss_degraded: bool = False) -> dict:
+    """A finished job's ``repro-bench/v1`` record: its simulated costs
+    and ``wall_clock_s``, the real Python seconds of the run.
+
+    ``peak_rss_bytes``, when the experiment measured it, is recorded as
+    an extra field; ``rss_degraded`` is only recorded when True, and
+    marks an RSS number measured under a misbehaving sampler.
+    """
+    metrics = job.metrics
+    registry = job.events.metrics
+    record = {
+        "makespan_s": round(float(metrics.response_time), 6),
+        "machine_time_s": round(float(metrics.total_machine_time), 6),
+        "network_bytes": int(metrics.network_bytes),
+        "disk_bytes": int(metrics.disk_bytes),
+        "messages_shipped": int(_messages_shipped(registry)),
+        "tasks": int(registry.get("scheduler.tasks_executed")),
+        "wall_clock_s": round(float(wall_clock_s), 6),
+    }
+    if peak_rss_bytes is not None:
+        record["peak_rss_bytes"] = int(peak_rss_bytes)
+    if rss_degraded:
+        record["rss_degraded"] = True
+    return record
 
 
 def _record(job: Any, wall: float, **measured: Any) -> dict:
@@ -235,7 +280,6 @@ def parts_for(graph: Graph, num_machines: int) -> int:
 # Table 1 — elapsed time of partitioning on different topologies
 # ----------------------------------------------------------------------
 def table1_partitioning(
-    graph_bytes: float = PAPER_GRAPH_BYTES,
     num_machines: int = 32,
     num_levels: int = 6,
     seed: int = 0,
@@ -256,7 +300,7 @@ def table1_partitioning(
         values = []
         for topo in topologies.values():
             report = simulate_partitioning_time(
-                graph_bytes, tree_fn(topo), topo
+                PAPER_GRAPH_BYTES, tree_fn(topo), topo
             )
             values.append(round(report.total_seconds / 3600.0, 2))
         table.add_row(label, values)
@@ -286,14 +330,11 @@ def _check_table1(table: ExperimentTable) -> Shapes:
 # ----------------------------------------------------------------------
 # Tables 2 & 3 — six applications under O1..O4 on T1
 # ----------------------------------------------------------------------
-def app_matrix(
-    workload: Workload | None = None,
-    apps=APP_ORDER,
-) -> tuple[ExperimentTable, ExperimentTable]:
+def app_matrix() -> tuple[ExperimentTable, ExperimentTable]:
     """Response/total time and network/disk I/O of every app × O-level."""
-    workload = workload or standard_workload()
-    time_cols = [f"{a}.{m}" for a in apps for m in ("Res", "Total")]
-    io_cols = [f"{a}.{m}" for a in apps for m in ("Net", "Disk")]
+    workload = standard_workload()
+    time_cols = [f"{a}.{m}" for a in APP_ORDER for m in ("Res", "Total")]
+    io_cols = [f"{a}.{m}" for a in APP_ORDER for m in ("Net", "Disk")]
     times = ExperimentTable(
         title="Table 2: response / total machine time on T1 (seconds)",
         columns=time_cols,
@@ -307,7 +348,7 @@ def app_matrix(
                   else "oblivious")
         surfer = workload.surfer(layout)
         t_vals, io_vals = [], []
-        for name in apps:
+        for name in APP_ORDER:
             app = make_app(name, "propagation")
             result = surfer.run_propagation(
                 app,
@@ -382,20 +423,20 @@ def _check_table3(io: ExperimentTable) -> Shapes:
 # ----------------------------------------------------------------------
 # Table 4 — UDF source lines
 # ----------------------------------------------------------------------
-def table4_loc(apps=APP_ORDER) -> ExperimentTable:
+def table4_loc() -> ExperimentTable:
     """Developer-written UDF lines: our engines plus the paper's numbers."""
     table = ExperimentTable(
         title="Table 4: source lines in user-defined functions",
-        columns=list(apps),
+        columns=list(APP_ORDER),
     )
     table.add_row("Propagation (ours)", [
-        count_udf_lines(APP_REGISTRY[a][0], "propagation") for a in apps
+        count_udf_lines(APP_REGISTRY[a][0], "propagation") for a in APP_ORDER
     ])
     table.add_row("MapReduce (ours)", [
-        count_udf_lines(APP_REGISTRY[a][1], "mapreduce") for a in apps
+        count_udf_lines(APP_REGISTRY[a][1], "mapreduce") for a in APP_ORDER
     ])
     for engine, counts in PAPER_TABLE4.items():
-        table.add_row(f"{engine} (paper)", [counts[a] for a in apps])
+        table.add_row(f"{engine} (paper)", [counts[a] for a in APP_ORDER])
     table.notes.append(
         f"propagation UDFs counted: {', '.join(PROPAGATION_UDFS)}; "
         f"mapreduce UDFs counted: {', '.join(MAPREDUCE_UDFS)}"
@@ -466,37 +507,27 @@ def _check_table5(table: ExperimentTable) -> Shapes:
 # ----------------------------------------------------------------------
 # Figure 6 — bandwidth-aware placement across topologies
 # ----------------------------------------------------------------------
-def fig6_topologies(
-    app_name: str = "NR",
-    num_machines: int = 32,
-    num_parts: int = 64,
-    graph: Graph | None = None,
-    seed: int = 2010,
-) -> dict[str, dict[str, float]]:
-    """Optimized propagation with vs. without bandwidth-aware placement.
+def fig6_topologies() -> dict[str, dict[str, float]]:
+    """Optimized propagation with vs. without bandwidth-aware placement,
+    on every topology of 32 machines.
 
     Returns ``{topology: {"oblivious": t, "bandwidth-aware": t,
     "improvement_pct": x}}``.
     """
-    graph = graph if graph is not None else standard_graph()
-    return {
-        label: _layout_pair(graph, topo, num_parts, seed, app_name,
-                            default_iterations(app_name))
-        for label, topo in topology_suite(num_machines).items()
-    }
+    graph = standard_graph()
+    return {label: _layout_pair(graph, topo)
+            for label, topo in topology_suite(32).items()}
 
 
-def _layout_pair(graph: Graph, topo, num_parts: int, seed: int,
-                 app_name: str, iterations: int) -> dict[str, float]:
-    """Optimized propagation on one topology under both layouts."""
+def _layout_pair(graph: Graph, topo) -> dict[str, float]:
+    """One optimized NR iteration on one topology under both layouts,
+    64 partitions."""
     result: dict[str, float] = {}
     for layout in ("oblivious", "bandwidth-aware"):
         wl = Workload(graph=graph, cluster=make_cluster(topo),
-                      num_parts=num_parts, seed=seed)
+                      num_parts=64, seed=STANDARD_SEED)
         job = wl.surfer(layout).run_propagation(
-            make_app(app_name, "propagation"), iterations=iterations,
-            local_opts=True,
-        )
+            make_app("NR", "propagation"), iterations=1, local_opts=True)
         result[layout] = job.metrics.response_time
     result["improvement_pct"] = 100.0 * (
         1 - result["bandwidth-aware"] / max(result["oblivious"], 1e-12)
@@ -715,22 +746,15 @@ def _check_cascade(result: dict) -> Shapes:
 # ----------------------------------------------------------------------
 # Figure 9 — cross-pod delay sweep
 # ----------------------------------------------------------------------
-def fig9_delay_sweep(
-    delays=(2, 8, 32, 128),
-    num_machines: int = 32,
-    num_parts: int = 64,
-    graph: Graph | None = None,
-    seed: int = 2010,
-) -> dict[int, dict[str, float]]:
-    """NR on T2(2,1) with the cross-pod delay factor varied."""
-    graph = graph if graph is not None else standard_graph()
+def fig9_delay_sweep() -> dict[int, dict[str, float]]:
+    """NR on a 32-machine T2(2,1) with the cross-pod delay factor varied."""
+    graph = standard_graph()
     return {
         delay: _layout_pair(
             graph,
-            t2(2, 1, num_machines, SCALED_LINK_BPS, top_factor=float(delay),
-               mid_factor=max(1.0, delay / 2.0)),
-            num_parts, seed, "NR", 1)
-        for delay in delays
+            t2(2, 1, 32, SCALED_LINK_BPS, top_factor=float(delay),
+               mid_factor=max(1.0, delay / 2.0)))
+        for delay in (2, 8, 32, 128)
     }
 
 
@@ -753,13 +777,12 @@ def _check_fig9(series: dict) -> Shapes:
 # ----------------------------------------------------------------------
 def fig10_fault_tolerance(
     workload: Workload | None = None,
-    kill_fraction: float = 0.33,
     iterations: int = 3,
 ) -> dict[str, object]:
     """NR with a machine killed mid-run vs. the normal execution.
 
-    The kill fires at ``kill_fraction`` of the normal run's response time
-    (the paper kills at 235 s of a ~660 s run).  Returns both runs'
+    The kill fires at 0.33 of the normal run's response time (the paper
+    kills at 235 s of a ~660 s run).  Returns both runs'
     metrics, the recovery overhead, and disk-I/O-rate timelines.
     """
     workload = workload or standard_workload()
@@ -768,7 +791,7 @@ def fig10_fault_tolerance(
         make_app("NR", "propagation"), iterations=iterations,
         local_opts=True,
     )
-    kill_time = kill_fraction * normal.metrics.response_time
+    kill_time = 0.33 * normal.metrics.response_time
     victim = int(surfer.store.primary(0))
     plan = FaultPlan().add_kill(victim, kill_time)
     faulty = surfer.run_propagation(
@@ -821,10 +844,7 @@ def _check_fig10(result: dict) -> Shapes:
         "the recovered run finishes later than the normal run")
 
 
-def fault_scenario_sweep(
-    workload: Workload | None = None,
-    iterations: int = 3,
-) -> dict[str, object]:
+def fault_scenario_sweep() -> dict[str, object]:
     """Fault-tolerance v2 sweep: kill / transient / straggler / double kill.
 
     Extends the Figure 10 experiment across the whole fault model: a
@@ -835,12 +855,11 @@ def fault_scenario_sweep(
     fault-free result exactly; the sweep reports per-scenario makespan and
     structured recovery-event counts.
     """
-    workload = workload or standard_workload()
-    base = workload.surfer("bandwidth-aware")
+    base = standard_workload().surfer("bandwidth-aware")
 
     def run(plan=None, pipelined=False, speculation=False):
         return base.run_propagation(
-            make_app("NR", "propagation"), iterations=iterations,
+            make_app("NR", "propagation"), iterations=3,
             local_opts=True, fault_plan=plan, pipelined=pipelined,
             speculation=speculation,
         )
@@ -942,10 +961,11 @@ def _check_fault_sweep(result: dict) -> Shapes:
 # ----------------------------------------------------------------------
 # Figure 11 — scalability
 # ----------------------------------------------------------------------
-def fig11_scalability(
-    machine_counts=(8, 16, 24, 32),
-    seed: int = 2010,
-) -> dict[str, dict]:
+#: the cluster sizes of Figures 11 and 12
+_SCALING_MACHINES = (8, 16, 24, 32)
+
+
+def fig11_scalability() -> dict[str, dict]:
     """P-Surfer NR response time with machines and graph scaled together.
 
     Returns ``{"response": {machines: s}, "records":
@@ -953,12 +973,12 @@ def fig11_scalability(
     """
     response: dict[int, float] = {}
     records: dict[str, dict] = {}
-    for m in machine_counts:
-        graph = scaled_graph(m, seed=seed)
+    for m in _SCALING_MACHINES:
+        graph = scaled_graph(m)
         num_parts = parts_for(graph, m)
         wl = Workload(graph=graph,
                       cluster=make_cluster(t1(m, SCALED_LINK_BPS)),
-                      num_parts=num_parts, seed=seed)
+                      num_parts=num_parts, seed=STANDARD_SEED)
         surfer = wl.surfer("bandwidth-aware")
         job, records[f"fig11_nr_{m}_machines"] = _timed_record(
             lambda: surfer.run_propagation(
@@ -986,19 +1006,15 @@ def _check_fig11(result: dict) -> Shapes:
 # ----------------------------------------------------------------------
 # Figure 12 — NR: MapReduce vs propagation across cluster sizes
 # ----------------------------------------------------------------------
-def fig12_nr_scaling(
-    machine_counts=(8, 16, 24, 32),
-    seed: int = 2010,
-    graph: Graph | None = None,
-) -> dict[int, dict[str, float]]:
+def fig12_nr_scaling() -> dict[int, dict[str, float]]:
     """NR response time, MapReduce vs. P-Surfer, per cluster size."""
-    graph = graph if graph is not None else standard_graph()
+    graph = standard_graph()
     series: dict[int, dict[str, float]] = {}
-    for m in machine_counts:
+    for m in _SCALING_MACHINES:
         num_parts = parts_for(graph, m)
         wl = Workload(graph=graph,
                       cluster=make_cluster(t1(m, SCALED_LINK_BPS)),
-                      num_parts=num_parts, seed=seed)
+                      num_parts=num_parts, seed=STANDARD_SEED)
         surfer = wl.surfer("bandwidth-aware")
         prop = surfer.run_propagation(
             make_app("NR", "propagation"), iterations=1, local_opts=True

@@ -139,51 +139,46 @@ class Workload:
         return self._surfers[layout]
 
 
-_STANDARD_GRAPHS: dict[tuple[int, float], Graph] = {}
+_STANDARD_GRAPHS: dict[float, Graph] = {}
 
 
-def standard_graph(seed: int = STANDARD_SEED,
-                   scale: float = 1.0) -> Graph:
-    """The evaluation graph: the paper's composite social recipe.
+def standard_graph(scale: float = 1.0) -> Graph:
+    """The evaluation graph: the paper's composite social recipe, seed
+    :data:`STANDARD_SEED`.
 
-    Memoized per ``(seed, scale)`` so experiments sharing the default
-    graph also share its cached bisections.
+    Memoized per ``scale`` so experiments sharing the default graph also
+    share its cached bisections.
     """
-    key = (seed, scale)
-    if key not in _STANDARD_GRAPHS:
+    if scale not in _STANDARD_GRAPHS:
         communities = max(2, int(STANDARD_COMMUNITIES * scale))
-        _STANDARD_GRAPHS[key] = composite_social_graph(
+        _STANDARD_GRAPHS[scale] = composite_social_graph(
             num_communities=communities,
             community_size=STANDARD_COMMUNITY_SIZE,
             k=STANDARD_K,
             p_r=0.05,
-            seed=seed,
+            seed=STANDARD_SEED,
         )
-    return _STANDARD_GRAPHS[key]
+    return _STANDARD_GRAPHS[scale]
 
 
-def scaled_graph(num_machines: int, seed: int = STANDARD_SEED) -> Graph:
+def scaled_graph(num_machines: int) -> Graph:
     """Graph scaled proportionally to the machine count (Figure 11)."""
-    return standard_graph(seed=seed, scale=num_machines / 32.0)
+    return standard_graph(scale=num_machines / 32.0)
 
 
 def standard_workload(
-    topology: Topology | None = None,
     num_machines: int = 32,
     num_parts: int = 64,
-    seed: int = STANDARD_SEED,
     graph: Graph | None = None,
 ) -> Workload:
-    """The default experiment setup: 32 machines, 64 partitions."""
-    if topology is None:
-        topology = t1(num_machines, link_bps=SCALED_LINK_BPS)
+    """The default experiment setup: 32 machines on T1, 64 partitions."""
     if graph is None:
-        graph = standard_graph(seed=seed)
+        graph = standard_graph()
     return Workload(
         graph=graph,
-        cluster=make_cluster(topology),
+        cluster=make_cluster(t1(num_machines, link_bps=SCALED_LINK_BPS)),
         num_parts=num_parts,
-        seed=seed,
+        seed=STANDARD_SEED,
     )
 
 
@@ -207,15 +202,14 @@ def topology_suite(num_machines: int = 32,
             for name, build in TOPOLOGIES.items()}
 
 
-def topology_by_name(name: str, num_machines: int,
-                     link_bps: float = SCALED_LINK_BPS) -> Topology:
+def topology_by_name(name: str, num_machines: int) -> Topology:
     """One paper topology by name (``T1``/``T2(p,l)``/``T3``)."""
     if name not in TOPOLOGIES:
         raise ValueError(
             f"unknown topology {name!r}; expected one of "
             f"{tuple(TOPOLOGIES)}"
         )
-    return TOPOLOGIES[name](num_machines, link_bps)
+    return TOPOLOGIES[name](num_machines, SCALED_LINK_BPS)
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,7 @@
   topology/primitive, printing metrics and the utilization report;
 * ``profile`` — like ``run``, but with full observability: writes a
   Chrome-trace JSON (chrome://tracing, Perfetto), prints the metrics
-  registry, verifies the trace reconciles with the cluster counters and
-  optionally records a ``repro-bench/v1`` JSON;
+  registry and verifies the trace reconciles with the cluster counters;
 * ``chaos`` — run a seeded randomized fault-schedule sweep against one
   application with checkpoint/restore enabled, verifying every schedule
   ends bit-identical to the fault-free baseline or as a cleanly-reported
@@ -97,18 +96,12 @@ def _build_parser() -> argparse.ArgumentParser:
     prof = sub.add_parser(
         "profile",
         help="run one application with full observability "
-             "(Chrome trace, metrics, bench JSON)",
+             "(Chrome trace, metrics)",
     )
     add_run_options(prof)
     prof.add_argument("--trace", default=None,
                       help="Chrome-trace JSON output path "
                            "(default trace_<app>.json)")
-    prof.add_argument("--bench", default=None,
-                      help="also write a repro-bench/v1 JSON of this run "
-                           "to the given path")
-    prof.add_argument("--bench-name", default=None,
-                      help="workload name in the bench JSON "
-                           "(default profile_<app>_<engine>)")
 
     chaos = sub.add_parser(
         "chaos",
@@ -123,9 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        checkpoint_interval=1)
     chaos.add_argument("--schedules", type=int, default=50,
                        help="random fault schedules to run (default 50)")
-    chaos.add_argument("--bench", default=None,
-                       help="write a repro-bench/v1 JSON of the sweep "
-                            "(baseline + most-restarted schedule)")
 
     from repro.bench.experiments import EXPERIMENTS
 
@@ -347,7 +337,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from repro.bench.benchjson import job_record, write_bench_json
     from repro.runtime.events import reconcile, write_chrome_trace
     from repro.runtime.monitor import JobMonitor
 
@@ -379,16 +368,10 @@ def _cmd_profile(args) -> int:
           f"({len(job.events.spans)} spans, "
           f"{len(job.events.instants)} instants) — load in "
           "chrome://tracing or https://ui.perfetto.dev")
-    if args.bench:
-        name = args.bench_name or f"profile_{args.app}_{args.engine}"
-        write_bench_json(args.bench, {name: job_record(job, wall)},
-                         pr="current")
-        print(f"bench JSON    : {args.bench} (workload {name!r})")
     return 1 if problems else 0
 
 
 def _cmd_chaos(args) -> int:
-    from repro.bench.benchjson import job_record, write_bench_json
     from repro.bench.workloads import chaos_job
     from repro.runtime.chaos import run_chaos_sweep
     from repro.runtime.checkpoint import CheckpointPolicy
@@ -409,20 +392,6 @@ def _cmd_chaos(args) -> int:
     wall = timer.elapsed()
     print(report.summary())
     print(f"wall clock: {wall:,.1f}s real")
-    if args.bench:
-        # per-job walls, not the whole-sweep wall: the sweep includes
-        # every schedule, so stamping `wall` on both records would make
-        # baseline and restarted indistinguishable in the bench JSON
-        name = f"chaos_{args.app}_{args.engine}"
-        workloads = {f"{name}_baseline": job_record(
-            report.baseline, report.baseline_wall_s)}
-        if report.restarted_job is not None:
-            workloads[f"{name}_restarted"] = job_record(
-                report.restarted_job, report.restarted_wall_s
-            )
-        write_bench_json(args.bench, workloads, pr="current")
-        print(f"bench JSON: {args.bench} "
-              f"({len(workloads)} workload record(s))")
     return 0 if report.ok else 1
 
 

@@ -107,6 +107,3 @@ class Cluster:
         for m in self.machines:
             m.reset()
         self.network.reset()
-
-    def describe(self) -> str:
-        return self.topology.describe()

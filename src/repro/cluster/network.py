@@ -167,7 +167,6 @@ class NetworkModel:
         nic_bps: float,
         constraints: StageConstraints,
         outbound: bool = True,
-        max_streams: int = 8,
     ) -> float:
         """Time for one machine to move a set of concurrent flows.
 
@@ -177,7 +176,7 @@ class NetworkModel:
         pod uplink, one slow NIC) drain at that resource's fair-share rate
         with no multiplexing gain, while flows limited by distinct
         resources — or by nothing but the full-rate link — proceed in
-        parallel (up to ``max_streams`` for full-rate flows), all capped by
+        parallel (up to 8 streams for full-rate flows), all capped by
         this machine's NIC.  This is the sender- and receiver-occupancy
         model used for every task.  Bytes add up in flow order, per group
         and in total, so the result is bit-stable.
@@ -202,7 +201,7 @@ class NetworkModel:
         time = total / nic_bps
         for key, (nbytes, count, bw) in groups.items():
             if key is None and count > 1:
-                bw *= count if count < max_streams else max_streams
+                bw *= count if count < 8 else 8
             group_time = nbytes / (bw if bw < nic_bps else nic_bps)
             if group_time > time:
                 time = group_time

@@ -133,11 +133,6 @@ class PartitionStore:
     def num_partitions(self) -> int:
         return len(self._replicas)
 
-    @property
-    def failed_machines(self) -> frozenset[int]:
-        """Machines reported dead via :meth:`handle_failure`."""
-        return frozenset(self._failed)
-
     def primary(self, partition: int) -> int:
         """Current primary machine of ``partition``."""
         return self._replicas[partition][0]

@@ -130,9 +130,6 @@ class Topology:
     def num_pods(self) -> int:
         return 1
 
-    def describe(self) -> str:
-        return f"{type(self).__name__}(n={self.num_machines})"
-
     def _check(self, machine: int) -> None:
         if not 0 <= machine < self.num_machines:
             raise TopologyError(
@@ -145,9 +142,6 @@ class FlatTopology(Topology):
 
     def _pair_bandwidth(self, src: int, dst: int) -> float:
         return self.link_bps
-
-    def describe(self) -> str:
-        return f"T1(n={self.num_machines})"
 
 
 class TreeTopology(Topology):
@@ -233,10 +227,6 @@ class TreeTopology(Topology):
             (("uplink", self.pod_of(dst), level), capacity, dst),
         ]
 
-    def describe(self) -> str:
-        return (f"T2(pods={self.num_pods},levels={self.num_levels},"
-                f"n={self.num_machines})")
-
 
 class HeterogeneousTopology(Topology):
     """T3: a random half of the machines has ``1/slow_factor`` bandwidth.
@@ -279,9 +269,6 @@ class HeterogeneousTopology(Topology):
         if self.is_slow[dst]:
             resources.append((("slow-nic", dst), slow_bps, dst))
         return resources
-
-    def describe(self) -> str:
-        return f"T3(n={self.num_machines},slow={int(self.is_slow.sum())})"
 
 
 def t1(num_machines: int = 32, link_bps: float = GIGABIT_BPS) -> FlatTopology:

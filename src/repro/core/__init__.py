@@ -1,7 +1,6 @@
 """The paper's contribution: bandwidth-aware partitioning and Surfer."""
 
 from repro.core.machine_graph import MachineGraph, bisect_machines
-from repro.core.sketch import PartitionSketch
 from repro.core.bandwidth_aware import (
     PartitionPlan,
     bandwidth_aware_partition,
@@ -37,7 +36,6 @@ from repro.core.surfer import (
 __all__ = [
     "MachineGraph",
     "bisect_machines",
-    "PartitionSketch",
     "PartitionPlan",
     "bandwidth_aware_partition",
     "build_machine_tree",

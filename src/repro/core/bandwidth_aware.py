@@ -33,7 +33,6 @@ from repro.errors import PartitioningError
 from repro.cluster.topology import Topology
 from repro.core.machine_graph import MachineGraph, bisect_machines
 from repro.graph.digraph import Graph
-from repro.partitioning.bisect import BisectionOptions
 from repro.partitioning.recursive import (
     RecursivePartition,
     num_levels_for_parts,
@@ -77,7 +76,6 @@ class PartitionPlan:
 def build_machine_tree(
     topology: Topology,
     num_levels: int,
-    machines=None,
     seed: int = 0,
 ) -> dict[tuple[int, int], list[int]]:
     """Recursive bandwidth-aware bisection of the machine graph.
@@ -88,7 +86,7 @@ def build_machine_tree(
     has several machines at the leaf level, the member with the maximum
     aggregate bandwidth is kept (lines 7–9).
     """
-    mgraph = MachineGraph(topology, machines)
+    mgraph = MachineGraph(topology)
     sets: dict[tuple[int, int], list[int]] = {}
 
     def recurse(machine_ids: list[int], level: int, prefix: int) -> None:
@@ -117,7 +115,6 @@ def build_machine_tree(
 def random_machine_tree(
     topology: Topology,
     num_levels: int,
-    machines=None,
     seed: int = 0,
 ) -> dict[tuple[int, int], list[int]]:
     """Bandwidth-oblivious machine tree: random balanced splits.
@@ -125,9 +122,7 @@ def random_machine_tree(
     Models ParMetis "randomly choosing the available machine" — the machine
     sets at every level ignore the topology.
     """
-    if machines is None:
-        machines = list(range(topology.num_machines))
-    machines = [int(m) for m in machines]
+    machines = list(range(topology.num_machines))
     rng = np.random.default_rng(seed)
     sets: dict[tuple[int, int], list[int]] = {}
 
@@ -239,7 +234,6 @@ def bandwidth_aware_partition(
     topology: Topology,
     num_parts: int,
     seed: int = 0,
-    options: BisectionOptions | None = None,
     data: RecursivePartition | None = None,
 ) -> PartitionPlan:
     """Partition ``graph`` into ``num_parts`` with bandwidth-aware placement.
@@ -251,8 +245,7 @@ def bandwidth_aware_partition(
     if data is None:
         wgraph = (graph if isinstance(graph, WGraph)
                   else WGraph.from_digraph(graph))
-        data = recursive_bisection(wgraph, num_parts, seed=seed,
-                                   options=options)
+        data = recursive_bisection(wgraph, num_parts, seed=seed)
     machine_sets = build_machine_tree(topology, data.num_levels, seed=seed)
     return _plan_from_tree(data, machine_sets, "bandwidth-aware",
                            topology=topology)
@@ -263,7 +256,6 @@ def oblivious_partition(
     topology: Topology,
     num_parts: int,
     seed: int = 0,
-    options: BisectionOptions | None = None,
     data: RecursivePartition | None = None,
 ) -> PartitionPlan:
     """Same data partitions, bandwidth-oblivious (ParMetis-like) placement.
@@ -279,8 +271,7 @@ def oblivious_partition(
     if data is None:
         wgraph = (graph if isinstance(graph, WGraph)
                   else WGraph.from_digraph(graph))
-        data = recursive_bisection(wgraph, num_parts, seed=seed,
-                                   options=options)
+        data = recursive_bisection(wgraph, num_parts, seed=seed)
     machine_sets = random_machine_tree(topology, data.num_levels, seed=seed)
     rng = np.random.default_rng(seed + 7)
     machines = rng.permutation(topology.num_machines)

@@ -50,12 +50,6 @@ class MachineGraph:
         right = np.flatnonzero(side == 1)
         return float(self.weights[np.ix_(left, right)].sum())
 
-    def subset(self, local_indices) -> "MachineGraph":
-        """Machine graph restricted to the given local indices."""
-        return MachineGraph(
-            self.topology, [self.machines[i] for i in local_indices]
-        )
-
     def max_aggregate_bandwidth_machine(self) -> int:
         """Global id of the machine with the largest total bandwidth.
 

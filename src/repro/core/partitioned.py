@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import PartitioningError
 from repro.graph.digraph import Graph
 from repro.graph.io import DEGREE_BYTES, VERTEX_ID_BYTES
 from repro.partitioning.metrics import validate_assignment
@@ -37,32 +36,9 @@ class VertexEncoding:
         parts = np.asarray(parts, dtype=np.int64)
         order = np.argsort(parts, kind="stable")
         self.new_to_old = order
-        self.old_to_new = np.empty_like(order)
-        self.old_to_new[order] = np.arange(order.size, dtype=np.int64)
         sizes = np.bincount(parts, minlength=num_parts)
         self.offsets = np.zeros(num_parts + 1, dtype=np.int64)
         np.cumsum(sizes, out=self.offsets[1:])
-
-    def encode(self, old_id: int) -> int:
-        return int(self.old_to_new[old_id])
-
-    def decode(self, new_id: int) -> int:
-        return int(self.new_to_old[new_id])
-
-    def partition_of(self, new_id: int) -> int:
-        """Partition owning an *encoded* id, via binary search."""
-        p = int(np.searchsorted(self.offsets, new_id, side="right") - 1)
-        if not 0 <= new_id < self.offsets[-1]:
-            raise PartitioningError(f"encoded id {new_id} out of range")
-        return p
-
-    def encode_graph(self, graph: Graph) -> Graph:
-        """Relabel a graph into the encoded id space."""
-        src = self.old_to_new[graph.edge_sources()]
-        dst = self.old_to_new[graph.out_indices]
-        return Graph.from_edges(
-            np.stack([src, dst], axis=1), num_vertices=graph.num_vertices
-        )
 
 
 class PartitionedGraph:
@@ -141,9 +117,6 @@ class PartitionedGraph:
             return 1.0
         return 1.0 - self.num_cross_edges / m
 
-    def partition_of(self, vertex: int) -> int:
-        return int(self.parts[vertex])
-
     def partition_size(self, p: int) -> int:
         return self.partition_vertices[p].size
 
@@ -203,14 +176,6 @@ class PartitionedGraph:
     def encoding(self) -> VertexEncoding:
         """Consecutive-range id encoding for this partitioning."""
         return VertexEncoding(self.parts, self.num_parts)
-
-    def validate(self) -> None:
-        """Internal-consistency checks (used by tests)."""
-        total = sum(v.size for v in self.partition_vertices)
-        if total != self.num_vertices:
-            raise PartitioningError("partition vertex lists do not cover V")
-        if int(self._edge_counts.sum()) != self.graph.num_edges:
-            raise PartitioningError("partition edges do not cover E")
 
 
 # An alias, not a class: perf/trace.py still patches ``__init__`` under

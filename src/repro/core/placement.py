@@ -19,6 +19,11 @@ from repro.cluster.storage import PartitionStore
 from repro.cluster.topology import Topology
 from repro.errors import PlacementError
 
+#: wire bytes of one cross-partition message in the placement cost model
+MESSAGE_BYTES = 16.0
+#: a network byte costs this many disk bytes' worth of time
+NETWORK_FACTOR = 4.5
+
 __all__ = [
     "rebalance_placement",
     "estimate_partition_costs",
@@ -29,8 +34,7 @@ __all__ = [
 
 def estimate_partition_costs(
     pgraph,
-    network_factor: float = 4.5,
-    message_bytes: float = 16.0,
+    network_factor: float = NETWORK_FACTOR,
 ) -> np.ndarray:
     """Rough per-partition task cost in disk-byte-equivalent units.
 
@@ -47,7 +51,7 @@ def estimate_partition_costs(
     for p in range(pgraph.num_parts):
         local = (pgraph.partition_bytes(p)
                  + 8.0 * pgraph.partition_edge_count(p))
-        network = (network_factor * message_bytes
+        network = (network_factor * MESSAGE_BYTES
                    * float(out_cross[p] + in_cross[p]))
         costs[p] = local + network
     return costs
@@ -57,7 +61,6 @@ def rebalance_placement(
     store: PartitionStore,
     costs: np.ndarray,
     fetch_costs: np.ndarray | None = None,
-    max_moves: int | None = None,
 ) -> np.ndarray:
     """Assignment ``partition -> machine`` with bottleneck relief.
 
@@ -80,10 +83,7 @@ def rebalance_placement(
     load = np.zeros(store.num_machines)
     for p, m in enumerate(assignment):
         load[m] += costs[p]
-    if max_moves is None:
-        max_moves = 4 * store.num_partitions
-
-    for _ in range(max_moves):
+    for _ in range(4 * store.num_partitions):
         bottleneck = int(np.argmax(load))
         best_move: tuple[int, int, float] | None = None
         best_new_max = load[bottleneck]
@@ -117,14 +117,14 @@ def rebalance_placement(
     return assignment
 
 
-def partition_traffic_matrix(pgraph, message_bytes: float = 16.0) -> np.ndarray:
+def partition_traffic_matrix(pgraph) -> np.ndarray:
     """Symmetric estimate of inter-partition traffic in bytes.
 
     ``T[p, q]`` counts edges between partitions ``p`` and ``q`` in either
     direction times the per-message wire size — the volume that crosses
     the network when the two partitions sit on different machines.
     """
-    mat = pgraph.cross_traffic_counts() * message_bytes
+    mat = pgraph.cross_traffic_counts() * MESSAGE_BYTES
     return mat + mat.T
 
 
@@ -132,9 +132,6 @@ def refine_colocated_placement(
     pgraph,
     placement: np.ndarray,
     topology: Topology,
-    network_factor: float = 4.5,
-    message_bytes: float = 16.0,
-    max_swaps: int | None = None,
 ) -> np.ndarray:
     """Relieve placement stragglers by intra-pod partition swaps.
 
@@ -151,7 +148,7 @@ def refine_colocated_placement(
     placement = np.asarray(placement, dtype=np.int64).copy()
     num_parts = pgraph.num_parts
     local = estimate_partition_costs(pgraph, network_factor=0.0)
-    traffic = partition_traffic_matrix(pgraph, message_bytes)
+    traffic = partition_traffic_matrix(pgraph)
     pods = topology.pods
     # Per-machine network slowdown relative to the cluster's typical pair
     # (heterogeneous clusters: a slow NIC doubles that machine's network
@@ -167,13 +164,11 @@ def refine_colocated_placement(
         same = plc[:, None] == plc[None, :]
         remote_traffic = np.where(same, 0.0, traffic).sum(axis=1)
         np.add.at(out, plc,
-                  network_factor * penalty[plc] * remote_traffic)
+                  NETWORK_FACTOR * penalty[plc] * remote_traffic)
         return out
 
-    if max_swaps is None:
-        max_swaps = 4 * num_parts
     current = loads(placement)
-    for _ in range(max_swaps):
+    for _ in range(4 * num_parts):
         bottleneck = int(np.argmax(current))
         pod = pods[bottleneck]
         best_placement: np.ndarray | None = None

@@ -34,8 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
-import numpy as np
-
 from repro.errors import DataLossError, JobError, SchedulingError
 from repro.cluster.cluster import Cluster, ClusterMetrics
 from repro.cluster.faults import FaultPlan

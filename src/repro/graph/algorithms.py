@@ -89,9 +89,9 @@ def weakly_connected_components(graph: Graph) -> np.ndarray:
 
 def estimate_diameter(
     graph: Graph, num_probes: int = 4, seed: int = 0,
-    undirected: bool = True,
 ) -> int:
-    """Estimate the diameter by double-sweep BFS from random probes.
+    """Estimate the (undirected) diameter by double-sweep BFS from
+    random probes.
 
     Returns the largest finite eccentricity found (a lower bound on the true
     diameter, exact on trees).  Used to size cascaded-propagation phases
@@ -104,18 +104,17 @@ def estimate_diameter(
     best = 0
     for _ in range(max(1, num_probes)):
         start = int(rng.integers(n))
-        dist = _sweep(graph, start, undirected)
+        dist = _sweep(graph, start)
         far = int(np.argmax(dist))
         if dist[far] <= 0:
             continue
-        dist2 = _sweep(graph, far, undirected)
+        dist2 = _sweep(graph, far)
         best = max(best, int(dist2.max()))
     return best
 
 
-def _sweep(graph: Graph, source: int, undirected: bool) -> np.ndarray:
-    if not undirected:
-        return bfs_levels(graph, source)
+def _sweep(graph: Graph, source: int) -> np.ndarray:
+    """Hop distance from ``source`` over edges in either direction."""
     dist = -np.ones(graph.num_vertices, dtype=np.int64)
     dist[source] = 0
     queue = deque([source])

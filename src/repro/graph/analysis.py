@@ -74,16 +74,16 @@ def degree_statistics(graph: Graph) -> tuple[float, int, float]:
     return mean, peak, max(0.0, gini)
 
 
-def clustering_coefficient(graph: Graph, sample: int = 200,
-                           seed: int = 0) -> float:
-    """Sampled average local clustering coefficient (undirected view)."""
+def clustering_coefficient(graph: Graph, seed: int = 0) -> float:
+    """Average local clustering coefficient (undirected view) over a
+    sample of 200 vertices."""
     indptr, indices, __ = graph.to_undirected()
     n = graph.num_vertices
     if n == 0:
         return 0.0
     rng = np.random.default_rng(seed)
-    vertices = (np.arange(n) if n <= sample
-                else rng.choice(n, size=sample, replace=False))
+    vertices = (np.arange(n) if n <= 200
+                else rng.choice(n, size=200, replace=False))
     neighbor_sets = {}
 
     def neighbors_of(v: int) -> set[int]:

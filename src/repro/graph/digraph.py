@@ -242,9 +242,6 @@ class Graph:
         assert self._in_indptr is not None and self._in_indices is not None
         return self._in_indices[self._in_indptr[v]: self._in_indptr[v + 1]]
 
-    def out_degree(self, v: int) -> int:
-        return int(self.out_indptr[v + 1] - self.out_indptr[v])
-
     def out_degrees(self) -> np.ndarray:
         """Out-degree of every vertex as an ``int64`` array."""
         return np.diff(self.out_indptr)
@@ -254,18 +251,6 @@ class Graph:
         self._ensure_in_csr()
         assert self._in_indptr is not None
         return np.diff(self._in_indptr)
-
-    @property
-    def in_indptr(self) -> np.ndarray:
-        self._ensure_in_csr()
-        assert self._in_indptr is not None
-        return self._in_indptr
-
-    @property
-    def in_indices(self) -> np.ndarray:
-        self._ensure_in_csr()
-        assert self._in_indices is not None
-        return self._in_indices
 
     def _ensure_in_csr(self) -> None:
         if self._in_indptr is None:

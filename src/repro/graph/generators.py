@@ -61,8 +61,9 @@ def as_generator(seed: int | np.random.Generator) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _materialize(stream: EdgeStream, dedup: bool = True) -> Graph:
-    """Drain ``stream`` into an in-memory graph, self loops dropped.
+def _materialize(stream: EdgeStream) -> Graph:
+    """Drain ``stream`` into an in-memory graph, self loops and duplicate
+    edges dropped.
 
     Each chunk goes straight to its sort keys, so the drain holds one
     ``int64`` per raw edge, never an ``(m, 2)`` endpoint array.
@@ -74,7 +75,7 @@ def _materialize(stream: EdgeStream, dedup: bool = True) -> Graph:
         chunk = edge_keys(src, dst, n, drop_self_loops=True)
         keys[hi:hi + chunk.size] = chunk
         hi += chunk.size
-    return Graph(*csr_from_keys(keys[:hi], n, n, dedup))
+    return Graph(*csr_from_keys(keys[:hi], n, n, dedup=True))
 
 
 def rmat(
@@ -84,17 +85,15 @@ def rmat(
     b: float = 0.19,
     c: float = 0.19,
     seed: int = 0,
-    dedup: bool = True,
 ) -> Graph:
     """R-MAT graph with ``2**scale`` vertices and ``edge_factor * n`` edges.
 
     Each edge picks one quadrant of the adjacency matrix per bit with
     probabilities ``(a, b, c, d)``, ``d = 1 - a - b - c``; this yields the
     skewed degree distributions and block community structure of real social
-    networks.  Self loops are dropped; duplicates are dropped when ``dedup``.
+    networks.  Self loops and duplicates are dropped.
     """
-    return _materialize(
-        stream_rmat(scale, edge_factor, a, b, c, seed=seed), dedup=dedup)
+    return _materialize(stream_rmat(scale, edge_factor, a, b, c, seed=seed))
 
 
 def small_world(
@@ -109,6 +108,11 @@ def small_world(
         stream_small_world(num_vertices, k, rewire_p, seed=seed))
 
 
+#: share of :func:`composite_social_graph`'s rewired edges that pick a
+#: near community rather than a uniform one
+REWIRE_LOCALITY = 0.7
+
+
 def composite_social_graph(
     num_communities: int = 16,
     community_size: int = 256,
@@ -116,7 +120,6 @@ def composite_social_graph(
     p_r: float = 0.05,
     seed: int | np.random.Generator = 0,
     community_model: str = "rmat",
-    locality: float = 0.7,
 ) -> Graph:
     """The paper's synthetic-graph recipe (Appendix F), scaled down.
 
@@ -128,19 +131,16 @@ def composite_social_graph(
     large graph.  ``p_r`` defaults to the paper's 5 %; ``k`` is the
     average out-degree within a community.
 
-    ``locality`` controls the rewired destinations' community choice:
-    with probability ``locality`` the hop distance on the community ring
-    is geometric (near communities preferred — the hierarchical,
+    A rewired destination's community is, with probability
+    :data:`REWIRE_LOCALITY`, a geometric hop distance away on the
+    community ring (near communities preferred — the hierarchical,
     friends-of-friends locality real social networks such as MSN show at
-    every scale), otherwise uniform.  ``locality=0`` reproduces flat
-    uniform gluing.
+    every scale), otherwise uniform.
     """
     if num_communities <= 0 or community_size <= 0:
         raise GraphError("community counts must be positive")
     if not 0 <= p_r <= 1:
         raise GraphError("p_r must lie in [0, 1]")
-    if not 0 <= locality <= 1:
-        raise GraphError("locality must lie in [0, 1]")
     if community_model not in ("rmat", "small-world"):
         raise GraphError("community_model must be 'rmat' or 'small-world'")
     rng = as_generator(seed)
@@ -167,7 +167,7 @@ def composite_social_graph(
         num = rewire.size
         src_comm = src[rewire] // community_size
         # geometric ring offset for local rewires, uniform otherwise
-        local_mask = rng.random(num) < locality
+        local_mask = rng.random(num) < REWIRE_LOCALITY
         offsets = rng.geometric(0.5, size=num)
         signs = rng.choice([-1, 1], size=num)
         near = (src_comm + signs * offsets) % num_communities

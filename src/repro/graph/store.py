@@ -100,7 +100,6 @@ def build_shard_store(
     dedup: bool = True,
     drop_self_loops: bool = True,
     vertex_starts: Sequence[int] | np.ndarray | None = None,
-    meta: dict | None = None,
 ) -> "ShardStore":
     """Drain an :class:`EdgeStream`, once, into a shard store.
 
@@ -120,7 +119,7 @@ def build_shard_store(
     building.mkdir(parents=True)
     try:
         _write_shards(stream, building, num_shards, dedup, drop_self_loops,
-                      vertex_starts, meta)
+                      vertex_starts)
         os.replace(building, path)
     except BaseException:
         shutil.rmtree(building, ignore_errors=True)
@@ -135,7 +134,6 @@ def _write_shards(
     dedup: bool,
     drop_self_loops: bool,
     vertex_starts: Sequence[int] | np.ndarray | None,
-    meta: dict | None,
 ) -> None:
     """Drain, cut and finalize, into the (empty) directory ``path``."""
     n = int(stream.num_vertices)
@@ -161,8 +159,6 @@ def _write_shards(
         "vertex_starts": [int(v) for v in starts],
         "shards": shards,
     }
-    if meta:
-        manifest["meta"] = dict(meta)
     with open(path / MANIFEST_NAME, "w", encoding="ascii") as handle:
         json.dump(manifest, handle, indent=1, sort_keys=True)
 
@@ -300,9 +296,6 @@ class ShardStore:
 
     def largest_shard_edges(self) -> int:
         return int(np.diff(self.edge_offsets).max(initial=0))
-
-    def shard_of(self, v: int) -> int:
-        return int(np.searchsorted(self.vertex_starts, v, side="right") - 1)
 
     def shard_of_array(self, vertices: np.ndarray) -> np.ndarray:
         return (np.searchsorted(self.vertex_starts, vertices, side="right")

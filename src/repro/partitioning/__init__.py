@@ -8,7 +8,7 @@ from repro.partitioning.coarsen import (
     contract_matching,
 )
 from repro.partitioning.ggp import gggp_bisection, random_bisection
-from repro.partitioning.refine import compute_gains, fm_refine
+from repro.partitioning.refine import fm_refine
 from repro.partitioning.bisect import (
     BisectionOptions,
     BisectionResult,
@@ -19,14 +19,9 @@ from repro.partitioning.recursive import (
     num_levels_for_parts,
     recursive_bisection,
 )
-from repro.partitioning.baselines import (
-    chunk_partition,
-    hash_partition,
-    random_partition,
-)
+from repro.partitioning.baselines import random_partition
 from repro.partitioning.metrics import (
     balance,
-    cut_matrix,
     edge_cut,
     inner_edge_ratio,
     partition_sizes,
@@ -42,7 +37,6 @@ __all__ = [
     "contract_matching",
     "gggp_bisection",
     "random_bisection",
-    "compute_gains",
     "fm_refine",
     "BisectionOptions",
     "BisectionResult",
@@ -50,11 +44,8 @@ __all__ = [
     "RecursivePartition",
     "num_levels_for_parts",
     "recursive_bisection",
-    "chunk_partition",
-    "hash_partition",
     "random_partition",
     "balance",
-    "cut_matrix",
     "edge_cut",
     "inner_edge_ratio",
     "partition_sizes",

@@ -1,8 +1,7 @@
-"""Structure-oblivious partitioners used as baselines.
+"""The structure-oblivious partitioner used as a baseline.
 
-Random partitioning is the sanity baseline of Table 5; hash partitioning is
-what MapReduce's shuffle does and what a flat GFS-style layout amounts to.
-Both balance sizes but ignore the graph structure entirely.
+Random partitioning is the sanity baseline of Table 5: it balances sizes
+but ignores the graph structure entirely.
 """
 
 from __future__ import annotations
@@ -12,42 +11,16 @@ import numpy as np
 from repro.errors import PartitioningError
 from repro.graph.digraph import Graph
 
-__all__ = ["random_partition", "hash_partition", "chunk_partition"]
-
-
-def _check(num_vertices: int, num_parts: int) -> None:
-    if num_parts <= 0:
-        raise PartitioningError("num_parts must be positive")
-    if num_vertices < 0:
-        raise PartitioningError("num_vertices must be non-negative")
+__all__ = ["random_partition"]
 
 
 def random_partition(graph: Graph, num_parts: int, seed: int = 0) -> np.ndarray:
     """Balanced uniform-random assignment (Table 5's 'random partitioning')."""
-    _check(graph.num_vertices, num_parts)
+    if num_parts <= 0:
+        raise PartitioningError("num_parts must be positive")
     n = graph.num_vertices
     rng = np.random.default_rng(seed)
     # deal vertices round-robin onto a shuffled order for exact balance
     parts = np.arange(n, dtype=np.int64) % num_parts
     rng.shuffle(parts)
     return parts
-
-
-def hash_partition(graph: Graph, num_parts: int) -> np.ndarray:
-    """Deterministic hash assignment, as MapReduce's shuffle uses.
-
-    Uses a Knuth multiplicative hash of the vertex id so consecutive ids
-    scatter (a plain modulo would spuriously preserve locality for the
-    range-encoded ids Surfer assigns).
-    """
-    _check(graph.num_vertices, num_parts)
-    ids = np.arange(graph.num_vertices, dtype=np.uint64)
-    hashed = (ids * np.uint64(2654435761)) & np.uint64(0xFFFFFFFF)
-    return (hashed % np.uint64(num_parts)).astype(np.int64)
-
-
-def chunk_partition(graph: Graph, num_parts: int) -> np.ndarray:
-    """Contiguous equal ranges of vertex ids (a flat-file split)."""
-    _check(graph.num_vertices, num_parts)
-    n = graph.num_vertices
-    return (np.arange(n, dtype=np.int64) * num_parts) // max(n, 1)

@@ -79,25 +79,23 @@ def coarsen_until(
     wgraph: WGraph,
     target_vertices: int,
     rng: np.random.Generator,
-    min_shrink: float = 0.9,
-    max_levels: int = 40,
 ) -> list[CoarseningLevel]:
     """Coarsen repeatedly until ``target_vertices`` or progress stalls.
 
-    Stops when a level shrinks the vertex count by less than
-    ``1 - min_shrink`` (matching would be mostly singletons) or after
-    ``max_levels`` contractions.  Returns the hierarchy finest-first.
+    Stops when a level shrinks the vertex count by less than 10 %
+    (matching would be mostly singletons) or after 40 contractions.
+    Returns the hierarchy finest-first.
     """
     from repro.partitioning.matching import heavy_edge_matching
 
     levels: list[CoarseningLevel] = []
     current = wgraph
-    for _ in range(max_levels):
+    for _ in range(40):
         if current.num_vertices <= target_vertices:
             break
         match = heavy_edge_matching(current, rng)
         coarse, mapping = contract_matching(current, match)
-        if coarse.num_vertices >= current.num_vertices * min_shrink:
+        if coarse.num_vertices >= current.num_vertices * 0.9:
             break
         levels.append(CoarseningLevel(current, coarse, mapping))
         current = coarse

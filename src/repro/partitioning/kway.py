@@ -24,7 +24,6 @@ def kway_refine_balance(
     parts: np.ndarray,
     num_parts: int,
     tolerance: float = 0.05,
-    max_moves: int | None = None,
 ) -> np.ndarray:
     """Rebalance ``parts`` to within ``tolerance`` of the ideal weight.
 
@@ -41,11 +40,9 @@ def kway_refine_balance(
                           minlength=num_parts)
     target = weights.sum() / num_parts
     ceiling = (1.0 + tolerance) * target
-    if max_moves is None:
-        max_moves = 8 * n
 
     affinity = None  # built at the first move: a balanced input needs none
-    for _ in range(max_moves):
+    for _ in range(8 * n):
         heavy = int(np.argmax(weights))
         if weights[heavy] <= ceiling:
             break

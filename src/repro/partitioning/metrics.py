@@ -17,7 +17,6 @@ __all__ = [
     "edge_cut",
     "weighted_cut",
     "inner_edge_ratio",
-    "cut_matrix",
     "balance",
     "partition_sizes",
     "validate_assignment",
@@ -59,20 +58,6 @@ def inner_edge_ratio(graph: Graph, parts: np.ndarray) -> float:
     if graph.num_edges == 0:
         return 1.0
     return 1.0 - edge_cut(graph, parts) / graph.num_edges
-
-
-def cut_matrix(graph: Graph, parts: np.ndarray, num_parts: int) -> np.ndarray:
-    """``C[i, j]`` = number of directed edges from part ``i`` to part ``j``.
-
-    The paper's ``C(n1, n2)`` between sketch nodes is the symmetrized sum
-    ``C[i, j] + C[j, i]`` aggregated over each node's leaves.
-    """
-    parts = validate_assignment(parts, graph.num_vertices, num_parts)
-    src_p = parts[graph.edge_sources()]
-    dst_p = parts[graph.out_indices]
-    mat = np.zeros((num_parts, num_parts), dtype=np.int64)
-    np.add.at(mat, (src_p, dst_p), 1)
-    return mat
 
 
 def partition_sizes(parts: np.ndarray, num_parts: int,

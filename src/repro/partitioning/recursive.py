@@ -50,18 +50,6 @@ class RecursivePartition:
     def num_levels(self) -> int:
         return num_levels_for_parts(self.num_parts)
 
-    def total_cut_at_level(self, level: int) -> int:
-        """``T_l``: total cut among partitions at sketch depth ``level``.
-
-        Sums the recorded bisection cuts of all sketch nodes shallower than
-        ``level``, which equals the number of cross-partition (weighted)
-        edges when the graph is split into the ``2**level`` nodes of that
-        depth — the quantity the paper's monotonicity property bounds.
-        """
-        return sum(
-            cut for (lvl, _), cut in self.node_cuts.items() if lvl < level
-        )
-
 
 def recursive_bisection(
     wgraph: WGraph,

@@ -20,7 +20,7 @@ import numpy as np
 from repro.errors import PartitioningError
 from repro.partitioning.wgraph import WGraph
 
-__all__ = ["fm_refine", "compute_gains", "check_epsilon"]
+__all__ = ["fm_refine", "check_epsilon"]
 
 
 def _gains_and_cut(wgraph: WGraph, side: np.ndarray) -> tuple[np.ndarray, int]:
@@ -33,15 +33,6 @@ def _gains_and_cut(wgraph: WGraph, side: np.ndarray) -> tuple[np.ndarray, int]:
     gain = running[wgraph.indptr[1:]] - running[wgraph.indptr[:-1]]
     # running[-1] = cut arcs' weight - uncut arcs' weight
     return gain, (int(running[-1]) + int(wgraph.eweights.sum())) // 4
-
-
-def compute_gains(wgraph: WGraph, side: np.ndarray) -> np.ndarray:
-    """Gain of moving each vertex to the opposite side.
-
-    ``gain[v] = external_weight(v) - internal_weight(v)``; positive gains
-    reduce the cut.
-    """
-    return _gains_and_cut(wgraph, np.asarray(side))[0]
 
 
 def check_epsilon(epsilon: float) -> None:

@@ -66,9 +66,6 @@ class WGraph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]: self.indptr[v + 1]]
 
-    def edge_weights_of(self, v: int) -> np.ndarray:
-        return self.eweights[self.indptr[v]: self.indptr[v + 1]]
-
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
 
@@ -164,14 +161,3 @@ class WGraph:
         if (vw <= 0).any():
             raise PartitioningError("vertex weights must be positive")
         return cls(indptr, dst, ww, vw)
-
-    def validate_symmetry(self) -> bool:
-        """True iff every stored arc has a mirror with equal weight."""
-        src = self.edge_sources()
-        forward = np.lexsort((self.eweights, self.indices, src))
-        mirror = np.lexsort((self.eweights, src, self.indices))
-        return bool(
-            np.array_equal(src[forward], self.indices[mirror])
-            and np.array_equal(self.indices[forward], src[mirror])
-            and np.array_equal(self.eweights[forward], self.eweights[mirror])
-        )

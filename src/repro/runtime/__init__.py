@@ -21,16 +21,10 @@ from repro.runtime.scheduler import (
     SPECULATION_FACTOR,
     StageScheduler,
 )
-from repro.runtime.trace import (
-    io_rate_timeline,
-    machine_timeline,
-    recovery_event_counts,
-    recovery_timeline,
-)
+from repro.runtime.trace import io_rate_timeline, recovery_event_counts
 from repro.runtime.monitor import (
     JobMonitor,
     MachineUtilization,
-    estimate_progress,
     failed_task_seconds,
 )
 
@@ -52,10 +46,7 @@ __all__ = [
     "SPECULATION_FACTOR",
     "StageScheduler",
     "io_rate_timeline",
-    "machine_timeline",
     "recovery_event_counts",
-    "recovery_timeline",
     "JobMonitor",
     "MachineUtilization",
-    "estimate_progress",
 ]

@@ -205,8 +205,6 @@ def run_chaos_sweep(
     run_job: Callable[[Surfer, FaultPlan | None], JobResult],
     schedules: int,
     seed: int,
-    horizon_factor: float = 1.5,
-    max_kills: int | None = None,
 ) -> ChaosReport:
     """Run ``schedules`` random fault schedules and check the invariant.
 
@@ -216,7 +214,7 @@ def run_chaos_sweep(
     will simply count every unabsorbed data loss as a clean failure and
     never exercise restart.  Schedule ``i`` draws from
     ``default_rng([seed, i])``; the fault horizon is the fault-free
-    response time times ``horizon_factor``.
+    response time times 1.5.
     """
     if schedules < 1:
         raise JobError("chaos sweep needs at least one schedule")
@@ -233,15 +231,14 @@ def run_chaos_sweep(
     num_machines = surfer.cluster.num_machines
     replica_sets = [surfer.store.replicas(p)
                     for p in range(surfer.store.num_partitions)]
-    horizon = max(baseline.response_time * horizon_factor, 1.0)
+    horizon = max(baseline.response_time * 1.5, 1.0)
 
     report = ChaosReport(seed=seed, baseline=baseline,
                          baseline_wall_s=baseline_wall)
     for i in range(schedules):
         rng = np.random.default_rng([seed, i])
         plan = random_fault_plan(rng, num_machines, horizon,
-                                 replica_sets=replica_sets,
-                                 max_kills=max_kills)
+                                 replica_sets=replica_sets)
         counts = (len(plan.kills), len(plan.transients),
                   len(plan.slowdowns))
         job: JobResult | None = None

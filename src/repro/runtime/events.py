@@ -53,6 +53,11 @@ __all__ = [
 ]
 
 
+#: Absolute tolerance of the trace checks (:func:`reconcile`,
+#: :meth:`EventStream.verify_frame_discipline`) on times and byte counts.
+ATOL = 1e-6
+
+
 # ----------------------------------------------------------------------
 # Canonical counter schema
 # ----------------------------------------------------------------------
@@ -147,15 +152,8 @@ class WallTimer:
         self._start = _time.perf_counter()
 
     def elapsed(self) -> float:
-        """Real seconds since this timer was created (or last restart)."""
+        """Real seconds since this timer was created."""
         return _time.perf_counter() - self._start
-
-    def restart(self) -> float:
-        """Return :meth:`elapsed` and reset the start point to now."""
-        now = _time.perf_counter()
-        lap = now - self._start
-        self._start = now
-        return lap
 
 
 def wall_timer() -> WallTimer:
@@ -268,10 +266,10 @@ class MetricsRegistry:
 class EventStream:
     """The per-job collector every runtime component emits into."""
 
-    def __init__(self, metrics: MetricsRegistry | None = None) -> None:
+    def __init__(self) -> None:
         self.spans: list[Span] = []
         self.instants: list[Instant] = []
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
 
     # -- emission ------------------------------------------------------
     def span(self, span: Span) -> None:
@@ -328,7 +326,7 @@ class EventStream:
         """Total real Python time recorded across all spans."""
         return sum(s.wall_self_seconds for s in self.spans)
 
-    def verify_frame_discipline(self, atol: float = 1e-6) -> list[str]:
+    def verify_frame_discipline(self) -> list[str]:
         """Check span push/pop discipline over the emission order.
 
         The emission contract: machine-level task spans are followed by
@@ -349,7 +347,7 @@ class EventStream:
         open_tasks: list[Span] = []
         pending_stages: list[Span] = []
         for s in self.spans:
-            if s.end < s.start - atol:
+            if s.end < s.start - ATOL:
                 problems.append(
                     f"span {s.name!r} ends before it starts "
                     f"({s.end!r} < {s.start!r})")
@@ -357,8 +355,8 @@ class EventStream:
                 open_tasks.append(s)
             elif s.kind == "stage":
                 for t in open_tasks:
-                    if (t.start < s.start - atol
-                            or t.end > s.end + atol):
+                    if (t.start < s.start - ATOL
+                            or t.end > s.end + ATOL):
                         problems.append(
                             f"task span {t.name!r} "
                             f"[{t.start!r}, {t.end!r}] escapes its "
@@ -375,13 +373,13 @@ class EventStream:
                 for idx, st in enumerate(pending_stages):
                     if is_recovery_stage(st):
                         continue
-                    if (st.end <= s.start + atol
+                    if (st.end <= s.start + ATOL
                             and any(is_recovery_stage(later) for later
                                     in pending_stages[idx + 1:])):
                         continue  # aborted pre-restart work
                     framed += 1
-                    if (st.start < s.start - atol
-                            or st.end > s.end + atol):
+                    if (st.start < s.start - ATOL
+                            or st.end > s.end + ATOL):
                         problems.append(
                             f"stage {st.name!r} "
                             f"[{st.start!r}, {st.end!r}] escapes its "
@@ -487,7 +485,7 @@ def write_chrome_trace(stream: EventStream, path: str) -> None:
 # ----------------------------------------------------------------------
 # Reconciliation: the event stream must agree with the cluster counters
 # ----------------------------------------------------------------------
-def reconcile(job: Any, atol: float = 1e-6) -> list[str]:
+def reconcile(job: Any) -> list[str]:
     """Cross-check a job's event stream against its cluster metrics.
 
     Returns a list of human-readable mismatch descriptions (empty means
@@ -498,9 +496,9 @@ def reconcile(job: Any, atol: float = 1e-6) -> list[str]:
     the cluster charges repair reads/writes and background flows to
     machines directly, not to any task span.
 
-    ``atol`` absorbs float truncation when tasks carry fractional byte
-    demands (the default workloads are integer-valued, so the default
-    tolerance is effectively exact).
+    :data:`ATOL` absorbs float truncation when tasks carry fractional
+    byte demands (the default workloads are integer-valued, so the check
+    is effectively exact).
     """
     stream = job.events
     metrics = job.metrics
@@ -509,7 +507,7 @@ def reconcile(job: Any, atol: float = 1e-6) -> list[str]:
     problems: list[str] = []
 
     def check(name: str, from_events: float, from_cluster: float) -> None:
-        if abs(from_events - from_cluster) > atol:
+        if abs(from_events - from_cluster) > ATOL:
             problems.append(
                 f"{name}: events={from_events!r} vs cluster={from_cluster!r}"
             )

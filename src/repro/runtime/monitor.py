@@ -1,11 +1,10 @@
-"""Job monitoring: progress estimation and resource-utilization reports.
+"""Job monitoring: resource-utilization reports.
 
 The paper's job manager "records resource utilization and estimates the
 execution progress of the job", surfaced through the demo GUI (Appendix
 B).  This module is the text-mode equivalent: a :class:`JobMonitor`
 summarizes a finished (or injected-fault) run's per-machine utilization,
-per-stage progress and stragglers, and :func:`estimate_progress` answers
-"how far along is the job at time t" from the execution trace.
+per-stage progress and stragglers.
 
 Everything here reads the run's :class:`~repro.runtime.events.EventStream`
 — its machine-level :class:`~repro.runtime.events.Span` list for the work,
@@ -21,8 +20,7 @@ import numpy as np
 from repro.runtime.events import EventStream, Span
 from repro.runtime.trace import recovery_event_counts
 
-__all__ = ["MachineUtilization", "JobMonitor", "estimate_progress",
-           "failed_task_seconds"]
+__all__ = ["MachineUtilization", "JobMonitor", "failed_task_seconds"]
 
 
 @dataclass(frozen=True)
@@ -34,47 +32,6 @@ class MachineUtilization:
     utilization: float
     tasks: int
     failed_tasks: int
-
-
-def estimate_progress(executions: list[Span], now: float) -> float:
-    """Fraction of dispatched task-seconds finished by time ``now``.
-
-    Mirrors the job manager's progress estimate: every execution the
-    scheduler has dispatched by ``now`` contributes its duration to the
-    denominator; completed work counts fully and work still running at
-    ``now`` counts its elapsed share.  Two classes are excluded:
-
-    * executions that *start after* ``now`` — the job manager cannot
-      know about work it has not dispatched yet, and counting it made
-      early progress under-report;
-    * executions already *failed* by ``now`` — their seconds were spent
-      but produced nothing (the retry redoes the work), so counting them
-      as completed let a run report 100 % progress and then fail.
-      Failed-but-still-running work is indistinguishable from running
-      work and counts until its failure time.  The wasted seconds are
-      reported separately by :func:`failed_task_seconds`.
-    """
-    total = 0.0
-    done = 0.0
-    completed = 0
-    for e in executions:
-        if e.start > now:
-            continue  # not dispatched yet at time `now`
-        if e.end <= now and not e.succeeded:
-            continue  # known-failed: wasted work, not progress
-        total += e.duration
-        if e.end <= now:
-            done += e.duration
-            completed += 1
-        else:
-            done += now - e.start
-    if total <= 0:
-        # no measurable task-seconds: either only zero-duration work
-        # completed (done), or nothing has been dispatched/succeeded yet
-        if completed:
-            return 1.0
-        return 1.0 if not executions else 0.0
-    return min(1.0, done / total)
 
 
 def failed_task_seconds(executions: list[Span],
@@ -124,8 +81,8 @@ class JobMonitor:
             for m, rec in sorted(per_machine.items())
         ]
 
-    def stragglers(self, threshold: float = 1.5) -> list[int]:
-        """Machines whose busy time exceeds ``threshold`` × the median."""
+    def stragglers(self) -> list[int]:
+        """Machines whose busy time exceeds 1.5 × the median."""
         stats = self.machine_utilization()
         if not stats:
             return []
@@ -134,7 +91,7 @@ class JobMonitor:
         if median <= 0:
             return []
         return [s.machine for s in stats
-                if s.busy_seconds > threshold * median]
+                if s.busy_seconds > 1.5 * median]
 
     def stage_summary(self) -> dict[str, dict[str, float]]:
         """Aggregate duration, counts and cost counters per task kind."""

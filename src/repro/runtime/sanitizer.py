@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.errors import SanitizerError
-from repro.runtime.events import EventStream, Span, reconcile
+from repro.runtime.events import ATOL, EventStream, Span, reconcile
 
 __all__ = [
     "TaskEvent",
@@ -152,8 +152,7 @@ class VectorClockRaceDetector:
 class Sanitizer:
     """The per-job SimSan instance a scheduler carries when enabled."""
 
-    def __init__(self, atol: float = 1e-6) -> None:
-        self.atol = atol
+    def __init__(self) -> None:
         self.detector = VectorClockRaceDetector()
         self.stages_checked = 0
         self.supersteps_checked = 0
@@ -193,12 +192,11 @@ class Sanitizer:
         )
         for name, expected in shadow:
             got = registry.get(name)
-            if abs(got - expected) > self.atol:
+            if abs(got - expected) > ATOL:
                 problems.append(
                     f"{name}: registry={got!r} vs shadow={expected!r}")
-        problems.extend(reconcile(
-            _JobView(events, cluster.metrics()), atol=self.atol))
-        problems.extend(events.verify_frame_discipline(self.atol))
+        problems.extend(reconcile(_JobView(events, cluster.metrics())))
+        problems.extend(events.verify_frame_discipline())
         self.supersteps_checked += 1
         if problems:
             self._fail(

@@ -1,4 +1,5 @@
-"""Execution-trace analysis: I/O-rate and recovery timelines (Figure 10).
+"""Execution-trace analysis: the I/O-rate timeline (Figure 10) and
+recovery-event counts.
 
 The fault-tolerance experiment plots the *disk I/O rate over time* of
 normal and recovering executions.  We derive the timeline from the
@@ -6,8 +7,7 @@ machine-level :class:`~repro.runtime.events.Span` list of a job's
 :class:`~repro.runtime.events.EventStream` (``events.task_spans()``) by
 spreading each span's disk bytes uniformly over its window and sampling
 on a fixed-width grid.  The stream's recovery
-:class:`~repro.runtime.events.Instant` list gets the same treatment:
-per-bucket counts per kind.
+:class:`~repro.runtime.events.Instant` list is counted per kind.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import numpy as np
 
 from repro.runtime.events import Instant, Span
 
-__all__ = ["io_rate_timeline", "machine_timeline", "recovery_timeline",
-           "recovery_event_counts"]
+__all__ = ["io_rate_timeline", "recovery_event_counts"]
 
 
 def io_rate_timeline(
@@ -70,42 +69,3 @@ def recovery_event_counts(
     for ev in instants:
         counts[ev.kind] = counts.get(ev.kind, 0) + 1
     return counts
-
-
-def recovery_timeline(
-    instants: list[Instant],
-    bucket_seconds: float = 10.0,
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Recovery events per time bucket, split by kind.
-
-    Returns ``(bucket_start_times, {kind: counts})`` on the same grid as
-    :func:`io_rate_timeline` so the two can be plotted together — the
-    paper's Figure 10 dip annotated with what the job manager did about
-    it.
-    """
-    if bucket_seconds <= 0:
-        raise ValueError("bucket_seconds must be positive")
-    finite = [ev for ev in instants if np.isfinite(ev.time)]
-    if not finite:
-        return np.zeros(0), {}
-    horizon = max(ev.time for ev in finite)
-    num_buckets = int(np.ceil(horizon / bucket_seconds)) or 1
-    series: dict[str, np.ndarray] = {}
-    for ev in finite:
-        counts = series.setdefault(ev.kind, np.zeros(num_buckets))
-        bucket = min(int(ev.time / bucket_seconds), num_buckets - 1)
-        counts[bucket] += 1
-    times = np.arange(num_buckets) * bucket_seconds
-    return times, series
-
-
-def machine_timeline(
-    spans: list[Span],
-) -> dict[int, list[tuple[float, float, str, bool]]]:
-    """Per-machine list of ``(start, end, task_name, succeeded)`` windows."""
-    timeline: dict[int, list[tuple[float, float, str, bool]]] = {}
-    for e in sorted(spans, key=lambda e: (e.machine, e.start)):
-        timeline.setdefault(e.machine, []).append(
-            (e.start, e.end, e.name, e.succeeded)
-        )
-    return timeline

@@ -20,6 +20,25 @@ from repro.mapreduce.api import MapReduceApp
 from repro.propagation.api import PropagationApp
 
 
+def chunk_partition(graph, num_parts: int) -> np.ndarray:
+    """Contiguous equal ranges of vertex ids (a flat-file split)."""
+    n = graph.num_vertices
+    return (np.arange(n, dtype=np.int64) * num_parts) // max(n, 1)
+
+
+def wgraph_is_symmetric(wgraph) -> bool:
+    """True iff every stored arc of ``wgraph`` has a mirror with equal
+    weight."""
+    src = wgraph.edge_sources()
+    forward = np.lexsort((wgraph.eweights, wgraph.indices, src))
+    mirror = np.lexsort((wgraph.eweights, src, wgraph.indices))
+    return bool(
+        np.array_equal(src[forward], wgraph.indices[mirror])
+        and np.array_equal(wgraph.indices[forward], src[mirror])
+        and np.array_equal(wgraph.eweights[forward],
+                           wgraph.eweights[mirror]))
+
+
 def stream_from_edges(edges, num_vertices,
                       chunk_size=DEFAULT_CHUNK_EDGES) -> EdgeStream:
     """An in-memory ``(m, 2)`` edge array as an :class:`EdgeStream`."""

@@ -11,7 +11,7 @@ from repro.core.bandwidth_aware import (
     oblivious_partition,
     random_machine_tree,
 )
-from repro.core.sketch import PartitionSketch
+from tests.partition_sketch import PartitionSketch
 from repro.errors import PartitioningError
 
 

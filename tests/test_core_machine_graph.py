@@ -16,8 +16,7 @@ class TestMachineGraph:
         assert mg.weights[2, 2] == 0.0
 
     def test_subset(self):
-        mg = MachineGraph(t2(2, 1, 8, link_bps=100.0))
-        sub = mg.subset([0, 1, 4])
+        sub = MachineGraph(t2(2, 1, 8, link_bps=100.0), [0, 1, 4])
         assert sub.machines == [0, 1, 4]
         assert sub.weights[0, 2] == pytest.approx(100.0 / 32)
 

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.errors import PartitioningError
 from repro.core.partitioned import PartitionedGraph, VertexEncoding
 from repro.graph.digraph import Graph
 from repro.graph.generators import ring
-from repro.partitioning.baselines import chunk_partition
+from tests.conftest import chunk_partition
 
 
 def make_pg() -> PartitionedGraph:
@@ -54,7 +53,7 @@ class TestStructure:
         for p in range(2):
             _, dst = pg.partition_edges(p)
             remote = dst[pg.parts[dst] != p]
-            maps.append({int(v): pg.partition_of(v) for v in remote})
+            maps.append({int(v): int(pg.parts[v]) for v in remote})
         # partition 0's cross edge 1->2 targets vertex 2 in partition 1
         assert maps == [{2: 1}, {0: 0}]
         assert np.flatnonzero(pg.entry_mask).tolist() == [0, 2]
@@ -72,12 +71,10 @@ class TestStructure:
     def test_validate(self, small_graph):
         parts = chunk_partition(small_graph, 4)
         pg = PartitionedGraph(small_graph, parts, 4)
-        pg.validate()
-
-    def test_partition_of(self):
-        pg = make_pg()
-        assert pg.partition_of(0) == 0
-        assert pg.partition_of(3) == 1
+        assert (sum(v.size for v in pg.partition_vertices)
+                == small_graph.num_vertices)
+        assert (sum(pg.partition_edge_count(p) for p in range(4))
+                == small_graph.num_edges)
 
     def test_ivr_consistent_with_boundary(self, small_graph):
         parts = chunk_partition(small_graph, 4)
@@ -92,10 +89,9 @@ class TestVertexEncoding:
         parts = np.array([1, 0, 1, 0, 2])
         enc = VertexEncoding(parts, 3)
         # partition 0 owns encoded ids 0..1, partition 1 ids 2..3, etc.
-        for old in range(5):
-            new = enc.encode(old)
-            assert enc.partition_of(new) == parts[old]
-            assert enc.decode(new) == old
+        for p in range(3):
+            owned = enc.new_to_old[enc.offsets[p]:enc.offsets[p + 1]]
+            assert owned.tolist() == np.flatnonzero(parts == p).tolist()
 
     def test_offsets(self):
         parts = np.array([0, 0, 1, 2, 2, 2])
@@ -106,23 +102,9 @@ class TestVertexEncoding:
         parts = chunk_partition(small_graph, 4)
         enc = VertexEncoding(parts, 4)
         ids = np.arange(small_graph.num_vertices)
-        assert np.array_equal(enc.new_to_old[enc.old_to_new], ids)
-
-    def test_encode_graph_isomorphic(self):
-        g = ring(6)
-        parts = np.array([0, 1, 0, 1, 0, 1])
-        enc = VertexEncoding(parts, 2)
-        encoded = enc.encode_graph(g)
-        assert encoded.num_edges == g.num_edges
-        for u, v in g.iter_edges():
-            assert encoded.has_edge(enc.encode(u), enc.encode(v))
-
-    def test_partition_lookup_out_of_range(self):
-        enc = VertexEncoding(np.array([0, 1]), 2)
-        with pytest.raises(PartitioningError):
-            enc.partition_of(5)
+        assert np.array_equal(np.sort(enc.new_to_old), ids)
 
     def test_encoding_from_pgraph(self):
         pg = make_pg()
         enc = pg.encoding()
-        assert enc.partition_of(enc.encode(2)) == 1
+        assert enc.new_to_old[enc.offsets[1]:enc.offsets[2]].tolist() == [2, 3]

@@ -15,7 +15,7 @@ from repro.core.placement import (
 from repro.errors import PlacementError
 from repro.graph.digraph import Graph
 from repro.graph.generators import ring
-from repro.partitioning.baselines import chunk_partition
+from tests.conftest import chunk_partition
 
 
 def simple_pgraph() -> PartitionedGraph:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.sketch import PartitionSketch
+from tests.partition_sketch import PartitionSketch
 from repro.graph.digraph import Graph
 from repro.graph.generators import grid, ring
 from repro.partitioning.recursive import recursive_bisection

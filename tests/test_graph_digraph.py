@@ -74,7 +74,6 @@ class TestAdjacency:
 
     def test_degrees(self):
         g = simple_graph()
-        assert g.out_degree(0) == 2
         assert list(g.out_degrees()) == [2, 1, 1, 0]
         assert list(g.in_degrees()) == [1, 1, 2, 0]
 

@@ -113,13 +113,13 @@ class TestSimpleShapes:
 
     def test_grid_degrees(self):
         g = grid(3, 3)
-        center_deg = g.out_degree(4)
+        center_deg = g.out_degrees()[4]
         assert center_deg == 4  # bidirected grid: center has 4 neighbors
-        assert g.out_degree(0) == 2
+        assert g.out_degrees()[0] == 2
 
     def test_star(self):
         g = star(4, out=True)
-        assert g.out_degree(0) == 4
+        assert g.out_degrees()[0] == 4
         g_in = star(4, out=False)
         assert g_in.in_degrees()[0] == 4
 

@@ -13,5 +13,5 @@ class TestSizing:
         # one <ID, d, neighbors> record per vertex: 8 B id + 4 B degree
         # + 8 B per neighbor
         g = sample()
-        total = sum(12 + 8 * g.out_degree(v) for v in range(g.num_vertices))
+        total = sum(12 + 8 * int(d) for d in g.out_degrees())
         assert graph_storage_bytes(g) == total

@@ -285,8 +285,6 @@ class TestShardStoreAccess:
         store = build_shard_store(rmat_stream, tmp_path / "s", 4)
         verts = np.arange(store.num_vertices, dtype=np.int64)
         by_array = store.shard_of_array(verts)
-        assert all(store.shard_of(int(v)) == by_array[v] for v in
-                   verts[:: max(1, verts.size // 37)])
         for s in range(4):
             lo, hi = store.vertex_starts[s], store.vertex_starts[s + 1]
             assert np.all(by_array[lo:hi] == s)

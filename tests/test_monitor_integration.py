@@ -7,7 +7,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.spec import MachineSpec
 from repro.cluster.topology import t1
 from repro.core.surfer import Surfer
-from repro.runtime.monitor import JobMonitor, estimate_progress
+from repro.runtime.monitor import JobMonitor
 from repro.runtime.scheduler import StageScheduler
 from repro.runtime.tasks import Task
 from tests.conftest import make_test_cluster
@@ -41,15 +41,6 @@ class TestMonitorOnRealRuns:
         # 2 iterations x 8 partitions each
         assert summary["transfer"]["tasks"] == 16
         assert summary["combine"]["tasks"] == 16
-
-    def test_progress_monotone(self, job):
-        execs = job.events.task_spans()
-        horizon = max(e.end for e in execs)
-        samples = [estimate_progress(execs, t)
-                   for t in (0, horizon / 4, horizon / 2, horizon)]
-        assert samples == sorted(samples)
-        assert samples[0] == 0.0
-        assert samples[-1] == 1.0
 
 
 class TestRunStages:

@@ -113,8 +113,7 @@ class ReferenceRound:
             out_bytes += nbytes
             if app.writeback_to_partitions and isinstance(
                     key, (int, np.integer)) and 0 <= key < num_vertices:
-                home = int(self.assignment[
-                    self.pgraph.partition_of(int(key))])
+                home = int(self.assignment[self.pgraph.parts[int(key)]])
                 writeback[home] = writeback.get(home, 0.0) + nbytes
         return out_bytes, writeback
 

@@ -1,5 +1,5 @@
 """Tests for the observability layer: spans, metrics, Chrome traces,
-reconciliation, bench JSON and the None-transfer cost contract."""
+reconciliation, job records and the None-transfer cost contract."""
 
 import dataclasses
 import json
@@ -8,14 +8,7 @@ import numpy as np
 import pytest
 
 from repro.apps import APP_REGISTRY
-from repro.bench.benchjson import (
-    RECORD_FIELDS,
-    SCHEMA,
-    job_record,
-    load_bench_json,
-    validate_bench_json,
-    write_bench_json,
-)
+from repro.bench.experiments import job_record
 from repro.bench.workloads import make_cluster
 from repro.cluster.faults import FaultPlan, MachineKill
 from repro.cluster.storage import PartitionStore
@@ -32,11 +25,7 @@ from repro.runtime.events import (
     reconcile,
     write_chrome_trace,
 )
-from repro.runtime.monitor import (
-    JobMonitor,
-    estimate_progress,
-    failed_task_seconds,
-)
+from repro.runtime.monitor import JobMonitor, failed_task_seconds
 from repro.runtime.scheduler import StageScheduler
 from repro.runtime.tasks import Task
 from repro.runtime.trace import recovery_event_counts
@@ -132,37 +121,7 @@ def _exec(start, end, succeeded=True, machine=0):
                 machine=machine, succeeded=succeeded)
 
 
-class TestEstimateProgress:
-    def test_failed_work_not_counted_as_progress(self):
-        execs = [_exec(0.0, 10.0, succeeded=False),
-                 _exec(10.0, 20.0)]
-        # at t=10 the only finished execution failed: nothing is done,
-        # and the retry (dispatched at 10) has not progressed yet
-        assert estimate_progress(execs, 10.0) == 0.0
-        assert estimate_progress(execs, 15.0) == pytest.approx(0.5)
-        assert estimate_progress(execs, 20.0) == 1.0
-
-    def test_future_executions_ignored(self):
-        execs = [_exec(0.0, 10.0), _exec(50.0, 60.0)]
-        # at t=10 the job manager has dispatched only the first task
-        assert estimate_progress(execs, 10.0) == 1.0
-
-    def test_failure_indistinguishable_while_running(self):
-        execs = [_exec(0.0, 10.0, succeeded=False)]
-        # failure is only known at its end
-        assert estimate_progress(execs, 5.0) == pytest.approx(0.5)
-        assert estimate_progress(execs, 10.0) == 0.0
-
-    def test_empty_and_all_failed(self):
-        assert estimate_progress([], 5.0) == 1.0
-        failed = [_exec(0.0, 10.0, succeeded=False)]
-        assert estimate_progress(failed, 20.0) == 0.0
-
-    def test_zero_duration_executions(self):
-        execs = [_exec(3.0, 3.0)]
-        assert estimate_progress(execs, 2.0) == 0.0
-        assert estimate_progress(execs, 3.0) == 1.0
-
+class TestFailedTaskSeconds:
     def test_failed_task_seconds(self):
         execs = [_exec(0.0, 10.0, succeeded=False),
                  _exec(10.0, 25.0),
@@ -369,74 +328,19 @@ class TestChromeTrace:
 
 
 # ----------------------------------------------------------------------
-# Bench JSON
+# Job records
 # ----------------------------------------------------------------------
 class TestBenchJson:
     def test_job_record_fields(self, nr_surfer, nr_job):
         rec = job_record(nr_job, wall_clock_s=1.5)
-        assert set(rec) == set(RECORD_FIELDS)
+        assert set(rec) == {"makespan_s", "machine_time_s", "network_bytes",
+                            "disk_bytes", "messages_shipped", "tasks",
+                            "wall_clock_s"}
         assert rec["makespan_s"] == pytest.approx(
             nr_job.metrics.response_time)
         assert rec["network_bytes"] == nr_job.metrics.network_bytes
         assert rec["tasks"] == nr_job_tasks(nr_surfer)
         assert rec["wall_clock_s"] == 1.5
-
-    def test_write_load_round_trip(self, nr_job, tmp_path):
-        path = tmp_path / "bench.json"
-        doc = write_bench_json(path, {"w": job_record(nr_job, 0.1)},
-                               pr="current")
-        loaded = load_bench_json(path)
-        assert loaded == doc
-        assert loaded["schema"] == SCHEMA
-        assert validate_bench_json(loaded) == []
-
-    def test_validate_rejects_bad_documents(self, nr_job):
-        rec = job_record(nr_job, 0.1)
-        assert validate_bench_json("nope")
-        assert validate_bench_json({"schema": "other/v9", "pr": "PR3",
-                                    "workloads": {"w": rec}})
-        assert validate_bench_json({"schema": SCHEMA, "pr": "",
-                                    "workloads": {"w": rec}})
-        assert validate_bench_json({"schema": SCHEMA, "pr": "PR3",
-                                    "workloads": {}})
-        missing = {k: v for k, v in rec.items() if k != "makespan_s"}
-        assert validate_bench_json({"schema": SCHEMA, "pr": "PR3",
-                                    "workloads": {"w": missing}})
-        extra = dict(rec, bogus=1)
-        assert validate_bench_json({"schema": SCHEMA, "pr": "PR3",
-                                    "workloads": {"w": extra}})
-        negative = dict(rec, network_bytes=-1)
-        assert validate_bench_json({"schema": SCHEMA, "pr": "PR3",
-                                    "workloads": {"w": negative}})
-        stringy = dict(rec, tasks="many")
-        assert validate_bench_json({"schema": SCHEMA, "pr": "PR3",
-                                    "workloads": {"w": stringy}})
-
-    def test_write_refuses_invalid(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_bench_json(tmp_path / "bad.json", {"w": {"nope": 1}},
-                             pr="current")
-
-    def test_schema_accepts_and_checks_optional_field(self, nr_job):
-        rec = job_record(nr_job, 0.1)
-
-        def doc(record):
-            return {"schema": SCHEMA, "pr": "PR9", "workloads": {"w": record}}
-
-        assert validate_bench_json(doc(dict(rec, peak_rss_bytes=123))) == []
-        assert validate_bench_json(doc(rec)) == []
-        bad = doc(dict(rec, peak_rss_bytes="big"))
-        assert any("peak_rss_bytes" in e for e in validate_bench_json(bad))
-        negative = doc(dict(rec, peak_rss_bytes=-1))
-        assert any("negative" in e for e in validate_bench_json(negative))
-
-    def test_validate_rejects_bools(self, nr_job):
-        # bool is an int subclass; True must not pass as a measurement
-        rec = job_record(nr_job, 0.1)
-        boolish = dict(rec, tasks=True)
-        errors = validate_bench_json({"schema": SCHEMA, "pr": "PR3",
-                                      "workloads": {"w": boolish}})
-        assert any("tasks" in e and "not a number" in e for e in errors)
 
     def test_messages_shipped_follows_the_engine(self, nr_job):
         # propagation job: the propagation counter, and it is live
@@ -459,17 +363,6 @@ class TestBenchJson:
         assert mr_rec["messages_shipped"] == int(
             mr_registry.get("mapreduce.map_records"))
         assert mr_rec["messages_shipped"] > 0
-
-    def test_messages_shipped_synthetic_registry_fallback(self, nr_job):
-        # no engine marker at all (synthetic registries): old behaviour
-        class FakeJob:
-            metrics = nr_job.metrics
-
-            class events:
-                metrics = MetricsRegistry()
-
-        FakeJob.events.metrics.add("mapreduce.map_records", 42)
-        assert job_record(FakeJob, 0.1)["messages_shipped"] == 42
 
 
 # ----------------------------------------------------------------------

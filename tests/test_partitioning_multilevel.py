@@ -11,7 +11,7 @@ from repro.partitioning.coarsen import coarsen_until, contract_matching
 from repro.partitioning.ggp import gggp_bisection, random_bisection
 from repro.partitioning.matching import heavy_edge_matching
 from repro.partitioning.metrics import weighted_cut
-from repro.partitioning.refine import compute_gains, fm_refine
+from repro.partitioning.refine import _gains_and_cut, fm_refine
 from repro.partitioning.wgraph import WGraph
 
 
@@ -117,7 +117,7 @@ class TestFM:
         wg = two_cliques(4)
         side = np.zeros(8, dtype=np.int64)
         side[4:] = 1  # optimal split
-        gains = compute_gains(wg, side)
+        gains = _gains_and_cut(wg, side)[0]
         # every vertex is internal except the bridge endpoints
         assert gains[0] == 1 - 3  # bridge endpoint: ext 1, int 3
         assert gains[1] == -3

@@ -5,15 +5,10 @@ import pytest
 
 from repro.errors import PartitioningError
 from repro.graph.generators import composite_social_graph, grid
-from repro.partitioning.baselines import (
-    chunk_partition,
-    hash_partition,
-    random_partition,
-)
+from repro.partitioning.baselines import random_partition
 from repro.partitioning.kway import kway_refine_balance
 from repro.partitioning.metrics import (
     balance,
-    cut_matrix,
     edge_cut,
     inner_edge_ratio,
     partition_sizes,
@@ -24,6 +19,7 @@ from repro.partitioning.recursive import (
     recursive_bisection,
 )
 from repro.partitioning.wgraph import WGraph
+from tests.partition_sketch import cut_matrix, recorded_cut_at_level
 
 
 class TestLevels:
@@ -69,7 +65,7 @@ class TestRecursiveBisection:
     def test_monotone_level_cuts(self, small_graph):
         wg = WGraph.from_digraph(small_graph)
         rp = recursive_bisection(wg, 8, seed=0, kway_tolerance=None)
-        cuts = [rp.total_cut_at_level(l) for l in range(4)]
+        cuts = [recorded_cut_at_level(rp, l) for l in range(4)]
         assert cuts == sorted(cuts)
 
     def test_balanced(self, small_graph):
@@ -116,20 +112,6 @@ class TestBaselines:
         a = random_partition(small_graph, 8, seed=1)
         b = random_partition(small_graph, 8, seed=1)
         assert np.array_equal(a, b)
-
-    def test_hash_deterministic(self, small_graph):
-        a = hash_partition(small_graph, 8)
-        b = hash_partition(small_graph, 8)
-        assert np.array_equal(a, b)
-
-    def test_hash_scatters_consecutive_ids(self, small_graph):
-        parts = hash_partition(small_graph, 8)
-        same = np.count_nonzero(parts[:-1] == parts[1:])
-        assert same < 0.4 * parts.size
-
-    def test_chunk_contiguous(self, small_graph):
-        parts = chunk_partition(small_graph, 4)
-        assert np.all(np.diff(parts) >= 0)
 
     def test_rejects_zero_parts(self, small_graph):
         with pytest.raises(PartitioningError):

@@ -7,20 +7,21 @@ from repro.errors import PartitioningError
 from repro.graph.digraph import Graph
 from repro.graph.generators import ring
 from repro.partitioning.wgraph import WGraph
+from tests.conftest import wgraph_is_symmetric
 
 
 class TestFromDigraph:
     def test_symmetrizes(self):
         g = Graph.from_edges([(0, 1)], num_vertices=2)
         wg = WGraph.from_digraph(g)
-        assert wg.validate_symmetry()
+        assert wgraph_is_symmetric(wg)
         assert list(wg.neighbors(1)) == [0]
 
     def test_merges_antiparallel_weight(self):
         g = Graph.from_edges([(0, 1), (1, 0)], num_vertices=2)
         wg = WGraph.from_digraph(g)
         assert wg.num_edges == 1
-        assert list(wg.edge_weights_of(0)) == [2]
+        assert list(wg.eweights[:wg.indptr[1]]) == [2]
 
     def test_edge_balance_weights(self):
         g = Graph.from_edges([(0, 1), (0, 2)], num_vertices=3)
@@ -46,11 +47,11 @@ class TestFromEdges:
         wg = WGraph.from_edges([(0, 1), (1, 2)], num_vertices=3)
         assert wg.num_edges == 2
         assert wg.degree(1) == 2
-        assert wg.validate_symmetry()
+        assert wgraph_is_symmetric(wg)
 
     def test_explicit_weights(self):
         wg = WGraph.from_edges([(0, 1)], num_vertices=2, eweights=[5])
-        assert list(wg.edge_weights_of(0)) == [5]
+        assert list(wg.eweights[:wg.indptr[1]]) == [5]
 
     def test_empty(self):
         wg = WGraph.from_edges([], num_vertices=3)
@@ -87,23 +88,23 @@ class TestFromEdges:
 
 class TestValidateSymmetry:
     def test_empty_graph_is_symmetric(self):
-        assert WGraph.from_edges([], num_vertices=3).validate_symmetry()
+        assert wgraph_is_symmetric(WGraph.from_edges([], num_vertices=3))
 
     def test_missing_mirror(self):
         # arc 0->1 stored, 1->0 absent
         wg = WGraph(np.array([0, 1, 1]), np.array([1]), np.array([1]),
                     np.array([1, 1]))
-        assert not wg.validate_symmetry()
+        assert not wgraph_is_symmetric(wg)
 
     def test_mirror_with_another_weight(self):
         wg = WGraph(np.array([0, 1, 2]), np.array([1, 0]), np.array([2, 3]),
                     np.array([1, 1]))
-        assert not wg.validate_symmetry()
+        assert not wgraph_is_symmetric(wg)
 
     def test_row_order_does_not_matter(self):
         wg = WGraph(np.array([0, 2, 3, 4]), np.array([2, 1, 0, 0]),
                     np.array([7, 5, 5, 7]), np.array([1, 1, 1]))
-        assert wg.validate_symmetry()
+        assert wgraph_is_symmetric(wg)
 
 
 class TestRowAccess:

@@ -9,7 +9,7 @@ from repro.core.bandwidth_aware import bandwidth_aware_partition
 from repro.core.persist import load_plan, save_plan
 from repro.errors import PlacementError
 from repro.runtime.events import EventStream, Span
-from repro.runtime.monitor import JobMonitor, estimate_progress
+from repro.runtime.monitor import JobMonitor
 
 
 class TestPersist:
@@ -63,15 +63,6 @@ def _monitor(spans):
 
 
 class TestMonitor:
-    def test_progress_bounds(self):
-        execs = [_exec(0, 0, 10), _exec(1, 0, 20)]
-        assert estimate_progress(execs, 0) == 0.0
-        assert estimate_progress(execs, 25) == 1.0
-        assert estimate_progress(execs, 10) == pytest.approx(20 / 30)
-
-    def test_progress_empty(self):
-        assert estimate_progress([], 5.0) == 1.0
-
     def test_utilization(self):
         execs = [_exec(0, 0, 10), _exec(1, 0, 5)]
         stats = _monitor(execs).machine_utilization()
@@ -165,9 +156,10 @@ class TestCli:
                      "--machines", "--parts", "--iterations",
                      "--communities", "--community-size", "--seed",
                      "--replication", "--schedules",
-                     "--checkpoint-interval", "--max-restarts", "--bench"):
+                     "--checkpoint-interval", "--max-restarts"):
             assert flag in listed
-        for flag in ("--kill", "--no-local-opts", "--sanitize", "--trace"):
+        for flag in ("--kill", "--no-local-opts", "--sanitize", "--trace",
+                     "--bench"):
             assert flag not in listed
         args = _build_parser().parse_args(["chaos", "NR"])
         assert (args.machines, args.parts, args.communities,

@@ -52,7 +52,6 @@ from repro.graph.io import (
 from repro.partitioning.coarsen import contract_matching
 from repro.partitioning.matching import heavy_edge_matching
 from repro.partitioning.metrics import (
-    cut_matrix,
     edge_cut,
     inner_edge_ratio,
     weighted_cut,
@@ -69,7 +68,9 @@ from tests.conftest import (
     fold_with,
     make_test_cluster,
     stream_from_edges,
+    wgraph_is_symmetric,
 )
+from tests.partition_sketch import cut_matrix
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -206,7 +207,7 @@ class TestGraphProperties:
     @given(graphs())
     def test_undirected_view_symmetric(self, g):
         wg = WGraph.from_digraph(g)
-        assert wg.validate_symmetry()
+        assert wgraph_is_symmetric(wg)
 
     @COMMON
     @given(graphs())
@@ -276,16 +277,17 @@ class TestEncodingProperties:
     def test_encoding_bijective(self, gp):
         g, parts, k = gp
         enc = VertexEncoding(parts, k)
-        seen = {enc.encode(v) for v in range(g.num_vertices)}
-        assert seen == set(range(g.num_vertices))
+        assert sorted(enc.new_to_old.tolist()) == list(range(g.num_vertices))
 
     @COMMON
     @given(partitioned_graphs())
     def test_encoding_partition_lookup_matches(self, gp):
         g, parts, k = gp
         enc = VertexEncoding(parts, k)
-        for v in range(g.num_vertices):
-            assert enc.partition_of(enc.encode(v)) == parts[v]
+        assert enc.offsets[0] == 0 and enc.offsets[-1] == g.num_vertices
+        for p in range(k):
+            owned = enc.new_to_old[enc.offsets[p]:enc.offsets[p + 1]]
+            assert (parts[owned] == p).all()
 
     @COMMON
     @given(partitioned_graphs())
@@ -324,8 +326,8 @@ def assert_matches_oracle(pg, edges, parts, k):
     assert pg.inner_vertex_ratio == 1.0 - len(boundary) / n
     out_cross, in_cross = pg.cross_partition_counts()
     traffic = pg.cross_traffic_counts()
+    assert pg.parts.tolist() == parts.tolist()
     for v in range(n):
-        assert pg.partition_of(v) == parts[v]
         assert (not pg.boundary_mask[v]) == (v not in boundary)
     for p in range(k):
         verts = [v for v in range(n) if parts[v] == p]
@@ -347,7 +349,8 @@ def assert_matches_oracle(pg, edges, parts, k):
         for q in range(k):
             assert traffic[p, q] == sum(
                 parts[u] == p and parts[v] == q for u, v in cross)
-    pg.validate()
+    assert sum(v.size for v in pg.partition_vertices) == n
+    assert sum(pg.partition_edge_count(p) for p in range(k)) == len(edges)
 
 
 class TestPartitionedGraphOracle:
@@ -366,8 +369,12 @@ class TestPartitionedGraphOracle:
                               ranges, k)
         # the same partitioning after relabeling ids into ranges
         enc = pg.encoding()
-        relabeled = [(enc.encode(u), enc.encode(v)) for u, v in edges]
-        rg = PartitionedGraph(enc.encode_graph(g), ranges, k)
+        old_to_new = np.empty_like(enc.new_to_old)
+        old_to_new[enc.new_to_old] = np.arange(parts.size)
+        relabeled = [(int(old_to_new[u]), int(old_to_new[v]))
+                     for u, v in edges]
+        rg = PartitionedGraph(
+            Graph.from_edges(relabeled, num_vertices=parts.size), ranges, k)
         assert_matches_oracle(rg, relabeled, ranges, k)
         for ours, theirs in zip(pg.cross_partition_counts(),
                                 rg.cross_partition_counts()):
@@ -375,7 +382,7 @@ class TestPartitionedGraphOracle:
         np.testing.assert_array_equal(pg.cross_traffic_counts(),
                                       rg.cross_traffic_counts())
         np.testing.assert_array_equal(pg.boundary_mask,
-                                      rg.boundary_mask[enc.old_to_new])
+                                      rg.boundary_mask[old_to_new])
         for p in range(k):
             assert pg.partition_bytes(p) == rg.partition_bytes(p)
 

@@ -1,14 +1,10 @@
-"""Unit tests for execution-trace analysis (Figure 10 timelines)."""
+"""Unit tests for execution-trace analysis (the Figure 10 timeline)."""
 
 import numpy as np
 import pytest
 
-from repro.runtime.events import Instant, Span
-from repro.runtime.trace import (
-    io_rate_timeline,
-    machine_timeline,
-    recovery_timeline,
-)
+from repro.runtime.events import Span
+from repro.runtime.trace import io_rate_timeline
 
 
 def execution(machine, start, end, read=0.0, write=0.0, succeeded=True,
@@ -17,11 +13,6 @@ def execution(machine, start, end, read=0.0, write=0.0, succeeded=True,
     return Span(name=name, kind="transfer", start=start, end=end,
                 machine=machine, succeeded=succeeded, disk_read_bytes=read,
                 disk_write_bytes=write, planned_duration=planned)
-
-
-def instant(time, kind, machine):
-    """A recovery instant with no task attached (name = kind)."""
-    return Instant(time, kind, kind, machine)
 
 
 class TestIoRateTimeline:
@@ -88,50 +79,3 @@ class TestFailedTaskProration:
                     planned_duration=10.0)
         __, rates = io_rate_timeline([span], bucket_seconds=5.0)
         assert (rates * 5.0).sum() == pytest.approx(50.0)
-
-
-class TestRecoveryTimeline:
-    def test_bucket_boundaries(self):
-        events = [instant(0.0, "detect", 0),
-                  instant(9.999, "detect", 0),
-                  instant(10.0, "redispatch", 1),
-                  instant(20.0, "redispatch", 1)]
-        times, series = recovery_timeline(events, bucket_seconds=10.0)
-        assert list(times) == [0.0, 10.0]
-        # [0, 10) holds the first two; an event exactly on the horizon
-        # clamps into the last bucket rather than creating a new one
-        assert list(series["detect"]) == [2.0, 0.0]
-        assert list(series["redispatch"]) == [0.0, 2.0]
-
-    def test_total_events_conserved(self):
-        events = [instant(t, "detect", 0)
-                  for t in (0.0, 3.0, 7.5, 12.0, 29.9)]
-        __, series = recovery_timeline(events, bucket_seconds=10.0)
-        assert series["detect"].sum() == len(events)
-
-    def test_empty_and_non_finite(self):
-        times, series = recovery_timeline([], 10.0)
-        assert times.size == 0 and series == {}
-        only_inf = [instant(float("inf"), "data-loss", 0)]
-        times, series = recovery_timeline(only_inf, 10.0)
-        assert times.size == 0 and series == {}
-
-    def test_rejects_bad_bucket(self):
-        with pytest.raises(ValueError):
-            recovery_timeline([], 0.0)
-
-
-class TestMachineTimeline:
-    def test_grouped_and_sorted(self):
-        execs = [execution(1, 5.0, 6.0, name="b"),
-                 execution(0, 0.0, 1.0, name="a"),
-                 execution(1, 1.0, 2.0, name="c")]
-        timeline = machine_timeline(execs)
-        assert list(timeline) == [0, 1]
-        assert [name for __, __, name, __ in timeline[1]] == ["c", "b"]
-
-    def test_span_view(self):
-        spans = [Span(name="s", kind="transfer", start=0.0, end=2.0,
-                      machine=3)]
-        timeline = machine_timeline(spans)
-        assert timeline == {3: [(0.0, 2.0, "s", True)]}

@@ -463,7 +463,7 @@ def run(scheduler_cls, scenario):
         "spans": scheduler.events.spans,
         "replicas": None if store is None else (
             [store.replicas(p) for p in range(store.num_partitions)],
-            store.failed_machines),
+            frozenset(store._failed)),
     }
 
 

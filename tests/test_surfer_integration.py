@@ -173,7 +173,7 @@ def _deploy(graph, replication):
 def _deployed_state(surfer):
     store = surfer.store
     return ([store.replicas(p) for p in range(store.num_partitions)],
-            store.failed_machines, surfer.assignment.tolist())
+            frozenset(store._failed), surfer.assignment.tolist())
 
 
 def _outcome(job):
