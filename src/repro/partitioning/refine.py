@@ -3,7 +3,8 @@
 After each uncoarsening projection the bisection is locally improved with FM
 passes: vertices are moved one at a time to the other side in order of gain
 (cut-weight reduction), each vertex at most once per pass, and the pass is
-rolled back to the best prefix seen.  Balance is enforced with a tolerance
+rolled back to the best prefix seen.  As in Karypis and Kumar's multilevel FM,
+a pass stops ``FM_TAIL`` moves past it.  Balance is enforced with a tolerance
 ``epsilon`` on the heavier side.  This is the "local refinement" step the
 paper's Appendix A.2 describes (dotted -> solid cut in Figure 8).
 """
@@ -21,6 +22,9 @@ from repro.errors import PartitioningError
 from repro.partitioning.wgraph import WGraph
 
 __all__ = ["fm_refine", "check_epsilon"]
+
+# a pass ends this many non-improving moves after its best prefix
+FM_TAIL = 100
 
 
 def _gains_and_cut(wgraph: WGraph, side: np.ndarray) -> tuple[np.ndarray, int]:
@@ -192,6 +196,8 @@ def _fm_pass(
             best_prefix = len(moves)
         elif locked_cut >= best_bound:
             break  # every later prefix has cut >= locked_cut >= best_cut
+        elif len(moves) - best_prefix >= FM_TAIL:
+            break
 
     # the moves past the best prefix only ever touched the pass's lists
     kept = moves[:best_prefix]

@@ -12,7 +12,7 @@ import repro.fold
 from repro.apps.base import VertexState
 from repro.bench.workloads import HARDWARE_SCALE, TESTBED_MACHINE
 from repro.cluster.cluster import Cluster
-from repro.cluster.topology import t1, t2
+from repro.cluster.topology import t1
 from repro.core.surfer import Surfer
 from repro.graph.generators import composite_social_graph, grid, ring
 from repro.graph.stream import DEFAULT_CHUNK_EDGES, EdgeStream

@@ -17,7 +17,6 @@ from repro.apps import (
     NetworkRankingPropagation,
     RecommenderPropagation,
 )
-from repro.cluster.faults import FaultPlan
 from repro.core.surfer import Surfer
 from repro.errors import JobError
 from repro.graph.generators import composite_social_graph

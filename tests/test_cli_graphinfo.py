@@ -1,7 +1,5 @@
 """CLI graphinfo command and edge-list input path."""
 
-import pytest
-
 from repro.cli import main as cli_main
 from repro.graph import ring, write_edge_list
 

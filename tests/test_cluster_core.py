@@ -1,6 +1,5 @@
 """Unit tests for machine specs, cluster facade, storage and faults."""
 
-import numpy as np
 import pytest
 
 from repro.errors import FaultInjectionError, PlacementError, TopologyError
@@ -8,7 +7,7 @@ from repro.cluster.cluster import Cluster, partitions_for_memory
 from repro.cluster.faults import FaultPlan
 from repro.cluster.spec import MachineSpec
 from repro.cluster.storage import PartitionStore
-from repro.cluster.topology import t1, t2
+from repro.cluster.topology import t1
 
 
 class TestMachineSpec:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.topology import t1, t2, t3
+from repro.cluster.topology import t1, t2
 from repro.core.bandwidth_aware import build_machine_tree, random_machine_tree
 from repro.core.partition_cost import (
     PartitioningCostModel,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.storage import PartitionStore
-from repro.cluster.topology import t1, t2, t3
+from repro.cluster.topology import t1, t2
 from repro.core.partitioned import PartitionedGraph
 from repro.core.placement import (
     estimate_partition_costs,

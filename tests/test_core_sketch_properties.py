@@ -1,7 +1,6 @@
 """Deeper partition-sketch property checks on structured graphs."""
 
 import numpy as np
-import pytest
 
 from tests.partition_sketch import PartitionSketch
 from repro.graph.digraph import Graph

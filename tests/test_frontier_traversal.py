@@ -28,7 +28,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.apps import EXTENSION_APPS
 from repro.apps.network_ranking import NetworkRankingPropagation
 from repro.apps.traversal import (
     BreadthFirstSearchPropagation,

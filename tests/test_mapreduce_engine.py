@@ -1,6 +1,5 @@
 """Unit tests for the home-grown MapReduce engine."""
 
-import numpy as np
 import pytest
 
 from repro.core.surfer import Surfer

@@ -4,15 +4,18 @@ Two layers hold the multilevel partitioner to the partitions it has always
 produced, so its loops can be rewritten for speed and nothing downstream
 (edge cuts, placements, every simulated counter) moves:
 
-* golden digests of whole ``recursive_bisection`` results, recorded at the
-  commit before the loops went onto lists and array ops (PR 23);
-* the scalar FM pass and k-way move that commit had, kept here as the
-  reference the production routines must agree with move for move on
-  small graphs built to tie.
+* golden digests of whole ``recursive_bisection`` results: ``GOLDEN`` at
+  today's FM tail limit, and ``UNLIMITED_GOLDEN``, recorded at the commit
+  before the loops went onto lists and array ops, which the same code
+  reproduces with the limit lifted;
+* the scalar FM pass and k-way move that commit had (the pass with the
+  tail-limit exit added), kept here as the reference the production
+  routines must agree with move for move on small graphs built to tie.
 """
 
 import hashlib
 import heapq
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.errors import PartitioningError
 from repro.graph.generators import composite_social_graph, erdos_renyi, rmat
+from repro.partitioning import refine
 from repro.partitioning.bisect import BisectionOptions
 from repro.partitioning.coarsen import contract_matching
 from repro.partitioning.kway import (
@@ -31,7 +35,12 @@ from repro.partitioning.kway import (
 )
 from repro.partitioning.metrics import weighted_cut
 from repro.partitioning.recursive import recursive_bisection
-from repro.partitioning.refine import _fm_pass, _gains_and_cut, _key_rows
+from repro.partitioning.refine import (
+    FM_TAIL,
+    _fm_pass,
+    _gains_and_cut,
+    _key_rows,
+)
 from repro.partitioning.wgraph import WGraph
 from tests.conftest import wgraph_is_symmetric
 
@@ -115,14 +124,31 @@ CASES = {
     "shuffled-rows-p8": (_shuffled_rows, 8, 2, {}),
 }
 
-# Recorded at 9be9277 (PR 22), the last commit with the scalar loops.
-GOLDEN = {
+# Recorded at 9be9277, the last commit with the scalar loops, when an FM pass
+# ran until its heap was empty: the partitions with ``FM_TAIL`` out of reach.
+UNLIMITED_GOLDEN = {
     "social-p8-edges": "80d961c40dd3ef6a03ccbf0b9fa58e6969039ba7",
     "social-p4-vertices": "542d68d729fa9d93cc49a0fa3c80212566a10be0",
     "social-p16-edges": "b7988329d4e23724e27a7900f4611b3a2e346598",
     "rmat11-p16-edges": "64b87267a3536eb1d0954b0c18825a912d4ec1c2",
     "rmat11-p8-vertices-tight": "a9beef05bde7ea09d9c5f383d29536b194b338a3",
     "er-p8-edges": "d716fef23f0f2dd303992527e05d4bef319540ba",
+    "er-sparse-p4-vertices": "0b93e206000fb3a47e6ccdb59dc83ab0746e470a",
+    "social-p8-random-initial": "0f99c5a90ca64571624033513c8827c300385b81",
+    "social-p8-no-refine": "0def10d9e8edb605009e25a77b33d301cb54930f",
+    "social-p8-no-kway": "457feafb801e5b336dd76726c047d70f281edfdc",
+    "shuffled-rows-p8": "972cf9a8fef6750d0549084958631864d9ca8b50",
+}
+
+# Recorded when FM passes gained the ``FM_TAIL = 100`` exit; only the three
+# cases where some pass runs 100 moves past its best prefix moved.
+GOLDEN = {
+    "social-p8-edges": "80d961c40dd3ef6a03ccbf0b9fa58e6969039ba7",
+    "social-p4-vertices": "542d68d729fa9d93cc49a0fa3c80212566a10be0",
+    "social-p16-edges": "b7988329d4e23724e27a7900f4611b3a2e346598",
+    "rmat11-p16-edges": "78bdab0e5d439f5d4fd2ea885780eb8e044c0b50",
+    "rmat11-p8-vertices-tight": "10286af8158dbd397bf9e72319109ad26ff04dbb",
+    "er-p8-edges": "9efc30c32af7884cd3ece573fd396399559aa17e",
     "er-sparse-p4-vertices": "0b93e206000fb3a47e6ccdb59dc83ab0746e470a",
     "social-p8-random-initial": "0f99c5a90ca64571624033513c8827c300385b81",
     "social-p8-no-refine": "0def10d9e8edb605009e25a77b33d301cb54930f",
@@ -141,6 +167,15 @@ class TestGoldenPartitions:
     def test_partition_is_the_recorded_one(self, name):
         assert partition_digest(run_case(name)) == GOLDEN[name]
 
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_lifting_the_tail_limit_gives_the_unlimited_partition(
+            self, name, monkeypatch):
+        """The tail exit is the only change since ``UNLIMITED_GOLDEN``."""
+        # a pass makes at most n moves, so a limit above n never fires
+        monkeypatch.setattr(refine, "FM_TAIL",
+                            CASES[name][0]().num_vertices + 1)
+        assert partition_digest(run_case(name)) == UNLIMITED_GOLDEN[name]
+
     def test_same_seed_twice_is_the_same_partition(self):
         wg = WGraph.from_digraph(_social())
         a = recursive_bisection(wg, 8, seed=7)
@@ -156,8 +191,13 @@ class TestGoldenPartitions:
 # (b) scalar references, copied from the parent commit
 # ----------------------------------------------------------------------
 
-def reference_fm_pass(wgraph, side, total, min_side_weight) -> bool:
-    """One FM pass over NumPy scalars; mutates ``side``."""
+def reference_fm_pass(wgraph, side, total, min_side_weight, limit=FM_TAIL,
+                      made=None) -> bool:
+    """One FM pass over NumPy scalars; mutates ``side``.
+
+    The pass stops ``limit`` moves after its best prefix.  ``made``, if
+    given, receives every move of the pass, kept or rolled back.
+    """
     n = wgraph.num_vertices
     gain = np.zeros(n, dtype=np.int64)
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(wgraph.indptr))
@@ -174,7 +214,7 @@ def reference_fm_pass(wgraph, side, total, min_side_weight) -> bool:
     start_cut = weighted_cut(wgraph, side)
     best_cut = start_cut
     current_cut = start_cut
-    moves = []
+    moves = [] if made is None else made
     best_prefix = 0
 
     while heap:
@@ -202,6 +242,8 @@ def reference_fm_pass(wgraph, side, total, min_side_weight) -> bool:
         if current_cut < best_cut:
             best_cut = current_cut
             best_prefix = len(moves)
+        elif len(moves) - best_prefix >= limit:
+            break
 
     for v in moves[best_prefix:]:
         side[v] = 1 - side[v]
@@ -362,6 +404,60 @@ class TestAgainstScalarReference:
             assert np.array_equal(side, expected)
             if not flag:
                 break
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fm_pass_stops_where_the_reference_stops(self, seed):
+        """On 1 024 vertices from a random side, every pass of a
+        ``fm_refine``-like run reaches its tail and stops early."""
+        wg = WGraph.from_digraph(_social())
+        n = wg.num_vertices
+        side = np.random.default_rng(seed).integers(0, 2, n).astype(np.int64)
+        total = wg.total_vertex_weight
+        min_side_weight = int(0.45 * total)
+        rows = _key_rows(wg)
+        for _ in range(8):
+            expected, made, drained = side.copy(), [], []
+            # the unlimited pass moves every vertex balance does not lock
+            reference_fm_pass(wg, side.copy(), total, min_side_weight,
+                              n + 1, drained)
+            expected_flag = reference_fm_pass(wg, expected, total,
+                                              min_side_weight, FM_TAIL, made)
+            assert _fm_pass(wg, rows, side, min_side_weight) == expected_flag
+            assert np.array_equal(side, expected)
+            assert len(made) < len(drained)
+            if not expected_flag:
+                break
+
+    @COMMON
+    @given(st.one_of(tying_wgraphs(), heavy_wgraphs()),
+           st.integers(0, 2**31 - 1), st.sampled_from([0.0, 0.05, 0.2, 0.45]),
+           st.integers(1, 5))
+    def test_fm_pass_with_a_short_tail_makes_the_reference_moves(
+            self, wg, seed, epsilon, limit):
+        n = wg.num_vertices
+        side = np.random.default_rng(seed).integers(0, 2, n).astype(np.int64)
+        total = wg.total_vertex_weight
+        min_side_weight = int((0.5 - epsilon) * total)
+        expected = side.copy()
+        rows = _key_rows(wg)
+        with mock.patch.object(refine, "FM_TAIL", limit):
+            for _ in range(8):
+                before = side.copy()
+                start_weight = np.bincount(before, weights=wg.vweights,
+                                           minlength=2)
+                expected_flag = reference_fm_pass(wg, expected, total,
+                                                  min_side_weight, limit)
+                flag = _fm_pass(wg, rows, side, min_side_weight)
+                assert flag == expected_flag
+                assert np.array_equal(side, expected)
+                # never above the start cut, and a side only ever gives
+                # weight away down to the floor
+                assert weighted_cut(wg, side) <= weighted_cut(wg, before)
+                weight = np.bincount(side, weights=wg.vweights, minlength=2)
+                assert np.all(weight >= np.minimum(start_weight,
+                                                   min_side_weight))
+                if not flag:
+                    break
 
     def test_keys_leave_int64_arrays_only_when_they_must(self):
         # n = 33 gives shift 6: keys of weighted degree 2^54 fit in 62 bits,

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import PartitioningError
-from repro.graph.digraph import Graph
-from repro.graph.generators import grid, ring
+from repro.graph.generators import grid
 from repro.partitioning.bisect import BisectionOptions, multilevel_bisection
 from repro.partitioning.coarsen import coarsen_until, contract_matching
 from repro.partitioning.ggp import gggp_bisection, random_bisection

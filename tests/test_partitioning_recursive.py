@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import PartitioningError
-from repro.graph.generators import composite_social_graph, grid
+from repro.graph.generators import grid
 from repro.partitioning.baselines import random_partition
 from repro.partitioning.kway import kway_refine_balance
 from repro.partitioning.metrics import (

@@ -1,6 +1,5 @@
 """Unit tests for execution-trace analysis (the Figure 10 timeline)."""
 
-import numpy as np
 import pytest
 
 from repro.runtime.events import Span

@@ -1,6 +1,5 @@
 """Tests for the virtual-vertex path and app sizing hooks."""
 
-import numpy as np
 import pytest
 
 from repro.core.surfer import Surfer
