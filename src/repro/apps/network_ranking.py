@@ -13,8 +13,6 @@ map (Algorithm 2) must hand-roll the per-partition partial-rank hash table
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.apps.base import VertexState
@@ -73,63 +71,6 @@ class NetworkRankingPropagation(PropagationApp):
         return state.values
 
 
-@dataclass(frozen=True)
-class _RankTable:
-    """One partition's in-map hash table layout, a function of the graph
-    alone: ``keys`` is the emitted key column — the distinct edge
-    destinations ascending, then the partition's own vertices no edge
-    reaches — and ``slots[j]`` the position in ``keys`` of edge ``j``'s
-    destination.  Both are held narrow (``keys`` in the narrowest dtype
-    that holds ``n - 1``, ``slots`` in the narrowest that holds the
-    number of distinct destinations less one) and read-only; a
-    checkpoint shares the table rather than copying it.
-
-    :meth:`build` needs no sort and no grouping: a presence mask over
-    the span of the partition's ids (destinations and own vertices,
-    min to max) marks the destinations, its nonzero offsets are the
-    distinct ones ascending, and a rank array filled at those offsets
-    maps each edge to its slot."""
-
-    slots: np.ndarray
-    keys: np.ndarray
-
-    @classmethod
-    def build(cls, pgraph, partition: int) -> _RankTable:
-        _, dst = pgraph.partition_edges(partition)
-        own = pgraph.partition_vertices[partition]
-        # a source is an own vertex: no own vertices, no edges
-        lo = int(dst.min(initial=own.min())) if own.size else 0
-        hi = int(dst.max(initial=own.max())) if own.size else -1
-        if lo:
-            dst, own = dst - lo, own - lo
-        present = np.zeros(hi - lo + 1, dtype=np.bool_)
-        present[dst] = True
-        uniq = np.flatnonzero(present)
-        rank = np.empty(present.size,
-                        dtype=np.min_scalar_type(max(uniq.size - 1, 0)))
-        rank[uniq] = np.arange(uniq.size)
-        # vertex ids in the narrowest dtype that holds them: the shuffle
-        # hashes key values, not their width
-        keys = np.concatenate((uniq, own[~present[own]])).astype(
-            np.min_scalar_type(max(pgraph.num_vertices - 1, 0)))
-        if lo:
-            keys += lo
-        slots = rank[dst]
-        keys.flags.writeable = slots.flags.writeable = False
-        return cls(slots, keys)
-
-    def fold(self, deltas: np.ndarray) -> np.ndarray:
-        """Each key's partial rank: ``0.0 + d1 + d2 + ...`` over its
-        edges in scan order (the scalar table's chain; ``bincount``
-        accumulates in input order), 0.0 for the vertices no edge
-        reaches."""
-        return np.bincount(self.slots.astype(np.intp), weights=deltas,
-                           minlength=self.keys.size)
-
-    def __deepcopy__(self, memo: dict) -> _RankTable:
-        return self
-
-
 class NetworkRankingMapReduce(MapReduceApp):
     """MapReduce-based PageRank (Algorithm 2).
 
@@ -146,10 +87,11 @@ class NetworkRankingMapReduce(MapReduceApp):
     hash-table output, which makes the combiner's shuffle reduction
     directly measurable.
 
-    ``map_array`` lays out each partition's table once per job
-    (``state.extra["rank_tables"]``, keyed by partition): the graph fixes
-    which destinations share a slot, so later rounds only compute the
-    deltas and fold them with one ``bincount``.
+    ``map_array``'s table keys are held on the partition's destination
+    index (:meth:`~repro.core.partitioned.PartitionedGraph.table_keys`):
+    the distinct destinations ascending, then the own vertices no edge
+    reaches, so a round only computes the deltas and folds them with one
+    ``bincount`` over ``dst - lo``.
     """
 
     name = "NR"
@@ -196,17 +138,24 @@ class NetworkRankingMapReduce(MapReduceApp):
         share = np.divide(self.damping * state.values[own], deg,
                           out=np.zeros(own.size), where=deg > 0)
         deltas = np.repeat(share, deg)
+        dst = pgraph.partition_dests(partition)
         if not self.in_map_combining:
-            _, dst = pgraph.partition_edges(partition)
             keys = np.concatenate((dst.astype(np.int64, copy=False),
                                    own.astype(np.int64, copy=False)))
             values = np.concatenate((deltas, np.zeros(own.size)))
             return keys, values
-        tables = state.extra.setdefault("rank_tables", {})
-        table = tables.get(partition)
-        if table is None:
-            table = tables[partition] = _RankTable.build(pgraph, partition)
-        return table.keys, table.fold(deltas)
+        # 0.0 + d1 + d2 + ... per destination in scan order (bincount
+        # accumulates in input order: the scalar table's chain), taken
+        # at the occupied slots; 0.0 for the own vertices no edge reaches
+        keys, distinct = pgraph.table_keys(partition)
+        partial = np.zeros(keys.size)
+        if distinct:
+            lo, hi = int(keys[0]), int(keys[distinct - 1])
+            np.take(np.bincount(dst - lo if lo else dst, weights=deltas,
+                                minlength=hi - lo + 1),
+                    keys[:distinct] - lo if lo else keys[:distinct],
+                    out=partial[:distinct], mode="clip")
+        return keys, partial
 
     def reduce(self, key, values, state, emit):
         rank = (1.0 - self.damping) / state.num_vertices + sum(values)

@@ -424,9 +424,11 @@ class Grouping:
     ``width``-entry table.  A *ranked* grouping's table is ``uniq``
     itself, so ``index`` is each record's group id; an unranked counting
     grouping (one fold, no rank gather) folds by slot ``key - min`` and
-    keeps the ``occupied`` slots afterwards.  The sorted and hashed
+    keeps the ``occupied`` slots afterwards; ``by_slot=True`` takes the
+    counting strategy whatever the span.  The sorted and hashed
     strategies are always ranked.  Both forms give the same groups and
-    the same order-exact fold.
+    the same order-exact fold, groups ascending unless
+    :meth:`permuted`.
 
     Never changed once built: new keys take a new grouping, and a (deep)
     copy is the object itself, so a checkpoint shares a held grouping
@@ -437,14 +439,16 @@ class Grouping:
 
     __slots__ = ("uniq", "counts", "index", "width", "occupied")
 
-    def __init__(self, keys: np.ndarray, ranked: bool = False) -> None:
+    def __init__(self, keys: np.ndarray, ranked: bool = False,
+                 by_slot: bool = False) -> None:
         occupied = None
         if keys.size == 0:
             none = np.zeros(0, dtype=np.intp)
             uniq, index, counts = keys[:0], none, none
         elif keys.dtype == object:
             uniq, index, counts = group_hashed(keys)
-        elif (lo := _counting_low(keys)) is None:
+        elif (lo := keys.min() if by_slot
+              else _counting_low(keys)) is None:
             uniq, index, counts = group_sorted(keys)
         elif ranked:
             uniq, index, counts = group_counting(keys, lo)
@@ -465,27 +469,52 @@ class Grouping:
             return self
         rank = np.empty(self.width, dtype=np.intp)
         rank[self.occupied] = np.arange(self.occupied.size)
-        out = object.__new__(Grouping)
-        out.uniq, out.counts = self.uniq, self.counts
-        out.index = rank[self.index]
-        out.width, out.occupied = int(self.uniq.size), None
-        return out
+        return _grouping(self.uniq, self.counts, rank[self.index],
+                         int(self.uniq.size), None)
 
-    def narrow(self) -> Grouping:
+    def narrow(self, records: bool = True,
+               uniq: np.ndarray | None = None) -> Grouping:
         """This grouping held across rounds: ``index`` and ``counts`` in
         the narrowest unsigned dtypes that hold them, every array
         read-only.  Widen ``index`` to ``np.intp`` before indexing with
-        it (:meth:`fold` does)."""
-        out = object.__new__(Grouping)
-        out.uniq, out.occupied, out.width = (self.uniq, self.occupied,
-                                             self.width)
-        out.index = _narrowed(self.index, self.width)
-        out.counts = _narrowed(self.counts,
-                               int(self.counts.max(initial=0)) + 1)
+        it (:meth:`fold` does).  ``uniq`` replaces the distinct keys by
+        the same keys in another dtype.  ``records=False`` keeps nothing
+        per record, and no ``occupied`` either — only for an unranked
+        ``by_slot`` grouping (perhaps :meth:`permuted`), whose slots
+        :meth:`at` recomputes."""
+        out = _grouping(self.uniq if uniq is None else uniq,
+                        _narrowed(self.counts,
+                                  int(self.counts.max(initial=0)) + 1),
+                        _narrowed(self.index, self.width) if records
+                        else None, self.width,
+                        self.occupied if records else None)
         for array in (out.uniq, out.counts, out.index, out.occupied):
             if array is not None:
                 array.flags.writeable = False
         return out
+
+    def permuted(self, order: np.ndarray) -> Grouping:
+        """The same groups listed in ``order`` (a permutation of the
+        group positions): ``uniq`` and ``counts`` reordered, and a fold
+        returns its groups in that order."""
+        return _grouping(self.uniq[order], self.counts[order], self.index,
+                         self.width, order if self.occupied is None
+                         else self.occupied[order])
+
+    def at(self, keys: np.ndarray) -> Grouping:
+        """This grouping over ``keys``, the column it was built from,
+        with ``uniq`` in the keys' dtype and ``counts`` as ``np.intp``.
+        A grouping narrowed without its records gets each record's slot
+        back as ``key - lo`` and its groups' as ``uniq - lo``, ``lo``
+        the least key."""
+        uniq = self.uniq.astype(keys.dtype, copy=False)
+        counts = self.counts.astype(np.intp, copy=False)
+        index, occupied = self.index, self.occupied
+        if index is None:
+            lo = int(uniq.min()) if uniq.size else 0
+            index = (keys - lo if lo else keys).astype(np.intp, copy=False)
+            occupied = uniq.astype(np.intp) - lo
+        return _grouping(uniq, counts, index, self.width, occupied)
 
     def fold(self, values: Any, ufunc: Any) -> Any:
         """Left-fold ``values`` (aligned with the grouped keys) per
@@ -513,6 +542,14 @@ class Grouping:
 
     def __deepcopy__(self, memo: dict[int, Any]) -> Grouping:
         return self
+
+
+def _grouping(uniq: np.ndarray, counts: np.ndarray, index: Any,
+              width: int, occupied: Any) -> Grouping:
+    out = object.__new__(Grouping)
+    out.uniq, out.counts, out.index = uniq, counts, index
+    out.width, out.occupied = int(width), occupied
+    return out
 
 
 def _narrowed(array: np.ndarray, bound: int) -> np.ndarray:

@@ -25,23 +25,22 @@ which is exactly the traffic gap Tables 2 and 3 measure.
 Every app's messages travel one path, as ``(dests, values)`` columns.
 Each partition's Transfer emits one column: ``transfer_array``'s where
 the app has the hook and it answers, else the scalar ``transfer`` (or
-``virtual_transfer``) loop's, its values an object column.  One router
-splits the column into local propagation, boundary spill and
-per-partition cross buckets; under local combination it first merges
-the column once per destination with :func:`~repro.fold.fold_by_dest` —
-by the app's ``merge_ufunc`` over a typed column, by its Python
-``merge`` over an object one — and splits the distinct destinations.
-Combine concatenates each partition's arrivals in source order and
-folds them for ``combine_array`` or hands the scalar ``combine`` its
-bags.  Each routed column is sized once
-(:func:`~repro.fold.record_sizes`), its spill and per-partition sends
-summed from those sizes.
-``vectorized=False`` calls only the scalar UDFs, which keeps it the
-oracle the hooks are held to; docs/COST_MODEL.md has the column layout
-and the closed-form charges.
-
-A large array-path Transfer runs its partitions on the partition pool,
-so the UDFs may run concurrently and may only read the state.
+``virtual_transfer``) loop's, its values an object column.  The route
+plans, then applies: a :class:`~repro.core.partitioned.RoutePlan` lays
+the column's rows — under local combination its distinct destinations,
+merged once by the app's ``merge_ufunc`` (typed) or ``merge`` (object),
+else its messages — out as local propagation, boundary spill and
+per-partition cross runs.  A dense select-all array column reuses its
+partition's held destination index (built on the caller at the first
+such Transfer); any other column plans afresh.  Combine concatenates
+each partition's arrivals in source order and folds them for
+``combine_array`` or hands the scalar ``combine`` its bags.  Each
+routed column is sized once (:func:`~repro.fold.record_sizes`).
+``vectorized=False`` calls only the scalar UDFs and reads no held
+index, which keeps it the oracle the hooks are held to;
+docs/COST_MODEL.md has the layout and the closed-form charges.  A large
+array-path Transfer runs its partitions on the partition pool, so the
+UDFs may run concurrently and may only read the state.
 
 **Frontier mode** (``frontier=True``, for apps with ``uses_frontier``)
 scans only each partition's active vertices per iteration: the Transfer
@@ -76,7 +75,7 @@ from repro.runtime.scheduler import StageScheduler
 from repro.runtime.tasks import Task
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.partitioned import PartitionedGraph
+    from repro.core.partitioned import PartitionedGraph, RoutePlan
 
 __all__ = ["IterationReport", "PropagationEngine", "virtual_partition"]
 
@@ -450,8 +449,13 @@ class PropagationEngine:
                 "does not support the fast path"
             )
 
+        pg = self.pgraph  # held indexes: built here, read by the lanes
+        held = ([pg.dest_index(p) for p in range(pg.num_parts)]
+                if hooks and not self.frontier and self.local_opts
+                and app.is_associative else None)
+
         def transfer(p: int) -> _PartitionTransfer:
-            emitted = (self._emit_array(app, state, p, finfos[p])
+            emitted = (self._emit_array(app, state, p, finfos[p], held)
                        if hooks else None)
             if emitted is None:
                 if self.vectorized:
@@ -463,9 +467,8 @@ class PropagationEngine:
             return self._route_messages(app, state, p, *emitted)
 
         scanned = (sum(i.m_f for i in finfos if i is not None)
-                   if self.frontier else self.pgraph.graph.num_edges)
-        return map_partitions(transfer, self.pgraph.num_parts,
-                              scanned if hooks else 0)
+                   if self.frontier else pg.graph.num_edges)
+        return map_partitions(transfer, pg.num_parts, scanned if hooks else 0)
 
     def _fast_path_ok(self, app: PropagationApp) -> bool:
         """Whether the app's Transfer may take ``transfer_array``."""
@@ -484,23 +487,27 @@ class PropagationEngine:
     def _emit_array(
         self, app: PropagationApp, state: Any, p: int,
         finfo: _FrontierInfo | None = None,
-    ) -> tuple[np.ndarray, Any, float] | None:
+        held: list[RoutePlan] | None = None,
+    ) -> tuple[np.ndarray, Any, float, RoutePlan | None] | None:
         """Partition ``p``'s messages from one ``transfer_array`` call
-        over its (selected) out-edges: ``(dests, values, scan ops)``, or
-        None when the hook declines.  Every scanned edge routes a
-        message — ``transfer_array`` has no per-edge None, so apps whose
-        scalar ``transfer`` may return None must decline (see
+        over its (selected) out-edges: ``(dests, values, scan ops,
+        held[p] when all are selected)``, or None when the hook
+        declines.  Every scanned edge routes a message —
+        ``transfer_array`` has no per-edge None, so apps whose scalar
+        ``transfer`` may return None must decline (see
         tests/test_observability.py::TestNoneTransferContract)."""
         pg = self.pgraph
         verts = pg.partition_vertices[p]
+        plan = None
         if finfo is not None:
             # the frontier plan already filtered the partition's active
             # vertices (ascending — the dense scan's enumeration order)
             src, dst = pg.partition_out_edges(p, finfo.active)
         else:
             mask = app.select_array(verts, state)
-            if mask is None:  # select-all hits the cached gather
+            if mask is None:  # select-all: the cached gather, held plan
                 src, dst = pg.partition_out_edges(p)
+                plan = None if held is None else held[p]
             else:
                 selected = verts[np.asarray(mask, dtype=bool)]
                 src, dst = pg.partition_out_edges(p, selected)
@@ -509,14 +516,14 @@ class PropagationEngine:
             return None
         if not isinstance(values, Ragged):
             values = np.asarray(values)
-        return dst, values, float(src.size)
+        return dst, values, float(src.size), plan
 
     def _emit_scalar(
         self, app: PropagationApp, state: Any, p: int,
         finfo: _FrontierInfo | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, float]:
+    ) -> tuple[np.ndarray, np.ndarray, float, None]:
         """Partition ``p``'s messages from the scalar UDFs: ``(dests,
-        values, scan ops)`` with the values (and virtual keys) as object
+        values, scan ops, no plan)`` with the values (and virtual keys) as object
         columns; one op per scanned edge, or per visited vertex for a
         virtual-vertex app.
 
@@ -538,7 +545,7 @@ class PropagationEngine:
                         dests.append(key)
                         values.append(value)
             return (object_column(dests), object_column(values),
-                    float(scanned))
+                    float(scanned), None)
         graph = pg.graph
         for u in (finfo.active if finfo is not None
                   else pg.partition_vertices[p]).tolist():
@@ -551,7 +558,7 @@ class PropagationEngine:
                     dests.append(v)
                     values.append(value)
         return (np.array(dests, dtype=np.int64), object_column(values),
-                float(scanned))
+                float(scanned), None)
 
     def _dest_parts(self, app: PropagationApp,
                     dests: np.ndarray) -> np.ndarray:
@@ -566,51 +573,53 @@ class PropagationEngine:
 
     def _route_messages(
         self, app: PropagationApp, state: Any, p: int, dst: np.ndarray,
-        values: Any, scan_ops: float,
+        values: Any, scan_ops: float, plan: RoutePlan | None = None,
     ) -> _PartitionTransfer:
-        """Route partition ``p``'s emitted column.
-
-        With local optimizations an associative app's column folds once
-        per destination (:func:`~repro.fold.fold_by_dest`: its
-        ``merge_ufunc`` over a typed column, its ``merge`` over an
-        object one), and the inner/boundary/cross masks — destination
-        partitions and ``boundary_mask`` — split the distinct
-        destinations; any other column is split per message.  Local
-        propagation combines the inner destinations now: the folded
-        slice goes to ``combine_array`` where it applies, else (or when
-        it declines) the inner messages go to :meth:`_combine_columns`.
-        The spill and the cross messages, bucketed by destination
-        partition, wait for Combine.  Virtual keys are never inner: one
-        that hashes to ``p`` is spilled.  The charge: ``scan_ops``, +1
-        per routed message, +1 per merged cross message.
-        """
-        pg = self.pgraph
+        """Route partition ``p``'s emitted column by ``plan``: its held
+        index for a dense select-all column, else a fresh plan, whose
+        rows are the distinct destinations when local optimizations fold
+        an associative app's column (by its ``merge_ufunc`` over a typed
+        column, its ``merge`` over an object one), else the messages; a
+        virtual key is never inner.  Laid out in route order, the inner,
+        spill and cross runs are slices.  Local propagation combines the
+        inner rows now: the folded slice by ``combine_array`` where it
+        applies and answers, else the inner messages by
+        :meth:`_combine_columns`.  The charge: ``scan_ops``, +1 per
+        routed message, +1 per merged cross message."""
         result = _PartitionTransfer(messages=int(dst.size),
                                     cpu_ops=scan_ops + int(dst.size))
+        if plan is None:
+            grouping = (Grouping(dst) if self.local_opts
+                        and app.is_associative else None)
+            rows = dst if grouping is None else grouping.uniq
+            plan = self.pgraph.route_plan(
+                grouping, self._dest_parts(app, rows),
+                ~self.pgraph.boundary_mask[rows] if self.local_opts
+                and not app.uses_virtual_vertices else None, p)
         emitted = (dst, values)
+        a, b = plan.inner, plan.spill
         counts = None
-        if self.local_opts and app.is_associative:
-            dst, values, counts = fold_by_dest(
-                dst, values,
-                app.merge_ufunc
+        if plan.grouping is None:
+            dst, values = dst[plan.order], values[plan.order]
+        else:
+            grouping = plan.grouping.at(dst)
+            values = grouping.fold(
+                values, app.merge_ufunc
                 if is_typed(values) and app.merge_ufunc is not None
                 else app.merge)
-
-        dest_parts = self._dest_parts(app, dst)
-        local = dest_parts == p
-        cross = ~local
+            dst, counts = grouping.uniq, grouping.counts
         if self.local_opts and not app.uses_virtual_vertices:
-            inner = local & ~pg.boundary_mask[dst]
-            local &= ~inner
-            seen = dst[inner]
+            seen = dst[:a]
             combined = None
             if counts is not None and self._combines_array(app, values):
                 combined = self._combine_folded(app, state, seen,
-                                                values[inner], counts[inner])
+                                                values[:a], counts[:a])
             if combined is None:
-                raw = np.isin(emitted[0], seen)
-                combined = self._combine_columns(
-                    app, state, emitted[0][raw], emitted[1][raw])
+                inner = (dst[:a], values[:a])
+                if counts is not None:  # the messages, not their fold
+                    raw = np.isin(emitted[0], seen)
+                    inner = (emitted[0][raw], emitted[1][raw])
+                combined = self._combine_columns(app, state, *inner)
                 seen = np.unique(seen)
             result.inner_out, cpu_ops, result.output_bytes = combined
             result.cpu_ops += cpu_ops
@@ -621,23 +630,17 @@ class PropagationEngine:
         sizes = record_sizes(values, MESSAGE_HEADER, (
             None if type(app).value_nbytes is PropagationApp.value_nbytes
             else app.value_nbytes))
-        result.local = (dst[local], values[local])
-        result.spill_bytes = sizes.take(local).total()
-
-        cross = np.flatnonzero(cross)
-        dest_parts = dest_parts[cross]
+        offsets = plan.offsets.astype(np.intp)
+        runs = sizes.segments(np.concatenate(([0, a], b + offsets)))
+        result.local, result.cross = ((dst[a:b], values[a:b]),
+                                      (dst[b:], values[b:]))
+        result.spill_bytes = float(runs[1])
         if counts is not None:
-            result.cpu_ops += float(counts[cross].sum())  # the merge work
-        cross = cross[np.argsort(dest_parts, kind="stable")]
-        per_part = np.bincount(dest_parts, minlength=pg.num_parts)
-        offsets = np.zeros(pg.num_parts + 1, dtype=np.intp)
-        np.cumsum(per_part, out=offsets[1:])
-        result.cross = (dst[cross], values[cross])
+            result.cpu_ops += float(counts[b:].sum())  # the merge work
         result.cross_offsets = offsets
-        result.shipped = int(cross.size)
-        sends = sizes.take(cross).segments(offsets)
-        result.send_bytes = {int(q): float(sends[q])
-                             for q in np.flatnonzero(per_part)}
+        result.shipped = int(offsets[-1])
+        result.send_bytes = {int(q): float(runs[2 + q])
+                             for q in np.flatnonzero(np.diff(offsets))}
         return result
 
     def _transfer_task(

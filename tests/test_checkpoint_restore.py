@@ -18,6 +18,7 @@ from repro.apps import (
 from repro.cluster.faults import FaultPlan
 from repro.cluster.storage import PartitionStore
 from repro.cluster.topology import t2
+from repro.core.partitioned import PartitionedGraph
 from repro.core.surfer import Surfer
 from repro.errors import JobError, PlacementError
 from repro.runtime.checkpoint import CheckpointPolicy, CheckpointStore
@@ -274,9 +275,10 @@ class TestJobRestart:
     def test_mapreduce_restart_replays_shared_plans(self, tiny_graph,
                                                     monkeypatch):
         """Three checkpointed NR MapReduce rounds, a kill in the second:
-        the restart resumes from a snapshot that shares the first
-        round's rank tables with the live state (the same objects, not
-        copies) and builds a new engine with new shuffle plans.  Result
+        the restart resumes from a snapshot that shares the deployment,
+        and with it the rank tables its destination indexes hold (no
+        copy in any snapshot), and builds a new engine with new shuffle
+        plans.  Result
         and every cost equal the scalar oracle's under the same fault,
         and the result and every round's shuffle volume the clean job's
         (its network bytes moved with the dead machine's partitions)."""
@@ -289,6 +291,14 @@ class TestJobRestart:
             return snapshot
 
         monkeypatch.setattr(CheckpointStore, "snapshot_state", recording)
+        built = []
+        route_plan = PartitionedGraph.route_plan
+
+        def counted(pgraph, *args):
+            built.append(args[-1])
+            return route_plan(pgraph, *args)
+
+        monkeypatch.setattr(PartitionedGraph, "route_plan", counted)
         policy = CheckpointPolicy(interval=1)
         clean = deploy(tiny_graph).run_mapreduce(
             NetworkRankingMapReduce(), rounds=3, checkpoint=policy,
@@ -299,6 +309,7 @@ class TestJobRestart:
         jobs = {}
         for vectorized in (False, True):
             snapshots.clear()
+            built.clear()
             surfer = deploy(tiny_graph)
             faults = FaultPlan().add_kill(surfer.store.primary(0), kill_at)
             jobs[vectorized] = surfer.run_mapreduce(
@@ -315,16 +326,14 @@ class TestJobRestart:
                     for r in run.reports] for run in (clean, job)]
         assert volumes[0] == volumes[1]
         assert reconcile(job) == []
-        shared = [(state, snapshot) for state, snapshot in snapshots
-                  if "rank_tables" in snapshot.extra]
-        # the round-1 checkpoint, the restore from it, the round-2 one
-        assert len(shared) == 3
-        for state, snapshot in shared:
+        # every checkpoint and restore copies the ranks and shares the
+        # deployment, whose tables were built once: the restarted job
+        # read the ones the first attempt built
+        assert snapshots
+        for state, snapshot in snapshots:
             assert snapshot.values is not state.values
-            live = state.extra["rank_tables"]
-            copied = snapshot.extra["rank_tables"]
-            assert copied is not live and copied.keys() == live.keys()
-            assert all(copied[p] is live[p] for p in live)
+            assert snapshot.pgraph is state.pgraph
+        assert sorted(built) == list(range(surfer.pgraph.num_parts))
 
 
 class TestStorageSatellites:

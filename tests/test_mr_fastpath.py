@@ -24,7 +24,6 @@ from repro.apps import (
     ReverseLinkGraphMapReduce,
     TwoHopFriendsMapReduce,
 )
-from repro.apps.network_ranking import _RankTable
 from repro.core.bandwidth_aware import PartitionPlan
 from repro.core.surfer import Surfer
 from repro.errors import JobError
@@ -446,24 +445,25 @@ def _drawn_pgraph(edges, parts, k):
 
 
 def assert_rank_tables_match_definition(pgraph):
-    """Per partition: ``keys`` is the distinct destinations ascending,
-    then the own vertices no edge reaches; ``slots`` maps each edge to
-    its destination's key; both read-only and as narrow as they go."""
+    """Per partition, NR's in-map table keys are held on the destination
+    index: the distinct destinations ascending, then the own vertices no
+    edge reaches, read-only and as narrow as they go; they are the
+    index's distinct destinations, and a second call returns the held
+    array."""
     n = pgraph.num_vertices
     for p in range(pgraph.num_parts):
-        table = _RankTable.build(pgraph, p)
-        dst = pgraph.partition_edges(p)[1].tolist()
-        distinct = sorted(set(dst))
+        keys, d = pgraph.table_keys(p)
+        dst = pgraph.partition_dests(p)
+        distinct = sorted(set(dst.tolist()))
         reached = set(distinct)
-        assert table.keys.tolist() == distinct + [
+        assert d == len(distinct)
+        assert keys.tolist() == distinct + [
             v for v in pgraph.partition_vertices[p].tolist()
             if v not in reached]
-        assert table.keys[table.slots.astype(np.intp)].tolist() == dst
-        assert not table.keys.flags.writeable
-        assert not table.slots.flags.writeable
-        assert table.keys.dtype == np.min_scalar_type(n - 1)
-        assert table.slots.dtype == np.min_scalar_type(
-            max(len(distinct) - 1, 0))
+        assert sorted(pgraph.dest_index(p).grouping.uniq.tolist()) == distinct
+        assert pgraph.table_keys(p)[0] is keys
+        assert not keys.flags.writeable
+        assert keys.dtype == np.min_scalar_type(n - 1)
 
 
 class TestRankTable:
@@ -492,7 +492,7 @@ class TestRankTable:
         parts = (np.arange(n) >= half).astype(np.int64)
         pgraph = _drawn_pgraph(np.stack((src, dst), axis=1), parts, 2)
         assert_rank_tables_match_definition(pgraph)
-        assert _RankTable.build(pgraph, 1).keys[-1] == n - 1
+        assert pgraph.table_keys(1)[0][-1] == n - 1
 
 
 # ----------------------------------------------------------------------

@@ -206,9 +206,9 @@ ROUTE = PropagationEngine._route_messages
 def checked_routes():
     """Every route of the jobs run inside, checked against the
     per-message route on the same column; yields how many routes there
-    were and how often their folded inner slice was answered and
-    declined by ``combine_array``."""
-    seen = {"routes": 0, "answered": 0, "declined": 0}
+    were, how many took a partition's held index, and how often their
+    folded inner slice was answered and declined by ``combine_array``."""
+    seen = {"routes": 0, "held": 0, "answered": 0, "declined": 0}
     combine_folded = PropagationEngine._combine_folded
 
     def counted(*args):
@@ -216,10 +216,11 @@ def checked_routes():
         seen["answered" if answered is not None else "declined"] += 1
         return answered
 
-    def route(engine, app, state, p, dst, values, scan_ops):
+    def route(engine, app, state, p, dst, values, scan_ops, plan=None):
         seen["routes"] += 1
+        seen["held"] += plan is not None
         with mock.patch.object(engine, "_combine_folded", counted):
-            got = ROUTE(engine, app, state, p, dst, values, scan_ops)
+            got = ROUTE(engine, app, state, p, dst, values, scan_ops, plan)
         assert_same_transfer(got, reference_route(engine, app, state, p,
                                                   dst, values, scan_ops))
         return got
@@ -311,14 +312,15 @@ class TestFoldFirstEqualsThePerMessageRoute:
         surfer = Surfer(small_graph, make_test_cluster(4), num_parts=8,
                         seed=3)
         seen = run_every_app(surfer, vectorized_modes=(False,))
-        assert seen["routes"] and not seen["answered"]
+        assert seen["routes"] and not seen["answered"] and not seen["held"]
 
     def test_standard_graph(self, small_graph):
         surfer = Surfer(small_graph, make_test_cluster(4), num_parts=8,
                         seed=3)
         seen = run_every_app(surfer, iterations=3)
-        # combine_array took folded slices, and NR-odd's declined some
-        assert seen["answered"] and seen["declined"]
+        # combine_array took folded slices, and NR-odd's declined some;
+        # dense select-all columns took their partition's held index
+        assert seen["answered"] and seen["declined"] and seen["held"]
 
 
 @pytest.fixture(scope="module")
@@ -338,4 +340,4 @@ class TestShardBackedPlan:
         # TC's state reads the whole CSR, which a shard store never holds
         seen = run_every_app(shard_surfer, names=[
             name for name in ROUTED_APPS if name != "TC"])
-        assert seen["answered"] and seen["declined"]
+        assert seen["answered"] and seen["declined"] and seen["held"]
